@@ -18,11 +18,13 @@ import (
 	"gputrid/internal/workload"
 )
 
-// runSelfTest exercises the whole serving stack end to end against a
-// real loopback listener: correctness over HTTP vs the serial
+// runSelfTest exercises the whole serving stack — a one-device fleet
+// built by the constructor the live server uses — end to end against
+// a real loopback listener: correctness over HTTP vs the serial
 // reference solve, fail-fast 503s under 4x-capacity offered load,
 // breaker trip to the CPU fallback under injected faults with
-// recovery once they heal, and a graceful drain. CI runs it under
+// recovery once they heal, and a graceful drain; then a three-device
+// fleet's distributed route through a device death. CI runs it under
 // -race. ctx bounds the whole run (the -timeout flag): every HTTP
 // request and every wait loop derives from it, so a hung stack fails
 // the selftest instead of wedging it.
@@ -35,24 +37,27 @@ func runSelfTest(ctx context.Context) error {
 		Kinds: []gputrid.DeviceFaultKind{gputrid.FaultAbort},
 		Gate:  faultsArmed.Load,
 	}
-	srv := newServer(gputrid.PoolConfig{
-		Capacity:   1,
-		QueueLimit: 1,
-		Breaker: gputrid.BreakerPolicy{
-			Window: 8, TripRatio: 0.5, MinSamples: 4,
-			Cooldown: 50 * time.Millisecond, ProbeSuccesses: 2,
+	srv, err := newServer(fleet.Config{
+		Devices: 1,
+		Pool: gputrid.PoolConfig{
+			Capacity:   1,
+			QueueLimit: 1,
+			Breaker: gputrid.BreakerPolicy{
+				Window: 8, TripRatio: 0.5, MinSamples: 4,
+				Cooldown: 50 * time.Millisecond, ProbeSuccesses: 2,
+			},
+			SolverOptions: []gputrid.Option{gputrid.WithFaultInjection(inj)},
 		},
-		SolverOptions: []gputrid.Option{gputrid.WithFaultInjection(inj)},
-	})
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	}, 0, 0, 0)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.routes()}
-	go func() { _ = hs.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-	defer hs.Close()
+	defer srv.close(context.Background())
+	base, stop, err := listenLoopback(srv)
+	if err != nil {
+		return err
+	}
+	defer stop()
 
 	if err := checkCorrectness(ctx, base); err != nil {
 		return fmt.Errorf("correctness: %w", err)
@@ -72,10 +77,22 @@ func runSelfTest(ctx context.Context) error {
 	return nil
 }
 
-// checkDistributed runs the fleet mode's -distmin path end to end over
-// HTTP: a huge-N request routes across every device of the simulated
-// fabric, one device is armed to die on its first kernel launch of the
-// solve, and the response must still arrive — bitwise identical to the
+// listenLoopback serves srv's routes on a loopback port; stop closes
+// the listener.
+func listenLoopback(srv *server) (base string, stop func(), err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	hs := &http.Server{Handler: srv.routes()}
+	go func() { _ = hs.Serve(ln) }()
+	return "http://" + ln.Addr().String(), func() { _ = hs.Close() }, nil
+}
+
+// checkDistributed runs the -distmin path end to end over HTTP: a
+// huge-N request routes across every device of the simulated fabric,
+// one device is armed to die on its first kernel launch of the solve,
+// and the response must still arrive — bitwise identical to the
 // fault-free distributed reference — with the death reported in the
 // response and the device cordoned by the next control-loop tick.
 func checkDistributed(ctx context.Context) error {
@@ -88,43 +105,24 @@ func checkDistributed(ctx context.Context) error {
 	topo.Device(victim).Faults = &gpusim.Injector{
 		Schedule: []gpusim.ScheduledFault{{Kind: gpusim.FaultAbort, Repeat: 1 << 30}},
 	}
-	fl, err := fleet.New(fleet.Config{Devices: devices, DistTopology: topo})
+	srv, err := newServer(fleet.Config{Devices: devices, DistTopology: topo}, 0, 0, 1024)
 	if err != nil {
 		return err
 	}
-	defer fl.Close(context.Background())
-	srv := &fleetServer{fl: fl, maxTimeout: time.Minute, distMinN: 1024}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	defer srv.close(context.Background())
+	base, stop, err := listenLoopback(srv)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.routes()}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-	base := "http://" + ln.Addr().String()
+	defer stop()
 
 	b := workload.Batch[float64](workload.DiagDominant, m, n, 99)
-	body, err := json.Marshal(requestFor(b, 0))
+	code, fr, er, err := postSolve(ctx, base, requestFor(b, 0))
 	if err != nil {
 		return err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/solve", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("huge-N solve: status %d, want 200", resp.StatusCode)
-	}
-	var fr fleetSolveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
-		return err
+	if code != http.StatusOK {
+		return fmt.Errorf("huge-N solve: status %d (%+v), want 200", code, er)
 	}
 	if fr.Route != "distributed" {
 		return fmt.Errorf("route %q, want distributed", fr.Route)
@@ -159,9 +157,9 @@ func checkDistributed(ctx context.Context) error {
 
 	// The death surfaced into the health feed mid-solve; the next tick
 	// cordons the victim.
-	fl.Tick()
-	fl.Quiesce()
-	st := fl.Stats()
+	srv.fl.Tick()
+	srv.fl.Quiesce()
+	st := srv.fl.Stats()
 	if st.Cordons != 1 || st.Devices[victim].State != fleet.StateDead {
 		return fmt.Errorf("victim not cordoned: cordons %d, state %v", st.Cordons, st.Devices[victim].State)
 	}
@@ -288,13 +286,13 @@ func checkOverload(ctx context.Context, base string) error {
 		return fmt.Errorf("4x load produced no 503s (ok=%d)", ok)
 	}
 	var stats struct {
-		RejectedQueueFull uint64 `json:"rejected_queue_full"`
+		Rejected uint64 `json:"rejected"`
 	}
-	if err := getJSON(base+"/stats", &stats); err != nil {
+	if err := getJSON(base+"/fleet", &stats); err != nil {
 		return err
 	}
-	if stats.RejectedQueueFull == 0 {
-		return fmt.Errorf("stats report no queue-full rejections")
+	if stats.Rejected == 0 {
+		return fmt.Errorf("/fleet reports no rejections")
 	}
 	return nil
 }
@@ -328,8 +326,7 @@ func checkBreaker(ctx context.Context, base string, armed *atomic.Bool) error {
 		return fmt.Errorf("breaker did not trip under sustained faults")
 	}
 	var health struct {
-		Status  string `json:"status"`
-		Breaker string `json:"breaker"`
+		Status string `json:"status"`
 	}
 	if err := getJSON(base+"/healthz", &health); err != nil {
 		return err
@@ -395,14 +392,14 @@ func checkBreaker(ctx context.Context, base string, armed *atomic.Bool) error {
 	}
 }
 
-// checkDrain closes the pool gracefully and verifies late requests
+// checkDrain closes the fleet gracefully and verifies late requests
 // are rejected as draining.
 func checkDrain(ctx context.Context, base string, srv *server) error {
 	srv.draining.Store(true)
 	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	if err := srv.pool.Close(dctx); err != nil {
-		return fmt.Errorf("pool close: %w", err)
+	if err := srv.close(dctx); err != nil {
+		return fmt.Errorf("fleet close: %w", err)
 	}
 	b := workload.Batch[float64](workload.DiagDominant, 2, 64, 3)
 	code, _, er, err := postSolve(ctx, base, requestFor(b, 0))

@@ -16,7 +16,14 @@ import (
 	"time"
 
 	"gputrid"
+	"gputrid/internal/batcher"
+	"gputrid/internal/fleet"
+	"gputrid/internal/gpusim"
 )
+
+// fleetTickInterval drives the live control loop; cordon/heal and
+// autoscaling decisions are evaluated at this cadence.
+const fleetTickInterval = 250 * time.Millisecond
 
 // solveRequest is the JSON body of POST /solve: one M x N batch in
 // natural order (row j of system i at index i*N+j), with an optional
@@ -32,18 +39,31 @@ type solveRequest struct {
 	TimeoutMS int       `json:"timeout_ms,omitempty"`
 }
 
-// solveResponse is the success body: the solution plus how the pool
-// served the request. FlushSize and Rescued appear only on coalesced
-// responses (-batch): the total system count of the megabatch this
-// request rode in, and how many of its own systems needed the host
-// rescue path.
+// solveResponse is the success body: the solution, how it was served
+// and where.
 type solveResponse struct {
-	X         []float64 `json:"x"`
-	Route     string    `json:"route"`
-	WaitNS    int64     `json:"wait_ns"`
-	WallNS    int64     `json:"wall_ns"`
-	FlushSize int       `json:"flush_size,omitempty"`
-	Rescued   int       `json:"rescued,omitempty"`
+	X      []float64 `json:"x"`
+	Route  string    `json:"route"`
+	WaitNS int64     `json:"wait_ns"`
+	WallNS int64     `json:"wall_ns"`
+	// FlushSize and Rescued appear only on coalesced responses
+	// (-batch): the total system count of the megabatch this request
+	// rode in, and how many of its own systems needed the host rescue
+	// path.
+	FlushSize int `json:"flush_size,omitempty"`
+	Rescued   int `json:"rescued,omitempty"`
+	// Device is the id of the device that served the request (-1 on
+	// the coalesced and distributed routes, where no single device
+	// did); Attempts is how many devices were tried (>1 means a
+	// re-route saved it).
+	Device   int `json:"device"`
+	Attempts int `json:"attempts"`
+	// Distributed-route extras (route "distributed" only): the devices
+	// the solve started on, any declared dead mid-solve, and how many
+	// slabs migrated to survivors.
+	DistDevices    []int `json:"dist_devices,omitempty"`
+	DistDeaths     []int `json:"dist_deaths,omitempty"`
+	DistMigrations int   `json:"dist_migrations,omitempty"`
 }
 
 // errorResponse is every non-200 body.
@@ -55,26 +75,73 @@ type errorResponse struct {
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
 
-// server ties the HTTP front-end to the solver pool.
+// injectRequest is the body of POST /fleet/inject: one synthetic
+// device health event, applied by the next control-loop tick.
+type injectRequest struct {
+	Device  int     `json:"device"`
+	Kind    string  `json:"kind"`
+	XID     int     `json:"xid,omitempty"`
+	Temp    float64 `json:"temp,omitempty"`
+	Message string  `json:"message,omitempty"`
+}
+
+// server ties the HTTP front end to the fleet control plane: requests
+// route to the least-loaded healthy device, device-local failures
+// re-route, and operators observe and drive the control plane over
+// HTTP. A one-device fleet is the plain serving pool behind the same
+// handlers.
 type server struct {
-	pool     *gputrid.Pool[float64]
+	fl       *fleet.Fleet
 	draining atomic.Bool
 	// maxTimeout caps client-requested per-solve timeouts.
 	maxTimeout time.Duration
 	// batcher, when non-nil, coalesces small concurrent requests into
-	// megabatches (-batch).
-	batcher *gputrid.Batcher[float64]
+	// megabatches routed through Fleet.SolveMegabatch (-batch).
+	batcher *batcher.Batcher[float64]
+	// distMinN, when positive, routes requests with n >= distMinN to
+	// the distributed multi-device solve instead of a single device's
+	// pool (-distmin): the system is slab-partitioned across every
+	// servable device and survives device death mid-solve.
+	distMinN int
 }
 
-func newServer(cfg gputrid.PoolConfig) *server {
-	return &server{pool: gputrid.NewPool[float64](cfg), maxTimeout: time.Minute}
+// newServer builds the fleet and, when batchN > 0, the coalescing
+// front end over it.
+func newServer(cfg fleet.Config, batchN int, batchWait time.Duration, distMin int) (*server, error) {
+	fl, err := fleet.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := &server{fl: fl, maxTimeout: time.Minute, distMinN: distMin}
+	if batchN > 0 {
+		s.batcher, err = batcher.New(batcher.Config[float64]{
+			MaxBatch: batchN,
+			MaxWait:  batchWait,
+			Solve:    fl.SolveMegabatch,
+		})
+		if err != nil {
+			_ = fl.Close(context.Background())
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// close flushes and completes parked coalesced flights, then drains
+// the fleet beneath them under ctx.
+func (s *server) close(ctx context.Context) error {
+	if s.batcher != nil {
+		s.batcher.Close()
+	}
+	return s.fl.Close(ctx)
 }
 
 func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /solve", s.handleSolve)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /stats", s.handleStats)
+	mux.HandleFunc("GET /fleet", s.handleFleet)
+	mux.HandleFunc("POST /fleet/inject", s.handleInject)
 	return mux
 }
 
@@ -90,95 +157,105 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error(), 0)
 		return
 	}
-	size := req.M * req.N
-	if req.M <= 0 || req.N <= 0 ||
-		len(req.Lower) != size || len(req.Diag) != size ||
-		len(req.Upper) != size || len(req.RHS) != size {
-		writeError(w, http.StatusBadRequest, "bad-request",
-			fmt.Sprintf("batch arrays must all have length m*n = %d", size), 0)
-		return
-	}
 	b := &gputrid.Batch[float64]{
 		M: req.M, N: req.N,
 		Lower: req.Lower, Diag: req.Diag, Upper: req.Upper, RHS: req.RHS,
 	}
+	if err := b.CheckShape(); err != nil {
+		writeError(w, http.StatusBadRequest, "bad-request", err.Error(), 0)
+		return
+	}
 
 	ctx := r.Context()
 	if req.TimeoutMS > 0 {
-		d := time.Duration(req.TimeoutMS) * time.Millisecond
-		if d > s.maxTimeout {
-			d = s.maxTimeout
-		}
+		d := min(time.Duration(req.TimeoutMS)*time.Millisecond, s.maxTimeout)
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
 
-	if s.batcher != nil {
-		x, cres, err := s.batcher.Solve(ctx, b)
+	if s.distMinN > 0 && req.N >= s.distMinN {
+		res, err := s.fl.SolveDistributed(ctx, b)
 		if err != nil {
-			s.writeSolveError(w, err)
+			writeSolveError(w, err)
 			return
 		}
+		writeJSON(w, http.StatusOK, solveResponse{
+			X:              res.X,
+			Route:          "distributed",
+			WallNS:         int64(res.Report.ModeledPipelined),
+			Device:         -1,
+			Attempts:       1,
+			DistDevices:    res.Live,
+			DistDeaths:     res.Report.Deaths,
+			DistMigrations: res.Report.Migrations,
+		})
+		return
+	}
+
+	if s.batcher != nil && req.M <= s.batcher.MaxBatch() {
+		x := make([]float64, len(req.RHS))
+		cres, err := s.batcher.Solve(ctx, &batcher.Request[float64]{
+			M: req.M, N: req.N,
+			Lower: req.Lower, Diag: req.Diag, Upper: req.Upper, RHS: req.RHS,
+			X: x,
+		})
+		if err != nil {
+			writeSolveError(w, err)
+			return
+		}
+		// A coalesced flight may ride any device (and re-route as a
+		// unit), so no single device id is reported.
 		writeJSON(w, http.StatusOK, solveResponse{
 			X:         x,
 			Route:     "coalesced",
 			WaitNS:    int64(cres.Wait),
 			FlushSize: cres.FlushSize,
 			Rescued:   cres.Rescued,
+			Device:    -1,
+			Attempts:  1,
 		})
 		return
 	}
 
-	res, err := s.pool.Solve(ctx, b)
+	res, err := s.fl.Solve(ctx, b)
 	if err != nil {
-		s.writeSolveError(w, err)
+		writeSolveError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, solveResponse{
-		X:      res.X,
-		Route:  res.Route.String(),
-		WaitNS: int64(res.Wait),
-		WallNS: int64(res.WallTime),
+		X:        res.X,
+		Route:    res.Route.String(),
+		WaitNS:   int64(res.Wait),
+		WallNS:   int64(res.WallTime),
+		Device:   res.Device,
+		Attempts: res.Attempts,
 	})
 }
 
-// retryAfterMS derives a 503 retry hint from the best congestion
-// estimate available, in preference order: the rejection's own EstWait
-// (the admission controller already computed the queue-drain time),
-// else one queue's worth of the pool's EWMA service-time estimate for
-// the rejected shape, else a conservative 50ms when the shape has
-// never been observed. est may be nil when no estimator applies.
-func retryAfterMS(err error, est func(m, n int) (time.Duration, bool)) int64 {
+// retryAfterMS derives a 503 retry hint from the rejection's EstWait —
+// the admission controller's wait estimate from the shape's EWMA
+// service time — or a conservative 50ms when the shape has never been
+// observed or the rejection carries no estimate.
+func retryAfterMS(err error) int64 {
 	var oe *gputrid.OverloadError
-	if !errors.As(err, &oe) {
+	if !errors.As(err, &oe) || oe.EstWait <= 0 {
 		return 50
 	}
-	wait := oe.EstWait
-	if wait <= 0 && est != nil {
-		if svc, ok := est(oe.M, oe.N); ok && svc > 0 {
-			// The request would land behind QueueDepth waiters plus the
-			// solves already holding the capacity.
-			wait = svc * time.Duration(oe.QueueDepth+1)
-		}
-	}
-	if wait <= 0 {
-		return 50
-	}
-	ms := int64(wait / time.Millisecond)
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
+	return max(int64(oe.EstWait/time.Millisecond), 1)
 }
 
-// writeSolveError maps the pool's typed errors onto HTTP status codes.
-func (s *server) writeSolveError(w http.ResponseWriter, err error) {
+// writeSolveError maps fleet and pool errors onto HTTP status codes.
+// "No servable device" is a 503 too — the fleet may heal or scale up.
+func writeSolveError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, gputrid.ErrOverloaded), errors.Is(err, gputrid.ErrBatcherSaturated):
-		writeError(w, http.StatusServiceUnavailable, "overloaded", err.Error(),
-			retryAfterMS(err, s.pool.ServiceTime))
-	case errors.Is(err, gputrid.ErrPoolClosed), errors.Is(err, gputrid.ErrBatcherClosed):
+		writeError(w, http.StatusServiceUnavailable, "overloaded", err.Error(), retryAfterMS(err))
+	case errors.Is(err, fleet.ErrNoDevices):
+		writeError(w, http.StatusServiceUnavailable, "no-device", err.Error(),
+			int64(fleetTickInterval/time.Millisecond))
+	case errors.Is(err, fleet.ErrFleetClosed), errors.Is(err, gputrid.ErrPoolClosed),
+		errors.Is(err, gputrid.ErrBatcherClosed):
 		writeError(w, http.StatusServiceUnavailable, "draining", err.Error(), 0)
 	case errors.Is(err, gputrid.ErrCancelled):
 		writeError(w, http.StatusGatewayTimeout, "cancelled", err.Error(), 0)
@@ -190,10 +267,11 @@ func (s *server) writeSolveError(w http.ResponseWriter, err error) {
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	brk := s.pool.Breaker()
+	st := s.fl.Stats()
+	servable := st.Active + st.Probation + st.Deprioritized
 	body := map[string]any{
-		"status":  "ok",
-		"breaker": brk.State.String(),
+		"status":   "ok",
+		"servable": servable,
 	}
 	code := http.StatusOK
 	switch {
@@ -201,30 +279,103 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		body["status"] = "draining"
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", strconv.FormatInt((defaultRetryAfterMS+999)/1000, 10))
-	case brk.State != gputrid.BreakerClosed:
-		// Degraded but healthy: the CPU fallback serves while the
-		// breaker is open, so the instance must keep receiving traffic.
+	case servable == 0:
+		// Everything cordoned/dead: unhealthy until a heal or scale-up
+		// — which the next control-loop ticks decide, hence the hint.
+		body["status"] = "no-device"
+		code = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", "1")
+	case st.Degraded():
+		// Degraded but healthy: the instance still serves (off a
+		// probation or throttled device, or a pool's CPU fallback), so
+		// it must keep receiving traffic.
 		body["status"] = "degraded"
 	}
 	writeJSON(w, code, body)
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.pool.Stats()
-	// Per-shape congestion so operators can see *which* traffic class
-	// is queueing, not just the pool-wide aggregate.
+func (s *server) handleFleet(w http.ResponseWriter, r *http.Request) {
+	st := s.fl.Stats()
+	devices := make([]map[string]any, 0, len(st.Devices))
+	for _, d := range st.Devices {
+		dev := map[string]any{
+			"id":            d.ID,
+			"state":         d.State.String(),
+			"in_flight":     d.InFlight,
+			"served":        d.Served,
+			"failed":        d.Failed,
+			"corrected_ecc": d.CorrectedECC,
+			"gray": map[string]any{
+				"latency_ratio":     d.GrayRatio,
+				"integrity_retries": d.IntegrityRetries,
+				"hedged_slabs":      d.Hedged,
+			},
+		}
+		if d.Pool != nil {
+			dev["pool"] = poolStatsBody(d.Pool)
+		}
+		devices = append(devices, dev)
+	}
+	body := map[string]any{
+		"devices": devices,
+		"census": map[string]any{
+			"active":        st.Active,
+			"probation":     st.Probation,
+			"deprioritized": st.Deprioritized,
+			"cordoned":      st.Cordoned,
+			"dead":          st.Dead,
+			"standby":       st.Standby,
+		},
+		"in_flight":      st.InFlight,
+		"queue_depth":    st.QueueDepth,
+		"served":         st.Served,
+		"rejected":       st.Rejected,
+		"rerouted":       st.Rerouted,
+		"no_device":      st.NoDevice,
+		"cordons":        st.Cordons,
+		"heals":          st.Heals,
+		"scale_ups":      st.ScaleUps,
+		"scale_downs":    st.ScaleDowns,
+		"forced_drains":  st.ForcedDrains,
+		"build_failures": st.BuildFailures,
+		"events":         st.Events,
+		"distributed": map[string]any{
+			"solves":            st.DistSolves,
+			"deaths":            st.DistDeaths,
+			"migrations":        st.DistMigrations,
+			"degraded":          st.DistDegraded,
+			"integrity_retries": st.DistIntegrityRetries,
+			"hedges":            st.DistHedges,
+			"hedge_wins":        st.DistHedgeWins,
+		},
+		"gray": map[string]any{
+			"stragglers_flagged":  st.GrayStragglers,
+			"flaky_links_flagged": st.GrayLinkFlaky,
+		},
+	}
+	if s.batcher != nil {
+		body["batcher"] = batcherStatsBody(s.batcher.Stats())
+	}
+	writeJSON(w, http.StatusOK, body)
+}
+
+// poolStatsBody renders one device pool's snapshot for /fleet:
+// per-shape congestion, so operators can see *which* traffic class is
+// queueing, admission counters and the breaker window.
+func poolStatsBody(st *gputrid.PoolStats) map[string]any {
 	perShape := make([]map[string]any, 0, len(st.PerShape))
 	for _, sh := range st.PerShape {
 		perShape = append(perShape, map[string]any{
 			"m":               sh.M,
 			"n":               sh.N,
+			"mega":            sh.Mega,
 			"built":           sh.Built,
 			"leased":          sh.Leased,
 			"queue_depth":     sh.QueueDepth,
 			"service_time_ns": int64(sh.ServiceTime),
 		})
 	}
-	body := map[string]any{
+	return map[string]any{
 		"shapes":              st.Shapes,
 		"per_shape":           perShape,
 		"in_flight":           st.InFlight,
@@ -245,14 +396,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"probe_streak":    st.Breaker.ProbeStreak,
 		},
 	}
-	if s.batcher != nil {
-		body["batcher"] = batcherStatsBody(s.batcher.Stats())
-	}
-	writeJSON(w, http.StatusOK, body)
 }
 
-// batcherStatsBody renders the coalescing front-end's counters for
-// /stats and /fleet.
+// batcherStatsBody renders the coalescing front end's counters for
+// /fleet.
 func batcherStatsBody(st gputrid.BatcherStats) map[string]any {
 	queues := make([]map[string]any, 0, len(st.Queues))
 	for _, q := range st.Queues {
@@ -278,6 +425,30 @@ func batcherStatsBody(st gputrid.BatcherStats) map[string]any {
 		"shapes":            st.Shapes,
 		"queues":            queues,
 	}
+}
+
+func (s *server) handleInject(w http.ResponseWriter, r *http.Request) {
+	var req injectRequest
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error(), 0)
+		return
+	}
+	kind, err := gpusim.ParseHealthKind(req.Kind)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad-request", err.Error(), 0)
+		return
+	}
+	ev := gpusim.HealthEvent{
+		Device: req.Device, Kind: kind,
+		XID: req.XID, Temp: req.Temp, Message: req.Message,
+	}
+	s.fl.Inject(ev)
+	writeJSON(w, http.StatusAccepted, map[string]any{
+		"accepted": ev.String(),
+		"note":     "applied by the next control-loop tick",
+	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, body any) {
@@ -326,65 +497,56 @@ func parseWarmShapes(spec string) ([][2]int, error) {
 	return out, nil
 }
 
-// serve runs the HTTP front-end until SIGINT/SIGTERM, then drains:
-// the listener stops accepting, in-flight requests finish, and the
-// pool is closed gracefully (force-cancelling stragglers after a
-// bounded drain window).
-func serve(addr string, capacity, queue, maxShapes int, warm string, batchN int, batchWait time.Duration) error {
-	shapes, err := parseWarmShapes(warm)
+// serve runs the HTTP front end over a fleet built from cfg, with a
+// wall-clock ticker driving the control loop, until SIGINT/SIGTERM.
+// Then it drains: the listener stops accepting, in-flight requests
+// finish, parked coalesced flights flush, and every device pool closes
+// gracefully (force-cancelling stragglers after a bounded window).
+func serve(addr string, cfg fleet.Config, batchN int, batchWait time.Duration, distMin int) error {
+	srv, err := newServer(cfg, batchN, batchWait, distMin)
 	if err != nil {
 		return err
 	}
-	srv := newServer(gputrid.PoolConfig{
-		Capacity:   capacity,
-		QueueLimit: queue,
-		MaxShapes:  maxShapes,
-	})
-	if batchN > 0 {
-		bt, err := gputrid.NewBatcher(srv.pool, gputrid.BatcherConfig{
-			MaxBatch: batchN,
-			MaxWait:  batchWait,
-		})
-		if err != nil {
-			return err
-		}
-		srv.batcher = bt
-	}
-	for _, mn := range shapes {
-		if err := srv.pool.Warm(mn[0], mn[1]); err != nil {
-			return fmt.Errorf("warming %dx%d: %w", mn[0], mn[1], err)
-		}
-	}
-
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		_ = srv.close(context.Background())
 		return err
 	}
+
+	stopTicks := make(chan struct{})
+	go func() {
+		tk := time.NewTicker(fleetTickInterval)
+		defer tk.Stop()
+		for {
+			select {
+			case <-tk.C:
+				srv.fl.Tick()
+			case <-stopTicks:
+				return
+			}
+		}
+	}()
+
 	hs := &http.Server{Handler: srv.routes()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
-	fmt.Printf("tridserve: listening on %s (capacity %d/shape)\n", ln.Addr(), capacity)
+	fmt.Printf("tridserve: fleet of %d device(s) listening on %s (capacity %d/shape/device)\n",
+		cfg.Devices, ln.Addr(), cfg.Pool.Capacity)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
-	case err := <-errCh:
-		return err
+	case err = <-errCh:
 	case <-sig:
+		fmt.Println("tridserve: draining...")
 	}
-
-	fmt.Println("tridserve: draining...")
 	srv.draining.Store(true)
+	close(stopTicks)
 	shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_ = hs.Shutdown(shCtx)
-	if srv.batcher != nil {
-		// Flush and complete parked coalesced requests before the pool
-		// beneath them drains.
-		srv.batcher.Close()
+	if cerr := srv.close(shCtx); cerr != nil {
+		fmt.Fprintf(os.Stderr, "tridserve: drain: %v\n", cerr)
 	}
-	if err := srv.pool.Close(shCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "tridserve: pool drain: %v\n", err)
-	}
-	return nil
+	return err
 }

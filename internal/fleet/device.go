@@ -24,8 +24,6 @@ type Backend interface {
 	Warm(m, n int) error
 	// Stats snapshots the device pool's congestion and breaker.
 	Stats() gputrid.PoolStats
-	// ServiceTime is the pool's per-shape service-time estimate.
-	ServiceTime(m, n int) (time.Duration, bool)
 	// Breaker exposes the pool's circuit-breaker state, so the router
 	// can prefer devices whose device path is healthy.
 	Breaker() gputrid.BreakerSnapshot
@@ -155,8 +153,8 @@ type DeviceStats struct {
 	GrayRatio        float64
 	IntegrityRetries int
 	Hedged           int
-	// QueueDepth and Breaker mirror the device pool (zero values while
-	// the device has no live pool — Dead/Standby after drain).
-	QueueDepth int
-	Breaker    gputrid.BreakerState
+	// Pool snapshots the device pool: per-shape congestion, admission
+	// counters, breaker window. nil while the device has no live pool
+	// (Cordoned, Dead, Standby).
+	Pool *gputrid.PoolStats
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gputrid"
+	"gputrid/internal/clock"
 	"gputrid/internal/core"
 	"gputrid/internal/fleet"
 	"gputrid/internal/gpusim"
@@ -40,7 +41,7 @@ func distReference(t *testing.T, devices int, b *gputrid.Batch[float64]) []float
 }
 
 func TestFleetSolveDistributed(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 3}, ff, vc)
 
@@ -88,7 +89,7 @@ func TestFleetDistributedDeviceDeath(t *testing.T) {
 	topo.Device(victim).Faults = &gpusim.Injector{
 		Schedule: []gpusim.ScheduledFault{{Kind: gpusim.FaultAbort, Repeat: 1 << 30}},
 	}
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: devices, DistTopology: topo}, ff, vc)
 
@@ -146,7 +147,7 @@ func TestFleetDistributedDeviceDeath(t *testing.T) {
 }
 
 func TestFleetDistributedNoDevices(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2}, ff, vc)
 	for id := 0; id < 2; id++ {
@@ -209,10 +210,9 @@ func (b *drainBackend) SolveMegabatch(ctx context.Context, _ *gputrid.Megabatch[
 	}
 }
 
-func (b *drainBackend) Warm(m, n int) error                        { return nil }
-func (b *drainBackend) Stats() gputrid.PoolStats                   { return gputrid.PoolStats{} }
-func (b *drainBackend) ServiceTime(m, n int) (time.Duration, bool) { return time.Millisecond, true }
-func (b *drainBackend) Breaker() gputrid.BreakerSnapshot           { return gputrid.BreakerSnapshot{} }
+func (b *drainBackend) Warm(m, n int) error              { return nil }
+func (b *drainBackend) Stats() gputrid.PoolStats         { return gputrid.PoolStats{} }
+func (b *drainBackend) Breaker() gputrid.BreakerSnapshot { return gputrid.BreakerSnapshot{} }
 func (b *drainBackend) Close(ctx context.Context) error {
 	b.once.Do(func() { close(b.drained) })
 	return nil
@@ -227,7 +227,7 @@ func (b *drainBackend) Close(ctx context.Context) error {
 func TestCloseRacesDrainReroute(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	cfg := fleet.Config{
 		Devices:      2,
 		Clock:        vc,

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"gputrid"
+	"gputrid/internal/clock"
 	"gputrid/internal/core"
 	"gputrid/internal/gpusim"
 )
@@ -63,13 +64,20 @@ type Config struct {
 	// WarmShapes are pre-built on every device the factory creates.
 	WarmShapes [][2]int
 
-	// Clock drives every elapsed-time policy decision; nil means wall
-	// clock.
-	Clock Clock
+	// Clock drives every elapsed-time policy decision — probation
+	// expiry, autoscale cooldowns, health-event timestamps — so a
+	// scenario driven by a clock.VirtualClock replays the exact same
+	// decision sequence on every run; nil means wall clock. Wall-clock
+	// time still governs the data plane (solve durations, drain
+	// force-cancel budgets), which affects only how fast a run
+	// finishes, not which control decisions it makes.
+	Clock clock.Clock
 
 	// CorrectedECCLimit is how many corrected-ECC events a device
 	// absorbs before the controller escalates to a cordon; 0 means 8,
-	// negative disables the escalation.
+	// negative disables the escalation. A one-device fleet never
+	// escalates: cordoning its only device would move traffic nowhere,
+	// while the device pool's breaker and host fallback keep serving.
 	CorrectedECCLimit int
 	// Probation is how long a revived device must stay clean before
 	// promotion to Active; 0 means 1s.
@@ -138,10 +146,10 @@ func (c Config) minActive() int {
 
 func (c Config) correctedECCLimit() int {
 	switch {
+	case c.CorrectedECCLimit < 0 || c.Devices == 1:
+		return 1 << 30
 	case c.CorrectedECCLimit == 0:
 		return 8
-	case c.CorrectedECCLimit < 0:
-		return 1 << 30
 	default:
 		return c.CorrectedECCLimit
 	}
@@ -211,12 +219,28 @@ type Stats struct {
 	GrayStragglers, GrayLinkFlaky                   uint64
 }
 
+// Degraded reports whether the fleet serves at reduced quality while
+// still serving: no device is Active, or no servable device has a
+// closed breaker, so every request lands on a probation or throttled
+// device or takes its pool's host fallback.
+func (s Stats) Degraded() bool {
+	if s.Active == 0 {
+		return true
+	}
+	for _, d := range s.Devices {
+		if d.State.servable() && d.Pool != nil && d.Pool.Breaker.State == gputrid.BreakerClosed {
+			return false
+		}
+	}
+	return true
+}
+
 // Fleet is the control plane over N device failure domains. All
 // methods are safe for concurrent use; policy evaluation happens only
 // inside Tick.
 type Fleet struct {
 	cfg     Config
-	clock   Clock
+	clock   clock.Clock
 	factory BackendFactory
 	feed    *gpusim.HealthFeed
 
@@ -260,9 +284,9 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: DistTopology has %d devices, want Devices = %d",
 			cfg.DistTopology.NumDevices(), cfg.Devices)
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = WallClock{}
+	clk := cfg.Clock
+	if clk == nil {
+		clk = clock.WallClock{}
 	}
 	factory := cfg.Factory
 	if factory == nil {
@@ -270,11 +294,11 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:     cfg,
-		clock:   clock,
+		clock:   clk,
 		factory: factory,
 		feed:    &gpusim.HealthFeed{},
 	}
-	now := clock.Now()
+	now := clk.Now()
 	f.lastScale = now
 	active := cfg.initialActive()
 	for id := 0; id < cfg.Devices; id++ {
@@ -646,8 +670,7 @@ func (f *Fleet) Stats() Stats {
 	// Pool snapshots outside the fleet lock: Stats takes pool mutexes.
 	for _, ld := range live {
 		ps := ld.be.Stats()
-		s.Devices[ld.i].QueueDepth = ps.QueueDepth
-		s.Devices[ld.i].Breaker = ps.Breaker.State
+		s.Devices[ld.i].Pool = &ps
 		s.QueueDepth += ps.QueueDepth
 	}
 	return s

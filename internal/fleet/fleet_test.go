@@ -9,6 +9,7 @@ import (
 
 	"gputrid"
 	"gputrid/internal/batcher"
+	"gputrid/internal/clock"
 	"gputrid/internal/fleet"
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
@@ -85,7 +86,6 @@ func (b *fakeBackend) Warm(m, n int) error { return nil }
 func (b *fakeBackend) Stats() gputrid.PoolStats {
 	return gputrid.PoolStats{Breaker: gputrid.BreakerSnapshot{State: b.breakerState()}}
 }
-func (b *fakeBackend) ServiceTime(m, n int) (time.Duration, bool) { return time.Millisecond, true }
 func (b *fakeBackend) Breaker() gputrid.BreakerSnapshot {
 	return gputrid.BreakerSnapshot{State: b.breakerState()}
 }
@@ -149,7 +149,7 @@ func (f *fakeFactory) backend(i int) *fakeBackend {
 	return f.made[i]
 }
 
-func newTestFleet(t *testing.T, cfg fleet.Config, ff *fakeFactory, vc *fleet.VirtualClock) *fleet.Fleet {
+func newTestFleet(t *testing.T, cfg fleet.Config, ff *fakeFactory, vc *clock.VirtualClock) *fleet.Fleet {
 	t.Helper()
 	cfg.Factory = ff.build
 	cfg.Clock = vc
@@ -171,7 +171,7 @@ func deviceState(t *testing.T, f *fleet.Fleet, id int) fleet.DeviceState {
 // revives it on a *fresh* pool into probation, and a clean probation
 // period promotes it back to Active.
 func TestCordonDrainHealProbation(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2, Probation: 2 * time.Second}, ff, vc)
 	ctx := context.Background()
@@ -248,7 +248,7 @@ func TestCordonDrainHealProbation(t *testing.T) {
 // TestProbationViolationRecordons: any non-recovery event during
 // probation cordons the device immediately — no second chances.
 func TestProbationViolationRecordons(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2}, ff, vc)
 
@@ -275,7 +275,7 @@ func TestProbationViolationRecordons(t *testing.T) {
 // through probation on the SAME pool (thermals don't wipe device
 // state).
 func TestThermalDeprioritize(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2}, ff, vc)
 	ctx := context.Background()
@@ -322,7 +322,7 @@ func TestThermalDeprioritize(t *testing.T) {
 // individually but cordon the device once they accumulate past the
 // policy threshold.
 func TestCorrectedECCEscalation(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2, CorrectedECCLimit: 3}, ff, vc)
 
@@ -341,11 +341,80 @@ func TestCorrectedECCEscalation(t *testing.T) {
 	}
 }
 
+// TestCorrectedECCOneDevice: the default escalation cordons a device
+// of a larger fleet, but a one-device fleet never cordons its only
+// device on corrected-ECC pressure — traffic would move nowhere, and
+// the pool's breaker and host fallback keep serving instead.
+func TestCorrectedECCOneDevice(t *testing.T) {
+	for _, tc := range []struct {
+		devices int
+		want    fleet.DeviceState
+	}{{1, fleet.StateActive}, {2, fleet.StateDead}} {
+		vc := clock.NewVirtualClock(time.Unix(0, 0))
+		ff := &fakeFactory{}
+		f := newTestFleet(t, fleet.Config{Devices: tc.devices}, ff, vc)
+		for i := 0; i < 10; i++ {
+			f.Inject(gpusim.HealthEvent{Device: 0, Kind: gpusim.HealthECCCorrected})
+		}
+		f.Tick()
+		f.Quiesce()
+		if got := deviceState(t, f, 0); got != tc.want {
+			t.Fatalf("Devices %d after 10 corrected-ECC events: state = %v, want %v", tc.devices, got, tc.want)
+		}
+	}
+
+	// The synthesized events of fault-repaired solves take the same
+	// path: a one-device fleet keeps serving through a fault burst.
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
+	ff := &fakeFactory{}
+	f := newTestFleet(t, fleet.Config{Devices: 1}, ff, vc)
+	ff.backend(0).mu.Lock()
+	ff.backend(0).faults = &gputrid.FaultReport{Faults: 1}
+	ff.backend(0).mu.Unlock()
+	for i := 0; i < 12; i++ {
+		if _, err := f.Solve(context.Background(), nil); err != nil {
+			t.Fatalf("solve %d: %v", i, err)
+		}
+		f.Tick()
+		f.Quiesce()
+	}
+	if st := f.Stats(); st.Devices[0].State != fleet.StateActive || st.Cordons != 0 {
+		t.Fatalf("one-device fleet after a fault burst: state %v, cordons %d, want active, 0",
+			st.Devices[0].State, st.Cordons)
+	}
+}
+
+// TestStatsDegraded: the fleet reads degraded while it still serves
+// but no servable device has a closed breaker, or none is Active.
+func TestStatsDegraded(t *testing.T) {
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
+	ff := &fakeFactory{}
+	f := newTestFleet(t, fleet.Config{Devices: 1}, ff, vc)
+	if f.Stats().Degraded() {
+		t.Fatal("healthy one-device fleet reads degraded")
+	}
+	ff.backend(0).mu.Lock()
+	ff.backend(0).breaker = gputrid.BreakerOpen
+	ff.backend(0).mu.Unlock()
+	if !f.Stats().Degraded() {
+		t.Fatal("one-device fleet with its breaker open does not read degraded")
+	}
+	ff.backend(0).mu.Lock()
+	ff.backend(0).breaker = gputrid.BreakerClosed
+	ff.backend(0).mu.Unlock()
+	f.Inject(gpusim.HealthEvent{Device: 0, Kind: gpusim.HealthThermal, Temp: 95})
+	f.Tick()
+	if st := f.Stats(); st.Devices[0].State != fleet.StateDeprioritized || !st.Degraded() {
+		t.Fatalf("thermally throttled only device: state %v, degraded %v, want deprioritized, true",
+			st.Devices[0].State, st.Degraded())
+	}
+}
+
 // TestSolveFaultsEscalateToCordon: device solves whose fault layer had
 // to recover emit corrected-ECC health events, so a device with
 // sustained data-plane faults eventually cordons itself.
 func TestSolveFaultsEscalateToCordon(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2, CorrectedECCLimit: 2}, ff, vc)
 	ctx := context.Background()
@@ -374,7 +443,7 @@ func TestSolveFaultsEscalateToCordon(t *testing.T) {
 // TestRerouteOnDeadDevice: a request whose device drains beneath it
 // re-routes to the next device and succeeds; Attempts reflects it.
 func TestRerouteOnDeadDevice(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2}, ff, vc)
 
@@ -399,7 +468,7 @@ func TestRerouteOnDeadDevice(t *testing.T) {
 // TestCallerCancellationDoesNotReroute: when the request's own context
 // is dead, no re-route may happen — nothing another device could fix.
 func TestCallerCancellationDoesNotReroute(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2}, ff, vc)
 
@@ -424,7 +493,7 @@ func TestCallerCancellationDoesNotReroute(t *testing.T) {
 // open (serving off its CPU fallback) loses to one whose device path
 // is healthy.
 func TestBreakerAwareRouting(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2}, ff, vc)
 
@@ -445,7 +514,7 @@ func TestBreakerAwareRouting(t *testing.T) {
 // activates a standby device (after the cooldown); sustained idleness
 // drains one back to standby, never below MinActive.
 func TestAutoscaleUpAndDown(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{
 		Devices: 2, InitialActive: 1, MinActive: 1,
@@ -498,7 +567,7 @@ func TestAutoscaleUpAndDown(t *testing.T) {
 // TestMassCordonRevivesStandby: when every serving device dies, the
 // scaler reactivates a standby device immediately, cooldown be damned.
 func TestMassCordonRevivesStandby(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2, InitialActive: 1}, ff, vc)
 
@@ -515,7 +584,7 @@ func TestMassCordonRevivesStandby(t *testing.T) {
 // TestForcedDrainCount: a drain that outlives DrainTimeout is
 // force-cancelled and counted.
 func TestForcedDrainCount(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2, DrainTimeout: 10 * time.Millisecond}, ff, vc)
 
@@ -540,7 +609,7 @@ func TestForcedDrainCount(t *testing.T) {
 // TestFleetClose: close drains every live pool, further solves fail
 // typed, and close is idempotent.
 func TestFleetClose(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 3}, ff, vc)
 
@@ -576,7 +645,7 @@ func mkMega(count, n int) *gputrid.Megabatch[float64] {
 // in the fleet's in-flight accounting, and a device-local failure
 // re-routes the whole flight to another device.
 func TestSolveMegabatchWeightedRouting(t *testing.T) {
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{Devices: 2}, ff, vc)
 	ctx := context.Background()

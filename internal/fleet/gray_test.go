@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gputrid/internal/clock"
 	"gputrid/internal/core"
 	"gputrid/internal/fleet"
 	"gputrid/internal/gpusim"
@@ -47,7 +48,7 @@ func grayTopo(t *testing.T, devices, straggler int, slow float64, flaky int, rat
 // fleet's.
 func TestGrayStragglerDetectedAndCordoned(t *testing.T) {
 	const devices, straggler = 4, 2
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{
 		Devices:      devices,
@@ -102,7 +103,7 @@ func TestGrayStragglerDetectedAndCordoned(t *testing.T) {
 // gray evidence alone never cordons unless the policy says so.
 func TestGrayDetectorDisable(t *testing.T) {
 	const devices, straggler = 4, 1
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{
 		Devices:      devices,
@@ -135,7 +136,7 @@ func TestGrayDetectorDisable(t *testing.T) {
 // residue crosses the policy limit.
 func TestGrayFlakyLinkDetectedAndCordoned(t *testing.T) {
 	const devices, victim = 4, 1
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	f := newTestFleet(t, fleet.Config{
 		Devices:      devices,
@@ -203,7 +204,7 @@ func TestGrayFlakyLinkDetectedAndCordoned(t *testing.T) {
 // must not re-cordon it on its first healthy solve.
 func TestGrayEvidenceResetOnRevive(t *testing.T) {
 	const devices, straggler = 4, 0
-	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
 	topo := grayTopo(t, devices, straggler, 20, -1, 0)
 	f := newTestFleet(t, fleet.Config{

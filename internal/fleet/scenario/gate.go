@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 	"sync"
-	"time"
 
 	"gputrid"
 	"gputrid/internal/fleet"
@@ -85,10 +84,6 @@ func (g *gatedBackend) SolveMegabatch(ctx context.Context, mb *gputrid.Megabatch
 func (g *gatedBackend) Warm(m, n int) error { return g.inner.Warm(m, n) }
 
 func (g *gatedBackend) Stats() gputrid.PoolStats { return g.inner.Stats() }
-
-func (g *gatedBackend) ServiceTime(m, n int) (time.Duration, bool) {
-	return g.inner.ServiceTime(m, n)
-}
 
 func (g *gatedBackend) Breaker() gputrid.BreakerSnapshot { return g.inner.Breaker() }
 

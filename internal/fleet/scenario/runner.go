@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gputrid"
+	"gputrid/internal/clock"
 	"gputrid/internal/core"
 	"gputrid/internal/fleet"
 	"gputrid/internal/gpusim"
@@ -205,7 +206,7 @@ func Run(sc *Scenario, logf func(format string, args ...any)) (*Report, error) {
 	// tick's requests in flight while the cordon lands. Revives go
 	// through the same factory, so healed devices get fresh pools and
 	// fresh (disarmed) gates.
-	vc := fleet.NewVirtualClock(time.Unix(0, 0).UTC())
+	vc := clock.NewVirtualClock(time.Unix(0, 0).UTC())
 	var gates gateSet
 	factory := func(id int) (fleet.Backend, error) {
 		// The pools share the run's virtual clock, so control-plane

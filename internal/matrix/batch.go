@@ -69,14 +69,27 @@ func (b *Batch[T]) Clone() *Batch[T] {
 	return c
 }
 
-// Validate checks every system in the batch. A NaN/Inf coefficient is
-// rejected up front with the system, array, and row of the offending
-// entry, so garbage-in is distinguished from numerical breakdown inside
-// a solver.
+// CheckShape reports whether M and N are positive and each of the four
+// slices holds exactly M*N entries. It divides instead of multiplying,
+// so a hostile shape whose product overflows int cannot wrap to a
+// length that empty slices satisfy. O(1), allocation-free.
+func (b *Batch[T]) CheckShape() error {
+	size := len(b.Diag)
+	if b.M <= 0 || b.N <= 0 || size%b.N != 0 || size/b.N != b.M ||
+		len(b.Lower) != size || len(b.Upper) != size || len(b.RHS) != size {
+		return fmt.Errorf("matrix: batch shape %dx%d does not match slice lengths (a=%d b=%d c=%d d=%d)",
+			b.M, b.N, len(b.Lower), size, len(b.Upper), len(b.RHS))
+	}
+	return nil
+}
+
+// Validate checks the shape, then every system in the batch. A NaN/Inf
+// coefficient is rejected up front with the system, array, and row of
+// the offending entry, so garbage-in is distinguished from numerical
+// breakdown inside a solver.
 func (b *Batch[T]) Validate() error {
-	if len(b.Lower) != b.M*b.N || len(b.Diag) != b.M*b.N ||
-		len(b.Upper) != b.M*b.N || len(b.RHS) != b.M*b.N {
-		return fmt.Errorf("matrix: batch slice lengths do not match M*N=%d", b.M*b.N)
+	if err := b.CheckShape(); err != nil {
+		return err
 	}
 	for i := 0; i < b.M; i++ {
 		if err := b.System(i).Validate(); err != nil {

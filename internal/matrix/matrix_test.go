@@ -316,6 +316,35 @@ func TestBatchValidate(t *testing.T) {
 	}
 }
 
+// TestBatchCheckShapeOverflow: a shape whose M*N wraps int to 0 must
+// not pass against empty slices (Validate would then slice out of
+// range in System).
+func TestBatchCheckShapeOverflow(t *testing.T) {
+	cases := []*Batch[float64]{
+		{M: 1 << 32, N: 1 << 32},
+		{M: 1 << 62, N: 4},
+		{M: 0, N: 3},
+		{M: 2, N: -3},
+		{M: 2, N: 3, Lower: make([]float64, 6), Diag: make([]float64, 6), Upper: make([]float64, 6), RHS: make([]float64, 5)},
+		{M: 2, N: 3, Lower: make([]float64, 7), Diag: make([]float64, 7), Upper: make([]float64, 7), RHS: make([]float64, 7)},
+	}
+	for _, b := range cases {
+		if b.CheckShape() == nil {
+			t.Errorf("%dx%d (|d| = %d) passed CheckShape", b.M, b.N, len(b.Diag))
+		}
+		if b.Validate() == nil {
+			t.Errorf("%dx%d (|d| = %d) passed Validate", b.M, b.N, len(b.Diag))
+		}
+	}
+	ok := NewBatch[float64](2, 3)
+	if err := ok.CheckShape(); err != nil {
+		t.Errorf("well-formed batch rejected: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ok.CheckShape() }); n != 0 {
+		t.Errorf("CheckShape allocates %v times on a well-formed batch", n)
+	}
+}
+
 func TestPanicsOnBadShapes(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {

@@ -56,7 +56,10 @@ type OverloadError struct {
 	// Capacity is the number of warmed solver instances for the shape.
 	Capacity int
 	// EstWait is the admission controller's service-time estimate for
-	// how long the request would have waited (0 when unknown).
+	// how long the request would have waited (0 when unknown): one
+	// service time per request ahead of it on QueueFull, the queue
+	// drain over the capacity on DeadlineInfeasible. Retry-After hints
+	// derive from it.
 	EstWait time.Duration
 }
 

@@ -328,10 +328,13 @@ func (p *Pool[S]) acquireAt(ctx context.Context, st *station[S]) (l *Lease[S], r
 		depth := st.waiters
 		st.mu.Unlock()
 		p.rejFull.Add(1)
+		// The retry hint: the request would land behind depth waiters
+		// plus the solves already holding the capacity.
+		svc, _ := st.svc.value()
 		return nil, false, &OverloadError{
 			M: m, N: n, Reason: QueueFull,
 			QueueDepth: depth, QueueLimit: limit,
-			Capacity: p.cfg.capacity(),
+			Capacity: p.cfg.capacity(), EstWait: svc * time.Duration(depth+1),
 		}
 	}
 	if dl, ok := ctx.Deadline(); ok {

@@ -169,6 +169,43 @@ func TestDeadlineInfeasible(t *testing.T) {
 	}
 }
 
+// TestQueueFullEstWait: once a shape has a service-time estimate, a
+// queue-full rejection carries the wait behind the queue ahead of it
+// (svc × (depth+1)), which the HTTP front end turns into Retry-After.
+func TestQueueFullEstWait(t *testing.T) {
+	f := &fakeFactory{}
+	const svc = 20 * time.Millisecond
+	p := newTestPool(Config{Capacity: 1, QueueLimit: 1}, f, svc)
+	defer p.Close(context.Background())
+
+	l, err := p.Acquire(context.Background(), 2, 16)
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		l2, err := p.Acquire(context.Background(), 2, 16)
+		if err == nil {
+			l2.Release(0)
+		}
+		done <- err
+	}()
+	waitFor(t, func() bool { return p.Stats().QueueDepth == 1 })
+
+	_, err = p.Acquire(context.Background(), 2, 16)
+	var oe *OverloadError
+	if !errors.As(err, &oe) || oe.Reason != QueueFull {
+		t.Fatalf("got %v, want QueueFull OverloadError", err)
+	}
+	if oe.EstWait <= 0 || oe.EstWait != 2*svc {
+		t.Fatalf("EstWait = %v, want %v (svc × (depth+1))", oe.EstWait, 2*svc)
+	}
+	l.Release(0)
+	if err := <-done; err != nil {
+		t.Fatalf("queued request failed: %v", err)
+	}
+}
+
 // TestAdmissionCancelledWhileQueued: a context that ends while queued
 // yields an error matching core.ErrCancelled and the context error.
 func TestAdmissionCancelledWhileQueued(t *testing.T) {
