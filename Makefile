@@ -9,7 +9,7 @@ test:
 	go test ./...
 
 race:
-	go test -race gputrid ./internal/...
+	go test -race gputrid ./internal/... ./cmd/tridserve
 
 # Project-invariant analyzers (clock injection, ctx threading, hot-path
 # allocs, lock ranks, typed-error matching). Blocking in CI.

@@ -68,6 +68,9 @@ func main() {
 	if *chaos < 0 || *chaos > 1 {
 		fail(fmt.Errorf("-chaos wants a rate in [0, 1], got %g", *chaos))
 	}
+	if *fuse && (*guard || *chaos > 0) {
+		usage(fmt.Errorf("-fuse cannot be combined with -guard or -chaos (the fused kernel is a one-shot ablation with no recovery layer)"))
+	}
 	b, err := buildBatch(*in, *kind, *m, *n, *seed)
 	if err != nil {
 		fail(err)
@@ -77,7 +80,7 @@ func main() {
 		fmt.Printf("cond1(system 0) ~= %.3e\n", k1)
 	}
 	if *guard {
-		solveGuarded(b, *k, *fuse, *inject, *out, *chaos, *seed)
+		solveGuarded(b, *k, *inject, *out, *chaos, *seed)
 		return
 	}
 	if *inject != "" {
@@ -228,11 +231,8 @@ func solve(algo string, b *matrix.Batch[float64], k int, fuse bool, chaos float6
 // diagnosis: a summary of systems per stage, then one line for every
 // system that left the fast path. Exits 1 when any system was
 // unrecoverable (the healthy solutions are still written to -out).
-func solveGuarded(b *matrix.Batch[float64], k int, fuse bool, inject, out string, chaos float64, seed uint64) {
+func solveGuarded(b *matrix.Batch[float64], k int, inject, out string, chaos float64, seed uint64) {
 	opts := []gputrid.Option{gputrid.WithK(k)}
-	if fuse {
-		opts = append(opts, gputrid.WithKernelFusion())
-	}
 	if chaos > 0 {
 		opts = append(opts, gputrid.WithFaultInjection(&gputrid.FaultInjector{Seed: seed, Rate: chaos}))
 	}
@@ -344,4 +344,11 @@ func faultSummary(fr *gputrid.FaultReport) string {
 func fail(err error) {
 	fmt.Fprintf(os.Stderr, "tridsolve: %v\n", err)
 	os.Exit(1)
+}
+
+// usage reports a flag combination the command refuses (exit 2, the
+// flag package's usage-error code).
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "tridsolve: %v\n", err)
+	os.Exit(2)
 }

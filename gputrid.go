@@ -88,7 +88,6 @@ type config struct {
 	c        int
 	blocks   int
 	fuse     bool
-	mux      int
 	verify   bool
 	workers  int
 	guard    *GuardPolicy
@@ -104,7 +103,6 @@ func (c *config) coreConfig() core.Config {
 		C:               c.c,
 		BlocksPerSystem: c.blocks,
 		Fuse:            c.fuse,
-		SystemsPerBlock: c.mux,
 		Workers:         c.workers,
 		Retry:           c.retry,
 		Watchdog:        c.watchdog,
@@ -131,12 +129,12 @@ func WithSubTileScale(scale int) Option { return func(c *config) { c.c = scale }
 func WithBlocksPerSystem(g int) Option { return func(c *config) { c.blocks = g } }
 
 // WithKernelFusion enables the §III.C fusion of tiled PCR with the
-// p-Thomas forward sweep (one block per system required).
+// p-Thomas forward sweep (one block per system required). The fused
+// kernel is a one-shot ablation without a recovery layer: SolveBatch,
+// SolveBatchCtx and Solve run it, while the reusable entry points
+// (NewSolver, SolveInterleaved, SolveGuarded, Pool) return
+// ErrNotReusable whenever it would take effect (k >= 1).
 func WithKernelFusion() Option { return func(c *config) { c.fuse = true } }
-
-// WithSystemsPerBlock multiplexes q systems (each with its own sliding
-// window) onto one thread block — paper Fig. 11(c).
-func WithSystemsPerBlock(q int) Option { return func(c *config) { c.mux = q } }
 
 // WithVerification checks the relative residual of every solution and
 // fails the solve if it exceeds the size-scaled tolerance; the error
@@ -204,9 +202,8 @@ type Result[T Real] struct {
 	// paper-style comparisons).
 	WallTime time.Duration
 	// Faults describes the fault-recovery activity of the solve (nil
-	// when the solve ran without an injector or cancellable context, or
-	// on the fused/multiplexed fallback paths, which have no recovery
-	// layer).
+	// when nothing fired, and always for the one-shot fused kernel,
+	// which has no recovery layer).
 	Faults *FaultReport
 }
 
@@ -236,33 +233,25 @@ func faultsOf(rep *core.Report) *FaultReport {
 	return nil
 }
 
-// SolveBatch solves every system of the batch with the hybrid solver.
-func SolveBatch[T Real](b *Batch[T], opts ...Option) (*Result[T], error) {
-	c := buildConfig(opts)
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("gputrid: invalid batch: %w", err)
-	}
-	start := time.Now()
-	x, rep, err := core.Solve(c.coreConfig(), b)
-	if err != nil {
-		return nil, fmt.Errorf("gputrid: %w", err)
-	}
-	wall := time.Since(start)
-	if c.verify {
-		if err := verifyBatch(b, x); err != nil {
-			return nil, err
-		}
-	}
+// resultOf assembles the public result of a solve from its solution,
+// execution report and measured wall time.
+func resultOf[T Real](x []T, rep *core.Report, dev *Device, wall time.Duration) *Result[T] {
 	return &Result[T]{
 		X:               x,
 		K:               rep.K,
 		BlocksPerSystem: rep.BlocksPerSystem,
 		Fused:           rep.Fused,
 		Stats:           rep.Stats,
-		ModeledTime:     secondsToDuration(modeled[T](c.device, rep)),
+		ModeledTime:     secondsToDuration(modeled[T](dev, rep)),
 		WallTime:        wall,
 		Faults:          faultsOf(rep),
-	}, nil
+	}
+}
+
+// SolveBatch solves every system of the batch with the hybrid solver.
+// It is SolveBatchCtx with a background context.
+func SolveBatch[T Real](b *Batch[T], opts ...Option) (*Result[T], error) {
+	return SolveBatchCtx(context.Background(), b, opts...)
 }
 
 // SolveBatchCtx is SolveBatch with cooperative cancellation: once ctx
@@ -271,39 +260,23 @@ func SolveBatch[T Real](b *Batch[T], opts ...Option) (*Result[T], error) {
 // and the context's own error, with no goroutine leaks. Combine with
 // WithFaultInjection and WithRetry to exercise transient-fault
 // recovery; the result's Faults field reports what the recovery layer
-// did.
+// did. WallTime covers the solve itself, not the construction of its
+// transient pipeline.
 func SolveBatchCtx[T Real](ctx context.Context, b *Batch[T], opts ...Option) (*Result[T], error) {
 	c := buildConfig(opts)
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("gputrid: invalid batch: %w", err)
 	}
-	p, err := core.NewPipeline[T](c.coreConfig(), b.M, b.N)
+	x, rep, wall, err := core.SolveCtx(ctx, c.coreConfig(), b)
 	if err != nil {
 		return nil, fmt.Errorf("gputrid: %w", err)
 	}
-	defer p.Close()
-	x := make([]T, b.M*b.N)
-	start := time.Now()
-	if err := p.SolveIntoCtx(ctx, x, b); err != nil {
-		return nil, fmt.Errorf("gputrid: %w", err)
-	}
-	wall := time.Since(start)
 	if c.verify {
 		if err := verifyBatch(b, x); err != nil {
 			return nil, err
 		}
 	}
-	rep := p.Report()
-	return &Result[T]{
-		X:               x,
-		K:               rep.K,
-		BlocksPerSystem: rep.BlocksPerSystem,
-		Fused:           rep.Fused,
-		Stats:           rep.Stats,
-		ModeledTime:     secondsToDuration(modeled[T](c.device, rep)),
-		WallTime:        wall,
-		Faults:          faultsOf(rep),
-	}, nil
+	return resultOf(x, rep, c.device, wall), nil
 }
 
 // verifyBatch checks every system's residual against the size-scaled
@@ -396,17 +369,7 @@ func SolveInterleaved[T Real](v *Interleaved[T], opts ...Option) (*Result[T], er
 			return nil, err
 		}
 	}
-	rep := p.Report()
-	return &Result[T]{
-		X:               xi,
-		K:               rep.K,
-		BlocksPerSystem: rep.BlocksPerSystem,
-		Fused:           rep.Fused,
-		Stats:           rep.Stats,
-		ModeledTime:     secondsToDuration(modeled[T](c.device, rep)),
-		WallTime:        wall,
-		Faults:          faultsOf(rep),
-	}, nil
+	return resultOf(xi, p.Report(), c.device, wall), nil
 }
 
 // validateInterleaved rejects non-finite coefficients in an
@@ -642,19 +605,8 @@ func SolveGuarded[T Real](b *Batch[T], opts ...Option) (*GuardedResult[T], error
 	if gres == nil {
 		return nil, fmt.Errorf("gputrid: %w", err)
 	}
-	wall := time.Since(start)
-	rep := gres.FastReport
 	res := &GuardedResult[T]{
-		Result: &Result[T]{
-			X:               gres.X,
-			K:               rep.K,
-			BlocksPerSystem: rep.BlocksPerSystem,
-			Fused:           rep.Fused,
-			Stats:           rep.Stats,
-			ModeledTime:     secondsToDuration(modeled[T](c.device, rep)),
-			WallTime:        wall,
-			Faults:          faultsOf(rep),
-		},
+		Result:  resultOf(gres.X, gres.FastReport, c.device, time.Since(start)),
 		Reports: gres.Reports,
 		Failed:  gres.Failed,
 	}

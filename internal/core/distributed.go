@@ -479,7 +479,7 @@ func (s *DistSolver[T]) liveSet(live []int) (map[int]bool, error) {
 // the device error (a wrapped LaunchError means the device is dead).
 type phaseFn[T num.Real] func(ctx context.Context, sl *distSlab, dev int) error
 
-// hostFn is the phase's degraded fallback on the host.
+// hostFn is the phase's degraded host-side re-solve.
 type hostFn[T num.Real] func(sl *distSlab) error
 
 // runPhase executes one device phase over all slabs with the recovery

@@ -165,8 +165,8 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 // solve: how many transient faults fired, how often each kernel was
 // retried, which systems were degraded to the pivoting GTSV path, and
 // how much modeled device time the faulted attempts wasted. It is
-// reset at the start of every solve that runs with an injector or a
-// cancellable context, and folded into the pipeline's Report.
+// reset at the start of every solve and folded into the pipeline's
+// Report.
 type FaultReport struct {
 	// Faults counts the transient launch faults observed.
 	Faults int

@@ -109,7 +109,7 @@ func solveFused[T num.Real](dev *gpusim.Device, cfg Config, b *matrix.Batch[T], 
 
 // SolveReference solves the batch with the pure-Go streaming pipeline +
 // reference p-Thomas — the executable specification of the hybrid, used
-// to validate the kernels and as a host-side fallback.
+// to validate the kernels and as a host-side solver.
 func SolveReference[T num.Real](b *matrix.Batch[T], k int) []T {
 	m, n := b.M, b.N
 	if k < 0 {

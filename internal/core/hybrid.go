@@ -19,6 +19,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"time"
 
 	"gputrid/internal/gpusim"
@@ -81,8 +84,8 @@ type Report struct {
 	// Kernels holds the per-launch statistics in execution order.
 	Kernels []*gpusim.Stats
 	// Faults describes the fault-recovery activity of the most recent
-	// solve (zeroed when nothing fired). Nil for the fused/multiplexed
-	// fallback configurations, which have no recovery layer.
+	// solve (zeroed when nothing fired). Nil for the one-shot fused and
+	// multiplexed ablation kernels, which have no recovery layer.
 	Faults *FaultReport
 }
 
@@ -99,6 +102,11 @@ func (cfg *Config) c() int {
 	}
 	return cfg.C
 }
+
+// ablation reports whether cfg selects one of the one-shot ablation
+// kernels — §III.C fusion or Fig. 11(c) multiplexing. Both only take
+// effect on the k >= 1 path; at k = 0 the pipeline ignores them.
+func (cfg *Config) ablation() bool { return cfg.Fuse || cfg.SystemsPerBlock > 1 }
 
 func (cfg *Config) watchdog() time.Duration {
 	if cfg.Watchdog > 0 {
@@ -156,23 +164,67 @@ func (cfg *Config) resolveBlocks(m, n, k int) int {
 
 // Solve solves every system of the batch on the simulated device and
 // returns the solutions in natural order (system i occupying
-// [i*N, (i+1)*N)) along with the execution report.
-//
-// It is a one-shot wrapper over a transient Pipeline: callers that
+// [i*N, (i+1)*N)) along with the execution report. It is SolveCtx
+// with a background context.
+func Solve[T num.Real](cfg Config, b *matrix.Batch[T]) ([]T, *Report, error) {
+	x, rep, _, err := SolveCtx(context.Background(), cfg, b)
+	return x, rep, err
+}
+
+// SolveCtx is the one-shot solve with cooperative cancellation (see
+// Pipeline.SolveIntoCtx). It runs a transient Pipeline: callers that
 // solve the same shape repeatedly should build the Pipeline themselves
 // and reuse it, which skips both the arena allocation and (after the
-// first solve) the event-recording pass.
-func Solve[T num.Real](cfg Config, b *matrix.Batch[T]) ([]T, *Report, error) {
+// first solve) the event-recording pass. The fused and multiplexed
+// ablation configurations, which have no reusable pipeline, run their
+// one-shot kernels instead. wall is the measured host time of the solve
+// itself, excluding pipeline construction.
+func SolveCtx[T num.Real](ctx context.Context, cfg Config, b *matrix.Batch[T]) (x []T, rep *Report, wall time.Duration, err error) {
 	p, err := NewPipeline[T](cfg, b.M, b.N)
+	if errors.Is(err, ErrNotReusable) {
+		return solveAblation(ctx, cfg, b)
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	defer p.Close()
-	x := make([]T, b.M*b.N)
-	if err := p.SolveInto(x, b); err != nil {
-		return nil, nil, err
+	x = make([]T, b.M*b.N)
+	if err := p.SolveIntoCtx(ctx, x, b); err != nil {
+		return nil, nil, 0, err
 	}
-	return x, p.Report(), nil
+	return x, p.Report(), p.LastSolveTime(), nil
+}
+
+// solveAblation runs the §III.C fused or Fig. 11(c) multiplexed
+// configuration through its one-shot kernels. They allocate per call
+// and have no recovery layer: they exist for ablation studies, not
+// timestep loops. Both need one block per system.
+func solveAblation[T num.Real](ctx context.Context, cfg Config, b *matrix.Batch[T]) ([]T, *Report, time.Duration, error) {
+	if cfg.BlocksPerSystem > 1 {
+		return nil, nil, 0, fmt.Errorf("core: fused and multiplexed kernels need one block per system, got %d", cfg.BlocksPerSystem)
+	}
+	if err := b.CheckShape(); err != nil {
+		return nil, nil, 0, fmt.Errorf("%w: %v", ErrShapeMismatch, err)
+	}
+	if ctx != nil && ctx.Err() != nil {
+		return nil, nil, 0, cancelled(ctx.Err())
+	}
+	k := cfg.resolveK(b.M, b.N)
+	rep := &Report{K: k, C: cfg.c(), BlocksPerSystem: 1, Fused: cfg.Fuse, Stats: &gpusim.Stats{}}
+	start := time.Now()
+	var (
+		x   []T
+		err error
+	)
+	if cfg.Fuse {
+		x, _, err = solveFused(cfg.device(), cfg, b, k, rep)
+	} else {
+		x, _, err = solveMultiplexed(cfg.device(), cfg, b, k, rep)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return x, rep, time.Since(start), nil
 }
 
 // SolveSystem solves a single system with the hybrid (M = 1).

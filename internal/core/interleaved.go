@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"time"
-
 	"gputrid/internal/cpu"
 	"gputrid/internal/matrix"
 	"gputrid/internal/pthomas"
@@ -34,8 +32,8 @@ type LayoutStats struct {
 	// planes in, 1 solution vector out).
 	TransposesSkipped uint64
 	// InterleavedShim counts interleaved solves that had to convert
-	// layouts anyway because the configuration cannot consume them
-	// natively (k >= 1 hybrid, fused/multiplexed fallback).
+	// layouts anyway because the k >= 1 hybrid cannot consume them
+	// natively.
 	InterleavedShim uint64
 }
 
@@ -66,141 +64,53 @@ func (p *Pipeline[T]) SolveInterleavedInto(xi []T, v *matrix.Interleaved[T]) err
 // error contract is unchanged — treat xi as garbage unless the solve
 // returned nil.
 //
-// Configurations that cannot consume the layout (k >= 1 hybrid,
-// fused/multiplexed fallback) convert through a lazily allocated
-// contiguous scratch and solve as usual, so the entry point works for
-// every configuration; LayoutStats tells the two paths apart.
+// The k >= 1 hybrid cannot consume the layout: it converts through a
+// lazily allocated contiguous scratch and solves as usual, so the
+// entry point works for every pipeline; LayoutStats tells the two
+// paths apart.
 func (p *Pipeline[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *matrix.Interleaved[T]) error {
-	if v.M != p.m || v.N != p.n {
-		return fmt.Errorf("%w: interleaved batch is %dx%d, pipeline wants %dx%d", ErrShapeMismatch, v.M, v.N, p.m, p.n)
+	if err := p.checkShape(v.M, v.N, len(xi), v.Lower, v.Diag, v.Upper, v.RHS); err != nil {
+		return err
 	}
-	if len(xi) != p.m*p.n {
-		return fmt.Errorf("%w: xi has %d elements, pipeline wants %d", ErrShapeMismatch, len(xi), p.m*p.n)
-	}
-	if len(v.Lower) != p.m*p.n || len(v.Diag) != p.m*p.n ||
-		len(v.Upper) != p.m*p.n || len(v.RHS) != p.m*p.n {
-		return fmt.Errorf("%w: interleaved plane lengths do not match M*N=%d", ErrShapeMismatch, p.m*p.n)
-	}
-	if !p.inUse.CompareAndSwap(false, true) {
-		return ErrPipelineBusy
-	}
-	defer p.inUse.Store(false)
-	if p.closed {
-		return ErrPipelineClosed
-	}
-	start := time.Now()
-	defer func() { p.lastWall = time.Since(start) }()
-
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return cancelled(err)
-		}
-	}
-	p.ilSolves.Add(1)
-
-	if p.k != 0 || p.fallback {
-		return p.solveInterleavedShim(ctx, xi, v)
-	}
-	p.ilSkipped.Add(5)
-
-	ft := ctx != nil || p.dev.Faults != nil
-	if ft {
-		p.ctx = ctx
-		p.frep.reset()
-		p.degradeAll = false
-		for _, w := range p.workers {
-			w.err = nil
-			w.wf = workerFaults{}
-		}
-		defer func() { p.ctx = nil }()
-	}
-
-	// Point the kernels at the caller's planes for this solve; the
-	// binding is restored before returning so the contiguous entry
-	// keeps its arena-backed buffers. NewBufs/NewGlobal are value
-	// constructors — the rebind allocates nothing.
-	cp, dp := p.ws.Ensure(p.m * p.n)
-	p.bufs = pthomas.NewBufs(v.Lower, v.Diag, v.Upper, v.RHS, cp, dp, xi)
-	defer p.rebindK0()
-
-	var err error
-	if !p.recorded {
-		w := p.workers[0]
-		rerr := p.recordLaunch(&p.kern[0], "pThomas", 0, p.bs, p.grid, w.kernK0)
-		switch {
-		case rerr == nil:
-			p.finishRecording(1)
-		case errors.Is(rerr, ErrFaulted) && !p.cfg.Retry.NoDegrade:
-			p.degradeAll = true
-		default:
-			err = rerr
-		}
-	} else {
-		err = p.replay()
-	}
-	if ft {
-		p.mergeFaults()
-		if err == nil && len(p.frep.Degraded) > 0 {
-			err = p.degradedResolveInterleaved(xi, v)
-		}
-	}
-	return err
-}
-
-// rebindK0 restores the k = 0 kernel buffers to the pipeline's own
-// arena after an interleaved-native solve borrowed them.
-func (p *Pipeline[T]) rebindK0() {
-	cp, dp := p.ws.Ensure(p.m * p.n)
-	p.bufs = pthomas.NewBufs(p.vbuf.Lower, p.vbuf.Diag, p.vbuf.Upper, p.vbuf.RHS, cp, dp, p.xi)
-}
-
-// solveInterleavedShim serves interleaved input to configurations that
-// want contiguous batches: convert into the (lazily allocated)
-// contiguous scratch, run the ordinary solve body, interleave the
-// solution back out. It holds the busy flag the caller already took.
-func (p *Pipeline[T]) solveInterleavedShim(ctx context.Context, xi []T, v *matrix.Interleaved[T]) error {
-	p.ilShim.Add(1)
-	if p.iscratchB == nil {
-		p.iscratchB = matrix.NewBatch[T](p.m, p.n)
-		p.iscratchX = make([]T, p.m*p.n)
-	}
-	v.ToBatchInto(p.iscratchB)
-	b, dst := p.iscratchB, p.iscratchX
-
-	if p.fallback {
-		if err := p.solveFallback(dst, b); err != nil {
-			return err
-		}
-		matrix.InterleaveVectorInto(xi, dst, p.m, p.n)
-		return nil
-	}
-
-	ft := ctx != nil || p.dev.Faults != nil
-	if ft {
-		p.ctx = ctx
-		p.frep.reset()
-		p.degradeAll = false
-		for _, w := range p.workers {
-			w.err = nil
-			w.wf = workerFaults{}
-		}
-		defer func() { p.ctx = nil }()
-	}
-	err := p.solveHybrid(dst, b)
-	if ft {
-		p.mergeFaults()
-		if err == nil && len(p.frep.Degraded) > 0 {
-			err = p.degradedResolve(dst, b)
-		}
-	}
+	ctx, start, err := p.admit(ctx)
 	if err != nil {
 		return err
 	}
-	matrix.InterleaveVectorInto(xi, dst, p.m, p.n)
-	return nil
+	defer p.release(start)
+	p.ilSolves.Add(1)
+
+	if p.k != 0 {
+		p.ilShim.Add(1)
+		if p.iscratchB == nil {
+			p.iscratchB = matrix.NewBatch[T](p.m, p.n)
+			p.iscratchX = make([]T, p.m*p.n)
+		}
+		v.ToBatchInto(p.iscratchB)
+		if err := p.solveHybrid(ctx, p.iscratchX, p.iscratchB); err != nil {
+			return err
+		}
+		matrix.InterleaveVectorInto(xi, p.iscratchX, p.m, p.n)
+		return nil
+	}
+
+	// Point the kernel at the caller's planes for this solve; the
+	// binding is restored before returning so the contiguous entry
+	// keeps its arena-backed buffers.
+	p.ilSkipped.Add(5)
+	p.bindK0(v, xi)
+	defer p.bindK0(p.vbuf, p.xi)
+	if err := p.execute(ctx); err != nil {
+		return err
+	}
+	return p.degradedResolveInterleaved(xi, v)
+}
+
+// bindK0 points the k = 0 kernel at interleaved planes v and solution
+// xi. NewBufs/NewGlobal are value constructors and the c'/d' scratch
+// already exists after construction, so a rebind allocates nothing.
+func (p *Pipeline[T]) bindK0(v *matrix.Interleaved[T], xi []T) {
+	cp, dp := p.ws.Ensure(p.m * p.n)
+	p.bufs = pthomas.NewBufs(v.Lower, v.Diag, v.Upper, v.RHS, cp, dp, xi)
 }
 
 // degradedResolveInterleaved is degradedResolve for the native path:
@@ -210,6 +120,9 @@ func (p *Pipeline[T]) solveInterleavedShim(ctx context.Context, xi []T, v *matri
 // system — an acceptable cost on a path that only runs after the retry
 // budget is spent.
 func (p *Pipeline[T]) degradedResolveInterleaved(xi []T, v *matrix.Interleaved[T]) error {
+	if len(p.frep.Degraded) == 0 {
+		return nil
+	}
 	if p.gtsvWS == nil {
 		p.gtsvWS = cpu.NewGTSVWorkspace[T](p.n)
 	}

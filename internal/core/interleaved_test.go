@@ -13,8 +13,7 @@ import (
 // TestSolveInterleavedMatchesContiguous feeds the same batches through
 // the contiguous entry and the interleaved-native entry (converting
 // layouts on the host for comparison) and requires bitwise identity on
-// every configuration — native k = 0, shimmed hybrid, and fused
-// fallback alike. The batching front-end's correctness story rests on
+// every configuration — native k = 0 and shimmed hybrid alike. The batching front-end's correctness story rests on
 // this: a coalesced interleaved solve is the same arithmetic as the
 // transposing one.
 func TestSolveInterleavedMatchesContiguous(t *testing.T) {
@@ -26,7 +25,6 @@ func TestSolveInterleavedMatchesContiguous(t *testing.T) {
 		{"k0-native", Config{K: 0}, 32, 64},
 		{"k0-native-odd", Config{K: 0}, 7, 129},
 		{"hybrid-shim", Config{K: KAuto}, 16, 128},
-		{"fused-shim", Config{K: 3, Fuse: true}, 4, 64},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,7 +57,7 @@ func TestSolveInterleavedMatchesContiguous(t *testing.T) {
 			if ls.InterleavedSolves != 4 {
 				t.Fatalf("InterleavedSolves = %d, want 4", ls.InterleavedSolves)
 			}
-			if p.K() == 0 && !p.fallback {
+			if p.K() == 0 {
 				if ls.TransposesSkipped != 4*5 {
 					t.Fatalf("k=0 native path skipped %d transposes, want 20", ls.TransposesSkipped)
 				}

@@ -28,6 +28,11 @@ var (
 	// ErrShapeMismatch is returned when the batch or destination does
 	// not match the M×N shape the pipeline was built for.
 	ErrShapeMismatch = errors.New("core: shape does not match pipeline")
+	// ErrNotReusable is returned by NewPipeline for the ablation
+	// configurations — §III.C kernel fusion and Fig. 11(c) multiplexed
+	// systems on the k >= 1 path — whose kernels run only as one-shot
+	// solves through Solve.
+	ErrNotReusable = errors.New("core: ablation configuration has no reusable pipeline")
 )
 
 // Pipeline is the reusable form of Solve: it fixes the configuration
@@ -70,12 +75,6 @@ type Pipeline[T num.Real] struct {
 	bs   int // thread-block size (k == 0)
 	grid int // grid size (k == 0)
 
-	// fallback marks the fused / multiplexed configurations, which
-	// keep their original allocating implementations: they exist for
-	// ablation studies, not timestep loops.
-	fallback bool
-	altRep   *Report
-
 	// Arena. For k >= 1: the reduced coefficient planes PCR writes and
 	// p-Thomas reads. For k == 0: the interleaved input planes and the
 	// interleaved solution.
@@ -100,8 +99,8 @@ type Pipeline[T num.Real] struct {
 	rep      Report
 
 	// Fault-tolerant execution state. ctx is the current solve's
-	// context (nil on the uncancellable fast path); frep accumulates
-	// the solve's fault activity; degradeAll marks a recording solve
+	// context (nil when it cannot be cancelled); frep accumulates the
+	// solve's fault activity; degradeAll marks a recording solve
 	// whose launches could not complete fault-free, degrading the
 	// entire batch; gtsvWS is the (lazily built) workspace of the
 	// degraded per-system GTSV re-solve.
@@ -116,7 +115,7 @@ type Pipeline[T num.Real] struct {
 	lastWall time.Duration
 
 	// Interleaved-native entry state (interleaved.go): conversion
-	// scratch for configurations that cannot consume the layout
+	// scratch for the k >= 1 hybrid, which cannot consume the layout
 	// directly, plus layout counters readable concurrently with solves.
 	iscratchB *matrix.Batch[T]
 	iscratchX []T
@@ -152,7 +151,8 @@ type pipeWorker[T num.Real] struct {
 
 // NewPipeline builds a pipeline for cfg over batches of m systems of
 // n rows, resolving k and the block mapping once and allocating the
-// whole arena up front.
+// whole arena up front. Configurations that would run the fused or
+// multiplexed ablation kernels return ErrNotReusable.
 func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 	dev := cfg.device()
 	if err := dev.Validate(); err != nil {
@@ -176,43 +176,26 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 		p.grid = num.CeilDiv(m, bs)
 		p.vbuf = matrix.NewInterleaved[T](m, n)
 		p.xi = make([]T, m*n)
-		cp, dp := p.ws.Ensure(m * n)
-		p.bufs = pthomas.NewBufs(p.vbuf.Lower, p.vbuf.Diag, p.vbuf.Upper, p.vbuf.RHS, cp, dp, p.xi)
+		p.bindK0(p.vbuf, p.xi)
 	} else {
-		g := cfg.resolveBlocks(m, n, k)
-		p.g = g
-		switch {
-		case cfg.Fuse:
-			if g != 1 {
-				return nil, fmt.Errorf("core: kernel fusion requires one block per system, got %d", g)
-			}
-			p.fallback = true
-		case cfg.SystemsPerBlock > 1:
-			if cfg.BlocksPerSystem > 1 {
-				return nil, fmt.Errorf("core: SystemsPerBlock and BlocksPerSystem > 1 are mutually exclusive")
-			}
-			p.g = 1
-			p.fallback = true
+		if cfg.ablation() {
+			return nil, fmt.Errorf("%w: fused and multiplexed kernels run one-shot through Solve", ErrNotReusable)
 		}
-		if !p.fallback {
-			p.ra = make([]T, m*n)
-			p.rb = make([]T, m*n)
-			p.rc = make([]T, m*n)
-			p.rd = make([]T, m*n)
-			p.out = tiledpcr.NewArrays(p.ra, p.rb, p.rc, p.rd)
-			cp, dp := p.ws.Ensure(m * n)
-			p.bufs = pthomas.Bufs[T]{
-				A: p.out.A, B: p.out.B, C: p.out.C, D: p.out.D,
-				Cp: gpusim.NewGlobal(cp), Dp: gpusim.NewGlobal(dp),
-			}
-			p.per = num.CeilDiv(n, p.g)
+		p.g = cfg.resolveBlocks(m, n, k)
+		p.ra = make([]T, m*n)
+		p.rb = make([]T, m*n)
+		p.rc = make([]T, m*n)
+		p.rd = make([]T, m*n)
+		p.out = tiledpcr.NewArrays(p.ra, p.rb, p.rc, p.rd)
+		cp, dp := p.ws.Ensure(m * n)
+		p.bufs = pthomas.Bufs[T]{
+			A: p.out.A, B: p.out.B, C: p.out.C, D: p.out.D,
+			Cp: gpusim.NewGlobal(cp), Dp: gpusim.NewGlobal(dp),
 		}
+		p.per = num.CeilDiv(n, p.g)
 	}
 	p.rep = Report{K: p.k, C: p.c, BlocksPerSystem: p.g, Stats: &p.total, Faults: &p.frep}
-
-	if !p.fallback {
-		p.buildWorkers()
-	}
+	p.buildWorkers()
 	return p, nil
 }
 
@@ -259,7 +242,7 @@ func (p *Pipeline[T]) buildWorkers() {
 			w.done = make(chan struct{}, 1)
 			go func() {
 				for range w.start {
-					p.runShardAuto(w)
+					w.err = p.runCheckpointed(w)
 					w.done <- struct{}{}
 				}
 			}()
@@ -331,22 +314,6 @@ func (p *Pipeline[T]) makeThomasKernel() gpusim.Kernel {
 	}
 }
 
-// runShard executes worker w's shard of a replayed solve. Sharding is
-// by whole systems for k >= 1, so the worker can run its PCR blocks
-// and then immediately the p-Thomas blocks of the same systems — the
-// inter-kernel dependency is contained within the shard and needs no
-// global barrier. Replay cannot fail (the geometry was validated when
-// it was recorded), so the errors are discarded.
-func (p *Pipeline[T]) runShard(w *pipeWorker[T]) {
-	if p.k == 0 {
-		_ = w.exec.RunBlocks(nil, p.bs, w.firstBlk, w.nBlk, false, w.kernK0)
-		return
-	}
-	tpb := 1 << p.k
-	_ = w.exec.RunBlocks(nil, tpb, w.firstSys*p.g, w.nSys*p.g, false, w.pcrKern)
-	_ = w.exec.RunBlocks(nil, tpb, w.firstSys, w.nSys, false, w.thomasKern)
-}
-
 // SolveInto solves the batch into dst (length M·N, natural order:
 // system i occupying [i*N, (i+1)*N)). After the first call on a
 // pipeline it performs no heap allocations. The batch must match the
@@ -376,121 +343,142 @@ func (p *Pipeline[T]) SolveInto(dst []T, b *matrix.Batch[T]) error {
 // (or, under RetryPolicy.NoDegrade, the solve fails with ErrFaulted).
 // The recovery activity is reported in Report().Faults.
 func (p *Pipeline[T]) SolveIntoCtx(ctx context.Context, dst []T, b *matrix.Batch[T]) error {
-	if b.M != p.m || b.N != p.n {
-		return fmt.Errorf("%w: batch is %dx%d, pipeline wants %dx%d", ErrShapeMismatch, b.M, b.N, p.m, p.n)
+	if err := p.checkShape(b.M, b.N, len(dst), b.Lower, b.Diag, b.Upper, b.RHS); err != nil {
+		return err
 	}
-	if len(dst) != p.m*p.n {
-		return fmt.Errorf("%w: dst has %d elements, pipeline wants %d", ErrShapeMismatch, len(dst), p.m*p.n)
+	ctx, start, err := p.admit(ctx)
+	if err != nil {
+		return err
 	}
-	if len(b.Lower) != p.m*p.n || len(b.Diag) != p.m*p.n ||
-		len(b.Upper) != p.m*p.n || len(b.RHS) != p.m*p.n {
-		return fmt.Errorf("%w: batch slice lengths do not match M*N=%d", ErrShapeMismatch, p.m*p.n)
+	defer p.release(start)
+	if p.k != 0 {
+		return p.solveHybrid(ctx, dst, b)
 	}
-	if !p.inUse.CompareAndSwap(false, true) {
-		return ErrPipelineBusy
-	}
-	defer p.inUse.Store(false)
-	if p.closed {
-		return ErrPipelineClosed
-	}
-	// Service-time hook for the serving pool's admission controller:
-	// every executed solve (even a faulted or cancelled one — its slot
-	// was occupied regardless) updates the last observed wall time.
-	start := time.Now()
-	defer func() { p.lastWall = time.Since(start) }()
-
-	// An uncancellable context (Background, TODO) costs nothing: the
-	// fast path is taken whenever there is neither a Done channel nor
-	// an injector, and then no per-block checks run at all.
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return cancelled(err)
-		}
-	}
-
-	if p.fallback {
-		return p.solveFallback(dst, b)
-	}
-
-	ft := ctx != nil || p.dev.Faults != nil
-	if ft {
-		p.ctx = ctx
-		p.frep.reset()
-		p.degradeAll = false
-		for _, w := range p.workers {
-			w.err = nil
-			w.wf = workerFaults{}
-		}
-		defer func() { p.ctx = nil }()
-	}
-
-	var err error
-	if p.k == 0 {
-		err = p.solveK0(dst, b)
-	} else {
-		err = p.solveHybrid(dst, b)
-	}
-	if ft {
-		p.mergeFaults()
-		if err == nil && len(p.frep.Degraded) > 0 {
-			err = p.degradedResolve(dst, b)
-		}
-	}
-	return err
-}
-
-// solveK0 runs the pure p-Thomas path: blocked host interleave, one
-// device kernel, blocked host deinterleave.
-func (p *Pipeline[T]) solveK0(dst []T, b *matrix.Batch[T]) error {
+	// k = 0: blocked host interleave, one device kernel, blocked host
+	// deinterleave.
 	b.ToInterleavedInto(p.vbuf)
-	if !p.recorded {
-		w := p.workers[0]
-		err := p.recordLaunch(&p.kern[0], "pThomas", 0, p.bs, p.grid, w.kernK0)
-		switch {
-		case err == nil:
-			p.finishRecording(1)
-		case errors.Is(err, ErrFaulted) && !p.cfg.Retry.NoDegrade:
-			// The recording solve could not complete fault-free; the
-			// whole batch degrades to GTSV and the next solve records.
-			p.degradeAll = true
-		default:
-			return err
-		}
-	} else if err := p.replay(); err != nil {
+	if err := p.execute(ctx); err != nil {
 		return err
 	}
 	// A degraded xi holds garbage here, but every degraded system of
 	// dst is overwritten by degradedResolve before the solve returns.
 	matrix.DeinterleaveVectorInto(dst, p.xi, p.m, p.n)
-	return nil
+	return p.degradedResolve(dst, b)
 }
 
 // solveHybrid runs the k >= 1 path: tiled PCR into the reduced
 // planes, then strided p-Thomas directly into dst.
-func (p *Pipeline[T]) solveHybrid(dst []T, b *matrix.Batch[T]) error {
+func (p *Pipeline[T]) solveHybrid(ctx context.Context, dst []T, b *matrix.Batch[T]) error {
 	p.in = tiledpcr.NewArrays(b.Lower, b.Diag, b.Upper, b.RHS)
 	p.bufs.X = gpusim.NewGlobal(dst)
-	if !p.recorded {
+	if err := p.execute(ctx); err != nil {
+		return err
+	}
+	return p.degradedResolve(dst, b)
+}
+
+// checkShape rejects operands that do not match the pipeline's M×N
+// shape: the declared batch shape, the solution length, and the four
+// coefficient planes.
+func (p *Pipeline[T]) checkShape(m, n, out int, lower, diag, upper, rhs []T) error {
+	size := p.m * p.n
+	switch {
+	case m != p.m || n != p.n:
+		return fmt.Errorf("%w: batch is %dx%d, pipeline wants %dx%d", ErrShapeMismatch, m, n, p.m, p.n)
+	case out != size:
+		return fmt.Errorf("%w: solution has %d elements, pipeline wants %d", ErrShapeMismatch, out, size)
+	case len(lower) != size || len(diag) != size || len(upper) != size || len(rhs) != size:
+		return fmt.Errorf("%w: coefficient lengths do not match M*N=%d", ErrShapeMismatch, size)
+	}
+	return nil
+}
+
+// admit is the prologue of every solve: it takes the busy flag, rejects
+// a closed pipeline and starts the service-time clock, then normalises
+// ctx — an uncancellable context (Background, TODO) becomes nil, so the
+// kernels run no per-block checks — and rejects one already done. On
+// success the caller must defer release(start).
+func (p *Pipeline[T]) admit(ctx context.Context) (context.Context, time.Time, error) {
+	if !p.inUse.CompareAndSwap(false, true) {
+		return nil, time.Time{}, ErrPipelineBusy
+	}
+	if p.closed {
+		p.inUse.Store(false)
+		return nil, time.Time{}, ErrPipelineClosed
+	}
+	start := time.Now()
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil
+	}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			p.release(start)
+			return nil, time.Time{}, cancelled(err)
+		}
+	}
+	return ctx, start, nil
+}
+
+// release ends a solve admitted at start. Every admitted solve — even a
+// faulted or cancelled one, whose slot was occupied regardless —
+// updates the last observed wall time, the serving pool's service-time
+// hook, before the busy flag drops.
+func (p *Pipeline[T]) release(start time.Time) {
+	p.lastWall = time.Since(start)
+	p.inUse.Store(false)
+}
+
+// execute is the one solve body behind every entry: it runs the bound
+// launches — recorded on the first solve, replayed across the worker
+// pool after — and folds the lanes' fault bookkeeping into the solve's
+// FaultReport. The caller binds its layout first and re-solves the
+// degraded systems after.
+func (p *Pipeline[T]) execute(ctx context.Context) error {
+	p.ctx = ctx
+	p.frep.reset()
+	p.degradeAll = false
+	for _, w := range p.workers {
+		w.wf = workerFaults{}
+	}
+	var err error
+	if p.recorded {
+		err = p.replay()
+	} else {
+		err = p.record()
+	}
+	p.mergeFaults()
+	p.ctx = nil
+	return err
+}
+
+// record runs the first solve on the coordinator lane with event
+// recording on: one p-Thomas launch for k = 0, tiled PCR then strided
+// p-Thomas for k >= 1.
+func (p *Pipeline[T]) record() error {
+	w := p.workers[0]
+	nKern := 1
+	var err error
+	if p.k == 0 {
+		err = p.recordLaunch(&p.kern[0], "pThomas", 0, p.bs, p.grid, w.kernK0)
+	} else {
+		nKern = 2
 		tpb := 1 << p.k
-		w := p.workers[0]
-		err := p.recordLaunch(&p.kern[0], "tiledPCR", 0, tpb, p.m*p.g, w.pcrKern)
+		err = p.recordLaunch(&p.kern[0], "tiledPCR", 0, tpb, p.m*p.g, w.pcrKern)
 		if err == nil {
 			err = p.recordLaunch(&p.kern[1], "pThomasStrided", 1, tpb, p.m, w.thomasKern)
 		}
-		switch {
-		case err == nil:
-			p.finishRecording(2)
-		case errors.Is(err, ErrFaulted) && !p.cfg.Retry.NoDegrade:
-			p.degradeAll = true
-		default:
-			return err
-		}
-		return nil
 	}
-	return p.replay()
+	switch {
+	case err == nil:
+		p.finishRecording(nKern)
+	case errors.Is(err, ErrFaulted) && !p.cfg.Retry.NoDegrade:
+		// The recording solve could not complete fault-free; the
+		// whole batch degrades to GTSV and the next solve records.
+		p.degradeAll = true
+	default:
+		return err
+	}
+	return nil
 }
 
 // recordLaunch runs one full recording launch on the coordinator lane
@@ -552,7 +540,7 @@ func (p *Pipeline[T]) replay() error {
 	for _, w := range p.workers[1:] {
 		w.start <- struct{}{}
 	}
-	p.runShardAuto(p.workers[0])
+	p.workers[0].err = p.runCheckpointed(p.workers[0])
 	for _, w := range p.workers[1:] {
 		<-w.done
 	}
@@ -568,26 +556,18 @@ func (p *Pipeline[T]) replay() error {
 	return first
 }
 
-// runShardAuto dispatches one lane's shard: the original zero-overhead
-// path when the solve is uncancellable and fault-free, the checkpointed
-// retry path otherwise. The outcome lands in w.err (the worker must not
-// return an error through the done channel).
-func (p *Pipeline[T]) runShardAuto(w *pipeWorker[T]) {
-	if p.ctx == nil && p.dev.Faults == nil {
-		p.runShard(w)
-		w.err = nil
-		return
-	}
-	w.err = p.runShardFT(w)
-}
-
-// runShardFT executes w's shard as a checkpointed unit: the kernels
+// runCheckpointed executes worker w's shard of a replayed solve.
+// Sharding is by whole systems for k >= 1, so the worker runs its PCR
+// blocks and then immediately the p-Thomas blocks of the same systems —
+// the inter-kernel dependency is contained within the shard and needs
+// no global barrier. The shard is a checkpointed unit: the kernels
 // never mutate their inputs, so a transient LaunchError is recovered
 // by re-running the whole shard (both launches for k >= 1) with capped
 // exponential backoff until the retry budget is spent, at which point
 // the shard degrades (its systems marked for the GTSV re-solve) or,
-// under NoDegrade, fails with ErrFaulted.
-func (p *Pipeline[T]) runShardFT(w *pipeWorker[T]) error {
+// under NoDegrade, fails with ErrFaulted. Without a cancellable context
+// or an injector no check fires and no retry runs.
+func (p *Pipeline[T]) runCheckpointed(w *pipeWorker[T]) error {
 	maxR := p.cfg.Retry.maxRetries()
 	for attempt := 0; ; attempt++ {
 		slot, err := p.tryShard(w, attempt)
@@ -718,6 +698,9 @@ func (p *Pipeline[T]) mergeFaults() {
 // original batch. A system the direct solver also rejects (singular)
 // zeroes its rows and contributes an ErrFaulted-wrapped error.
 func (p *Pipeline[T]) degradedResolve(dst []T, b *matrix.Batch[T]) error {
+	if len(p.frep.Degraded) == 0 {
+		return nil
+	}
 	if p.gtsvWS == nil {
 		p.gtsvWS = cpu.NewGTSVWorkspace[T](p.n)
 	}
@@ -737,37 +720,10 @@ func (p *Pipeline[T]) degradedResolve(dst []T, b *matrix.Batch[T]) error {
 	return errors.Join(errs...)
 }
 
-// solveFallback delegates the fused / multiplexed configurations to
-// their original one-shot implementations (which allocate per call).
-func (p *Pipeline[T]) solveFallback(dst []T, b *matrix.Batch[T]) error {
-	rep := &Report{K: p.k, C: p.c, BlocksPerSystem: p.g, Stats: &gpusim.Stats{}}
-	var (
-		x   []T
-		err error
-	)
-	if p.cfg.Fuse {
-		rep.Fused = true
-		x, _, err = solveFused(p.dev, p.cfg, b, p.k, rep)
-	} else {
-		x, _, err = solveMultiplexed(p.dev, p.cfg, b, p.k, rep)
-	}
-	if err != nil {
-		return err
-	}
-	copy(dst, x)
-	p.altRep = rep
-	return nil
-}
-
-// Report describes the most recent solve. For the steady-state paths
-// the report (and its Stats) is recorded once and reused — it is
-// owned by the pipeline and valid until Close.
-func (p *Pipeline[T]) Report() *Report {
-	if p.altRep != nil {
-		return p.altRep
-	}
-	return &p.rep
-}
+// Report describes the most recent solve. The report (and its Stats)
+// is recorded once and reused — it is owned by the pipeline and valid
+// until Close.
+func (p *Pipeline[T]) Report() *Report { return &p.rep }
 
 // K returns the resolved PCR step count.
 func (p *Pipeline[T]) K() int { return p.k }

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
-	"gputrid/internal/matrix"
 	"gputrid/internal/workload"
 )
 
@@ -99,9 +99,13 @@ func TestPipelineWorkersMatch(t *testing.T) {
 }
 
 // TestPipelineZeroAlloc is the tier-1 regression gate for the
-// tentpole: a warmed pipeline must run SolveInto without a single
-// heap allocation, on the single-lane and the multi-lane pool alike.
+// tentpole: a warmed pipeline must solve without a single heap
+// allocation, on the single-lane and the multi-lane pool alike, through
+// every entry — SolveInto, SolveIntoCtx under a cancellable context,
+// and the interleaved-native SolveInterleavedInto.
 func TestPipelineZeroAlloc(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, workers := range []int{1, 3} {
 		for _, tc := range pipelineShapes {
 			cfg := tc.cfg
@@ -111,19 +115,29 @@ func TestPipelineZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			b := workload.Batch[float64](workload.DiagDominant, tc.m, tc.n, 42)
+			v := b.ToInterleaved()
 			dst := make([]float64, tc.m*tc.n)
-			if err := p.SolveInto(dst, b); err != nil { // recording solve
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(10, func() {
-				if err := p.SolveInto(dst, b); err != nil {
+			for _, entry := range []struct {
+				name  string
+				solve func() error
+			}{
+				{"SolveInto", func() error { return p.SolveInto(dst, b) }},
+				{"SolveIntoCtx(WithCancel)", func() error { return p.SolveIntoCtx(ctx, dst, b) }},
+				{"SolveInterleavedInto", func() error { return p.SolveInterleavedInto(dst, v) }},
+			} {
+				if err := entry.solve(); err != nil { // warm-up (the first one records)
 					t.Fatal(err)
 				}
-			})
-			p.Close()
-			if allocs != 0 {
-				t.Errorf("%s workers=%d: SolveInto allocates %.0f times per solve, want 0", tc.name, workers, allocs)
+				allocs := testing.AllocsPerRun(10, func() {
+					if err := entry.solve(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s workers=%d: %s allocates %.0f times per solve, want 0", tc.name, workers, entry.name, allocs)
+				}
 			}
+			p.Close()
 		}
 	}
 }
@@ -167,38 +181,26 @@ func TestPipelineMisuse(t *testing.T) {
 	}
 }
 
-// TestPipelineFallbackModes exercises the fused and multiplexed
-// configurations through the pipeline: they keep their one-shot
-// implementations but must still produce Solve's exact results and
-// reports.
-func TestPipelineFallbackModes(t *testing.T) {
+// TestPipelineRejectsAblationConfigs pins that the fused and
+// multiplexed configurations have no reusable pipeline: NewPipeline
+// refuses them with the typed ErrNotReusable, while the one-shot Solve
+// still runs their kernels (their correctness is covered in
+// hybrid_test.go, multiplex_test.go and counts_test.go).
+func TestPipelineRejectsAblationConfigs(t *testing.T) {
+	m, n := 6, 128
+	b := workload.Batch[float64](workload.DiagDominant, m, n, 3)
 	for _, cfg := range []Config{
 		{K: 4, Fuse: true},
 		{K: 4, SystemsPerBlock: 2},
 	} {
-		m, n := 6, 128
-		p, err := NewPipeline[float64](cfg, m, n)
-		if err != nil {
-			t.Fatal(err)
+		if p, err := NewPipeline[float64](cfg, m, n); !errors.Is(err, ErrNotReusable) {
+			if p != nil {
+				p.Close()
+			}
+			t.Errorf("%+v: NewPipeline returned %v, want ErrNotReusable", cfg, err)
 		}
-		dst := make([]float64, m*n)
-		for iter := 0; iter < 2; iter++ {
-			b := workload.Batch[float64](workload.DiagDominant, m, n, uint64(3+iter))
-			want, rep, err := Solve(cfg, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.SolveInto(dst, b); err != nil {
-				t.Fatal(err)
-			}
-			if d := matrix.MaxAbsDiff(dst, want); d != 0 {
-				t.Fatalf("fallback diverges from Solve by %v", d)
-			}
-			got := p.Report()
-			if got.Fused != rep.Fused || *got.Stats != *rep.Stats {
-				t.Fatalf("fallback report diverges: got %+v, want %+v", *got.Stats, *rep.Stats)
-			}
+		if _, _, err := Solve(cfg, b); err != nil {
+			t.Errorf("%+v: one-shot Solve: %v", cfg, err)
 		}
-		p.Close()
 	}
 }

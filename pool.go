@@ -315,8 +315,9 @@ func (p *Pool[T]) Close(ctx context.Context) error {
 }
 
 // cloneStats copies the recorded device events out of the solver, so
-// pool results stay valid after the solver is recycled (configurations
-// that rebuild their report per solve would otherwise alias it).
+// pool results stay valid after the solver is recycled: a degraded
+// recording solve leaves the next solve to re-record into the same
+// Stats, which would otherwise change under an earlier result.
 func cloneStats(s *Stats) *Stats {
 	if s == nil {
 		return nil

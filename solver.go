@@ -21,6 +21,10 @@ var (
 	// ErrShapeMismatch reports a batch or destination whose shape does
 	// not match the one the Solver was built for.
 	ErrShapeMismatch = core.ErrShapeMismatch
+	// ErrNotReusable reports a NewSolver (or any other reusable entry
+	// point) asked for the fused kernel (WithKernelFusion) at k >= 1: a
+	// one-shot ablation that only SolveBatch and SolveBatchCtx run.
+	ErrNotReusable = core.ErrNotReusable
 )
 
 // Solver is a reusable solver for one fixed batch shape (M systems of
@@ -40,10 +44,9 @@ var (
 // ErrSolverBusy (never corrupt state). Distinct Solvers are
 // independent and safe to use from different goroutines.
 //
-// The fused (WithKernelFusion) and multiplexed (WithSystemsPerBlock)
-// configurations keep their one-shot kernel implementations and
-// allocate per solve; the zero-allocation guarantee covers the default
-// hybrid and the k = 0 paths.
+// The fused kernel (WithKernelFusion) is a one-shot ablation with no
+// reusable pipeline: NewSolver returns ErrNotReusable for it whenever
+// it would take effect (k >= 1).
 type Solver[T Real] struct {
 	c    config
 	m, n int
@@ -106,8 +109,8 @@ func (s *Solver[T]) SolveBatchInto(dst []T, b *Batch[T]) error {
 // bitwise identical to a fault-free solve; systems that exhaust the
 // budget degrade to the host pivoting path (inspect FaultReport), or
 // fail with ErrFaulted under RetryPolicy.NoDegrade. An uncancellable
-// context (Background, TODO, nil) with a fault-free device takes the
-// zero-overhead fast path — identical to SolveBatchInto.
+// context (Background, TODO, nil) adds no per-block checks — the solve
+// is identical to SolveBatchInto.
 func (s *Solver[T]) SolveBatchIntoCtx(ctx context.Context, dst []T, b *Batch[T]) error {
 	if err := s.pipe.SolveIntoCtx(ctx, dst, b); err != nil {
 		return fmt.Errorf("gputrid: %w", err)
@@ -130,9 +133,9 @@ func (s *Solver[T]) SolveBatchIntoCtx(ctx context.Context, dst []T, b *Batch[T])
 // conversion-free end to end. LayoutStats reports the skipped
 // transposes.
 //
-// xi must not alias v's slices. Configurations that cannot consume
-// the layout natively (k >= 1, fused/multiplexed) convert through an
-// internal scratch — correct, but no faster than SolveBatchInto.
+// xi must not alias v's slices. The k >= 1 hybrid cannot consume the
+// layout natively and converts through an internal scratch — correct,
+// but no faster than SolveBatchInto.
 func (s *Solver[T]) SolveInterleavedInto(xi []T, v *Interleaved[T]) error {
 	return s.SolveInterleavedIntoCtx(context.Background(), xi, v)
 }
@@ -162,10 +165,8 @@ func (s *Solver[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *Inte
 func (s *Solver[T]) LayoutStats() LayoutStats { return s.pipe.LayoutStats() }
 
 // FaultReport describes the fault-recovery activity of the Solver's
-// most recent solve: nil when nothing fired (fault-free solves, and
-// the fused/multiplexed fallback configurations, which have no
-// recovery layer), otherwise the retry/degradation/wasted-time
-// accounting of that solve. The report aliases the Solver's arena —
+// most recent solve: nil when nothing fired, otherwise the
+// retry/degradation/wasted-time accounting of that solve. The report aliases the Solver's arena —
 // read it before the next solve resets it.
 func (s *Solver[T]) FaultReport() *FaultReport {
 	return faultsOf(s.pipe.Report())

@@ -174,6 +174,27 @@ func TestSolverMisuse(t *testing.T) {
 	}
 }
 
+// TestNewSolverRejectsFusion pins that the fused kernel, a one-shot
+// ablation, has no reusable Solver: NewSolver fails with an error
+// matching ErrNotReusable, while SolveBatch still runs it.
+func TestNewSolverRejectsFusion(t *testing.T) {
+	m, n := 6, 128
+	opts := []Option{WithK(4), WithKernelFusion()}
+	if s, err := NewSolver[float64](m, n, opts...); !errors.Is(err, ErrNotReusable) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("NewSolver with fusion at k=4: got %v, want ErrNotReusable", err)
+	}
+	res, err := SolveBatch(workload.Batch[float64](workload.DiagDominant, m, n, 3), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Fused || res.K != 4 {
+		t.Errorf("one-shot fused solve reported fused=%v k=%d, want true, 4", res.Fused, res.K)
+	}
+}
+
 // TestSolveBatchIntoZeroAlloc is the acceptance gate of the reusable
 // solver: at the benchmark shape (M=64, N=1024, float64, heuristic k)
 // a warmed Solver must run SolveBatchInto without any heap allocation.
