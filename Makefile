@@ -1,6 +1,6 @@
 # Developer entry points. CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: build test race lint vet selftest
+.PHONY: build test race lint vet selftest bench
 
 build:
 	go build ./...
@@ -21,3 +21,8 @@ vet:
 
 selftest:
 	go run -race ./cmd/tridserve -selftest
+
+# The repo benchmark (BENCHMARK.json): builds tridload from source and
+# runs all four workloads, writing results to .bench_build/run.json.
+bench:
+	bash cmd/tridload/bench.sh -out .bench_build/run.json

@@ -221,10 +221,16 @@ type DistSolver[T num.Real] struct {
 	// against device 0) so every device launches identical geometry.
 	kByLen map[int]int
 
+	// bsArgs wraps each slab's phase-C arrays as device globals once:
+	// the host arenas behind them never move.
+	bsArgs []backsubArgs[T]
+
 	// pipes caches the per-(device, slab length) local-reduce
-	// pipelines; populated lazily under mu as assignments happen.
-	mu    sync.Mutex
-	pipes map[pipeKey]*Pipeline[T]
+	// pipelines and backsubs the back-substitution kernels; both are
+	// populated lazily under mu as assignments happen.
+	mu       sync.Mutex
+	pipes    map[pipeKey]*Pipeline[T]
+	backsubs map[pipeKey]*backsubKernel[T]
 
 	inUse  atomic.Bool
 	closed bool
@@ -248,15 +254,16 @@ func NewDistSolver[T num.Real](cfg DistConfig, m, n int) (*DistSolver[T], error)
 		return nil, err
 	}
 	s := &DistSolver[T]{
-		cfg:    cfg,
-		topo:   cfg.Topology,
-		m:      m,
-		n:      n,
-		part:   part,
-		pipes:  make(map[pipeKey]*Pipeline[T]),
-		kByLen: make(map[int]int),
-		obs:    make(map[int]*devObs),
-		leases: make([]atomic.Int32, cfg.Topology.NumDevices()),
+		cfg:      cfg,
+		topo:     cfg.Topology,
+		m:        m,
+		n:        n,
+		part:     part,
+		pipes:    make(map[pipeKey]*Pipeline[T]),
+		backsubs: make(map[pipeKey]*backsubKernel[T]),
+		kByLen:   make(map[int]int),
+		obs:      make(map[int]*devObs),
+		leases:   make([]atomic.Int32, cfg.Topology.NumDevices()),
 	}
 	d := part.NumSlabs()
 	s.slabIn = make([]*matrix.Batch[T], d)
@@ -267,6 +274,7 @@ func NewDistSolver[T num.Real](cfg DistConfig, m, n int) (*DistSolver[T], error)
 	s.iface = make([][]T, d)
 	s.ifaceShadow = make([][]T, d)
 	s.outShadow = make([][]T, d)
+	s.bsArgs = make([]backsubArgs[T], d)
 	maxL := 0
 	for p, sl := range part.Slabs {
 		L := sl.Len()
@@ -279,6 +287,17 @@ func NewDistSolver[T num.Real](cfg DistConfig, m, n int) (*DistSolver[T], error)
 		s.iface[p] = make([]T, 6*m)
 		s.ifaceShadow[p] = make([]T, 6*m)
 		s.outShadow[p] = make([]T, m*L)
+		x := s.slabX[p]
+		s.bsArgs[p] = backsubArgs[T]{
+			u:     gpusim.NewGlobal(x[:m*L]),
+			v:     gpusim.NewGlobal(x[m*L : 2*m*L]),
+			w:     gpusim.NewGlobal(x[2*m*L:]),
+			xl:    gpusim.NewGlobal(s.sepL[p]),
+			xr:    gpusim.NewGlobal(s.sepR[p]),
+			out:   gpusim.NewGlobal(s.slabOut[p]),
+			total: m * L,
+			rows:  L,
+		}
 		if _, ok := s.kByLen[L]; !ok {
 			kcfg := s.slabConfig(L)
 			kcfg.Device = s.topo.Device(0)
@@ -331,6 +350,25 @@ func (s *DistSolver[T]) pipeline(dev, length int) (*Pipeline[T], error) {
 	return p, nil
 }
 
+// backsub returns (building if needed) the back-substitution kernel
+// for slabs of the given length on topology device dev.
+func (s *DistSolver[T]) backsub(dev, length int) (*backsubKernel[T], error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	key := pipeKey{dev, length}
+	if k, ok := s.backsubs[key]; ok {
+		return k, nil
+	}
+	d := s.topo.Device(dev)
+	if backsubThreads > d.MaxThreadsPerBlock {
+		return nil, fmt.Errorf("core: distBacksub: %d threads/block exceeds device limit %d",
+			backsubThreads, d.MaxThreadsPerBlock)
+	}
+	k := newBacksubKernel[T](d)
+	s.backsubs[key] = k
+	return k, nil
+}
+
 // Shape returns the fixed batch shape (M systems, N rows).
 func (s *DistSolver[T]) Shape() (m, n int) { return s.m, s.n }
 
@@ -353,6 +391,7 @@ func (s *DistSolver[T]) Close() error {
 	for _, p := range s.pipes {
 		_ = p.Close()
 	}
+	s.pipes, s.backsubs = nil, nil
 	return nil
 }
 
@@ -891,6 +930,83 @@ func (s *DistSolver[T]) solveReduced(b *matrix.Batch[T], dst []T) error {
 	return nil
 }
 
+// backsubThreads is the distBacksub block size: one thread per slab
+// row, a flat grid over the slab's M·L rows.
+const backsubThreads = 128
+
+// backsubArgs are one slab's phase-C device arrays: the u, v, w planes
+// of its local solves, the separator values on either side, and the
+// back-substituted output, total = M·L elements of rows = L per system.
+type backsubArgs[T num.Real] struct {
+	u, v, w, xl, xr, out gpusim.Global[T]
+	total, rows          int
+}
+
+// backsubKernel is the cached distBacksub launch for one (topology
+// device, slab length): an executor, its recorded Stats, and the
+// kernel closures, built once so a replayed back-substitution
+// allocates nothing. Like Pipeline it records once and replays: the
+// kernel has no data-dependent control flow and Global arrays are
+// 512-byte aligned, so the stats recorded for one slab of this length
+// describe every later run exactly. A failed recording (fault or
+// cancellation) stays unrecorded and the next run records again.
+//
+// A kernel is driven by one goroutine at a time: runPhase runs each
+// device's slabs sequentially, and hedges never back-substitute.
+type backsubKernel[T num.Real] struct {
+	dev      *gpusim.Device
+	exec     *gpusim.Executor
+	st       gpusim.Stats
+	recorded bool
+
+	// args and blk are the slab and block being run, read by kern and
+	// body; binding them here keeps the closures allocation-free.
+	args *backsubArgs[T]
+	blk  *gpusim.Block
+	kern gpusim.Kernel
+	body func(t *gpusim.Thread)
+}
+
+func newBacksubKernel[T num.Real](dev *gpusim.Device) *backsubKernel[T] {
+	k := &backsubKernel[T]{dev: dev, exec: gpusim.NewExecutor(dev)}
+	k.body = func(t *gpusim.Thread) {
+		a := k.args
+		idx := k.blk.ID*backsubThreads + t.ID
+		if idx >= a.total {
+			return
+		}
+		sys := idx / a.rows
+		r := a.u.Load(t, idx) + a.v.Load(t, idx)*a.xl.Load(t, sys) + a.w.Load(t, idx)*a.xr.Load(t, sys)
+		t.Flops(4)
+		a.out.Store(t, idx, r)
+	}
+	k.kern = func(b *gpusim.Block) {
+		k.blk = b
+		b.PhaseNoSync(k.body)
+	}
+	return k
+}
+
+// run back-substitutes one slab: a recording run until one succeeds,
+// a replay after. Faults are keyed exactly as Device.Launch keys them
+// (kernel "distBacksub", attempt 0): the distributed layer retries by
+// migrating, never in place.
+func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.Stats, error) {
+	grid := num.CeilDiv(a.total, backsubThreads)
+	record := !k.recorded
+	if record {
+		k.st = gpusim.Stats{Kernel: "distBacksub", Launches: 1, Blocks: grid, ThreadsPerBlock: backsubThreads}
+	}
+	k.args = a
+	err := k.exec.RunBlocksCtx(ctx, &k.st, backsubThreads, 0, grid, record, k.kern,
+		gpusim.FaultSite{Inj: k.dev.Faults, Kernel: "distBacksub"})
+	if err != nil {
+		return nil, err
+	}
+	k.recorded = true
+	return &k.st, nil
+}
+
 // backsubOne back-substitutes slab sl on device dev with a real
 // simulated kernel, so phase C is a fault-injectable failure domain
 // like the reduce. The kernel is a pure function of host-held
@@ -917,37 +1033,19 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 		return err
 	}
 
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return cancelled(err)
-		}
-	}
-	const bs = 128
-	total := m * L
-	uG := gpusim.NewGlobal(s.slabX[p][:m*L])
-	vG := gpusim.NewGlobal(s.slabX[p][m*L : 2*m*L])
-	wG := gpusim.NewGlobal(s.slabX[p][2*m*L:])
-	xlG := gpusim.NewGlobal(s.sepL[p])
-	xrG := gpusim.NewGlobal(s.sepR[p])
-	outG := gpusim.NewGlobal(s.slabOut[p])
-	st, err := s.topo.Device(dev).Launch("distBacksub",
-		gpusim.LaunchConfig{Grid: num.CeilDiv(total, bs), Block: bs},
-		func(blk *gpusim.Block) {
-			blk.PhaseNoSync(func(t *gpusim.Thread) {
-				idx := blk.ID*bs + t.ID
-				if idx >= total {
-					return
-				}
-				sys := idx / L
-				r := uG.Load(t, idx) + vG.Load(t, idx)*xlG.Load(t, sys) + wG.Load(t, idx)*xrG.Load(t, sys)
-				t.Flops(4)
-				outG.Store(t, idx, r)
-			})
-		})
+	k, err := s.backsub(dev, L)
 	if err != nil {
 		return err
 	}
-	down, err := s.verifiedDown(sl, dev, int64(total)*elem, s.slabOut[p], s.outShadow[p])
+	a := &s.bsArgs[p]
+	st, err := k.run(ctx, a)
+	if err != nil {
+		if ctx != nil && ctx.Err() != nil {
+			return cancelled(ctx.Err())
+		}
+		return err
+	}
+	down, err := s.verifiedDown(sl, dev, int64(a.total)*elem, s.slabOut[p], s.outShadow[p])
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,6 +227,120 @@ func TestDistributedBacksubDeath(t *testing.T) {
 	if e := maxRelErr(dst, ref); e > 1e-10 {
 		t.Errorf("max rel err %.3e after backsub migration", e)
 	}
+}
+
+// TestDistributedBacksubCorruptFault corrupts distBacksub on device 0
+// only from the second solve on, so the fault hits a back-substitution
+// kernel that already recorded and now replays with recording off. The
+// replay must still poison its stores and report the fault: the death
+// is announced once, the slab migrates, and the answer is bitwise the
+// fault-free one.
+func TestDistributedBacksubCorruptFault(t *testing.T) {
+	const m, n = 2, 263
+	b := workload.Batch[float64](workload.DiagDominant, m, n, 29)
+	topo := distTopo(t, 3, gpusim.NVLinkMesh())
+	var armed atomic.Bool
+	topo.Device(0).Faults = &gpusim.Injector{
+		Schedule: []gpusim.ScheduledFault{{Kernel: "distBacksub", Kind: gpusim.FaultCorrupt, Repeat: 1 << 30}},
+		Gate:     armed.Load,
+	}
+	var deaths atomic.Int32
+	s, err := NewDistSolver[float64](DistConfig{
+		Topology: topo,
+		Slabs:    3,
+		Retry:    RetryPolicy{BaseBackoff: time.Microsecond},
+		Health:   func(gpusim.HealthEvent) { deaths.Add(1) },
+	}, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	clean := make([]float64, m*n)
+	if _, err := s.SolveInto(context.Background(), clean, b); err != nil {
+		t.Fatal(err)
+	}
+	if k := s.backsubs[pipeKey{0, s.part.Slabs[0].Len()}]; k == nil || !k.recorded {
+		t.Fatal("device 0's back-substitution did not record on the fault-free solve")
+	}
+
+	armed.Store(true)
+	dst := make([]float64, m*n)
+	rep, err := s.SolveInto(context.Background(), dst, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deaths.Load() != 1 || len(rep.Deaths) != 1 || rep.Deaths[0] != 0 {
+		t.Fatalf("corrupt backsub death not surfaced once: deaths=%d report=%+v", deaths.Load(), rep)
+	}
+	if rep.Migrations == 0 || len(rep.Degraded) != 0 {
+		t.Errorf("migrations=%d degraded=%v, want a migration and no degradation", rep.Migrations, rep.Degraded)
+	}
+	if rep.Devices[0] == 0 {
+		t.Error("slab 0 still assigned to the dead device")
+	}
+	requireBitwise(t, dst, clean, "corrupt replayed backsub")
+}
+
+// TestDistSteadyStateAllocs pins the distributed steady state: once a
+// solver has recorded its slab pipelines and back-substitution
+// kernels, a warm solve allocates a small constant (runPhase's
+// goroutines and maps, the report's slices) independent of N, and
+// replays bitwise the recording solve with its modeled numbers.
+func TestDistSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const m, devs, slabs, maxAllocs = 4, 4, 4, 100
+	for _, n := range []int{4097, 131073} {
+		b := workload.Batch[float64](workload.DiagDominant, m, n, 5)
+		s, err := NewDistSolver[float64](DistConfig{Topology: distTopo(t, devs, gpusim.NVLinkMesh()), Slabs: slabs}, m, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, m*n)
+		wantRep, err := s.SolveInto(context.Background(), want, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float64, m*n)
+		allocs := testing.AllocsPerRun(5, func() {
+			rep, err := s.SolveInto(context.Background(), dst, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ModeledSerial != wantRep.ModeledSerial || rep.ModeledPipelined != wantRep.ModeledPipelined ||
+				!sameComm(rep.Comm, wantRep.Comm) {
+				t.Fatalf("N=%d: warm solve modeled %v/%v comm %+v, recording solve %v/%v comm %+v", n,
+					rep.ModeledSerial, rep.ModeledPipelined, rep.Comm,
+					wantRep.ModeledSerial, wantRep.ModeledPipelined, wantRep.Comm)
+			}
+			for i := range dst {
+				if dst[i] != want[i] {
+					t.Fatalf("N=%d: element %d differs bitwise from the recording solve: %x vs %x",
+						n, i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
+				}
+			}
+		})
+		if allocs > maxAllocs {
+			t.Errorf("N=%d: warm SolveInto allocates %.0f times, want <= %d", n, allocs, maxAllocs)
+		}
+		t.Logf("N=%d: %.0f allocs per warm solve", n, allocs)
+		s.Close()
+	}
+}
+
+// sameComm compares two solves' interconnect traffic: every count and
+// byte total exactly, the link-seconds sums to rounding. Devices run
+// concurrently and the CommScope adds their transfer times in arrival
+// order, so those float sums may differ in the last bit.
+func sameComm(a, b gpusim.CommStats) bool {
+	near := func(x, y float64) bool { return math.Abs(x-y) <= 1e-12*math.Max(math.Abs(x), math.Abs(y)) }
+	if !near(a.HostSeconds, b.HostSeconds) || !near(a.PeerSeconds, b.PeerSeconds) || !near(a.FaultSeconds, b.FaultSeconds) {
+		return false
+	}
+	a.HostSeconds, a.PeerSeconds, a.FaultSeconds = 0, 0, 0
+	b.HostSeconds, b.PeerSeconds, b.FaultSeconds = 0, 0, 0
+	return a == b
 }
 
 // TestDistributedDegrade kills every device: with degradation allowed

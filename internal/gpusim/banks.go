@@ -42,8 +42,12 @@ func (s *bankSlotState) flush() {
 // bankAccess records a tracked shared-memory access for conflict
 // analysis. It mirrors the global-memory coalescing machinery: threads
 // run in ascending tid order within a phase, so warp changes are
-// monotone and flush the per-warp state.
+// monotone and flush the per-warp state. A replaying block (norec)
+// skips it, as Global accesses skip the coalescing analysis.
 func (b *Block) bankAccess(t *Thread, array int32, index int) {
+	if b.norec {
+		return
+	}
 	slotIdx := t.bankSlot
 	t.bankSlot++
 	if slotIdx >= len(b.bankSlots) {

@@ -146,9 +146,10 @@ type Block struct {
 	bankSlots []bankSlotState
 	sharedSeq int32
 	// norec disables event recording: kernel arithmetic still runs, but
-	// global-memory accesses skip the coalescing analysis. The zero
-	// value records, so Launch-created blocks behave as always; only the
-	// replaying Executor sets it (see Executor and Stats.Accumulate).
+	// global accesses skip the coalescing analysis and tracked shared
+	// accesses the bank-conflict analysis. The zero value records, so
+	// Launch-created blocks behave as always; only the replaying
+	// Executor sets it (see Executor and Stats.Accumulate).
 	norec bool
 	// corrupt, when non-nil, arms the block with an injected corrupt
 	// fault: selected stores are poisoned (see Injector). Nil in every

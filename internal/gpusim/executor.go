@@ -62,7 +62,22 @@ func (e *Executor) RunBlocks(st *Stats, threadsPerBlock, first, count int, recor
 // executed with poisoned stores. Blocks before the faulted one keep
 // their writes — the partial-output hazard the caller's retry repairs
 // by re-running the whole range.
+//
+// A recording run, successful or not, ends by releasing the block's
+// coalescing and bank-conflict slot scratch: one slot per dynamic
+// access of the longest thread, megabytes for a long p-Thomas thread.
+// A recorded geometry is only ever replayed, and replay never touches
+// that scratch, so a cached executor would otherwise pin it for its
+// whole life. A later recording regrows it.
 func (e *Executor) RunBlocksCtx(ctx context.Context, st *Stats, threadsPerBlock, first, count int, record bool, kern Kernel, site FaultSite) error {
+	err := e.runBlocks(ctx, st, threadsPerBlock, first, count, record, kern, site)
+	if record {
+		e.blk.slots, e.blk.bankSlots = nil, nil
+	}
+	return err
+}
+
+func (e *Executor) runBlocks(ctx context.Context, st *Stats, threadsPerBlock, first, count int, record bool, kern Kernel, site FaultSite) error {
 	b := &e.blk
 	b.Threads = threadsPerBlock
 	b.dev = e.dev

@@ -1,0 +1,86 @@
+package gpusim
+
+import (
+	"errors"
+	"testing"
+)
+
+// TestRunBlocksRecordingReleasesScratch pins the executor's memory
+// contract: a recording run grows one coalescing slot per dynamic
+// global access and one bank slot per tracked shared access, and
+// releases both when it ends — after success and after a fault alike —
+// so a cached executor holds no slot capacity between runs. Re-recording
+// on the same executor regrows them and yields identical Stats.
+func TestRunBlocksRecordingReleasesScratch(t *testing.T) {
+	const threads, blocks, perThread = 64, 3, 40
+	d := GTX480()
+	data := make([]float64, blocks*threads*perThread)
+	g := NewGlobal(data)
+	body := func(b *Block) {
+		sh := NewShared[float64](b, 2*threads)
+		b.Phase(func(th *Thread) {
+			base := (b.ID*threads + th.ID) * perThread
+			for i := 0; i < perThread; i++ {
+				g.Store(th, base+i, g.Load(th, base+i)+1)
+			}
+			sh.StoreT(th, 2*th.ID, 1)
+		})
+	}
+	// The executor runs blocks on the caller's goroutine, so kern may
+	// track the slot capacity each block reached; Launch runs body.
+	peakSlots, peakBanks := 0, 0
+	kern := func(b *Block) {
+		body(b)
+		peakSlots = max(peakSlots, cap(b.slots))
+		peakBanks = max(peakBanks, cap(b.bankSlots))
+	}
+	e := NewExecutor(d)
+	held := func(label string) {
+		t.Helper()
+		if c, cb := cap(e.blk.slots), cap(e.blk.bankSlots); c != 0 || cb != 0 {
+			t.Fatalf("%s: executor holds %d slot and %d bank-slot capacity, want 0", label, c, cb)
+		}
+	}
+	record := func() Stats {
+		t.Helper()
+		st := Stats{Kernel: "k", Launches: 1, Blocks: blocks, ThreadsPerBlock: threads}
+		if err := e.RunBlocks(&st, threads, 0, blocks, true, kern); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	first := record()
+	if peakSlots < 2*perThread || peakBanks < 1 {
+		t.Fatalf("recording grew %d slots and %d bank slots, want >= %d and >= 1", peakSlots, peakBanks, 2*perThread)
+	}
+	held("after recording")
+	if second := record(); second != first {
+		t.Fatalf("re-recording on a released executor changed Stats:\n%+v\n%+v", second, first)
+	}
+	held("after re-recording")
+	launched, err := d.Launch("k", LaunchConfig{Grid: blocks, Block: threads}, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *launched != first {
+		t.Fatalf("recorded Stats differ from Launch:\n%+v\n%+v", first, *launched)
+	}
+
+	peakSlots, peakBanks = 0, 0
+	if err := e.RunBlocks(nil, threads, 0, blocks, false, kern); err != nil {
+		t.Fatal(err)
+	}
+	if peakSlots != 0 || peakBanks != 0 {
+		t.Fatalf("replay grew %d slots and %d bank slots, want none", peakSlots, peakBanks)
+	}
+
+	inj := &Injector{Schedule: []ScheduledFault{{Kernel: "k", Block: 1, Kind: FaultCorrupt}}}
+	var st Stats
+	err = e.RunBlocksCtx(nil, &st, threads, 0, blocks, true, kern, FaultSite{Inj: inj, Kernel: "k"})
+	var le *LaunchError
+	if !errors.As(err, &le) || le.Kind != FaultCorrupt {
+		t.Fatalf("faulted recording = %v, want a corrupt LaunchError", err)
+	}
+	held("after a faulted recording")
+}
