@@ -1,6 +1,6 @@
 # Developer entry points. CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: build test race lint vet selftest bench
+.PHONY: build test race lint vet selftest bench loc
 
 build:
 	go build ./...
@@ -26,3 +26,8 @@ selftest:
 # runs all four workloads, writing results to .bench_build/run.json.
 bench:
 	bash cmd/tridload/bench.sh -out .bench_build/run.json
+
+# Non-test Go lines outside the benchmark harness and its build output:
+# the size figure every simplicity change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/tridload/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l

@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sort"
 
 	"gputrid/internal/gpusim"
 	"gputrid/internal/num"
@@ -29,25 +28,17 @@ var errLinkIntegrity = errors.New("core: transfer stayed corrupt past the re-exc
 // re-exchanged (per escalation rung) before the ladder escalates.
 const reexchangeBudget = 2
 
-// HedgePolicy bounds the speculative re-execution of straggling slabs.
-// The zero value enables hedging with the defaults.
+// HedgePolicy controls the speculative re-execution of straggling
+// slabs: a slab whose modeled phase time exceeds hedgeRatio × the
+// median over device-run slabs is hedged. The zero value enables it.
 type HedgePolicy struct {
 	// Disable turns hedging off entirely.
 	Disable bool
-	// Ratio is the outlier threshold: a slab whose modeled phase time
-	// exceeds Ratio × the median over device-run slabs is hedged.
-	// Values <= 1 mean the default of 3.
-	Ratio float64
-	// MaxHedges caps speculative re-launches per solve; 0 means no cap.
-	MaxHedges int
 }
 
-func (h HedgePolicy) ratio() float64 {
-	if h.Ratio <= 1 {
-		return 3
-	}
-	return h.Ratio
-}
+// hedgeRatio is the straggler threshold as a multiple of the median
+// modeled phase time.
+const hedgeRatio = 3
 
 // DeviceObservation is what one distributed solve observed about one
 // topology device — the raw signal a gray-failure detector aggregates
@@ -81,11 +72,7 @@ type devObs struct {
 // noteBusy records one slab-phase execution on dev.
 func (s *DistSolver[T]) noteBusy(dev int, seconds float64) {
 	s.obsMu.Lock()
-	o := s.obs[dev]
-	if o == nil {
-		o = &devObs{}
-		s.obs[dev] = o
-	}
+	o := &s.devs[dev].obs
 	o.slabs++
 	o.busy += seconds
 	s.obsMu.Unlock()
@@ -95,39 +82,31 @@ func (s *DistSolver[T]) noteBusy(dev int, seconds float64) {
 func (s *DistSolver[T]) noteIntegrity(sl *distSlab, dev, n int) {
 	sl.integrity += n
 	s.obsMu.Lock()
-	o := s.obs[dev]
-	if o == nil {
-		o = &devObs{}
-		s.obs[dev] = o
-	}
-	o.integrity += n
+	s.devs[dev].obs.integrity += n
 	s.obsMu.Unlock()
 }
 
 // noteHedged records a slab hedged away from dev.
 func (s *DistSolver[T]) noteHedged(dev int) {
 	s.obsMu.Lock()
-	o := s.obs[dev]
-	if o == nil {
-		o = &devObs{}
-		s.obs[dev] = o
-	}
-	o.hedged++
+	s.devs[dev].obs.hedged++
 	s.obsMu.Unlock()
 }
 
-// observations snapshots the per-device observations, sorted by device.
+// observations snapshots the observations of every device the solve
+// touched, sorted by device.
 func (s *DistSolver[T]) observations() []DeviceObservation {
 	s.obsMu.Lock()
 	defer s.obsMu.Unlock()
-	out := make([]DeviceObservation, 0, len(s.obs))
-	for dev, o := range s.obs {
-		out = append(out, DeviceObservation{
-			Device: dev, Slabs: o.slabs, ModeledBusy: o.busy,
-			IntegrityRetries: o.integrity, Hedged: o.hedged,
-		})
+	out := make([]DeviceObservation, 0, len(s.devs))
+	for dev := range s.devs {
+		if o := s.devs[dev].obs; o != (devObs{}) {
+			out = append(out, DeviceObservation{
+				Device: dev, Slabs: o.slabs, ModeledBusy: o.busy,
+				IntegrityRetries: o.integrity, Hedged: o.hedged,
+			})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
 	return out
 }
 
@@ -223,72 +202,59 @@ func (s *DistSolver[T]) verifiedDown(sl *distSlab, dev int, bytes int64, payload
 	}
 }
 
-// hedgeResult is what the speculative goroutine reports back.
-type hedgeResult struct {
-	timing gpusim.SlabTiming
-	err    error
-}
-
 // hedgePhase runs after phase A: slabs whose modeled completion is a
-// latency outlier versus their peers (> Ratio × median) are
+// latency outlier versus their peers (> hedgeRatio × median) are
 // speculatively re-executed on the least-loaded survivor, and the
 // verified result with the smaller modeled completion wins — in this
 // simulator, modeled time is the latency plane, so "first verified
-// result" means first in modeled time. The loser is cancelled: its
-// result is discarded and, when the solve's context dies mid-hedge,
-// the speculative goroutine is cancelled through its own context and
-// joined before returning, releasing its device lease. Output bits are
-// unaffected either way — the launch geometry is a pure function of
-// (N, Slabs), so both candidates compute identical data and hedging
-// only moves *where* (and how fast) it happened.
-func (s *DistSolver[T]) hedgePhase(ctx context.Context, rep *DistReport, slabs []*distSlab, alive map[int]bool) error {
-	h := s.cfg.Hedge
-	if h.Disable || len(alive) < 2 {
+// result" means first in modeled time. The loser's result is
+// discarded. Output bits are unaffected either way — the launch
+// geometry is a pure function of (N, Slabs), so both candidates
+// compute identical data and hedging only moves *where* (and how fast)
+// it happened.
+func (s *DistSolver[T]) hedgePhase(ctx context.Context, rep *DistReport) error {
+	if s.cfg.Hedge.Disable || s.nLive < 2 {
 		return nil
 	}
 
 	// Outlier detection over the modeled phase times of device-run slabs.
-	var times []float64
-	for _, sl := range slabs {
-		if sl.dev >= 0 {
+	times := s.times[:0]
+	for p := range s.slabs {
+		if sl := &s.slabs[p]; sl.dev >= 0 {
 			times = append(times, sl.timing.Total())
 		}
 	}
 	if len(times) < 2 {
 		return nil
 	}
-	sort.Float64s(times)
-	median := times[len(times)/2]
-	if len(times)%2 == 0 {
-		median = (times[len(times)/2-1] + times[len(times)/2]) / 2
-	}
-	threshold := h.ratio() * median
+	median := num.Median(times)
+	threshold := hedgeRatio * median
 	if median <= 0 {
 		return nil
 	}
 
-	for _, sl := range slabs {
+	for p := range s.slabs {
+		sl := &s.slabs[p]
 		if sl.dev < 0 || sl.timing.Total() <= threshold {
 			continue
-		}
-		if h.MaxHedges > 0 && rep.Hedges >= h.MaxHedges {
-			return nil
 		}
 		// Least-loaded survivor by current modeled load (hedge adoptions
 		// move load, so recompute per outlier); ties go to the lowest
 		// index — deterministic either way.
-		load := make(map[int]float64, len(alive))
-		for _, other := range slabs {
-			if other.dev >= 0 {
-				load[other.dev] += other.timing.Total()
+		for dev := range s.devs {
+			s.devs[dev].load = 0
+		}
+		for q := range s.slabs {
+			if other := &s.slabs[q]; other.dev >= 0 {
+				s.devs[other.dev].load += other.timing.Total()
 			}
 		}
 		target := -1
-		for _, dev := range liveOrder(alive) {
-			if dev == sl.dev {
+		for dev := range s.devs {
+			if !s.devs[dev].alive || dev == sl.dev {
 				continue
 			}
-			if target < 0 || load[dev] < load[target] {
+			if target < 0 || s.devs[dev].load < s.devs[target].load {
 				target = dev
 			}
 		}
@@ -296,87 +262,55 @@ func (s *DistSolver[T]) hedgePhase(ctx context.Context, rep *DistReport, slabs [
 			return nil
 		}
 		rep.Hedges++
-		if err := s.hedgeOne(ctx, rep, sl, target, alive); err != nil {
+		if err := s.hedgeOne(ctx, rep, sl, target); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// hedgeOne races one speculative re-execution of slab sl on device
-// target against the (already verified) incumbent result. The
-// speculative run holds a lease on the target device for its lifetime
-// and works entirely in scratch buffers, so losing costs nothing. Any
-// speculative failure — integrity exhaustion, cancellation, even the
-// target dying — leaves the incumbent standing; a target death is
-// still announced and removed from the live set like any other.
-func (s *DistSolver[T]) hedgeOne(ctx context.Context, rep *DistReport, sl *distSlab, target int, alive map[int]bool) error {
-	hctx, cancel := context.WithCancel(contextOrBackground(ctx))
-	defer cancel()
-
-	spec := &distSlab{idx: sl.idx, dev: target, homeDev: -1}
-	s.leases[target].Add(1)
-	done := make(chan hedgeResult, 1)
-	go func() {
-		defer s.leases[target].Add(-1)
-		if hook := s.testHookHedgeStart; hook != nil {
-			hook()
-		}
-		L := s.part.Slabs[sl.idx].Len()
-		err := s.reduceSlab(hctx, spec, target, s.hedgeX[:3*s.m*L], s.hedgeIface, s.hedgeShadow)
-		done <- hedgeResult{spec.timing, err}
-	}()
-
-	var r hedgeResult
-	if ctx != nil {
-		select {
-		case r = <-done:
-		case <-ctx.Done():
-			// The solve is being cancelled mid-hedge: cancel the
-			// speculative run and join it so its lease is released and
-			// no goroutine outlives SolveOn.
-			cancel()
-			<-done
-			rep.HedgesCancelled++
-			return cancelled(ctx.Err())
-		}
-	} else {
-		r = <-done
+// hedgeOne runs one speculative re-execution of slab sl on device
+// target, on the calling goroutine, and races it in modeled time
+// against the (already verified) incumbent result. The speculative run
+// works entirely in scratch buffers, so losing costs nothing. Any
+// speculative failure — integrity exhaustion, even the target dying —
+// leaves the incumbent standing; a target death still goes through
+// kill like any other. A solve cancelled mid-hedge returns
+// ErrCancelled.
+func (s *DistSolver[T]) hedgeOne(ctx context.Context, rep *DistReport, sl *distSlab, target int) error {
+	if hook := s.testHookHedgeStart; hook != nil {
+		hook()
+	}
+	spec := &s.hedgeSlab
+	*spec = distSlab{idx: sl.idx, dev: target, homeDev: -1}
+	L := s.part.Slabs[sl.idx].Len()
+	err := s.reduceSlab(ctx, spec, target, s.hedgeX[:3*s.m*L], s.hedgeIface, s.hedgeShadow)
+	if ctx != nil && ctx.Err() != nil {
+		rep.HedgesCancelled++
+		return cancelled(ctx.Err())
 	}
 	sl.integrity += spec.integrity
 
-	if r.err != nil {
+	if err != nil {
 		rep.HedgesCancelled++
-		if isDeviceDeath(r.err) && alive[target] {
-			delete(alive, target)
-			rep.Deaths = append(rep.Deaths, target)
-			s.announceDeath(target)
+		if isDeviceDeath(err) {
+			s.kill(rep, target)
 		}
 		return nil
 	}
-	if r.timing.Total() < sl.timing.Total() {
+	if spec.timing.Total() < sl.timing.Total() {
 		// Speculative result completes first in modeled time: adopt it.
 		// The data is bitwise identical by construction; what changes is
 		// the slab's home device and the modeled makespan.
 		p := sl.idx
-		L := s.part.Slabs[p].Len()
 		copy(s.slabX[p], s.hedgeX[:3*s.m*L])
 		copy(s.iface[p], s.hedgeIface)
 		s.noteHedged(sl.dev)
 		sl.dev = target
-		sl.timing = r.timing
+		sl.timing = spec.timing
 		rep.HedgeWins++
 	} else {
 		rep.HedgesCancelled++
 	}
 	return nil
-}
-
-// contextOrBackground maps the solver's nil-means-no-cancellation
-// convention onto a real context for the hedge machinery.
-func contextOrBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
 }

@@ -44,25 +44,22 @@ type DistConfig struct {
 	// assignment.
 	Slab Config
 	// Retry bounds per-slab recovery: a slab whose device dies is
-	// migrated to a survivor up to RetryPolicy.MaxRetries times, with
-	// the policy's seeded-jitter backoff between attempts, then
-	// degraded to the host pivoting GTSV path — or failed with
-	// ErrFaulted under NoDegrade. The zero value is the production
-	// default.
+	// migrated to a survivor up to RetryPolicy.MaxRetries times per
+	// phase (local reduce, back-substitution), with the policy's
+	// seeded-jitter backoff between attempts, then degraded to the host
+	// pivoting GTSV path — or failed with ErrFaulted under NoDegrade.
+	// The zero value is the production default.
 	Retry RetryPolicy
-	// Hedge bounds the speculative re-execution of straggler slabs
-	// after the reduce phase; the zero value enables hedging with the
-	// defaults (outliers past 3× the median modeled phase time are
-	// re-launched on the least-loaded survivor). See HedgePolicy.
+	// Hedge controls the speculative re-execution of straggler slabs
+	// after the reduce phase; the zero value enables it (outliers past
+	// 3× the median modeled phase time are re-launched on the
+	// least-loaded survivor). See HedgePolicy.
 	Hedge HedgePolicy
 	// Health, when non-nil, receives a HealthXID event the moment a
 	// device is declared dead mid-solve — before the slab is migrated —
 	// so a fleet control plane can cordon the device while this solve
 	// is still completing. Must be safe for concurrent use.
 	Health func(gpusim.HealthEvent)
-	// HealthDevice maps a topology device index to the Device field of
-	// emitted health events (a fleet's device id); nil means identity.
-	HealthDevice func(topoIdx int) int
 }
 
 // DistReport describes one distributed solve.
@@ -78,8 +75,9 @@ type DistReport struct {
 	// Migrations counts slabs whose in-progress work was lost to a
 	// device death and re-run on a survivor.
 	Migrations int
-	// Retries counts slab re-executions beyond each slab's first
-	// attempt (migrations plus degraded slabs' lost attempts).
+	// Retries counts slab re-executions after lost work: one per
+	// device attempt a death cut short, re-run on a survivor or, once
+	// the budget is spent, on the host. A fault-free solve reports 0.
 	Retries int
 	// Degraded lists (ascending) the slabs re-solved on the host
 	// because no retry budget, no survivor, or no trustworthy link
@@ -124,13 +122,46 @@ type DistReport struct {
 // distSlab is the per-slab solve state.
 type distSlab struct {
 	idx       int
-	dev       int // current topology device; -1 = degraded to host
-	homeDev   int // device holding the slab's u,v,w planes after phase A
-	attempts  int
+	dev       int  // current topology device; -1 = degraded to host
+	homeDev   int  // device holding the slab's u,v,w planes after phase A
+	attempts  int  // device attempts in the current phase
+	degraded  bool // moved to the host path for the rest of the solve
 	redone    bool // lost work at least once (counts as migration)
 	integrity int  // checksum-mismatched transfers re-exchanged
 	resolves  int  // reduce re-executions forced by the integrity ladder
 	timing    gpusim.SlabTiming
+	outcome   slabOutcome // result of the current runPhase round
+	err       error       // the death behind outcome slabLost
+}
+
+// slabOutcome is what one runPhase round did with a slab.
+type slabOutcome uint8
+
+const (
+	slabQueued    slabOutcome = iota // assigned, not run: its device died first
+	slabDone                         // ran and verified
+	slabLost                         // its device died under it
+	slabUntrusted                    // its link stayed corrupt: host path
+)
+
+// distDev is one topology device's state within a solve: indexed by
+// topology device, owned by the solver, reset at the start of every
+// solve.
+type distDev struct {
+	alive bool
+	// runPhase, per round (reset as each round starts): the device's
+	// slabs in slab order, whether a launch killed it, and a failure
+	// that ends the solve.
+	group []*distSlab
+	died  bool
+	err   error
+	// load is hedgePhase's modeled load of the current assignment.
+	load float64
+	// timings are the final assignment's slab timings, for the modeled
+	// makespan.
+	timings []gpusim.SlabTiming
+	// obs accumulates the device's gray-failure observations.
+	obs devObs
 }
 
 type pipeKey struct {
@@ -192,23 +223,29 @@ type DistSolver[T num.Real] struct {
 	// Hedging scratch: the speculative re-execution of a straggler slab
 	// works entirely here, so a losing hedge touches no solve state.
 	// Hedges run sequentially, so one set suffices.
+	hedgeSlab   distSlab
 	hedgeX      []T
 	hedgeIface  []T
 	hedgeShadow []T
-	// leases counts in-flight speculative executions per device; a
-	// hedge holds its target's lease for the goroutine's lifetime.
-	leases []atomic.Int32
-	// testHookHedgeStart, when non-nil, runs at the start of every
-	// speculative hedge goroutine (test instrumentation).
+	// testHookHedgeStart, when non-nil, runs before every speculative
+	// hedge (test instrumentation).
 	testHookHedgeStart func()
 
 	// scope attributes this solver's interconnect traffic exactly, even
 	// when concurrent solves share the topology.
 	scope gpusim.CommScope
 
-	// obs accumulates per-device gray-failure observations per solve.
-	obsMu sync.Mutex
-	obs   map[int]*devObs
+	// Per-solve state, reset by begin: the slabs, the topology devices
+	// (nLive of them live), runPhase's pending queue and hedgePhase's
+	// sample of modeled slab times. obsMu guards every devs[i].obs. all
+	// lists every topology device, SolveInto's live set.
+	slabs   []distSlab
+	devs    []distDev
+	nLive   int
+	pending []*distSlab
+	times   []float64
+	obsMu   sync.Mutex
+	all     []int
 
 	// Reduced interface system, system-major: system i's D-1 rows at
 	// [i*(D-1), (i+1)*(D-1)).
@@ -262,10 +299,16 @@ func NewDistSolver[T num.Real](cfg DistConfig, m, n int) (*DistSolver[T], error)
 		pipes:    make(map[pipeKey]*Pipeline[T]),
 		backsubs: make(map[pipeKey]*backsubKernel[T]),
 		kByLen:   make(map[int]int),
-		obs:      make(map[int]*devObs),
-		leases:   make([]atomic.Int32, cfg.Topology.NumDevices()),
 	}
 	d := part.NumSlabs()
+	s.slabs = make([]distSlab, d)
+	s.pending = make([]*distSlab, 0, d)
+	s.times = make([]float64, 0, d)
+	s.devs = make([]distDev, cfg.Topology.NumDevices())
+	s.all = make([]int, len(s.devs))
+	for i := range s.all {
+		s.all[i] = i
+	}
 	s.slabIn = make([]*matrix.Batch[T], d)
 	s.slabX = make([][]T, d)
 	s.slabOut = make([][]T, d)
@@ -397,11 +440,7 @@ func (s *DistSolver[T]) Close() error {
 
 // SolveInto solves the batch across every topology device.
 func (s *DistSolver[T]) SolveInto(ctx context.Context, dst []T, b *matrix.Batch[T]) (*DistReport, error) {
-	live := make([]int, s.topo.NumDevices())
-	for i := range live {
-		live[i] = i
-	}
-	return s.SolveOn(ctx, dst, b, live)
+	return s.SolveOn(ctx, dst, b, s.all)
 }
 
 // SolveOn solves the batch using only the given live topology devices
@@ -416,16 +455,15 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 	if len(dst) != s.m*s.n {
 		return nil, fmt.Errorf("%w: dst has %d elements, solver wants %d", ErrShapeMismatch, len(dst), s.m*s.n)
 	}
-	alive, err := s.liveSet(live)
-	if err != nil {
-		return nil, err
-	}
 	if !s.inUse.CompareAndSwap(false, true) {
 		return nil, ErrDistBusy
 	}
 	defer s.inUse.Store(false)
 	if s.closed {
 		return nil, ErrDistClosed
+	}
+	if err := s.begin(live); err != nil {
+		return nil, err
 	}
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
@@ -434,22 +472,19 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 	d := s.part.NumSlabs()
 	rep := &DistReport{Slabs: d, Devices: make([]int, d)}
 	s.scope.Reset()
-	clear(s.obs)
-	slabs := make([]*distSlab, d)
-	for p := range slabs {
-		slabs[p] = &distSlab{idx: p, dev: -1, homeDev: -1}
+	for p := range s.slabs {
 		s.buildSlabInput(p, b)
 	}
 
 	// Phase A: local reductions, with migration on device death.
-	if err := s.runPhase(ctx, rep, slabs, alive, s.reduceOne, s.reduceHost); err != nil {
+	if err := s.runPhase(ctx, rep, s.reduceOne, s.reduceHost); err != nil {
 		return nil, err
 	}
 
 	// Straggler hedging: slabs whose modeled phase time is an outlier
 	// are speculatively re-run on the least-loaded survivor, first
 	// verified (modeled-time) result wins.
-	if err := s.hedgePhase(ctx, rep, slabs, alive); err != nil {
+	if err := s.hedgePhase(ctx, rep); err != nil {
 		return nil, err
 	}
 
@@ -460,35 +495,33 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 	}
 
 	// Phase C: per-slab back-substitution, device-side, same recovery.
-	for _, sl := range slabs {
-		sl.homeDev = sl.dev // where the u,v,w planes are resident
+	for p := range s.slabs {
+		s.slabs[p].homeDev = s.slabs[p].dev // where the u,v,w planes are resident
 	}
-	if err := s.runPhase(ctx, rep, slabs, alive, s.backsubOne, s.backsubHost); err != nil {
+	if err := s.runPhase(ctx, rep, s.backsubOne, s.backsubHost); err != nil {
 		return nil, err
 	}
-	s.scatterOutputs(dst, slabs)
+	s.scatterOutputs(dst)
 
 	// Report: final assignment, comm delta, modeled makespans.
-	perDev := map[int][]gpusim.SlabTiming{}
-	for p, sl := range slabs {
+	for p := range s.slabs {
+		sl := &s.slabs[p]
 		rep.Devices[p] = sl.dev
-		if sl.dev >= 0 {
-			perDev[sl.dev] = append(perDev[sl.dev], sl.timing)
-		} else {
+		if sl.degraded {
 			rep.Degraded = append(rep.Degraded, p)
+		} else {
+			s.devs[sl.dev].timings = append(s.devs[sl.dev].timings, sl.timing)
 		}
 		if sl.redone {
 			rep.Migrations++
 		}
-		rep.Retries += sl.attempts - 1
 		rep.IntegrityRetries += sl.integrity
 		rep.SlabResolves += sl.resolves
 	}
-	sort.Ints(rep.Degraded)
 	sort.Ints(rep.Deaths)
 	var serial, pipelined float64
-	for _, stages := range perDev {
-		ser, pip := gpusim.PipelinedMakespan(stages)
+	for dev := range s.devs {
+		ser, pip := gpusim.PipelinedMakespan(s.devs[dev].timings)
 		serial = max(serial, ser)
 		pipelined = max(pipelined, pip)
 	}
@@ -499,19 +532,30 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 	return rep, nil
 }
 
-// liveSet validates, dedupes and sorts the live device indices.
-func (s *DistSolver[T]) liveSet(live []int) (map[int]bool, error) {
-	alive := make(map[int]bool, len(live))
-	for _, d := range live {
-		if d < 0 || d >= s.topo.NumDevices() {
-			return nil, fmt.Errorf("core: live device %d out of range [0, %d)", d, s.topo.NumDevices())
+// begin resets the per-solve state and marks the given devices live,
+// validating them against the topology. Duplicates count once.
+func (s *DistSolver[T]) begin(live []int) error {
+	for dev := range s.devs {
+		d := &s.devs[dev]
+		d.alive, d.timings, d.obs = false, d.timings[:0], devObs{}
+	}
+	s.nLive = 0
+	for _, dev := range live {
+		if dev < 0 || dev >= len(s.devs) {
+			return fmt.Errorf("core: live device %d out of range [0, %d)", dev, len(s.devs))
 		}
-		alive[d] = true
+		if !s.devs[dev].alive {
+			s.devs[dev].alive = true
+			s.nLive++
+		}
 	}
-	if len(alive) == 0 {
-		return nil, ErrNoLiveDevices
+	if s.nLive == 0 {
+		return ErrNoLiveDevices
 	}
-	return alive, nil
+	for p := range s.slabs {
+		s.slabs[p] = distSlab{idx: p, dev: -1, homeDev: -1}
+	}
+	return nil
 }
 
 // phaseFn runs one slab's device work for the current phase, returning
@@ -527,21 +571,19 @@ type hostFn[T num.Real] func(sl *distSlab) error
 // exact), each device runs its slabs sequentially while devices run in
 // parallel, and a faulted launch kills its device — the death is
 // published through DistConfig.Health before the victim slab migrates
-// to a survivor under the jittered retry budget.
-func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, slabs []*distSlab,
-	alive map[int]bool, run phaseFn[T], host hostFn[T]) error {
-
+// to a survivor under the phase's jittered retry budget. Slabs
+// degraded in an earlier phase go straight to the host path.
+func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, run phaseFn[T], host hostFn[T]) error {
 	maxR := s.cfg.Retry.maxRetries()
-	pending := make([]*distSlab, 0, len(slabs))
-	for _, sl := range slabs {
-		if sl.dev == -1 && sl.attempts > 0 {
-			// Already degraded in an earlier phase: host path now.
-			if err := host(sl); err != nil {
-				return err
-			}
-			continue
+	pending := s.pending[:0]
+	for p := range s.slabs {
+		sl := &s.slabs[p]
+		sl.attempts = 0
+		if !sl.degraded {
+			pending = append(pending, sl)
+		} else if err := host(sl); err != nil {
+			return err
 		}
-		pending = append(pending, sl)
 	}
 
 	for len(pending) > 0 {
@@ -550,145 +592,140 @@ func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, slabs []*
 				return cancelled(err)
 			}
 		}
-		order := liveOrder(alive)
-		if len(order) == 0 {
+		if s.nLive == 0 {
 			// No survivors: every remaining slab degrades or the solve
 			// fails hard.
 			if s.cfg.Retry.NoDegrade {
 				return fmt.Errorf("%w: no live devices remain for %d slab(s)", ErrFaulted, len(pending))
 			}
 			for _, sl := range pending {
-				sl.dev = -1
-				if err := host(sl); err != nil {
+				if err := s.degrade(sl, host, nil); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 
-		// Deterministic assignment; group per device in slab order.
-		byDev := make(map[int][]*distSlab, len(order))
-		for j, sl := range pending {
-			dev := order[j%len(order)]
-			sl.dev = dev
-			byDev[dev] = append(byDev[dev], sl)
+		// Deterministic assignment; each device's group in slab order.
+		for dev := range s.devs {
+			d := &s.devs[dev]
+			d.group, d.died, d.err = d.group[:0], false, nil
 		}
-
-		type result struct {
-			sl  *distSlab
-			err error
+		dev := -1
+		for _, sl := range pending {
+			dev = s.nextLive(dev)
+			sl.dev, sl.outcome = dev, slabQueued
+			s.devs[dev].group = append(s.devs[dev].group, sl)
 		}
-		var (
-			wg        sync.WaitGroup
-			mu        sync.Mutex
-			faulted   []result
-			untrusted []*distSlab
-			hardErr   error
-		)
-		for dev, group := range byDev {
-			wg.Add(1)
-			go func(dev int, group []*distSlab) {
-				defer wg.Done()
-				for gi, sl := range group {
-					if sl.attempts > 0 {
-						// Re-attempt after lost work: jittered backoff
-						// keyed on the slab, so simultaneous victims
-						// spread out instead of stampeding survivors.
-						if err := sleepBackoff(ctx, s.cfg.Retry.backoff(sl.attempts-1, uint64(sl.idx)+1)); err != nil {
-							mu.Lock()
-							if hardErr == nil {
-								hardErr = cancelled(err)
-							}
-							mu.Unlock()
-							return
-						}
-					}
-					sl.attempts++
-					err := run(ctx, sl, dev)
-					if err == nil {
-						continue
-					}
-					if errors.Is(err, errLinkIntegrity) {
-						// The link, not the device, failed: the device
-						// keeps its remaining slabs, only this slab
-						// leaves the device path (escalation ladder's
-						// last rung — see below).
-						mu.Lock()
-						untrusted = append(untrusted, sl)
-						mu.Unlock()
-						continue
-					}
-					mu.Lock()
-					if isDeviceDeath(err) {
-						// The victim slab lost its work; the device's
-						// untried slabs (err nil) requeue without
-						// burning an attempt.
-						faulted = append(faulted, result{sl, err})
-						for _, rest := range group[gi+1:] {
-							faulted = append(faulted, result{rest, nil})
-						}
-					} else if hardErr == nil {
-						hardErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}(dev, group)
+		var wg sync.WaitGroup
+		for dev := range s.devs {
+			if d := &s.devs[dev]; len(d.group) > 0 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s.runGroup(ctx, d, run)
+				}()
+			}
 		}
 		wg.Wait()
-		if hardErr != nil {
-			return hardErr
-		}
-
-		// Integrity exhaustion: re-exchange and re-solve could not get a
-		// clean transfer through, so the slab falls to the host path —
-		// the data there never crossed the untrustworthy link.
-		sort.Slice(untrusted, func(i, j int) bool { return untrusted[i].idx < untrusted[j].idx })
-		for _, sl := range untrusted {
-			if s.cfg.Retry.NoDegrade {
-				return fmt.Errorf("%w: slab %d: %v", ErrFaulted, sl.idx, errLinkIntegrity)
-			}
-			sl.dev = -1
-			if err := host(sl); err != nil {
+		for dev := range s.devs {
+			if err := s.devs[dev].err; err != nil {
 				return err
+			}
+		}
+		// Deaths in device order, so multi-death rounds emit a
+		// deterministic event sequence.
+		for dev := range s.devs {
+			if s.devs[dev].died {
+				s.kill(rep, dev)
 			}
 		}
 
 		next := pending[:0]
-		var dead []int
-		for _, r := range faulted {
-			if r.err != nil {
-				if alive[r.sl.dev] {
-					delete(alive, r.sl.dev)
-					dead = append(dead, r.sl.dev)
+		for _, sl := range pending {
+			switch sl.outcome {
+			case slabUntrusted:
+				// Integrity exhaustion: re-exchange and re-solve could not
+				// get a clean transfer through, so the slab falls to the
+				// host path — the data there never crossed the
+				// untrustworthy link.
+				if err := s.degrade(sl, host, errLinkIntegrity); err != nil {
+					return err
 				}
-				r.sl.redone = true
-				if r.sl.attempts > maxR {
-					if s.cfg.Retry.NoDegrade {
-						return fmt.Errorf("%w: slab %d exhausted %d migration attempts: %v",
-							ErrFaulted, r.sl.idx, r.sl.attempts, r.err)
-					}
-					r.sl.dev = -1
-					if err := host(r.sl); err != nil {
+			case slabLost:
+				sl.redone = true
+				rep.Retries++
+				if sl.attempts > maxR {
+					if err := s.degrade(sl, host, fmt.Errorf("exhausted %d migration attempts: %w", sl.attempts, sl.err)); err != nil {
 						return err
 					}
 					continue
 				}
+				next = append(next, sl)
+			case slabQueued:
+				// Untried behind a death: requeue without burning an
+				// attempt.
+				next = append(next, sl)
 			}
-			next = append(next, r.sl)
 		}
-		// Announce deaths in device order, so multi-death rounds emit a
-		// deterministic event sequence.
-		sort.Ints(dead)
-		for _, dev := range dead {
-			rep.Deaths = append(rep.Deaths, dev)
-			s.announceDeath(dev)
-		}
-		// Keep slab order deterministic across rounds.
-		sort.Slice(next, func(i, j int) bool { return next[i].idx < next[j].idx })
 		pending = next
 	}
 	return nil
+}
+
+// runGroup runs one device's slabs of a runPhase round in order,
+// stopping at the first failure that is not the link's. It writes only
+// d and d's slabs, so devices run it concurrently.
+func (s *DistSolver[T]) runGroup(ctx context.Context, d *distDev, run phaseFn[T]) {
+	for _, sl := range d.group {
+		if sl.attempts > 0 {
+			// Re-attempt after lost work: jittered backoff keyed on the
+			// slab, so simultaneous victims spread out instead of
+			// stampeding survivors.
+			if err := sleepBackoff(ctx, s.cfg.Retry.backoff(sl.attempts-1, uint64(sl.idx)+1)); err != nil {
+				d.err = cancelled(err)
+				return
+			}
+		}
+		sl.attempts++
+		err := run(ctx, sl, sl.dev)
+		switch {
+		case err == nil:
+			sl.outcome = slabDone
+		case errors.Is(err, errLinkIntegrity):
+			// The link, not the device, failed: the device keeps its
+			// remaining slabs.
+			sl.outcome = slabUntrusted
+		case isDeviceDeath(err):
+			sl.outcome, sl.err = slabLost, err
+			d.died = true
+			return
+		default:
+			d.err = err
+			return
+		}
+	}
+}
+
+// nextLive returns the first live device after dev in ascending order,
+// wrapping around; dev -1 starts from device 0. There must be one.
+func (s *DistSolver[T]) nextLive(dev int) int {
+	for {
+		if dev = (dev + 1) % len(s.devs); s.devs[dev].alive {
+			return dev
+		}
+	}
+}
+
+// degrade moves sl to the host path for the rest of the solve, or
+// fails the solve with ErrFaulted under NoDegrade. why is the failure
+// behind it, for that error.
+func (s *DistSolver[T]) degrade(sl *distSlab, host hostFn[T], why error) error {
+	if s.cfg.Retry.NoDegrade {
+		return fmt.Errorf("%w: slab %d: %v", ErrFaulted, sl.idx, why)
+	}
+	sl.dev, sl.degraded = -1, true
+	return host(sl)
 }
 
 // isDeviceDeath classifies a slab failure: any launch fault means the
@@ -699,31 +736,24 @@ func isDeviceDeath(err error) bool {
 	return errors.Is(err, ErrFaulted) || errors.As(err, &le)
 }
 
-// announceDeath publishes the death through the health callback.
-func (s *DistSolver[T]) announceDeath(dev int) {
-	if s.cfg.Health == nil {
+// kill is the one death path, for runPhase and hedges alike: it takes
+// dev out of the live set, records it in rep.Deaths and publishes the
+// death through the health callback. A device already dead is left be.
+func (s *DistSolver[T]) kill(rep *DistReport, dev int) {
+	if !s.devs[dev].alive {
 		return
 	}
-	id := dev
-	if s.cfg.HealthDevice != nil {
-		id = s.cfg.HealthDevice(dev)
+	s.devs[dev].alive = false
+	s.nLive--
+	rep.Deaths = append(rep.Deaths, dev)
+	if s.cfg.Health != nil {
+		s.cfg.Health(gpusim.HealthEvent{
+			Device:  dev,
+			Kind:    gpusim.HealthXID,
+			XID:     79,
+			Message: fmt.Sprintf("device died mid-distributed-solve (topology device %d)", dev),
+		})
 	}
-	s.cfg.Health(gpusim.HealthEvent{
-		Device:  id,
-		Kind:    gpusim.HealthXID,
-		XID:     79,
-		Message: fmt.Sprintf("device died mid-distributed-solve (topology device %d)", dev),
-	})
-}
-
-// liveOrder returns the live devices in ascending index order.
-func liveOrder(alive map[int]bool) []int {
-	order := make([]int, 0, len(alive))
-	for d := range alive {
-		order = append(order, d)
-	}
-	sort.Ints(order)
-	return order
 }
 
 // buildSlabInput fills slab p's 3M local systems from the batch:
@@ -1075,8 +1105,8 @@ func (s *DistSolver[T]) backsubHost(sl *distSlab) error {
 }
 
 // scatterOutputs copies each slab's back-substituted rows into dst.
-func (s *DistSolver[T]) scatterOutputs(dst []T, slabs []*distSlab) {
-	for p := range slabs {
+func (s *DistSolver[T]) scatterOutputs(dst []T) {
+	for p := range s.slabs {
 		sl := s.part.Slabs[p]
 		L := sl.Len()
 		for i := 0; i < s.m; i++ {

@@ -281,16 +281,142 @@ func TestDistributedBacksubCorruptFault(t *testing.T) {
 	requireBitwise(t, dst, clean, "corrupt replayed backsub")
 }
 
+// TestDistFaultFreeNoBackoff pins the per-phase retry budget on the
+// clean path: a slab's reduce attempt is not lost work in the
+// back-substitution, so a fault-free solve sleeps no backoff and
+// reports no retries. With a one-minute backoff, any sleep would run
+// the solve into its deadline.
+func TestDistFaultFreeNoBackoff(t *testing.T) {
+	const m, n, devs = 4, 1025, 4
+	b := workload.Batch[float64](workload.DiagDominant, m, n, 13)
+	s, err := NewDistSolver[float64](DistConfig{
+		Topology: distTopo(t, devs, gpusim.NVLinkMesh()),
+		Slabs:    devs,
+		Retry:    RetryPolicy{BaseBackoff: time.Minute, MaxBackoff: time.Minute},
+	}, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	dst := make([]float64, m*n)
+	rep, err := s.SolveInto(ctx, dst, b)
+	if err != nil {
+		t.Fatalf("fault-free solve: %v", err)
+	}
+	if rep.Retries != 0 || rep.Migrations != 0 || len(rep.Deaths) != 0 {
+		t.Errorf("fault-free solve reports retries=%d migrations=%d deaths=%v, want none",
+			rep.Retries, rep.Migrations, rep.Deaths)
+	}
+}
+
+// TestDistributedBacksubFaultMigrationBudget kills one device in the
+// back-substitution under a one-migration budget. The budget is per
+// phase, so the slab's reduce attempt does not spend it: the slab must
+// migrate, not degrade, and the answer must be bitwise the fault-free
+// one.
+func TestDistributedBacksubFaultMigrationBudget(t *testing.T) {
+	const m, n, devs, victim = 2, 263, 3, 1
+	b := workload.Batch[float64](workload.DiagDominant, m, n, 31)
+	topo := distTopo(t, devs, gpusim.NVLinkMesh())
+	var armed atomic.Bool
+	topo.Device(victim).Faults = &gpusim.Injector{
+		Schedule: []gpusim.ScheduledFault{{Kernel: "distBacksub", Kind: gpusim.FaultAbort, Repeat: 1 << 30}},
+		Gate:     armed.Load,
+	}
+	s, err := NewDistSolver[float64](DistConfig{
+		Topology: topo,
+		Slabs:    devs,
+		Retry:    RetryPolicy{MaxRetries: 1, BaseBackoff: time.Microsecond},
+	}, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	clean := make([]float64, m*n)
+	if _, err := s.SolveInto(context.Background(), clean, b); err != nil {
+		t.Fatal(err)
+	}
+
+	// Armed, the abort fires only on distBacksub: phase A runs clean
+	// and the victim dies at its first back-substitution.
+	armed.Store(true)
+	dst := make([]float64, m*n)
+	rep, err := s.SolveInto(context.Background(), dst, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Deaths) != 1 || rep.Deaths[0] != victim {
+		t.Fatalf("deaths = %v, want [%d]", rep.Deaths, victim)
+	}
+	if rep.Migrations != 1 || rep.Retries != 1 || len(rep.Degraded) != 0 {
+		t.Errorf("migrations=%d retries=%d degraded=%v, want one migration, one retry, no degradation",
+			rep.Migrations, rep.Retries, rep.Degraded)
+	}
+	if rep.Devices[victim] == victim {
+		t.Errorf("slab %d still assigned to the dead device", victim)
+	}
+	requireBitwise(t, dst, clean, "backsub fault under a one-migration budget")
+}
+
+// TestDistSolveAfterCancel reuses a solver whose previous solve was
+// cancelled mid-recovery: the per-solve state a cancelled round leaves
+// behind must not leak into the next solve, which must match the
+// fault-free answer bitwise.
+func TestDistSolveAfterCancel(t *testing.T) {
+	const m, n = 2, 131
+	b := workload.Batch[float64](workload.DiagDominant, m, n, 3)
+	topo := distTopo(t, 2, gpusim.PCIe2())
+	var armed atomic.Bool
+	topo.Device(0).Faults = &gpusim.Injector{
+		Schedule: []gpusim.ScheduledFault{{Kind: gpusim.FaultAbort, Repeat: 1 << 30}},
+		Gate:     armed.Load,
+	}
+	s, err := NewDistSolver[float64](DistConfig{
+		Topology: topo,
+		Slabs:    2,
+		Retry:    RetryPolicy{MaxRetries: 10, BaseBackoff: time.Minute, MaxBackoff: time.Minute},
+	}, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	clean := make([]float64, m*n)
+	if _, err := s.SolveInto(context.Background(), clean, b); err != nil {
+		t.Fatal(err)
+	}
+
+	armed.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	dst := make([]float64, m*n)
+	if _, err := s.SolveInto(ctx, dst, b); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("solve parked in backoff = %v, want ErrCancelled", err)
+	}
+
+	armed.Store(false)
+	rep, err := s.SolveInto(context.Background(), dst, b)
+	if err != nil {
+		t.Fatalf("solve after a cancelled one: %v", err)
+	}
+	if len(rep.Deaths) != 0 || rep.Retries != 0 || len(rep.Degraded) != 0 {
+		t.Errorf("solve after a cancelled one reports deaths=%v retries=%d degraded=%v, want a clean solve",
+			rep.Deaths, rep.Retries, rep.Degraded)
+	}
+	requireBitwise(t, dst, clean, "solve after a cancelled one")
+}
+
 // TestDistSteadyStateAllocs pins the distributed steady state: once a
 // solver has recorded its slab pipelines and back-substitution
 // kernels, a warm solve allocates a small constant (runPhase's
-// goroutines and maps, the report's slices) independent of N, and
+// goroutines, the report and its slices) independent of N, and
 // replays bitwise the recording solve with its modeled numbers.
 func TestDistSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const m, devs, slabs, maxAllocs = 4, 4, 4, 100
+	const m, devs, slabs, maxAllocs = 4, 4, 4, 20
 	for _, n := range []int{4097, 131073} {
 		b := workload.Batch[float64](workload.DiagDominant, m, n, 5)
 		s, err := NewDistSolver[float64](DistConfig{Topology: distTopo(t, devs, gpusim.NVLinkMesh()), Slabs: slabs}, m, n)

@@ -151,10 +151,9 @@ func (f *Fleet) distEntry(m, n int) (*distEntry, error) {
 		Slabs:    f.cfg.Devices,
 		Retry:    f.cfg.DistRetry,
 		Hedge:    f.cfg.DistHedge,
-		Health:   f.Inject,
-		// Topology device i is fleet device i; events land on the
-		// failure domain that died.
-		HealthDevice: func(topoIdx int) int { return topoIdx },
+		// Topology device i is fleet device i, so death events land on
+		// the failure domain that died.
+		Health: f.Inject,
 	}, m, n)
 	if err != nil {
 		return nil, err

@@ -2,11 +2,11 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"gputrid/internal/core"
 	"gputrid/internal/gpusim"
+	"gputrid/internal/num"
 )
 
 // GrayPolicy tunes the fleet's gray-failure detector. Gray failures
@@ -144,15 +144,7 @@ func (f *Fleet) observeGray(rep *core.DistReport) {
 			sample = append(sample, v)
 		}
 	}
-	var median float64
-	if n := len(sample); n > 0 {
-		sort.Float64s(sample)
-		if n%2 == 1 {
-			median = sample[n/2]
-		} else {
-			median = (sample[n/2-1] + sample[n/2]) / 2
-		}
-	}
+	median := num.Median(sample)
 
 	var fire []gpusim.HealthEvent
 

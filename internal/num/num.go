@@ -6,7 +6,10 @@
 // and double precision (the paper's headline results).
 package num
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Real is the constraint satisfied by the floating-point element types
 // the solvers operate on. It mirrors the paper's use of CUDA float and
@@ -114,4 +117,18 @@ func RelDiff[T Real](a, b T) T {
 	d := Abs(a - b)
 	s := Max(Max(Abs(a), Abs(b)), 1)
 	return d / s
+}
+
+// Median returns the middle value of xs, or the mean of the two middle
+// values when len(xs) is even; 0 for no values. It sorts xs in place.
+func Median[T Real](xs []T) T {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	slices.Sort(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

@@ -2,6 +2,7 @@ package num
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -189,5 +190,30 @@ func TestRandomGeneric(t *testing.T) {
 		if v < 1 || v >= 2 {
 			t.Fatalf("Random[float32] out of bounds: %g", v)
 		}
+	}
+}
+
+func TestMedian(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		xs   []float64
+		want float64
+	}{
+		{"empty", nil, 0},
+		{"single", []float64{7}, 7},
+		{"odd", []float64{5, 1, 9, 3, 7}, 5},
+		{"even", []float64{4, 1, 3, 2}, 2.5},
+		{"even pair", []float64{3, 1}, 2},
+		{"duplicates", []float64{2, 2, 9, 2}, 2},
+	} {
+		if got := Median(tc.xs); got != tc.want {
+			t.Errorf("%s: Median(%v) = %v, want %v", tc.name, tc.xs, got, tc.want)
+		}
+		if !slices.IsSorted(tc.xs) {
+			t.Errorf("%s: Median left %v unsorted", tc.name, tc.xs)
+		}
+	}
+	if got := Median([]float32{1, 4}); got != 2.5 {
+		t.Errorf("float32 Median = %v, want 2.5", got)
 	}
 }
