@@ -978,8 +978,10 @@ type backsubArgs[T num.Real] struct {
 // allocates nothing. Like Pipeline it records once and replays: the
 // kernel has no data-dependent control flow and Global arrays are
 // 512-byte aligned, so the stats recorded for one slab of this length
-// describe every later run exactly. A failed recording (fault or
-// cancellation) stays unrecorded and the next run records again.
+// describe every later run exactly. A replay on a device with no
+// injector runs the host twin, backsubRows, instead of simulated
+// blocks. A failed recording (fault or cancellation) stays unrecorded
+// and the next run records again.
 //
 // A kernel is driven by one goroutine at a time: runPhase runs each
 // device's slabs sequentially, and hedges never back-substitute.
@@ -995,6 +997,8 @@ type backsubKernel[T num.Real] struct {
 	blk  *gpusim.Block
 	kern gpusim.Kernel
 	body func(t *gpusim.Thread)
+
+	auditBuf []T // the simulated output an audited replay compares
 }
 
 func newBacksubKernel[T num.Real](dev *gpusim.Device) *backsubKernel[T] {
@@ -1018,23 +1022,47 @@ func newBacksubKernel[T num.Real](dev *gpusim.Device) *backsubKernel[T] {
 }
 
 // run back-substitutes one slab: a recording run until one succeeds,
-// a replay after. Faults are keyed exactly as Device.Launch keys them
-// (kernel "distBacksub", attempt 0): the distributed layer retries by
-// migrating, never in place.
+// a replay after, through the host twin when hostReplay allows. Faults
+// are keyed exactly as Device.Launch keys them (kernel "distBacksub",
+// attempt 0): the distributed layer retries by migrating, never in
+// place.
 func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.Stats, error) {
+	if hostReplay(k.recorded, k.dev) {
+		if auditTwin {
+			if err := k.simulate(ctx, a); err != nil {
+				return nil, err
+			}
+			k.auditBuf = append(k.auditBuf[:0], a.out.Data...)
+		}
+		if err := backsubRows(ctx, a); err != nil {
+			return nil, err
+		}
+		if auditTwin {
+			if i := firstDiff(k.auditBuf, a.out.Data); i >= 0 {
+				panic(fmt.Sprintf("core: host twin diverges from the simulated replay: distBacksub index %d: twin %#x, simulated %#x",
+					i, num.Bits(a.out.Data[i]), num.Bits(k.auditBuf[i])))
+			}
+		}
+		return &k.st, nil
+	}
+	if err := k.simulate(ctx, a); err != nil {
+		return nil, err
+	}
+	k.recorded = true
+	return &k.st, nil
+}
+
+// simulate runs the simulated blocks over slab a: recording while the
+// kernel is unrecorded, replaying after.
+func (k *backsubKernel[T]) simulate(ctx context.Context, a *backsubArgs[T]) error {
 	grid := num.CeilDiv(a.total, backsubThreads)
 	record := !k.recorded
 	if record {
 		k.st = gpusim.Stats{Kernel: "distBacksub", Launches: 1, Blocks: grid, ThreadsPerBlock: backsubThreads}
 	}
 	k.args = a
-	err := k.exec.RunBlocksCtx(ctx, &k.st, backsubThreads, 0, grid, record, k.kern,
+	return k.exec.RunBlocksCtx(ctx, &k.st, backsubThreads, 0, grid, record, k.kern,
 		gpusim.FaultSite{Inj: k.dev.Faults, Kernel: "distBacksub"})
-	if err != nil {
-		return nil, err
-	}
-	k.recorded = true
-	return &k.st, nil
 }
 
 // backsubOne back-substitutes slab sl on device dev with a real
@@ -1087,21 +1115,10 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 	return nil
 }
 
-// backsubHost is the degraded back-substitution.
+// backsubHost is the degraded back-substitution: the kernel's host
+// twin, run unconditionally.
 func (s *DistSolver[T]) backsubHost(sl *distSlab) error {
-	p := sl.idx
-	L := s.part.Slabs[p].Len()
-	for i := 0; i < s.m; i++ {
-		xl, xr := s.sepL[p][i], s.sepR[p][i]
-		u := s.slabX[p][(0*s.m+i)*L : (0*s.m+i)*L+L]
-		v := s.slabX[p][(1*s.m+i)*L : (1*s.m+i)*L+L]
-		w := s.slabX[p][(2*s.m+i)*L : (2*s.m+i)*L+L]
-		out := s.slabOut[p][i*L : (i+1)*L]
-		for j := range out {
-			out[j] = u[j] + v[j]*xl + w[j]*xr
-		}
-	}
-	return nil
+	return backsubRows(nil, &s.bsArgs[sl.idx])
 }
 
 // scatterOutputs copies each slab's back-substituted rows into dst.

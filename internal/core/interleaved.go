@@ -105,12 +105,14 @@ func (p *Pipeline[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *ma
 	return p.degradedResolveInterleaved(xi, v)
 }
 
-// bindK0 points the k = 0 kernel at interleaved planes v and solution
-// xi. NewBufs/NewGlobal are value constructors and the c'/d' scratch
-// already exists after construction, so a rebind allocates nothing.
+// bindK0 points the k = 0 kernel and its host twin at interleaved
+// planes v and solution xi. NewBufs/NewGlobal are value constructors
+// and the c'/d' scratch already exists after construction, so a rebind
+// allocates nothing.
 func (p *Pipeline[T]) bindK0(v *matrix.Interleaved[T], xi []T) {
 	cp, dp := p.ws.Ensure(p.m * p.n)
 	p.bufs = pthomas.NewBufs(v.Lower, v.Diag, v.Upper, v.RHS, cp, dp, xi)
+	p.iv = v
 }
 
 // degradedResolveInterleaved is degradedResolve for the native path:

@@ -49,17 +49,18 @@ var (
 // the kernels contain no data-dependent control flow, and global
 // arrays are 512-byte aligned so coalescing does not depend on where
 // a particular batch happens to live. Subsequent solves therefore
-// replay the kernels' arithmetic with event recording disabled —
-// skipping the per-element coalescing analysis that dominates
-// simulation cost — while Report continues to describe every solve
-// exactly. Solutions are bitwise identical between recorded and
-// replayed solves: the same kernel code runs in the same order either
-// way.
+// replay only the kernels' arithmetic while Report continues to
+// describe every solve exactly. On a device with no injector a replay
+// runs the kernels' plain-Go host twins over the raw slices (see
+// twin.go); with an injector attached it drives the simulated blocks,
+// discarding their events, so faults strike exactly where they would
+// on the device. Solutions are bitwise identical across all
+// three: recorded, simulated replay and host replay.
 //
 // Replayed solves shard the batch across a bounded worker pool
 // (Config.Workers, default GOMAXPROCS) with a per-worker arena slice
-// — each worker owns its executor and window buffers and writes a
-// disjoint range of systems, so no synchronization beyond the
+// — each worker owns its executor, window buffers and twin state and
+// writes a disjoint range of systems, so no synchronization beyond the
 // start/done handshake is needed.
 //
 // A pipeline is single-flight: concurrent SolveInto calls on one
@@ -83,6 +84,10 @@ type Pipeline[T num.Real] struct {
 	vbuf           *matrix.Interleaved[T]
 	xi             []T
 	ws             pthomas.Workspace[T]
+
+	// iv is the interleaved batch the k = 0 kernel is bound to (vbuf
+	// or the caller's), the planes its host twin reads.
+	iv *matrix.Interleaved[T]
 
 	// Per-solve state read by the workers' pre-built kernel closures;
 	// written by the coordinator before workers are signalled.
@@ -109,6 +114,12 @@ type Pipeline[T num.Real] struct {
 	degradeAll bool
 	gtsvWS     *cpu.GTSVWorkspace[T]
 
+	// twin marks a solve whose shards run the host twins (hostReplay);
+	// auditBuf keeps the simulated outputs an audited replay compares
+	// them with.
+	twin     bool
+	auditBuf []T
+
 	// lastWall is the measured host time of the most recent solve,
 	// the pool's per-shape service-time observation. Written at the end
 	// of each solve; reads are ordered by the solve's completion.
@@ -130,13 +141,19 @@ type Pipeline[T num.Real] struct {
 
 // pipeWorker is one lane of the pool: a reusable block executor, the
 // worker's private window buffers (k >= 1), the kernel closures bound
-// to them, and the static shard of the batch it executes.
+// to them, the host twins' state, and the static shard of the batch it
+// executes.
 type pipeWorker[T num.Real] struct {
 	exec       *gpusim.Executor
 	win        *tiledpcr.Window[T]
 	kernK0     gpusim.Kernel // k == 0: interleaved p-Thomas blocks
 	pcrKern    gpusim.Kernel // k >= 1: tiled-PCR blocks
 	thomasKern gpusim.Kernel // k >= 1: strided p-Thomas blocks
+
+	// Host twin state: the PCR rings (k >= 1) and the Thomas scratch,
+	// a view of the worker's own rows of the pipeline's c'/d' planes.
+	red *tiledpcr.HostReducer[T]
+	tws pthomas.Workspace[T]
 
 	firstSys, nSys int // k >= 1: system range [firstSys, firstSys+nSys)
 	firstBlk, nBlk int // k == 0: block range of the interleaved grid
@@ -234,7 +251,9 @@ func (p *Pipeline[T]) buildWorkers() {
 			w.win = tiledpcr.NewWindowBuffers[T](p.k, p.c)
 			w.pcrKern = p.makePCRKernel(w)
 			w.thomasKern = p.makeThomasKernel()
+			w.red = tiledpcr.NewHostReducer[T](p.k)
 		}
+		p.twinScratch(w)
 		next += size
 		p.workers[i] = w
 		if i > 0 {
@@ -367,11 +386,17 @@ func (p *Pipeline[T]) SolveIntoCtx(ctx context.Context, dst []T, b *matrix.Batch
 }
 
 // solveHybrid runs the k >= 1 path: tiled PCR into the reduced
-// planes, then strided p-Thomas directly into dst.
+// planes, then strided p-Thomas directly into dst. The caller's slices
+// are unbound after the launches, so the pipeline does not keep the
+// last batch alive until the next solve; with a stepper that builds a
+// fresh batch every step, that retained batch raised the garbage
+// collector's live heap, and so its heap goal, by a whole batch.
 func (p *Pipeline[T]) solveHybrid(ctx context.Context, dst []T, b *matrix.Batch[T]) error {
 	p.in = tiledpcr.NewArrays(b.Lower, b.Diag, b.Upper, b.RHS)
 	p.bufs.X = gpusim.NewGlobal(dst)
-	if err := p.execute(ctx); err != nil {
+	err := p.execute(ctx)
+	p.in, p.bufs.X = tiledpcr.Arrays[T]{}, gpusim.Global[T]{}
+	if err != nil {
 		return err
 	}
 	return p.degradedResolve(dst, b)
@@ -430,9 +455,10 @@ func (p *Pipeline[T]) release(start time.Time) {
 
 // execute is the one solve body behind every entry: it runs the bound
 // launches — recorded on the first solve, replayed across the worker
-// pool after — and folds the lanes' fault bookkeeping into the solve's
-// FaultReport. The caller binds its layout first and re-solves the
-// degraded systems after.
+// pool after, through the host twins when hostReplay allows — and
+// folds the lanes' fault bookkeeping into the solve's FaultReport. The
+// caller binds its layout first and re-solves the degraded systems
+// after.
 func (p *Pipeline[T]) execute(ctx context.Context) error {
 	p.ctx = ctx
 	p.frep.reset()
@@ -440,14 +466,18 @@ func (p *Pipeline[T]) execute(ctx context.Context) error {
 	for _, w := range p.workers {
 		w.wf = workerFaults{}
 	}
+	p.twin = hostReplay(p.recorded, p.dev)
 	var err error
-	if p.recorded {
-		err = p.replay()
-	} else {
+	switch {
+	case !p.recorded:
 		err = p.record()
+	case p.twin && auditTwin:
+		err = p.auditReplay()
+	default:
+		err = p.replay()
 	}
 	p.mergeFaults()
-	p.ctx = nil
+	p.ctx, p.twin = nil, false
 	return err
 }
 
@@ -532,10 +562,11 @@ func (p *Pipeline[T]) finishRecording(nKern int) {
 }
 
 // replay fans the pre-built shards out over the pool (the coordinator
-// runs lane 0 inline) with recording disabled. Every lane is always
-// joined — even after an error — so the pool is quiescent and reusable
-// when replay returns. A cancellation error takes precedence over
-// fault errors in the merge.
+// runs lane 0 inline): host twins or simulated blocks whose events are
+// discarded, as p.twin says. Every lane is always joined — even after
+// an error — so the pool is quiescent and reusable when replay
+// returns. A cancellation error takes precedence over fault errors in
+// the merge.
 func (p *Pipeline[T]) replay() error {
 	for _, w := range p.workers[1:] {
 		w.start <- struct{}{}
@@ -606,6 +637,9 @@ func (p *Pipeline[T]) runCheckpointed(w *pipeWorker[T]) error {
 // tryShard runs one attempt of w's shard under the context and the
 // device's injector, reporting which launch slot failed.
 func (p *Pipeline[T]) tryShard(w *pipeWorker[T], attempt int) (slot int, err error) {
+	if p.twin {
+		return 0, p.hostShard(w)
+	}
 	inj := p.dev.Faults
 	if p.k == 0 {
 		return 0, w.exec.RunBlocksCtx(p.ctx, nil, p.bs, w.firstBlk, w.nBlk, false, w.kernK0,

@@ -1,0 +1,152 @@
+package core
+
+import (
+	"context"
+	"fmt"
+
+	"gputrid/internal/gpusim"
+	"gputrid/internal/num"
+	"gputrid/internal/pthomas"
+)
+
+// This file holds the host twins of the replayed kernels. A kernel's
+// architectural events depend only on its launch geometry, so once a
+// geometry is recorded its Stats describe every later solve exactly,
+// and a replay needs only the arithmetic. Without an injector there is
+// no fault to model either. Such a replay runs each kernel's plain-Go
+// twin over the raw slices instead of driving simulated blocks. The
+// twins compute bit for bit what the kernels compute: the tiled-PCR
+// window's schedule (tiledpcr.HostReducer), the p-Thomas recurrences
+// (pthomas.SolveStridedRefInto and SolveInterleavedRangeInto), and the
+// distBacksub expression (backsubRows).
+
+// hostReplay is the one predicate choosing the host twins: the launch
+// geometry is already recorded, and the device has no injector whose
+// faults the simulated blocks would have to model.
+func hostReplay(recorded bool, dev *gpusim.Device) bool {
+	return recorded && dev.Faults == nil
+}
+
+// auditTwin, set only by the package's tests, makes every host replay
+// run twice: first the simulated kernels, then the twins, panicking
+// on any bit of difference between the two.
+var auditTwin bool
+
+// ctxErr is ctx.Err for a context that may be nil (uncancellable).
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// hostShard runs worker w's shard of a host replay. For k >= 1 each
+// system is reduced by k PCR levels into its rows of the reduced
+// planes and then solved by strided Thomas into dst, so one system's
+// work stays in cache. For k = 0 each system runs the interleaved
+// Thomas recurrence into the bound solution. The context is checked
+// between systems, so dst is written a whole system at a time.
+//
+//tridlint:hotpath
+func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
+	x := p.bufs.X.Data
+	if p.k == 0 {
+		lo, hi := w.firstBlk*p.bs, min((w.firstBlk+w.nBlk)*p.bs, p.m)
+		for i := lo; i < hi; i++ {
+			if err := ctxErr(p.ctx); err != nil {
+				return err
+			}
+			pthomas.SolveInterleavedRangeInto(p.iv, x, &w.tws, i, i+1)
+		}
+		return nil
+	}
+	n := p.n
+	a, b, c, d := p.in.A.Data, p.in.B.Data, p.in.C.Data, p.in.D.Data
+	for i := w.firstSys; i < w.firstSys+w.nSys; i++ {
+		if err := ctxErr(p.ctx); err != nil {
+			return err
+		}
+		lo, hi := i*n, (i+1)*n
+		ra, rb, rc, rd := p.ra[lo:hi], p.rb[lo:hi], p.rc[lo:hi], p.rd[lo:hi]
+		w.red.Reduce(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], ra, rb, rc, rd)
+		pthomas.SolveStridedRefInto(ra, rb, rc, rd, 1, n, p.k, x[lo:hi], &w.tws)
+	}
+	return nil
+}
+
+// twinScratch points w's Thomas scratch at its own rows of the
+// pipeline's c'/d' planes, which the simulated kernels use the same
+// way, so the twins add no buffer: k >= 1 needs ceil(N/2^k) rows, a
+// slice of the worker's first system; k = 0 needs N rows, at the
+// worker's first system times N, inside the planes since that system
+// is below M. Workers own disjoint systems, so the views never meet.
+func (p *Pipeline[T]) twinScratch(w *pipeWorker[T]) {
+	first, rows := w.firstSys, num.CeilDiv(p.n, 1<<p.k)
+	if p.k == 0 {
+		first, rows = w.firstBlk*p.bs, p.n
+	}
+	lo := first * p.n
+	w.tws = pthomas.Workspace[T]{Cp: p.ws.Cp[lo : lo+rows], Dp: p.ws.Dp[lo : lo+rows]}
+}
+
+// auditReplay is the test-only form of a host replay: it replays the
+// simulated kernels, keeps their outputs, replays the twins over the
+// same inputs and panics unless both wrote the same bits.
+func (p *Pipeline[T]) auditReplay() error {
+	p.twin = false
+	err := p.replay()
+	p.twin = true
+	if err != nil {
+		return err
+	}
+	outs := [...][]T{p.bufs.X.Data, p.ra, p.rb, p.rc, p.rd}
+	p.auditBuf = p.auditBuf[:0]
+	for _, o := range outs {
+		p.auditBuf = append(p.auditBuf, o...)
+	}
+	if err := p.replay(); err != nil {
+		return err
+	}
+	sim := p.auditBuf
+	for plane, o := range outs {
+		if i := firstDiff(sim[:len(o)], o); i >= 0 {
+			panic(fmt.Sprintf("core: host twin diverges from the simulated replay: pipeline %dx%d k=%d plane %d index %d: twin %#x, simulated %#x",
+				p.m, p.n, p.k, plane, i, num.Bits(o[i]), num.Bits(sim[i])))
+		}
+		sim = sim[len(o):]
+	}
+	return nil
+}
+
+// firstDiff returns the first index where got differs from want in any
+// bit, or -1.
+func firstDiff[T num.Real](want, got []T) int {
+	for i := range want {
+		if num.Bits(want[i]) != num.Bits(got[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// backsubRows is distBacksub's arithmetic over plain slices,
+// out = u + v·xl + w·xr per row with system i's separators xl[i] and
+// xr[i], in the order the kernel body evaluates it. It is the kernel's
+// host twin and the degraded host back-substitution alike. The context
+// is checked between systems.
+//
+//tridlint:hotpath
+func backsubRows[T num.Real](ctx context.Context, a *backsubArgs[T]) error {
+	u, v, w, out := a.u.Data, a.v.Data, a.w.Data, a.out.Data
+	xl, xr := a.xl.Data, a.xr.Data
+	for i, lo := 0, 0; lo < a.total; i, lo = i+1, lo+a.rows {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		l, r := xl[i], xr[i]
+		for j := lo; j < lo+a.rows; j++ {
+			out[j] = u[j] + v[j]*l + w[j]*r
+		}
+	}
+	return nil
+}

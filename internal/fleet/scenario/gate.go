@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"gputrid"
@@ -116,10 +117,13 @@ func (s *gateSet) armAll() {
 	s.mu.Unlock()
 }
 
-func (s *gateSet) releaseAll() {
+// releaseExcept opens every gate but those of the listed devices.
+func (s *gateSet) releaseExcept(ids []int) {
 	s.mu.Lock()
-	for _, g := range s.m {
-		g.release()
+	for id, g := range s.m {
+		if !slices.Contains(ids, id) {
+			g.release()
+		}
 	}
 	s.mu.Unlock()
 }

@@ -430,7 +430,18 @@ func Run(sc *Scenario, logf func(format string, args ...any)) (*Report, error) {
 		}
 		fl.Tick()
 		if fatalTick {
-			gates.releaseAll()
+			// A device this Tick cordoned keeps its gate shut: its
+			// drain's Close opens it just before the pool stops
+			// admitting, so the held requests race that close, not the
+			// scheduling of the drain goroutine, which cheap solves
+			// could lose entirely.
+			var cordoned []int
+			for _, d := range fl.Stats().Devices {
+				if d.State == fleet.StateCordoned {
+					cordoned = append(cordoned, d.ID)
+				}
+			}
+			gates.releaseExcept(cordoned)
 		}
 		// Record each device's first observed cordon tick — the
 		// detection-latency figure cordoned_by assertions bound.

@@ -42,19 +42,12 @@ func (s *bankSlotState) flush() {
 // bankAccess records a tracked shared-memory access for conflict
 // analysis. It mirrors the global-memory coalescing machinery: threads
 // run in ascending tid order within a phase, so warp changes are
-// monotone and flush the per-warp state. A replaying block (norec)
-// skips it, as Global accesses skip the coalescing analysis.
+// monotone and flush the per-warp state.
 func (b *Block) bankAccess(t *Thread, array int32, index int) {
-	if b.norec {
-		return
-	}
 	slotIdx := t.bankSlot
 	t.bankSlot++
 	if slotIdx >= len(b.bankSlots) {
-		b.bankSlots = append(b.bankSlots, make([]bankSlotState, slotIdx-len(b.bankSlots)+1)...)
-		for i := slotIdx; i < len(b.bankSlots); i++ {
-			b.bankSlots[i].warp = -1
-		}
+		b.bankSlots = extendSlots(b.bankSlots, slotIdx+1)
 	}
 	s := &b.bankSlots[slotIdx]
 	warp := t.ID / b.dev.WarpSize

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // LaunchConfig shapes a kernel launch: a 1-D grid of Grid blocks, each
@@ -20,8 +19,18 @@ type LaunchConfig struct {
 type Kernel func(b *Block)
 
 // Launch executes the kernel over the grid, functionally, and returns
-// the recorded Stats. Blocks execute independently (possibly in
-// parallel across OS threads); the returned stats are deterministic.
+// the recorded Stats. It is a parallel driver over Executors: the grid
+// is cut into one contiguous, ascending shard per worker (up to
+// GOMAXPROCS), each worker records its shard into its own Stats, and
+// the shards merge through Stats.Accumulate. The returned stats are
+// deterministic.
+//
+// With an injector attached, each worker stops at the first fault in
+// its shard, so which blocks completed before the abort may vary with
+// the worker count — exactly the partial-write hazard the retry layer
+// must tolerate. The reported fault is always the lowest faulted
+// block: shards ascend with the worker index, and every worker below
+// the first faulting one ran its whole shard fault-free.
 //
 // name tags the Stats. The launch itself counts as one kernel launch.
 func (d *Device) Launch(name string, cfg LaunchConfig, k Kernel) (*Stats, error) {
@@ -35,102 +44,31 @@ func (d *Device) Launch(name string, cfg LaunchConfig, k Kernel) (*Stats, error)
 		return nil, fmt.Errorf("gpusim: launch %q: %d threads/block exceeds device limit %d",
 			name, cfg.Block, d.MaxThreadsPerBlock)
 	}
+	workers := min(runtime.GOMAXPROCS(0), cfg.Grid)
+	parts := make([]Stats, workers)
+	errs := make([]error, workers)
+	site := FaultSite{Inj: d.Faults, Kernel: name}
+	shard := func(w int) {
+		lo, hi := w*cfg.Grid/workers, (w+1)*cfg.Grid/workers
+		errs[w] = NewExecutor(d).RunBlocksCtx(nil, &parts[w], cfg.Block, lo, hi-lo, true, k, site)
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			shard(w)
+		}()
+	}
+	shard(0)
+	wg.Wait()
 
-	// The first injected fault (if any) aborts the launch: workers skip
-	// remaining blocks, and the typed error is returned instead of
-	// silent success. Fault decisions are deterministic per block, so
-	// which blocks completed before the abort may vary with scheduling —
-	// exactly the partial-write hazard the retry layer must tolerate —
-	// but the reported fault is always the same for a given injector.
-	var faulted atomic.Pointer[LaunchError]
-
-	blockStats := make([]Stats, cfg.Grid)
-	run := func(id int) {
-		if faulted.Load() != nil {
-			return
+	total := &Stats{Kernel: name, Launches: 1, Blocks: cfg.Grid, ThreadsPerBlock: cfg.Block}
+	for w := range parts {
+		if errs[w] != nil {
+			return nil, errs[w]
 		}
-		b := &Block{
-			ID:      id,
-			Threads: cfg.Block,
-			dev:     d,
-			stats:   &blockStats[id],
-		}
-		if d.Faults != nil {
-			if kind, ok := d.Faults.At(name, id, 0); ok {
-				le := &LaunchError{Kernel: name, Block: id, Kind: kind}
-				if kind != FaultCorrupt {
-					// Abort/hang: the block never executes.
-					faulted.CompareAndSwap(nil, le)
-					return
-				}
-				// Corrupt: the block runs, poisoning some stores; the
-				// error is reported once it completes (ECC detection).
-				b.corrupt = d.Faults.armCorrupt()
-				defer faulted.CompareAndSwap(nil, le)
-			}
-		}
-		k(b)
-		b.endPhaseSlots() // flush any pending coalescing state
-		b.endPhaseBankSlots()
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Grid {
-		workers = cfg.Grid
-	}
-	if workers <= 1 {
-		for id := 0; id < cfg.Grid; id++ {
-			run(id)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int, cfg.Grid)
-		for id := 0; id < cfg.Grid; id++ {
-			next <- id
-		}
-		close(next)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for id := range next {
-					run(id)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	if le := faulted.Load(); le != nil {
-		return nil, le
-	}
-
-	total := &Stats{
-		Kernel:          name,
-		Launches:        1,
-		Blocks:          cfg.Grid,
-		ThreadsPerBlock: cfg.Block,
-	}
-	for i := range blockStats {
-		bs := &blockStats[i]
-		total.LoadTransactions += bs.LoadTransactions
-		total.StoreTransactions += bs.StoreTransactions
-		total.LoadedBytes += bs.LoadedBytes
-		total.StoredBytes += bs.StoredBytes
-		total.SharedLoads += bs.SharedLoads
-		total.SharedStores += bs.SharedStores
-		total.SharedBankConflicts += bs.SharedBankConflicts
-		total.Eliminations += bs.Eliminations
-		total.Flops += bs.Flops
-		total.Barriers += bs.Barriers
-		total.Phases += bs.Phases
-		if bs.SharedPerBlock > total.SharedPerBlock {
-			total.SharedPerBlock = bs.SharedPerBlock
-		}
-	}
-	if total.SharedPerBlock > d.SharedMemPerSM {
-		return total, fmt.Errorf("gpusim: launch %q: block allocated %d bytes shared memory, device SM has %d",
-			name, total.SharedPerBlock, d.SharedMemPerSM)
+		total.Accumulate(&parts[w])
 	}
 	return total, nil
 }
@@ -145,12 +83,6 @@ type Block struct {
 	slots     []slotState // per-instruction-slot coalescing state, reset each phase
 	bankSlots []bankSlotState
 	sharedSeq int32
-	// norec disables event recording: kernel arithmetic still runs, but
-	// global accesses skip the coalescing analysis and tracked shared
-	// accesses the bank-conflict analysis. The zero value records, so
-	// Launch-created blocks behave as always; only the replaying
-	// Executor sets it (see Executor and Stats.Accumulate).
-	norec bool
 	// corrupt, when non-nil, arms the block with an injected corrupt
 	// fault: selected stores are poisoned (see Injector). Nil in every
 	// fault-free execution, so the store fast path pays one predictable

@@ -7,25 +7,25 @@ import (
 
 // Executor runs kernel blocks sequentially on the caller's goroutine,
 // reusing one Block context (and its coalescing-slot capacity) across
-// every call. It is the steady-state counterpart of Device.Launch:
-// Launch allocates per-launch bookkeeping and fans blocks out over
-// goroutines, which is the right shape for a one-shot solve but not
-// for a solver handle that runs the same launch geometry every
-// timestep. A pipeline creates one Executor per worker up front and
-// then drives it with no per-solve heap allocations.
+// every call. It is the unit Device.Launch is built from: Launch drives
+// a fresh Executor per worker for one launch, while a solver handle
+// that runs the same launch geometry every timestep creates one
+// Executor per worker up front and then drives it with no per-solve
+// heap allocations.
 //
-// Recording is explicit: with record=true the architectural events of
-// every block are accumulated into the caller's Stats (the same totals
-// Launch would produce for those blocks); with record=false the kernel
-// arithmetic runs but event recording — including the per-element
-// coalescing analysis, the dominant simulation cost — is skipped. The
-// recorded events are a pure function of the launch geometry and array
-// layout, never of the floating-point data (kernels contain no
-// data-dependent control flow, and Global arrays are 512-byte aligned
-// so the coalescing pattern is base-independent), which is what makes
-// record-once / replay-many sound: a replayed solve computes bitwise
-// the same solution while the previously recorded Stats still describe
-// it exactly.
+// Every block records its architectural events. With record=true they
+// are accumulated into the caller's Stats (the same totals Launch
+// produces for those blocks); with record=false they land in the
+// executor's scratch and are discarded. The recorded events are a pure
+// function of the launch geometry and array layout, never of the
+// floating-point data (kernels contain no data-dependent control flow,
+// and Global arrays are 512-byte aligned so the coalescing pattern is
+// base-independent), which is what makes record-once / replay-many
+// sound: a replayed solve computes bitwise the same solution while the
+// previously recorded Stats still describe it exactly. Solvers replay
+// through an Executor only while an injector is attached, so the
+// faults strike the simulated blocks; otherwise they run the kernels'
+// host twins.
 type Executor struct {
 	dev     *Device
 	blk     Block
@@ -39,15 +39,15 @@ func NewExecutor(d *Device) *Executor {
 
 // RunBlocks executes blocks [first, first+count) of a launch whose
 // blocks have threadsPerBlock threads each, invoking kern once per
-// block exactly as Launch does. When record is true the events are
-// accumulated into st (which must be non-nil) via Stats.Accumulate —
-// launch-header fields (Kernel, Launches, Blocks, ThreadsPerBlock) are
-// the caller's responsibility. When record is false st may be nil and
-// no events are recorded.
+// block. When record is true the events are accumulated into st
+// (which must be non-nil) via Stats.Accumulate — launch-header fields
+// (Kernel, Launches, Blocks, ThreadsPerBlock) are the caller's
+// responsibility. When record is false st may be nil and the events
+// are discarded.
 //
-// The error is the same per-SM shared-memory capacity check Launch
-// performs, evaluated per block; it can only trip while recording
-// (a replayed geometry was already validated when it was recorded).
+// The error is the per-SM shared-memory capacity check, evaluated per
+// block; it can only trip while recording (a replayed geometry was
+// already validated when it was recorded).
 func (e *Executor) RunBlocks(st *Stats, threadsPerBlock, first, count int, record bool, kern Kernel) error {
 	return e.RunBlocksCtx(nil, st, threadsPerBlock, first, count, record, kern, FaultSite{})
 }
@@ -66,9 +66,10 @@ func (e *Executor) RunBlocks(st *Stats, threadsPerBlock, first, count int, recor
 // A recording run, successful or not, ends by releasing the block's
 // coalescing and bank-conflict slot scratch: one slot per dynamic
 // access of the longest thread, megabytes for a long p-Thomas thread.
-// A recorded geometry is only ever replayed, and replay never touches
-// that scratch, so a cached executor would otherwise pin it for its
-// whole life. A later recording regrows it.
+// A recorded geometry is only ever replayed, so a cached executor
+// would otherwise pin it for its whole life. A replaying run keeps
+// its scratch, so replays under an injector run allocation-free; only
+// executors that do replay hold it. A later recording releases it.
 func (e *Executor) RunBlocksCtx(ctx context.Context, st *Stats, threadsPerBlock, first, count int, record bool, kern Kernel, site FaultSite) error {
 	err := e.runBlocks(ctx, st, threadsPerBlock, first, count, record, kern, site)
 	if record {
@@ -82,7 +83,6 @@ func (e *Executor) runBlocks(ctx context.Context, st *Stats, threadsPerBlock, fi
 	b.Threads = threadsPerBlock
 	b.dev = e.dev
 	b.stats = &e.scratch
-	b.norec = !record
 	for id := first; id < first+count; id++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -111,8 +111,8 @@ func (e *Executor) runBlocks(ctx context.Context, st *Stats, threadsPerBlock, fi
 			continue
 		}
 		if e.scratch.SharedPerBlock > e.dev.SharedMemPerSM {
-			return fmt.Errorf("gpusim: block %d allocated %d bytes shared memory, device SM has %d",
-				id, e.scratch.SharedPerBlock, e.dev.SharedMemPerSM)
+			return fmt.Errorf("gpusim: launch %q: block %d allocated %d bytes shared memory, device SM has %d",
+				site.Kernel, id, e.scratch.SharedPerBlock, e.dev.SharedMemPerSM)
 		}
 		st.Accumulate(&e.scratch)
 	}

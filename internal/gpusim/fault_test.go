@@ -218,3 +218,40 @@ func TestRunBlocksCorruptClearsArm(t *testing.T) {
 		}
 	}
 }
+
+// TestLaunchFaultDeterministic pins Launch's fault report to the
+// lowest faulted block: a rate injector faults many blocks of a wide
+// grid, and however the workers interleave, every repeat of the same
+// launch reports the same single LaunchError.
+func TestLaunchFaultDeterministic(t *testing.T) {
+	d := GTX480()
+	d.Faults = &Injector{Seed: 3, Rate: 0.3}
+	want := -1
+	for id := 0; id < 256; id++ {
+		if _, ok := d.Faults.At("k", id, 0); ok {
+			want = id
+			break
+		}
+	}
+	if want < 0 {
+		t.Fatal("injector faults no block; pick another seed")
+	}
+	data := make([]float64, 256*64)
+	g := NewGlobal(data)
+	kern := func(b *Block) {
+		b.PhaseNoSync(func(th *Thread) {
+			i := b.ID*64 + th.ID
+			g.Store(th, i, g.Load(th, i)+1)
+		})
+	}
+	for rep := 0; rep < 200; rep++ {
+		_, err := d.Launch("k", LaunchConfig{Grid: 256, Block: 64}, kern)
+		var le *LaunchError
+		if !errors.As(err, &le) {
+			t.Fatalf("repeat %d: error = %v, want *LaunchError", rep, err)
+		}
+		if le.Block != want || le.Kernel != "k" || le.Attempt != 0 {
+			t.Fatalf("repeat %d: LaunchError = %+v, want block %d (the lowest faulted)", rep, le, want)
+		}
+	}
+}

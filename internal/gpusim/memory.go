@@ -33,20 +33,14 @@ func (s *slotState) flush() {
 
 // record registers one global-memory access by thread t of element i
 // of the array at base with the given element size, running the
-// coalescing analysis. The norec guard lives in the inlined Load/Store
-// wrappers (kept deliberately tiny — the address arithmetic happens
-// here, on the recording path), so a replaying kernel pays one
-// predictable branch per element instead of a function call.
+// coalescing analysis.
 func (b *Block) record(t *Thread, base, elem int64, i int, store bool) {
 	addr := base + int64(i)*elem
 	bytes := int(elem)
 	slotIdx := t.slot
 	t.slot++
 	if slotIdx >= len(b.slots) {
-		b.slots = append(b.slots, make([]slotState, slotIdx-len(b.slots)+1)...)
-		for i := slotIdx; i < len(b.slots); i++ {
-			b.slots[i].warp = -1
-		}
+		b.slots = extendSlots(b.slots, slotIdx+1)
 	}
 	s := &b.slots[slotIdx]
 	warp := t.ID / b.dev.WarpSize
@@ -73,6 +67,19 @@ func (b *Block) record(t *Thread, base, elem int64, i int, store bool) {
 	} else {
 		b.stats.LoadedBytes += int64(bytes)
 	}
+}
+
+// extendSlots lengthens a slot list to n entries. Entries past its
+// length were reset when their phase ended, segment or address buffer
+// kept, so they are reused before new ones are allocated; a replaying
+// executor thus records allocation-free. A zero entry and a reset one
+// behave the same: either holds no pending accesses, so the first
+// access starts its warp without flushing anything.
+func extendSlots[S any](s []S, n int) []S {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]S, n-cap(s))...)
 }
 
 // endPhaseSlots flushes all pending per-slot coalescing state into the
@@ -116,18 +123,14 @@ func NewGlobal[T num.Real](data []T) Global[T] {
 
 // Load reads element i, recording a coalesced global load.
 func (g Global[T]) Load(t *Thread, i int) T {
-	if !t.blk.norec {
-		t.blk.record(t, g.base, g.elem, i, false)
-	}
+	t.blk.record(t, g.base, g.elem, i, false)
 	return g.Data[i]
 }
 
 // Store writes element i, recording a coalesced global store. A block
 // armed with a corrupt fault (see Injector) poisons selected stores.
 func (g Global[T]) Store(t *Thread, i int, v T) {
-	if !t.blk.norec {
-		t.blk.record(t, g.base, g.elem, i, true)
-	}
+	t.blk.record(t, g.base, g.elem, i, true)
 	if t.blk.corrupt != nil {
 		v = corruptStore(t.blk, v)
 	}

@@ -54,6 +54,15 @@ func Min[T Real](a, b T) T {
 	return b
 }
 
+// Bits returns the IEEE 754 bit pattern of x at T's own width, so
+// bitwise-identity checks tell -0 from +0 and compare NaN payloads.
+func Bits[T Real](x T) uint64 {
+	if SizeOf[T]() == 4 {
+		return uint64(math.Float32bits(float32(x)))
+	}
+	return math.Float64bits(float64(x))
+}
+
 // IsFinite reports whether x is neither NaN nor an infinity.
 func IsFinite[T Real](x T) bool {
 	f := float64(x)

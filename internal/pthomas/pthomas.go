@@ -267,9 +267,17 @@ func SolveInterleavedRef[T num.Real](v *matrix.Interleaved[T]) []T {
 // SolveInterleavedRefInto is SolveInterleavedRef over caller-owned
 // storage; ws provides at least N elements of scratch.
 func SolveInterleavedRefInto[T num.Real](v *matrix.Interleaved[T], x []T, ws *Workspace[T]) {
+	SolveInterleavedRangeInto(v, x, ws, 0, v.M)
+}
+
+// SolveInterleavedRangeInto is SolveInterleavedRefInto restricted to
+// systems [lo, hi): only their entries of x are written.
+//
+//tridlint:hotpath
+func SolveInterleavedRangeInto[T num.Real](v *matrix.Interleaved[T], x []T, ws *Workspace[T], lo, hi int) {
 	m, n := v.M, v.N
 	cp, dp := ws.Ensure(n)
-	for i := 0; i < m; i++ {
+	for i := lo; i < hi; i++ {
 		thomasStrided(v.Lower, v.Diag, v.Upper, v.RHS, x, cp, dp, i, m, n)
 	}
 }
@@ -283,6 +291,8 @@ func SolveStridedRef[T num.Real](a, b, c, d []T, m, n, k int) []T {
 
 // SolveStridedRefInto is SolveStridedRef over caller-owned storage; ws
 // provides at least ceil(N/2^k) elements of scratch.
+//
+//tridlint:hotpath
 func SolveStridedRefInto[T num.Real](a, b, c, d []T, m, n, k int, x []T, ws *Workspace[T]) {
 	p := 1 << k
 	cp, dp := ws.Ensure(num.CeilDiv(n, p))

@@ -35,9 +35,10 @@ var (
 //
 // The simulated device events recorded in Stats are a pure function of
 // the shape and configuration, not of the coefficient values, so the
-// Solver records them on its first solve only; later solves replay the
-// data arithmetic with event recording disabled (sharded across a
-// bounded worker pool, see WithWorkers) and reuse the cached Stats.
+// Solver records them on its first solve only; later solves replay
+// only the data arithmetic (sharded across a bounded worker pool, see
+// WithWorkers) and reuse the cached Stats. Without an injected fault
+// model the replay runs plain-Go twins of the kernels at host speed.
 // Results are bitwise identical to the one-shot SolveBatch either way.
 //
 // A Solver is not safe for concurrent use: overlapping calls return
