@@ -143,9 +143,10 @@ func WithKernelFusion() Option { return func(c *config) { c.fuse = true } }
 func WithVerification() Option { return func(c *config) { c.verify = true } }
 
 // WithWorkers bounds the worker pool a reusable Solver shards its
-// replayed solves across; 0 (the default) means GOMAXPROCS. The
-// one-shot entry points record device events on a single lane, so this
-// only affects Solver reuse.
+// host-twin solves across; 0 (the default) means GOMAXPROCS. The
+// one-shot entry points record device events on a single lane and run
+// the twins only under an injected fault model, so this mostly affects
+// Solver reuse.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithGuard sets the escalation policy SolveGuarded applies (refinement

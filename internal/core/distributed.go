@@ -974,14 +974,14 @@ type backsubArgs[T num.Real] struct {
 
 // backsubKernel is the cached distBacksub launch for one (topology
 // device, slab length): an executor, its recorded Stats, and the
-// kernel closures, built once so a replayed back-substitution
-// allocates nothing. Like Pipeline it records once and replays: the
-// kernel has no data-dependent control flow and Global arrays are
-// 512-byte aligned, so the stats recorded for one slab of this length
-// describe every later run exactly. A replay on a device with no
-// injector runs the host twin, backsubRows, instead of simulated
-// blocks. A failed recording (fault or cancellation) stays unrecorded
-// and the next run records again.
+// kernel closures, built once so a back-substitution allocates
+// nothing. Like Pipeline it records once: the kernel has no
+// data-dependent control flow and Global arrays are 512-byte aligned,
+// so the stats recorded for one slab of this length describe every
+// later run exactly. The first run simulates the blocks with no
+// injector; every later run, and the first one too under an injector,
+// runs the host twin, backsubRows. A cancelled recording stays
+// unrecorded and the next run records again.
 //
 // A kernel is driven by one goroutine at a time: runPhase runs each
 // device's slabs sequentially, and hedges never back-substitute.
@@ -998,7 +998,7 @@ type backsubKernel[T num.Real] struct {
 	kern gpusim.Kernel
 	body func(t *gpusim.Thread)
 
-	auditBuf []T // the simulated output an audited replay compares
+	auditBuf []T // the simulated output an audited run compares
 }
 
 func newBacksubKernel[T num.Real](dev *gpusim.Device) *backsubKernel[T] {
@@ -1021,48 +1021,53 @@ func newBacksubKernel[T num.Real](dev *gpusim.Device) *backsubKernel[T] {
 	return k
 }
 
-// run back-substitutes one slab: a recording run until one succeeds,
-// a replay after, through the host twin when hostReplay allows. Faults
-// are keyed exactly as Device.Launch keys them (kernel "distBacksub",
-// attempt 0): the distributed layer retries by migrating, never in
-// place.
+// run back-substitutes one slab: recording the kernel's simulated
+// blocks with no injector on its first run, on the host twin on every
+// later one and on the first one too under an injector. Under
+// auditTwin every twin run re-records first.
 func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.Stats, error) {
-	if hostReplay(k.recorded, k.dev) {
-		if auditTwin {
-			if err := k.simulate(ctx, a); err != nil {
-				return nil, err
-			}
-			k.auditBuf = append(k.auditBuf[:0], a.out.Data...)
-		}
-		if err := backsubRows(ctx, a); err != nil {
+	fresh := !k.recorded
+	if fresh || auditTwin {
+		grid := num.CeilDiv(a.total, backsubThreads)
+		st := gpusim.Stats{Kernel: "distBacksub", Launches: 1, Blocks: grid, ThreadsPerBlock: backsubThreads}
+		k.args = a
+		if err := k.exec.RunBlocksCtx(ctx, &st, backsubThreads, 0, grid, k.kern, gpusim.FaultSite{Kernel: "distBacksub"}); err != nil {
 			return nil, err
 		}
-		if auditTwin {
-			if i := firstDiff(k.auditBuf, a.out.Data); i >= 0 {
-				panic(fmt.Sprintf("core: host twin diverges from the simulated replay: distBacksub index %d: twin %#x, simulated %#x",
-					i, num.Bits(a.out.Data[i]), num.Bits(k.auditBuf[i])))
-			}
+		if !fresh && st != k.st {
+			panic(fmt.Sprintf("core: re-recording distBacksub changed its Stats:\n%+v\nrecorded %+v", st, k.st))
 		}
-		return &k.st, nil
+		k.st, k.recorded = st, true
+		if fresh && k.dev.Faults == nil {
+			return &k.st, nil
+		}
 	}
-	if err := k.simulate(ctx, a); err != nil {
+	outs := [][]T{a.out.Data}
+	if auditTwin {
+		keepOutputs(&k.auditBuf, outs)
+	}
+	if err := k.twin(ctx, a, 0); err != nil {
 		return nil, err
 	}
-	k.recorded = true
+	if auditTwin {
+		matchOutputs(k.auditBuf, outs)
+	}
 	return &k.st, nil
 }
 
-// simulate runs the simulated blocks over slab a: recording while the
-// kernel is unrecorded, replaying after.
-func (k *backsubKernel[T]) simulate(ctx context.Context, a *backsubArgs[T]) error {
-	grid := num.CeilDiv(a.total, backsubThreads)
-	record := !k.recorded
-	if record {
-		k.st = gpusim.Stats{Kernel: "distBacksub", Launches: 1, Blocks: grid, ThreadsPerBlock: backsubThreads}
+// twin runs slab a on the host twin under the device's injector. The
+// injector is asked about every block of the launch first, keyed as
+// Device.Launch keys them: the distributed layer retries by migrating,
+// never in place, so production runs use attempt 0. A faulted run
+// computes nothing, writes NaN over the faulted block's rows and
+// returns the *LaunchError the simulated launch would have.
+func (k *backsubKernel[T]) twin(ctx context.Context, a *backsubArgs[T], attempt int) error {
+	site := gpusim.FaultSite{Inj: k.dev.Faults, Kernel: "distBacksub", Attempt: attempt}
+	if le := site.First(0, num.CeilDiv(a.total, backsubThreads)); le != nil {
+		fillNaN(a.out.Data[le.Block*backsubThreads : min((le.Block+1)*backsubThreads, a.total)])
+		return le
 	}
-	k.args = a
-	return k.exec.RunBlocksCtx(ctx, &k.st, backsubThreads, 0, grid, record, k.kern,
-		gpusim.FaultSite{Inj: k.dev.Faults, Kernel: "distBacksub"})
+	return backsubRows(ctx, a)
 }
 
 // backsubOne back-substitutes slab sl on device dev with a real

@@ -58,9 +58,10 @@ type Config struct {
 	// BlockSizeK0 is the thread-block size of the k = 0 p-Thomas path;
 	// 0 means 128.
 	BlockSizeK0 int
-	// Workers bounds the worker pool a reusable Pipeline shards
-	// replayed solves across; 0 means GOMAXPROCS. One-shot Solve
-	// records on a single lane, so this only affects reuse.
+	// Workers bounds the worker pool a Pipeline shards its host-twin
+	// solves across; 0 means GOMAXPROCS. One-shot Solve records on a
+	// single lane and runs the twins only under an injector, so this
+	// mostly affects reuse.
 	Workers int
 	// Retry bounds recovery from transient device faults (see
 	// RetryPolicy; the zero value is the production default). Faults

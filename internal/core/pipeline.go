@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -39,29 +40,30 @@ var (
 // and batch shape (M systems × N rows) at construction, pre-allocates
 // every intermediate the hybrid needs — the reduced coefficient
 // planes, the p-Thomas c'/d' scratch, the interleaved planes of the
-// k = 0 path, per-worker sliding-window buffers and executors — and
+// k = 0 path, the recording lane and the per-worker twin state — and
 // then solves any number of batches of that shape into caller-owned
 // storage with zero steady-state heap allocations.
 //
-// The simulator's architectural events are recorded on the first
-// solve only. They are a pure function of the launch geometry (shape,
-// k, c, blocks per system, device), never of the coefficient data:
-// the kernels contain no data-dependent control flow, and global
-// arrays are 512-byte aligned so coalescing does not depend on where
-// a particular batch happens to live. Subsequent solves therefore
-// replay only the kernels' arithmetic while Report continues to
-// describe every solve exactly. On a device with no injector a replay
-// runs the kernels' plain-Go host twins over the raw slices (see
-// twin.go); with an injector attached it drives the simulated blocks,
-// discarding their events, so faults strike exactly where they would
-// on the device. Solutions are bitwise identical across all
-// three: recorded, simulated replay and host replay.
+// Recording is pure measurement. The simulator's architectural events
+// are a pure function of the launch geometry (shape, k, c, blocks per
+// system, device), never of the coefficient data: the kernels contain
+// no data-dependent control flow, and global arrays are 512-byte
+// aligned so coalescing does not depend on where a particular batch
+// happens to live. So the first solve runs the simulated blocks once,
+// on one recording lane and with no injector, and caches their Stats;
+// Report describes every later solve exactly. Every later solve — and
+// the first one too when the device has an injector — runs the
+// kernels' plain-Go host twins over the raw slices (see twin.go). The
+// twins ask the injector about the same (kernel, block, attempt)
+// coordinates the simulated blocks would hit, so faults strike them
+// exactly where they would on the device. Solutions are bitwise
+// identical either way.
 //
-// Replayed solves shard the batch across a bounded worker pool
-// (Config.Workers, default GOMAXPROCS) with a per-worker arena slice
-// — each worker owns its executor, window buffers and twin state and
-// writes a disjoint range of systems, so no synchronization beyond the
-// start/done handshake is needed.
+// The twins shard the batch across a bounded worker pool
+// (Config.Workers, default GOMAXPROCS) with a per-worker arena slice —
+// each worker owns its twin state and writes a disjoint range of
+// systems, so no synchronization beyond the start/done handshake is
+// needed.
 //
 // A pipeline is single-flight: concurrent SolveInto calls on one
 // pipeline return ErrPipelineBusy rather than corrupting the arena.
@@ -89,35 +91,38 @@ type Pipeline[T num.Real] struct {
 	// or the caller's), the planes its host twin reads.
 	iv *matrix.Interleaved[T]
 
-	// Per-solve state read by the workers' pre-built kernel closures;
-	// written by the coordinator before workers are signalled.
+	// Per-solve state read by the kernels and their twins; written by
+	// the coordinator before workers are signalled.
 	in   tiledpcr.Arrays[T]
 	bufs pthomas.Bufs[T]
+
+	// The recording lane: one executor, the window buffers the
+	// tiled-PCR blocks bind (k >= 1), and the solve's launches in
+	// order — one p-Thomas launch for k = 0, tiled PCR then strided
+	// p-Thomas for k >= 1.
+	exec     *gpusim.Executor
+	win      *tiledpcr.Window[T]
+	launches [2]launch
+	nKern    int
 
 	// Cached statistics. kern holds the per-kernel stats recorded on
 	// the first solve; total is their aggregate; rep is the Report
 	// handed out for every solve.
 	recorded bool
 	kern     [2]gpusim.Stats
-	nKern    int
 	total    gpusim.Stats
 	rep      Report
 
 	// Fault-tolerant execution state. ctx is the current solve's
 	// context (nil when it cannot be cancelled); frep accumulates the
-	// solve's fault activity; degradeAll marks a recording solve
-	// whose launches could not complete fault-free, degrading the
-	// entire batch; gtsvWS is the (lazily built) workspace of the
-	// degraded per-system GTSV re-solve.
-	ctx        context.Context
-	frep       FaultReport
-	degradeAll bool
-	gtsvWS     *cpu.GTSVWorkspace[T]
+	// solve's fault activity; gtsvWS is the (lazily built) workspace
+	// of the degraded per-system GTSV re-solve.
+	ctx    context.Context
+	frep   FaultReport
+	gtsvWS *cpu.GTSVWorkspace[T]
 
-	// twin marks a solve whose shards run the host twins (hostReplay);
-	// auditBuf keeps the simulated outputs an audited replay compares
-	// them with.
-	twin     bool
+	// auditBuf keeps the simulated outputs an audited twin run is
+	// compared with.
 	auditBuf []T
 
 	// lastWall is the measured host time of the most recent solve,
@@ -139,17 +144,18 @@ type Pipeline[T num.Real] struct {
 	closed  bool
 }
 
-// pipeWorker is one lane of the pool: a reusable block executor, the
-// worker's private window buffers (k >= 1), the kernel closures bound
-// to them, the host twins' state, and the static shard of the batch it
-// executes.
-type pipeWorker[T num.Real] struct {
-	exec       *gpusim.Executor
-	win        *tiledpcr.Window[T]
-	kernK0     gpusim.Kernel // k == 0: interleaved p-Thomas blocks
-	pcrKern    gpusim.Kernel // k >= 1: tiled-PCR blocks
-	thomasKern gpusim.Kernel // k >= 1: strided p-Thomas blocks
+// launch is one kernel launch of a solve: its name, which keys the
+// fault injector and the report, its geometry, and the per-block body
+// the recording lane runs.
+type launch struct {
+	name      string
+	tpb, grid int
+	kern      gpusim.Kernel
+}
 
+// pipeWorker is one lane of the pool: the host twins' state and the
+// static shard of the batch it executes.
+type pipeWorker[T num.Real] struct {
 	// Host twin state: the PCR rings (k >= 1) and the Thomas scratch,
 	// a view of the worker's own rows of the pipeline's c'/d' planes.
 	red *tiledpcr.HostReducer[T]
@@ -179,7 +185,7 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 		return nil, fmt.Errorf("core: invalid pipeline shape %dx%d", m, n)
 	}
 	k := cfg.resolveK(m, n)
-	p := &Pipeline[T]{cfg: cfg, dev: dev, m: m, n: n, k: k, c: cfg.c(), g: 1}
+	p := &Pipeline[T]{cfg: cfg, dev: dev, m: m, n: n, k: k, c: cfg.c(), g: 1, exec: gpusim.NewExecutor(dev)}
 
 	if k == 0 {
 		bs := cfg.BlockSizeK0
@@ -194,6 +200,8 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 		p.vbuf = matrix.NewInterleaved[T](m, n)
 		p.xi = make([]T, m*n)
 		p.bindK0(p.vbuf, p.xi)
+		p.launches[0] = launch{"pThomas", bs, p.grid, p.k0Kernel()}
+		p.nKern = 1
 	} else {
 		if cfg.ablation() {
 			return nil, fmt.Errorf("%w: fused and multiplexed kernels run one-shot through Solve", ErrNotReusable)
@@ -210,15 +218,20 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 			Cp: gpusim.NewGlobal(cp), Dp: gpusim.NewGlobal(dp),
 		}
 		p.per = num.CeilDiv(n, p.g)
+		p.win = tiledpcr.NewWindowBuffers[T](k, p.c)
+		tpb := 1 << k
+		p.launches[0] = launch{"tiledPCR", tpb, m * p.g, p.pcrKernel()}
+		p.launches[1] = launch{"pThomasStrided", tpb, m, p.thomasKernel()}
+		p.nKern = 2
 	}
 	p.rep = Report{K: p.k, C: p.c, BlocksPerSystem: p.g, Stats: &p.total, Faults: &p.frep}
 	p.buildWorkers()
 	return p, nil
 }
 
-// buildWorkers creates the worker lanes with their executors, window
-// buffers, kernel closures, and static shards, and starts the pool
-// goroutines for every lane but the coordinator's.
+// buildWorkers creates the worker lanes with their twin state and
+// static shards, and starts the pool goroutines for every lane but the
+// coordinator's.
 func (p *Pipeline[T]) buildWorkers() {
 	units := p.m // k >= 1: shard whole systems (PCR + Thomas, no barrier)
 	if p.k == 0 {
@@ -238,19 +251,15 @@ func (p *Pipeline[T]) buildWorkers() {
 	chunk, rem := units/count, units%count
 	next := 0
 	for i := range p.workers {
-		w := &pipeWorker[T]{exec: gpusim.NewExecutor(p.dev)}
+		w := &pipeWorker[T]{}
 		size := chunk
 		if i < rem {
 			size++
 		}
 		if p.k == 0 {
 			w.firstBlk, w.nBlk = next, size
-			w.kernK0 = p.makeK0Kernel()
 		} else {
 			w.firstSys, w.nSys = next, size
-			w.win = tiledpcr.NewWindowBuffers[T](p.k, p.c)
-			w.pcrKern = p.makePCRKernel(w)
-			w.thomasKern = p.makeThomasKernel()
 			w.red = tiledpcr.NewHostReducer[T](p.k)
 		}
 		p.twinScratch(w)
@@ -269,9 +278,9 @@ func (p *Pipeline[T]) buildWorkers() {
 	}
 }
 
-// makeK0Kernel builds the per-block body of the k = 0 interleaved
+// k0Kernel builds the per-block body of the k = 0 interleaved
 // p-Thomas launch. The closure reads the per-solve state through p.
-func (p *Pipeline[T]) makeK0Kernel() gpusim.Kernel {
+func (p *Pipeline[T]) k0Kernel() gpusim.Kernel {
 	return func(blk *gpusim.Block) {
 		blk.PhaseNoSync(func(t *gpusim.Thread) {
 			sys := blk.ID*p.bs + t.ID
@@ -283,13 +292,13 @@ func (p *Pipeline[T]) makeK0Kernel() gpusim.Kernel {
 	}
 }
 
-// makePCRKernel builds the per-block body of the tiled-PCR launch for
-// worker w, binding w's window buffers to each block it executes.
-func (p *Pipeline[T]) makePCRKernel(w *pipeWorker[T]) gpusim.Kernel {
+// pcrKernel builds the per-block body of the tiled-PCR launch,
+// binding the recording lane's window buffers to each block.
+func (p *Pipeline[T]) pcrKernel() gpusim.Kernel {
 	return func(blk *gpusim.Block) {
 		sys := blk.ID / p.g
 		slice := blk.ID % p.g
-		win := w.win.Bind(blk, p.n, sys*p.n, p.in)
+		win := p.win.Bind(blk, p.n, sys*p.n, p.in)
 		outStart := slice * p.per
 		outEnd := outStart + p.per
 		if outEnd > p.n {
@@ -318,9 +327,9 @@ func (p *Pipeline[T]) makePCRKernel(w *pipeWorker[T]) gpusim.Kernel {
 	}
 }
 
-// makeThomasKernel builds the per-block body of the strided p-Thomas
+// thomasKernel builds the per-block body of the strided p-Thomas
 // launch (one block of 2^k threads per system).
-func (p *Pipeline[T]) makeThomasKernel() gpusim.Kernel {
+func (p *Pipeline[T]) thomasKernel() gpusim.Kernel {
 	return func(blk *gpusim.Block) {
 		base := blk.ID * p.n
 		blk.PhaseNoSync(func(t *gpusim.Thread) {
@@ -345,22 +354,24 @@ func (p *Pipeline[T]) SolveInto(dst []T, b *matrix.Batch[T]) error {
 // transient-fault recovery.
 //
 // Cancellation: once ctx is done, every worker stops promptly (between
-// thread blocks, and during retry backoff waits), the pool is joined
-// with no goroutine leaks, and the solve returns an error matching both
-// ErrCancelled and the context's own error. dst is written at whole-
-// system granularity only, so every system's rows are either fully
-// written or untouched; on the k = 0 path dst is written in one final
-// host pass and is fully untouched by a cancelled solve.
+// systems, between a recording's thread blocks, and during retry
+// backoff waits), the pool is joined with no goroutine leaks, and the
+// solve returns an error matching both ErrCancelled and the context's
+// own error. dst is written at whole-system granularity only, so every
+// system's rows are either fully written or untouched; on the k = 0
+// path dst is written in one final host pass and is fully untouched by
+// a cancelled solve.
 //
-// Faults: when the device carries a gpusim.Injector, each shard of the
-// batch is a checkpointed unit of work — its kernels never mutate
-// their inputs — so a transient LaunchError is recovered by re-running
-// just the faulted shard with capped exponential backoff (Config.Retry),
-// and the recovered solution is bitwise identical to a fault-free run.
-// A shard still faulting after the retry budget degrades gracefully:
-// its systems are re-solved on the host through the pivoting GTSV path
-// (or, under RetryPolicy.NoDegrade, the solve fails with ErrFaulted).
-// The recovery activity is reported in Report().Faults.
+// Faults: when the device carries a gpusim.Injector, faults strike the
+// host twins. Each shard of the batch is a checkpointed unit of work —
+// the twins never mutate their inputs — so a transient LaunchError is
+// recovered by re-running just the faulted shard with capped
+// exponential backoff (Config.Retry), and the recovered solution is
+// bitwise identical to a fault-free run. A shard still faulting after
+// the retry budget degrades gracefully: its systems are re-solved on
+// the host through the pivoting GTSV path (or, under
+// RetryPolicy.NoDegrade, the solve fails with ErrFaulted). The
+// recovery activity is reported in Report().Faults.
 func (p *Pipeline[T]) SolveIntoCtx(ctx context.Context, dst []T, b *matrix.Batch[T]) error {
 	if err := p.checkShape(b.M, b.N, len(dst), b.Lower, b.Diag, b.Upper, b.RHS); err != nil {
 		return err
@@ -454,119 +465,84 @@ func (p *Pipeline[T]) release(start time.Time) {
 }
 
 // execute is the one solve body behind every entry: it runs the bound
-// launches — recorded on the first solve, replayed across the worker
-// pool after, through the host twins when hostReplay allows — and
-// folds the lanes' fault bookkeeping into the solve's FaultReport. The
-// caller binds its layout first and re-solves the degraded systems
-// after.
+// launches — recorded on the first solve, on the host twins across the
+// worker pool after — and folds the lanes' fault bookkeeping into the
+// solve's FaultReport. The caller binds its layout first and re-solves
+// the degraded systems after.
 func (p *Pipeline[T]) execute(ctx context.Context) error {
 	p.ctx = ctx
 	p.frep.reset()
-	p.degradeAll = false
 	for _, w := range p.workers {
 		w.wf = workerFaults{}
 	}
-	p.twin = hostReplay(p.recorded, p.dev)
-	var err error
-	switch {
-	case !p.recorded:
-		err = p.record()
-	case p.twin && auditTwin:
-		err = p.auditReplay()
-	default:
-		err = p.replay()
-	}
+	err := p.run()
 	p.mergeFaults()
-	p.ctx, p.twin = nil, false
+	p.ctx = nil
 	return err
 }
 
-// record runs the first solve on the coordinator lane with event
-// recording on: one p-Thomas launch for k = 0, tiled PCR then strided
-// p-Thomas for k >= 1.
-func (p *Pipeline[T]) record() error {
-	w := p.workers[0]
-	nKern := 1
-	var err error
-	if p.k == 0 {
-		err = p.recordLaunch(&p.kern[0], "pThomas", 0, p.bs, p.grid, w.kernK0)
-	} else {
-		nKern = 2
-		tpb := 1 << p.k
-		err = p.recordLaunch(&p.kern[0], "tiledPCR", 0, tpb, p.m*p.g, w.pcrKern)
-		if err == nil {
-			err = p.recordLaunch(&p.kern[1], "pThomasStrided", 1, tpb, p.m, w.thomasKern)
+// run records the launch geometry on the first solve, publishing its
+// Stats into the cached aggregate and the reusable Report, and runs
+// the host twins on every later solve, and on the first one too under
+// an injector. Under auditTwin every twin run re-records first.
+func (p *Pipeline[T]) run() error {
+	fresh := !p.recorded
+	if fresh || auditTwin {
+		var st [2]gpusim.Stats
+		if err := p.record(st[:p.nKern]); err != nil {
+			return err
+		}
+		if !fresh && st != p.kern {
+			panic(fmt.Sprintf("core: re-recording changed the Stats:\n%+v\nrecorded %+v", st, p.kern))
+		}
+		if fresh {
+			p.kern, p.recorded = st, true
+			for i := range p.kern[:p.nKern] {
+				p.total.Add(&p.kern[i])
+				p.rep.Kernels = append(p.rep.Kernels, &p.kern[i])
+			}
+			if p.dev.Faults == nil {
+				return nil
+			}
 		}
 	}
-	switch {
-	case err == nil:
-		p.finishRecording(nKern)
-	case errors.Is(err, ErrFaulted) && !p.cfg.Retry.NoDegrade:
-		// The recording solve could not complete fault-free; the
-		// whole batch degrades to GTSV and the next solve records.
-		p.degradeAll = true
-	default:
+	outs := [...][]T{p.bufs.X.Data, p.ra, p.rb, p.rc, p.rd}
+	if auditTwin {
+		keepOutputs(&p.auditBuf, outs[:])
+	}
+	if err := p.replay(); err != nil || !auditTwin {
 		return err
+	}
+	for _, w := range p.workers {
+		if w.wf.degraded {
+			return nil // its systems are re-solved on the host
+		}
+	}
+	matchOutputs(p.auditBuf, outs[:])
+	return nil
+}
+
+// record runs every launch's simulated blocks on the recording lane,
+// with no injector, accumulating launch i's events into st[i]. Its
+// outputs are a complete fault-free solve.
+func (p *Pipeline[T]) record(st []gpusim.Stats) error {
+	for i := range st {
+		l := &p.launches[i]
+		st[i] = gpusim.Stats{Kernel: l.name, Launches: 1, Blocks: l.grid, ThreadsPerBlock: l.tpb}
+		if err := p.exec.RunBlocksCtx(p.ctx, &st[i], l.tpb, 0, l.grid, l.kern, gpusim.FaultSite{Kernel: l.name}); err != nil {
+			if err := ctxErr(p.ctx); err != nil {
+				return cancelled(err)
+			}
+			return err
+		}
 	}
 	return nil
 }
 
-// recordLaunch runs one full recording launch on the coordinator lane
-// with the same retry ladder the replay shards use. Each attempt
-// resets st and re-records from block 0 — recording is a pure function
-// of the geometry, so a recovered recording is indistinguishable from
-// a fault-free one.
-func (p *Pipeline[T]) recordLaunch(st *gpusim.Stats, name string, slot, tpb, grid int, kern gpusim.Kernel) error {
-	w := p.workers[0]
-	maxR := p.cfg.Retry.maxRetries()
-	for attempt := 0; ; attempt++ {
-		*st = gpusim.Stats{Kernel: name, Launches: 1, Blocks: grid, ThreadsPerBlock: tpb}
-		err := w.exec.RunBlocksCtx(p.ctx, st, tpb, 0, grid, true, kern,
-			gpusim.FaultSite{Inj: p.dev.Faults, Kernel: name, Attempt: attempt})
-		if err == nil {
-			return nil
-		}
-		if p.ctx != nil && p.ctx.Err() != nil {
-			return cancelled(p.ctx.Err())
-		}
-		var le *gpusim.LaunchError
-		if !errors.As(err, &le) {
-			return err
-		}
-		w.wf.faults++
-		if le.Kind == gpusim.FaultHang {
-			w.wf.hangs++
-		}
-		if attempt >= maxR {
-			return fmt.Errorf("%w: recording launch %s: %w", ErrFaulted, name, le)
-		}
-		w.wf.retries[slot]++
-		w.wf.retryBlk[slot] += grid
-		if err := sleepBackoff(p.ctx, p.cfg.Retry.backoff(attempt, 0)); err != nil {
-			return cancelled(err)
-		}
-	}
-}
-
-// finishRecording publishes the per-kernel stats recorded by the
-// first solve into the cached aggregate and the reusable Report.
-func (p *Pipeline[T]) finishRecording(nKern int) {
-	p.nKern = nKern
-	p.total = gpusim.Stats{}
-	p.rep.Kernels = p.rep.Kernels[:0]
-	for i := 0; i < nKern; i++ {
-		p.total.Add(&p.kern[i])
-		p.rep.Kernels = append(p.rep.Kernels, &p.kern[i])
-	}
-	p.recorded = true
-}
-
-// replay fans the pre-built shards out over the pool (the coordinator
-// runs lane 0 inline): host twins or simulated blocks whose events are
-// discarded, as p.twin says. Every lane is always joined — even after
-// an error — so the pool is quiescent and reusable when replay
-// returns. A cancellation error takes precedence over fault errors in
-// the merge.
+// replay fans the shards out over the pool (the coordinator runs lane
+// 0 inline). Every lane is always joined — even after an error — so
+// the pool is quiescent and reusable when replay returns. A
+// cancellation error takes precedence over fault errors in the merge.
 func (p *Pipeline[T]) replay() error {
 	for _, w := range p.workers[1:] {
 		w.start <- struct{}{}
@@ -587,30 +563,29 @@ func (p *Pipeline[T]) replay() error {
 	return first
 }
 
-// runCheckpointed executes worker w's shard of a replayed solve.
-// Sharding is by whole systems for k >= 1, so the worker runs its PCR
-// blocks and then immediately the p-Thomas blocks of the same systems —
-// the inter-kernel dependency is contained within the shard and needs
-// no global barrier. The shard is a checkpointed unit: the kernels
-// never mutate their inputs, so a transient LaunchError is recovered
-// by re-running the whole shard (both launches for k >= 1) with capped
-// exponential backoff until the retry budget is spent, at which point
-// the shard degrades (its systems marked for the GTSV re-solve) or,
-// under NoDegrade, fails with ErrFaulted. Without a cancellable context
-// or an injector no check fires and no retry runs.
+// runCheckpointed executes worker w's shard on the host twins.
+// Sharding is by whole systems for k >= 1, so the worker reduces and
+// then solves the same systems — the inter-kernel dependency is
+// contained within the shard and needs no global barrier. The shard is
+// a checkpointed unit: the twins never mutate their inputs, so a
+// transient LaunchError is recovered by re-running the whole shard
+// (both launches for k >= 1) with capped exponential backoff until the
+// retry budget is spent, at which point the shard degrades (its
+// systems marked for the GTSV re-solve) or, under NoDegrade, fails
+// with ErrFaulted. Without a cancellable context or an injector no
+// check fires and no retry runs.
 func (p *Pipeline[T]) runCheckpointed(w *pipeWorker[T]) error {
 	maxR := p.cfg.Retry.maxRetries()
 	for attempt := 0; ; attempt++ {
-		slot, err := p.tryShard(w, attempt)
-		if err == nil {
+		slot, le := p.shardFault(w, attempt)
+		if le == nil {
+			if err := p.hostShard(w); err != nil {
+				return cancelled(err)
+			}
 			return nil
 		}
-		if p.ctx != nil && p.ctx.Err() != nil {
-			return cancelled(p.ctx.Err())
-		}
-		var le *gpusim.LaunchError
-		if !errors.As(err, &le) {
-			return err
+		if err := ctxErr(p.ctx); err != nil {
+			return cancelled(err)
 		}
 		w.wf.faults++
 		if le.Kind == gpusim.FaultHang {
@@ -623,8 +598,9 @@ func (p *Pipeline[T]) runCheckpointed(w *pipeWorker[T]) error {
 			w.wf.degraded = true
 			return nil
 		}
+		_, count := p.shardRange(w, slot)
 		w.wf.retries[slot]++
-		w.wf.retryBlk[slot] += p.shardBlocks(w, slot)
+		w.wf.retryBlk[slot] += count
 		// The shard's first unit indexes the jitter hash, so concurrent
 		// shards that fault on the same attempt back off apart.
 		salt := uint64(w.firstSys)<<32 | uint64(w.firstBlk) + 1
@@ -634,47 +610,63 @@ func (p *Pipeline[T]) runCheckpointed(w *pipeWorker[T]) error {
 	}
 }
 
-// tryShard runs one attempt of w's shard under the context and the
-// device's injector, reporting which launch slot failed.
-func (p *Pipeline[T]) tryShard(w *pipeWorker[T], attempt int) (slot int, err error) {
-	if p.twin {
-		return 0, p.hostShard(w)
+// shardFault asks the injector about every block that attempt of w's
+// shard covers, in launch order, before the twins run. A faulted
+// attempt computes nothing: it poisons the faulted block's solution
+// rows and reports the launch slot and the exact *LaunchError the
+// simulated launch would have returned.
+func (p *Pipeline[T]) shardFault(w *pipeWorker[T], attempt int) (int, *gpusim.LaunchError) {
+	for slot := range p.launches[:p.nKern] {
+		first, count := p.shardRange(w, slot)
+		site := gpusim.FaultSite{Inj: p.dev.Faults, Kernel: p.launches[slot].name, Attempt: attempt}
+		if le := site.First(first, count); le != nil {
+			p.poison(slot, le.Block)
+			return slot, le
+		}
 	}
-	inj := p.dev.Faults
-	if p.k == 0 {
-		return 0, w.exec.RunBlocksCtx(p.ctx, nil, p.bs, w.firstBlk, w.nBlk, false, w.kernK0,
-			gpusim.FaultSite{Inj: inj, Kernel: "pThomas", Attempt: attempt})
-	}
-	tpb := 1 << p.k
-	if err := w.exec.RunBlocksCtx(p.ctx, nil, tpb, w.firstSys*p.g, w.nSys*p.g, false, w.pcrKern,
-		gpusim.FaultSite{Inj: inj, Kernel: "tiledPCR", Attempt: attempt}); err != nil {
-		return 0, err
-	}
-	return 1, w.exec.RunBlocksCtx(p.ctx, nil, tpb, w.firstSys, w.nSys, false, w.thomasKern,
-		gpusim.FaultSite{Inj: inj, Kernel: "pThomasStrided", Attempt: attempt})
+	return 0, nil
 }
 
-// shardBlocks is the block count of w's launch slot, for the
-// wasted-time model.
-func (p *Pipeline[T]) shardBlocks(w *pipeWorker[T], slot int) int {
-	if p.k == 0 {
-		return w.nBlk
+// shardRange is the block range of launch slot that w's shard covers.
+func (p *Pipeline[T]) shardRange(w *pipeWorker[T], slot int) (first, count int) {
+	switch {
+	case p.k == 0:
+		return w.firstBlk, w.nBlk
+	case slot == 0:
+		return w.firstSys * p.g, w.nSys * p.g
+	default:
+		return w.firstSys, w.nSys
 	}
-	if slot == 0 {
-		return w.nSys * p.g
-	}
-	return w.nSys
 }
 
-// kernelName maps a launch slot to its kernel name for the report.
-func (p *Pipeline[T]) kernelName(slot int) string {
+// poison writes NaN over the solution rows of block blk of launch
+// slot. A k = 0 block's systems are interleaved columns of the
+// solution; a tiled-PCR block owns a slice of one system's rows, a
+// strided p-Thomas block the whole system.
+func (p *Pipeline[T]) poison(slot, blk int) {
+	x := p.bufs.X.Data
 	if p.k == 0 {
-		return "pThomas"
+		lo, hi := blk*p.bs, min((blk+1)*p.bs, p.m)
+		for row := 0; row < len(x); row += p.m {
+			fillNaN(x[row+lo : row+hi])
+		}
+		return
 	}
+	lo, hi := blk*p.n, (blk+1)*p.n
 	if slot == 0 {
-		return "tiledPCR"
+		sys, slice := blk/p.g, blk%p.g
+		lo, hi = sys*p.n+min(slice*p.per, p.n), sys*p.n+min((slice+1)*p.per, p.n)
 	}
-	return "pThomasStrided"
+	fillNaN(x[lo:hi])
+}
+
+// fillNaN overwrites x with NaN, the loudest mark a faulted attempt
+// can leave: a recovery layer that skips the re-run cannot pass a
+// bitwise check by luck.
+func fillNaN[T num.Real](x []T) {
+	for i := range x {
+		x[i] = T(math.NaN())
+	}
 }
 
 // mergeFaults folds the per-lane fault bookkeeping into the solve's
@@ -692,9 +684,9 @@ func (p *Pipeline[T]) mergeFaults() {
 		hangs += wf.hangs
 		for slot := 0; slot < 2; slot++ {
 			if wf.retries[slot] > 0 {
-				r.addRetry(p.kernelName(slot), wf.retries[slot])
+				r.addRetry(p.launches[slot].name, wf.retries[slot])
 			}
-			if p.recorded && wf.retryBlk[slot] > 0 && p.kern[slot].Blocks > 0 {
+			if wf.retryBlk[slot] > 0 {
 				t := p.dev.EstimateTime(&p.kern[slot], num.SizeOf[T]())
 				share := float64(wf.retryBlk[slot]) / float64(p.kern[slot].Blocks)
 				r.WastedModeledTime += time.Duration(share * t * float64(time.Second))
@@ -715,12 +707,6 @@ func (p *Pipeline[T]) mergeFaults() {
 			for i := w.firstSys; i < w.firstSys+w.nSys; i++ {
 				r.Degraded = append(r.Degraded, i)
 			}
-		}
-	}
-	if p.degradeAll {
-		r.Degraded = r.Degraded[:0]
-		for i := 0; i < p.m; i++ {
-			r.Degraded = append(r.Degraded, i)
 		}
 	}
 	r.WastedModeledTime += time.Duration(hangs) * p.cfg.watchdog()

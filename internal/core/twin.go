@@ -4,32 +4,27 @@ import (
 	"context"
 	"fmt"
 
-	"gputrid/internal/gpusim"
 	"gputrid/internal/num"
 	"gputrid/internal/pthomas"
 )
 
-// This file holds the host twins of the replayed kernels. A kernel's
+// This file holds the host twins of the kernels. A kernel's
 // architectural events depend only on its launch geometry, so once a
 // geometry is recorded its Stats describe every later solve exactly,
-// and a replay needs only the arithmetic. Without an injector there is
-// no fault to model either. Such a replay runs each kernel's plain-Go
-// twin over the raw slices instead of driving simulated blocks. The
-// twins compute bit for bit what the kernels compute: the tiled-PCR
-// window's schedule (tiledpcr.HostReducer), the p-Thomas recurrences
+// and a solve needs only the arithmetic. Every solve but a fault-free
+// recording runs each kernel's plain-Go twin over the raw slices
+// instead of driving simulated blocks. The twins compute bit for bit
+// what the kernels compute: the tiled-PCR window's schedule
+// (tiledpcr.HostReducer), the p-Thomas recurrences
 // (pthomas.SolveStridedRefInto and SolveInterleavedRangeInto), and the
-// distBacksub expression (backsubRows).
+// distBacksub expression (backsubRows). Faults strike the twins: their
+// callers ask the injector about the blocks the twins stand in for
+// (gpusim.FaultSite.First) before any arithmetic runs.
 
-// hostReplay is the one predicate choosing the host twins: the launch
-// geometry is already recorded, and the device has no injector whose
-// faults the simulated blocks would have to model.
-func hostReplay(recorded bool, dev *gpusim.Device) bool {
-	return recorded && dev.Faults == nil
-}
-
-// auditTwin, set only by the package's tests, makes every host replay
-// run twice: first the simulated kernels, then the twins, panicking
-// on any bit of difference between the two.
+// auditTwin, set only by the package's tests, audits every twin run:
+// the simulated kernels re-record first, a panic reports Stats that
+// differ from the recorded ones — the record-once claim — and
+// matchOutputs panics on any output bit the twins write differently.
 var auditTwin bool
 
 // ctxErr is ctx.Err for a context that may be nil (uncancellable).
@@ -40,7 +35,7 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// hostShard runs worker w's shard of a host replay. For k >= 1 each
+// hostShard runs worker w's shard on the host twins. For k >= 1 each
 // system is reduced by k PCR levels into its rows of the reduced
 // planes and then solved by strided Thomas into dst, so one system's
 // work stays in cache. For k = 0 each system runs the interleaved
@@ -89,33 +84,25 @@ func (p *Pipeline[T]) twinScratch(w *pipeWorker[T]) {
 	w.tws = pthomas.Workspace[T]{Cp: p.ws.Cp[lo : lo+rows], Dp: p.ws.Dp[lo : lo+rows]}
 }
 
-// auditReplay is the test-only form of a host replay: it replays the
-// simulated kernels, keeps their outputs, replays the twins over the
-// same inputs and panics unless both wrote the same bits.
-func (p *Pipeline[T]) auditReplay() error {
-	p.twin = false
-	err := p.replay()
-	p.twin = true
-	if err != nil {
-		return err
-	}
-	outs := [...][]T{p.bufs.X.Data, p.ra, p.rb, p.rc, p.rd}
-	p.auditBuf = p.auditBuf[:0]
+// keepOutputs copies the simulated kernels' outputs into buf before an
+// audited twin run.
+func keepOutputs[T num.Real](buf *[]T, outs [][]T) {
+	*buf = (*buf)[:0]
 	for _, o := range outs {
-		p.auditBuf = append(p.auditBuf, o...)
+		*buf = append(*buf, o...)
 	}
-	if err := p.replay(); err != nil {
-		return err
-	}
-	sim := p.auditBuf
+}
+
+// matchOutputs panics on the first bit in which the twins' outputs
+// differ from the simulated ones keepOutputs kept in sim.
+func matchOutputs[T num.Real](sim []T, outs [][]T) {
 	for plane, o := range outs {
 		if i := firstDiff(sim[:len(o)], o); i >= 0 {
-			panic(fmt.Sprintf("core: host twin diverges from the simulated replay: pipeline %dx%d k=%d plane %d index %d: twin %#x, simulated %#x",
-				p.m, p.n, p.k, plane, i, num.Bits(o[i]), num.Bits(sim[i])))
+			panic(fmt.Sprintf("core: host twin diverges from the simulated kernels: output %d (of %d) index %d: twin %#x, simulated %#x",
+				plane, len(outs), i, num.Bits(o[i]), num.Bits(sim[i])))
 		}
 		sim = sim[len(o):]
 	}
-	return nil
 }
 
 // firstDiff returns the first index where got differs from want in any

@@ -1,0 +1,317 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"gputrid/internal/gpusim"
+	"gputrid/internal/matrix"
+	"gputrid/internal/num"
+	"gputrid/internal/tiledpcr"
+	"gputrid/internal/workload"
+)
+
+// simFault runs the simulated blocks of launch l over [first,
+// first+count) under site and returns the *LaunchError they report,
+// nil when none faults.
+func simFault(t *testing.T, e *gpusim.Executor, l *launch, first, count int, site gpusim.FaultSite) *gpusim.LaunchError {
+	t.Helper()
+	var st gpusim.Stats
+	err := e.RunBlocksCtx(nil, &st, l.tpb, first, count, l.kern, site)
+	if err == nil {
+		return nil
+	}
+	var le *gpusim.LaunchError
+	if !errors.As(err, &le) {
+		t.Fatalf("simulated %s: %v, want a *LaunchError", l.name, err)
+	}
+	return le
+}
+
+// sameFault reports whether two fault reports agree: both nil, or
+// equal *LaunchError values.
+func sameFault(a, b *gpusim.LaunchError) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
+
+// TestTwinFaultCoordinates pins the guarantee the twins' fault checks
+// stand on: the fault a twin shard reports is exactly the one the
+// simulated blocks report over the same block ranges, in launch order
+// (the tiled-PCR range, then the strided p-Thomas one), for every
+// shard of every audited geometry, over rate injectors of several
+// seeds and attempts 0–2. The same holds for distBacksub.
+func TestTwinFaultCoordinates(t *testing.T) {
+	inj := func(seed uint64, rate float64) *gpusim.Injector {
+		return &gpusim.Injector{Seed: seed, Rate: rate, Repeat: 2}
+	}
+	var faulted, clean int
+	for _, sh := range auditShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			cfg := sh.cfg
+			cfg.Device = faultDevice(nil)
+			p, err := NewPipeline[float64](cfg, sh.m, sh.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			b := workload.Batch[float64](workload.DiagDominant, sh.m, sh.n, 3)
+			dst := make([]float64, sh.m*sh.n)
+			if err := p.SolveInto(dst, b); err != nil { // records
+				t.Fatal(err)
+			}
+			// Bind the batch as a solve does, so both the twins and the
+			// simulated blocks have operands.
+			if p.k == 0 {
+				b.ToInterleavedInto(p.vbuf)
+			} else {
+				p.in = tiledpcr.NewArrays(b.Lower, b.Diag, b.Upper, b.RHS)
+				p.bufs.X = gpusim.NewGlobal(dst)
+			}
+			exec := gpusim.NewExecutor(p.dev)
+			for seed := uint64(1); seed <= 6; seed++ {
+				for _, rate := range []float64{0.05, 0.2, 0.6} {
+					p.dev.Faults = inj(seed, rate)
+					for attempt := 0; attempt <= 2; attempt++ {
+						for wi, w := range p.workers {
+							slot, twin := p.shardFault(w, attempt)
+							var sim *gpusim.LaunchError
+							simSlot := 0
+							for s := range p.launches[:p.nKern] {
+								l := &p.launches[s]
+								first, count := p.shardRange(w, s)
+								site := gpusim.FaultSite{Inj: p.dev.Faults, Kernel: l.name, Attempt: attempt}
+								if sim = simFault(t, exec, l, first, count, site); sim != nil {
+									simSlot = s
+									break
+								}
+							}
+							if !sameFault(twin, sim) || (sim != nil && slot != simSlot) {
+								t.Fatalf("seed %d rate %g attempt %d shard %d: twin reports %+v in slot %d, simulated %+v in slot %d",
+									seed, rate, attempt, wi, twin, slot, sim, simSlot)
+							}
+							if sim != nil {
+								faulted++
+							} else {
+								clean++
+							}
+						}
+					}
+				}
+			}
+			p.dev.Faults = nil
+		})
+	}
+
+	t.Run("distBacksub", func(t *testing.T) {
+		const m, rows = 4, 1000
+		total := m * rows
+		planes := make([][]float64, 6)
+		for i := range planes {
+			planes[i] = make([]float64, total)
+			for j := range planes[i] {
+				planes[i][j] = float64(i+1) + float64(j%7)/8
+			}
+		}
+		a := &backsubArgs[float64]{
+			u: gpusim.NewGlobal(planes[0]), v: gpusim.NewGlobal(planes[1]), w: gpusim.NewGlobal(planes[2]),
+			xl: gpusim.NewGlobal(planes[3][:m]), xr: gpusim.NewGlobal(planes[4][:m]), out: gpusim.NewGlobal(planes[5]),
+			total: total, rows: rows,
+		}
+		k := newBacksubKernel[float64](faultDevice(nil))
+		k.args = a
+		l := &launch{name: "distBacksub", tpb: backsubThreads, grid: num.CeilDiv(total, backsubThreads), kern: k.kern}
+		for seed := uint64(1); seed <= 6; seed++ {
+			for _, rate := range []float64{0.02, 0.1, 0.4} {
+				k.dev.Faults = inj(seed, rate)
+				for attempt := 0; attempt <= 2; attempt++ {
+					var twin *gpusim.LaunchError
+					if err := k.twin(nil, a, attempt); err != nil && !errors.As(err, &twin) {
+						t.Fatalf("twin: %v, want a *LaunchError", err)
+					}
+					site := gpusim.FaultSite{Inj: k.dev.Faults, Kernel: l.name, Attempt: attempt}
+					sim := simFault(t, k.exec, l, 0, l.grid, site)
+					if !sameFault(twin, sim) {
+						t.Fatalf("seed %d rate %g attempt %d: twin reports %+v, simulated %+v", seed, rate, attempt, twin, sim)
+					}
+					if sim != nil {
+						faulted++
+					} else {
+						clean++
+					}
+				}
+			}
+		}
+	})
+	if faulted == 0 || clean == 0 {
+		t.Fatalf("%d faulted and %d clean comparisons, want both kinds", faulted, clean)
+	}
+}
+
+// TestTwinFaultIsLoud pins what a fault leaves behind when nothing
+// repairs it: with no retry and no degradation, a scheduled abort,
+// hang or corrupt fault on one block fails the solve with ErrFaulted,
+// carrying that block's *LaunchError, and the block's solution rows —
+// interleaved columns for k = 0 — are NaN while every other row is not.
+// Faults strike the first solve, on top of the fault-free recording,
+// and a warm one alike.
+func TestTwinFaultIsLoud(t *testing.T) {
+	cases := []struct {
+		name        string
+		cfg         Config
+		m, n        int
+		kernel      string
+		block       int
+		rows        func(m, n int) []int // the faulted block's rows of the bound solution
+		interleaved bool
+	}{
+		{"k0", Config{K: 0, BlockSizeK0: 16, Workers: 3}, 40, 64, "pThomas", 1,
+			func(m, n int) []int { return columns(m, n, 16, 32) }, true},
+		{"k5-thomas", Config{K: 5, Workers: 3}, 7, 200, "pThomasStrided", 2,
+			func(m, n int) []int { return span(2*n, 3*n) }, false},
+		{"k3-pcr-slice", Config{K: 3, BlocksPerSystem: 3, Workers: 2}, 5, 301, "tiledPCR", 4,
+			func(m, n int) []int { return span(n+101, n+202) }, false},
+	}
+	for _, tc := range cases {
+		for _, kind := range []gpusim.FaultKind{gpusim.FaultAbort, gpusim.FaultHang, gpusim.FaultCorrupt} {
+			for _, warm := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/warm=%v", tc.name, kind, warm), func(t *testing.T) {
+					inj := &gpusim.Injector{Schedule: []gpusim.ScheduledFault{{Kernel: tc.kernel, Block: tc.block, Kind: kind}}}
+					cfg := tc.cfg
+					cfg.Retry = RetryPolicy{MaxRetries: -1, NoDegrade: true}
+					cfg.Device = faultDevice(nil)
+					p, err := NewPipeline[float64](cfg, tc.m, tc.n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer p.Close()
+					b := workload.Batch[float64](workload.DiagDominant, tc.m, tc.n, 11)
+					dst := make([]float64, tc.m*tc.n)
+					if warm {
+						if err := p.SolveInto(dst, b); err != nil {
+							t.Fatal(err)
+						}
+					}
+					p.dev.Faults = inj
+					err = p.SolveInto(dst, b)
+					var le *gpusim.LaunchError
+					if !errors.Is(err, ErrFaulted) || !errors.As(err, &le) {
+						t.Fatalf("error = %v, want ErrFaulted carrying a *LaunchError", err)
+					}
+					want := gpusim.LaunchError{Kernel: tc.kernel, Block: tc.block, Kind: kind}
+					if *le != want {
+						t.Fatalf("LaunchError = %+v, want %+v", *le, want)
+					}
+					x := dst
+					if tc.interleaved {
+						x = p.xi
+					}
+					poisoned := make([]bool, len(x))
+					for _, i := range tc.rows(tc.m, tc.n) {
+						poisoned[i] = true
+					}
+					for i, v := range x {
+						if math.IsNaN(v) != poisoned[i] {
+							t.Fatalf("row %d = %v: NaN %v, want %v", i, v, math.IsNaN(v), poisoned[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// span lists the indices [lo, hi).
+func span(lo, hi int) []int {
+	var s []int
+	for i := lo; i < hi; i++ {
+		s = append(s, i)
+	}
+	return s
+}
+
+// columns lists the interleaved indices of systems [lo, hi) of an
+// m-system, n-row batch.
+func columns(m, n, lo, hi int) []int {
+	var s []int
+	for j := 0; j < n; j++ {
+		s = append(s, span(j*m+lo, j*m+hi)...)
+	}
+	return s
+}
+
+// TestFirstSolveExhaustionDegradesShard pins the first solve of a
+// geometry under a schedule that outlasts the retry budget: the
+// recording is fault-free, so only the faulted shard's systems degrade
+// — the other shard's are bitwise the fault-free solution — and the
+// recorded Stats equal a fault-free pipeline's.
+func TestFirstSolveExhaustionDegradesShard(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		cfg          Config
+		m, n         int
+		kernel       string
+		block        int
+		wantDegraded []int
+	}{
+		{"k3", Config{K: 3, Workers: 2}, 8, 256, "pThomasStrided", 1, []int{0, 1, 2, 3}},
+		{"k0", Config{K: 0, BlockSizeK0: 16, Workers: 2}, 64, 64, "pThomas", 3, span(32, 64)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := workload.Batch[float64](workload.DiagDominant, tc.m, tc.n, 13)
+			clean, err := NewPipeline[float64](tc.cfg, tc.m, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer clean.Close()
+			want := make([]float64, tc.m*tc.n)
+			if err := clean.SolveInto(want, b); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg := tc.cfg
+			cfg.Retry = RetryPolicy{MaxRetries: 1, BaseBackoff: 1}
+			cfg.Device = faultDevice(&gpusim.Injector{Schedule: []gpusim.ScheduledFault{
+				{Kernel: tc.kernel, Block: tc.block, Kind: gpusim.FaultAbort, Repeat: 1 << 30},
+			}})
+			p, err := NewPipeline[float64](cfg, tc.m, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if p.Workers() < 2 {
+				t.Fatalf("pipeline has %d workers, want >= 2", p.Workers())
+			}
+			got := make([]float64, tc.m*tc.n)
+			if err := p.SolveInto(got, b); err != nil {
+				t.Fatal(err)
+			}
+			fr := p.Report().Faults
+			if fmt.Sprint(fr.Degraded) != fmt.Sprint(tc.wantDegraded) {
+				t.Fatalf("degraded systems %v, want the faulted shard's %v", fr.Degraded, tc.wantDegraded)
+			}
+			if *p.Report().Stats != *clean.Report().Stats {
+				t.Fatalf("Stats %+v, fault-free pipeline's %+v", *p.Report().Stats, *clean.Report().Stats)
+			}
+			degraded := make([]bool, tc.m)
+			for _, i := range fr.Degraded {
+				degraded[i] = true
+			}
+			for i := 0; i < tc.m; i++ {
+				lo, hi := i*tc.n, (i+1)*tc.n
+				if !degraded[i] {
+					if j := firstDiff(want[lo:hi], got[lo:hi]); j >= 0 {
+						t.Fatalf("undegraded system %d row %d = %v, fault-free %v", i, j, got[lo+j], want[lo+j])
+					}
+				}
+			}
+			if res := matrix.MaxResidual(b, got); !(res <= matrix.ResidualTolerance[float64](tc.n)) {
+				t.Fatalf("residual %.3e exceeds tolerance", res)
+			}
+		})
+	}
+}

@@ -171,7 +171,7 @@ func (c *countdownCtx) Deadline() (time.Time, bool) { return time.Time{}, false 
 // whole systems only — each either fully solved or untouched — and on
 // the k = 0 path be untouched entirely; and the pipeline must stay
 // reusable, its next solve bitwise clean. The audit is off here: it
-// would run the simulated replay first and write every system.
+// would re-record first, writing every system.
 func TestHostTwinCancelMidSolve(t *testing.T) {
 	auditTwin = false
 	defer func() { auditTwin = true }()

@@ -50,7 +50,7 @@ func (d *Device) Launch(name string, cfg LaunchConfig, k Kernel) (*Stats, error)
 	site := FaultSite{Inj: d.Faults, Kernel: name}
 	shard := func(w int) {
 		lo, hi := w*cfg.Grid/workers, (w+1)*cfg.Grid/workers
-		errs[w] = NewExecutor(d).RunBlocksCtx(nil, &parts[w], cfg.Block, lo, hi-lo, true, k, site)
+		errs[w] = NewExecutor(d).RunBlocksCtx(nil, &parts[w], cfg.Block, lo, hi-lo, k, site)
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)

@@ -11,7 +11,7 @@ import (
 // releases both when it ends — after success and after a fault alike —
 // so a cached executor holds no slot capacity between recordings.
 // Re-recording on the same executor regrows them and yields identical
-// Stats. A replay records into scratch it keeps for the next replay.
+// Stats.
 func TestRunBlocksRecordingReleasesScratch(t *testing.T) {
 	const threads, blocks, perThread = 64, 3, 40
 	d := GTX480()
@@ -45,7 +45,7 @@ func TestRunBlocksRecordingReleasesScratch(t *testing.T) {
 	record := func() Stats {
 		t.Helper()
 		st := Stats{Kernel: "k", Launches: 1, Blocks: blocks, ThreadsPerBlock: threads}
-		if err := e.RunBlocks(&st, threads, 0, blocks, true, kern); err != nil {
+		if err := e.RunBlocksCtx(nil, &st, threads, 0, blocks, kern, FaultSite{}); err != nil {
 			t.Fatal(err)
 		}
 		return st
@@ -68,18 +68,9 @@ func TestRunBlocksRecordingReleasesScratch(t *testing.T) {
 		t.Fatalf("recorded Stats differ from Launch:\n%+v\n%+v", first, *launched)
 	}
 
-	peakSlots, peakBanks = 0, 0
-	if err := e.RunBlocks(nil, threads, 0, blocks, false, kern); err != nil {
-		t.Fatal(err)
-	}
-	if cap(e.blk.slots) < peakSlots || peakSlots < 2*perThread || cap(e.blk.bankSlots) < 1 {
-		t.Fatalf("replay grew %d slots and kept %d slot and %d bank-slot capacity, want >= %d, all of it, and >= 1",
-			peakSlots, cap(e.blk.slots), cap(e.blk.bankSlots), 2*perThread)
-	}
-
 	inj := &Injector{Schedule: []ScheduledFault{{Kernel: "k", Block: 1, Kind: FaultCorrupt}}}
 	var st Stats
-	err = e.RunBlocksCtx(nil, &st, threads, 0, blocks, true, kern, FaultSite{Inj: inj, Kernel: "k"})
+	err = e.RunBlocksCtx(nil, &st, threads, 0, blocks, kern, FaultSite{Inj: inj, Kernel: "k"})
 	var le *LaunchError
 	if !errors.As(err, &le) || le.Kind != FaultCorrupt {
 		t.Fatalf("faulted recording = %v, want a corrupt LaunchError", err)

@@ -48,9 +48,9 @@ func (k FaultKind) String() string {
 }
 
 // LaunchError is the typed failure of a kernel launch that hit an
-// injected transient fault. It is returned by Device.Launch and
-// Executor.RunBlocksCtx instead of silent success, and is matchable
-// with errors.As through every wrapping layer.
+// injected transient fault. It is returned by Device.Launch,
+// Executor.RunBlocksCtx and FaultSite.First instead of silent success,
+// and is matchable with errors.As through every wrapping layer.
 type LaunchError struct {
 	// Kernel is the launch's kernel name.
 	Kernel string
@@ -204,6 +204,23 @@ type FaultSite struct {
 	Inj     *Injector
 	Kernel  string
 	Attempt int
+}
+
+// First returns the fault the first of blocks [first, first+count)
+// hits at this site, in block order, or nil when none does. These are
+// the coordinates Executor.RunBlocksCtx asks the injector about, so a
+// host twin standing in for the blocks reports exactly the
+// *LaunchError the simulated launch would have.
+func (s FaultSite) First(first, count int) *LaunchError {
+	if s.Inj == nil {
+		return nil
+	}
+	for id := first; id < first+count; id++ {
+		if kind, ok := s.Inj.At(s.Kernel, id, s.Attempt); ok {
+			return &LaunchError{Kernel: s.Kernel, Block: id, Kind: kind, Attempt: s.Attempt}
+		}
+	}
+	return nil
 }
 
 // corruptState is the per-block countdown a corrupt fault arms: every

@@ -166,7 +166,7 @@ func TestRunBlocksCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := 0
-	err := e.RunBlocksCtx(ctx, nil, 1, 0, 8, false, func(b *Block) { ran++ }, FaultSite{})
+	err := e.RunBlocksCtx(ctx, &Stats{}, 1, 0, 8, func(b *Block) { ran++ }, FaultSite{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunBlocksCtx error = %v, want context.Canceled", err)
 	}
@@ -180,14 +180,14 @@ func TestRunBlocksCtxRetryAttemptHeals(t *testing.T) {
 	inj := &Injector{Schedule: []ScheduledFault{{Kernel: "k", Block: 1, Kind: FaultAbort}}}
 	e := NewExecutor(d)
 	site := FaultSite{Inj: inj, Kernel: "k"}
-	err := e.RunBlocksCtx(nil, nil, 1, 0, 4, false, func(b *Block) {}, site)
+	err := e.RunBlocksCtx(nil, &Stats{}, 1, 0, 4, func(b *Block) {}, site)
 	var le *LaunchError
 	if !errors.As(err, &le) || le.Block != 1 {
 		t.Fatalf("attempt 0 error = %v, want LaunchError at block 1", err)
 	}
 	site.Attempt = 1
 	ran := 0
-	if err := e.RunBlocksCtx(nil, nil, 1, 0, 4, false, func(b *Block) { ran++ }, site); err != nil {
+	if err := e.RunBlocksCtx(nil, &Stats{}, 1, 0, 4, func(b *Block) { ran++ }, site); err != nil {
 		t.Fatalf("attempt 1 still faulting: %v (site must heal after Repeat)", err)
 	}
 	if ran != 4 {
@@ -206,10 +206,10 @@ func TestRunBlocksCorruptClearsArm(t *testing.T) {
 	kern := func(b *Block) {
 		b.PhaseNoSync(func(th *Thread) { g.Store(th, th.ID, 1) })
 	}
-	if err := e.RunBlocksCtx(nil, nil, 1, 0, 1, false, kern, FaultSite{Inj: inj, Kernel: "k"}); err == nil {
+	if err := e.RunBlocksCtx(nil, &Stats{}, 1, 0, 1, kern, FaultSite{Inj: inj, Kernel: "k"}); err == nil {
 		t.Fatal("corrupt schedule did not fault")
 	}
-	if err := e.RunBlocksCtx(nil, nil, 1, 0, 1, false, kern, FaultSite{Inj: inj, Kernel: "k", Attempt: 1}); err != nil {
+	if err := e.RunBlocksCtx(nil, &Stats{}, 1, 0, 1, kern, FaultSite{Inj: inj, Kernel: "k", Attempt: 1}); err != nil {
 		t.Fatalf("healed attempt faulted: %v", err)
 	}
 	for i, v := range data {

@@ -71,10 +71,11 @@ func (b *Block) record(t *Thread, base, elem int64, i int, store bool) {
 
 // extendSlots lengthens a slot list to n entries. Entries past its
 // length were reset when their phase ended, segment or address buffer
-// kept, so they are reused before new ones are allocated; a replaying
-// executor thus records allocation-free. A zero entry and a reset one
-// behave the same: either holds no pending accesses, so the first
-// access starts its warp without flushing anything.
+// kept, so they are reused before new ones are allocated: a run
+// allocates per slot only while its longest thread grows the list. A
+// zero entry and a reset one behave the same: either holds no pending
+// accesses, so the first access starts its warp without flushing
+// anything.
 func extendSlots[S any](s []S, n int) []S {
 	if n <= cap(s) {
 		return s[:n]

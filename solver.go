@@ -35,11 +35,12 @@ var (
 //
 // The simulated device events recorded in Stats are a pure function of
 // the shape and configuration, not of the coefficient values, so the
-// Solver records them on its first solve only; later solves replay
-// only the data arithmetic (sharded across a bounded worker pool, see
-// WithWorkers) and reuse the cached Stats. Without an injected fault
-// model the replay runs plain-Go twins of the kernels at host speed.
-// Results are bitwise identical to the one-shot SolveBatch either way.
+// Solver records them on its first solve only, simulating the kernels
+// once with no fault model attached. Every later solve, and the first
+// one too under an injected fault model, runs plain-Go twins of the
+// kernels at host speed (sharded across a bounded worker pool, see
+// WithWorkers) and reuses the cached Stats; injected faults strike the
+// twins. Results are bitwise identical to the one-shot SolveBatch.
 //
 // A Solver is not safe for concurrent use: overlapping calls return
 // ErrSolverBusy (never corrupt state). Distinct Solvers are
