@@ -16,7 +16,7 @@
 //	tridsolve -guard -m 64 -n 1024 -inject 7:zero-diag,23:singular
 //
 // The -chaos flag injects seeded transient device faults (aborted
-// launches, corrupted stores, hung blocks) at the given rate per
+// launches, corrupted output, hung blocks) at the given rate per
 // kernel block and lets the solver's checkpointed-retry layer recover;
 // the summary line reports what the recovery cost:
 //

@@ -251,16 +251,15 @@ func TestSolverCloseBusy(t *testing.T) {
 
 // TestFaultReportSurface checks the report plumbing end to end: kinds
 // of activity land in the right fields and the hang charge reflects
-// the watchdog budget.
+// the fixed 10ms watchdog budget.
 func TestFaultReportSurface(t *testing.T) {
 	const m, n = 16, 128
 	b := workload.Batch[float64](workload.DiagDominant, m, n, 26)
-	budget := 7 * time.Millisecond
+	budget := 10 * time.Millisecond
 	res, err := SolveBatchCtx(context.Background(), b,
 		WithFaultInjection(&FaultInjector{
 			Schedule: []ScheduledFault{{Kernel: "tiledPCR", Block: 0, Kind: FaultHang}},
 		}),
-		WithWatchdog(budget),
 		WithRetry(RetryPolicy{BaseBackoff: time.Microsecond}))
 	if err != nil {
 		t.Fatal(err)

@@ -65,8 +65,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		}
 		s, err := NewSolver[float64](m, n,
 			WithFaultInjection(inj),
-			WithRetry(RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}),
-			WithWatchdog(time.Microsecond))
+			WithRetry(RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}))
 		if err != nil {
 			t.Fatalf("NewSolver m=%d n=%d: %v", m, n, err)
 		}

@@ -83,17 +83,16 @@ func GTX480() *Device { return gpusim.GTX480() }
 const AutoK = core.KAuto
 
 type config struct {
-	device   *Device
-	k        int
-	c        int
-	blocks   int
-	fuse     bool
-	verify   bool
-	workers  int
-	guard    *GuardPolicy
-	retry    RetryPolicy
-	watchdog time.Duration
-	inject   *FaultInjector
+	device  *Device
+	k       int
+	c       int
+	blocks  int
+	fuse    bool
+	verify  bool
+	workers int
+	guard   *GuardPolicy
+	retry   RetryPolicy
+	inject  *FaultInjector
 }
 
 func (c *config) coreConfig() core.Config {
@@ -105,7 +104,6 @@ func (c *config) coreConfig() core.Config {
 		Fuse:            c.fuse,
 		Workers:         c.workers,
 		Retry:           c.retry,
-		Watchdog:        c.watchdog,
 	}
 }
 
@@ -164,17 +162,12 @@ func WithGuard(p GuardPolicy) Option { return func(c *config) { c.guard = &p } }
 // device injects faults (WithFaultInjection).
 func WithRetry(p RetryPolicy) Option { return func(c *config) { c.retry = p } }
 
-// WithWatchdog sets the modeled per-launch hang budget: a hung kernel
-// block counts as detected and killed after this much device time,
-// charged to FaultReport.WastedModeledTime. 0 (the default) means 10ms.
-func WithWatchdog(budget time.Duration) Option {
-	return func(c *config) { c.watchdog = budget }
-}
-
 // WithFaultInjection attaches a deterministic transient-fault injector
-// to the solve's device: kernel launches abort, corrupt their stores,
-// or hang according to the injector's seeded schedule, exercising the
-// retry/degradation machinery (see RetryPolicy). The caller's Device
+// to the solve's device: kernel launches abort, corrupt their output
+// (the faulted block's solution rows turn NaN), or hang according to
+// the injector's seeded schedule, exercising the retry/degradation
+// machinery (see RetryPolicy). A hang is charged a fixed 10ms watchdog
+// budget in FaultReport.WastedModeledTime. The caller's Device
 // value is not mutated — the solver works on a private copy carrying
 // the injector. Nil restores fault-free execution. For chaos tests and
 // demos (tridsolve -chaos), never enabled by default.
@@ -533,7 +526,7 @@ type DeviceFaultKind = gpusim.FaultKind
 // data-level Fault* injection kinds above).
 const (
 	FaultAbort   = gpusim.FaultAbort   // launch fails before completing
-	FaultCorrupt = gpusim.FaultCorrupt // stores poisoned, fault detected
+	FaultCorrupt = gpusim.FaultCorrupt // block's output rows NaN, fault detected
 	FaultHang    = gpusim.FaultHang    // block stalls past the watchdog
 )
 

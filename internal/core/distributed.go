@@ -1031,7 +1031,7 @@ func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.
 		grid := num.CeilDiv(a.total, backsubThreads)
 		st := gpusim.Stats{Kernel: "distBacksub", Launches: 1, Blocks: grid, ThreadsPerBlock: backsubThreads}
 		k.args = a
-		if err := k.exec.RunBlocksCtx(ctx, &st, backsubThreads, 0, grid, k.kern, gpusim.FaultSite{Kernel: "distBacksub"}); err != nil {
+		if err := k.exec.RunBlocksCtx(ctx, &st, backsubThreads, 0, grid, k.kern, "distBacksub"); err != nil {
 			return nil, err
 		}
 		if !fresh && st != k.st {

@@ -47,8 +47,15 @@ func cancelled(cause error) error {
 // (host-side, stable for any nonsingular system) instead of failing
 // the whole batch — unless NoDegrade demands a hard ErrFaulted.
 //
+// Each wait is spread uniformly over ±25% of its exponential value, so
+// shards (or devices of a distributed solve) that fault simultaneously
+// do not retry in lockstep and collide again. The draw is a pure hash
+// of (the caller's shard salt, attempt) — never of time or scheduling
+// — so a given configuration replays the exact same waits on every
+// run. The MaxBackoff cap still bounds the jittered wait.
+//
 // The zero value is the production default: 3 retries, 50µs base
-// backoff capped at 2ms, ±25% seeded jitter, degradation on.
+// backoff capped at 2ms, degradation on.
 type RetryPolicy struct {
 	// MaxRetries bounds re-executions per shard after the first
 	// attempt. 0 means the default of 3; negative disables retry
@@ -59,18 +66,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth; 0 means 2ms.
 	MaxBackoff time.Duration
-	// Jitter spreads each wait uniformly over ±Jitter/2 of its
-	// exponential value, so shards (or devices of a distributed solve)
-	// that fault simultaneously do not retry in lockstep and collide
-	// again. The draw is a pure hash of (JitterSeed, the caller's
-	// shard salt, attempt) — never of time or scheduling — so a given
-	// configuration replays the exact same waits on every run. 0 means
-	// the default of 0.5 (waits in [75%, 125%] of nominal); negative
-	// disables jitter; values above 2 are clamped to 2. The MaxBackoff
-	// cap still bounds the jittered wait.
-	Jitter float64
-	// JitterSeed seeds the jitter hash; 0 is a fixed default seed.
-	JitterSeed uint64
 	// NoDegrade fails the solve with ErrFaulted once retries are
 	// exhausted instead of degrading the shard to the GTSV path,
 	// bounding the solve's cost envelope strictly to the fast path.
@@ -89,7 +84,7 @@ func (p RetryPolicy) maxRetries() int {
 }
 
 // backoff returns the wait before retry attempt+1, growing 2x per
-// attempt from BaseBackoff up to MaxBackoff, spread by the seeded
+// attempt from BaseBackoff up to MaxBackoff, spread by the ±25%
 // jitter. salt identifies the retrying unit (worker shard, distributed
 // slab) so simultaneous failures draw different offsets.
 func (p RetryPolicy) backoff(attempt int, salt uint64) time.Duration {
@@ -107,28 +102,15 @@ func (p RetryPolicy) backoff(attempt int, salt uint64) time.Duration {
 	} else if d = base << uint(attempt); d > cap || d <= 0 {
 		d = cap
 	}
-	j := p.Jitter
-	switch {
-	case j < 0:
-		return d
-	case j == 0:
-		j = 0.5
-	case j > 2:
-		j = 2
-	}
 	// u is a deterministic uniform draw in [0, 1): splitmix-style
-	// avalanche over (seed, salt, attempt), the same construction as
-	// the fault injector's site hash.
-	h := jmix(p.JitterSeed ^ 0x6a09e667f3bcc909)
-	h = jmix(h ^ jmix(salt^0x9e3779b97f4a7c15))
+	// avalanche over (salt, attempt), the same construction as the
+	// fault injector's site hash.
+	h := jmix(jmix(0x6a09e667f3bcc909) ^ jmix(salt^0x9e3779b97f4a7c15))
 	h = jmix(h ^ uint64(attempt))
 	u := float64(h>>11) / (1 << 53)
-	d = time.Duration(float64(d) * (1 - j/2 + j*u))
+	d = time.Duration(float64(d) * (0.75 + 0.5*u))
 	if d > cap {
 		d = cap
-	}
-	if d < 0 {
-		d = 0
 	}
 	return d
 }
@@ -178,9 +160,15 @@ type FaultReport struct {
 	Degraded []int
 	// WastedModeledTime estimates the modeled device time burned by
 	// faulted attempts: the re-executed blocks' share of their kernel's
-	// modeled time, plus one watchdog budget per hang.
+	// modeled time, plus one watchdogBudget per hang.
 	WastedModeledTime time.Duration
 }
+
+// watchdogBudget is the modeled per-launch hang budget: a hung block is
+// detected and killed after this much device time, which is charged to
+// FaultReport.WastedModeledTime. The simulator cannot actually hang, so
+// the budget is pure accounting.
+const watchdogBudget = 10 * time.Millisecond
 
 // Any reports whether the solve saw any fault activity.
 func (r *FaultReport) Any() bool {

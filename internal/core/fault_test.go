@@ -344,14 +344,16 @@ func TestCloseWhileSolving(t *testing.T) {
 	}
 }
 
-// TestWatchdogChargesHangs checks a hang fault contributes the
-// watchdog budget to the wasted-time model.
+// TestWatchdogChargesHangs checks a hang fault contributes the fixed
+// 10ms watchdog budget to the wasted-time model.
 func TestWatchdogChargesHangs(t *testing.T) {
-	budget := 3 * time.Millisecond
+	const budget = 10 * time.Millisecond
+	if watchdogBudget != budget {
+		t.Fatalf("watchdogBudget = %v, want %v", watchdogBudget, budget)
+	}
 	cfg := Config{
-		K:        KAuto,
-		Watchdog: budget,
-		Retry:    RetryPolicy{BaseBackoff: time.Microsecond},
+		K:     KAuto,
+		Retry: RetryPolicy{BaseBackoff: time.Microsecond},
 	}
 	cfg.Device = faultDevice(&gpusim.Injector{
 		Schedule: []gpusim.ScheduledFault{{Kernel: "", Block: 0, Kind: gpusim.FaultHang}},

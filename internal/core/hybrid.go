@@ -67,11 +67,6 @@ type Config struct {
 	// RetryPolicy; the zero value is the production default). Faults
 	// only occur when the device carries an Injector.
 	Retry RetryPolicy
-	// Watchdog is the modeled per-launch hang budget: a hung block is
-	// detected and killed after this much device time, which is charged
-	// to FaultReport.WastedModeledTime. 0 means 10ms. (The simulator
-	// cannot actually hang, so the budget is pure accounting.)
-	Watchdog time.Duration
 }
 
 // Report describes what the solver did and what it cost.
@@ -108,13 +103,6 @@ func (cfg *Config) c() int {
 // kernels — §III.C fusion or Fig. 11(c) multiplexing. Both only take
 // effect on the k >= 1 path; at k = 0 the pipeline ignores them.
 func (cfg *Config) ablation() bool { return cfg.Fuse || cfg.SystemsPerBlock > 1 }
-
-func (cfg *Config) watchdog() time.Duration {
-	if cfg.Watchdog > 0 {
-		return cfg.Watchdog
-	}
-	return 10 * time.Millisecond
-}
 
 // resolveK picks the PCR step count for a batch of m systems of n rows.
 func (cfg *Config) resolveK(m, n int) int {

@@ -529,7 +529,7 @@ func (p *Pipeline[T]) record(st []gpusim.Stats) error {
 	for i := range st {
 		l := &p.launches[i]
 		st[i] = gpusim.Stats{Kernel: l.name, Launches: 1, Blocks: l.grid, ThreadsPerBlock: l.tpb}
-		if err := p.exec.RunBlocksCtx(p.ctx, &st[i], l.tpb, 0, l.grid, l.kern, gpusim.FaultSite{Kernel: l.name}); err != nil {
+		if err := p.exec.RunBlocksCtx(p.ctx, &st[i], l.tpb, 0, l.grid, l.kern, l.name); err != nil {
 			if err := ctxErr(p.ctx); err != nil {
 				return cancelled(err)
 			}
@@ -709,7 +709,7 @@ func (p *Pipeline[T]) mergeFaults() {
 			}
 		}
 	}
-	r.WastedModeledTime += time.Duration(hangs) * p.cfg.watchdog()
+	r.WastedModeledTime += time.Duration(hangs) * watchdogBudget
 }
 
 // degradedResolve re-solves every degraded system on the host through

@@ -9,25 +9,18 @@ import (
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
 	"gputrid/internal/num"
-	"gputrid/internal/tiledpcr"
 	"gputrid/internal/workload"
 )
 
-// simFault runs the simulated blocks of launch l over [first,
-// first+count) under site and returns the *LaunchError they report,
-// nil when none faults.
-func simFault(t *testing.T, e *gpusim.Executor, l *launch, first, count int, site gpusim.FaultSite) *gpusim.LaunchError {
-	t.Helper()
-	var st gpusim.Stats
-	err := e.RunBlocksCtx(nil, &st, l.tpb, first, count, l.kern, site)
-	if err == nil {
-		return nil
+// firstAt returns the first block of [first, first+count) that inj
+// faults for kernel at attempt, asking Injector.At block by block.
+func firstAt(inj *gpusim.Injector, kernel string, first, count, attempt int) *gpusim.LaunchError {
+	for id := first; id < first+count; id++ {
+		if kind, ok := inj.At(kernel, id, attempt); ok {
+			return &gpusim.LaunchError{Kernel: kernel, Block: id, Kind: kind, Attempt: attempt}
+		}
 	}
-	var le *gpusim.LaunchError
-	if !errors.As(err, &le) {
-		t.Fatalf("simulated %s: %v, want a *LaunchError", l.name, err)
-	}
-	return le
+	return nil
 }
 
 // sameFault reports whether two fault reports agree: both nil, or
@@ -39,12 +32,15 @@ func sameFault(a, b *gpusim.LaunchError) bool {
 	return *a == *b
 }
 
-// TestTwinFaultCoordinates pins the guarantee the twins' fault checks
-// stand on: the fault a twin shard reports is exactly the one the
-// simulated blocks report over the same block ranges, in launch order
-// (the tiled-PCR range, then the strided p-Thomas one), for every
-// shard of every audited geometry, over rate injectors of several
-// seeds and attempts 0–2. The same holds for distBacksub.
+// TestTwinFaultCoordinates pins the coordinates the twins' fault checks
+// stand on. For every audited geometry, the workers' shard ranges of
+// each launch slot tile the recorded launch's grid [0, Blocks) exactly
+// once, ascending with the worker index, and the slots follow the
+// recorded launch order (the tiled-PCR grid, then the strided p-Thomas
+// one). Over rate injectors of several seeds and attempts 0–2, the
+// fault each shard reports is the first block the injector faults over
+// those ranges, in launch order. distBacksub asks about exactly its
+// grid [0, ceil(total/backsubThreads)).
 func TestTwinFaultCoordinates(t *testing.T) {
 	inj := func(seed uint64, rate float64) *gpusim.Injector {
 		return &gpusim.Injector{Seed: seed, Rate: rate, Repeat: 2}
@@ -64,37 +60,51 @@ func TestTwinFaultCoordinates(t *testing.T) {
 			if err := p.SolveInto(dst, b); err != nil { // records
 				t.Fatal(err)
 			}
-			// Bind the batch as a solve does, so both the twins and the
-			// simulated blocks have operands.
-			if p.k == 0 {
-				b.ToInterleavedInto(p.vbuf)
-			} else {
-				p.in = tiledpcr.NewArrays(b.Lower, b.Diag, b.Upper, b.RHS)
+			if len(p.workers) < 2 {
+				t.Fatalf("pipeline has %d workers, want >= 2", len(p.workers))
+			}
+			for slot := range p.launches[:p.nKern] {
+				name := p.launches[slot].name
+				if p.kern[slot].Kernel != name {
+					t.Fatalf("slot %d launches %q, recorded %q", slot, name, p.kern[slot].Kernel)
+				}
+				next := 0
+				for wi, w := range p.workers {
+					first, count := p.shardRange(w, slot)
+					if first != next || count < 0 {
+						t.Fatalf("%s shard %d covers [%d, %d), want it to start at %d", name, wi, first, first+count, next)
+					}
+					next += count
+				}
+				if next != p.kern[slot].Blocks {
+					t.Fatalf("%s shards cover [0, %d), recorded grid has %d blocks", name, next, p.kern[slot].Blocks)
+				}
+			}
+			// Bind the solution as a solve does, so a faulted k >= 1
+			// shard has rows to poison (k = 0 keeps its own bound).
+			if p.k > 0 {
 				p.bufs.X = gpusim.NewGlobal(dst)
 			}
-			exec := gpusim.NewExecutor(p.dev)
 			for seed := uint64(1); seed <= 6; seed++ {
 				for _, rate := range []float64{0.05, 0.2, 0.6} {
 					p.dev.Faults = inj(seed, rate)
 					for attempt := 0; attempt <= 2; attempt++ {
 						for wi, w := range p.workers {
 							slot, twin := p.shardFault(w, attempt)
-							var sim *gpusim.LaunchError
-							simSlot := 0
+							var want *gpusim.LaunchError
+							wantSlot := 0
 							for s := range p.launches[:p.nKern] {
-								l := &p.launches[s]
 								first, count := p.shardRange(w, s)
-								site := gpusim.FaultSite{Inj: p.dev.Faults, Kernel: l.name, Attempt: attempt}
-								if sim = simFault(t, exec, l, first, count, site); sim != nil {
-									simSlot = s
+								if want = firstAt(p.dev.Faults, p.launches[s].name, first, count, attempt); want != nil {
+									wantSlot = s
 									break
 								}
 							}
-							if !sameFault(twin, sim) || (sim != nil && slot != simSlot) {
-								t.Fatalf("seed %d rate %g attempt %d shard %d: twin reports %+v in slot %d, simulated %+v in slot %d",
-									seed, rate, attempt, wi, twin, slot, sim, simSlot)
+							if !sameFault(twin, want) || (want != nil && slot != wantSlot) {
+								t.Fatalf("seed %d rate %g attempt %d shard %d: twin reports %+v in slot %d, want %+v in slot %d",
+									seed, rate, attempt, wi, twin, slot, want, wantSlot)
 							}
-							if sim != nil {
+							if want != nil {
 								faulted++
 							} else {
 								clean++
@@ -110,6 +120,7 @@ func TestTwinFaultCoordinates(t *testing.T) {
 	t.Run("distBacksub", func(t *testing.T) {
 		const m, rows = 4, 1000
 		total := m * rows
+		grid := num.CeilDiv(total, backsubThreads)
 		planes := make([][]float64, 6)
 		for i := range planes {
 			planes[i] = make([]float64, total)
@@ -123,22 +134,32 @@ func TestTwinFaultCoordinates(t *testing.T) {
 			total: total, rows: rows,
 		}
 		k := newBacksubKernel[float64](faultDevice(nil))
-		k.args = a
-		l := &launch{name: "distBacksub", tpb: backsubThreads, grid: num.CeilDiv(total, backsubThreads), kern: k.kern}
+		twinFault := func(attempt int) *gpusim.LaunchError {
+			t.Helper()
+			var le *gpusim.LaunchError
+			if err := k.twin(nil, a, attempt); err != nil && !errors.As(err, &le) {
+				t.Fatalf("twin: %v, want a *LaunchError", err)
+			}
+			return le
+		}
+		// The grid's last block is asked about, the one past it is not.
+		for _, blk := range []int{0, grid - 1, grid} {
+			k.dev.Faults = &gpusim.Injector{Schedule: []gpusim.ScheduledFault{{Kernel: "distBacksub", Block: blk, Kind: gpusim.FaultAbort}}}
+			got := twinFault(0)
+			if (got != nil) != (blk < grid) || (got != nil && got.Block != blk) {
+				t.Fatalf("fault scheduled at block %d of a %d-block grid: twin reports %+v", blk, grid, got)
+			}
+		}
 		for seed := uint64(1); seed <= 6; seed++ {
 			for _, rate := range []float64{0.02, 0.1, 0.4} {
 				k.dev.Faults = inj(seed, rate)
 				for attempt := 0; attempt <= 2; attempt++ {
-					var twin *gpusim.LaunchError
-					if err := k.twin(nil, a, attempt); err != nil && !errors.As(err, &twin) {
-						t.Fatalf("twin: %v, want a *LaunchError", err)
+					twin := twinFault(attempt)
+					want := firstAt(k.dev.Faults, "distBacksub", 0, grid, attempt)
+					if !sameFault(twin, want) {
+						t.Fatalf("seed %d rate %g attempt %d: twin reports %+v, want %+v", seed, rate, attempt, twin, want)
 					}
-					site := gpusim.FaultSite{Inj: k.dev.Faults, Kernel: l.name, Attempt: attempt}
-					sim := simFault(t, k.exec, l, 0, l.grid, site)
-					if !sameFault(twin, sim) {
-						t.Fatalf("seed %d rate %g attempt %d: twin reports %+v, simulated %+v", seed, rate, attempt, twin, sim)
-					}
-					if sim != nil {
+					if want != nil {
 						faulted++
 					} else {
 						clean++

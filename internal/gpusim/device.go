@@ -54,9 +54,10 @@ type Device struct {
 	SharedConflictCost   float64 // per extra bank-conflict serialization cycle
 
 	// Faults, when non-nil, injects transient execution faults into
-	// kernel launches on this device: Device.Launch, the Executor and
-	// the host twins that consult FaultSite.First surface them as
-	// typed LaunchErrors instead of silent success.
+	// kernel launches on this device. Device.Launch and the host twins
+	// ask it through FaultSite.First before they run anything, and
+	// surface a fault as a typed LaunchError instead of silent
+	// success; the Executor never consults it.
 	// Nil (the default on every preset) injects nothing. Attach or
 	// detach between solves, never while a launch is in flight.
 	Faults *Injector

@@ -25,12 +25,10 @@ type Kernel func(b *Block)
 // the shards merge through Stats.Accumulate. The returned stats are
 // deterministic.
 //
-// With an injector attached, each worker stops at the first fault in
-// its shard, so which blocks completed before the abort may vary with
-// the worker count — exactly the partial-write hazard the retry layer
-// must tolerate. The reported fault is always the lowest faulted
-// block: shards ascend with the worker index, and every worker below
-// the first faulting one ran its whole shard fault-free.
+// With an injector attached, Launch first asks FaultSite.First about
+// the whole grid at attempt 0. A faulted launch runs no block and
+// returns the lowest faulted block's *LaunchError, so its output
+// buffers are exactly as the caller left them.
 //
 // name tags the Stats. The launch itself counts as one kernel launch.
 func (d *Device) Launch(name string, cfg LaunchConfig, k Kernel) (*Stats, error) {
@@ -44,13 +42,15 @@ func (d *Device) Launch(name string, cfg LaunchConfig, k Kernel) (*Stats, error)
 		return nil, fmt.Errorf("gpusim: launch %q: %d threads/block exceeds device limit %d",
 			name, cfg.Block, d.MaxThreadsPerBlock)
 	}
+	if le := (FaultSite{Inj: d.Faults, Kernel: name}).First(0, cfg.Grid); le != nil {
+		return nil, le
+	}
 	workers := min(runtime.GOMAXPROCS(0), cfg.Grid)
 	parts := make([]Stats, workers)
 	errs := make([]error, workers)
-	site := FaultSite{Inj: d.Faults, Kernel: name}
 	shard := func(w int) {
 		lo, hi := w*cfg.Grid/workers, (w+1)*cfg.Grid/workers
-		errs[w] = NewExecutor(d).RunBlocksCtx(nil, &parts[w], cfg.Block, lo, hi-lo, k, site)
+		errs[w] = NewExecutor(d).RunBlocksCtx(nil, &parts[w], cfg.Block, lo, hi-lo, k, name)
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
@@ -83,11 +83,6 @@ type Block struct {
 	slots     []slotState // per-instruction-slot coalescing state, reset each phase
 	bankSlots []bankSlotState
 	sharedSeq int32
-	// corrupt, when non-nil, arms the block with an injected corrupt
-	// fault: selected stores are poisoned (see Injector). Nil in every
-	// fault-free execution, so the store fast path pays one predictable
-	// branch.
-	corrupt *corruptState
 	// thread is the Thread context Phase/PhaseNoSync hand to every
 	// tid in turn. It lives in the Block (rather than on the Phase
 	// stack frame) because &thread is passed to an opaque func value,

@@ -18,9 +18,9 @@ import (
 // so the coalescing pattern is base-independent), which is what makes
 // record-once sound: a solver simulates a geometry once, caches the
 // Stats, and runs every later solve on the kernels' host twins, which
-// compute bitwise the same solution. The twins ask the injector about
-// the same coordinates the blocks would hit (FaultSite.First), so
-// faults strike them instead.
+// compute bitwise the same solution. Blocks never fault: the twins ask
+// the injector about the launch's block coordinates (FaultSite.First),
+// so faults strike them instead.
 type Executor struct {
 	dev     *Device
 	blk     Block
@@ -37,30 +37,26 @@ func NewExecutor(d *Device) *Executor {
 // block and accumulating its events into st via Stats.Accumulate —
 // launch-header fields (Kernel, Launches, Blocks, ThreadsPerBlock) are
 // the caller's responsibility. Each block's shared-memory allocation
-// is checked against the device's per-SM capacity.
+// is checked against the device's per-SM capacity; name tags that
+// error. It never consults an injector: faults are decided by
+// FaultSite.First, before any block runs.
 //
 // A non-nil ctx is checked between blocks: once it is done, execution
 // stops promptly and ctx.Err() is returned, with every block either
-// fully executed or never started. When site.Inj is non-nil, each
-// block consults the injector at (site.Kernel, block, site.Attempt)
-// and a scheduled fault aborts the run with a typed *LaunchError:
-// abort/hang faults before the block executes, corrupt faults after it
-// executed with poisoned stores. Blocks before the faulted one keep
-// their writes — the partial-output hazard a retry repairs by
-// re-running the whole range.
+// fully executed or never started.
 //
 // Every run, successful or not, ends by releasing the block's
 // coalescing and bank-conflict slot scratch: one slot per dynamic
 // access of the longest thread, megabytes for a long p-Thomas thread.
 // A recorded geometry is never simulated again in production, so a
 // cached executor would otherwise pin it for its whole life.
-func (e *Executor) RunBlocksCtx(ctx context.Context, st *Stats, threadsPerBlock, first, count int, kern Kernel, site FaultSite) error {
-	err := e.runBlocks(ctx, st, threadsPerBlock, first, count, kern, site)
+func (e *Executor) RunBlocksCtx(ctx context.Context, st *Stats, threadsPerBlock, first, count int, kern Kernel, name string) error {
+	err := e.runBlocks(ctx, st, threadsPerBlock, first, count, kern, name)
 	e.blk.slots, e.blk.bankSlots = nil, nil
 	return err
 }
 
-func (e *Executor) runBlocks(ctx context.Context, st *Stats, threadsPerBlock, first, count int, kern Kernel, site FaultSite) error {
+func (e *Executor) runBlocks(ctx context.Context, st *Stats, threadsPerBlock, first, count int, kern Kernel, name string) error {
 	b := &e.blk
 	b.Threads = threadsPerBlock
 	b.dev = e.dev
@@ -71,26 +67,15 @@ func (e *Executor) runBlocks(ctx context.Context, st *Stats, threadsPerBlock, fi
 				return err
 			}
 		}
-		le := site.First(id, 1)
-		if le != nil {
-			if le.Kind != FaultCorrupt {
-				return le
-			}
-			b.corrupt = site.Inj.armCorrupt()
-		}
 		e.scratch = Stats{}
 		b.ID = id
 		b.sharedSeq = 0
 		kern(b)
 		b.endPhaseSlots()
 		b.endPhaseBankSlots()
-		if le != nil {
-			b.corrupt = nil
-			return le
-		}
 		if e.scratch.SharedPerBlock > e.dev.SharedMemPerSM {
 			return fmt.Errorf("gpusim: launch %q: block %d allocated %d bytes shared memory, device SM has %d",
-				site.Kernel, id, e.scratch.SharedPerBlock, e.dev.SharedMemPerSM)
+				name, id, e.scratch.SharedPerBlock, e.dev.SharedMemPerSM)
 		}
 		st.Accumulate(&e.scratch)
 	}

@@ -1,33 +1,29 @@
 package gpusim
 
-import (
-	"fmt"
-	"math"
-
-	"gputrid/internal/num"
-)
+import "fmt"
 
 // FaultKind selects which transient execution fault the injector models.
 // All kinds are detected faults: the launch reports a LaunchError
 // instead of silently returning corrupted results, mirroring how a real
 // driver surfaces an ECC error, a launch failure, or a watchdog kill.
+// The kind decides what the fault leaves behind, not whether any block
+// runs: FaultSite.First is asked before a launch or a host twin does
+// any work, so a faulted attempt computes nothing.
 type FaultKind int
 
 const (
-	// FaultAbort kills the launch before the faulted block runs. Blocks
-	// already executed keep their writes, later blocks never run — the
-	// partially-written-output hazard a retry must repair.
+	// FaultAbort kills the launch. The retry layer re-runs the whole
+	// faulted range.
 	FaultAbort FaultKind = iota
-	// FaultCorrupt lets the faulted block run but poisons a bounded
-	// number of its global/shared stores (modeling an ECC-detected
-	// multi-bit upset); the launch reports the error after the block
-	// completes, so every poisoned word is reachable by the caller
-	// until the shard is re-executed.
+	// FaultCorrupt models an ECC-detected multi-bit upset in the
+	// faulted block's output: the host twins write NaN over that
+	// block's solution rows before reporting the error, so a recovery
+	// layer that fails to re-execute the shard cannot pass a bitwise
+	// check by luck.
 	FaultCorrupt
-	// FaultHang stalls the faulted block forever; the watchdog kills the
-	// launch after its budget. Like FaultAbort nothing at or after the
-	// faulted block completes, but the caller is charged the watchdog
-	// budget as wasted modeled time.
+	// FaultHang stalls the faulted block until the watchdog kills the
+	// launch. Like FaultAbort nothing completes, but the caller is
+	// charged a fixed watchdog budget as wasted modeled time.
 	FaultHang
 
 	numFaultKinds = 3
@@ -48,8 +44,8 @@ func (k FaultKind) String() string {
 }
 
 // LaunchError is the typed failure of a kernel launch that hit an
-// injected transient fault. It is returned by Device.Launch,
-// Executor.RunBlocksCtx and FaultSite.First instead of silent success,
+// injected transient fault. It is returned by Device.Launch and
+// FaultSite.First instead of silent success,
 // and is matchable with errors.As through every wrapping layer.
 type LaunchError struct {
 	// Kernel is the launch's kernel name.
@@ -67,10 +63,6 @@ func (e *LaunchError) Error() string {
 	return fmt.Sprintf("gpusim: kernel %q block %d: transient %s fault (attempt %d)",
 		e.Kernel, e.Block, e.Kind, e.Attempt)
 }
-
-// Transient reports whether re-running the launch can succeed. Every
-// modeled kind is transient — permanent device loss is out of scope.
-func (e *LaunchError) Transient() bool { return true }
 
 // ScheduledFault pins a fault to explicit coordinates, for tests and
 // demos that need a specific kernel/block to fail deterministically.
@@ -111,9 +103,6 @@ type Injector struct {
 	// Repeat is how many consecutive attempts a faulted site keeps
 	// failing before it heals; 0 means 1 (a one-shot transient).
 	Repeat int
-	// CorruptStores bounds the stores poisoned per corrupt fault;
-	// 0 means 4.
-	CorruptStores int
 	// Schedule lists explicit faults, applied before the rate draw.
 	Schedule []ScheduledFault
 	// Gate dynamically arms and disarms the injector: when non-nil and
@@ -129,13 +118,6 @@ func (in *Injector) repeat() int {
 		return 1
 	}
 	return in.Repeat
-}
-
-func (in *Injector) corruptStores() int {
-	if in.CorruptStores <= 0 {
-		return 4
-	}
-	return in.CorruptStores
 }
 
 // At decides whether block `block` of kernel `kernel` faults on the
@@ -196,10 +178,10 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// FaultSite carries the fault-injection coordinates of one launch into
-// Executor.RunBlocksCtx: which injector (nil disables injection), the
-// kernel name faults are keyed on, and the retry attempt. The zero
-// value injects nothing.
+// FaultSite carries the fault-injection coordinates of one launch:
+// which injector (nil disables injection), the kernel name faults are
+// keyed on, and the retry attempt. It is the one place faults are
+// decided; the zero value injects nothing.
 type FaultSite struct {
 	Inj     *Injector
 	Kernel  string
@@ -207,10 +189,10 @@ type FaultSite struct {
 }
 
 // First returns the fault the first of blocks [first, first+count)
-// hits at this site, in block order, or nil when none does. These are
-// the coordinates Executor.RunBlocksCtx asks the injector about, so a
-// host twin standing in for the blocks reports exactly the
-// *LaunchError the simulated launch would have.
+// hits at this site, in block order, or nil when none does.
+// Device.Launch asks it about the whole grid at attempt 0; a host twin
+// standing in for a shard of blocks asks about that shard's range, so
+// both report the same *LaunchError for the same coordinates.
 func (s FaultSite) First(first, count int) *LaunchError {
 	if s.Inj == nil {
 		return nil
@@ -221,33 +203,4 @@ func (s FaultSite) First(first, count int) *LaunchError {
 		}
 	}
 	return nil
-}
-
-// corruptState is the per-block countdown a corrupt fault arms: every
-// stride-th store through the block is poisoned until the budget is
-// spent. It lives behind a single nil-check on the store fast path.
-type corruptState struct {
-	stride int
-	left   int
-	seq    int
-}
-
-func (in *Injector) armCorrupt() *corruptState {
-	// A small prime stride spreads the poisoned words across the
-	// block's output instead of clustering them at the front.
-	return &corruptState{stride: 5, left: in.corruptStores()}
-}
-
-// corruptStore poisons v when the block's armed corrupt fault selects
-// this store. NaN is deliberate: it is the loudest possible corruption,
-// so a recovery layer that fails to re-execute the shard cannot pass a
-// bitwise-identity test by luck.
-func corruptStore[T num.Real](b *Block, v T) T {
-	c := b.corrupt
-	c.seq++
-	if c.left <= 0 || c.seq%c.stride != 0 {
-		return v
-	}
-	c.left--
-	return T(math.NaN())
 }

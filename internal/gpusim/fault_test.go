@@ -3,7 +3,6 @@ package gpusim
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -118,37 +117,10 @@ func TestLaunchAbortFault(t *testing.T) {
 	if le.Kernel != "k" || le.Block != 2 || le.Kind != FaultAbort {
 		t.Errorf("LaunchError = %+v, want kernel k block 2 abort", le)
 	}
-	if ran[2] {
-		t.Error("aborted block executed; abort must fire before the block runs")
-	}
-}
-
-func TestLaunchCorruptFaultPoisonsStores(t *testing.T) {
-	d := GTX480()
-	d.Faults = &Injector{
-		Schedule:      []ScheduledFault{{Kernel: "k", Block: 0, Kind: FaultCorrupt}},
-		CorruptStores: 2,
-	}
-	data := make([]float64, 64)
-	g := NewGlobal(data)
-	_, err := d.Launch("k", LaunchConfig{Grid: 1, Block: 32}, func(b *Block) {
-		b.PhaseNoSync(func(th *Thread) {
-			g.Store(th, th.ID, 1)
-			g.Store(th, 32+th.ID, 1)
-		})
-	})
-	var le *LaunchError
-	if !errors.As(err, &le) || le.Kind != FaultCorrupt {
-		t.Fatalf("Launch error = %v, want corrupt *LaunchError", err)
-	}
-	nans := 0
-	for _, v := range data {
-		if math.IsNaN(v) {
-			nans++
+	for id, r := range ran {
+		if r {
+			t.Errorf("block %d executed; a faulted launch must run no block", id)
 		}
-	}
-	if nans == 0 || nans > 2 {
-		t.Errorf("corrupt fault poisoned %d stores, want 1..2 (CorruptStores=2)", nans)
 	}
 }
 
@@ -166,7 +138,7 @@ func TestRunBlocksCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := 0
-	err := e.RunBlocksCtx(ctx, &Stats{}, 1, 0, 8, func(b *Block) { ran++ }, FaultSite{})
+	err := e.RunBlocksCtx(ctx, &Stats{}, 1, 0, 8, func(b *Block) { ran++ }, "k")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunBlocksCtx error = %v, want context.Canceled", err)
 	}
@@ -175,47 +147,32 @@ func TestRunBlocksCtxCancellation(t *testing.T) {
 	}
 }
 
+// TestRunBlocksCtxRetryAttemptHeals checks the retry clock of the one
+// place faults are decided: FaultSite.First reports the scheduled block
+// on attempt 0, nothing on attempt 1 (the default Repeat of 1), and
+// nothing for a range that excludes the block. The executor, which
+// never consults an injector, runs every block of the healed attempt.
 func TestRunBlocksCtxRetryAttemptHeals(t *testing.T) {
 	d := GTX480()
 	inj := &Injector{Schedule: []ScheduledFault{{Kernel: "k", Block: 1, Kind: FaultAbort}}}
-	e := NewExecutor(d)
 	site := FaultSite{Inj: inj, Kernel: "k"}
-	err := e.RunBlocksCtx(nil, &Stats{}, 1, 0, 4, func(b *Block) {}, site)
-	var le *LaunchError
-	if !errors.As(err, &le) || le.Block != 1 {
-		t.Fatalf("attempt 0 error = %v, want LaunchError at block 1", err)
+	want := LaunchError{Kernel: "k", Block: 1, Kind: FaultAbort}
+	if le := site.First(0, 4); le == nil || *le != want {
+		t.Fatalf("attempt 0 First(0, 4) = %+v, want %+v", le, want)
+	}
+	if le := site.First(2, 2); le != nil {
+		t.Fatalf("First(2, 2) = %+v, want nil (block 1 is outside the range)", le)
 	}
 	site.Attempt = 1
+	if le := site.First(0, 4); le != nil {
+		t.Fatalf("attempt 1 still faulting: %+v (site must heal after Repeat)", le)
+	}
 	ran := 0
-	if err := e.RunBlocksCtx(nil, &Stats{}, 1, 0, 4, func(b *Block) { ran++ }, site); err != nil {
-		t.Fatalf("attempt 1 still faulting: %v (site must heal after Repeat)", err)
+	if err := NewExecutor(d).RunBlocksCtx(nil, &Stats{}, 1, 0, 4, func(b *Block) { ran++ }, "k"); err != nil {
+		t.Fatal(err)
 	}
 	if ran != 4 {
 		t.Errorf("healed attempt ran %d blocks, want 4", ran)
-	}
-}
-
-func TestRunBlocksCorruptClearsArm(t *testing.T) {
-	// After a corrupt fault is reported, the reused executor Block must
-	// not keep poisoning stores on the next (fault-free) call.
-	d := GTX480()
-	inj := &Injector{Schedule: []ScheduledFault{{Kernel: "k", Block: 0, Kind: FaultCorrupt}}}
-	e := NewExecutor(d)
-	data := make([]float64, 32)
-	g := NewGlobal(data)
-	kern := func(b *Block) {
-		b.PhaseNoSync(func(th *Thread) { g.Store(th, th.ID, 1) })
-	}
-	if err := e.RunBlocksCtx(nil, &Stats{}, 1, 0, 1, kern, FaultSite{Inj: inj, Kernel: "k"}); err == nil {
-		t.Fatal("corrupt schedule did not fault")
-	}
-	if err := e.RunBlocksCtx(nil, &Stats{}, 1, 0, 1, kern, FaultSite{Inj: inj, Kernel: "k", Attempt: 1}); err != nil {
-		t.Fatalf("healed attempt faulted: %v", err)
-	}
-	for i, v := range data {
-		if math.IsNaN(v) {
-			t.Fatalf("element %d still NaN after healed re-execution", i)
-		}
 	}
 }
 

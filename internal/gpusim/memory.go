@@ -128,13 +128,9 @@ func (g Global[T]) Load(t *Thread, i int) T {
 	return g.Data[i]
 }
 
-// Store writes element i, recording a coalesced global store. A block
-// armed with a corrupt fault (see Injector) poisons selected stores.
+// Store writes element i, recording a coalesced global store.
 func (g Global[T]) Store(t *Thread, i int, v T) {
 	t.blk.record(t, g.base, g.elem, i, true)
-	if t.blk.corrupt != nil {
-		v = corruptStore(t.blk, v)
-	}
 	g.Data[i] = v
 }
 
@@ -174,9 +170,6 @@ func (s Shared[T]) Load(i int) T {
 // Store writes element i of the shared array.
 func (s Shared[T]) Store(i int, v T) {
 	s.blk.stats.SharedStores++
-	if s.blk.corrupt != nil {
-		v = corruptStore(s.blk, v)
-	}
 	s.Data[i] = v
 }
 
@@ -191,9 +184,6 @@ func (s Shared[T]) LoadT(t *Thread, i int) T {
 func (s Shared[T]) StoreT(t *Thread, i int, v T) {
 	s.blk.stats.SharedStores++
 	s.blk.bankAccess(t, s.id, i)
-	if s.blk.corrupt != nil {
-		v = corruptStore(s.blk, v)
-	}
 	s.Data[i] = v
 }
 

@@ -315,9 +315,8 @@ func (p *Pool[T]) Close(ctx context.Context) error {
 }
 
 // cloneStats copies the recorded device events out of the solver, so
-// pool results stay valid after the solver is recycled: a degraded
-// recording solve leaves the next solve to re-record into the same
-// Stats, which would otherwise change under an earlier result.
+// a pool result holds no pointer into the solver's report: results
+// outlive the solver's recycle to other requests and its Close.
 func cloneStats(s *Stats) *Stats {
 	if s == nil {
 		return nil
