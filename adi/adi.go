@@ -18,6 +18,11 @@ import (
 )
 
 // Backend solves a batch of tridiagonal systems (see gputrid.SolveBatch).
+// The stepper owns the batch and reuses it from step to step: the
+// backend must not modify it, and must keep neither the batch nor the
+// returned slice past its next call, so it may return one reused
+// solution buffer (for example a Solver.SolveBatchInto dst). A stepper
+// is not safe for concurrent use.
 type Backend[T num.Real] = iadi.Backend[T]
 
 // Grid2D is a uniform interior grid on the unit square.

@@ -28,7 +28,10 @@ import (
 )
 
 // Backend solves every system of a batch, returning the solutions
-// contiguously (the gputrid.SolveBatch contract).
+// contiguously (the gputrid.SolveBatch contract). The stepper owns the
+// batch and reuses it from step to step: the backend must not modify
+// it, and must keep neither the batch nor the returned slice past its
+// next call, so one reused solution buffer is a valid return value.
 type Backend[T num.Real] func(*matrix.Batch[T]) ([]T, error)
 
 // GPUBackend returns a backend running the hybrid solver with the
@@ -59,6 +62,14 @@ func NewGrid2D(nx, ny int) Grid2D {
 
 func (g Grid2D) idx(i, j int) int { return j*g.NX + i }
 
+// size returns the grid's point count, or an error for an empty grid.
+func (g Grid2D) size() (int, error) {
+	if g.NX <= 0 || g.NY <= 0 {
+		return 0, fmt.Errorf("adi: empty grid %dx%d", g.NX, g.NY)
+	}
+	return g.NX * g.NY, nil
+}
+
 // dxx returns the undivided second difference in x at (i, j).
 func dxx[T num.Real](g Grid2D, u []T, i, j int) T {
 	c := u[g.idx(i, j)]
@@ -84,114 +95,187 @@ func dyy[T num.Real](g Grid2D, u []T, i, j int) T {
 	return d - 2*c + up
 }
 
-// lineBatchX builds the x-direction implicit batch: one system per row
-// j, solving (diag + offd·Dx) u_row = rhs.
-func lineBatchX[T num.Real](g Grid2D, offd, diag T, rhs func(i, j int) T) *matrix.Batch[T] {
-	b := matrix.NewBatch[T](g.NY, g.NX)
-	for j := 0; j < g.NY; j++ {
-		base := j * g.NX
-		for i := 0; i < g.NX; i++ {
-			if i > 0 {
-				b.Lower[base+i] = offd
+// lines is one sweep direction's line batch, owned by a stepper and
+// reused across steps. Every system carries the constant operator
+// (offd, diag, offd), with the end rows' outer off-diagonals zero.
+type lines[T num.Real] struct {
+	b          *matrix.Batch[T]
+	offd, diag T
+}
+
+// prepare returns the m×n batch with the operator (offd, diag, offd).
+// It allocates only when the shape changes and rewrites a diagonal
+// only when its bit pattern changes, so a warm step touches just the
+// RHS.
+func (l *lines[T]) prepare(m, n int, offd, diag T) *matrix.Batch[T] {
+	fresh := l.b == nil || l.b.M != m || l.b.N != n
+	if fresh {
+		l.b = matrix.NewBatch[T](m, n)
+	}
+	if fresh || !sameBits(l.offd, offd) {
+		for s := 0; s < m*n; s += n {
+			fill(l.b.Lower[s+1:s+n], offd)
+			fill(l.b.Upper[s:s+n-1], offd)
+		}
+		l.offd = offd
+	}
+	if fresh || !sameBits(l.diag, diag) {
+		fill(l.b.Diag, diag)
+		l.diag = diag
+	}
+	return l.b
+}
+
+// sameBits compares bit patterns, so a sign-of-zero change still
+// rewrites the operator.
+func sameBits[T num.Real](a, b T) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+}
+
+func fill[T num.Real](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// zeros returns buf if it already holds n elements (it is never
+// written, so it stays zero), else a fresh zero slice.
+func zeros[T num.Real](buf []T, n int) []T {
+	if len(buf) != n {
+		return make([]T, n)
+	}
+	return buf
+}
+
+// adjacent returns the rows of length n a stride before and after the
+// row starting at r in u. A neighbour outside the grid (hasDn or hasUp
+// false) is the zero row: missing neighbours read as zero.
+//
+//tridlint:hotpath
+func adjacent[T num.Real](u, zero []T, r, n, stride int, hasDn, hasUp bool) (dn, up []T) {
+	dn, up = zero, zero
+	if hasDn {
+		dn = u[r-stride : r-stride+n]
+	}
+	if hasUp {
+		up = u[r+stride : r+stride+n]
+	}
+	return dn, up
+}
+
+// rhsAlongY writes a + k·δy²u + s·g row by row: the right-hand side
+// of an x-sweep, explicit in y. When g is nil the last term is a
+// literal 0, still added because it turns a −0 into +0.
+//
+//tridlint:hotpath
+func rhsAlongY[T num.Real](rhs, a, u, g, zero []T, nx int, k, s T) {
+	ny := len(u) / nx
+	for j := 0; j < ny; j++ {
+		r := j * nx
+		row, ar, out := u[r:r+nx], a[r:r+nx], rhs[r:r+nx]
+		dn, up := adjacent(u, zero, r, nx, nx, j > 0, j < ny-1)
+		for i, c := range row {
+			var src T
+			if g != nil {
+				src = s * g[r+i]
 			}
-			b.Diag[base+i] = diag
-			if i < g.NX-1 {
-				b.Upper[base+i] = offd
-			}
-			b.RHS[base+i] = rhs(i, j)
+			out[i] = ar[i] + k*(dn[i]-2*c+up[i]) + src
 		}
 	}
-	return b
 }
 
-// lineBatchY builds the y-direction implicit batch: one system per
-// column i.
-func lineBatchY[T num.Real](g Grid2D, offd, diag T, rhs func(i, j int) T) *matrix.Batch[T] {
-	b := matrix.NewBatch[T](g.NX, g.NY)
-	for i := 0; i < g.NX; i++ {
-		base := i * g.NY
-		for j := 0; j < g.NY; j++ {
-			if j > 0 {
-				b.Lower[base+j] = offd
+// rhsAlongX writes a + k·δx²u + s·g in grid order: the right-hand side
+// of a y-sweep, explicit in x (see rhsAlongY).
+//
+//tridlint:hotpath
+func rhsAlongX[T num.Real](rhs, a, u, g []T, nx int, k, s T) {
+	for r := 0; r < len(u); r += nx {
+		row, ar, out := u[r:r+nx], a[r:r+nx], rhs[r:r+nx]
+		var l T
+		for i, c := range row {
+			var rt, src T
+			if i+1 < nx {
+				rt = row[i+1]
 			}
-			b.Diag[base+j] = diag
-			if j < g.NY-1 {
-				b.Upper[base+j] = offd
+			if g != nil {
+				src = s * g[r+i]
 			}
-			b.RHS[base+j] = rhs(i, j)
-		}
-	}
-	return b
-}
-
-// scatterX copies row-major solutions back into u.
-func scatterX[T num.Real](g Grid2D, u, x []T) {
-	copy(u, x) // row-major batch is already the grid layout
-}
-
-// scatterY copies column-major solutions back into u.
-func scatterY[T num.Real](g Grid2D, u, x []T) {
-	for i := 0; i < g.NX; i++ {
-		for j := 0; j < g.NY; j++ {
-			u[g.idx(i, j)] = x[i*g.NY+j]
+			out[i] = ar[i] + k*(l-2*c+rt) + src
+			l = c
 		}
 	}
 }
 
 // Heat2D integrates u_t = alpha ∇²u + f with Peaceman-Rachford steps.
+// It owns its line batches: the first step allocates them, later steps
+// rewrite the operator only when the grid, Alpha or dt changes, and
+// otherwise write just the right-hand sides. A Heat2D is not safe for
+// concurrent use.
 type Heat2D[T num.Real] struct {
 	Grid    Grid2D
 	Alpha   float64
 	Backend Backend[T]
+
+	x, y lines[T]
+	zero []T // one zero grid row: the edge rows' missing neighbours
 }
 
 // Step advances u (length NX*NY) by dt; f may be nil for the
 // homogeneous equation.
 func (h *Heat2D[T]) Step(u, f []T, dt float64) error {
 	g := h.Grid
-	if len(u) != g.NX*g.NY {
-		return fmt.Errorf("adi: state length %d != %d", len(u), g.NX*g.NY)
+	n, err := g.size()
+	if err != nil {
+		return err
+	}
+	if len(u) != n {
+		return fmt.Errorf("adi: state length %d != %d", len(u), n)
+	}
+	if f != nil && len(f) != n {
+		return fmt.Errorf("adi: source length %d != %d", len(f), n)
 	}
 	if h.Backend == nil {
 		h.Backend = GPUBackend[T](core.Config{K: core.KAuto})
 	}
 	lx := T(h.Alpha * dt / (2 * g.HX * g.HX))
 	ly := T(h.Alpha * dt / (2 * g.HY * g.HY))
-	src := func(i, j int) T {
-		if f == nil {
-			return 0
-		}
-		return T(dt/2) * f[g.idx(i, j)]
-	}
+	bx := h.x.prepare(g.NY, g.NX, -lx, 1+2*lx)
+	by := h.y.prepare(g.NX, g.NY, -ly, 1+2*ly)
+	h.zero = zeros(h.zero, g.NX)
 
 	// Half-step 1: implicit in x, explicit in y.
-	bx := lineBatchX(g, -lx, 1+2*lx, func(i, j int) T {
-		return u[g.idx(i, j)] + ly*dyy(g, u, i, j) + src(i, j)
-	})
+	rhsAlongY(bx.RHS, u, u, f, h.zero, g.NX, ly, T(dt/2))
 	xs, err := h.Backend(bx)
 	if err != nil {
 		return err
 	}
-	half := make([]T, len(u))
-	copy(half, xs)
 
 	// Half-step 2: implicit in y, explicit in x on the intermediate.
-	by := lineBatchY(g, -ly, 1+2*ly, func(i, j int) T {
-		return half[g.idx(i, j)] + lx*dxx(g, half, i, j) + src(i, j)
-	})
+	// bx.RHS is free once the x-sweep is solved, so it takes the
+	// right-hand side in grid order. A row-major grid is the
+	// interleaved layout of its columns, so deinterleaving it gives the
+	// y-lines contiguously, and interleaving their solutions is the
+	// grid again.
+	rhsAlongX(bx.RHS, xs, xs, f, g.NX, lx, T(dt/2))
+	matrix.DeinterleaveVectorInto(by.RHS, bx.RHS, g.NX, g.NY)
 	ys, err := h.Backend(by)
 	if err != nil {
 		return err
 	}
-	scatterY(g, u, ys)
+	matrix.InterleaveVectorInto(u, ys, g.NX, g.NY)
 	return nil
 }
 
 // Poisson2D solves −∇²u = f with the stationary Peaceman-Rachford
-// iteration.
+// iteration. Like Heat2D it owns its line batches; only the diagonal
+// is rewritten when the acceleration parameter changes. A Poisson2D is
+// not safe for concurrent use.
 type Poisson2D[T num.Real] struct {
 	Grid    Grid2D
 	Backend Backend[T]
+
+	x, y lines[T]
+	zero []T
 }
 
 // WachspressParams returns J acceleration parameters geometrically
@@ -224,7 +308,11 @@ func (p *Poisson2D[T]) DefaultParams() []float64 {
 // in place, and returns the final max-norm residual of −∇²u = f.
 func (p *Poisson2D[T]) Iterate(u, f []T, params []float64, cycles int) (float64, error) {
 	g := p.Grid
-	if len(u) != g.NX*g.NY || len(f) != g.NX*g.NY {
+	n, err := g.size()
+	if err != nil {
+		return 0, err
+	}
+	if len(u) != n || len(f) != n {
 		return 0, fmt.Errorf("adi: state/f length mismatch")
 	}
 	if p.Backend == nil {
@@ -235,28 +323,29 @@ func (p *Poisson2D[T]) Iterate(u, f []T, params []float64, cycles int) (float64,
 	}
 	ax := T(1 / (g.HX * g.HX))
 	ay := T(1 / (g.HY * g.HY))
+	p.zero = zeros(p.zero, g.NX)
 	for c := 0; c < cycles; c++ {
 		for _, rhoF := range params {
 			rho := T(rhoF)
 			// x half-sweep: (rho + Ax) u' = f - Ay u + rho u, where
 			// Ax = -dxx/hx², Ay = -dyy/hy².
-			bx := lineBatchX(g, -ax, 2*ax+rho, func(i, j int) T {
-				return f[g.idx(i, j)] + ay*dyy(g, u, i, j) + rho*u[g.idx(i, j)]
-			})
+			bx := p.x.prepare(g.NY, g.NX, -ax, 2*ax+rho)
+			rhsAlongY(bx.RHS, f, u, u, p.zero, g.NX, ay, rho)
 			xs, err := p.Backend(bx)
 			if err != nil {
 				return 0, err
 			}
-			scatterX(g, u, xs)
-			// y half-sweep.
-			by := lineBatchY(g, -ay, 2*ay+rho, func(i, j int) T {
-				return f[g.idx(i, j)] + ax*dxx(g, u, i, j) + rho*u[g.idx(i, j)]
-			})
+			copy(u, xs) // the x-lines are the grid's rows
+			// y half-sweep, built in grid order in bx.RHS as in
+			// Heat2D.Step.
+			by := p.y.prepare(g.NX, g.NY, -ay, 2*ay+rho)
+			rhsAlongX(bx.RHS, f, u, u, g.NX, ax, rho)
+			matrix.DeinterleaveVectorInto(by.RHS, bx.RHS, g.NX, g.NY)
 			ys, err := p.Backend(by)
 			if err != nil {
 				return 0, err
 			}
-			scatterY(g, u, ys)
+			matrix.InterleaveVectorInto(u, ys, g.NX, g.NY)
 		}
 	}
 	return p.Residual(u, f), nil

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"gputrid/internal/core"
+	"gputrid/internal/matrix"
+	"gputrid/internal/num"
 )
 
 func fill2D(g Grid2D, f func(x, y float64) float64) []float64 {
@@ -224,4 +226,254 @@ func TestHeat3DGPUBackend(t *testing.T) {
 	if worst > 1e-12 {
 		t.Errorf("GPU vs CPU 3-D step differ by %g", worst)
 	}
+}
+
+// ---- reference steppers ----------------------------------------------
+//
+// The closure-built steppers the allocation-free ones replaced, kept
+// as the bitwise oracle: every step builds fresh batches element by
+// element and scatters the solutions back index by index.
+
+func (g Grid3D) idx(i, j, k int) int { return (k*g.NY+j)*g.NX + i }
+
+// lineBatchX builds the x-direction implicit batch: one system per row
+// j, solving (diag + offd·Dx) u_row = rhs.
+func lineBatchX[T num.Real](g Grid2D, offd, diag T, rhs func(i, j int) T) *matrix.Batch[T] {
+	b := matrix.NewBatch[T](g.NY, g.NX)
+	for j := 0; j < g.NY; j++ {
+		base := j * g.NX
+		for i := 0; i < g.NX; i++ {
+			if i > 0 {
+				b.Lower[base+i] = offd
+			}
+			b.Diag[base+i] = diag
+			if i < g.NX-1 {
+				b.Upper[base+i] = offd
+			}
+			b.RHS[base+i] = rhs(i, j)
+		}
+	}
+	return b
+}
+
+// lineBatchY builds the y-direction implicit batch: one system per
+// column i.
+func lineBatchY[T num.Real](g Grid2D, offd, diag T, rhs func(i, j int) T) *matrix.Batch[T] {
+	b := matrix.NewBatch[T](g.NX, g.NY)
+	for i := 0; i < g.NX; i++ {
+		base := i * g.NY
+		for j := 0; j < g.NY; j++ {
+			if j > 0 {
+				b.Lower[base+j] = offd
+			}
+			b.Diag[base+j] = diag
+			if j < g.NY-1 {
+				b.Upper[base+j] = offd
+			}
+			b.RHS[base+j] = rhs(i, j)
+		}
+	}
+	return b
+}
+
+// scatterX copies row-major solutions back into u.
+func scatterX[T num.Real](g Grid2D, u, x []T) {
+	copy(u, x) // row-major batch is already the grid layout
+}
+
+// scatterY copies column-major solutions back into u.
+func scatterY[T num.Real](g Grid2D, u, x []T) {
+	for i := 0; i < g.NX; i++ {
+		for j := 0; j < g.NY; j++ {
+			u[g.idx(i, j)] = x[i*g.NY+j]
+		}
+	}
+}
+
+func refHeat2DStep[T num.Real](g Grid2D, alpha float64, be Backend[T], u, f []T, dt float64) error {
+	lx := T(alpha * dt / (2 * g.HX * g.HX))
+	ly := T(alpha * dt / (2 * g.HY * g.HY))
+	src := func(i, j int) T {
+		if f == nil {
+			return 0
+		}
+		return T(dt/2) * f[g.idx(i, j)]
+	}
+
+	// Half-step 1: implicit in x, explicit in y.
+	bx := lineBatchX(g, -lx, 1+2*lx, func(i, j int) T {
+		return u[g.idx(i, j)] + ly*dyy(g, u, i, j) + src(i, j)
+	})
+	xs, err := be(bx)
+	if err != nil {
+		return err
+	}
+	half := make([]T, len(u))
+	copy(half, xs)
+
+	// Half-step 2: implicit in y, explicit in x on the intermediate.
+	by := lineBatchY(g, -ly, 1+2*ly, func(i, j int) T {
+		return half[g.idx(i, j)] + lx*dxx(g, half, i, j) + src(i, j)
+	})
+	ys, err := be(by)
+	if err != nil {
+		return err
+	}
+	scatterY(g, u, ys)
+	return nil
+}
+
+func refPoissonIterate[T num.Real](g Grid2D, be Backend[T], u, f []T, params []float64, cycles int) (float64, error) {
+	ax := T(1 / (g.HX * g.HX))
+	ay := T(1 / (g.HY * g.HY))
+	for c := 0; c < cycles; c++ {
+		for _, rhoF := range params {
+			rho := T(rhoF)
+			bx := lineBatchX(g, -ax, 2*ax+rho, func(i, j int) T {
+				return f[g.idx(i, j)] + ay*dyy(g, u, i, j) + rho*u[g.idx(i, j)]
+			})
+			xs, err := be(bx)
+			if err != nil {
+				return 0, err
+			}
+			scatterX(g, u, xs)
+			by := lineBatchY(g, -ay, 2*ay+rho, func(i, j int) T {
+				return f[g.idx(i, j)] + ax*dxx(g, u, i, j) + rho*u[g.idx(i, j)]
+			})
+			ys, err := be(by)
+			if err != nil {
+				return 0, err
+			}
+			scatterY(g, u, ys)
+		}
+	}
+	return (&Poisson2D[T]{Grid: g}).Residual(u, f), nil
+}
+
+// second differences along each axis (undivided).
+func dxx3[T num.Real](g Grid3D, u []T, i, j, k int) T {
+	c := u[g.idx(i, j, k)]
+	var l, r T
+	if i > 0 {
+		l = u[g.idx(i-1, j, k)]
+	}
+	if i < g.NX-1 {
+		r = u[g.idx(i+1, j, k)]
+	}
+	return l - 2*c + r
+}
+
+func dyy3[T num.Real](g Grid3D, u []T, i, j, k int) T {
+	c := u[g.idx(i, j, k)]
+	var l, r T
+	if j > 0 {
+		l = u[g.idx(i, j-1, k)]
+	}
+	if j < g.NY-1 {
+		r = u[g.idx(i, j+1, k)]
+	}
+	return l - 2*c + r
+}
+
+func dzz3[T num.Real](g Grid3D, u []T, i, j, k int) T {
+	c := u[g.idx(i, j, k)]
+	var l, r T
+	if k > 0 {
+		l = u[g.idx(i, j, k-1)]
+	}
+	if k < g.NZ-1 {
+		r = u[g.idx(i, j, k+1)]
+	}
+	return l - 2*c + r
+}
+
+func refHeat3DStep[T num.Real](g Grid3D, alpha float64, be Backend[T], u []T, dt float64) error {
+	total := g.NX * g.NY * g.NZ
+	lx := T(alpha * dt / (g.HX * g.HX))
+	ly := T(alpha * dt / (g.HY * g.HY))
+	lz := T(alpha * dt / (g.HZ * g.HZ))
+
+	b1 := matrix.NewBatch[T](g.NY*g.NZ, g.NX)
+	for k := 0; k < g.NZ; k++ {
+		for j := 0; j < g.NY; j++ {
+			base := (k*g.NY + j) * g.NX
+			for i := 0; i < g.NX; i++ {
+				if i > 0 {
+					b1.Lower[base+i] = -lx / 2
+				}
+				b1.Diag[base+i] = 1 + lx
+				if i < g.NX-1 {
+					b1.Upper[base+i] = -lx / 2
+				}
+				b1.RHS[base+i] = u[g.idx(i, j, k)] +
+					lx/2*dxx3(g, u, i, j, k) +
+					ly*dyy3(g, u, i, j, k) +
+					lz*dzz3(g, u, i, j, k)
+			}
+		}
+	}
+	v1, err := be(b1)
+	if err != nil {
+		return err
+	}
+
+	b2 := matrix.NewBatch[T](g.NX*g.NZ, g.NY)
+	for k := 0; k < g.NZ; k++ {
+		for i := 0; i < g.NX; i++ {
+			base := (k*g.NX + i) * g.NY
+			for j := 0; j < g.NY; j++ {
+				if j > 0 {
+					b2.Lower[base+j] = -ly / 2
+				}
+				b2.Diag[base+j] = 1 + ly
+				if j < g.NY-1 {
+					b2.Upper[base+j] = -ly / 2
+				}
+				b2.RHS[base+j] = v1[g.idx(i, j, k)] - ly/2*dyy3(g, u, i, j, k)
+			}
+		}
+	}
+	x2, err := be(b2)
+	if err != nil {
+		return err
+	}
+	v2 := make([]T, total)
+	for k := 0; k < g.NZ; k++ {
+		for i := 0; i < g.NX; i++ {
+			base := (k*g.NX + i) * g.NY
+			for j := 0; j < g.NY; j++ {
+				v2[g.idx(i, j, k)] = x2[base+j]
+			}
+		}
+	}
+
+	b3 := matrix.NewBatch[T](g.NX*g.NY, g.NZ)
+	for j := 0; j < g.NY; j++ {
+		for i := 0; i < g.NX; i++ {
+			base := (j*g.NX + i) * g.NZ
+			for k := 0; k < g.NZ; k++ {
+				if k > 0 {
+					b3.Lower[base+k] = -lz / 2
+				}
+				b3.Diag[base+k] = 1 + lz
+				if k < g.NZ-1 {
+					b3.Upper[base+k] = -lz / 2
+				}
+				b3.RHS[base+k] = v2[g.idx(i, j, k)] - lz/2*dzz3(g, u, i, j, k)
+			}
+		}
+	}
+	x3, err := be(b3)
+	if err != nil {
+		return err
+	}
+	for j := 0; j < g.NY; j++ {
+		for i := 0; i < g.NX; i++ {
+			base := (j*g.NX + i) * g.NZ
+			for k := 0; k < g.NZ; k++ {
+				u[g.idx(i, j, k)] = x3[base+k]
+			}
+		}
+	}
+	return nil
 }
