@@ -5,153 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"gputrid/internal/batcher"
-	"gputrid/internal/clock"
 	"gputrid/internal/cpu"
 	"gputrid/internal/matrix"
 )
 
-// TimerClock is the injectable time source the batching front-end
-// needs: a Clock that can also mint deadline timers. Wall time in
-// production; clock.VirtualClock in deterministic tests.
-type TimerClock = clock.TimerClock
-
-// Megabatch is the coalesced unit of work the batching front-end
-// hands to Pool.SolveMegabatch: Count real systems interleaved in V,
-// solution in Xi, per-system outcomes in Verdicts. See the batcher
-// package for the field contract.
+// Megabatch is the coalesced unit of work a batcher.Batcher hands to
+// Pool.SolveMegabatch: Count real systems interleaved in V, solution
+// in Xi, per-system outcomes in Verdicts. See the batcher package for
+// the field contract.
 type Megabatch[T Real] = batcher.Megabatch[T]
-
-// CoalescedResult reports how a batched request travelled: its own
-// system count, the size of the megabatch it rode in, rescued
-// systems, and queue wait.
-type CoalescedResult = batcher.Result
-
-// BatcherStats snapshots the coalescing front-end's counters.
-type BatcherStats = batcher.Stats
-
-// Typed batching-layer errors, matchable with errors.Is.
-var (
-	// ErrBatcherClosed matches solves after Batcher.Close.
-	ErrBatcherClosed = batcher.ErrClosed
-	// ErrBatcherSaturated matches requests shed because the shape's
-	// coalescing queue is full of sealed megabatches — the batching
-	// tier's overload signal.
-	ErrBatcherSaturated = batcher.ErrSaturated
-	// ErrBatcherShapeLimit matches requests for a new row count when
-	// the batcher already coalesces its maximum number of shapes.
-	ErrBatcherShapeLimit = batcher.ErrShapeLimit
-)
-
-// BatcherConfig tunes a coalescing front-end; the zero value is the
-// production default (64-system megabatches, 2ms max wait, 200µs
-// deadline slack, 8 shapes, 4 queued flights, wall clock). The solve
-// and service-time hooks are wired to the Pool by NewBatcher.
-type BatcherConfig struct {
-	// MaxBatch is the megabatch capacity in systems; it is also the M
-	// the pool's megabatch solvers are built for. 0 means 64.
-	MaxBatch int
-	// MaxWait bounds how long a flight's first request waits for
-	// company. 0 means 2ms.
-	MaxWait time.Duration
-	// SlackMargin is the safety margin subtracted (with the expected
-	// service time) from request deadlines when scheduling flushes.
-	// 0 means 200µs.
-	SlackMargin time.Duration
-	// MaxShapes caps live per-N coalescing queues. 0 means 8.
-	MaxShapes int
-	// MaxQueuedFlights caps sealed megabatches awaiting the solver
-	// per shape before Solve sheds. 0 means 4.
-	MaxQueuedFlights int
-	// Clock drives flush deadlines; nil means wall time.
-	Clock TimerClock
-}
-
-// Batcher is the dynamic request-coalescing front-end over a Pool:
-// concurrent small same-shaped requests are merged into interleaved
-// megabatches (born in the layout the k = 0 kernels consume, so the
-// coalesced path never pays the blocked transpose) and solved through
-// one pooled megabatch solver lease; each caller gets back exactly
-// its own systems and its own guard verdicts. Coalesced solutions are
-// bitwise identical to solving each request alone at k = 0.
-//
-// Build one with NewBatcher over an existing Pool; the Pool may keep
-// serving direct traffic concurrently (megabatch solvers live in
-// their own pool stations, so the two tiers never compete for
-// instances). Safe for concurrent use.
-type Batcher[T Real] struct {
-	pool  *Pool[T]
-	inner *batcher.Batcher[T]
-}
-
-// NewBatcher builds a coalescing front-end over p. The batcher owns
-// no solvers — megabatches acquire the pool's dedicated megabatch
-// stations (shape MaxBatch×N, built with PoolConfig.MegabatchOptions)
-// — and its flush deadlines are informed by the pool's per-shape
-// megabatch service-time EWMA.
-func NewBatcher[T Real](p *Pool[T], cfg BatcherConfig) (*Batcher[T], error) {
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
-	inner, err := batcher.New(batcher.Config[T]{
-		MaxBatch:         maxBatch,
-		MaxWait:          cfg.MaxWait,
-		SlackMargin:      cfg.SlackMargin,
-		MaxShapes:        cfg.MaxShapes,
-		MaxQueuedFlights: cfg.MaxQueuedFlights,
-		Clock:            cfg.Clock,
-		ServiceTime: func(n int) (time.Duration, bool) {
-			return p.inner.ServiceTimeMega(maxBatch, n)
-		},
-		Solve: p.SolveMegabatch,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("gputrid: %w", err)
-	}
-	return &Batcher[T]{pool: p, inner: inner}, nil
-}
-
-// Solve submits the batch for coalescing and blocks until its flight
-// has flushed, returning the caller-owned solution in natural order
-// (row j of system i at x[i*N+j]) plus the coalescing report. A batch
-// larger than MaxBatch bypasses the coalescer to the pool's direct
-// path. Per-system guard failures in the same megabatch fail only the
-// requests owning them; errors are typed (ErrBatcherSaturated,
-// ErrBatcherClosed, ErrCancelled, ErrOverloaded, ...).
-func (b *Batcher[T]) Solve(ctx context.Context, batch *Batch[T]) ([]T, CoalescedResult, error) {
-	if batch.M > b.inner.MaxBatch() {
-		pr, err := b.pool.Solve(ctx, batch)
-		if err != nil {
-			return nil, CoalescedResult{}, err
-		}
-		return pr.X, CoalescedResult{Systems: batch.M, FlushSize: batch.M, Wait: pr.Wait}, nil
-	}
-	x := make([]T, batch.M*batch.N)
-	res, err := b.inner.Solve(ctx, &batcher.Request[T]{
-		M: batch.M, N: batch.N,
-		Lower: batch.Lower, Diag: batch.Diag, Upper: batch.Upper, RHS: batch.RHS,
-		X: x,
-	})
-	if err != nil {
-		return nil, res, fmt.Errorf("gputrid: %w", err)
-	}
-	return x, res, nil
-}
-
-// MaxBatch returns the resolved megabatch capacity.
-func (b *Batcher[T]) MaxBatch() int { return b.inner.MaxBatch() }
-
-// Stats snapshots the coalescing counters (flush causes, padding,
-// queue depths, shed and cancelled requests).
-func (b *Batcher[T]) Stats() BatcherStats { return b.inner.Stats() }
-
-// Close drains the coalescing queues — parked requests flush and
-// complete — and rejects further Solves with ErrBatcherClosed. It
-// does not close the underlying Pool, which the caller owns.
-func (b *Batcher[T]) Close() { b.inner.Close() }
 
 // SolveMegabatch solves one coalesced megabatch through a pooled
 // megabatch solver lease: route through the breaker, acquire from the
@@ -165,8 +29,8 @@ func (b *Batcher[T]) Close() { b.inner.Close() }
 // reserved for infrastructure errors (admission, cancellation,
 // unrecovered whole-batch faults).
 //
-// The batching front-end calls this from its flusher; it is exported
-// for callers that assemble their own interleaved megabatches.
+// It is a batcher.SolveFunc: a batcher built over it calls it from
+// its flusher.
 func (p *Pool[T]) SolveMegabatch(ctx context.Context, mb *Megabatch[T]) error {
 	if mb.Count == 0 {
 		return nil

@@ -7,9 +7,35 @@ import (
 	"testing"
 	"time"
 
+	"gputrid/internal/batcher"
 	"gputrid/internal/clock"
 	"gputrid/internal/workload"
 )
+
+// newCoalescer builds the production coalescing assembly, batcher.New
+// over p.SolveMegabatch, closed when the test ends.
+func newCoalescer(t *testing.T, p *Pool[float64], cfg batcher.Config[float64]) *batcher.Batcher[float64] {
+	t.Helper()
+	cfg.Solve = p.SolveMegabatch
+	b, err := batcher.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	return b
+}
+
+// coalesce submits batch to b and returns its caller-owned solution
+// in natural order.
+func coalesce(ctx context.Context, b *batcher.Batcher[float64], batch *Batch[float64]) ([]float64, batcher.Result, error) {
+	x := make([]float64, batch.M*batch.N)
+	res, err := b.Solve(ctx, &batcher.Request[float64]{
+		M: batch.M, N: batch.N,
+		Lower: batch.Lower, Diag: batch.Diag, Upper: batch.Upper, RHS: batch.RHS,
+		X: x,
+	})
+	return x, res, err
+}
 
 // batcherWaitUntil polls cond with a wall-clock timeout, sequencing
 // tests against the batcher's flusher before advancing a virtual
@@ -26,18 +52,14 @@ func batcherWaitUntil(t *testing.T, what string, cond func() bool) {
 }
 
 // TestBatcherBitwiseHammer races 64 goroutines of small mixed-size
-// requests through the coalescing front-end and requires every
-// solution to be bitwise identical to the same batch solved alone on
-// the per-request k = 0 path — the coalesced-equals-serial guarantee
-// the batching tier is built on.
+// requests through the coalescing assembly over a Pool and requires
+// every solution to be bitwise identical to the same batch solved
+// alone on the per-request k = 0 path — the coalesced-equals-serial
+// guarantee the batching tier is built on.
 func TestBatcherBitwiseHammer(t *testing.T) {
 	p := NewPool[float64](PoolConfig{Capacity: 2})
 	defer p.Close(context.Background())
-	b, err := NewBatcher(p, BatcherConfig{MaxBatch: 16, MaxWait: 200 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	b := newCoalescer(t, p, batcher.Config[float64]{MaxBatch: 16, MaxWait: 200 * time.Microsecond})
 
 	const n = 32
 	var wg sync.WaitGroup
@@ -54,10 +76,10 @@ func TestBatcherBitwiseHammer(t *testing.T) {
 					return
 				}
 				var x []float64
-				var res CoalescedResult
+				var res batcher.Result
 				for {
-					x, res, err = b.Solve(context.Background(), batch)
-					if !errors.Is(err, ErrBatcherSaturated) {
+					x, res, err = coalesce(context.Background(), b, batch)
+					if !errors.Is(err, batcher.ErrSaturated) {
 						break
 					}
 					time.Sleep(200 * time.Microsecond)
@@ -99,11 +121,7 @@ func TestBatcherFaultIsolation(t *testing.T) {
 	p := NewPool[float64](PoolConfig{})
 	defer p.Close(context.Background())
 	vc := clock.NewVirtualClock(time.Unix(0, 0))
-	b, err := NewBatcher(p, BatcherConfig{MaxBatch: 8, MaxWait: time.Hour, Clock: vc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	b := newCoalescer(t, p, batcher.Config[float64]{MaxBatch: 8, MaxWait: time.Hour, Clock: vc})
 
 	const n = 2
 	healthy := workload.Batch[float64](workload.DiagDominant, 1, n, 7)
@@ -129,7 +147,7 @@ func TestBatcherFaultIsolation(t *testing.T) {
 	var wg sync.WaitGroup
 	type out struct {
 		x   []float64
-		res CoalescedResult
+		res batcher.Result
 		err error
 	}
 	outs := make([]out, 3)
@@ -138,7 +156,7 @@ func TestBatcherFaultIsolation(t *testing.T) {
 		go func(i int, batch *Batch[float64]) {
 			defer wg.Done()
 			o := &outs[i]
-			o.x, o.res, o.err = b.Solve(context.Background(), batch)
+			o.x, o.res, o.err = coalesce(context.Background(), b, batch)
 		}(i, batch)
 	}
 	batcherWaitUntil(t, "three requests parked", func() bool {
@@ -172,39 +190,6 @@ func TestBatcherFaultIsolation(t *testing.T) {
 	}
 	if outs[0].res.Rescued != 0 {
 		t.Fatalf("healthy request reports %d rescues", outs[0].res.Rescued)
-	}
-}
-
-// TestBatcherBypassesOversized pins the routing rule: a request
-// larger than MaxBatch goes straight to the pool's direct path
-// instead of failing admission.
-func TestBatcherBypassesOversized(t *testing.T) {
-	p := NewPool[float64](PoolConfig{})
-	defer p.Close(context.Background())
-	b, err := NewBatcher(p, BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	batch := workload.Batch[float64](workload.DiagDominant, 9, 64, 3)
-	ref, err := SolveBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, res, err := b.Solve(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Systems != 9 || res.FlushSize != 9 {
-		t.Fatalf("bypass report = %+v, want 9/9", res)
-	}
-	for i := range x {
-		if x[i] != ref.X[i] {
-			t.Fatalf("bypass result differs at %d", i)
-		}
-	}
-	if st := b.Stats(); st.Admitted != 0 {
-		t.Fatalf("oversized request was coalesced: %+v", st)
 	}
 }
 
@@ -270,11 +255,7 @@ func TestBatcherFallbackRoute(t *testing.T) {
 	}
 
 	vc := clock.NewVirtualClock(time.Unix(0, 0))
-	b, err := NewBatcher(p, BatcherConfig{MaxBatch: 8, MaxWait: time.Hour, Clock: vc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	b := newCoalescer(t, p, batcher.Config[float64]{MaxBatch: 8, MaxWait: time.Hour, Clock: vc})
 	req := workload.Batch[float64](workload.DiagDominant, 2, 32, 6)
 	var (
 		wg   sync.WaitGroup
@@ -284,7 +265,7 @@ func TestBatcherFallbackRoute(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		x, _, serr = b.Solve(context.Background(), req)
+		x, _, serr = coalesce(context.Background(), b, req)
 	}()
 	batcherWaitUntil(t, "request parked", func() bool { return b.Stats().PendingSystems == 2 })
 	vc.Advance(time.Hour)

@@ -32,10 +32,11 @@
 //	POST /solve         {"m","n","lower","diag","upper","rhs","timeout_ms"}
 //	                    -> 200 {"x","route","wait_ns","wall_ns","device",
 //	                       "attempts"}
-//	                    -> 400 invalid input, 503 overloaded/draining/no
-//	                       device (every 503 carries a Retry-After — from
-//	                       the pool's service-time estimate where one
-//	                       exists, a conservative default otherwise), 504
+//	                    -> 400 invalid input, 413 body over 64 MiB, 503
+//	                       overloaded/draining/no device (every 503
+//	                       carries a Retry-After — from the pool's
+//	                       service-time estimate where one exists, a
+//	                       conservative default otherwise), 504
 //	                       deadline/cancelled, 500 faulted
 //	GET  /healthz       200 while serving ("degraded" but still 200 when
 //	                    no servable device has a closed breaker or none
@@ -50,7 +51,8 @@
 //	POST /fleet/inject  {"device","kind","xid","temp","message"} —
 //	                    inject a synthetic health event ("xid",
 //	                    "thermal", "ecc-corrected", "ecc-uncorrected",
-//	                    "healed"); applied by the next tick
+//	                    "healed"); applied by the next tick; 413 for a
+//	                    body over 64 KiB
 //
 // With -distmin K, /solve requests whose row count n is at least K are
 // solved *across* the fleet instead of on one device: the system is

@@ -25,6 +25,15 @@ import (
 // autoscaling decisions are evaluated at this cadence.
 const fleetTickInterval = 250 * time.Millisecond
 
+// Request-body caps. A larger body is refused with 413 before it is
+// decoded in full, so one client cannot make the server buffer an
+// unbounded JSON document. The /solve cap is over ten times the JSON
+// of a 64-system, 1024-row batch (about 5 MB).
+const (
+	maxSolveBody  = 64 << 20
+	maxInjectBody = 64 << 10
+)
+
 // solveRequest is the JSON body of POST /solve: one M x N batch in
 // natural order (row j of system i at index i*N+j), with an optional
 // per-request timeout the pool's admission controller can reject
@@ -151,10 +160,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req solveRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error(), 0)
+	if !decodeBody(w, r, maxSolveBody, &req) {
 		return
 	}
 	b := &gputrid.Batch[float64]{
@@ -249,13 +255,13 @@ func retryAfterMS(err error) int64 {
 // "No servable device" is a 503 too — the fleet may heal or scale up.
 func writeSolveError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, gputrid.ErrOverloaded), errors.Is(err, gputrid.ErrBatcherSaturated):
+	case errors.Is(err, gputrid.ErrOverloaded), errors.Is(err, batcher.ErrSaturated):
 		writeError(w, http.StatusServiceUnavailable, "overloaded", err.Error(), retryAfterMS(err))
 	case errors.Is(err, fleet.ErrNoDevices):
 		writeError(w, http.StatusServiceUnavailable, "no-device", err.Error(),
 			int64(fleetTickInterval/time.Millisecond))
 	case errors.Is(err, fleet.ErrFleetClosed), errors.Is(err, gputrid.ErrPoolClosed),
-		errors.Is(err, gputrid.ErrBatcherClosed):
+		errors.Is(err, batcher.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, "draining", err.Error(), 0)
 	case errors.Is(err, gputrid.ErrCancelled):
 		writeError(w, http.StatusGatewayTimeout, "cancelled", err.Error(), 0)
@@ -400,7 +406,7 @@ func poolStatsBody(st *gputrid.PoolStats) map[string]any {
 
 // batcherStatsBody renders the coalescing front end's counters for
 // /fleet.
-func batcherStatsBody(st gputrid.BatcherStats) map[string]any {
+func batcherStatsBody(st batcher.Stats) map[string]any {
 	queues := make([]map[string]any, 0, len(st.Queues))
 	for _, q := range st.Queues {
 		queues = append(queues, map[string]any{
@@ -429,10 +435,7 @@ func batcherStatsBody(st gputrid.BatcherStats) map[string]any {
 
 func (s *server) handleInject(w http.ResponseWriter, r *http.Request) {
 	var req injectRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error(), 0)
+	if !decodeBody(w, r, maxInjectBody, &req) {
 		return
 	}
 	kind, err := gpusim.ParseHealthKind(req.Kind)
@@ -449,6 +452,32 @@ func (s *server) handleInject(w http.ResponseWriter, r *http.Request) {
 		"accepted": ev.String(),
 		"note":     "applied by the next control-loop tick",
 	})
+}
+
+// decodeBody strictly decodes r's JSON body into v, reading at most
+// limit bytes. On failure it writes the error response — 413 for a
+// body over the cap, whether declared by Content-Length or found while
+// reading, 400 for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "too-large",
+			fmt.Sprintf("request body exceeds %d bytes", limit), 0)
+	default:
+		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error(), 0)
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, body any) {

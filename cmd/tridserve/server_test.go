@@ -208,3 +208,197 @@ func TestQueueFullRetryAfter(t *testing.T) {
 		}
 	}
 }
+
+// newBatchServer is newTestServer with the coalescing front end on, as
+// tridserve -batch 8 runs it.
+func newBatchServer(t *testing.T, cfg fleet.Config, wait time.Duration) (*server, string) {
+	t.Helper()
+	srv, err := newServer(cfg, 8, wait, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.routes())
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.close(context.Background())
+	})
+	return srv, ts.URL
+}
+
+// getFleet decodes GET /fleet into a generic JSON object.
+func getFleet(t *testing.T, base string) map[string]any {
+	t.Helper()
+	var body map[string]any
+	if err := getJSON(base+"/fleet", &body); err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestBatchRoutes drives the production coalescing assembly, batcher.New
+// over Fleet.SolveMegabatch behind -batch: concurrent 1-system requests
+// ride coalesced megabatches and come back bitwise equal to solving
+// each alone at k = 0; a request larger than the megabatch capacity is
+// served on a device route instead; /fleet reports the batcher.
+func TestBatchRoutes(t *testing.T) {
+	const n = 64
+	_, base := newBatchServer(t, fleet.Config{Devices: 2}, 20*time.Millisecond)
+	ctx := context.Background()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 12; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b := workload.Batch[float64](workload.DiagDominant, 1, n, uint64(100+i))
+			ref, err := gputrid.SolveBatch(b, gputrid.WithK(0))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			code, sr, er, err := postSolve(ctx, base, requestFor(b, 0))
+			if err != nil || code != http.StatusOK {
+				t.Errorf("request %d: %d %+v %v", i, code, er, err)
+				return
+			}
+			if sr.Route != "coalesced" || sr.FlushSize < 1 || sr.Device != -1 {
+				t.Errorf("request %d: route %q, flush_size %d, device %d; want coalesced, >= 1, -1",
+					i, sr.Route, sr.FlushSize, sr.Device)
+			}
+			for j := range ref.X {
+				if sr.X[j] != ref.X[j] {
+					t.Errorf("request %d: x[%d] = %v, want %v bitwise (k = 0 solve alone)", i, j, sr.X[j], ref.X[j])
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	big := workload.Batch[float64](workload.DiagDominant, 9, n, 7)
+	ref, err := gputrid.SolveBatch(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, sr, er, err := postSolve(ctx, base, requestFor(big, 0))
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("9-system request: %d %+v %v", code, er, err)
+	}
+	if sr.Route != "device" || sr.Device < 0 {
+		t.Fatalf("9-system request: route %q on device %d, want a device route", sr.Route, sr.Device)
+	}
+	for j := range ref.X {
+		if sr.X[j] != ref.X[j] {
+			t.Fatalf("9-system request: x[%d] = %v, want %v", j, sr.X[j], ref.X[j])
+		}
+	}
+
+	bt, ok := getFleet(t, base)["batcher"].(map[string]any)
+	if !ok {
+		t.Fatal("/fleet has no batcher section with -batch on")
+	}
+	if got := bt["flushed_systems"]; got != float64(12) {
+		t.Fatalf("batcher.flushed_systems = %v, want the 12 coalesced systems", got)
+	}
+}
+
+// TestFleetKeyContract pins the /fleet keys the load harness reads
+// (cmd/tridload/serve.go's fleetSnap). That module has its own go.mod,
+// so `go test ./...` never builds it; a renamed key would otherwise
+// show up only when the benchmark runs.
+func TestFleetKeyContract(t *testing.T) {
+	_, base := newBatchServer(t, fleet.Config{Devices: 2}, time.Millisecond)
+	b := workload.Batch[float64](workload.DiagDominant, 1, 32, 3)
+	if code, _, er, err := postSolve(context.Background(), base, requestFor(b, 0)); err != nil || code != http.StatusOK {
+		t.Fatalf("solve: %d %+v %v", code, er, err)
+	}
+	body := getFleet(t, base)
+	number := func(obj map[string]any, path, key string) {
+		t.Helper()
+		v, ok := obj[key]
+		if !ok {
+			t.Errorf("/fleet: missing %s", path)
+			return
+		}
+		if _, ok := v.(float64); !ok {
+			t.Errorf("/fleet: %s = %v (%T), want a number", path, v, v)
+		}
+	}
+	devices, ok := body["devices"].([]any)
+	if !ok || len(devices) != 2 {
+		t.Fatalf("/fleet: devices = %v, want a 2-element list", body["devices"])
+	}
+	for i, d := range devices {
+		dev, ok := d.(map[string]any)
+		if !ok {
+			t.Fatalf("/fleet: devices[%d] = %v, want an object", i, d)
+		}
+		number(dev, "devices[].served", "served")
+	}
+	number(body, "rejected", "rejected")
+	number(body, "rerouted", "rerouted")
+	bt, ok := body["batcher"].(map[string]any)
+	if !ok {
+		t.Fatal("/fleet: missing batcher")
+	}
+	for _, k := range []string{
+		"flushes_watermark", "flushes_deadline", "flushes_close",
+		"flushed_systems", "padded_systems", "saturated",
+	} {
+		number(bt, "batcher."+k, k)
+	}
+}
+
+// TestBodyTooLarge: a body over its endpoint's cap is refused with 413
+// and an errorResponse, and the server keeps serving. The inject body
+// streams without a Content-Length, so the cap trips while reading;
+// the solve body declares its oversize length, which is refused before
+// any of it is read.
+func TestBodyTooLarge(t *testing.T) {
+	srv, base := newTestServer(t, fleet.Config{Devices: 1})
+	tooLarge := func(code int, body []byte) {
+		t.Helper()
+		var er errorResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("413 body %q: %v", body, err)
+		}
+		if code != http.StatusRequestEntityTooLarge || er.Kind != "too-large" {
+			t.Fatalf("over-cap body: %d %+v, want 413 too-large", code, er)
+		}
+	}
+
+	// A valid inject object whose message alone exceeds the cap.
+	big := io.MultiReader(
+		strings.NewReader(`{"device":0,"kind":"healed","message":"`),
+		strings.NewReader(strings.Repeat("x", maxInjectBody)),
+		strings.NewReader(`"}`),
+	)
+	hreq, err := http.NewRequest(http.MethodPost, base+"/fleet/inject", big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.ContentLength = -1 // unknown: sent chunked
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tooLarge(resp.StatusCode, body)
+	if code, resp := post(t, base+"/fleet/inject", `{"device":0,"kind":"healed"}`); code != http.StatusAccepted {
+		t.Fatalf("inject after a 413: %d %s, want 202", code, resp)
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(`{}`))
+	req.ContentLength = maxSolveBody + 1
+	rec := httptest.NewRecorder()
+	srv.routes().ServeHTTP(rec, req)
+	tooLarge(rec.Code, rec.Body.Bytes())
+	b := workload.Batch[float64](workload.DiagDominant, 2, 16, 1)
+	if code, _, er, err := postSolve(context.Background(), base, requestFor(b, 0)); err != nil || code != http.StatusOK {
+		t.Fatalf("solve after a 413: %d %+v %v", code, er, err)
+	}
+}

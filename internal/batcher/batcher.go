@@ -15,9 +15,8 @@
 //   - the watermark is reached (Count + next request would exceed
 //     MaxBatch — the flight seals and flushes immediately), or
 //   - the deadline expires (MaxWait after the flight's first request,
-//     pulled earlier by any request whose context deadline minus the
-//     shape's expected service time and SlackMargin would otherwise
-//     be missed), or
+//     pulled earlier by any request whose context deadline minus a
+//     fixed 200µs slack would otherwise be missed), or
 //   - the batcher closes (remaining flights drain).
 //
 // Each caller gets back exactly its own systems, demultiplexed from
@@ -68,7 +67,7 @@ var (
 	// MaxQueuedFlights sealed megabatches awaiting the flusher — the
 	// coalescing tier's admission-control signal (shed, don't buffer).
 	ErrSaturated = errors.New("batcher: queue saturated")
-	// ErrShapeLimit reports a request for a new N when MaxShapes
+	// ErrShapeLimit reports a request for a new N when maxShapes
 	// queues are already live.
 	ErrShapeLimit = errors.New("batcher: too many active shapes")
 )
@@ -139,7 +138,7 @@ type SolveFunc[T num.Real] func(ctx context.Context, mb *Megabatch[T]) error
 
 // Config parameterizes a Batcher. The zero value of every field but
 // Solve is usable: 64-system megabatches, 2ms maximum coalescing
-// wait, 200µs deadline slack, 8 shapes, 4 queued flights, wall clock.
+// wait, 4 queued flights, wall clock.
 type Config[T num.Real] struct {
 	// MaxBatch is the megabatch capacity in systems (the M the
 	// downstream solver is built for).
@@ -147,38 +146,33 @@ type Config[T num.Real] struct {
 	// MaxWait bounds how long the first request of a flight waits for
 	// company before the flight flushes anyway.
 	MaxWait time.Duration
-	// SlackMargin is subtracted, along with the shape's expected
-	// service time, from a request's context deadline to decide how
-	// early its flight must flush to still answer in time.
-	SlackMargin time.Duration
-	// MaxShapes caps the number of live per-N queues (each owns
-	// recycled megabatch planes, so the cap bounds memory).
-	MaxShapes int
 	// MaxQueuedFlights caps sealed megabatches awaiting the flusher
 	// per queue; beyond it Solve sheds with ErrSaturated.
 	MaxQueuedFlights int
 	// Clock is the time source for waits and deadlines; nil means
 	// clock.WallClock.
 	Clock clock.TimerClock
-	// ServiceTime reports the expected solve duration for a megabatch
-	// of n-row systems (typically the pool's per-shape EWMA) and
-	// whether an estimate exists yet. Nil means no estimate.
-	ServiceTime func(n int) (time.Duration, bool)
 	// Solve runs a megabatch. Required.
 	Solve SolveFunc[T]
 }
 
+const (
+	// slackMargin is subtracted from a request's context deadline to
+	// decide how early its flight must flush to still answer in time.
+	slackMargin = 200 * time.Microsecond
+	// maxShapes caps the number of live per-N queues (each owns
+	// recycled megabatch planes, so the cap bounds memory).
+	maxShapes = 8
+)
+
 // Batcher coalesces same-shaped requests into megabatches. Safe for
 // concurrent use by any number of goroutines.
 type Batcher[T num.Real] struct {
-	maxBatch    int
-	maxWait     time.Duration
-	slackMargin time.Duration
-	maxShapes   int
-	maxQueued   int
-	clk         clock.TimerClock
-	serviceTime func(n int) (time.Duration, bool)
-	solve       SolveFunc[T]
+	maxBatch  int
+	maxWait   time.Duration
+	maxQueued int
+	clk       clock.TimerClock
+	solve     SolveFunc[T]
 
 	mu     sync.Mutex //tridlint:lockrank 15
 	queues map[int]*queue[T]
@@ -205,27 +199,18 @@ func New[T num.Real](cfg Config[T]) (*Batcher[T], error) {
 		return nil, errors.New("batcher: Config.Solve is required")
 	}
 	b := &Batcher[T]{
-		maxBatch:    cfg.MaxBatch,
-		maxWait:     cfg.MaxWait,
-		slackMargin: cfg.SlackMargin,
-		maxShapes:   cfg.MaxShapes,
-		maxQueued:   cfg.MaxQueuedFlights,
-		clk:         cfg.Clock,
-		serviceTime: cfg.ServiceTime,
-		solve:       cfg.Solve,
-		queues:      make(map[int]*queue[T]),
+		maxBatch:  cfg.MaxBatch,
+		maxWait:   cfg.MaxWait,
+		maxQueued: cfg.MaxQueuedFlights,
+		clk:       cfg.Clock,
+		solve:     cfg.Solve,
+		queues:    make(map[int]*queue[T]),
 	}
 	if b.maxBatch <= 0 {
 		b.maxBatch = 64
 	}
 	if b.maxWait <= 0 {
 		b.maxWait = 2 * time.Millisecond
-	}
-	if b.slackMargin <= 0 {
-		b.slackMargin = 200 * time.Microsecond
-	}
-	if b.maxShapes <= 0 {
-		b.maxShapes = 8
 	}
 	if b.maxQueued <= 0 {
 		b.maxQueued = 4
@@ -318,7 +303,7 @@ func (b *Batcher[T]) queueFor(n int) (*queue[T], error) {
 	if q, ok := b.queues[n]; ok {
 		return q, nil
 	}
-	if len(b.queues) >= b.maxShapes {
+	if len(b.queues) >= maxShapes {
 		return nil, fmt.Errorf("batcher: %w: %d live", ErrShapeLimit, len(b.queues))
 	}
 	q := &queue[T]{b: b, n: n, kick: make(chan struct{}, 1)}

@@ -175,16 +175,14 @@ func TestDeadlineFlush(t *testing.T) {
 }
 
 // TestSlackExpiryOrdering pins the deadline-slack policy: a request
-// whose context deadline minus expected service time and SlackMargin
-// lands before the flight's MaxWait pulls the whole flight's flush
-// earlier — and a request with no deadline rides along.
+// whose context deadline minus the fixed slack lands before the
+// flight's MaxWait pulls the whole flight's flush earlier — and a
+// request with no deadline rides along.
 func TestSlackExpiryOrdering(t *testing.T) {
 	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	b, err := New(Config[float64]{
-		MaxBatch: 64, MaxWait: 10 * time.Millisecond,
-		SlackMargin: time.Millisecond, Clock: vc,
-		ServiceTime: func(n int) (time.Duration, bool) { return 2 * time.Millisecond, true },
-		Solve:       echoSolve,
+		MaxBatch: 64, MaxWait: 10 * time.Millisecond, Clock: vc,
+		Solve: echoSolve,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,8 +200,9 @@ func TestSlackExpiryOrdering(t *testing.T) {
 		}
 	}()
 	waitUntil(t, "relaxed request pending", func() bool { return b.Stats().PendingSystems == 1 })
-	// Deadline at virtual +5ms; minus 2ms service estimate and 1ms
-	// slack the flight must flush by +2ms, not +10ms.
+	// Deadline at virtual +5ms; minus the 200µs slack the flight must
+	// flush by +4.8ms, not +10ms.
+	const flushBy = 4800 * time.Microsecond
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -213,22 +212,22 @@ func TestSlackExpiryOrdering(t *testing.T) {
 			t.Errorf("urgent solve: %v", err)
 			return
 		}
-		if res.Wait > 2*time.Millisecond {
-			t.Errorf("urgent waited %v, want <= 2ms", res.Wait)
+		if res.Wait > flushBy {
+			t.Errorf("urgent waited %v, want <= %v", res.Wait, flushBy)
 		}
 	}()
 	waitUntil(t, "both requests pending", func() bool { return b.Stats().PendingSystems == 2 })
-	vc.Advance(time.Millisecond)
+	vc.Advance(flushBy - 100*time.Microsecond)
 	time.Sleep(2 * time.Millisecond)
 	if st := b.Stats(); st.Flushes() != 0 {
 		t.Fatalf("flushed %d flights before the slack-adjusted deadline", st.Flushes())
 	}
-	vc.Advance(time.Millisecond)
+	vc.Advance(100 * time.Microsecond)
 	wg.Wait()
 	checkEcho(t, relaxed)
 	checkEcho(t, urgent)
 	if st := b.Stats(); st.FlushesDeadline != 1 || st.Flushes() != 1 {
-		t.Fatalf("stats = %+v, want one deadline flush at +2ms", st)
+		t.Fatalf("stats = %+v, want one deadline flush at +%v", st, flushBy)
 	}
 }
 
@@ -494,7 +493,7 @@ func TestAdmissionErrors(t *testing.T) {
 		t.Fatal("New without Solve should fail")
 	}
 	vc := clock.NewVirtualClock(time.Unix(0, 0))
-	b, err := New(Config[float64]{MaxBatch: 4, MaxShapes: 1, MaxWait: time.Hour, Clock: vc, Solve: echoSolve})
+	b, err := New(Config[float64]{MaxBatch: 4, MaxWait: time.Hour, Clock: vc, Solve: echoSolve})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,18 +509,15 @@ func TestAdmissionErrors(t *testing.T) {
 	if _, err := b.Solve(context.Background(), &Request[float64]{M: 0, N: 8}); !errors.Is(err, core.ErrShapeMismatch) {
 		t.Fatalf("zero systems: %v, want ErrShapeMismatch", err)
 	}
-	// Occupy the single shape slot, then ask for another N.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := b.Solve(context.Background(), mkReq(4, 8, 3)); err != nil {
-			t.Errorf("first shape: %v", err)
+	// Occupy all 8 shape slots, then ask for another N. Each full
+	// request flushes on the watermark; its queue stays live.
+	for i := 0; i < 8; i++ {
+		if _, err := b.Solve(context.Background(), mkReq(4, 8+i, int64(3+i))); err != nil {
+			t.Fatalf("shape %d: %v", i, err)
 		}
-	}()
-	wg.Wait() // watermark flush; the N=8 queue stays live
+	}
 	if _, err := b.Solve(context.Background(), mkReq(1, 16, 4)); !errors.Is(err, ErrShapeLimit) {
-		t.Fatalf("second shape: %v, want ErrShapeLimit", err)
+		t.Fatalf("ninth shape: %v, want ErrShapeLimit", err)
 	}
 	// A pre-cancelled context never enqueues.
 	ctx, cancel := context.WithCancel(context.Background())

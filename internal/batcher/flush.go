@@ -128,13 +128,7 @@ func (q *queue[T]) admit(ctx context.Context, req *Request[T], now time.Time) (*
 
 	target := now.Add(q.b.maxWait)
 	if dl, ok := ctx.Deadline(); ok {
-		svc := time.Duration(0)
-		if q.b.serviceTime != nil {
-			if s, known := q.b.serviceTime(q.n); known {
-				svc = s
-			}
-		}
-		if lim := dl.Add(-q.b.slackMargin - svc); lim.Before(target) {
+		if lim := dl.Add(-slackMargin); lim.Before(target) {
 			target = lim
 		}
 	}

@@ -22,10 +22,9 @@ var (
 func fuzzBatcher() *Batcher[float64] {
 	fuzzOnce.Do(func() {
 		b, err := New(Config[float64]{
-			MaxBatch:  8,
-			MaxWait:   100 * time.Microsecond,
-			MaxShapes: 4,
-			Solve:     echoSolve,
+			MaxBatch: 8,
+			MaxWait:  100 * time.Microsecond,
+			Solve:    echoSolve,
 		})
 		if err != nil {
 			panic(err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gputrid"
+	"gputrid/internal/batcher"
 	"gputrid/internal/workload"
 )
 
@@ -54,7 +55,8 @@ func BenchmarkServePerRequest(b *testing.B) {
 }
 
 // BenchmarkServeCoalesced is the same offered load through the
-// coalescing front-end: concurrent 1-system requests merge into
+// coalescing assembly tridserve -batch runs, batcher.New over a
+// megabatch solve: concurrent 1-system requests merge into
 // interleaved megabatches (born in the k = 0 layout, no transpose)
 // and share one pooled megabatch solver lease per flight. Compare
 // ns/op against BenchmarkServePerRequest — the ratio is the
@@ -62,20 +64,31 @@ func BenchmarkServePerRequest(b *testing.B) {
 func BenchmarkServeCoalesced(b *testing.B) {
 	p := gputrid.NewPool[float64](gputrid.PoolConfig{Capacity: 2, QueueLimit: 256})
 	defer p.Close(context.Background())
-	bt, err := gputrid.NewBatcher(p, gputrid.BatcherConfig{
+	bt, err := batcher.New(batcher.Config[float64]{
 		MaxBatch:         coalesceParallelism,
 		MaxWait:          200 * time.Microsecond,
 		MaxQueuedFlights: 8,
+		Solve:            p.SolveMegabatch,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer bt.Close()
 	ctx := context.Background()
+	// solve submits one request with a fresh caller-owned solution, as
+	// tridserve does per request.
+	solve := func(batch *gputrid.Batch[float64]) error {
+		_, err := bt.Solve(ctx, &batcher.Request[float64]{
+			M: batch.M, N: batch.N,
+			Lower: batch.Lower, Diag: batch.Diag, Upper: batch.Upper, RHS: batch.RHS,
+			X: make([]float64, batch.M*batch.N),
+		})
+		return err
+	}
 	// One warmup flight builds the megabatch station before timing, the
 	// coalesced analogue of the per-request bench's Warm.
 	warm := workload.Batch[float64](workload.DiagDominant, 1, coalesceN, 9)
-	if _, _, err := bt.Solve(ctx, warm); err != nil {
+	if err := solve(warm); err != nil {
 		b.Fatal(err)
 	}
 	b.SetParallelism(coalesceParallelism)
@@ -85,11 +98,11 @@ func BenchmarkServeCoalesced(b *testing.B) {
 		batch := workload.Batch[float64](workload.DiagDominant, 1, coalesceN, 9)
 		for pb.Next() {
 			for {
-				_, _, err := bt.Solve(ctx, batch)
+				err := solve(batch)
 				if err == nil {
 					break
 				}
-				if errors.Is(err, gputrid.ErrBatcherSaturated) {
+				if errors.Is(err, batcher.ErrSaturated) {
 					time.Sleep(20 * time.Microsecond)
 					continue
 				}

@@ -33,6 +33,10 @@ import (
 // KAuto selects the number of PCR steps with the Table III heuristic.
 const KAuto = -1
 
+// blockSizeK0 is the thread-block size of the k = 0 p-Thomas path,
+// capped at the device's MaxThreadsPerBlock.
+const blockSizeK0 = 128
+
 // Config controls the hybrid solver.
 type Config struct {
 	// Device is the simulated GPU; nil selects GTX480.
@@ -55,9 +59,6 @@ type Config struct {
 	// windows' independent global loads. 0 or 1 disables multiplexing;
 	// requires BlocksPerSystem <= 1 and no fusion.
 	SystemsPerBlock int
-	// BlockSizeK0 is the thread-block size of the k = 0 p-Thomas path;
-	// 0 means 128.
-	BlockSizeK0 int
 	// Workers bounds the worker pool a Pipeline shards its host-twin
 	// solves across; 0 means GOMAXPROCS. One-shot Solve records on a
 	// single lane and runs the twins only under an injector, so this

@@ -188,13 +188,7 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 	p := &Pipeline[T]{cfg: cfg, dev: dev, m: m, n: n, k: k, c: cfg.c(), g: 1, exec: gpusim.NewExecutor(dev)}
 
 	if k == 0 {
-		bs := cfg.BlockSizeK0
-		if bs <= 0 {
-			bs = 128
-		}
-		if bs > dev.MaxThreadsPerBlock {
-			bs = dev.MaxThreadsPerBlock
-		}
+		bs := min(blockSizeK0, dev.MaxThreadsPerBlock)
 		p.bs = bs
 		p.grid = num.CeilDiv(m, bs)
 		p.vbuf = matrix.NewInterleaved[T](m, n)

@@ -190,8 +190,8 @@ func TestTwinFaultIsLoud(t *testing.T) {
 		rows        func(m, n int) []int // the faulted block's rows of the bound solution
 		interleaved bool
 	}{
-		{"k0", Config{K: 0, BlockSizeK0: 16, Workers: 3}, 40, 64, "pThomas", 1,
-			func(m, n int) []int { return columns(m, n, 16, 32) }, true},
+		{"k0", Config{K: 0, Workers: 3}, 320, 64, "pThomas", 1,
+			func(m, n int) []int { return columns(m, n, 128, 256) }, true},
 		{"k5-thomas", Config{K: 5, Workers: 3}, 7, 200, "pThomasStrided", 2,
 			func(m, n int) []int { return span(2*n, 3*n) }, false},
 		{"k3-pcr-slice", Config{K: 3, BlocksPerSystem: 3, Workers: 2}, 5, 301, "tiledPCR", 4,
@@ -280,7 +280,7 @@ func TestFirstSolveExhaustionDegradesShard(t *testing.T) {
 		wantDegraded []int
 	}{
 		{"k3", Config{K: 3, Workers: 2}, 8, 256, "pThomasStrided", 1, []int{0, 1, 2, 3}},
-		{"k0", Config{K: 0, BlockSizeK0: 16, Workers: 2}, 64, 64, "pThomas", 3, span(32, 64)},
+		{"k0", Config{K: 0, Workers: 2}, 512, 64, "pThomas", 3, span(256, 512)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := workload.Batch[float64](workload.DiagDominant, tc.m, tc.n, 13)

@@ -41,7 +41,7 @@ var auditShapes = []struct {
 	cfg  Config
 	m, n int
 }{
-	{"k0", Config{K: 0, BlockSizeK0: 16, Workers: 3}, 40, 64},
+	{"k0", Config{K: 0, Workers: 3}, 320, 64},
 	{"k5-one-block", Config{K: 5, Workers: 3}, 7, 200},
 	{"k3-three-blocks", Config{K: 3, BlocksPerSystem: 3, Workers: 2}, 5, 301},
 	{"kauto", Config{K: KAuto, Workers: 2}, 16, 1024},

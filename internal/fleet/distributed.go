@@ -149,7 +149,6 @@ func (f *Fleet) distEntry(m, n int) (*distEntry, error) {
 	s, err := core.NewDistSolver[float64](core.DistConfig{
 		Topology: f.dist.topo,
 		Slabs:    f.cfg.Devices,
-		Retry:    f.cfg.DistRetry,
 		Hedge:    f.cfg.DistHedge,
 		// Topology device i is fleet device i, so death events land on
 		// the failure domain that died.

@@ -54,13 +54,10 @@ type Config struct {
 	MinActive int
 
 	// Factory builds one device's pool; nil means a gputrid.NewPool
-	// over Pool + DeviceOptions, warmed on WarmShapes.
+	// over Pool, warmed on WarmShapes.
 	Factory BackendFactory
 	// Pool configures each device's pool (default factory only).
 	Pool gputrid.PoolConfig
-	// DeviceOptions returns extra per-device solver options — e.g. a
-	// per-device fault injector seed (default factory only).
-	DeviceOptions func(id int) []gputrid.Option
 	// WarmShapes are pre-built on every device the factory creates.
 	WarmShapes [][2]int
 
@@ -73,12 +70,6 @@ type Config struct {
 	// finishes, not which control decisions it makes.
 	Clock clock.Clock
 
-	// CorrectedECCLimit is how many corrected-ECC events a device
-	// absorbs before the controller escalates to a cordon; 0 means 8,
-	// negative disables the escalation. A one-device fleet never
-	// escalates: cordoning its only device would move traffic nowhere,
-	// while the device pool's breaker and host fallback keep serving.
-	CorrectedECCLimit int
 	// Probation is how long a revived device must stay clean before
 	// promotion to Active; 0 means 1s.
 	Probation time.Duration
@@ -87,22 +78,7 @@ type Config struct {
 	// re-route to healthy devices). 0 means 5s. This is a data-plane
 	// safety bound and always reads the wall clock.
 	DrainTimeout time.Duration
-	// RerouteAttempts is the maximum number of devices one request may
-	// try before its last error is returned; 0 means 3.
-	RerouteAttempts int
-	// DisableFaultECC stops the fleet from synthesizing corrected-ECC
-	// health events out of solve-level fault reports. By default a
-	// device whose transient-fault layer is visibly retrying emits
-	// HealthECCCorrected into the feed, so sustained data-plane faults
-	// escalate into control-plane action.
-	DisableFaultECC bool
 
-	// ScaleUpAt and ScaleDownAt are the autoscaler's load-per-slot
-	// watermarks: load is max(systems routed, peak weighted
-	// concurrency) since the last Tick, slots is the Active+Probation
-	// solver capacity.
-	// 0 means 1.5 up, 0.25 down; see scaler.go.
-	ScaleUpAt, ScaleDownAt float64
 	// ScaleCooldown is the minimum time between scaling actions;
 	// 0 means 1s.
 	ScaleCooldown time.Duration
@@ -113,9 +89,6 @@ type Config struct {
 	// is built on first use. Scenarios supply their own topology to
 	// schedule per-device fault injection.
 	DistTopology *gpusim.Topology
-	// DistRetry bounds per-slab recovery in distributed solves (see
-	// core.DistConfig.Retry). The zero value is the production default.
-	DistRetry core.RetryPolicy
 	// DistHedge tunes straggler hedging in distributed solves (see
 	// core.DistConfig.Hedge). The zero value is the production default
 	// (hedging on, 3x outlier ratio).
@@ -144,15 +117,15 @@ func (c Config) minActive() int {
 	return c.MinActive
 }
 
+// correctedECCLimit is how many corrected-ECC events a device absorbs
+// before the controller escalates to a cordon. A one-device fleet never
+// escalates: cordoning its only device would move traffic nowhere,
+// while the device pool's breaker and host fallback keep serving.
 func (c Config) correctedECCLimit() int {
-	switch {
-	case c.CorrectedECCLimit < 0 || c.Devices == 1:
+	if c.Devices == 1 {
 		return 1 << 30
-	case c.CorrectedECCLimit == 0:
-		return 8
-	default:
-		return c.CorrectedECCLimit
 	}
+	return 8
 }
 
 func (c Config) probation() time.Duration {
@@ -169,12 +142,9 @@ func (c Config) drainTimeout() time.Duration {
 	return c.DrainTimeout
 }
 
-func (c Config) rerouteAttempts() int {
-	if c.RerouteAttempts <= 0 {
-		return 3
-	}
-	return c.RerouteAttempts
-}
+// rerouteAttempts is the maximum number of devices one request may
+// try before its last error is returned.
+const rerouteAttempts = 3
 
 // Result is one fleet-served solve: the pool result plus which device
 // produced it and how many devices were tried.
@@ -320,12 +290,7 @@ func New(cfg Config) (*Fleet, error) {
 // defaultFactory builds real gputrid pools, warmed on WarmShapes.
 func defaultFactory(cfg Config) BackendFactory {
 	return func(id int) (Backend, error) {
-		pc := cfg.Pool
-		if cfg.DeviceOptions != nil {
-			opts := append([]gputrid.Option(nil), pc.SolverOptions...)
-			pc.SolverOptions = append(opts, cfg.DeviceOptions(id)...)
-		}
-		p := gputrid.NewPool[float64](pc)
+		p := gputrid.NewPool[float64](cfg.Pool)
 		for _, mn := range cfg.WarmShapes {
 			if err := p.Warm(mn[0], mn[1]); err != nil {
 				_ = p.Close(context.Background())
@@ -354,13 +319,13 @@ func (f *Fleet) Inject(ev gpusim.HealthEvent) {
 // beneath the request, force-cancelled mid-solve by a cordon, queue
 // full, faulted — and the request's own context is still live, the
 // request re-routes to the next-best untried device, up to
-// RerouteAttempts devices in total. The returned error is the last
+// three devices in total. The returned error is the last
 // device's (typed: ErrOverloaded, ErrPoolClosed, ErrCancelled,
 // ErrFaulted through gputrid), or ErrNoDevices/ErrFleetClosed.
 func (f *Fleet) Solve(ctx context.Context, b *gputrid.Batch[float64]) (*Result, error) {
 	var tried uint64 // bitmask over device ids (Devices ≤ 64 enforced by pick)
 	var lastErr error
-	for attempt := 1; attempt <= f.cfg.rerouteAttempts(); attempt++ {
+	for attempt := 1; attempt <= rerouteAttempts; attempt++ {
 		d, be, err := f.pick(&tried, 1)
 		if err != nil {
 			if lastErr != nil {
@@ -384,7 +349,7 @@ func (f *Fleet) Solve(ctx context.Context, b *gputrid.Batch[float64]) (*Result, 
 		if err == nil {
 			d.served.Add(1)
 			f.served.Add(1)
-			if res.Faults != nil && !f.cfg.DisableFaultECC {
+			if res.Faults != nil {
 				// The device's fault layer had to repair this solve:
 				// surface it to the control plane as corrected-ECC
 				// pressure so a sick device escalates to a cordon.
@@ -428,7 +393,7 @@ func (f *Fleet) SolveMegabatch(ctx context.Context, mb *gputrid.Megabatch[float6
 	weight := int64(mb.Count)
 	var tried uint64
 	var lastErr error
-	for attempt := 1; attempt <= f.cfg.rerouteAttempts(); attempt++ {
+	for attempt := 1; attempt <= rerouteAttempts; attempt++ {
 		d, be, err := f.pick(&tried, weight)
 		if err != nil {
 			if lastErr != nil {

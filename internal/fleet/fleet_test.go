@@ -320,13 +320,13 @@ func TestThermalDeprioritize(t *testing.T) {
 
 // TestCorrectedECCEscalation: corrected-ECC events are harmless
 // individually but cordon the device once they accumulate past the
-// policy threshold.
+// policy threshold of 8.
 func TestCorrectedECCEscalation(t *testing.T) {
 	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
-	f := newTestFleet(t, fleet.Config{Devices: 2, CorrectedECCLimit: 3}, ff, vc)
+	f := newTestFleet(t, fleet.Config{Devices: 2}, ff, vc)
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 7; i++ {
 		f.Inject(gpusim.HealthEvent{Device: 0, Kind: gpusim.HealthECCCorrected})
 	}
 	f.Tick()
@@ -416,7 +416,7 @@ func TestStatsDegraded(t *testing.T) {
 func TestSolveFaultsEscalateToCordon(t *testing.T) {
 	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}
-	f := newTestFleet(t, fleet.Config{Devices: 2, CorrectedECCLimit: 2}, ff, vc)
+	f := newTestFleet(t, fleet.Config{Devices: 2}, ff, vc)
 	ctx := context.Background()
 
 	// Device 0's solves carry fault reports; keep device 1 clean.
@@ -424,8 +424,9 @@ func TestSolveFaultsEscalateToCordon(t *testing.T) {
 	ff.backend(0).faults = &gputrid.FaultReport{Faults: 1}
 	ff.backend(0).mu.Unlock()
 
-	// Ties rotate round-robin, so 4 solves land on device 0 twice.
-	for i := 0; i < 4; i++ {
+	// Ties rotate round-robin, so 16 solves land on device 0 eight
+	// times: the escalation threshold.
+	for i := 0; i < 16; i++ {
 		if _, err := f.Solve(ctx, nil); err != nil {
 			t.Fatalf("solve %d: %v", i, err)
 		}
@@ -462,6 +463,33 @@ func TestRerouteOnDeadDevice(t *testing.T) {
 	}
 	if st := f.Stats(); st.Rerouted != 1 {
 		t.Fatalf("rerouted = %d, want 1", st.Rerouted)
+	}
+}
+
+// TestRerouteAttemptsBounded: a request tries at most three devices,
+// even when more are servable, and then returns the last device's
+// error.
+func TestRerouteAttemptsBounded(t *testing.T) {
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
+	ff := &fakeFactory{}
+	f := newTestFleet(t, fleet.Config{Devices: 4}, ff, vc)
+	for id := 0; id < 4; id++ {
+		ff.backend(id).mu.Lock()
+		ff.backend(id).closed = true
+		ff.backend(id).mu.Unlock()
+	}
+
+	if _, err := f.Solve(context.Background(), nil); !errors.Is(err, gputrid.ErrPoolClosed) {
+		t.Fatalf("solve on a fleet of closed pools: %v, want ErrPoolClosed", err)
+	}
+	st := f.Stats()
+	var failed uint64
+	for _, d := range st.Devices {
+		failed += d.Failed
+	}
+	if failed != 3 || st.Rerouted != 3 || st.Rejected != 1 {
+		t.Fatalf("tried %d devices (rerouted %d, rejected %d), want 3 tried, 3 rerouted, 1 rejected",
+			failed, st.Rerouted, st.Rejected)
 	}
 }
 

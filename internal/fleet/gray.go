@@ -18,21 +18,8 @@ import (
 // across distributed-solve reports — so the fleet watches those
 // reports and *synthesizes* HealthStraggler / HealthLinkFlaky events
 // into its own feed, where the ordinary cordon/drain policy takes
-// over. The zero value of every field picks the documented default.
+// over. The zero value is the production default.
 type GrayPolicy struct {
-	// Disable turns the detector off entirely.
-	Disable bool
-	// StragglerRatio is the EWMA per-slab modeled-latency ratio
-	// (device vs. fleet median) past which a device is declared a
-	// straggler; values ≤ 1 mean 2.5.
-	StragglerRatio float64
-	// Alpha is the EWMA smoothing factor in (0, 1]: higher weighs the
-	// newest solve more. 0 means 0.4.
-	Alpha float64
-	// MinSamples is how many distributed solves a device must appear
-	// in before its ratio is trusted — one outlier solve (cold cache,
-	// unlucky slab mix) must not cordon a healthy device. 0 means 2.
-	MinSamples int
 	// IntegrityLimit is the cumulative integrity-retry count
 	// (checksum-mismatched transfers re-exchanged by the solver) past
 	// which a device's link is declared flaky; 0 means 4, negative
@@ -40,26 +27,20 @@ type GrayPolicy struct {
 	IntegrityLimit int
 }
 
-func (p GrayPolicy) stragglerRatio() float64 {
-	if p.StragglerRatio <= 1 {
-		return 2.5
-	}
-	return p.StragglerRatio
-}
-
-func (p GrayPolicy) alpha() float64 {
-	if p.Alpha <= 0 || p.Alpha > 1 {
-		return 0.4
-	}
-	return p.Alpha
-}
-
-func (p GrayPolicy) minSamples() int {
-	if p.MinSamples <= 0 {
-		return 2
-	}
-	return p.MinSamples
-}
+// The straggler test's fixed parameters.
+const (
+	// stragglerRatio is the EWMA per-slab modeled-latency ratio
+	// (device vs. fleet median) past which a device is declared a
+	// straggler.
+	stragglerRatio = 2.5
+	// grayAlpha is the EWMA smoothing factor: the weight of the newest
+	// solve.
+	grayAlpha = 0.4
+	// minSamples is how many distributed solves a device must appear
+	// in before its ratio is trusted — one outlier solve (cold cache,
+	// unlucky slab mix) must not cordon a healthy device.
+	minSamples = 2
+)
 
 func (p GrayPolicy) integrityLimit() int {
 	switch {
@@ -126,8 +107,7 @@ func (g *grayDetector) reset(id int) {
 // fleet device ids (the distributed plane maps them one to one), so
 // synthesized events land on the right failure domain.
 func (f *Fleet) observeGray(rep *core.DistReport) {
-	p := f.cfg.Gray
-	if p.Disable || len(rep.PerDevice) == 0 {
+	if len(rep.PerDevice) == 0 {
 		return
 	}
 
@@ -156,15 +136,14 @@ func (f *Fleet) observeGray(rep *core.DistReport) {
 			if g.samples == 0 {
 				g.ewma = ratio
 			} else {
-				a := p.alpha()
-				g.ewma = a*ratio + (1-a)*g.ewma
+				g.ewma = grayAlpha*ratio + (1-grayAlpha)*g.ewma
 			}
 			g.samples++
 		}
 		g.integrity += o.IntegrityRetries
 		g.hedged += o.Hedged
 
-		if !g.stragglerSent && g.samples >= p.minSamples() && g.ewma >= p.stragglerRatio() {
+		if !g.stragglerSent && g.samples >= minSamples && g.ewma >= stragglerRatio {
 			g.stragglerSent = true
 			f.grayStragglers.Add(1)
 			fire = append(fire, gpusim.HealthEvent{
@@ -172,7 +151,7 @@ func (f *Fleet) observeGray(rep *core.DistReport) {
 				Message: fmt.Sprintf("modeled per-slab latency %.1fx fleet median over %d solves", g.ewma, g.samples),
 			})
 		}
-		if !g.flakySent && g.integrity >= p.integrityLimit() {
+		if !g.flakySent && g.integrity >= f.cfg.Gray.integrityLimit() {
 			g.flakySent = true
 			f.grayFlaky.Add(1)
 			fire = append(fire, gpusim.HealthEvent{

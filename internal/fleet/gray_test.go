@@ -56,7 +56,6 @@ func TestGrayStragglerDetectedAndCordoned(t *testing.T) {
 		// Hedging off so the straggler keeps its slab and its latency
 		// signature stays in the per-device observations.
 		DistHedge: core.HedgePolicy{Disable: true},
-		Gray:      fleet.GrayPolicy{MinSamples: 2},
 	}, ff, vc)
 
 	const m, n = 2, 193
@@ -96,37 +95,6 @@ func TestGrayStragglerDetectedAndCordoned(t *testing.T) {
 	}
 	if st.Cordons != 1 {
 		t.Fatalf("Cordons = %d, want exactly the straggler's", st.Cordons)
-	}
-}
-
-// With the detector disabled the same straggler must keep serving:
-// gray evidence alone never cordons unless the policy says so.
-func TestGrayDetectorDisable(t *testing.T) {
-	const devices, straggler = 4, 1
-	vc := clock.NewVirtualClock(time.Unix(0, 0))
-	ff := &fakeFactory{}
-	f := newTestFleet(t, fleet.Config{
-		Devices:      devices,
-		DistTopology: grayTopo(t, devices, straggler, 20, -1, 0),
-		DistHedge:    core.HedgePolicy{Disable: true},
-		Gray:         fleet.GrayPolicy{Disable: true},
-	}, ff, vc)
-
-	b := workload.Batch[float64](workload.DiagDominant, 2, 129, 5)
-	for i := 0; i < 3; i++ {
-		if _, err := f.SolveDistributed(context.Background(), b); err != nil {
-			t.Fatal(err)
-		}
-		vc.Advance(10 * time.Millisecond)
-		f.Tick()
-	}
-	st := f.Stats()
-	if st.GrayStragglers != 0 || st.Cordons != 0 {
-		t.Fatalf("disabled detector still acted: stragglers %d cordons %d",
-			st.GrayStragglers, st.Cordons)
-	}
-	if st.Devices[straggler].State != fleet.StateActive {
-		t.Fatalf("straggler state %v, want active with detector off", st.Devices[straggler].State)
 	}
 }
 
@@ -211,7 +179,6 @@ func TestGrayEvidenceResetOnRevive(t *testing.T) {
 		Devices:      devices,
 		DistTopology: topo,
 		DistHedge:    core.HedgePolicy{Disable: true},
-		Gray:         fleet.GrayPolicy{MinSamples: 2},
 		Probation:    10 * time.Millisecond,
 	}, ff, vc)
 

@@ -11,27 +11,21 @@ import "time"
 // but are not counted as capacity, which biases the fleet toward
 // scaling *up* while a device is thermally throttled).
 //
-//	load/slots > ScaleUpAt   → activate one Standby device
-//	load/slots < ScaleDownAt → drain one Active device to Standby
+//	load/slots > scaleUpAt   → activate one Standby device
+//	load/slots < scaleDownAt → drain one Active device to Standby
 //
 // Both directions respect ScaleCooldown (fleet-clock time) and the
 // scaler never drops below MinActive nor scales past the devices that
 // exist. One device per Tick, in each direction at most: watermark
 // scaling oscillates if it reacts to its own transient, and the
 // cooldown plus one-step moves are the standard damping.
-func (c Config) scaleUpAt() float64 {
-	if c.ScaleUpAt <= 0 {
-		return 1.5
-	}
-	return c.ScaleUpAt
-}
-
-func (c Config) scaleDownAt() float64 {
-	if c.ScaleDownAt <= 0 {
-		return 0.25
-	}
-	return c.ScaleDownAt
-}
+// The autoscaler's load-per-slot watermarks: load is max(systems
+// routed, peak weighted concurrency) since the last Tick, slots is the
+// Active+Probation solver capacity.
+const (
+	scaleUpAt   = 1.5
+	scaleDownAt = 0.25
+)
 
 func (c Config) scaleCooldown() time.Duration {
 	if c.ScaleCooldown <= 0 {
@@ -95,11 +89,11 @@ func (f *Fleet) scaleLocked(now time.Time) {
 	}
 
 	switch {
-	case load/slots > f.cfg.scaleUpAt() && standby != nil:
+	case load/slots > scaleUpAt && standby != nil:
 		f.scaleUps.Add(1)
 		f.lastScale = now
 		f.reviveLocked(standby, StateActive, now)
-	case load/slots < f.cfg.scaleDownAt() && serving > f.cfg.minActive() && active != nil:
+	case load/slots < scaleDownAt && serving > f.cfg.minActive() && active != nil:
 		f.scaleDowns.Add(1)
 		f.lastScale = now
 		f.cordonLocked(active, StateStandby, now)

@@ -229,27 +229,18 @@ func Run(sc *Scenario, logf func(format string, args ...any)) (*Report, error) {
 		return g, nil
 	}
 	fcfg := fleet.Config{
-		Devices:           sc.Devices,
-		InitialActive:     sc.InitialActive,
-		MinActive:         sc.MinActive,
-		Clock:             vc,
-		Factory:           factory,
-		Probation:         sc.Probation,
-		DrainTimeout:      sc.DrainTimeout,
-		ScaleCooldown:     sc.ScaleCooldown,
-		CorrectedECCLimit: sc.CorrectedECCLimit,
-		RerouteAttempts:   sc.RerouteAttempts,
-		ScaleUpAt:         sc.ScaleUpAt,
-		ScaleDownAt:       sc.ScaleDownAt,
-		DistTopology:      distTopo,
+		Devices:       sc.Devices,
+		InitialActive: sc.InitialActive,
+		MinActive:     sc.MinActive,
+		Clock:         vc,
+		Factory:       factory,
+		Probation:     sc.Probation,
+		DrainTimeout:  sc.DrainTimeout,
+		ScaleCooldown: sc.ScaleCooldown,
+		DistTopology:  distTopo,
 	}
 	if g := sc.Gray; g != nil {
-		fcfg.Gray = fleet.GrayPolicy{
-			StragglerRatio: g.StragglerRatio,
-			MinSamples:     g.MinSamples,
-			IntegrityLimit: g.IntegrityLimit,
-		}
-		fcfg.DistHedge = core.HedgePolicy{Disable: g.DisableHedge}
+		fcfg.Gray = fleet.GrayPolicy{IntegrityLimit: g.IntegrityLimit}
 	}
 	fl, err := fleet.New(fcfg)
 	if err != nil {

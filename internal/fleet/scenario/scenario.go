@@ -41,8 +41,6 @@ type Scenario struct {
 
 	// Policy knobs (zero = fleet defaults).
 	Probation, DrainTimeout, ScaleCooldown time.Duration
-	CorrectedECCLimit, RerouteAttempts     int
-	ScaleUpAt, ScaleDownAt                 float64
 
 	// FaultRate, when positive, arms each device's deterministic
 	// transient-fault injector (seeded per device, one-shot faults the
@@ -100,8 +98,8 @@ func (ds *DistSpec) count() int {
 }
 
 // GraySpec arms gray failures — failures no driver event announces —
-// on the distributed fabric, and tunes the detector that must catch
-// them from statistical evidence alone.
+// on the distributed fabric, and tunes the link check of the detector
+// that must catch them from statistical evidence alone.
 type GraySpec struct {
 	// Straggler, when >= 0, is the topology device silently slowed by
 	// StragglerFactor (its modeled kernel time multiplies, no health
@@ -113,12 +111,9 @@ type GraySpec struct {
 	// caught by the solver's checksums and repaired in place).
 	Flaky     int
 	FlakyRate float64
-	// Detector knobs (zero = fleet defaults, see fleet.GrayPolicy).
-	StragglerRatio float64
-	MinSamples     int
+	// IntegrityLimit is the detector's link threshold (zero = fleet
+	// default, see fleet.GrayPolicy).
 	IntegrityLimit int
-	// DisableHedge turns off straggler hedging in distributed solves.
-	DisableHedge bool
 }
 
 // LoadPhase offers `RPS` requests per virtual second over [From, To).
@@ -247,10 +242,6 @@ func Decode(data []byte) (*Scenario, error) {
 	sc.Probation = pol.dur("probation", 0)
 	sc.DrainTimeout = pol.dur("drain_timeout", 0)
 	sc.ScaleCooldown = pol.dur("scale_cooldown", 0)
-	sc.CorrectedECCLimit = pol.num("corrected_ecc_limit", 0)
-	sc.RerouteAttempts = pol.num("reroute_attempts", 0)
-	sc.ScaleUpAt = pol.flt("scale_up_at", 0)
-	sc.ScaleDownAt = pol.flt("scale_down_at", 0)
 
 	faults := d.section(top.child("faults"), "faults")
 	sc.FaultRate = faults.flt("rate", 0)
@@ -325,10 +316,7 @@ func Decode(data []byte) (*Scenario, error) {
 			spec.Flaky = fs.num("device", 0)
 			spec.FlakyRate = fs.flt("rate", 0.3)
 		}
-		spec.StragglerRatio = g.flt("straggler_ratio", 0)
-		spec.MinSamples = g.num("min_samples", 0)
 		spec.IntegrityLimit = g.num("integrity_limit", 0)
-		spec.DisableHedge = g.str("disable_hedge", "") == "true"
 		sc.Gray = spec
 	}
 

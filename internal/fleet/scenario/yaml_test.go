@@ -139,6 +139,21 @@ func TestDecodeStrictness(t *testing.T) {
 		{"no load", "name: x", "no load phases"},
 		{"event device range", "load:\n  - {rps: 1}\nevents:\n  - {at: 1s, device: 9, kind: xid}", "out of range"},
 		{"too many devices", "devices:\n  count: 65\nload:\n  - {rps: 1}", "1..64"},
+		// Fleet policy that is fixed in code is not a scenario key.
+		{"corrected_ecc_limit", "load:\n  - {rps: 1}\npolicy:\n  corrected_ecc_limit: 3",
+			`line 4: policy: unknown key "corrected_ecc_limit"`},
+		{"reroute_attempts", "load:\n  - {rps: 1}\npolicy:\n  reroute_attempts: 2",
+			`line 4: policy: unknown key "reroute_attempts"`},
+		{"scale_up_at", "load:\n  - {rps: 1}\npolicy:\n  scale_up_at: 1.5",
+			`line 4: policy: unknown key "scale_up_at"`},
+		{"scale_down_at", "load:\n  - {rps: 1}\npolicy:\n  scale_down_at: 0.25",
+			`line 4: policy: unknown key "scale_down_at"`},
+		{"straggler_ratio", "load:\n  - {rps: 1}\ngray:\n  straggler_ratio: 2.5",
+			`line 4: gray: unknown key "straggler_ratio"`},
+		{"min_samples", "load:\n  - {rps: 1}\ngray:\n  min_samples: 2",
+			`line 4: gray: unknown key "min_samples"`},
+		{"disable_hedge", "load:\n  - {rps: 1}\ngray:\n  disable_hedge: true",
+			`line 4: gray: unknown key "disable_hedge"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

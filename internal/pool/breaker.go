@@ -56,13 +56,6 @@ type BreakerPolicy struct {
 	// ProbeSuccesses is how many consecutive half-open probes must
 	// succeed to close the breaker; 0 means 3.
 	ProbeSuccesses int
-	// Disabled wires the breaker permanently closed (every request
-	// takes the device path). For ablation and tests.
-	Disabled bool
-	// Clock overrides the breaker's time source; nil means the pool's
-	// clock (Config.Clock, wall time by default). Tests inject a fake
-	// clock to drive the cooldown deterministically.
-	Clock func() time.Time
 }
 
 func (p BreakerPolicy) window() int {
@@ -133,14 +126,10 @@ type breaker struct {
 	trips    int
 }
 
-// newBreaker builds the breaker; defNow is the pool's injected clock,
-// used when the policy does not override it. (This package never reads
-// time.Now directly — the clockinject analyzer enforces it.)
-func newBreaker(pol BreakerPolicy, defNow func() time.Time) *breaker {
-	now := pol.Clock
-	if now == nil {
-		now = defNow
-	}
+// newBreaker builds the breaker over the pool's injected clock. (This
+// package never reads time.Now directly — the clockinject analyzer
+// enforces it.)
+func newBreaker(pol BreakerPolicy, now func() time.Time) *breaker {
 	return &breaker{pol: pol, now: now, window: make([]bool, pol.window())}
 }
 
@@ -149,9 +138,6 @@ func newBreaker(pol BreakerPolicy, defNow func() time.Time) *breaker {
 // MUST be reported through record (or abandon, if the solve was
 // cancelled) to unblock further probing.
 func (b *breaker) route() (device, probe bool) {
-	if b.pol.Disabled {
-		return true, false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -178,9 +164,6 @@ func (b *breaker) route() (device, probe bool) {
 // error). Cancelled solves must call abandon instead — they say
 // nothing about device health.
 func (b *breaker) record(probe, degraded bool) {
-	if b.pol.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if probe {
@@ -222,7 +205,7 @@ func (b *breaker) record(probe, degraded bool) {
 // abandon releases a probe slot without judging the device (the probe
 // solve was cancelled by its caller before completing).
 func (b *breaker) abandon(probe bool) {
-	if !probe || b.pol.Disabled {
+	if !probe {
 		return
 	}
 	b.mu.Lock()

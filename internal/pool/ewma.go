@@ -14,18 +14,14 @@ import (
 // replay, interleave passes and any retry backoff the model does not
 // see).
 type ewma struct {
-	mu    sync.Mutex
-	alpha float64
-	v     float64 // seconds
-	n     int     // observations (seed included)
+	mu sync.Mutex
+	v  float64 // seconds
+	n  int     // observations (seed included)
 }
 
-func newEWMA(alpha float64) *ewma {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.2
-	}
-	return &ewma{alpha: alpha}
-}
+// ewmaAlpha is the service-time smoothing factor: the weight of the
+// newest observation.
+const ewmaAlpha = 0.2
 
 // seed installs a prior estimate without counting it as an
 // observation-weighted sample; a later first Observe overwrites it.
@@ -46,7 +42,7 @@ func (e *ewma) observe(d time.Duration) {
 		// First real measurement replaces the modeled-time seed.
 		e.v = x
 	} else {
-		e.v += e.alpha * (x - e.v)
+		e.v += ewmaAlpha * (x - e.v)
 	}
 	e.n++
 	e.mu.Unlock()

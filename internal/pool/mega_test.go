@@ -42,12 +42,6 @@ func TestMegaStationsIndependent(t *testing.T) {
 	// EWMAs are independent.
 	ld.Release(10 * time.Millisecond)
 	lm.Release(70 * time.Millisecond)
-	if svc, ok := p.ServiceTime(64, 128); !ok || svc != 10*time.Millisecond {
-		t.Fatalf("direct service time = %v ok=%v, want 10ms", svc, ok)
-	}
-	if svc, ok := p.ServiceTimeMega(64, 128); !ok || svc != 70*time.Millisecond {
-		t.Fatalf("mega service time = %v ok=%v, want 70ms", svc, ok)
-	}
 
 	// Stats name both stations and tell them apart.
 	st := p.Stats()
@@ -59,10 +53,14 @@ func TestMegaStationsIndependent(t *testing.T) {
 		if sh.M != 64 || sh.N != 128 {
 			t.Fatalf("unexpected shape %dx%d", sh.M, sh.N)
 		}
+		want := 10 * time.Millisecond
 		if sh.Mega {
-			sawMega = true
+			sawMega, want = true, 70*time.Millisecond
 		} else {
 			sawDirect = true
+		}
+		if sh.ServiceTime != want {
+			t.Fatalf("mega=%v service time = %v, want %v", sh.Mega, sh.ServiceTime, want)
 		}
 	}
 	if !sawMega || !sawDirect {

@@ -60,12 +60,8 @@ type Config struct {
 	MaxShapes int
 	// Breaker tunes the circuit breaker.
 	Breaker BreakerPolicy
-	// EWMAAlpha is the service-time smoothing factor in (0, 1];
-	// 0 means 0.2.
-	EWMAAlpha float64
 	// Clock is the pool's time source for idle-eviction stamps,
-	// deadline-feasibility checks and (unless overridden per policy)
-	// the breaker cooldown; nil means wall time. Scenario runs inject
+	// deadline-feasibility checks and the breaker cooldown; nil means wall time. Scenario runs inject
 	// the fleet's virtual clock so eviction order replays exactly.
 	Clock clock.Clock
 }
@@ -474,7 +470,7 @@ func (p *Pool[S]) lookup(key skey) (*station[S], error) {
 	st := &station[S]{
 		key:  key,
 		free: make(chan S, p.cfg.capacity()),
-		svc:  newEWMA(p.cfg.EWMAAlpha),
+		svc:  &ewma{},
 	}
 	st.lastUse = p.clk.Now()
 	p.stations[key] = st
@@ -599,28 +595,6 @@ func (p *Pool[S]) RecordFallback() { p.fallbackSolves.Add(1) }
 
 // Breaker returns the circuit breaker's observable state.
 func (p *Pool[S]) Breaker() BreakerSnapshot { return p.brk.snapshot() }
-
-// ServiceTime returns the current service-time estimate for a shape
-// (false when the shape has never been seen).
-func (p *Pool[S]) ServiceTime(m, n int) (time.Duration, bool) {
-	return p.serviceTime(skey{Key{m, n}, false})
-}
-
-// ServiceTimeMega returns the megabatch station's estimate — the
-// batcher's flush scheduler reads it to bound deadline slack.
-func (p *Pool[S]) ServiceTimeMega(m, n int) (time.Duration, bool) {
-	return p.serviceTime(skey{Key{m, n}, true})
-}
-
-func (p *Pool[S]) serviceTime(k skey) (time.Duration, bool) {
-	p.mu.Lock()
-	st, ok := p.stations[k]
-	p.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	return st.svc.value()
-}
 
 // Stats snapshots the pool.
 func (p *Pool[S]) Stats() Stats {

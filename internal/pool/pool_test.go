@@ -240,9 +240,9 @@ func TestBreakerStateMachine(t *testing.T) {
 	clock := func() time.Time { return now }
 	pol := BreakerPolicy{
 		Window: 4, TripRatio: 0.5, MinSamples: 2,
-		Cooldown: 100 * time.Millisecond, ProbeSuccesses: 2, Clock: clock,
+		Cooldown: 100 * time.Millisecond, ProbeSuccesses: 2,
 	}
-	b := newBreaker(pol, time.Now)
+	b := newBreaker(pol, clock)
 
 	// Healthy traffic keeps it closed.
 	for i := 0; i < 6; i++ {
@@ -314,9 +314,9 @@ func TestBreakerAbandonedProbe(t *testing.T) {
 	now := time.Unix(0, 0)
 	pol := BreakerPolicy{
 		Window: 4, MinSamples: 2, Cooldown: time.Millisecond,
-		ProbeSuccesses: 1, Clock: func() time.Time { return now },
+		ProbeSuccesses: 1,
 	}
-	b := newBreaker(pol, time.Now)
+	b := newBreaker(pol, func() time.Time { return now })
 	b.record(false, true)
 	b.record(false, true)
 	now = now.Add(2 * time.Millisecond)
@@ -481,9 +481,9 @@ func TestIdleEvictionVirtualClock(t *testing.T) {
 }
 
 // TestEWMAObservation: observed service times replace the modeled seed
-// and converge with the configured smoothing.
+// and converge with the fixed smoothing.
 func TestEWMAObservation(t *testing.T) {
-	e := newEWMA(0.5)
+	e := &ewma{}
 	if _, ok := e.value(); ok {
 		t.Fatal("empty ewma must report unknown")
 	}
@@ -499,9 +499,9 @@ func TestEWMAObservation(t *testing.T) {
 	if v, _ := e.value(); v != 10*time.Millisecond {
 		t.Fatalf("first observation: %v", v)
 	}
-	e.observe(20 * time.Millisecond) // 10 + 0.5*(20-10) = 15
-	if v, _ := e.value(); v != 15*time.Millisecond {
-		t.Fatalf("smoothing: %v, want 15ms", v)
+	e.observe(20 * time.Millisecond) // 10 + 0.2*(20-10) = 12
+	if v, _ := e.value(); v != 12*time.Millisecond {
+		t.Fatalf("smoothing: %v, want 12ms", v)
 	}
 }
 

@@ -82,25 +82,20 @@ type PoolConfig struct {
 	MaxShapes int
 	// Breaker tunes the circuit breaker.
 	Breaker BreakerPolicy
-	// EWMAAlpha is the service-time smoothing factor in (0, 1];
-	// 0 means 0.2.
-	EWMAAlpha float64
 	// Clock is the pool's control-plane time source (idle-eviction
 	// stamps, deadline feasibility, breaker cooldown); nil means wall
 	// time. Scenario runs inject the fleet's virtual clock so LRU
 	// eviction replays deterministically.
 	Clock Clock
 	// SolverOptions are applied to every Solver the pool builds
-	// (WithDevice, WithK, WithWorkers, WithFaultInjection, ...).
-	SolverOptions []Option
-	// MegabatchOptions are appended to SolverOptions for the solvers
-	// of the pool's dedicated megabatch stations (the ones the
-	// batching front-end leases). Nil means WithK(0): pure interleaved
+	// (WithDevice, WithK, WithWorkers, WithFaultInjection, ...). The
+	// solvers of the pool's dedicated megabatch stations (the ones
+	// SolveMegabatch leases) get WithK(0) after them: pure interleaved
 	// p-Thomas, whose per-system arithmetic is independent of the
 	// batch — the basis of the coalesced-equals-serial bitwise
 	// guarantee — and which consumes the megabatch's interleaved
 	// layout natively, skipping the blocked transpose.
-	MegabatchOptions []Option
+	SolverOptions []Option
 }
 
 // Route says which execution path served a pool solve.
@@ -176,7 +171,6 @@ func NewPool[T Real](cfg PoolConfig) *Pool[T] {
 			QueueLimit: cfg.QueueLimit,
 			MaxShapes:  cfg.MaxShapes,
 			Breaker:    cfg.Breaker,
-			EWMAAlpha:  cfg.EWMAAlpha,
 			Clock:      cfg.Clock,
 		},
 		func(m, n int) (*Solver[T], error) {
@@ -189,10 +183,7 @@ func NewPool[T Real](cfg PoolConfig) *Pool[T] {
 		func(s *Solver[T]) error { return s.Close() },
 		func(s *Solver[T]) time.Duration { return s.ModeledTime() },
 	)
-	megaOpts := append(append([]Option{}, cfg.SolverOptions...), cfg.MegabatchOptions...)
-	if cfg.MegabatchOptions == nil {
-		megaOpts = append(megaOpts, WithK(0))
-	}
+	megaOpts := append(append([]Option{}, cfg.SolverOptions...), WithK(0))
 	inner.MegaBuild(func(m, n int) (*Solver[T], error) {
 		return NewSolver[T](m, n, megaOpts...)
 	})
@@ -293,12 +284,6 @@ func (p *Pool[T]) Stats() PoolStats { return p.inner.Stats() }
 
 // Breaker returns the circuit breaker's observable state.
 func (p *Pool[T]) Breaker() BreakerSnapshot { return p.inner.Breaker() }
-
-// ServiceTime returns the pool's current service-time estimate for a
-// shape (false when the shape has never been served).
-func (p *Pool[T]) ServiceTime(m, n int) (time.Duration, bool) {
-	return p.inner.ServiceTime(m, n)
-}
 
 // Close gracefully drains the pool: admissions stop immediately (new
 // and queued requests fail with ErrPoolClosed), in-flight solves run
