@@ -59,13 +59,23 @@ func benchPoint(b *testing.B, m, n int) {
 	})
 }
 
-// BenchmarkTable1Window measures the buffered sliding window itself:
-// a full k-step streamed reduction at the Table III configuration k=8.
-func BenchmarkTable1Window(b *testing.B) {
-	s := workload.System[float64](workload.DiagDominant, 1<<14, 3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = tiledpcr.StreamReduce(s, 8)
+// BenchmarkHostReducer times the buffered sliding window as warm
+// solves run it: HostReducer, the tiled-PCR kernel's host twin,
+// reducing one 65536-row system by k steps. It allocates nothing once
+// the reducer is built.
+func BenchmarkHostReducer(b *testing.B) {
+	n := 1 << 16
+	s := workload.System[float64](workload.DiagDominant, n, 17)
+	out := NewSystem[float64](n)
+	for _, k := range []int{4, 6, 8} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			h := tiledpcr.NewHostReducer[float64](k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Reduce(s.Lower, s.Diag, s.Upper, s.RHS, out.Lower, out.Diag, out.Upper, out.RHS)
+			}
+		})
 	}
 }
 
@@ -227,18 +237,6 @@ func BenchmarkRelatedWork(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkStreamedWindow measures the pure-Go sliding-window engine.
-func BenchmarkStreamedWindow(b *testing.B) {
-	s := workload.System[float64](workload.DiagDominant, 1<<16, 17)
-	for _, k := range []int{4, 6, 8} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = tiledpcr.StreamReduce(s, k)
-			}
-		})
-	}
 }
 
 // BenchmarkCPUReference measures the real (wall-clock) CPU solvers on

@@ -7,6 +7,7 @@
 //	tridsolve -algo cr -n 4095               # cyclic reduction
 //	tridsolve -algo davidson -m 4 -n 65536   # the §V baseline
 //	tridsolve -in sys.txt -algo pcr          # solve a file
+//	tridsolve -algo reference -m 4 -k 6      # the hybrid on host twins alone
 //
 // The -guard flag routes the solve through the guarded pipeline
 // (per-system fault isolation with refinement/pivoting escalation) and
@@ -48,11 +49,11 @@ import (
 
 func main() {
 	var (
-		algo   = flag.String("algo", "hybrid", "hybrid|cpu|gtsv|cr|pcr|rd|davidson|egloff|zhang-cr|zhang-pcr|zhang-crpcr|zhang-pcrthomas")
+		algo   = flag.String("algo", "hybrid", "hybrid|reference|cpu|gtsv|cr|pcr|rd|davidson|egloff|zhang-cr|zhang-pcr|zhang-crpcr|zhang-pcrthomas")
 		m      = flag.Int("m", 1, "number of systems")
 		n      = flag.Int("n", 1024, "rows per system")
 		kind   = flag.String("kind", "diag-dominant", "diag-dominant|toeplitz|heat|spline")
-		k      = flag.Int("k", gputrid.AutoK, "PCR steps for the hybrid (-1 = auto)")
+		k      = flag.Int("k", gputrid.AutoK, "PCR steps for hybrid and reference (-1 = auto)")
 		seed   = flag.Uint64("seed", 1, "workload seed")
 		in     = flag.String("in", "", "read a system/batch from file (text or TRID binary)")
 		out    = flag.String("out", "", "write the solution vector to file")
@@ -221,7 +222,7 @@ func solve(algo string, b *matrix.Batch[float64], k int, fuse bool, chaos float6
 		x, _, err := zhang.KernelPCRThomas(gpusim.GTX480(), b, 5)
 		return x, "", err
 	case "reference":
-		return core.SolveReference(b, 4), "", nil
+		return core.SolveReference(b, k), "", nil
 	default:
 		return nil, "", fmt.Errorf("unknown algorithm %q", algo)
 	}

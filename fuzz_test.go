@@ -54,28 +54,3 @@ func FuzzSolveAgreement(f *testing.F) {
 		}
 	})
 }
-
-func FuzzStreamedEqualsNaive(f *testing.F) {
-	f.Add(uint32(5), uint8(33), uint8(3), uint8(10))
-	f.Add(uint32(11), uint8(255), uint8(6), uint8(64))
-	f.Fuzz(func(t *testing.T, seed uint32, nRaw, kRaw, tileRaw uint8) {
-		n := int(nRaw)%300 + 1
-		k := int(kRaw)%7 + 1
-		tile := int(tileRaw)%n + 1
-		r := num.NewRNG(uint64(seed) + 2)
-		s := NewSystem[float64](n)
-		for j := 0; j < n; j++ {
-			var a, c float64
-			if j > 0 {
-				a = r.Range(-1, 1)
-			}
-			if j < n-1 {
-				c = r.Range(-1, 1)
-			}
-			s.Lower[j], s.Upper[j] = a, c
-			s.Diag[j] = math.Abs(a) + math.Abs(c) + r.Range(0.5, 1.5)
-			s.RHS[j] = r.Range(-10, 10)
-		}
-		checkReduceEquivalence(t, s, k, tile)
-	})
-}

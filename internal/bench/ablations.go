@@ -49,12 +49,11 @@ func (e *Env) AblationNaiveTiling() (*Table, error) {
 		Notes: []string{"sliding window = single tile row: zero redundancy by construction"},
 	}
 	n, k := e.scale(4096), 6
-	s := workload.System[float64](workload.DiagDominant, n, e.Seed)
 	for _, tile := range []int{n, 1024, 256, 128, 64} {
 		if tile > n {
 			continue
 		}
-		_, bs := tiledpcr.ReduceBlocked(s, k, tile)
+		bs := tiledpcr.NaiveTiling(n, k, tile)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(tile), fmt.Sprint(bs.Tiles),
 			fmt.Sprint(bs.RawLoads), fmt.Sprint(bs.RedundantLoads),

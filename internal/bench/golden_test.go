@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden experiment 
 // the harness is deterministic (fixed seeds, analytic models), so any
 // diff means a model or kernel change — which must be intentional and
 // re-recorded with `go test ./internal/bench -update-golden`.
-var goldenIDs = []string{"table1", "table2", "fig12a", "extra-banks"}
+var goldenIDs = append([]string{"table1", "table2", "fig12a", "extra-banks"}, Ablations()...)
 
 func TestGoldenExperiments(t *testing.T) {
 	e := DefaultEnv()
@@ -23,9 +24,12 @@ func TestGoldenExperiments(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			var tab *Table
 			var err error
-			if len(id) > 6 && id[:6] == "extra-" {
+			switch {
+			case strings.HasPrefix(id, "extra-"):
 				tab, err = e.RunExtra(id)
-			} else {
+			case strings.HasPrefix(id, "ablation-"):
+				tab, err = e.RunAblation(id)
+			default:
 				tab, err = e.Run(id)
 			}
 			if err != nil {

@@ -34,15 +34,7 @@ type HybridFactorization[T num.Real] struct {
 // heuristic (clamped to the system size).
 func FactorHybrid[T num.Real](b *matrix.Batch[T], k int) (*HybridFactorization[T], error) {
 	m, n := b.M, b.N
-	if k == KAuto {
-		k = HeuristicK(m)
-	}
-	if k < 0 {
-		k = 0
-	}
-	for k > 0 && 1<<k > n {
-		k--
-	}
+	k = hostK(m, n, k)
 	f := &HybridFactorization[T]{m: m, n: n, k: k}
 	f.k1 = make([][]T, k)
 	f.k2 = make([][]T, k)

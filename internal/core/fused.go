@@ -4,7 +4,6 @@ import (
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
 	"gputrid/internal/num"
-	"gputrid/internal/pthomas"
 	"gputrid/internal/tiledpcr"
 )
 
@@ -105,29 +104,4 @@ func solveFused[T num.Real](dev *gpusim.Device, cfg Config, b *matrix.Batch[T], 
 	rep.Kernels = append(rep.Kernels, st2)
 	rep.Stats.Add(st2)
 	return x, rep, nil
-}
-
-// SolveReference solves the batch with the pure-Go streaming pipeline +
-// reference p-Thomas — the executable specification of the hybrid, used
-// to validate the kernels and as a host-side solver.
-func SolveReference[T num.Real](b *matrix.Batch[T], k int) []T {
-	m, n := b.M, b.N
-	if k < 0 {
-		k = 0
-	}
-	for k > 0 && 1<<k > n {
-		k--
-	}
-	ra := make([]T, m*n)
-	rb := make([]T, m*n)
-	rc := make([]T, m*n)
-	rd := make([]T, m*n)
-	for i := 0; i < m; i++ {
-		r := tiledpcr.StreamReduce(b.System(i), k)
-		copy(ra[i*n:], r.Lower)
-		copy(rb[i*n:], r.Diag)
-		copy(rc[i*n:], r.Upper)
-		copy(rd[i*n:], r.RHS)
-	}
-	return pthomas.SolveStridedRef(ra, rb, rc, rd, m, n, k)
 }

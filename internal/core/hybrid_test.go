@@ -7,6 +7,7 @@ import (
 	"gputrid/internal/cpu"
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
+	"gputrid/internal/num"
 	"gputrid/internal/workload"
 )
 
@@ -129,16 +130,25 @@ func TestSolveFusedRequiresSingleBlock(t *testing.T) {
 	}
 }
 
+// TestSolveMatchesReference pins SolveReference to the pipeline bit
+// for bit, so a sign of zero or a NaN payload would count as a
+// difference. At k = 7 on N = 77 both clamp to k = 6.
 func TestSolveMatchesReference(t *testing.T) {
-	m, n, k := 4, 300, 4
-	b := workload.Batch[float64](workload.DiagDominant, m, n, 23)
-	x, _, err := Solve(Config{Device: dev(), K: k, BlocksPerSystem: 1}, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := SolveReference(b, k)
-	if d := matrix.MaxAbsDiff(x, ref); d != 0 {
-		t.Errorf("kernel solve differs from pure-Go reference by %g", d)
+	for _, kind := range []workload.Kind{workload.DiagDominant, workload.NearSingular} {
+		for _, n := range []int{77, 1001} {
+			for _, k := range []int{0, 1, 4, 7} {
+				b := workload.Batch[float64](kind, 4, n, uint64(23+n+k))
+				x, _, err := Solve(Config{Device: dev(), K: k}, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := SolveReference(b, k)
+				if i := firstDiff(x, ref); i >= 0 {
+					t.Errorf("%v N=%d k=%d: x[%d] pipeline %#x, reference %#x",
+						kind, n, k, i, num.Bits(x[i]), num.Bits(ref[i]))
+				}
+			}
+		}
 	}
 }
 

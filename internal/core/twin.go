@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 
+	"gputrid/internal/matrix"
 	"gputrid/internal/num"
 	"gputrid/internal/pthomas"
+	"gputrid/internal/tiledpcr"
 )
 
 // This file holds the host twins of the kernels. A kernel's
@@ -82,6 +84,45 @@ func (p *Pipeline[T]) twinScratch(w *pipeWorker[T]) {
 	}
 	lo := first * p.n
 	w.tws = pthomas.Workspace[T]{Cp: p.ws.Cp[lo : lo+rows], Dp: p.ws.Dp[lo : lo+rows]}
+}
+
+// SolveReference solves the batch on the host twins alone, with no
+// pipeline, device or recording: per system, tiledpcr.HostReducer
+// reduces by k PCR steps and pthomas.SolveStridedRefInto solves the
+// 2^k subsystems; k = 0 is SolveStridedRefInto alone. The arithmetic
+// is the pipeline's, so at the k a solve resolves to the result
+// matches Solve bit for bit. k resolves as hostK resolves it.
+func SolveReference[T num.Real](b *matrix.Batch[T], k int) []T {
+	m, n := b.M, b.N
+	k = hostK(m, n, k)
+	x := make([]T, m*n)
+	var ws pthomas.Workspace[T]
+	if k == 0 {
+		pthomas.SolveStridedRefInto(b.Lower, b.Diag, b.Upper, b.RHS, m, n, 0, x, &ws)
+		return x
+	}
+	h := tiledpcr.NewHostReducer[T](k)
+	ra, rb, rc, rd := make([]T, n), make([]T, n), make([]T, n), make([]T, n)
+	for lo := 0; lo < m*n; lo += n {
+		hi := lo + n
+		h.Reduce(b.Lower[lo:hi], b.Diag[lo:hi], b.Upper[lo:hi], b.RHS[lo:hi], ra, rb, rc, rd)
+		pthomas.SolveStridedRefInto(ra, rb, rc, rd, 1, n, k, x[lo:hi], &ws)
+	}
+	return x
+}
+
+// hostK resolves k for the host-only solvers, SolveReference and
+// FactorHybrid: KAuto applies the Table III heuristic for m systems,
+// and k is clamped so that 0 <= k and 2^k <= n.
+func hostK(m, n, k int) int {
+	if k == KAuto {
+		k = HeuristicK(m)
+	}
+	k = max(k, 0)
+	for k > 0 && 1<<k > n {
+		k--
+	}
+	return k
 }
 
 // keepOutputs copies the simulated kernels' outputs into buf before an

@@ -125,44 +125,6 @@ func Solve[T num.Real](s *matrix.System[T]) []T {
 	return x
 }
 
-// Subsystems extracts the 2^k independent subsystems left by k PCR
-// steps: subsystem r consists of rows r, r+2^k, r+2·2^k, ... in order.
-// The s.Lower/Upper entries crossing subsystem ends are structurally
-// zero after the reduction and are dropped.
-func Subsystems[T num.Real](s *matrix.System[T], k int) []*matrix.System[T] {
-	n := s.N()
-	p := 1 << k
-	out := make([]*matrix.System[T], 0, p)
-	for r := 0; r < p && r < n; r++ {
-		size := (n - r + p - 1) / p
-		sub := matrix.NewSystem[T](size)
-		for j := 0; j < size; j++ {
-			i := r + j*p
-			sub.Lower[j] = s.Lower[i]
-			sub.Diag[j] = s.Diag[i]
-			sub.Upper[j] = s.Upper[i]
-			sub.RHS[j] = s.RHS[i]
-		}
-		if size > 0 {
-			sub.Lower[0] = 0
-			sub.Upper[size-1] = 0
-		}
-		out = append(out, sub)
-	}
-	return out
-}
-
-// ScatterSolution writes subsystem solutions produced from Subsystems
-// back into a length-n solution vector in original row order.
-func ScatterSolution[T num.Real](x []T, subs [][]T, k int) {
-	p := 1 << k
-	for r, xs := range subs {
-		for j, v := range xs {
-			x[r+j*p] = v
-		}
-	}
-}
-
 // EliminationSteps returns the paper's Table II step count for full PCR
 // on a 2^n-row system: n·2^n + 1 total row updates... expressed per the
 // paper as (n·2^n + 1) aggregate elimination work for input size 2^n.

@@ -19,6 +19,44 @@ func refSolve(t *testing.T, s *matrix.System[float64]) []float64 {
 	return x
 }
 
+// subsystems extracts the 2^k independent subsystems left by k PCR
+// steps: subsystem r consists of rows r, r+2^k, r+2·2^k, ... in order.
+// The s.Lower/Upper entries crossing subsystem ends are structurally
+// zero after the reduction and are dropped.
+func subsystems(s *matrix.System[float64], k int) []*matrix.System[float64] {
+	n := s.N()
+	p := 1 << k
+	out := make([]*matrix.System[float64], 0, p)
+	for r := 0; r < p && r < n; r++ {
+		size := (n - r + p - 1) / p
+		sub := matrix.NewSystem[float64](size)
+		for j := 0; j < size; j++ {
+			i := r + j*p
+			sub.Lower[j] = s.Lower[i]
+			sub.Diag[j] = s.Diag[i]
+			sub.Upper[j] = s.Upper[i]
+			sub.RHS[j] = s.RHS[i]
+		}
+		if size > 0 {
+			sub.Lower[0] = 0
+			sub.Upper[size-1] = 0
+		}
+		out = append(out, sub)
+	}
+	return out
+}
+
+// scatterSolution writes subsystem solutions produced from subsystems
+// back into a length-n solution vector in original row order.
+func scatterSolution(x []float64, subs [][]float64, k int) {
+	p := 1 << k
+	for r, xs := range subs {
+		for j, v := range xs {
+			x[r+j*p] = v
+		}
+	}
+}
+
 func TestPCRSolveMatchesThomas(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 100, 256, 1000} {
 		s := workload.System[float64](workload.DiagDominant, n, uint64(n)*3+1)
@@ -53,7 +91,7 @@ func TestReduceDecouplesSubsystems(t *testing.T) {
 	} {
 		s := workload.System[float64](workload.DiagDominant, tc.n, uint64(tc.n*10+tc.k))
 		r := Reduce(s, tc.k)
-		subs := Subsystems(r, tc.k)
+		subs := subsystems(r, tc.k)
 		x := make([]float64, tc.n)
 		sols := make([][]float64, len(subs))
 		for i, sub := range subs {
@@ -63,7 +101,7 @@ func TestReduceDecouplesSubsystems(t *testing.T) {
 			}
 			sols[i] = xs
 		}
-		ScatterSolution(x, sols, tc.k)
+		scatterSolution(x, sols, tc.k)
 		if err := matrix.CheckSolution(s, x); err != nil {
 			t.Errorf("n=%d k=%d: %v", tc.n, tc.k, err)
 		}
@@ -236,7 +274,7 @@ func TestEliminationStepCounts(t *testing.T) {
 
 func TestSubsystemsShapes(t *testing.T) {
 	s := workload.System[float64](workload.DiagDominant, 10, 1)
-	subs := Subsystems(s, 2) // p=4: sizes 3,3,2,2
+	subs := subsystems(s, 2) // p=4: sizes 3,3,2,2
 	sizes := []int{3, 3, 2, 2}
 	if len(subs) != 4 {
 		t.Fatalf("got %d subsystems", len(subs))
@@ -247,7 +285,7 @@ func TestSubsystemsShapes(t *testing.T) {
 		}
 	}
 	// More subsystems than rows: only n singleton systems.
-	subs = Subsystems(workload.System[float64](workload.DiagDominant, 3, 2), 3)
+	subs = subsystems(workload.System[float64](workload.DiagDominant, 3, 2), 3)
 	if len(subs) != 3 {
 		t.Errorf("n=3 k=3: got %d subsystems, want 3", len(subs))
 	}

@@ -4,25 +4,27 @@
 // entirely from the memory layout — systems are interleaved so that
 // consecutive threads touch consecutive addresses on every step.
 //
-// Two kernels are provided:
+// The pipeline in internal/core embeds the two per-thread bodies in
+// its own kernels:
 //
-//   - KernelInterleaved solves M independent systems stored in the
-//     interleaved layout (row j of system i at j·M+i) with one thread
-//     per system. This is the k = 0 path of the hybrid and the
-//     standalone GPU p-Thomas baseline.
+//   - ThreadInterleaved solves one of M systems stored in the
+//     interleaved layout (row j of system i at j·M+i), one thread per
+//     system: the k = 0 path of the hybrid.
 //
-//   - KernelStrided solves the 2^k interleaved subsystems that k-step
-//     PCR leaves inside each of M contiguously stored systems (row l of
-//     subsystem r of system i at i·N + r + l·2^k), one thread block of
-//     2^k threads per original system. This is the hybrid's back-end;
-//     the access pattern is consecutive across the block's threads,
-//     which is why the paper calls PCR's output a "perfect match".
+//   - ThreadStrided solves one of the 2^k interleaved subsystems that
+//     k-step PCR leaves inside each of M contiguously stored systems
+//     (row l of subsystem r of system i at i·N + r + l·2^k), 2^k
+//     threads per original system: the hybrid's back-end. The access
+//     pattern is consecutive across a block's threads, which is why
+//     the paper calls PCR's output a "perfect match".
 //
-// Every variant draws its c'/d' scratch from a Workspace, so callers
-// that solve repeatedly (timestep loops, the reusable core.Pipeline)
-// can keep one workspace and run the kernels with no per-solve
-// allocations via the *Into forms; the plain forms allocate a
-// transient workspace per call.
+// SolveStridedRefInto and SolveInterleavedRangeInto are their host
+// twins, the same recurrence over plain slices with c'/d' scratch from
+// a caller-owned Workspace. KernelStrided is the one standalone
+// launch, the back-end of the Fig. 11(c) multiplexed ablation.
+//
+// No form pivots: a vanishing pivot yields Inf/NaN in that system's
+// solution rather than an error, as on real hardware.
 package pthomas
 
 import (
@@ -40,13 +42,6 @@ import (
 // when the requested size first exceeds what it holds.
 type Workspace[T num.Real] struct {
 	Cp, Dp []T
-}
-
-// NewWorkspace allocates a workspace with room for size elements.
-func NewWorkspace[T num.Real](size int) *Workspace[T] {
-	w := &Workspace[T]{}
-	w.Ensure(size)
-	return w
 }
 
 // Ensure returns cp/dp slices of exactly size elements, reallocating
@@ -77,89 +72,25 @@ func NewBufs[T num.Real](a, b, c, d, cp, dp, x []T) Bufs[T] {
 	}
 }
 
-// KernelInterleaved solves the M interleaved systems of v on the
-// device and returns the solutions in interleaved order (x[j*M+i] is
-// row j of system i) together with the recorded statistics.
-// blockSize threads per block; <= 0 selects 128.
-//
-// The Thomas recurrence does not pivot: a vanishing pivot produces
-// Inf/NaN in the affected system's solution rather than an error, as on
-// real hardware. Callers solving non-dominant systems should verify
-// residuals.
-func KernelInterleaved[T num.Real](dev *gpusim.Device, v *matrix.Interleaved[T], blockSize int) ([]T, *gpusim.Stats, error) {
-	x := make([]T, v.M*v.N)
-	st, err := KernelInterleavedInto(dev, v, blockSize, x, NewWorkspace[T](v.M*v.N))
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, st, nil
-}
-
-// KernelInterleavedInto is KernelInterleaved over caller-owned storage:
-// the interleaved solution goes to x (length M·N) and the forward
-// scratch comes from ws.
-func KernelInterleavedInto[T num.Real](dev *gpusim.Device, v *matrix.Interleaved[T], blockSize int, x []T, ws *Workspace[T]) (*gpusim.Stats, error) {
-	m, n := v.M, v.N
-	if blockSize <= 0 {
-		blockSize = 128
-	}
-	if blockSize > dev.MaxThreadsPerBlock {
-		blockSize = dev.MaxThreadsPerBlock
-	}
-	if len(x) != m*n {
-		return nil, fmt.Errorf("pthomas: solution length %d does not match M*N = %d", len(x), m*n)
-	}
-	cp, dp := ws.Ensure(m * n)
-	g := NewBufs(v.Lower, v.Diag, v.Upper, v.RHS, cp, dp, x)
-
-	grid := num.CeilDiv(m, blockSize)
-	return dev.Launch("pThomas", gpusim.LaunchConfig{Grid: grid, Block: blockSize},
-		func(b *gpusim.Block) {
-			b.PhaseNoSync(func(t *gpusim.Thread) {
-				sys := b.ID*blockSize + t.ID
-				if sys >= m {
-					return
-				}
-				ThreadInterleaved(t, &g, sys, m, n)
-			})
-		})
-}
-
 // KernelStrided solves, for every system of the contiguous batch
 // (a, b, c, d) of M systems × N rows, the 2^k interleaved subsystems
 // produced by k-step PCR. One thread block of 2^k threads handles one
 // system; thread r solves subsystem r (rows r, r+2^k, r+2·2^k, ...).
 // The returned solution vector is in natural row order (length M·N).
 func KernelStrided[T num.Real](dev *gpusim.Device, a, b, c, d []T, m, n, k int) ([]T, *gpusim.Stats, error) {
-	x := make([]T, m*n)
-	st, err := KernelStridedInto(dev, a, b, c, d, m, n, k, x, NewWorkspace[T](m*n))
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, st, nil
-}
-
-// KernelStridedInto is KernelStrided over caller-owned storage: the
-// natural-order solution goes to x (length M·N) and the forward
-// scratch comes from ws.
-func KernelStridedInto[T num.Real](dev *gpusim.Device, a, b, c, d []T, m, n, k int, x []T, ws *Workspace[T]) (*gpusim.Stats, error) {
 	if k < 0 {
-		return nil, fmt.Errorf("pthomas: negative k")
+		return nil, nil, fmt.Errorf("pthomas: negative k")
 	}
 	p := 1 << k
 	if p > dev.MaxThreadsPerBlock {
-		return nil, fmt.Errorf("pthomas: 2^k = %d exceeds max threads per block %d", p, dev.MaxThreadsPerBlock)
+		return nil, nil, fmt.Errorf("pthomas: 2^k = %d exceeds max threads per block %d", p, dev.MaxThreadsPerBlock)
 	}
 	if len(a) != m*n || len(b) != m*n || len(c) != m*n || len(d) != m*n {
-		return nil, fmt.Errorf("pthomas: array lengths do not match M*N = %d", m*n)
+		return nil, nil, fmt.Errorf("pthomas: array lengths do not match M*N = %d", m*n)
 	}
-	if len(x) != m*n {
-		return nil, fmt.Errorf("pthomas: solution length %d does not match M*N = %d", len(x), m*n)
-	}
-	cp, dp := ws.Ensure(m * n)
+	x, cp, dp := make([]T, m*n), make([]T, m*n), make([]T, m*n)
 	g := NewBufs(a, b, c, d, cp, dp, x)
-
-	return dev.Launch("pThomasStrided", gpusim.LaunchConfig{Grid: m, Block: p},
+	st, err := dev.Launch("pThomasStrided", gpusim.LaunchConfig{Grid: m, Block: p},
 		func(blk *gpusim.Block) {
 			base := blk.ID * n
 			blk.PhaseNoSync(func(t *gpusim.Thread) {
@@ -170,11 +101,14 @@ func KernelStridedInto[T num.Real](dev *gpusim.Device, a, b, c, d []T, m, n, k i
 				ThreadStrided(t, &g, base, r, p, n)
 			})
 		})
+	if err != nil {
+		return nil, nil, err
+	}
+	return x, st, nil
 }
 
 // ThreadInterleaved runs Thomas for one system of an interleaved
-// batch: row l lives at l*m + sys. It is the per-thread body of
-// KernelInterleaved, exported so pipelines can embed it in their own
+// batch: row l lives at l*m + sys. Pipelines embed it in their own
 // pre-built kernel closures.
 //
 //tridlint:hotpath
@@ -212,8 +146,8 @@ func ThreadInterleaved[T num.Real](t *gpusim.Thread, g *Bufs[T], sys, m, n int) 
 }
 
 // ThreadStrided runs Thomas over rows base+r, base+r+p, ...
-// base+r+(L-1)p. It is the per-thread body of KernelStrided, exported
-// so pipelines can embed it in their own pre-built kernel closures.
+// base+r+(L-1)p. It is the per-thread body of KernelStrided, and
+// pipelines embed it in their own pre-built kernel closures.
 //
 //tridlint:hotpath
 func ThreadStrided[T num.Real](t *gpusim.Thread, g *Bufs[T], base, r, p, n int) {
@@ -254,24 +188,9 @@ func ThreadStrided[T num.Real](t *gpusim.Thread, g *Bufs[T], base, r, p, n int) 
 	t.ThomasSteps(L - 1)
 }
 
-// SolveInterleavedRef is the plain-Go reference for KernelInterleaved:
-// it extracts each system and solves it with the same non-pivoting
-// recurrence, returning the interleaved solution vector.
-func SolveInterleavedRef[T num.Real](v *matrix.Interleaved[T]) []T {
-	m, n := v.M, v.N
-	x := make([]T, m*n)
-	SolveInterleavedRefInto(v, x, NewWorkspace[T](n))
-	return x
-}
-
-// SolveInterleavedRefInto is SolveInterleavedRef over caller-owned
-// storage; ws provides at least N elements of scratch.
-func SolveInterleavedRefInto[T num.Real](v *matrix.Interleaved[T], x []T, ws *Workspace[T]) {
-	SolveInterleavedRangeInto(v, x, ws, 0, v.M)
-}
-
-// SolveInterleavedRangeInto is SolveInterleavedRefInto restricted to
-// systems [lo, hi): only their entries of x are written.
+// SolveInterleavedRangeInto is the host twin of ThreadInterleaved for
+// systems [lo, hi) of v: it writes only their entries of the
+// interleaved solution x, with at least N elements of scratch from ws.
 //
 //tridlint:hotpath
 func SolveInterleavedRangeInto[T num.Real](v *matrix.Interleaved[T], x []T, ws *Workspace[T], lo, hi int) {
@@ -282,15 +201,10 @@ func SolveInterleavedRangeInto[T num.Real](v *matrix.Interleaved[T], x []T, ws *
 	}
 }
 
-// SolveStridedRef is the plain-Go reference for KernelStrided.
-func SolveStridedRef[T num.Real](a, b, c, d []T, m, n, k int) []T {
-	x := make([]T, m*n)
-	SolveStridedRefInto(a, b, c, d, m, n, k, x, NewWorkspace[T](num.CeilDiv(n, 1<<k)))
-	return x
-}
-
-// SolveStridedRefInto is SolveStridedRef over caller-owned storage; ws
-// provides at least ceil(N/2^k) elements of scratch.
+// SolveStridedRefInto is the host twin of KernelStrided: it solves the
+// 2^k strided subsystems of each of the M contiguous systems of
+// (a, b, c, d) into x in natural row order, with at least ceil(N/2^k)
+// elements of scratch from ws.
 //
 //tridlint:hotpath
 func SolveStridedRefInto[T num.Real](a, b, c, d []T, m, n, k int, x []T, ws *Workspace[T]) {

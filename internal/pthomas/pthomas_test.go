@@ -7,11 +7,30 @@ import (
 	"gputrid/internal/cpu"
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
+	"gputrid/internal/num"
 	"gputrid/internal/pcr"
 	"gputrid/internal/workload"
 )
 
 func dev() *gpusim.Device { return gpusim.GTX480() }
+
+// kernelInterleaved launches ThreadInterleaved over the M systems of v,
+// blockSize threads per block, one thread per system, and returns the
+// interleaved solution with the recorded Stats.
+func kernelInterleaved[T num.Real](v *matrix.Interleaved[T], blockSize int) ([]T, *gpusim.Stats, error) {
+	m, n := v.M, v.N
+	x, cp, dp := make([]T, m*n), make([]T, m*n), make([]T, m*n)
+	g := NewBufs(v.Lower, v.Diag, v.Upper, v.RHS, cp, dp, x)
+	st, err := dev().Launch("pThomas", gpusim.LaunchConfig{Grid: num.CeilDiv(m, blockSize), Block: blockSize},
+		func(b *gpusim.Block) {
+			b.PhaseNoSync(func(t *gpusim.Thread) {
+				if sys := b.ID*blockSize + t.ID; sys < m {
+					ThreadInterleaved(t, &g, sys, m, n)
+				}
+			})
+		})
+	return x, st, err
+}
 
 func TestKernelInterleavedMatchesThomas(t *testing.T) {
 	for _, tc := range []struct{ m, n int }{
@@ -19,7 +38,7 @@ func TestKernelInterleavedMatchesThomas(t *testing.T) {
 	} {
 		b := workload.Batch[float64](workload.DiagDominant, tc.m, tc.n, uint64(tc.m*tc.n))
 		v := b.ToInterleaved()
-		xi, _, err := KernelInterleaved(dev(), v, 64)
+		xi, _, err := kernelInterleaved(v, 64)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -37,13 +56,16 @@ func TestKernelInterleavedMatchesThomas(t *testing.T) {
 func TestKernelInterleavedMatchesRef(t *testing.T) {
 	b := workload.Batch[float64](workload.DiagDominant, 50, 40, 5)
 	v := b.ToInterleaved()
-	xi, _, err := KernelInterleaved(dev(), v, 32)
+	xi, _, err := kernelInterleaved(v, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := SolveInterleavedRef(v)
-	if d := matrix.MaxAbsDiff(xi, ref); d != 0 {
-		t.Errorf("kernel and reference differ by %g (must be exact: same recurrence)", d)
+	ref := make([]float64, len(xi))
+	SolveInterleavedRangeInto(v, ref, &Workspace[float64]{}, 0, v.M)
+	for i := range ref {
+		if num.Bits(xi[i]) != num.Bits(ref[i]) {
+			t.Fatalf("kernel and host twin differ at %d: %v vs %v (must be exact: same recurrence)", i, xi[i], ref[i])
+		}
 	}
 }
 
@@ -52,7 +74,7 @@ func TestKernelInterleavedCoalescing(t *testing.T) {
 	// unit-stride: load efficiency must be 1.
 	b := workload.Batch[float64](workload.DiagDominant, 256, 64, 7)
 	v := b.ToInterleaved()
-	_, st, err := KernelInterleaved(dev(), v, 128)
+	_, st, err := kernelInterleaved(v, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +87,7 @@ func TestKernelInterleavedEliminationCount(t *testing.T) {
 	// 2n-1 elimination steps per system (paper §II.A.1).
 	m, n := 10, 37
 	b := workload.Batch[float64](workload.DiagDominant, m, n, 9)
-	_, st, err := KernelInterleaved(dev(), b.ToInterleaved(), 32)
+	_, st, err := kernelInterleaved(b.ToInterleaved(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +122,13 @@ func TestKernelStridedSolvesReducedSystems(t *testing.T) {
 		if r := matrix.MaxResidual(b, x); r > matrix.ResidualTolerance[float64](tc.n) {
 			t.Errorf("%+v: residual %g", tc, r)
 		}
-		// And against the pure-Go reference, exactly.
-		ref := SolveStridedRef(ra, rb, rc, rd, tc.m, tc.n, tc.k)
-		if d := matrix.MaxAbsDiff(x, ref); d != 0 {
-			t.Errorf("%+v: kernel vs ref differ by %g", tc, d)
+		// And against the host twin, bit for bit.
+		ref := make([]float64, tc.m*tc.n)
+		SolveStridedRefInto(ra, rb, rc, rd, tc.m, tc.n, tc.k, ref, &Workspace[float64]{})
+		for i := range ref {
+			if num.Bits(x[i]) != num.Bits(ref[i]) {
+				t.Fatalf("%+v: kernel and host twin differ at %d: %v vs %v", tc, i, x[i], ref[i])
+			}
 		}
 	}
 }
@@ -154,7 +179,7 @@ func TestKernelStridedKZero(t *testing.T) {
 func TestKernelsFloat32(t *testing.T) {
 	m, n := 16, 64
 	b := workload.Batch[float32](workload.DiagDominant, m, n, 2)
-	xi, _, err := KernelInterleaved(dev(), b.ToInterleaved(), 32)
+	xi, _, err := kernelInterleaved(b.ToInterleaved(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +194,7 @@ func TestInterleavedProperty(t *testing.T) {
 		m := int(mRaw)%60 + 1
 		n := int(nRaw)%80 + 1
 		b := workload.Batch[float64](workload.DiagDominant, m, n, uint64(seed))
-		xi, _, err := KernelInterleaved(dev(), b.ToInterleaved(), 32)
+		xi, _, err := kernelInterleaved(b.ToInterleaved(), 32)
 		if err != nil {
 			return false
 		}

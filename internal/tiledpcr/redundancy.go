@@ -9,17 +9,12 @@
 // intermediate values that later rows depend on, so no load and no
 // elimination is ever repeated (Figs. 8-10, Table I).
 //
-// Three implementations live here, all funnelling through pcr.Combine
-// and therefore producing identical coefficients:
-//
-//   - Streamer: a row-at-a-time pure-Go pipeline with per-level ring
-//     buffers — the executable specification of the sliding window.
-//   - ReduceBlocked: the Fig. 11(b) configuration, where a system is
-//     split across independent tiles that each pay the halo redundancy;
-//     used to validate f(k)/g(k) and as an ablation.
-//   - Window: the gpusim kernel building block with the shared-memory
-//     layout of Fig. 9-10 (history caches + staging + register tile),
-//     used by the production hybrid solver in internal/core.
+// The production form is Window, the gpusim kernel building block with
+// the shared-memory layout of Figs. 9-10 (history caches + staging +
+// register tile), together with HostReducer, its plain-Go twin that
+// computes bit for bit the same rows. NaiveTiling counts, in closed
+// form, the work the window avoids: the Fig. 11(b) split of a system
+// into independent tiles that each pay the halo redundancy.
 package tiledpcr
 
 import "gputrid/internal/num"
@@ -47,6 +42,52 @@ func G(k int) int {
 		sum += F(i)
 	}
 	return k*F(k) - sum
+}
+
+// BlockedStats is the work of naively tiled k-step PCR (Fig. 7): a
+// system split into independent tiles that each re-read a halo of
+// neighbouring rows and re-run the eliminations those rows feed.
+type BlockedStats struct {
+	Tiles          int
+	RawLoads       int64 // raw rows read, halo re-reads included
+	RedundantLoads int64 // halo rows, outside the reading tile's own output range
+	Eliminations   int64 // pcr.Combine calls
+	WarmupElims    int64 // eliminations of values below each tile's start
+	MinimalLoads   int64 // n: the sliding window's load count
+	MinimalElims   int64 // k·n: the sliding window's elimination count
+}
+
+// NaiveTiling returns the work of reducing an n-row system by k PCR
+// steps in independent tiles of tileRows output rows (tileRows <= 0
+// means one tile). A tile [s, e) loads its own rows plus a halo of
+// min(f(k), s) rows below and min(f(k), n-e) above (Eq. 8). It computes
+// level j on its own rows plus the min(room, f(k)-f(j)) rows on either
+// side that its level-k rows depend on; summed over the levels, a
+// margin with room for all of them costs g(k) (Eq. 9). One tile is the
+// sliding window's schedule: n loads and k·n eliminations.
+func NaiveTiling(n, k, tileRows int) BlockedStats {
+	if tileRows <= 0 {
+		tileRows = n
+	}
+	fk := F(k)
+	margin := func(room int) int64 {
+		g := 0
+		for j := 1; j <= k; j++ {
+			g += min(room, fk-F(j))
+		}
+		return int64(g)
+	}
+	bs := BlockedStats{MinimalLoads: int64(n), MinimalElims: int64(k) * int64(n)}
+	for start := 0; start < n; start += tileRows {
+		end := min(start+tileRows, n)
+		bs.Tiles++
+		bs.RedundantLoads += int64(min(fk, start) + min(fk, n-end))
+		bs.WarmupElims += margin(start)
+		bs.Eliminations += margin(start) + margin(n-end)
+	}
+	bs.RawLoads = bs.MinimalLoads + bs.RedundantLoads
+	bs.Eliminations += bs.MinimalElims
+	return bs
 }
 
 // WindowProperties are the derived quantities of paper Table I for a

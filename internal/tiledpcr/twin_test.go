@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
 	"gputrid/internal/num"
 	"gputrid/internal/workload"
@@ -16,7 +15,7 @@ func checkTwin[T num.Real](t *testing.T, label string, s *matrix.System[T], k, c
 	t.Helper()
 	n := s.N()
 	want := matrix.NewSystem[T](n)
-	if _, err := ReduceKernel(gpusim.GTX480(), s, want, k, c, blocks); err != nil {
+	if _, err := reduceKernel(s, want, k, c, blocks); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	got := matrix.NewSystem[T](n)

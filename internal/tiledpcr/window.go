@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gputrid/internal/gpusim"
-	"gputrid/internal/matrix"
 	"gputrid/internal/num"
 	"gputrid/internal/pcr"
 )
@@ -23,11 +22,6 @@ func NewArrays[T num.Real](a, b, c, d []T) Arrays[T] {
 		C: gpusim.NewGlobal(c),
 		D: gpusim.NewGlobal(d),
 	}
-}
-
-// SystemArrays wraps a System's storage as device-global arrays.
-func SystemArrays[T num.Real](s *matrix.System[T]) Arrays[T] {
-	return NewArrays(s.Lower, s.Diag, s.Upper, s.RHS)
 }
 
 // Window is the buffered sliding window of paper §III.A instantiated
@@ -331,53 +325,4 @@ func (w *Window[T]) subTile(base int, sink func(outBase int)) {
 	if sink != nil {
 		sink(base - (1 << k))
 	}
-}
-
-// ReduceKernel performs the k-step tiled-PCR reduction of one n-row
-// system on the device, split across `blocks` thread blocks (Fig. 11(a)
-// for blocks == 1, Fig. 11(b) otherwise), writing the reduced
-// coefficients to out. It returns the recorded execution statistics.
-func ReduceKernel[T num.Real](dev *gpusim.Device, s *matrix.System[T], out *matrix.System[T], k, c, blocks int) (*gpusim.Stats, error) {
-	n := s.N()
-	if out.N() != n {
-		return nil, fmt.Errorf("tiledpcr: output size %d != input size %d", out.N(), n)
-	}
-	if blocks <= 0 {
-		blocks = 1
-	}
-	if blocks > n {
-		blocks = n
-	}
-	in := SystemArrays(s)
-	dst := SystemArrays(out)
-	per := num.CeilDiv(n, blocks)
-	return dev.Launch("tiledPCR", gpusim.LaunchConfig{Grid: blocks, Block: 1 << k},
-		func(b *gpusim.Block) {
-			w := NewWindow(b, k, c, n, 0, in)
-			outStart := b.ID * per
-			outEnd := outStart + per
-			if outEnd > n {
-				outEnd = n
-			}
-			if outStart >= outEnd {
-				return
-			}
-			w.Run(outStart, outEnd, func(outBase int) {
-				lo, hi := w.OutRange(outBase, outStart, outEnd)
-				b.PhaseNoSync(func(t *gpusim.Thread) {
-					for e := 0; e < c; e++ {
-						p := t.ID + e*w.threads
-						if p < lo || p >= hi {
-							continue
-						}
-						i := outBase + p
-						r := w.Out[p]
-						dst.A.Store(t, i, r.A)
-						dst.B.Store(t, i, r.B)
-						dst.C.Store(t, i, r.C)
-						dst.D.Store(t, i, r.D)
-					}
-				})
-			})
-		})
 }

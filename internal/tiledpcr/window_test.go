@@ -1,21 +1,61 @@
 package tiledpcr
 
 import (
+	"fmt"
 	"testing"
 
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
+	"gputrid/internal/num"
 	"gputrid/internal/pcr"
 	"gputrid/internal/workload"
 )
 
 func dev() *gpusim.Device { return gpusim.GTX480() }
 
+// reduceKernel launches the Window on a GTX480 over one n-row system split across
+// `blocks` thread blocks (Fig. 11(a) for one block, Fig. 11(b)
+// otherwise), storing each block's level-k rows to out, and returns
+// the recorded Stats.
+func reduceKernel[T num.Real](s, out *matrix.System[T], k, c, blocks int) (*gpusim.Stats, error) {
+	n := s.N()
+	if out.N() != n {
+		return nil, fmt.Errorf("output size %d != input size %d", out.N(), n)
+	}
+	blocks = min(max(blocks, 1), n)
+	in := NewArrays(s.Lower, s.Diag, s.Upper, s.RHS)
+	dst := NewArrays(out.Lower, out.Diag, out.Upper, out.RHS)
+	per := num.CeilDiv(n, blocks)
+	return dev().Launch("tiledPCR", gpusim.LaunchConfig{Grid: blocks, Block: 1 << k},
+		func(b *gpusim.Block) {
+			w := NewWindow(b, k, c, n, 0, in)
+			outStart, outEnd := b.ID*per, min((b.ID+1)*per, n)
+			if outStart >= outEnd {
+				return
+			}
+			w.Run(outStart, outEnd, func(outBase int) {
+				lo, hi := w.OutRange(outBase, outStart, outEnd)
+				b.PhaseNoSync(func(t *gpusim.Thread) {
+					for p := t.ID; p < w.S; p += w.threads {
+						if p < lo || p >= hi {
+							continue
+						}
+						i, r := outBase+p, w.Out[p]
+						dst.A.Store(t, i, r.A)
+						dst.B.Store(t, i, r.B)
+						dst.C.Store(t, i, r.C)
+						dst.D.Store(t, i, r.D)
+					}
+				})
+			})
+		})
+}
+
 func runKernel(t *testing.T, n, k, c, blocks int, seed uint64) (*matrix.System[float64], *matrix.System[float64], *gpusim.Stats) {
 	t.Helper()
 	s := workload.System[float64](workload.DiagDominant, n, seed)
 	out := matrix.NewSystem[float64](n)
-	st, err := ReduceKernel(dev(), s, out, k, c, blocks)
+	st, err := reduceKernel(s, out, k, c, blocks)
 	if err != nil {
 		t.Fatalf("n=%d k=%d c=%d blocks=%d: %v", n, k, c, blocks, err)
 	}
@@ -37,20 +77,7 @@ func TestReduceKernelMatchesNaive(t *testing.T) {
 		{300, 5, 3, 2},  // c=3
 	} {
 		s, out, _ := runKernel(t, tc.n, tc.k, tc.c, tc.blocks, uint64(tc.n*131+tc.k*7+tc.c))
-		want := pcr.Reduce(s, tc.k)
-		for _, pair := range []struct {
-			name string
-			g, w []float64
-		}{
-			{"lower", out.Lower, want.Lower},
-			{"diag", out.Diag, want.Diag},
-			{"upper", out.Upper, want.Upper},
-			{"rhs", out.RHS, want.RHS},
-		} {
-			if d := matrix.MaxAbsDiff(pair.g, pair.w); d != 0 {
-				t.Errorf("%+v: kernel %s differs from naive by %g", tc, pair.name, d)
-			}
-		}
+		samePlanes(t, fmt.Sprintf("%+v: kernel", tc), out, pcr.Reduce(s, tc.k))
 	}
 }
 
@@ -131,7 +158,7 @@ func TestReduceKernelCoalescedLoads(t *testing.T) {
 func TestReduceKernelRejectsBadOutput(t *testing.T) {
 	s := workload.System[float64](workload.DiagDominant, 64, 1)
 	out := matrix.NewSystem[float64](32)
-	if _, err := ReduceKernel(dev(), s, out, 3, 1, 1); err == nil {
+	if _, err := reduceKernel(s, out, 3, 1, 1); err == nil {
 		t.Error("size mismatch accepted")
 	}
 }
@@ -174,11 +201,8 @@ func TestReduceKernelFloat32(t *testing.T) {
 	n, k := 128, 3
 	s := workload.System[float32](workload.DiagDominant, n, 5)
 	out := matrix.NewSystem[float32](n)
-	if _, err := ReduceKernel(dev(), s, out, k, 1, 1); err != nil {
+	if _, err := reduceKernel(s, out, k, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	want := pcr.Reduce(s, k)
-	if d := matrix.MaxAbsDiff(out.RHS, want.RHS); d != 0 {
-		t.Errorf("float32 kernel differs by %g", d)
-	}
+	samePlanes(t, "float32 kernel", out, pcr.Reduce(s, k))
 }
