@@ -61,21 +61,32 @@ func TestBatcherBitwiseHammer(t *testing.T) {
 	defer p.Close(context.Background())
 	b := newCoalescer(t, p, batcher.Config[float64]{MaxBatch: 16, MaxWait: 200 * time.Microsecond})
 
-	const n = 32
+	const n, goroutines, iters = 32, 64, 6
+	// The references record one at a time, before the hammer starts,
+	// so each runs the simulated kernels.
+	batches := make([][iters]*Batch[float64], goroutines)
+	refs := make([][iters][]float64, goroutines)
+	for g := range batches {
+		for iter := range iters {
+			m := 1 + (g+iter)%3
+			batches[g][iter] = workload.Batch[float64](workload.DiagDominant, m, n, uint64(g*100+iter))
+			ref, err := recordedSolve(batches[g][iter], WithK(0))
+			if err != nil {
+				t.Fatalf("g%d iter%d reference: %v", g, iter, err)
+			}
+			refs[g][iter] = ref.X
+		}
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 64; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for iter := 0; iter < 6; iter++ {
-				m := 1 + (g+iter)%3
-				batch := workload.Batch[float64](workload.DiagDominant, m, n, uint64(g*100+iter))
-				ref, err := SolveBatch(batch, WithK(0))
-				if err != nil {
-					t.Errorf("g%d iter%d reference: %v", g, iter, err)
-					return
-				}
+			for iter := 0; iter < iters; iter++ {
+				batch, ref := batches[g][iter], refs[g][iter]
+				m := batch.M
 				var x []float64
+				var err error
 				var res batcher.Result
 				for {
 					x, res, err = coalesce(context.Background(), b, batch)
@@ -93,9 +104,9 @@ func TestBatcherBitwiseHammer(t *testing.T) {
 					return
 				}
 				for i := range x {
-					if x[i] != ref.X[i] {
+					if x[i] != ref[i] {
 						t.Errorf("g%d iter%d: coalesced result differs from serial at %d: %v vs %v",
-							g, iter, i, x[i], ref.X[i])
+							g, iter, i, x[i], ref[i])
 						return
 					}
 				}
@@ -125,7 +136,7 @@ func TestBatcherFaultIsolation(t *testing.T) {
 
 	const n = 2
 	healthy := workload.Batch[float64](workload.DiagDominant, 1, n, 7)
-	ref, err := SolveBatch(healthy, WithK(0))
+	ref, err := recordedSolve(healthy, WithK(0))
 	if err != nil {
 		t.Fatal(err)
 	}

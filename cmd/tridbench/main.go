@@ -156,7 +156,8 @@ func runReuse(spec string, seed uint64) error {
 	batch := workload.Batch[float64](workload.DiagDominant, m, n, seed)
 	cfg := core.Config{K: core.KAuto}
 
-	// One-shot: a fresh pipeline (arenas + event recording) per solve.
+	// One-shot: a fresh pipeline per solve. The first records the
+	// device events; the rest take them from the recording memo.
 	var ref []float64
 	oneShotTime, oneShotAllocs, err := timeSolves(iters, func() error {
 		x, _, err := core.Solve(cfg, batch)
@@ -174,7 +175,7 @@ func runReuse(spec string, seed uint64) error {
 	}
 	defer p.Close()
 	dst := make([]float64, m*n)
-	if err := p.SolveInto(dst, batch); err != nil { // recording solve
+	if err := p.SolveInto(dst, batch); err != nil { // first solve: Stats from the memo
 		return err
 	}
 	reuseTime, reuseAllocs, err := timeSolves(iters, func() error {
@@ -231,7 +232,7 @@ func runFaultSweep(spec string, seed uint64) error {
 	}
 	defer p.Close()
 	dst := make([]float64, m*n)
-	if err := p.SolveInto(dst, batch); err != nil { // recording solve, fault-free
+	if err := p.SolveInto(dst, batch); err != nil { // first solve, fault-free
 		return err
 	}
 	ref := make([]float64, m*n)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gputrid"
+	"gputrid/internal/core"
 	"gputrid/internal/fleet"
 	"gputrid/internal/workload"
 )
@@ -235,27 +236,46 @@ func getFleet(t *testing.T, base string) map[string]any {
 	return body
 }
 
+// recordedSolve is gputrid.SolveBatch with the recording memo emptied
+// first, so the reference runs the simulated kernels the served host
+// twins are held to, not a twin run itself.
+func recordedSolve(b *gputrid.Batch[float64], opts ...gputrid.Option) (*gputrid.Result[float64], error) {
+	core.ResetRecordMemo()
+	return gputrid.SolveBatch(b, opts...)
+}
+
 // TestBatchRoutes drives the production coalescing assembly, batcher.New
 // over Fleet.SolveMegabatch behind -batch: concurrent 1-system requests
 // ride coalesced megabatches and come back bitwise equal to solving
 // each alone at k = 0; a request larger than the megabatch capacity is
 // served on a device route instead; /fleet reports the batcher.
 func TestBatchRoutes(t *testing.T) {
-	const n = 64
+	const n, requests = 64, 12
+	// The references record, one at a time before the server starts.
+	batches := make([]*gputrid.Batch[float64], requests)
+	refs := make([]*gputrid.Result[float64], requests)
+	for i := range batches {
+		batches[i] = workload.Batch[float64](workload.DiagDominant, 1, n, uint64(100+i))
+		ref, err := recordedSolve(batches[i], gputrid.WithK(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = ref
+	}
+	big := workload.Batch[float64](workload.DiagDominant, 9, n, 7)
+	bigRef, err := recordedSolve(big)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, base := newBatchServer(t, fleet.Config{Devices: 2}, 20*time.Millisecond)
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
-	for i := 0; i < 12; i++ {
+	for i := 0; i < requests; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			b := workload.Batch[float64](workload.DiagDominant, 1, n, uint64(100+i))
-			ref, err := gputrid.SolveBatch(b, gputrid.WithK(0))
-			if err != nil {
-				t.Error(err)
-				return
-			}
+			b, ref := batches[i], refs[i]
 			code, sr, er, err := postSolve(ctx, base, requestFor(b, 0))
 			if err != nil || code != http.StatusOK {
 				t.Errorf("request %d: %d %+v %v", i, code, er, err)
@@ -275,11 +295,7 @@ func TestBatchRoutes(t *testing.T) {
 	}
 	wg.Wait()
 
-	big := workload.Batch[float64](workload.DiagDominant, 9, n, 7)
-	ref, err := gputrid.SolveBatch(big)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := bigRef
 	code, sr, er, err := postSolve(ctx, base, requestFor(big, 0))
 	if err != nil || code != http.StatusOK {
 		t.Fatalf("9-system request: %d %+v %v", code, er, err)

@@ -140,11 +140,10 @@ func WithKernelFusion() Option { return func(c *config) { c.fuse = true } }
 // host pass). For recovery instead of rejection, use SolveGuarded.
 func WithVerification() Option { return func(c *config) { c.verify = true } }
 
-// WithWorkers bounds the worker pool a reusable Solver shards its
-// host-twin solves across; 0 (the default) means GOMAXPROCS. The
-// one-shot entry points record device events on a single lane and run
-// the twins only under an injected fault model, so this mostly affects
-// Solver reuse.
+// WithWorkers bounds the worker pool a Solver or one-shot solve shards
+// its host-twin solves across; 0 (the default) means GOMAXPROCS. The
+// process's first solve of a geometry records device events on a
+// single lane instead.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithGuard sets the escalation policy SolveGuarded applies (refinement

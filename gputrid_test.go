@@ -77,7 +77,7 @@ func TestSolveInterleavedRoundTrip(t *testing.T) {
 	}
 	// Verify against the contiguous solve of the same data.
 	b := v.ToBatch()
-	want, err := SolveBatch(b)
+	want, err := recordedSolve(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,10 @@ const (
 )
 
 // BenchmarkSolveOneShot is the baseline: every solve builds a fresh
-// pipeline, allocates its arenas, and records the device events from
-// scratch.
+// pipeline and allocates its arenas. Only the process's first solve of
+// the shape records the device events; the recording memo hands its
+// Stats to every later pipeline of the shape, whose first solve runs
+// the host twins. BenchmarkRecord measures the recording itself.
 func BenchmarkSolveOneShot(b *testing.B) {
 	batch := workload.Batch[float64](workload.DiagDominant, reuseM, reuseN, 1)
 	cfg := core.Config{K: core.KAuto}
@@ -51,5 +53,77 @@ func BenchmarkSolveReuse(b *testing.B) {
 		if err := p.SolveInto(dst, batch); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// recordShapes are the cold recordings BenchmarkRecord measures: the
+// reuse shape at the Table III k, and the k = 0 slab pipeline a
+// 4-device distributed solve of 131 073 rows builds per device (three
+// systems of about 32 768 rows).
+var recordShapes = []struct {
+	name string
+	k    int
+	m, n int
+}{
+	{"64x1024", core.KAuto, reuseM, reuseN},
+	{"3x32768", 0, 3, 32768},
+}
+
+// BenchmarkRecord measures one cold recording solve per iteration: the
+// memo is emptied and the pipeline built outside the timer, so ns/op
+// and allocs/op are the recording alone.
+func BenchmarkRecord(b *testing.B) {
+	for _, sh := range recordShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			batch := workload.Batch[float64](workload.DiagDominant, sh.m, sh.n, 1)
+			dst := make([]float64, sh.m*sh.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				core.ResetRecordMemo()
+				p, err := core.NewPipeline[float64](core.Config{K: sh.k}, sh.m, sh.n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := p.SolveInto(dst, batch); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				p.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// TestRecordAllocCeiling pins the allocations of a cold 3x32768 k = 0
+// pipeline: build, recording solve and close. The coalescing slots
+// come in fixed-size chunks with no per-slot heap state, so the
+// recording allocates per chunk, not per dynamic access of its longest
+// thread.
+func TestRecordAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const ceiling = 100
+	const m, n = 3, 32768
+	batch := workload.Batch[float64](workload.DiagDominant, m, n, 1)
+	dst := make([]float64, m*n)
+	var err error
+	got := testing.AllocsPerRun(3, func() {
+		core.ResetRecordMemo()
+		var p *core.Pipeline[float64]
+		if p, err = core.NewPipeline[float64](core.Config{K: 0}, m, n); err == nil {
+			err = p.SolveInto(dst, batch)
+			p.Close()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > ceiling {
+		t.Fatalf("cold 3x32768 build, recording and close made %.0f allocations, ceiling %d", got, ceiling)
 	}
 }

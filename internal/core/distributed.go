@@ -975,13 +975,14 @@ type backsubArgs[T num.Real] struct {
 // backsubKernel is the cached distBacksub launch for one (topology
 // device, slab length): an executor, its recorded Stats, and the
 // kernel closures, built once so a back-substitution allocates
-// nothing. Like Pipeline it records once: the kernel has no
-// data-dependent control flow and Global arrays are 512-byte aligned,
-// so the stats recorded for one slab of this length describe every
-// later run exactly. The first run simulates the blocks with no
-// injector; every later run, and the first one too under an injector,
-// runs the host twin, backsubRows. A cancelled recording stays
-// unrecorded and the next run records again.
+// nothing. Like Pipeline it records once per process: the kernel has
+// no data-dependent control flow and Global arrays are 512-byte
+// aligned, so the stats recorded for one slab of this shape describe
+// every later run on any device with the same recording fields. The
+// process's first run simulates the blocks with no injector; every
+// other run, and that one too under an injector, runs the host twin,
+// backsubRows. A cancelled recording stays unrecorded and the next run
+// records again.
 //
 // A kernel is driven by one goroutine at a time: runPhase runs each
 // device's slabs sequentially, and hedges never back-substitute.
@@ -1021,25 +1022,32 @@ func newBacksubKernel[T num.Real](dev *gpusim.Device) *backsubKernel[T] {
 	return k
 }
 
-// run back-substitutes one slab: recording the kernel's simulated
-// blocks with no injector on its first run, on the host twin on every
-// later one and on the first one too under an injector. Under
-// auditTwin every twin run re-records first.
+// run back-substitutes one slab. Its first run takes the kernel's
+// Stats from the process-wide memo, or records the simulated blocks
+// with no injector; a run that recorded has its output, every other
+// one runs the host twin, and so does a recording run under an
+// injector. Under auditTwin every twin run re-records first.
 func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.Stats, error) {
-	fresh := !k.recorded
-	if fresh || auditTwin {
-		grid := num.CeilDiv(a.total, backsubThreads)
-		st := gpusim.Stats{Kernel: "distBacksub", Launches: 1, Blocks: grid, ThreadsPerBlock: backsubThreads}
-		k.args = a
-		if err := k.exec.RunBlocksCtx(ctx, &st, backsubThreads, 0, grid, k.kern, "distBacksub"); err != nil {
+	fresh := false
+	if !k.recorded {
+		key := newRecordKey(k.dev, "distBacksub", backsubThreads, num.CeilDiv(a.total, backsubThreads))
+		key.m, key.rows, key.elem = a.total/a.rows, a.rows, num.SizeOf[T]()
+		st, rec, err := recordOnce(ctx, key, func(st *[2]gpusim.Stats) error { return k.record(ctx, a, &st[0]) })
+		if err != nil {
 			return nil, err
 		}
-		if !fresh && st != k.st {
-			panic(fmt.Sprintf("core: re-recording distBacksub changed its Stats:\n%+v\nrecorded %+v", st, k.st))
-		}
-		k.st, k.recorded = st, true
+		k.st, k.recorded, fresh = st[0], true, rec
 		if fresh && k.dev.Faults == nil {
 			return &k.st, nil
+		}
+	}
+	if auditTwin && !fresh {
+		var st gpusim.Stats
+		if err := k.record(ctx, a, &st); err != nil {
+			return nil, err
+		}
+		if st != k.st {
+			panic(fmt.Sprintf("core: re-recording distBacksub changed its Stats:\n%+v\nrecorded %+v", st, k.st))
 		}
 	}
 	outs := [][]T{a.out.Data}
@@ -1053,6 +1061,15 @@ func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.
 		matchOutputs(k.auditBuf, outs)
 	}
 	return &k.st, nil
+}
+
+// record runs the kernel's simulated blocks over slab a with no
+// injector, accumulating their events into st.
+func (k *backsubKernel[T]) record(ctx context.Context, a *backsubArgs[T], st *gpusim.Stats) error {
+	grid := num.CeilDiv(a.total, backsubThreads)
+	*st = gpusim.Stats{Kernel: "distBacksub", Launches: 1, Blocks: grid, ThreadsPerBlock: backsubThreads}
+	k.args = a
+	return k.exec.RunBlocksCtx(ctx, st, backsubThreads, 0, grid, k.kern, "distBacksub")
 }
 
 // twin runs slab a on the host twin under the device's injector. The

@@ -60,9 +60,9 @@ type Config struct {
 	// requires BlocksPerSystem <= 1 and no fusion.
 	SystemsPerBlock int
 	// Workers bounds the worker pool a Pipeline shards its host-twin
-	// solves across; 0 means GOMAXPROCS. One-shot Solve records on a
-	// single lane and runs the twins only under an injector, so this
-	// mostly affects reuse.
+	// solves across; 0 means GOMAXPROCS. A recording solve runs on a
+	// single lane, so this affects every solve but the process's first
+	// of a geometry.
 	Workers int
 	// Retry bounds recovery from transient device faults (see
 	// RetryPolicy; the zero value is the production default). Faults
@@ -162,10 +162,10 @@ func Solve[T num.Real](cfg Config, b *matrix.Batch[T]) ([]T, *Report, error) {
 }
 
 // SolveCtx is the one-shot solve with cooperative cancellation (see
-// Pipeline.SolveIntoCtx). It runs a transient Pipeline: callers that
-// solve the same shape repeatedly should build the Pipeline themselves
-// and reuse it, which skips both the arena allocation and (after the
-// first solve) the event-recording pass. The fused and multiplexed
+// Pipeline.SolveIntoCtx). It runs a transient Pipeline, which records
+// only the process's first solve of the geometry: callers that solve
+// the same shape repeatedly should still build the Pipeline themselves
+// and reuse it, which skips the arena allocation. The fused and multiplexed
 // ablation configurations, which have no reusable pipeline, run their
 // one-shot kernels instead. wall is the measured host time of the solve
 // itself, excluding pipeline construction.

@@ -49,15 +49,17 @@ var (
 // system, device), never of the coefficient data: the kernels contain
 // no data-dependent control flow, and global arrays are 512-byte
 // aligned so coalescing does not depend on where a particular batch
-// happens to live. So the first solve runs the simulated blocks once,
-// on one recording lane and with no injector, and caches their Stats;
-// Report describes every later solve exactly. Every later solve — and
-// the first one too when the device has an injector — runs the
-// kernels' plain-Go host twins over the raw slices (see twin.go). The
-// twins ask the injector about the same (kernel, block, attempt)
-// coordinates the simulated blocks would hit, so faults strike them
-// exactly where they would on the device. Solutions are bitwise
-// identical either way.
+// happens to live. So the process's first solve of a geometry runs the
+// simulated blocks once, on one recording lane and with no injector,
+// and keeps their Stats in a process-wide memo (memo.go); Report
+// describes every later solve exactly. Every other solve — a
+// pipeline's later ones, the first one of every pipeline whose
+// geometry the memo knows, and a recording one too when the device has
+// an injector — runs the kernels' plain-Go host twins over the raw
+// slices (see twin.go). The twins ask the injector about the same
+// (kernel, block, attempt) coordinates the simulated blocks would hit,
+// so faults strike them exactly where they would on the device.
+// Solutions are bitwise identical either way.
 //
 // The twins shard the batch across a bounded worker pool
 // (Config.Workers, default GOMAXPROCS) with a per-worker arena slice —
@@ -105,9 +107,9 @@ type Pipeline[T num.Real] struct {
 	launches [2]launch
 	nKern    int
 
-	// Cached statistics. kern holds the per-kernel stats recorded on
-	// the first solve; total is their aggregate; rep is the Report
-	// handed out for every solve.
+	// Cached statistics. kern holds the per-kernel stats the first
+	// solve recorded or took from the memo; total is their aggregate;
+	// rep is the Report handed out for every solve.
 	recorded bool
 	kern     [2]gpusim.Stats
 	total    gpusim.Stats
@@ -459,10 +461,10 @@ func (p *Pipeline[T]) release(start time.Time) {
 }
 
 // execute is the one solve body behind every entry: it runs the bound
-// launches — recorded on the first solve, on the host twins across the
-// worker pool after — and folds the lanes' fault bookkeeping into the
-// solve's FaultReport. The caller binds its layout first and re-solves
-// the degraded systems after.
+// launches — recorded on the process's first solve of the geometry, on
+// the host twins across the worker pool otherwise — and folds the
+// lanes' fault bookkeeping into the solve's FaultReport. The caller
+// binds its layout first and re-solves the degraded systems after.
 func (p *Pipeline[T]) execute(ctx context.Context) error {
 	p.ctx = ctx
 	p.frep.reset()
@@ -475,29 +477,38 @@ func (p *Pipeline[T]) execute(ctx context.Context) error {
 	return err
 }
 
-// run records the launch geometry on the first solve, publishing its
-// Stats into the cached aggregate and the reusable Report, and runs
-// the host twins on every later solve, and on the first one too under
-// an injector. Under auditTwin every twin run re-records first.
+// run obtains the launch geometry's Stats on the first solve — from
+// the process-wide memo (memo.go), or by recording — and publishes
+// them into the cached aggregate and the reusable Report. A solve
+// that recorded has its outputs; every other solve runs the host
+// twins, and so does a recording solve under an injector. Under
+// auditTwin every twin run re-records first and panics if the Stats
+// differ from the ones published, the memo's included.
 func (p *Pipeline[T]) run() error {
-	fresh := !p.recorded
-	if fresh || auditTwin {
+	fresh := false
+	if !p.recorded {
+		key := newRecordKey(p.dev, p.launches[0].name, p.launches[0].tpb, p.launches[0].grid)
+		key.m, key.n, key.k, key.c, key.g, key.bs, key.elem = p.m, p.n, p.k, p.c, p.g, p.bs, num.SizeOf[T]()
+		st, rec, err := recordOnce(p.ctx, key, func(st *[2]gpusim.Stats) error { return p.record(st[:p.nKern]) })
+		if err != nil {
+			return err
+		}
+		p.kern, p.recorded, fresh = st, true, rec
+		for i := range p.kern[:p.nKern] {
+			p.total.Add(&p.kern[i])
+			p.rep.Kernels = append(p.rep.Kernels, &p.kern[i])
+		}
+		if fresh && p.dev.Faults == nil {
+			return nil
+		}
+	}
+	if auditTwin && !fresh {
 		var st [2]gpusim.Stats
 		if err := p.record(st[:p.nKern]); err != nil {
 			return err
 		}
-		if !fresh && st != p.kern {
+		if st != p.kern {
 			panic(fmt.Sprintf("core: re-recording changed the Stats:\n%+v\nrecorded %+v", st, p.kern))
-		}
-		if fresh {
-			p.kern, p.recorded = st, true
-			for i := range p.kern[:p.nKern] {
-				p.total.Add(&p.kern[i])
-				p.rep.Kernels = append(p.rep.Kernels, &p.kern[i])
-			}
-			if p.dev.Faults == nil {
-				return nil
-			}
 		}
 	}
 	outs := [...][]T{p.bufs.X.Data, p.ra, p.rb, p.rc, p.rd}

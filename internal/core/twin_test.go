@@ -48,9 +48,11 @@ var auditShapes = []struct {
 }
 
 // auditPipeline solves b twice on a fresh pipeline through the entry
-// named by entry — a recording solve, then a replay the audit checks
-// against the simulated kernels — and requires the audit to have run
-// and both solves to agree bit for bit with the one-shot Solve.
+// named by entry and requires the audit to have run and both solves to
+// agree bit for bit with the one-shot Solve. The one-shot Solve of a
+// geometry's first case records; every pipeline solve after it takes
+// its Stats from the recording memo and runs the host twins, which the
+// audit checks against a re-recording — Stats and outputs alike.
 func auditPipeline[T num.Real](t *testing.T, cfg Config, b *matrix.Batch[T], entry string) {
 	t.Helper()
 	p, err := NewPipeline[T](cfg, b.M, b.N)

@@ -10,7 +10,7 @@ const NumBanks = 32
 // conflict; distinct addresses in one bank serialize, adding
 // (degree − 1) extra cycles for the warp.
 type bankSlotState struct {
-	warp  int
+	warp  int32
 	seen  []bankAddr // distinct (array, index) pairs this warp-slot
 	extra int64      // accumulated conflict cycles
 }
@@ -50,10 +50,9 @@ func (b *Block) bankAccess(t *Thread, array int32, index int) {
 		b.bankSlots = extendSlots(b.bankSlots, slotIdx+1)
 	}
 	s := &b.bankSlots[slotIdx]
-	warp := t.ID / b.dev.WarpSize
-	if warp != s.warp {
+	if t.warp != s.warp {
 		s.flush()
-		s.warp = warp
+		s.warp = t.warp
 	}
 	a := bankAddr{array: array, index: int32(index)}
 	for _, have := range s.seen {
@@ -62,6 +61,17 @@ func (b *Block) bankAccess(t *Thread, array int32, index int) {
 		}
 	}
 	s.seen = append(s.seen, a)
+}
+
+// extendSlots lengthens a slot list to n entries. Entries past its
+// length were reset when their phase ended, address buffer kept, so
+// they are reused before new ones are allocated. A zero entry and a
+// reset one behave the same: either holds no pending accesses.
+func extendSlots[S any](s []S, n int) []S {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]S, n-cap(s))...)
 }
 
 // endPhaseBankSlots flushes pending bank analysis into the stats.

@@ -78,9 +78,18 @@ type Block struct {
 	ID      int
 	Threads int
 
-	dev       *Device
-	stats     *Stats
-	slots     []slotState // per-instruction-slot coalescing state, reset each phase
+	dev   *Device
+	stats *Stats
+	tx    int64 // the device's TransactionBytes
+
+	// The coalescing analyzer's scratch (memory.go): the slot table,
+	// nslots of it live in the current phase, and the spill list with
+	// its free list of nfree entries headed at free.
+	chunks      []*[slotChunk]slotState
+	nslots      int
+	spill       []spillSeg
+	free, nfree int32
+
 	bankSlots []bankSlotState
 	sharedSeq int32
 	// thread is the Thread context Phase/PhaseNoSync hand to every
@@ -90,11 +99,13 @@ type Block struct {
 	thread Thread
 }
 
-// Thread identifies one thread within a phase. It carries the
-// instruction-slot cursor used for coalescing analysis.
+// Thread identifies one thread within a phase. It carries its warp
+// index and the instruction-slot cursors used for coalescing and
+// bank-conflict analysis.
 type Thread struct {
 	ID       int // tid within the block
 	blk      *Block
+	warp     int32
 	slot     int
 	bankSlot int
 }
@@ -109,6 +120,7 @@ func (b *Block) Phase(body func(t *Thread)) {
 	t.blk = b
 	for tid := 0; tid < b.Threads; tid++ {
 		t.ID = tid
+		t.warp = int32(tid / b.dev.WarpSize)
 		t.slot = 0
 		t.bankSlot = 0
 		body(t)
@@ -126,6 +138,7 @@ func (b *Block) PhaseNoSync(body func(t *Thread)) {
 	t.blk = b
 	for tid := 0; tid < b.Threads; tid++ {
 		t.ID = tid
+		t.warp = int32(tid / b.dev.WarpSize)
 		t.slot = 0
 		t.bankSlot = 0
 		body(t)

@@ -15,12 +15,16 @@ import (
 // Stats. The events are a pure function of the launch geometry and
 // array layout, never of the floating-point data (kernels contain no
 // data-dependent control flow, and Global arrays are 512-byte aligned
-// so the coalescing pattern is base-independent), which is what makes
-// record-once sound: a solver simulates a geometry once, caches the
-// Stats, and runs every later solve on the kernels' host twins, which
-// compute bitwise the same solution. Blocks never fault: the twins ask
-// the injector about the launch's block coordinates (FaultSite.First),
-// so faults strike them instead.
+// so the coalescing pattern is base-independent). Of the device, a
+// recording reads only WarpSize and TransactionBytes (coalescing and
+// bank analysis) and SharedMemPerSM (the shared-memory check), and its
+// caller MaxThreadsPerBlock; never Name, the cost-model fields,
+// SlowFactor or Faults. That is what makes record-once sound: a
+// process simulates a geometry once, keeps the Stats for every solver
+// and device that shares those fields, and runs every other solve on
+// the kernels' host twins, which compute bitwise the same solution.
+// Blocks never fault: the twins ask the injector about the launch's
+// block coordinates (FaultSite.First), so faults strike them instead.
 type Executor struct {
 	dev     *Device
 	blk     Block
@@ -46,13 +50,13 @@ func NewExecutor(d *Device) *Executor {
 // fully executed or never started.
 //
 // Every run, successful or not, ends by releasing the block's
-// coalescing and bank-conflict slot scratch: one slot per dynamic
-// access of the longest thread, megabytes for a long p-Thomas thread.
-// A recorded geometry is never simulated again in production, so a
-// cached executor would otherwise pin it for its whole life.
+// coalescing and bank-conflict scratch: one slot per dynamic access of
+// the longest thread, megabytes for a long p-Thomas thread. A recorded
+// geometry is never simulated again in production, so a cached
+// executor would otherwise pin it for its whole life.
 func (e *Executor) RunBlocksCtx(ctx context.Context, st *Stats, threadsPerBlock, first, count int, kern Kernel, name string) error {
 	err := e.runBlocks(ctx, st, threadsPerBlock, first, count, kern, name)
-	e.blk.slots, e.blk.bankSlots = nil, nil
+	e.blk.releaseSlots()
 	return err
 }
 
@@ -60,6 +64,7 @@ func (e *Executor) runBlocks(ctx context.Context, st *Stats, threadsPerBlock, fi
 	b := &e.blk
 	b.Threads = threadsPerBlock
 	b.dev = e.dev
+	b.tx = int64(e.dev.TransactionBytes)
 	b.stats = &e.scratch
 	for id := first; id < first+count; id++ {
 		if ctx != nil {

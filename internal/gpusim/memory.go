@@ -7,94 +7,162 @@ import (
 )
 
 // slotState tracks coalescing for one instruction slot within the
-// current phase. Threads execute in ascending tid order, so the warp
-// index at a given slot is non-decreasing; when it changes, the
-// segments touched by the previous warp are flushed as transactions.
+// current phase: the group of accesses the slot has seen since its
+// warp or direction last changed. Threads execute in ascending tid
+// order, so the warp index at a given slot is non-decreasing; when it
+// changes, or a load follows a store, the group's distinct segments
+// are flushed as transactions into the block's Stats.
+//
+// The state holds no pointers, so a slot table is memory the garbage
+// collector never scans. The first two distinct segments of a group
+// live inline, which covers every aligned unit-stride warp access of
+// 4- or 8-byte elements at 128-byte transactions; further ones spill
+// to the block's shared spill list, newest first.
 type slotState struct {
-	warp  int
-	store bool
-	segs  []int64 // distinct TransactionBytes-aligned segments, current warp
-	ldTx  int64
-	stTx  int64
+	seg   [2]int64 // the group's first two distinct segments
+	warp  int32    // warp of the group
+	n     int32    // distinct segments in the group
+	spill int32    // head of the group's spill chain (segments 3..n) in Block.spill
+	store bool     // direction of the group
 }
 
-func (s *slotState) flush() {
-	n := int64(len(s.segs))
-	if n == 0 {
-		return
-	}
-	if s.store {
-		s.stTx += n
-	} else {
-		s.ldTx += n
-	}
-	s.segs = s.segs[:0]
+// spillSeg is one spilled segment: an element of a slot's chain, or of
+// the block's free list.
+type spillSeg struct {
+	seg  int64
+	next int32
 }
+
+// Slots live in fixed-size chunks, so growing the table never copies
+// it: a run allocates one chunk per slotChunk dynamic accesses of its
+// longest thread.
+const (
+	slotChunkShift = 12
+	slotChunk      = 1 << slotChunkShift
+)
 
 // record registers one global-memory access by thread t of element i
 // of the array at base with the given element size, running the
 // coalescing analysis.
 func (b *Block) record(t *Thread, base, elem int64, i int, store bool) {
-	addr := base + int64(i)*elem
-	bytes := int(elem)
-	slotIdx := t.slot
+	if store {
+		b.stats.StoredBytes += elem
+	} else {
+		b.stats.LoadedBytes += elem
+	}
+	idx := t.slot
 	t.slot++
-	if slotIdx >= len(b.slots) {
-		b.slots = extendSlots(b.slots, slotIdx+1)
+	if idx >= b.nslots {
+		b.growSlots(idx + 1)
 	}
-	s := &b.slots[slotIdx]
-	warp := t.ID / b.dev.WarpSize
-	if warp != s.warp || store != s.store {
-		s.flush()
-		s.warp = warp
-		s.store = store
+	s := &b.chunks[idx>>slotChunkShift][idx&(slotChunk-1)]
+	if t.warp != s.warp || store != s.store {
+		b.flushSlot(s)
+		s.warp, s.store = t.warp, store
 	}
-	tx := int64(b.dev.TransactionBytes)
-	for seg := addr / tx; seg <= (addr+int64(bytes)-1)/tx; seg++ {
-		found := false
-		for _, have := range s.segs {
-			if have == seg {
-				found = true
-				break
+	addr := base + int64(i)*elem
+	for seg, hi := addr/b.tx, (addr+elem-1)/b.tx; seg <= hi; seg++ {
+		b.addSeg(s, seg)
+	}
+}
+
+// growSlots makes n slots live in the current phase, adding a chunk
+// when n passes the table's capacity. Slots past the previous count
+// were reset when their phase ended, or are fresh zero ones: either
+// holds an empty group, so the first access starts its warp without
+// flushing anything.
+func (b *Block) growSlots(n int) {
+	if n > len(b.chunks)*slotChunk {
+		b.chunks = append(b.chunks, new([slotChunk]slotState))
+	}
+	b.nslots = n
+}
+
+// addSeg adds segment seg to s's group unless the group holds it. The
+// newest segment is checked first: the threads of a warp walk an
+// aligned access in order, so a thread usually hits the segment the
+// previous one just added.
+func (b *Block) addSeg(s *slotState, seg int64) {
+	switch n := s.n; {
+	case n == 0:
+		s.seg[0], s.n = seg, 1
+		return
+	case n == 1:
+		if s.seg[0] != seg {
+			s.seg[1], s.n = seg, 2
+		}
+		return
+	case n == 2:
+		if s.seg[1] == seg || s.seg[0] == seg {
+			return
+		}
+	default:
+		at := s.spill
+		if b.spill[at].seg == seg || s.seg[1] == seg || s.seg[0] == seg {
+			return
+		}
+		for j := int32(3); j < n; j++ {
+			at = b.spill[at].next
+			if b.spill[at].seg == seg {
+				return
 			}
 		}
-		if !found {
-			s.segs = append(s.segs, seg)
+	}
+	e := spillSeg{seg: seg, next: s.spill}
+	if b.nfree > 0 {
+		at := b.free
+		b.free = b.spill[at].next
+		b.nfree--
+		b.spill[at] = e
+		s.spill = at
+	} else {
+		b.spill = append(b.spill, e)
+		s.spill = int32(len(b.spill) - 1)
+	}
+	s.n++
+}
+
+// flushSlot counts s's group as transactions in the block's Stats,
+// returns its spill chain to the free list, and empties it.
+func (b *Block) flushSlot(s *slotState) {
+	n := s.n
+	if n == 0 {
+		return
+	}
+	if s.store {
+		b.stats.StoreTransactions += int64(n)
+	} else {
+		b.stats.LoadTransactions += int64(n)
+	}
+	if n > 2 {
+		tail := s.spill
+		for j := int32(3); j < n; j++ {
+			tail = b.spill[tail].next
+		}
+		b.spill[tail].next = b.free
+		b.free = s.spill
+		b.nfree += n - 2
+	}
+	s.n = 0
+}
+
+// endPhaseSlots flushes every slot the phase used into the block stats,
+// leaving each one empty for the next phase.
+func (b *Block) endPhaseSlots() {
+	for c, left := 0, b.nslots; left > 0; c, left = c+1, left-slotChunk {
+		chunk := b.chunks[c][:min(left, slotChunk)]
+		for i := range chunk {
+			b.flushSlot(&chunk[i])
 		}
 	}
-	if store {
-		b.stats.StoredBytes += int64(bytes)
-	} else {
-		b.stats.LoadedBytes += int64(bytes)
-	}
+	b.nslots = 0
 }
 
-// extendSlots lengthens a slot list to n entries. Entries past its
-// length were reset when their phase ended, segment or address buffer
-// kept, so they are reused before new ones are allocated: a run
-// allocates per slot only while its longest thread grows the list. A
-// zero entry and a reset one behave the same: either holds no pending
-// accesses, so the first access starts its warp without flushing
-// anything.
-func extendSlots[S any](s []S, n int) []S {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	return append(s[:cap(s)], make([]S, n-cap(s))...)
-}
-
-// endPhaseSlots flushes all pending per-slot coalescing state into the
-// block stats and resets the slots for the next phase.
-func (b *Block) endPhaseSlots() {
-	for i := range b.slots {
-		s := &b.slots[i]
-		s.flush()
-		b.stats.LoadTransactions += s.ldTx
-		b.stats.StoreTransactions += s.stTx
-		s.ldTx, s.stTx = 0, 0
-		s.warp = -1
-	}
-	b.slots = b.slots[:0]
+// releaseSlots drops the block's slot and spill scratch.
+func (b *Block) releaseSlots() {
+	b.chunks, b.nslots = nil, 0
+	b.spill, b.free, b.nfree = nil, 0, 0
+	b.bankSlots = nil
 }
 
 // Global is a device-global array of T. Loads and stores through it are

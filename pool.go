@@ -191,8 +191,8 @@ func NewPool[T Real](cfg PoolConfig) *Pool[T] {
 }
 
 // Warm eagerly builds the full solver complement for a shape, so the
-// first requests are not serialized behind arena allocation and the
-// recording solve.
+// first requests are not serialized behind arena allocation and, for
+// the process's first use of the shape, the recording solve.
 func (p *Pool[T]) Warm(m, n int) error {
 	if err := p.inner.Warm(m, n); err != nil {
 		return fmt.Errorf("gputrid: %w", err)

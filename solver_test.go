@@ -5,8 +5,26 @@ import (
 	"sync"
 	"testing"
 
+	"gputrid/internal/core"
 	"gputrid/internal/workload"
 )
+
+// recordedSolve is SolveBatch with the recording memo emptied first, so
+// the solve runs the simulated kernels rather than the host twins: the
+// independent oracle the reuse, pool, batching and fault checks hold
+// the twins to. Without the reset, a shape some earlier solve recorded
+// would make the reference a twin run too. Every reference a twin run
+// is compared against goes through it or recordedSolveGuarded.
+func recordedSolve(b *Batch[float64], opts ...Option) (*Result[float64], error) {
+	core.ResetRecordMemo()
+	return SolveBatch(b, opts...)
+}
+
+// recordedSolveGuarded is recordedSolve for SolveGuarded.
+func recordedSolveGuarded(b *Batch[float64], opts ...Option) (*GuardedResult[float64], error) {
+	core.ResetRecordMemo()
+	return SolveGuarded(b, opts...)
+}
 
 // solverShapes covers both steady-state pipeline paths.
 var solverShapes = []struct {
@@ -19,8 +37,8 @@ var solverShapes = []struct {
 }
 
 // TestSolverReuseMatchesOneShot reuses one Solver across 100 distinct
-// batches and requires bitwise identity with a fresh SolveBatch on
-// every one — the recorded first solve and the replayed rest alike.
+// batches and requires bitwise identity with a recording SolveBatch on
+// every one — the Solver's first solve and the replayed rest alike.
 func TestSolverReuseMatchesOneShot(t *testing.T) {
 	for _, tc := range solverShapes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -35,7 +53,7 @@ func TestSolverReuseMatchesOneShot(t *testing.T) {
 				if err := s.SolveBatchInto(dst, b); err != nil {
 					t.Fatal(err)
 				}
-				res, err := SolveBatch(b, tc.opts...)
+				res, err := recordedSolve(b, tc.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +83,7 @@ func TestSolverConcurrentDistinct(t *testing.T) {
 	const goroutines = 4
 	m, n := 8, 128
 	b := workload.Batch[float64](workload.DiagDominant, m, n, 99)
-	want, err := SolveBatch(b)
+	want, err := recordedSolve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +263,7 @@ func TestSolverGuardedReuse(t *testing.T) {
 	defer s.Close()
 	for iter := 0; iter < 3; iter++ {
 		b := workload.Batch[float64](workload.DiagDominant, m, n, uint64(40+iter))
-		want, err := SolveGuarded(b)
+		want, err := recordedSolveGuarded(b)
 		if err != nil {
 			t.Fatal(err)
 		}
