@@ -63,8 +63,7 @@ type Device = gpusim.Device
 // Stats are the architectural events recorded during a solve.
 type Stats = gpusim.Stats
 
-// LayoutStats counts interleaved-native vs shimmed solver entries and
-// the blocked transposes the native path skipped (see
+// LayoutStats counts interleaved-native vs shimmed solver entries (see
 // Solver.LayoutStats).
 type LayoutStats = core.LayoutStats
 

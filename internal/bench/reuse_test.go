@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"gputrid/internal/core"
+	"gputrid/internal/cpu"
 	"gputrid/internal/workload"
 )
 
@@ -125,5 +128,50 @@ func TestRecordAllocCeiling(t *testing.T) {
 	}
 	if got > ceiling {
 		t.Fatalf("cold 3x32768 build, recording and close made %.0f allocations, ceiling %d", got, ceiling)
+	}
+}
+
+// k0Shapes are Table III k = 0 batches (M >= 1024), the size of the
+// Fig. 12(a) and 13(a) requests.
+var k0Shapes = []struct{ m, n int }{{1024, 512}, {2048, 1024}}
+
+// BenchmarkK0Contiguous times a warm contiguous K: 0 pipeline, whose
+// twin runs Thomas over the caller's rows, against the one-core
+// cpu.SolveBatchSeq on the same batch, alternating within every
+// iteration. It reports each one's ms per solve and their same-run
+// ratio, pipe/seq, which must stay at or below 1. ns/op and the
+// allocation counts are the two solves together; the baseline
+// allocates its solution and workspace, the pipeline nothing.
+func BenchmarkK0Contiguous(b *testing.B) {
+	for _, sh := range k0Shapes {
+		b.Run(fmt.Sprintf("%dx%d", sh.m, sh.n), func(b *testing.B) {
+			batch := workload.Batch[float64](workload.DiagDominant, sh.m, sh.n, 1)
+			p, err := core.NewPipeline[float64](core.Config{K: 0}, sh.m, sh.n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			dst := make([]float64, sh.m*sh.n)
+			if err := p.SolveInto(dst, batch); err != nil { // records or takes the memo's Stats
+				b.Fatal(err)
+			}
+			var pipe, seq time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				if err := p.SolveInto(dst, batch); err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				if _, err := cpu.SolveBatchSeq(batch); err != nil {
+					b.Fatal(err)
+				}
+				pipe += t1.Sub(t0)
+				seq += time.Since(t1)
+			}
+			b.ReportMetric(pipe.Seconds()*1e3/float64(b.N), "pipe_ms/op")
+			b.ReportMetric(seq.Seconds()*1e3/float64(b.N), "seq_ms/op")
+			b.ReportMetric(float64(pipe)/float64(seq), "pipe/seq")
+		})
 	}
 }

@@ -14,23 +14,18 @@ import (
 // already in the interleaved layout (row j of system i at j*M+i — the
 // layout the k = 0 p-Thomas kernel consumes and the batching
 // front-end's megabatches are born in, per Gloster et al.
-// arXiv:1909.04539) solve without the 32×32 blocked transpose that the
-// contiguous entry pays on every k = 0 solve. The kernel's per-system
-// arithmetic is identical either way, so results are bitwise equal to
-// the contiguous path on the same data.
+// arXiv:1909.04539) solve in that layout. At k = 0 neither entry
+// transposes on a warm solve: this one's twin runs Thomas down the
+// interleaved columns, the contiguous entry's over the caller's rows.
+// The per-system arithmetic is identical either way, so results are
+// bitwise equal to the contiguous path on the same data.
 
-// LayoutStats counts how solves entered the pipeline, the observable
-// evidence that the interleaved-native path really skips the
-// transpose. Snapshot via Pipeline.LayoutStats; safe to read
-// concurrently with solves.
+// LayoutStats counts how solves entered the pipeline. Snapshot via
+// Pipeline.LayoutStats; safe to read concurrently with solves.
 type LayoutStats struct {
 	// InterleavedSolves counts solves entered through the
 	// interleaved-native API (native and shimmed).
 	InterleavedSolves uint64
-	// TransposesSkipped counts 32×32 blocked plane transposes the
-	// native path avoided: 5 per native k = 0 solve (4 coefficient
-	// planes in, 1 solution vector out).
-	TransposesSkipped uint64
 	// InterleavedShim counts interleaved solves that had to convert
 	// layouts anyway because the k >= 1 hybrid cannot consume them
 	// natively.
@@ -41,7 +36,6 @@ type LayoutStats struct {
 func (p *Pipeline[T]) LayoutStats() LayoutStats {
 	return LayoutStats{
 		InterleavedSolves: p.ilSolves.Load(),
-		TransposesSkipped: p.ilSkipped.Load(),
 		InterleavedShim:   p.ilShim.Load(),
 	}
 }
@@ -96,7 +90,6 @@ func (p *Pipeline[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *ma
 	// Point the kernel at the caller's planes for this solve; the
 	// binding is restored before returning so the contiguous entry
 	// keeps its arena-backed buffers.
-	p.ilSkipped.Add(5)
 	p.bindK0(v, xi)
 	defer p.bindK0(p.vbuf, p.xi)
 	if err := p.execute(ctx); err != nil {

@@ -55,11 +55,12 @@ var (
 // describes every later solve exactly. Every other solve — a
 // pipeline's later ones, the first one of every pipeline whose
 // geometry the memo knows, and a recording one too when the device has
-// an injector — runs the kernels' plain-Go host twins over the raw
-// slices (see twin.go). The twins ask the injector about the same
-// (kernel, block, attempt) coordinates the simulated blocks would hit,
-// so faults strike them exactly where they would on the device.
-// Solutions are bitwise identical either way.
+// an injector or the solve is a contiguous k = 0 one — runs the
+// kernels' plain-Go host twins over the raw slices (see twin.go). The
+// twins ask the injector about the same (kernel, block, attempt)
+// coordinates the simulated blocks would hit, so faults strike them
+// exactly where they would on the device. Solutions are bitwise
+// identical either way.
 //
 // The twins shard the batch across a bounded worker pool
 // (Config.Workers, default GOMAXPROCS) with a per-worker arena slice —
@@ -81,8 +82,10 @@ type Pipeline[T num.Real] struct {
 	grid int // grid size (k == 0)
 
 	// Arena. For k >= 1: the reduced coefficient planes PCR writes and
-	// p-Thomas reads. For k == 0: the interleaved input planes and the
-	// interleaved solution.
+	// p-Thomas reads. For k == 0: the interleaved input planes a
+	// recording of the contiguous entry reads, and xi, the solution the
+	// kernel writes interleaved and the contiguous twin writes in rows,
+	// staged there so a cancelled solve leaves dst untouched.
 	ra, rb, rc, rd []T
 	out            tiledpcr.Arrays[T]
 	vbuf           *matrix.Interleaved[T]
@@ -90,8 +93,11 @@ type Pipeline[T num.Real] struct {
 	ws             pthomas.Workspace[T]
 
 	// iv is the interleaved batch the k = 0 kernel is bound to (vbuf
-	// or the caller's), the planes its host twin reads.
-	iv *matrix.Interleaved[T]
+	// or the caller's), the planes the interleaved twin reads. rows is
+	// the caller's contiguous batch during a k = 0 SolveIntoCtx, nil
+	// otherwise: its twin reads the rows and never transposes.
+	iv   *matrix.Interleaved[T]
+	rows *matrix.Batch[T]
 
 	// Per-solve state read by the kernels and their twins; written by
 	// the coordinator before workers are signalled.
@@ -138,7 +144,6 @@ type Pipeline[T num.Real] struct {
 	iscratchB *matrix.Batch[T]
 	iscratchX []T
 	ilSolves  atomic.Uint64
-	ilSkipped atomic.Uint64
 	ilShim    atomic.Uint64
 
 	workers []*pipeWorker[T]
@@ -355,8 +360,8 @@ func (p *Pipeline[T]) SolveInto(dst []T, b *matrix.Batch[T]) error {
 // solve returns an error matching both ErrCancelled and the context's
 // own error. dst is written at whole-system granularity only, so every
 // system's rows are either fully written or untouched; on the k = 0
-// path dst is written in one final host pass and is fully untouched by
-// a cancelled solve.
+// path dst is written by one final copy and is fully untouched by a
+// cancelled solve.
 //
 // Faults: when the device carries a gpusim.Injector, faults strike the
 // host twins. Each shard of the batch is a checkpointed unit of work —
@@ -380,15 +385,18 @@ func (p *Pipeline[T]) SolveIntoCtx(ctx context.Context, dst []T, b *matrix.Batch
 	if p.k != 0 {
 		return p.solveHybrid(ctx, dst, b)
 	}
-	// k = 0: blocked host interleave, one device kernel, blocked host
-	// deinterleave.
-	b.ToInterleavedInto(p.vbuf)
-	if err := p.execute(ctx); err != nil {
+	// k = 0: the twin runs Thomas per system over the caller's rows
+	// into xi, and one copy publishes them. Only a recording reads the
+	// interleaved layout, which record builds in vbuf.
+	p.rows = b
+	err = p.execute(ctx)
+	p.rows = nil
+	if err != nil {
 		return err
 	}
 	// A degraded xi holds garbage here, but every degraded system of
 	// dst is overwritten by degradedResolve before the solve returns.
-	matrix.DeinterleaveVectorInto(dst, p.xi, p.m, p.n)
+	copy(dst, p.xi)
 	return p.degradedResolve(dst, b)
 }
 
@@ -481,9 +489,10 @@ func (p *Pipeline[T]) execute(ctx context.Context) error {
 // the process-wide memo (memo.go), or by recording — and publishes
 // them into the cached aggregate and the reusable Report. A solve
 // that recorded has its outputs; every other solve runs the host
-// twins, and so does a recording solve under an injector. Under
-// auditTwin every twin run re-records first and panics if the Stats
-// differ from the ones published, the memo's included.
+// twins, and so do a recording solve under an injector and one of the
+// contiguous k = 0 entry, whose twin writes the rows the solve
+// returns. Under auditTwin every twin run re-records first and panics
+// if the Stats differ from the ones published, the memo's included.
 func (p *Pipeline[T]) run() error {
 	fresh := false
 	if !p.recorded {
@@ -498,7 +507,7 @@ func (p *Pipeline[T]) run() error {
 			p.total.Add(&p.kern[i])
 			p.rep.Kernels = append(p.rep.Kernels, &p.kern[i])
 		}
-		if fresh && p.dev.Faults == nil {
+		if fresh && p.dev.Faults == nil && p.rows == nil {
 			return nil
 		}
 	}
@@ -514,6 +523,10 @@ func (p *Pipeline[T]) run() error {
 	outs := [...][]T{p.bufs.X.Data, p.ra, p.rb, p.rc, p.rd}
 	if auditTwin {
 		keepOutputs(&p.auditBuf, outs[:])
+		if p.rows != nil {
+			// The kernel wrote xi interleaved; the twin writes rows.
+			matrix.DeinterleaveVectorInto(p.auditBuf, p.xi, p.m, p.n)
+		}
 	}
 	if err := p.replay(); err != nil || !auditTwin {
 		return err
@@ -529,8 +542,12 @@ func (p *Pipeline[T]) run() error {
 
 // record runs every launch's simulated blocks on the recording lane,
 // with no injector, accumulating launch i's events into st[i]. Its
-// outputs are a complete fault-free solve.
+// outputs are a complete fault-free solve. A contiguous k = 0 solve's
+// batch is interleaved into vbuf first, the layout the kernel reads.
 func (p *Pipeline[T]) record(st []gpusim.Stats) error {
+	if p.rows != nil {
+		p.rows.ToInterleavedInto(p.vbuf)
+	}
 	for i := range st {
 		l := &p.launches[i]
 		st[i] = gpusim.Stats{Kernel: l.name, Launches: 1, Blocks: l.grid, ThreadsPerBlock: l.tpb}
@@ -645,13 +662,18 @@ func (p *Pipeline[T]) shardRange(w *pipeWorker[T], slot int) (first, count int) 
 }
 
 // poison writes NaN over the solution rows of block blk of launch
-// slot. A k = 0 block's systems are interleaved columns of the
-// solution; a tiled-PCR block owns a slice of one system's rows, a
-// strided p-Thomas block the whole system.
+// slot. A k = 0 block's systems are contiguous rows of the staged
+// solution on the contiguous entry and interleaved columns on the
+// interleaved one; a tiled-PCR block owns a slice of one system's
+// rows, a strided p-Thomas block the whole system.
 func (p *Pipeline[T]) poison(slot, blk int) {
 	x := p.bufs.X.Data
 	if p.k == 0 {
 		lo, hi := blk*p.bs, min((blk+1)*p.bs, p.m)
+		if p.rows != nil {
+			fillNaN(x[lo*p.n : hi*p.n])
+			return
+		}
 		for row := 0; row < len(x); row += p.m {
 			fillNaN(x[row+lo : row+hi])
 		}

@@ -145,6 +145,39 @@ func TestPipelineZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestContiguousK0ZeroAlloc pins the warm contiguous k = 0 solve, whose
+// twin runs Thomas over the caller's rows, at zero allocations: at
+// 1024×512, a Table III k = 0 batch over the worker pool, and at
+// 3×32768, the distributed solver's slab pipeline.
+func TestContiguousK0ZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, sh := range []struct{ m, n int }{{1024, 512}, {3, 32768}} {
+		p, err := NewPipeline[float64](Config{K: 0}, sh.m, sh.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := workload.Batch[float64](workload.DiagDominant, sh.m, sh.n, 42)
+		dst := make([]float64, sh.m*sh.n)
+		if err := p.SolveInto(dst, b); err != nil { // warm-up (records or takes the memo's Stats)
+			t.Fatal(err)
+		}
+		// The audit re-records, which allocates slot scratch.
+		auditTwin = false
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := p.SolveInto(dst, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		auditTwin = true
+		p.Close()
+		if allocs != 0 {
+			t.Errorf("%dx%d: warm contiguous k = 0 solve allocates %.0f times, want 0", sh.m, sh.n, allocs)
+		}
+	}
+}
+
 // TestPipelineMisuse checks the typed errors: wrong shapes, a busy
 // pipeline, and a closed pipeline all reject the call without
 // touching the arena.

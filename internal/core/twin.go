@@ -18,10 +18,15 @@ import (
 // instead of driving simulated blocks. The twins compute bit for bit
 // what the kernels compute: the tiled-PCR window's schedule
 // (tiledpcr.HostReducer), the p-Thomas recurrences
-// (pthomas.SolveStridedRefInto and SolveInterleavedRangeInto), and the
-// distBacksub expression (backsubRows). Faults strike the twins: their
-// callers ask the injector about the blocks the twins stand in for
-// (gpusim.FaultSite.First) before any arithmetic runs.
+// (pthomas.SolveStridedRefInto, which at k = 0 runs over the
+// contiguous entry's rows, and SolveInterleavedRangeInto over the
+// interleaved entry's columns), and the distBacksub expression
+// (backsubRows). A twin reads the layout its caller holds: the
+// device's interleaved layout exists to coalesce loads, and on the
+// host a contiguous solve gains nothing from a transpose. Faults
+// strike the twins: their callers ask the injector about the blocks
+// the twins stand in for (gpusim.FaultSite.First) before any
+// arithmetic runs.
 
 // auditTwin, set only by the package's tests, audits every twin run:
 // the simulated kernels re-record first, a panic reports Stats that
@@ -40,15 +45,20 @@ func ctxErr(ctx context.Context) error {
 // hostShard runs worker w's shard on the host twins. For k >= 1 each
 // system is reduced by k PCR levels into its rows of the reduced
 // planes and then solved by strided Thomas into dst, so one system's
-// work stays in cache. For k = 0 each system runs the interleaved
-// Thomas recurrence into the bound solution. The context is checked
-// between systems, so dst is written a whole system at a time.
+// work stays in cache. For k = 0 each system of the shard's thread
+// blocks runs Thomas into the bound solution: over the caller's rows
+// on the contiguous entry (thomasRows), over the interleaved planes'
+// columns on the interleaved one. The context is checked between
+// systems, so dst is written a whole system at a time.
 //
 //tridlint:hotpath
 func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
 	x := p.bufs.X.Data
 	if p.k == 0 {
 		lo, hi := w.firstBlk*p.bs, min((w.firstBlk+w.nBlk)*p.bs, p.m)
+		if p.rows != nil {
+			return p.thomasRows(x, &w.tws, lo, hi)
+		}
 		for i := lo; i < hi; i++ {
 			if err := ctxErr(p.ctx); err != nil {
 				return err
@@ -67,6 +77,25 @@ func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
 		ra, rb, rc, rd := p.ra[lo:hi], p.rb[lo:hi], p.rc[lo:hi], p.rd[lo:hi]
 		w.red.Reduce(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], ra, rb, rc, rd)
 		pthomas.SolveStridedRefInto(ra, rb, rc, rd, 1, n, p.k, x[lo:hi], &w.tws)
+	}
+	return nil
+}
+
+// thomasRows is the k = 0 twin of the contiguous entry: Thomas for
+// systems [lo, hi) of the caller's batch, each over its own contiguous
+// rows, into the same rows of x. It is SolveReference's k = 0
+// arithmetic, bit for bit the interleaved kernel's, with no transpose
+// on either side. The context is checked between systems.
+//
+//tridlint:hotpath
+func (p *Pipeline[T]) thomasRows(x []T, ws *pthomas.Workspace[T], lo, hi int) error {
+	b, n := p.rows, p.n
+	for i := lo; i < hi; i++ {
+		if err := ctxErr(p.ctx); err != nil {
+			return err
+		}
+		s, e := i*n, (i+1)*n
+		pthomas.SolveStridedRefInto(b.Lower[s:e], b.Diag[s:e], b.Upper[s:e], b.RHS[s:e], 1, n, 0, x[s:e], ws)
 	}
 	return nil
 }

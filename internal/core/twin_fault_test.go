@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"gputrid/internal/gpusim"
@@ -176,10 +177,12 @@ func TestTwinFaultCoordinates(t *testing.T) {
 // TestTwinFaultIsLoud pins what a fault leaves behind when nothing
 // repairs it: with no retry and no degradation, a scheduled abort,
 // hang or corrupt fault on one block fails the solve with ErrFaulted,
-// carrying that block's *LaunchError, and the block's solution rows —
-// interleaved columns for k = 0 — are NaN while every other row is not.
-// Faults strike the first solve, on top of the fault-free recording,
-// and a warm one alike.
+// carrying that block's *LaunchError, and the block's solution rows
+// are NaN while every other row is not. At k = 0 those are the block's
+// systems' contiguous rows of the staged solution on the contiguous
+// entry (dst stays untouched) and their interleaved columns on the
+// interleaved entry. Faults strike the first solve, on top of the
+// fault-free recording, and a warm one alike.
 func TestTwinFaultIsLoud(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -188,9 +191,11 @@ func TestTwinFaultIsLoud(t *testing.T) {
 		kernel      string
 		block       int
 		rows        func(m, n int) []int // the faulted block's rows of the bound solution
-		interleaved bool
+		interleaved bool                 // solve through the interleaved entry
 	}{
 		{"k0", Config{K: 0, Workers: 3}, 320, 64, "pThomas", 1,
+			func(m, n int) []int { return span(128*n, 256*n) }, false},
+		{"k0-interleaved", Config{K: 0, Workers: 3}, 320, 64, "pThomas", 1,
 			func(m, n int) []int { return columns(m, n, 128, 256) }, true},
 		{"k5-thomas", Config{K: 5, Workers: 3}, 7, 200, "pThomasStrided", 2,
 			func(m, n int) []int { return span(2*n, 3*n) }, false},
@@ -211,14 +216,19 @@ func TestTwinFaultIsLoud(t *testing.T) {
 					}
 					defer p.Close()
 					b := workload.Batch[float64](workload.DiagDominant, tc.m, tc.n, 11)
+					v := b.ToInterleaved()
 					dst := make([]float64, tc.m*tc.n)
+					solve := func() error { return p.SolveInto(dst, b) }
+					if tc.interleaved {
+						solve = func() error { return p.SolveInterleavedInto(dst, v) }
+					}
 					if warm {
-						if err := p.SolveInto(dst, b); err != nil {
+						if err := solve(); err != nil {
 							t.Fatal(err)
 						}
 					}
 					p.dev.Faults = inj
-					err = p.SolveInto(dst, b)
+					err = solve()
 					var le *gpusim.LaunchError
 					if !errors.Is(err, ErrFaulted) || !errors.As(err, &le) {
 						t.Fatalf("error = %v, want ErrFaulted carrying a *LaunchError", err)
@@ -228,7 +238,7 @@ func TestTwinFaultIsLoud(t *testing.T) {
 						t.Fatalf("LaunchError = %+v, want %+v", *le, want)
 					}
 					x := dst
-					if tc.interleaved {
+					if p.k == 0 && !tc.interleaved {
 						x = p.xi
 					}
 					poisoned := make([]bool, len(x))
@@ -334,5 +344,107 @@ func TestFirstSolveExhaustionDegradesShard(t *testing.T) {
 				t.Fatalf("residual %.3e exceeds tolerance", res)
 			}
 		})
+	}
+}
+
+// TestK0EntryFaultParity holds the two k = 0 entries to one fault
+// behaviour. The contiguous entry's twin runs over the caller's rows
+// and the interleaved one's over interleaved columns, but under the
+// same rate injector (several seeds and rates, NoDegrade on and off)
+// both must return the same *LaunchError and the same FaultReport,
+// and their recovered solutions must agree bit for bit after
+// re-layout, with the fault-free reference too. A solve that fails
+// under NoDegrade leaves each entry's staged solution, poisoned rows
+// included, equal after re-layout. The audit is off: its re-recording
+// writes the kernel's interleaved solution into the contiguous staging,
+// which a failed shard's unpoisoned systems keep.
+func TestK0EntryFaultParity(t *testing.T) {
+	auditTwin = false
+	defer func() { auditTwin = true }()
+	for _, sh := range auditShapes {
+		if sh.cfg.K != 0 {
+			continue
+		}
+		for _, noDegrade := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/NoDegrade=%v", sh.name, noDegrade), func(t *testing.T) {
+				cfg := sh.cfg
+				cfg.Retry = RetryPolicy{BaseBackoff: 1, NoDegrade: noDegrade}
+				newPipe := func() *Pipeline[float64] {
+					cfg.Device = faultDevice(nil)
+					p, err := NewPipeline[float64](cfg, sh.m, sh.n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { p.Close() })
+					return p
+				}
+				pc, pi := newPipe(), newPipe()
+				if pc.K() != 0 || pc.Workers() < 2 {
+					t.Fatalf("pipeline has k = %d and %d workers, want k = 0 on several", pc.K(), pc.Workers())
+				}
+				b := workload.Batch[float64](workload.DiagDominant, sh.m, sh.n, 29)
+				v := b.ToInterleaved()
+				want := SolveReference(b, 0)
+				dst, xi, x := make([]float64, sh.m*sh.n), make([]float64, sh.m*sh.n), make([]float64, sh.m*sh.n)
+				if err := pc.SolveInto(dst, b); err != nil {
+					t.Fatal(err)
+				}
+				if err := pi.SolveInterleavedInto(xi, v); err != nil {
+					t.Fatal(err)
+				}
+				var failed, degraded, recovered int
+				for seed := uint64(1); seed <= 8; seed++ {
+					for _, rate := range []float64{0.05, 0.3, 0.7} {
+						// Repeat 1, 2 or 4 against the default budget of 3
+						// retries: some faulted shards recover, some exhaust it.
+						repeat := []int{1, 2, 4}[seed%3]
+						inj := func() *gpusim.Injector { return &gpusim.Injector{Seed: seed, Rate: rate, Repeat: repeat} }
+						pc.dev.Faults, pi.dev.Faults = inj(), inj()
+						errC := pc.SolveInto(dst, b)
+						errI := pi.SolveInterleavedInto(xi, v)
+						var leC, leI *gpusim.LaunchError
+						errors.As(errC, &leC)
+						errors.As(errI, &leI)
+						if (errC == nil) != (errI == nil) || !sameFault(leC, leI) {
+							t.Fatalf("seed %d rate %g: contiguous error %v, interleaved error %v", seed, rate, errC, errI)
+						}
+						frC, frI := fmt.Sprintf("%+v", *pc.Report().Faults), fmt.Sprintf("%+v", *pi.Report().Faults)
+						if frC != frI {
+							t.Fatalf("seed %d rate %g: contiguous FaultReport %s, interleaved %s", seed, rate, frC, frI)
+						}
+						matrix.DeinterleaveVectorInto(x, xi, sh.m, sh.n)
+						got := dst
+						if errC != nil {
+							if !errors.Is(errC, ErrFaulted) || leC == nil {
+								t.Fatalf("seed %d rate %g: error %v, want ErrFaulted carrying a *LaunchError", seed, rate, errC)
+							}
+							failed++
+							got = pc.xi // dst is untouched; the staging holds the poison
+						} else {
+							recovered++
+							// Degraded systems come from the pivoting GTSV
+							// re-solve; every other one is the reference's.
+							fr := pc.Report().Faults
+							if len(fr.Degraded) > 0 {
+								degraded++
+							}
+							for i := 0; i < sh.m; i++ {
+								lo, hi := i*sh.n, (i+1)*sh.n
+								if j := firstDiff(want[lo:hi], dst[lo:hi]); j >= 0 && !slices.Contains(fr.Degraded, i) {
+									t.Fatalf("seed %d rate %g: recovered system %d row %d = %v, reference %v", seed, rate, i, j, dst[lo+j], want[lo+j])
+								}
+							}
+						}
+						if i := firstDiff(x, got); i >= 0 {
+							t.Fatalf("seed %d rate %g (error %v): contiguous x[%d] = %v, interleaved %v", seed, rate, errC, i, got[i], x[i])
+						}
+					}
+				}
+				t.Logf("%d recovered (%d degraded) and %d failed solves", recovered, degraded, failed)
+				if recovered == 0 || noDegrade && failed == 0 || !noDegrade && degraded == 0 {
+					t.Fatalf("%d recovered (%d degraded) and %d failed solves: the injectors miss an outcome", recovered, degraded, failed)
+				}
+			})
+		}
 	}
 }

@@ -126,14 +126,12 @@ func (s *Solver[T]) SolveBatchIntoCtx(ctx context.Context, dst []T, b *Batch[T])
 // SolveInterleavedInto solves a batch already in the interleaved
 // layout (row j of system i at j*M+i), writing the solution into xi
 // interleaved the same way. On the k = 0 path the kernels consume the
-// caller's planes directly — the 32×32 blocked transpose the
-// contiguous entry pays never runs — and after the first solve the
-// call performs no heap allocations. Results are bitwise identical to
-// SolveBatchInto on the same data in the contiguous layout; the
-// batching front-end builds its megabatches in this layout so
-// appending a request is a strided copy and the solve is
-// conversion-free end to end. LayoutStats reports the skipped
-// transposes.
+// caller's planes directly, no layout conversion runs, and after the
+// first solve the call performs no heap allocations. Results are
+// bitwise identical to SolveBatchInto on the same data in the
+// contiguous layout; the batching front-end builds its megabatches in
+// this layout so appending a request is a strided copy and the solve
+// is conversion-free end to end. LayoutStats counts these solves.
 //
 // xi must not alias v's slices. The k >= 1 hybrid cannot consume the
 // layout natively and converts through an internal scratch — correct,
@@ -160,10 +158,9 @@ func (s *Solver[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *Inte
 	return nil
 }
 
-// LayoutStats reports how solves entered the Solver — contiguous vs
-// interleaved-native — and how many blocked transposes the native
-// path skipped. It is the observable evidence behind the batching
-// bench numbers; safe to call concurrently with solves.
+// LayoutStats reports how solves entered the Solver: how many came
+// through the interleaved entry, and how many of those the k >= 1
+// hybrid had to convert. Safe to call concurrently with solves.
 func (s *Solver[T]) LayoutStats() LayoutStats { return s.pipe.LayoutStats() }
 
 // FaultReport describes the fault-recovery activity of the Solver's
