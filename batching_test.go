@@ -62,15 +62,14 @@ func TestBatcherBitwiseHammer(t *testing.T) {
 	b := newCoalescer(t, p, batcher.Config[float64]{MaxBatch: 16, MaxWait: 200 * time.Microsecond})
 
 	const n, goroutines, iters = 32, 64, 6
-	// The references record one at a time, before the hammer starts,
-	// so each runs the simulated kernels.
+	// The references solve one at a time, before the hammer starts.
 	batches := make([][iters]*Batch[float64], goroutines)
 	refs := make([][iters][]float64, goroutines)
 	for g := range batches {
 		for iter := range iters {
 			m := 1 + (g+iter)%3
 			batches[g][iter] = workload.Batch[float64](workload.DiagDominant, m, n, uint64(g*100+iter))
-			ref, err := recordedSolve(batches[g][iter], WithK(0))
+			ref, err := SolveBatch(batches[g][iter], WithK(0))
 			if err != nil {
 				t.Fatalf("g%d iter%d reference: %v", g, iter, err)
 			}
@@ -136,7 +135,7 @@ func TestBatcherFaultIsolation(t *testing.T) {
 
 	const n = 2
 	healthy := workload.Batch[float64](workload.DiagDominant, 1, n, 7)
-	ref, err := recordedSolve(healthy, WithK(0))
+	ref, err := SolveBatch(healthy, WithK(0))
 	if err != nil {
 		t.Fatal(err)
 	}

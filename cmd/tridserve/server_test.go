@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"gputrid"
-	"gputrid/internal/core"
 	"gputrid/internal/fleet"
 	"gputrid/internal/workload"
 )
@@ -236,14 +235,6 @@ func getFleet(t *testing.T, base string) map[string]any {
 	return body
 }
 
-// recordedSolve is gputrid.SolveBatch with the recording memo emptied
-// first, so the reference runs the simulated kernels the served host
-// twins are held to, not a twin run itself.
-func recordedSolve(b *gputrid.Batch[float64], opts ...gputrid.Option) (*gputrid.Result[float64], error) {
-	core.ResetRecordMemo()
-	return gputrid.SolveBatch(b, opts...)
-}
-
 // TestBatchRoutes drives the production coalescing assembly, batcher.New
 // over Fleet.SolveMegabatch behind -batch: concurrent 1-system requests
 // ride coalesced megabatches and come back bitwise equal to solving
@@ -251,19 +242,19 @@ func recordedSolve(b *gputrid.Batch[float64], opts ...gputrid.Option) (*gputrid.
 // served on a device route instead; /fleet reports the batcher.
 func TestBatchRoutes(t *testing.T) {
 	const n, requests = 64, 12
-	// The references record, one at a time before the server starts.
+	// The references solve one at a time, before the server starts.
 	batches := make([]*gputrid.Batch[float64], requests)
 	refs := make([]*gputrid.Result[float64], requests)
 	for i := range batches {
 		batches[i] = workload.Batch[float64](workload.DiagDominant, 1, n, uint64(100+i))
-		ref, err := recordedSolve(batches[i], gputrid.WithK(0))
+		ref, err := gputrid.SolveBatch(batches[i], gputrid.WithK(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		refs[i] = ref
 	}
 	big := workload.Batch[float64](workload.DiagDominant, 9, n, 7)
-	bigRef, err := recordedSolve(big)
+	bigRef, err := gputrid.SolveBatch(big)
 	if err != nil {
 		t.Fatal(err)
 	}

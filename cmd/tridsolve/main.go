@@ -57,7 +57,7 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "workload seed")
 		in     = flag.String("in", "", "read a system/batch from file (text or TRID binary)")
 		out    = flag.String("out", "", "write the solution vector to file")
-		fuse   = flag.Bool("fuse", false, "enable kernel fusion (hybrid)")
+		fuse   = flag.Bool("fuse", false, "run the §III.C fused kernel (hybrid; a one-shot ablation)")
 		cond   = flag.Bool("cond", false, "estimate the condition number of system 0")
 		quiet  = flag.Bool("q", false, "print only the summary line")
 		guard  = flag.Bool("guard", false, "guarded solve: per-system fault isolation with refinement/pivoting escalation")
@@ -159,10 +159,10 @@ func buildBatch(path, kind string, m, n int, seed uint64) (*matrix.Batch[float64
 func solve(algo string, b *matrix.Batch[float64], k int, fuse bool, chaos float64, seed uint64) ([]float64, string, error) {
 	switch algo {
 	case "hybrid":
-		opts := []gputrid.Option{gputrid.WithK(k)}
 		if fuse {
-			opts = append(opts, gputrid.WithKernelFusion())
+			return solveFused(b, k)
 		}
+		opts := []gputrid.Option{gputrid.WithK(k)}
 		if chaos > 0 {
 			opts = append(opts, gputrid.WithFaultInjection(&gputrid.FaultInjector{Seed: seed, Rate: chaos}))
 		}
@@ -226,6 +226,19 @@ func solve(algo string, b *matrix.Batch[float64], k int, fuse bool, chaos float6
 	default:
 		return nil, "", fmt.Errorf("unknown algorithm %q", algo)
 	}
+}
+
+// solveFused runs the hybrid with the §III.C fused kernel, a one-shot
+// ablation with no recovery layer; a k that resolves to 0 has no PCR
+// stage to fuse and runs the ordinary solve.
+func solveFused(b *matrix.Batch[float64], k int) ([]float64, string, error) {
+	dev := gpusim.GTX480()
+	x, rep, err := core.SolveFused(core.Config{Device: dev, K: k}, b)
+	if err != nil {
+		return nil, "", err
+	}
+	modeled := time.Duration(core.ModeledTime[float64](dev, rep) * float64(time.Second))
+	return x, fmt.Sprintf("k=%d blocks/sys=%d modeled=%v", rep.K, rep.BlocksPerSystem, modeled.Round(time.Nanosecond)), nil
 }
 
 // solveGuarded runs the guarded pipeline and prints the per-system

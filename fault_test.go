@@ -22,7 +22,7 @@ import (
 func TestChaosBitwiseAtTenPercent(t *testing.T) {
 	const m, n = 32, 256
 	b := workload.Batch[float64](workload.DiagDominant, m, n, 21)
-	clean, err := recordedSolve(b)
+	clean, err := SolveBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}

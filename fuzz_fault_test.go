@@ -47,7 +47,7 @@ func FuzzFaultSchedule(f *testing.F) {
 				b.RHS[base+j] = r.Range(-100, 100)
 			}
 		}
-		clean, err := recordedSolve(b)
+		clean, err := SolveBatch(b)
 		if err != nil {
 			t.Fatalf("fault-free reference m=%d n=%d: %v", m, n, err)
 		}

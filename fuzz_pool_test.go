@@ -33,7 +33,7 @@ func FuzzPoolAdmission(f *testing.F) {
 			return
 		}
 		b := workload.Batch[float64](workload.DiagDominant, m, n, uint64(seed)+11)
-		ref, err := recordedSolve(b)
+		ref, err := SolveBatch(b)
 		if err != nil {
 			t.Fatalf("reference m=%d n=%d: %v", m, n, err)
 		}

@@ -22,8 +22,8 @@
 //	res, err := gputrid.Solve(sys)
 //	// res.X holds the solution.
 //
-// Batches use SolveBatch; options such as WithK, WithKernelFusion and
-// WithDevice tune the paper's knobs.
+// Batches use SolveBatch; options such as WithK, WithBlocksPerSystem
+// and WithDevice tune the paper's knobs.
 package gputrid
 
 import (
@@ -86,7 +86,6 @@ type config struct {
 	k       int
 	c       int
 	blocks  int
-	fuse    bool
 	verify  bool
 	workers int
 	guard   *GuardPolicy
@@ -100,7 +99,6 @@ func (c *config) coreConfig() core.Config {
 		K:               c.k,
 		C:               c.c,
 		BlocksPerSystem: c.blocks,
-		Fuse:            c.fuse,
 		Workers:         c.workers,
 		Retry:           c.retry,
 	}
@@ -125,14 +123,6 @@ func WithSubTileScale(scale int) Option { return func(c *config) { c.c = scale }
 // (paper Fig. 11(b)); useful for small batches of very large systems.
 func WithBlocksPerSystem(g int) Option { return func(c *config) { c.blocks = g } }
 
-// WithKernelFusion enables the §III.C fusion of tiled PCR with the
-// p-Thomas forward sweep (one block per system required). The fused
-// kernel is a one-shot ablation without a recovery layer: SolveBatch,
-// SolveBatchCtx and Solve run it, while the reusable entry points
-// (NewSolver, SolveInterleaved, SolveGuarded, Pool) return
-// ErrNotReusable whenever it would take effect (k >= 1).
-func WithKernelFusion() Option { return func(c *config) { c.fuse = true } }
-
 // WithVerification checks the relative residual of every solution and
 // fails the solve if it exceeds the size-scaled tolerance; the error
 // names the offending systems. Off by default (it costs an extra O(MN)
@@ -140,9 +130,10 @@ func WithKernelFusion() Option { return func(c *config) { c.fuse = true } }
 func WithVerification() Option { return func(c *config) { c.verify = true } }
 
 // WithWorkers bounds the worker pool a Solver or one-shot solve shards
-// its host-twin solves across; 0 (the default) means GOMAXPROCS. The
-// process's first solve of a geometry records device events on a
-// single lane instead.
+// its host-twin solves across; 0 (the default) means GOMAXPROCS. Every
+// solve runs its twins on the pool; only the recording that a
+// geometry's first solve in the process makes beforehand runs on a
+// single lane.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithGuard sets the escalation policy SolveGuarded applies (refinement
@@ -182,20 +173,18 @@ type Result[T Real] struct {
 	K int
 	// BlocksPerSystem is the Fig. 11 mapping used by the front-end.
 	BlocksPerSystem int
-	// Fused reports whether kernel fusion was active.
-	Fused bool
 	// Stats aggregates the recorded device events.
 	Stats *Stats
 	// ModeledTime is the device cost model's execution-time estimate
 	// for the kernels of this solve.
 	ModeledTime time.Duration
-	// WallTime is the measured host execution time of the simulated
-	// kernels (not comparable to real GPU time; use ModeledTime for
+	// WallTime is the measured host time of the solve, the host twins'
+	// arithmetic plus, on a geometry's first solve in the process, its
+	// recording (not comparable to real GPU time; use ModeledTime for
 	// paper-style comparisons).
 	WallTime time.Duration
 	// Faults describes the fault-recovery activity of the solve (nil
-	// when nothing fired, and always for the one-shot fused kernel,
-	// which has no recovery layer).
+	// when nothing fired).
 	Faults *FaultReport
 }
 
@@ -232,7 +221,6 @@ func resultOf[T Real](x []T, rep *core.Report, dev *Device, wall time.Duration) 
 		X:               x,
 		K:               rep.K,
 		BlocksPerSystem: rep.BlocksPerSystem,
-		Fused:           rep.Fused,
 		Stats:           rep.Stats,
 		ModeledTime:     secondsToDuration(modeled[T](dev, rep)),
 		WallTime:        wall,

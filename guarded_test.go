@@ -108,7 +108,7 @@ func TestGuardedIsolatesBadSystems(t *testing.T) {
 // guard is a pass-through around the fast path.
 func TestGuardedHealthyBatchMatchesUnguarded(t *testing.T) {
 	b := workload.Batch[float64](workload.DiagDominant, 16, 200, 5)
-	plain, err := recordedSolve(b, WithK(3))
+	plain, err := SolveBatch(b, WithK(3))
 	if err != nil {
 		t.Fatal(err)
 	}

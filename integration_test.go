@@ -9,6 +9,7 @@ import (
 	"math"
 	"testing"
 
+	"gputrid/internal/core"
 	"gputrid/internal/cpu"
 	"gputrid/internal/davidson"
 	"gputrid/internal/matrix"
@@ -233,11 +234,11 @@ func TestIntegrationAllSolversAgree(t *testing.T) {
 	}
 	results["pthomas"] = res.X
 
-	res, err = SolveBatch(b, WithK(5), WithKernelFusion())
-	if err != nil {
+	if x, _, err := core.SolveFused(core.Config{K: 5}, b); err != nil {
 		t.Fatal(err)
+	} else {
+		results["fused"] = x
 	}
-	results["fused"] = res.X
 
 	if x, err := cpu.SolveBatchSeq(b); err != nil {
 		t.Fatal(err)

@@ -82,7 +82,7 @@ func (e *Env) AblationFusion() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, rf, err := core.Solve(core.Config{Device: e.GPU, K: sh.k, Fuse: true}, b)
+		_, rf, err := core.SolveFused(core.Config{Device: e.GPU, K: sh.k}, b)
 		if err != nil {
 			return nil, err
 		}
@@ -157,11 +157,7 @@ func (e *Env) AblationMultiplex() (*Table, error) {
 	m, n, k := 8, e.scale(65536), 6
 	b := workload.Batch[float64](workload.DiagDominant, m, n, e.Seed)
 	for _, q := range []int{1, 2, 4} {
-		cfg := core.Config{Device: e.GPU, K: k, SystemsPerBlock: q}
-		if q == 1 {
-			cfg = core.Config{Device: e.GPU, K: k, BlocksPerSystem: 1}
-		}
-		_, rep, err := core.Solve(cfg, b)
+		_, rep, err := core.SolveMultiplexed(core.Config{Device: e.GPU, K: k, BlocksPerSystem: 1}, q, b)
 		if err != nil {
 			return nil, err
 		}

@@ -28,11 +28,10 @@ func (e *Env) Profile(solver string, m, n, k int) (string, error) {
 		for _, st := range rep.Kernels {
 			tl.Record(st, 8)
 		}
-		head = fmt.Sprintf("hybrid solve M=%d N=%d (k=%d, %d block(s)/system, fused=%v)",
-			m, n, rep.K, rep.BlocksPerSystem, rep.Fused)
+		head = fmt.Sprintf("hybrid solve M=%d N=%d (k=%d, %d block(s)/system)",
+			m, n, rep.K, rep.BlocksPerSystem)
 	case "hybrid-fused":
-		cfg := core.Config{Device: e.GPU, K: k, Fuse: true}
-		_, rep, err := core.Solve(cfg, b)
+		_, rep, err := core.SolveFused(core.Config{Device: e.GPU, K: k}, b)
 		if err != nil {
 			return "", err
 		}

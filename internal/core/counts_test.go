@@ -75,7 +75,7 @@ func TestHybridTrafficClosedForm(t *testing.T) {
 func TestFusedTrafficClosedForm(t *testing.T) {
 	m, n, k := 2, 2048, 6
 	b := workload.Batch[float64](workload.DiagDominant, m, n, 9)
-	_, rep, err := Solve(Config{Device: dev(), K: k, Fuse: true}, b)
+	_, rep, err := SolveFused(Config{Device: dev(), K: k}, b)
 	if err != nil {
 		t.Fatal(err)
 	}

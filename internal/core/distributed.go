@@ -979,17 +979,17 @@ type backsubArgs[T num.Real] struct {
 // no data-dependent control flow and Global arrays are 512-byte
 // aligned, so the stats recorded for one slab of this shape describe
 // every later run on any device with the same recording fields. The
-// process's first run simulates the blocks with no injector; every
-// other run, and that one too under an injector, runs the host twin,
-// backsubRows. A cancelled recording stays unrecorded and the next run
-// records again.
+// process's first run simulates the blocks with no injector to record
+// them; every run, that one included, computes its output on the host
+// twin, backsubRows. A cancelled recording stays unrecorded and the
+// next run records again.
 //
 // A kernel is driven by one goroutine at a time: runPhase runs each
 // device's slabs sequentially, and hedges never back-substitute.
 type backsubKernel[T num.Real] struct {
 	dev      *gpusim.Device
 	exec     *gpusim.Executor
-	st       gpusim.Stats
+	st       [2]gpusim.Stats // the launch's Stats in st[0]
 	recorded bool
 
 	// args and blk are the slab and block being run, read by kern and
@@ -1022,37 +1022,26 @@ func newBacksubKernel[T num.Real](dev *gpusim.Device) *backsubKernel[T] {
 	return k
 }
 
-// run back-substitutes one slab. Its first run takes the kernel's
-// Stats from the process-wide memo, or records the simulated blocks
-// with no injector; a run that recorded has its output, every other
-// one runs the host twin, and so does a recording run under an
-// injector. Under auditTwin every twin run re-records first.
+// run back-substitutes one slab on the host twin. Its first run takes
+// the kernel's Stats from the process-wide memo, or records the
+// simulated blocks with no injector. Under auditTwin every run
+// re-records first and compares the twin's output bit for bit.
 func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.Stats, error) {
-	fresh := false
+	record := func(st *[2]gpusim.Stats) error { return k.record(ctx, a, &st[0]) }
 	if !k.recorded {
 		key := newRecordKey(k.dev, "distBacksub", backsubThreads, num.CeilDiv(a.total, backsubThreads))
 		key.m, key.rows, key.elem = a.total/a.rows, a.rows, num.SizeOf[T]()
-		st, rec, err := recordOnce(ctx, key, func(st *[2]gpusim.Stats) error { return k.record(ctx, a, &st[0]) })
+		st, err := recordOnce(ctx, key, record)
 		if err != nil {
 			return nil, err
 		}
-		k.st, k.recorded, fresh = st[0], true, rec
-		if fresh && k.dev.Faults == nil {
-			return &k.st, nil
-		}
-	}
-	if auditTwin && !fresh {
-		var st gpusim.Stats
-		if err := k.record(ctx, a, &st); err != nil {
-			return nil, err
-		}
-		if st != k.st {
-			panic(fmt.Sprintf("core: re-recording distBacksub changed its Stats:\n%+v\nrecorded %+v", st, k.st))
-		}
+		k.st, k.recorded = st, true
 	}
 	outs := [][]T{a.out.Data}
 	if auditTwin {
-		keepOutputs(&k.auditBuf, outs)
+		if err := auditRecording(record, &k.st, &k.auditBuf, outs); err != nil {
+			return nil, err
+		}
 	}
 	if err := k.twin(ctx, a, 0); err != nil {
 		return nil, err
@@ -1060,7 +1049,7 @@ func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.
 	if auditTwin {
 		matchOutputs(k.auditBuf, outs)
 	}
-	return &k.st, nil
+	return &k.st[0], nil
 }
 
 // record runs the kernel's simulated blocks over slab a with no

@@ -7,6 +7,17 @@ import (
 	"gputrid/internal/tiledpcr"
 )
 
+// SolveFused solves the batch with the §III.C fused kernel instead of
+// the two-kernel hybrid, for the fusion ablation: same arithmetic, so
+// the same solution bits, and per-kernel Stats in Report.Kernels. k is
+// resolved as Solve resolves it; at k = 0 this is Solve. The fused
+// kernel needs one block per system (Config.BlocksPerSystem <= 1).
+func SolveFused[T num.Real](cfg Config, b *matrix.Batch[T]) ([]T, *Report, error) {
+	return solveAblation(cfg, b, func(dev *gpusim.Device, k int, rep *Report) ([]T, error) {
+		return solveFused(dev, cfg.c(), b, k, rep)
+	})
+}
+
 // solveFused is the §III.C kernel-fusion path: one kernel per launch
 // runs the tiled-PCR window and, as each sub-tile of fully reduced rows
 // appears in the register tile, immediately applies the p-Thomas
@@ -17,9 +28,8 @@ import (
 // The fused kernel inherits tiled PCR's shared-memory footprint for its
 // whole lifetime, so its occupancy is the window's — the tradeoff the
 // paper warns about for large parallel workloads.
-func solveFused[T num.Real](dev *gpusim.Device, cfg Config, b *matrix.Batch[T], k int, rep *Report) ([]T, *Report, error) {
+func solveFused[T num.Real](dev *gpusim.Device, c int, b *matrix.Batch[T], k int, rep *Report) ([]T, error) {
 	m, n := b.M, b.N
-	c := cfg.c()
 	p := 1 << k
 
 	cp := make([]T, m*n)
@@ -71,7 +81,7 @@ func solveFused[T num.Real](dev *gpusim.Device, cfg Config, b *matrix.Batch[T], 
 			})
 		})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep.Kernels = append(rep.Kernels, st1)
 	rep.Stats.Add(st1)
@@ -99,9 +109,9 @@ func solveFused[T num.Real](dev *gpusim.Device, cfg Config, b *matrix.Batch[T], 
 			})
 		})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep.Kernels = append(rep.Kernels, st2)
 	rep.Stats.Add(st2)
-	return x, rep, nil
+	return x, nil
 }

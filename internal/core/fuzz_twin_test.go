@@ -1,0 +1,72 @@
+package core
+
+import (
+	"testing"
+
+	"gputrid/internal/matrix"
+	"gputrid/internal/num"
+	"gputrid/internal/workload"
+)
+
+// FuzzTwinAudit draws a pipeline geometry (M, N, k, c, blocks per
+// system, workers), a precision, an entry and a right-hand-side shape,
+// empties the recording memo and solves twice on one pipeline. The
+// first solve records and the second takes the memo's Stats; both run
+// the host twins under the audit, which panics if the re-recorded
+// Stats or any output bit of the simulated kernels differ, and both
+// must equal SolveReference bit for bit. Every case thus checks the
+// twins against the simulated kernels the solve's Stats come from.
+func FuzzTwinAudit(f *testing.F) {
+	f.Add(uint8(7), uint16(200), int8(5), uint8(1), uint8(0), uint8(3), false, false, uint8(0))
+	f.Add(uint8(40), uint16(64), int8(0), uint8(1), uint8(0), uint8(3), true, true, uint8(1))
+	f.Add(uint8(5), uint16(301), int8(3), uint8(2), uint8(3), uint8(2), false, true, uint8(2))
+	f.Add(uint8(16), uint16(513), int8(-1), uint8(1), uint8(0), uint8(2), true, false, uint8(3))
+	f.Add(uint8(1), uint16(2), int8(8), uint8(4), uint8(4), uint8(1), false, false, uint8(1))
+	f.Fuzz(func(t *testing.T, m8 uint8, n16 uint16, k8 int8, c8, g8, w8 uint8, f32, interleaved bool, rhs8 uint8) {
+		m := int(m8%40) + 1
+		n := int(n16%600) + 2 // first-row needs a second row
+		k := int(k8%10+10)%10 - 1
+		cfg := Config{K: k, C: int(c8 % 5), BlocksPerSystem: int(g8 % 5), Workers: int(w8 % 4)}
+		rhs := [...]string{"random", "zero", "first-row", "last-row"}[rhs8%4]
+		if f32 {
+			auditFirstSolves[float32](t, cfg, m, n, interleaved, rhs)
+		} else {
+			auditFirstSolves[float64](t, cfg, m, n, interleaved, rhs)
+		}
+	})
+}
+
+// auditFirstSolves is one FuzzTwinAudit case.
+func auditFirstSolves[T num.Real](t *testing.T, cfg Config, m, n int, interleaved bool, rhs string) {
+	t.Helper()
+	b := workload.Batch[T](workload.DiagDominant, m, n, uint64(m*n))
+	rhsShape(b, rhs)
+	v := b.ToInterleaved()
+	ResetRecordMemo()
+	p, err := NewPipeline[T](cfg, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	want := SolveReference(b, p.K())
+	for solve := range 2 {
+		p.auditBuf = p.auditBuf[:0]
+		got := make([]T, m*n)
+		if interleaved {
+			xi := make([]T, m*n)
+			err = p.SolveInterleavedInto(xi, v)
+			matrix.DeinterleaveVectorInto(got, xi, m, n)
+		} else {
+			err = p.SolveInto(got, b)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.auditBuf) == 0 {
+			t.Fatalf("%+v %dx%d solve %d: the audited host twins did not run", cfg, m, n, solve)
+		}
+		if i := firstDiff(want, got); i >= 0 {
+			t.Fatalf("%+v %dx%d solve %d: x[%d] = %#x, SolveReference %#x", cfg, m, n, solve, i, num.Bits(got[i]), num.Bits(want[i]))
+		}
+	}
+}

@@ -13,14 +13,17 @@
 //	        leaving 2^k independent interleaved subsystems per system in
 //	        global memory; the strided p-Thomas kernel then solves the
 //	        M·2^k subsystems with one block of 2^k threads per system.
-//	Fused:  §III.C — the PCR output feeds the p-Thomas forward sweep in
-//	        registers inside one kernel (only c', d' ever reach global
-//	        memory), and a light second kernel runs back-substitution.
+//
+// Every solve computes its answer on the kernels' host twins; the
+// simulated kernels run once per geometry to record what they cost
+// (see Pipeline). Two ablation kernels stand outside the production
+// path, each with its own one-shot entry point: SolveFused (§III.C, the
+// PCR output feeds the p-Thomas forward sweep in registers inside one
+// kernel) and SolveMultiplexed (Fig. 11(c), several systems per block).
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -50,19 +53,10 @@ type Config struct {
 	// (Fig. 11(b)); 0 chooses automatically: 1 when M alone fills the
 	// device, more for small batches of large systems.
 	BlocksPerSystem int
-	// Fuse enables the §III.C kernel fusion of tiled PCR with the
-	// p-Thomas forward sweep. Requires BlocksPerSystem == 1.
-	Fuse bool
-	// SystemsPerBlock multiplexes several systems (each with its own
-	// sliding window) onto one thread block, advanced round-robin per
-	// sub-tile — the Fig. 11(c) configuration that overlaps the
-	// windows' independent global loads. 0 or 1 disables multiplexing;
-	// requires BlocksPerSystem <= 1 and no fusion.
-	SystemsPerBlock int
 	// Workers bounds the worker pool a Pipeline shards its host-twin
-	// solves across; 0 means GOMAXPROCS. A recording solve runs on a
-	// single lane, so this affects every solve but the process's first
-	// of a geometry.
+	// solves across; 0 means GOMAXPROCS. Every solve runs its twins on
+	// the pool; only the recording that a geometry's first solve in the
+	// process makes beforehand runs on a single lane.
 	Workers int
 	// Retry bounds recovery from transient device faults (see
 	// RetryPolicy; the zero value is the production default). Faults
@@ -75,14 +69,14 @@ type Report struct {
 	K               int
 	C               int
 	BlocksPerSystem int
-	Fused           bool
 	// Stats aggregates all kernel launches of the solve.
 	Stats *gpusim.Stats
 	// Kernels holds the per-launch statistics in execution order.
 	Kernels []*gpusim.Stats
 	// Faults describes the fault-recovery activity of the most recent
-	// solve (zeroed when nothing fired). Nil for the one-shot fused and
-	// multiplexed ablation kernels, which have no recovery layer.
+	// solve (zeroed when nothing fired). Nil for the one-shot
+	// SolveFused and SolveMultiplexed kernels, which have no recovery
+	// layer.
 	Faults *FaultReport
 }
 
@@ -99,11 +93,6 @@ func (cfg *Config) c() int {
 	}
 	return cfg.C
 }
-
-// ablation reports whether cfg selects one of the one-shot ablation
-// kernels — §III.C fusion or Fig. 11(c) multiplexing. Both only take
-// effect on the k >= 1 path; at k = 0 the pipeline ignores them.
-func (cfg *Config) ablation() bool { return cfg.Fuse || cfg.SystemsPerBlock > 1 }
 
 // resolveK picks the PCR step count for a batch of m systems of n rows.
 func (cfg *Config) resolveK(m, n int) int {
@@ -128,11 +117,6 @@ func (cfg *Config) resolveK(m, n int) int {
 func (cfg *Config) resolveBlocks(m, n, k int) int {
 	if cfg.BlocksPerSystem > 0 {
 		return cfg.BlocksPerSystem
-	}
-	if cfg.Fuse {
-		// Fusion carries p-Thomas state per subsystem inside the block,
-		// so a system cannot span blocks (Fig. 11(a) shape).
-		return 1
 	}
 	dev := cfg.device()
 	target := 2 * dev.NumSMs // enough blocks to cover every SM twice
@@ -165,15 +149,10 @@ func Solve[T num.Real](cfg Config, b *matrix.Batch[T]) ([]T, *Report, error) {
 // Pipeline.SolveIntoCtx). It runs a transient Pipeline, which records
 // only the process's first solve of the geometry: callers that solve
 // the same shape repeatedly should still build the Pipeline themselves
-// and reuse it, which skips the arena allocation. The fused and multiplexed
-// ablation configurations, which have no reusable pipeline, run their
-// one-shot kernels instead. wall is the measured host time of the solve
-// itself, excluding pipeline construction.
+// and reuse it, which skips the arena allocation. wall is the measured
+// host time of the solve itself, excluding pipeline construction.
 func SolveCtx[T num.Real](ctx context.Context, cfg Config, b *matrix.Batch[T]) (x []T, rep *Report, wall time.Duration, err error) {
 	p, err := NewPipeline[T](cfg, b.M, b.N)
-	if errors.Is(err, ErrNotReusable) {
-		return solveAblation(ctx, cfg, b)
-	}
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -185,41 +164,31 @@ func SolveCtx[T num.Real](ctx context.Context, cfg Config, b *matrix.Batch[T]) (
 	return x, p.Report(), p.LastSolveTime(), nil
 }
 
-// solveAblation runs the §III.C fused or Fig. 11(c) multiplexed
-// configuration through its one-shot kernels. They allocate per call
-// and have no recovery layer: they exist for ablation studies, not
-// timestep loops. Both need one block per system.
-func solveAblation[T num.Real](ctx context.Context, cfg Config, b *matrix.Batch[T]) ([]T, *Report, time.Duration, error) {
-	if cfg.BlocksPerSystem > 1 {
-		return nil, nil, 0, fmt.Errorf("core: fused and multiplexed kernels need one block per system, got %d", cfg.BlocksPerSystem)
+// solveAblation runs a one-shot ablation kernel at the k cfg resolves
+// for b, or the ordinary Solve where that k is 0 (there is no PCR
+// stage to fuse or multiplex). The ablation kernels simulate every
+// block, allocate per call and have no recovery layer: they exist to
+// count what the paper's alternatives would cost, not for timestep
+// loops. Both need one block per system.
+func solveAblation[T num.Real](cfg Config, b *matrix.Batch[T], kernel func(dev *gpusim.Device, k int, rep *Report) ([]T, error)) ([]T, *Report, error) {
+	dev := cfg.device()
+	if err := dev.Validate(); err != nil {
+		return nil, nil, err
 	}
 	if err := b.CheckShape(); err != nil {
-		return nil, nil, 0, fmt.Errorf("%w: %v", ErrShapeMismatch, err)
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return nil, nil, 0, cancelled(ctx.Err())
+		return nil, nil, fmt.Errorf("%w: %v", ErrShapeMismatch, err)
 	}
 	k := cfg.resolveK(b.M, b.N)
-	rep := &Report{K: k, C: cfg.c(), BlocksPerSystem: 1, Fused: cfg.Fuse, Stats: &gpusim.Stats{}}
-	start := time.Now()
-	var (
-		x   []T
-		err error
-	)
-	if cfg.Fuse {
-		x, _, err = solveFused(cfg.device(), cfg, b, k, rep)
-	} else {
-		x, _, err = solveMultiplexed(cfg.device(), cfg, b, k, rep)
+	if k == 0 {
+		return Solve(cfg, b)
 	}
+	if cfg.BlocksPerSystem > 1 {
+		return nil, nil, fmt.Errorf("core: fused and multiplexed kernels need one block per system, got %d", cfg.BlocksPerSystem)
+	}
+	rep := &Report{K: k, C: cfg.c(), BlocksPerSystem: 1, Stats: &gpusim.Stats{}}
+	x, err := kernel(dev, k, rep)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	return x, rep, time.Since(start), nil
-}
-
-// SolveSystem solves a single system with the hybrid (M = 1).
-func SolveSystem[T num.Real](cfg Config, s *matrix.System[T]) ([]T, *Report, error) {
-	b := matrix.NewBatch[T](1, s.N())
-	b.SetSystem(0, s)
-	return Solve(cfg, b)
+	return x, rep, nil
 }

@@ -91,12 +91,12 @@ func TestSolveFusedMatchesUnfused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xf, rep, err := Solve(Config{Device: dev(), K: k, Fuse: true}, b)
+	xf, rep, err := SolveFused(Config{Device: dev(), K: k}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Fused {
-		t.Error("report not marked fused")
+	if rep.Kernels[0].Kernel != "tiledPCR+pThomasFwd" {
+		t.Errorf("first kernel %q, want the fused one", rep.Kernels[0].Kernel)
 	}
 	if d := matrix.MaxAbsDiff(xu, xf); d != 0 {
 		t.Errorf("fused and unfused differ by %g (same arithmetic order expected)", d)
@@ -110,7 +110,7 @@ func TestFusedSavesGlobalTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rf, err := Solve(Config{Device: dev(), K: k, Fuse: true}, b)
+	_, rf, err := SolveFused(Config{Device: dev(), K: k}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFusedSavesGlobalTraffic(t *testing.T) {
 
 func TestSolveFusedRequiresSingleBlock(t *testing.T) {
 	b := workload.Batch[float64](workload.DiagDominant, 1, 256, 1)
-	if _, _, err := Solve(Config{Device: dev(), K: 4, Fuse: true, BlocksPerSystem: 2}, b); err == nil {
+	if _, _, err := SolveFused(Config{Device: dev(), K: 4, BlocksPerSystem: 2}, b); err == nil {
 		t.Error("fusion with 2 blocks per system accepted")
 	}
 }
@@ -154,7 +154,9 @@ func TestSolveMatchesReference(t *testing.T) {
 
 func TestSolveSystem(t *testing.T) {
 	s := workload.System[float64](workload.Toeplitz, 777, 3)
-	x, rep, err := SolveSystem(Config{Device: dev(), K: KAuto}, s)
+	b := matrix.NewBatch[float64](1, s.N())
+	b.SetSystem(0, s)
+	x, rep, err := Solve(Config{Device: dev(), K: KAuto}, b)
 	if err != nil {
 		t.Fatal(err)
 	}

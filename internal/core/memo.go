@@ -12,10 +12,11 @@ import (
 // while recording (see Executor), so one recording serves every
 // pipeline, device and pool slot in the process that builds the same
 // geometry. A pipeline or back-substitution kernel whose key is known
-// skips recording: its first solve runs the host twins. The audit
-// (auditTwin) still re-records on every audited run and panics if the
-// result differs from the memo's, so the memo's soundness is a tested
-// claim.
+// skips recording. Recording only measures: its outputs are never a
+// solve's answer, so every solve, the process's first of a geometry
+// included, runs the host twins. The audit (auditTwin) re-records on
+// every audited run and panics if the result differs from the memo's,
+// so the memo's soundness is a tested claim.
 
 // memoCap bounds the memo. A full memo keeps what it has; later
 // geometries record without being stored.
@@ -70,10 +71,9 @@ var testHookRecord func(recordKey)
 // recordOnce returns the Stats of the launches key describes, at most
 // two. A known key returns the memo's copy. The first caller of a new
 // key runs record, and concurrent callers of that key wait for it,
-// honouring ctx. fresh reports that record ran on this call, so its
-// outputs are a complete solve. A failed or cancelled recording stores
-// nothing; the next caller records again.
-func recordOnce(ctx context.Context, key recordKey, record func(st *[2]gpusim.Stats) error) (st [2]gpusim.Stats, fresh bool, err error) {
+// honouring ctx. A failed or cancelled recording stores nothing; the
+// next caller records again.
+func recordOnce(ctx context.Context, key recordKey, record func(st *[2]gpusim.Stats) error) (st [2]gpusim.Stats, err error) {
 	for {
 		memo.mu.Lock()
 		e, ok := memo.entries[key]
@@ -87,11 +87,11 @@ func recordOnce(ctx context.Context, key recordKey, record func(st *[2]gpusim.St
 			select {
 			case <-e.done:
 			case <-ctx.Done():
-				return st, false, cancelled(ctx.Err())
+				return st, cancelled(ctx.Err())
 			}
 		}
 		if e.ok {
-			return e.st, false, nil
+			return e.st, nil
 		}
 	}
 	var e *memoEntry
@@ -121,7 +121,7 @@ func recordOnce(ctx context.Context, key recordKey, record func(st *[2]gpusim.St
 	}
 	err = record(&st)
 	returned = true
-	return st, true, err
+	return st, err
 }
 
 // ResetRecordMemo empties the recording memo, so the next solve of

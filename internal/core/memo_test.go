@@ -187,7 +187,7 @@ func TestMemoCancellation(t *testing.T) {
 	key := <-entered
 	wctx, wcancel := context.WithCancel(bg)
 	wcancel()
-	_, _, err = recordOnce(wctx, key, func(*[2]gpusim.Stats) error {
+	_, err = recordOnce(wctx, key, func(*[2]gpusim.Stats) error {
 		t.Error("a caller recorded while another recording of its key was in flight")
 		return nil
 	})
@@ -214,9 +214,8 @@ func TestMemoBound(t *testing.T) {
 	recs := countRecordings(t, m, n)
 	defer ResetRecordMemo()
 	for i := range memoCap + 10 {
-		_, fresh, err := recordOnce(nil, recordKey{kernel: "fill", grid: i}, func(*[2]gpusim.Stats) error { return nil })
-		if err != nil || !fresh {
-			t.Fatalf("filler %d: fresh %v, err %v", i, fresh, err)
+		if _, err := recordOnce(nil, recordKey{kernel: "fill", grid: i}, func(*[2]gpusim.Stats) error { return nil }); err != nil {
+			t.Fatalf("filler %d: %v", i, err)
 		}
 	}
 	if _, size := memoEntries(m, n); size != memoCap {

@@ -10,18 +10,31 @@ import (
 	"gputrid/internal/tiledpcr"
 )
 
+// SolveMultiplexed solves the batch with q systems multiplexed onto
+// each tiled-PCR thread block, for the Fig. 11(c) ablation: same
+// arithmetic, so the same solution bits, and per-kernel Stats in
+// Report.Kernels. k is resolved as Solve resolves it; at k = 0, or for
+// q <= 1, this is Solve. It needs one block per system
+// (Config.BlocksPerSystem <= 1).
+func SolveMultiplexed[T num.Real](cfg Config, q int, b *matrix.Batch[T]) ([]T, *Report, error) {
+	if q <= 1 {
+		return Solve(cfg, b)
+	}
+	return solveAblation(cfg, b, func(dev *gpusim.Device, k int, rep *Report) ([]T, error) {
+		return solveMultiplexed(dev, cfg.c(), q, b, k, rep)
+	})
+}
+
 // solveMultiplexed is the Fig. 11(c) configuration: each thread block
-// hosts q = SystemsPerBlock sliding windows (one per system) and
+// hosts q sliding windows (one per system) and
 // advances them round-robin, one sub-tile phase each. The windows'
 // global loads are independent, so a real GPU overlaps their latencies;
 // the cost is q times the shared-memory footprint, which lowers
 // occupancy — the tradeoff the harness's ablation quantifies.
-func solveMultiplexed[T num.Real](dev *gpusim.Device, cfg Config, b *matrix.Batch[T], k int, rep *Report) ([]T, *Report, error) {
+func solveMultiplexed[T num.Real](dev *gpusim.Device, c, q int, b *matrix.Batch[T], k int, rep *Report) ([]T, error) {
 	m, n := b.M, b.N
-	q := cfg.SystemsPerBlock
-	c := cfg.c()
 	if fit := tiledpcr.SharedBytes[T](k, c) * q; fit > dev.SharedMemPerSM {
-		return nil, nil, fmt.Errorf("core: %d multiplexed windows need %d bytes shared, device SM has %d",
+		return nil, fmt.Errorf("core: %d multiplexed windows need %d bytes shared, device SM has %d",
 			q, fit, dev.SharedMemPerSM)
 	}
 
@@ -75,16 +88,16 @@ func solveMultiplexed[T num.Real](dev *gpusim.Device, cfg Config, b *matrix.Batc
 			}
 		})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep.Kernels = append(rep.Kernels, st1)
 	rep.Stats.Add(st1)
 
 	x, st2, err := pthomas.KernelStrided(dev, ra, rb, rc, rd, m, n, k)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep.Kernels = append(rep.Kernels, st2)
 	rep.Stats.Add(st2)
-	return x, rep, nil
+	return x, nil
 }

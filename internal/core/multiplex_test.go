@@ -15,7 +15,7 @@ func TestMultiplexedMatchesUnmultiplexed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []int{2, 3, 7, 10} {
-		xq, rep, err := Solve(Config{Device: dev(), K: k, SystemsPerBlock: q}, b)
+		xq, rep, err := SolveMultiplexed(Config{Device: dev(), K: k}, q, b)
 		if err != nil {
 			t.Fatalf("q=%d: %v", q, err)
 		}
@@ -35,7 +35,7 @@ func TestMultiplexedSharedScalesWithQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, r2, err := Solve(Config{Device: dev(), K: k, SystemsPerBlock: 2}, b)
+	_, r2, err := SolveMultiplexed(Config{Device: dev(), K: k}, 2, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +51,10 @@ func TestMultiplexedSharedScalesWithQ(t *testing.T) {
 func TestMultiplexedRejectsOverflowAndConflicts(t *testing.T) {
 	b := workload.Batch[float64](workload.DiagDominant, 8, 4096, 1)
 	// k=8 window is ~33KB; q=2 exceeds 48KB.
-	if _, _, err := Solve(Config{Device: dev(), K: 8, SystemsPerBlock: 2}, b); err == nil {
+	if _, _, err := SolveMultiplexed(Config{Device: dev(), K: 8}, 2, b); err == nil {
 		t.Error("shared overflow accepted")
 	}
-	if _, _, err := Solve(Config{Device: dev(), K: 4, SystemsPerBlock: 2, BlocksPerSystem: 2}, b); err == nil {
+	if _, _, err := SolveMultiplexed(Config{Device: dev(), K: 4, BlocksPerSystem: 2}, 2, b); err == nil {
 		t.Error("mux + multi-block accepted")
 	}
 }

@@ -29,11 +29,6 @@ var (
 	// ErrShapeMismatch is returned when the batch or destination does
 	// not match the M×N shape the pipeline was built for.
 	ErrShapeMismatch = errors.New("core: shape does not match pipeline")
-	// ErrNotReusable is returned by NewPipeline for the ablation
-	// configurations — §III.C kernel fusion and Fig. 11(c) multiplexed
-	// systems on the k >= 1 path — whose kernels run only as one-shot
-	// solves through Solve.
-	ErrNotReusable = errors.New("core: ablation configuration has no reusable pipeline")
 )
 
 // Pipeline is the reusable form of Solve: it fixes the configuration
@@ -52,15 +47,12 @@ var (
 // happens to live. So the process's first solve of a geometry runs the
 // simulated blocks once, on one recording lane and with no injector,
 // and keeps their Stats in a process-wide memo (memo.go); Report
-// describes every later solve exactly. Every other solve — a
-// pipeline's later ones, the first one of every pipeline whose
-// geometry the memo knows, and a recording one too when the device has
-// an injector or the solve is a contiguous k = 0 one — runs the
-// kernels' plain-Go host twins over the raw slices (see twin.go). The
-// twins ask the injector about the same (kernel, block, attempt)
-// coordinates the simulated blocks would hit, so faults strike them
-// exactly where they would on the device. Solutions are bitwise
-// identical either way.
+// describes every later solve exactly. Every solve, that first one
+// included, computes its answer on the kernels' plain-Go host twins
+// over the raw slices (see twin.go), which match the kernels bit for
+// bit. The twins ask the injector about the same (kernel, block,
+// attempt) coordinates the simulated blocks would hit, so faults
+// strike them exactly where they would on the device.
 //
 // The twins shard the batch across a bounded worker pool
 // (Config.Workers, default GOMAXPROCS) with a per-worker arena slice —
@@ -181,8 +173,7 @@ type pipeWorker[T num.Real] struct {
 
 // NewPipeline builds a pipeline for cfg over batches of m systems of
 // n rows, resolving k and the block mapping once and allocating the
-// whole arena up front. Configurations that would run the fused or
-// multiplexed ablation kernels return ErrNotReusable.
+// whole arena up front.
 func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 	dev := cfg.device()
 	if err := dev.Validate(); err != nil {
@@ -204,9 +195,6 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 		p.launches[0] = launch{"pThomas", bs, p.grid, p.k0Kernel()}
 		p.nKern = 1
 	} else {
-		if cfg.ablation() {
-			return nil, fmt.Errorf("%w: fused and multiplexed kernels run one-shot through Solve", ErrNotReusable)
-		}
 		p.g = cfg.resolveBlocks(m, n, k)
 		p.ra = make([]T, m*n)
 		p.rb = make([]T, m*n)
@@ -469,8 +457,8 @@ func (p *Pipeline[T]) release(start time.Time) {
 }
 
 // execute is the one solve body behind every entry: it runs the bound
-// launches — recorded on the process's first solve of the geometry, on
-// the host twins across the worker pool otherwise — and folds the
+// launches on the host twins across the worker pool — recording them
+// first on the process's first solve of the geometry — and folds the
 // lanes' fault bookkeeping into the solve's FaultReport. The caller
 // binds its layout first and re-solves the degraded systems after.
 func (p *Pipeline[T]) execute(ctx context.Context) error {
@@ -487,42 +475,32 @@ func (p *Pipeline[T]) execute(ctx context.Context) error {
 
 // run obtains the launch geometry's Stats on the first solve — from
 // the process-wide memo (memo.go), or by recording — and publishes
-// them into the cached aggregate and the reusable Report. A solve
-// that recorded has its outputs; every other solve runs the host
-// twins, and so do a recording solve under an injector and one of the
-// contiguous k = 0 entry, whose twin writes the rows the solve
-// returns. Under auditTwin every twin run re-records first and panics
-// if the Stats differ from the ones published, the memo's included.
+// them into the cached aggregate and the reusable Report. Recording
+// only measures: every solve, a recording one included, then runs the
+// host twins, whose outputs are the answer. Under auditTwin every run
+// re-records first, panics if the Stats differ from the ones
+// published, the memo's included, and compares the twins' outputs
+// with the simulated ones bit for bit.
 func (p *Pipeline[T]) run() error {
-	fresh := false
+	record := func(st *[2]gpusim.Stats) error { return p.record(st[:p.nKern]) }
 	if !p.recorded {
 		key := newRecordKey(p.dev, p.launches[0].name, p.launches[0].tpb, p.launches[0].grid)
 		key.m, key.n, key.k, key.c, key.g, key.bs, key.elem = p.m, p.n, p.k, p.c, p.g, p.bs, num.SizeOf[T]()
-		st, rec, err := recordOnce(p.ctx, key, func(st *[2]gpusim.Stats) error { return p.record(st[:p.nKern]) })
+		st, err := recordOnce(p.ctx, key, record)
 		if err != nil {
 			return err
 		}
-		p.kern, p.recorded, fresh = st, true, rec
+		p.kern, p.recorded = st, true
 		for i := range p.kern[:p.nKern] {
 			p.total.Add(&p.kern[i])
 			p.rep.Kernels = append(p.rep.Kernels, &p.kern[i])
 		}
-		if fresh && p.dev.Faults == nil && p.rows == nil {
-			return nil
-		}
-	}
-	if auditTwin && !fresh {
-		var st [2]gpusim.Stats
-		if err := p.record(st[:p.nKern]); err != nil {
-			return err
-		}
-		if st != p.kern {
-			panic(fmt.Sprintf("core: re-recording changed the Stats:\n%+v\nrecorded %+v", st, p.kern))
-		}
 	}
 	outs := [...][]T{p.bufs.X.Data, p.ra, p.rb, p.rc, p.rd}
 	if auditTwin {
-		keepOutputs(&p.auditBuf, outs[:])
+		if err := auditRecording(record, &p.kern, &p.auditBuf, outs[:]); err != nil {
+			return err
+		}
 		if p.rows != nil {
 			// The kernel wrote xi interleaved; the twin writes rows.
 			matrix.DeinterleaveVectorInto(p.auditBuf, p.xi, p.m, p.n)
@@ -541,9 +519,10 @@ func (p *Pipeline[T]) run() error {
 }
 
 // record runs every launch's simulated blocks on the recording lane,
-// with no injector, accumulating launch i's events into st[i]. Its
-// outputs are a complete fault-free solve. A contiguous k = 0 solve's
-// batch is interleaved into vbuf first, the layout the kernel reads.
+// with no injector, accumulating launch i's events into st[i]. The
+// twins overwrite its outputs; only the audit reads them. A contiguous
+// k = 0 solve's batch is interleaved into vbuf first, the layout the
+// kernel reads.
 func (p *Pipeline[T]) record(st []gpusim.Stats) error {
 	if p.rows != nil {
 		p.rows.ToInterleavedInto(p.vbuf)

@@ -216,27 +216,3 @@ func TestPipelineMisuse(t *testing.T) {
 		t.Errorf("closed pipeline: got %v, want ErrPipelineClosed", err)
 	}
 }
-
-// TestPipelineRejectsAblationConfigs pins that the fused and
-// multiplexed configurations have no reusable pipeline: NewPipeline
-// refuses them with the typed ErrNotReusable, while the one-shot Solve
-// still runs their kernels (their correctness is covered in
-// hybrid_test.go, multiplex_test.go and counts_test.go).
-func TestPipelineRejectsAblationConfigs(t *testing.T) {
-	m, n := 6, 128
-	b := workload.Batch[float64](workload.DiagDominant, m, n, 3)
-	for _, cfg := range []Config{
-		{K: 4, Fuse: true},
-		{K: 4, SystemsPerBlock: 2},
-	} {
-		if p, err := NewPipeline[float64](cfg, m, n); !errors.Is(err, ErrNotReusable) {
-			if p != nil {
-				p.Close()
-			}
-			t.Errorf("%+v: NewPipeline returned %v, want ErrNotReusable", cfg, err)
-		}
-		if _, _, err := Solve(cfg, b); err != nil {
-			t.Errorf("%+v: one-shot Solve: %v", cfg, err)
-		}
-	}
-}

@@ -92,7 +92,9 @@ func TestMixedMagnitudeCoefficients(t *testing.T) {
 		s.Diag[i] = scale
 		s.RHS[i] = scale * float64(i%5)
 	}
-	x, _, err := SolveSystem(Config{Device: dev(), K: 5}, s)
+	b := matrix.NewBatch[float64](1, s.N())
+	b.SetSystem(0, s)
+	x, _, err := Solve(Config{Device: dev(), K: 5}, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
 	"gputrid/internal/num"
 	"gputrid/internal/pthomas"
@@ -13,13 +14,14 @@ import (
 // This file holds the host twins of the kernels. A kernel's
 // architectural events depend only on its launch geometry, so once a
 // geometry is recorded its Stats describe every later solve exactly,
-// and a solve needs only the arithmetic. Every solve but a fault-free
-// recording runs each kernel's plain-Go twin over the raw slices
-// instead of driving simulated blocks. The twins compute bit for bit
-// what the kernels compute: the tiled-PCR window's schedule
-// (tiledpcr.HostReducer), the p-Thomas recurrences
-// (pthomas.SolveStridedRefInto, which at k = 0 runs over the
-// contiguous entry's rows, and SolveInterleavedRangeInto over the
+// and a solve needs only the arithmetic. Every solve, the one that
+// records a geometry included, computes its answer by running each
+// kernel's plain-Go twin over the raw slices; simulated blocks run
+// only to record, and under the audit. The twins compute bit for bit
+// (a NaN's sign aside, see matchOutputs) what the kernels compute: the
+// tiled-PCR window's schedule (tiledpcr.HostReducer), the p-Thomas
+// recurrences (pthomas.SolveStridedRefInto, which at k = 0 runs over
+// the contiguous entry's rows, and SolveInterleavedRangeInto over the
 // interleaved entry's columns), and the distBacksub expression
 // (backsubRows). A twin reads the layout its caller holds: the
 // device's interleaved layout exists to coalesce loads, and on the
@@ -154,22 +156,40 @@ func hostK(m, n, k int) int {
 	return k
 }
 
-// keepOutputs copies the simulated kernels' outputs into buf before an
-// audited twin run.
-func keepOutputs[T num.Real](buf *[]T, outs [][]T) {
+// auditRecording is the audit's first half: it runs record into a
+// fresh pair of Stats, panics if they differ from want — the Stats the
+// solve published, the memo's included — and keeps the simulated
+// outputs in buf for matchOutputs to compare with the twins'.
+func auditRecording[T num.Real](record func(*[2]gpusim.Stats) error, want *[2]gpusim.Stats, buf *[]T, outs [][]T) error {
+	var st [2]gpusim.Stats
+	if err := record(&st); err != nil {
+		return err
+	}
+	if st != *want {
+		panic(fmt.Sprintf("core: re-recording changed the Stats:\n%+v\nrecorded %+v", st, *want))
+	}
 	*buf = (*buf)[:0]
 	for _, o := range outs {
 		*buf = append(*buf, o...)
 	}
+	return nil
 }
 
 // matchOutputs panics on the first bit in which the twins' outputs
-// differ from the simulated ones keepOutputs kept in sim.
+// differ from the simulated ones auditRecording kept in sim. A NaN
+// matches any NaN: IEEE 754 lets an operation on two NaNs return either
+// one, and the compiler orders a commutative product's operands as
+// register allocation suits each inlined copy of pcr.Combine, so the
+// kernel and its twin can return the same NaN with opposite signs (a
+// singular system does). Every other bit, the sign of zero included,
+// must match.
 func matchOutputs[T num.Real](sim []T, outs [][]T) {
 	for plane, o := range outs {
-		if i := firstDiff(sim[:len(o)], o); i >= 0 {
-			panic(fmt.Sprintf("core: host twin diverges from the simulated kernels: output %d (of %d) index %d: twin %#x, simulated %#x",
-				plane, len(outs), i, num.Bits(o[i]), num.Bits(sim[i])))
+		for i, v := range o {
+			if num.Bits(v) != num.Bits(sim[i]) && !(v != v && sim[i] != sim[i]) {
+				panic(fmt.Sprintf("core: host twin diverges from the simulated kernels: output %d (of %d) index %d: twin %#x, simulated %#x",
+					plane, len(outs), i, num.Bits(v), num.Bits(sim[i])))
+			}
 		}
 		sim = sim[len(o):]
 	}

@@ -142,6 +142,74 @@ func TestHostTwinAuditDistributed(t *testing.T) {
 	}
 }
 
+// TestFirstSolveRunsTwins pins that recording only measures: with the
+// memo emptied, the very first solve of a k >= 1 contiguous pipeline,
+// of a k = 0 interleaved one and of every distributed back-substitution
+// runs the audited host twins, and its answer is theirs.
+func TestFirstSolveRunsTwins(t *testing.T) {
+	t.Run("k3-contiguous", func(t *testing.T) {
+		const m, n = 6, 257
+		recs := countRecordings(t, m, n)
+		p, err := NewPipeline[float64](Config{K: 3, Workers: 2}, m, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		b := workload.Batch[float64](workload.DiagDominant, m, n, 3)
+		x := make([]float64, m*n)
+		if err := p.SolveInto(x, b); err != nil {
+			t.Fatal(err)
+		}
+		if recs.Load() != 1 || len(p.auditBuf) == 0 {
+			t.Fatalf("first solve: %d recordings, audited twins ran %v; want 1, true", recs.Load(), len(p.auditBuf) > 0)
+		}
+		if i := firstDiff(SolveReference(b, 3), x); i >= 0 {
+			t.Fatalf("x[%d] differs from SolveReference", i)
+		}
+	})
+	t.Run("k0-interleaved", func(t *testing.T) {
+		const m, n = 300, 48
+		recs := countRecordings(t, m, n)
+		p, err := NewPipeline[float64](Config{K: 0, Workers: 3}, m, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		b := workload.Batch[float64](workload.DiagDominant, m, n, 4)
+		xi := make([]float64, m*n)
+		if err := p.SolveInterleavedInto(xi, b.ToInterleaved()); err != nil {
+			t.Fatal(err)
+		}
+		if recs.Load() != 1 || len(p.auditBuf) == 0 {
+			t.Fatalf("first solve: %d recordings, audited twins ran %v; want 1, true", recs.Load(), len(p.auditBuf) > 0)
+		}
+		if i := firstDiff(SolveReference(b, 0), matrix.DeinterleaveVector(xi, m, n)); i >= 0 {
+			t.Fatalf("x[%d] differs from SolveReference", i)
+		}
+	})
+	t.Run("distBacksub", func(t *testing.T) {
+		const m, n = 3, 1025
+		ResetRecordMemo()
+		s, err := NewDistSolver[float64](DistConfig{Topology: distTopo(t, 3, gpusim.NVLinkMesh()), Slabs: 4}, m, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		b := workload.Batch[float64](workload.DiagDominant, m, n, 5)
+		if _, err := s.SolveInto(context.Background(), make([]float64, m*n), b); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.backsubs) == 0 {
+			t.Fatal("no back-substitution ran")
+		}
+		for key, k := range s.backsubs {
+			if len(k.auditBuf) == 0 {
+				t.Errorf("back-substitution %+v: its first run skipped the audited twin", key)
+			}
+		}
+	})
+}
+
 // countdownCtx is a context whose Err turns to context.Canceled after
 // a fixed number of calls, cancelling a solve deterministically between
 // two systems of the host twins.

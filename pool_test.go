@@ -41,7 +41,7 @@ func TestPoolHammer(t *testing.T) {
 	batches := make([]*Batch[float64], len(shapes))
 	for i, mn := range shapes {
 		batches[i] = workload.Batch[float64](workload.DiagDominant, mn[0], mn[1], uint64(31+i))
-		res, err := recordedSolve(batches[i])
+		res, err := SolveBatch(batches[i])
 		if err != nil {
 			t.Fatalf("reference %v: %v", mn, err)
 		}
@@ -130,7 +130,7 @@ func TestPoolBreakerTripAndRecover(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const m, n = 4, 192
 	b := workload.Batch[float64](workload.DiagDominant, m, n, 77)
-	deviceRef, err := recordedSolve(b)
+	deviceRef, err := SolveBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}

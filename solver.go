@@ -21,10 +21,6 @@ var (
 	// ErrShapeMismatch reports a batch or destination whose shape does
 	// not match the one the Solver was built for.
 	ErrShapeMismatch = core.ErrShapeMismatch
-	// ErrNotReusable reports a NewSolver (or any other reusable entry
-	// point) asked for the fused kernel (WithKernelFusion) at k >= 1: a
-	// one-shot ablation that only SolveBatch and SolveBatchCtx run.
-	ErrNotReusable = core.ErrNotReusable
 )
 
 // Solver is a reusable solver for one fixed batch shape (M systems of
@@ -34,21 +30,17 @@ var (
 // SolveBatchInto with zero steady-state heap allocations.
 //
 // The simulated device events recorded in Stats are a pure function of
-// the shape and configuration, not of the coefficient values, so the
-// Solver records them on its first solve only, simulating the kernels
-// once with no fault model attached. Every later solve, and the first
-// one too under an injected fault model, runs plain-Go twins of the
-// kernels at host speed (sharded across a bounded worker pool, see
-// WithWorkers) and reuses the cached Stats; injected faults strike the
-// twins. Results are bitwise identical to the one-shot SolveBatch.
+// the shape and configuration, not of the coefficient values, so they
+// are recorded once per process and geometry, simulating the kernels
+// with no fault model attached, and cached. Every solve, the first
+// included, computes its solution on plain-Go twins of the kernels at
+// host speed (sharded across a bounded worker pool, see WithWorkers);
+// injected faults strike the twins. Results are bitwise identical to
+// the one-shot SolveBatch.
 //
 // A Solver is not safe for concurrent use: overlapping calls return
 // ErrSolverBusy (never corrupt state). Distinct Solvers are
 // independent and safe to use from different goroutines.
-//
-// The fused kernel (WithKernelFusion) is a one-shot ablation with no
-// reusable pipeline: NewSolver returns ErrNotReusable for it whenever
-// it would take effect (k >= 1).
 type Solver[T Real] struct {
 	c    config
 	m, n int
@@ -209,7 +201,6 @@ func (s *Solver[T]) SolveGuardedCtx(ctx context.Context, b *Batch[T]) (*GuardedR
 		X:               gres.X,
 		K:               rep.K,
 		BlocksPerSystem: rep.BlocksPerSystem,
-		Fused:           rep.Fused,
 		Stats:           rep.Stats,
 		ModeledTime:     secondsToDuration(modeled[T](s.c.device, rep)),
 		WallTime:        wall,

