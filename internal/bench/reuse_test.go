@@ -60,26 +60,36 @@ func BenchmarkSolveReuse(b *testing.B) {
 }
 
 // recordShapes are the cold recordings BenchmarkRecord measures: the
-// reuse shape at the Table III k, and the k = 0 slab pipeline a
-// 4-device distributed solve of 131 073 rows builds per device (three
-// systems of about 32 768 rows).
+// reuse shape at the Table III k, adi-step's 192x192 grid, and the
+// k = 0 slab pipeline a 4-device distributed solve of 131 073 rows
+// builds per device (three systems of about 32 768 rows). That last
+// one is a one-block launch: block sampling has nothing to merge
+// there, so its full/sampled ratio stays near 1.
 var recordShapes = []struct {
 	name string
 	k    int
 	m, n int
 }{
 	{"64x1024", core.KAuto, reuseM, reuseN},
+	{"192x192", core.KAuto, 192, 192},
 	{"3x32768", 0, 3, 32768},
 }
 
-// BenchmarkRecord measures one cold recording solve per iteration: the
-// memo is emptied and the pipeline built outside the timer, so ns/op
-// and allocs/op are the recording alone.
+// BenchmarkRecord measures one cold solve per iteration: the memo is
+// emptied and the pipeline built outside the timer, so ns/op and
+// allocs/op are the recording, which simulates one block per
+// equivalence class, and the twin run every solve makes. Each
+// iteration also times, outside the timer, the cold solve a full
+// recording would make: a recording of the same geometry that
+// simulates every block, plus a warm solve on the same pipeline, which
+// runs the twins alone. full/sampled is the ratio of the two totals, a
+// same-run figure.
 func BenchmarkRecord(b *testing.B) {
 	for _, sh := range recordShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			batch := workload.Batch[float64](workload.DiagDominant, sh.m, sh.n, 1)
 			dst := make([]float64, sh.m*sh.n)
+			var sampled, full time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -89,14 +99,25 @@ func BenchmarkRecord(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				start := time.Now()
 				b.StartTimer()
 				if err := p.SolveInto(dst, batch); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
+				sampled += time.Since(start)
+				start = time.Now()
+				if _, err := p.RecordFull(batch); err != nil {
+					b.Fatal(err)
+				}
+				if err := p.SolveInto(dst, batch); err != nil {
+					b.Fatal(err)
+				}
+				full += time.Since(start)
 				p.Close()
 				b.StartTimer()
 			}
+			b.ReportMetric(float64(full)/float64(sampled), "full/sampled")
 		})
 	}
 }

@@ -979,10 +979,10 @@ type backsubArgs[T num.Real] struct {
 // no data-dependent control flow and Global arrays are 512-byte
 // aligned, so the stats recorded for one slab of this shape describe
 // every later run on any device with the same recording fields. The
-// process's first run simulates the blocks with no injector to record
-// them; every run, that one included, computes its output on the host
-// twin, backsubRows. A cancelled recording stays unrecorded and the
-// next run records again.
+// process's first run records with no injector, simulating one block
+// per class of its class key (sample.go); every run, that one included,
+// computes its output on the host twin, backsubRows. A cancelled
+// recording stays unrecorded and the next run records again.
 //
 // A kernel is driven by one goroutine at a time: runPhase runs each
 // device's slabs sequentially, and hedges never back-substitute.
@@ -1027,7 +1027,7 @@ func newBacksubKernel[T num.Real](dev *gpusim.Device) *backsubKernel[T] {
 // simulated blocks with no injector. Under auditTwin every run
 // re-records first and compares the twin's output bit for bit.
 func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.Stats, error) {
-	record := func(st *[2]gpusim.Stats) error { return k.record(ctx, a, &st[0]) }
+	record := func(st *[2]gpusim.Stats) error { return k.record(ctx, a, &st[0], false) }
 	if !k.recorded {
 		key := newRecordKey(k.dev, "distBacksub", backsubThreads, num.CeilDiv(a.total, backsubThreads))
 		key.m, key.rows, key.elem = a.total/a.rows, a.rows, num.SizeOf[T]()
@@ -1039,7 +1039,8 @@ func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.
 	}
 	outs := [][]T{a.out.Data}
 	if auditTwin {
-		if err := auditRecording(record, &k.st, &k.auditBuf, outs); err != nil {
+		full := func(st *[2]gpusim.Stats) error { return k.record(ctx, a, &st[0], true) }
+		if err := auditRecording(full, &k.st, &k.auditBuf, outs); err != nil {
 			return nil, err
 		}
 	}
@@ -1053,12 +1054,26 @@ func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.
 }
 
 // record runs the kernel's simulated blocks over slab a with no
-// injector, accumulating their events into st.
-func (k *backsubKernel[T]) record(ctx context.Context, a *backsubArgs[T], st *gpusim.Stats) error {
-	grid := num.CeilDiv(a.total, backsubThreads)
-	*st = gpusim.Stats{Kernel: "distBacksub", Launches: 1, Blocks: grid, ThreadsPerBlock: backsubThreads}
+// injector into st: one block per class of its class key, or, when
+// full, every block, the identity classing the audit re-records
+// through.
+func (k *backsubKernel[T]) record(ctx context.Context, a *backsubArgs[T], st *gpusim.Stats, full bool) error {
 	k.args = a
-	return k.exec.RunBlocksCtx(ctx, st, backsubThreads, 0, grid, k.kern, "distBacksub")
+	l := launch{"distBacksub", backsubThreads, num.CeilDiv(a.total, backsubThreads), k.kern, k.class}
+	return recordLaunch(ctx, k.exec, st, &l, full)
+}
+
+// class keys a block of the bound slab whose rows all belong to one
+// system by the byte offsets of its first row and of that system's
+// separators, which all its threads load. A block that crosses a
+// system boundary or the slab's end is a class of its own.
+func (k *backsubKernel[T]) class(blk int) (classKey, bool) {
+	a, elem, tx := k.args, num.SizeOf[T](), k.dev.TransactionBytes
+	lo, hi := blk*backsubThreads, (blk+1)*backsubThreads
+	if sys := lo / a.rows; hi <= a.total && sys == (hi-1)/a.rows {
+		return classKey{lead: txOffset(sys, elem, tx), off: txOffset(lo, elem, tx)}, true
+	}
+	return classKey{}, false
 }
 
 // twin runs slab a on the host twin under the device's injector. The

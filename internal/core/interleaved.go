@@ -87,11 +87,12 @@ func (p *Pipeline[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *ma
 		return nil
 	}
 
-	// Point the kernel at the caller's planes for this solve; the
-	// binding is restored before returning so the contiguous entry
-	// keeps its arena-backed buffers.
+	// Point the kernel and its twin at the caller's planes for this
+	// solve; the binding is restored before returning, so the
+	// contiguous entry writes its arena's xi again and the pipeline
+	// does not keep the caller's planes alive.
 	p.bindK0(v, xi)
-	defer p.bindK0(p.vbuf, p.xi)
+	defer p.bindK0(nil, p.xi)
 	if err := p.execute(ctx); err != nil {
 		return err
 	}
@@ -99,12 +100,17 @@ func (p *Pipeline[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *ma
 }
 
 // bindK0 points the k = 0 kernel and its host twin at interleaved
-// planes v and solution xi. NewBufs/NewGlobal are value constructors
-// and the c'/d' scratch already exists after construction, so a rebind
-// allocates nothing.
+// planes v and solution xi; a nil v binds no input planes, which only
+// the contiguous entry's twin, reading the caller's rows, can run
+// with. NewBufs/NewGlobal are value constructors and the c'/d' scratch
+// already exists after construction, so a rebind allocates nothing.
 func (p *Pipeline[T]) bindK0(v *matrix.Interleaved[T], xi []T) {
 	cp, dp := p.ws.Ensure(p.m * p.n)
-	p.bufs = pthomas.NewBufs(v.Lower, v.Diag, v.Upper, v.RHS, cp, dp, xi)
+	var a, b, c, d []T
+	if v != nil {
+		a, b, c, d = v.Lower, v.Diag, v.Upper, v.RHS
+	}
+	p.bufs = pthomas.NewBufs(a, b, c, d, cp, dp, xi)
 	p.iv = v
 }
 

@@ -12,11 +12,13 @@ import (
 // while recording (see Executor), so one recording serves every
 // pipeline, device and pool slot in the process that builds the same
 // geometry. A pipeline or back-substitution kernel whose key is known
-// skips recording. Recording only measures: its outputs are never a
-// solve's answer, so every solve, the process's first of a geometry
-// included, runs the host twins. The audit (auditTwin) re-records on
-// every audited run and panics if the result differs from the memo's,
-// so the memo's soundness is a tested claim.
+// skips recording; one whose key is new makes a sampled recording,
+// one simulated block per equivalence class (sample.go). Recording
+// only measures: its outputs are never a solve's answer, so every
+// solve, the process's first of a geometry included, runs the host
+// twins. The audit (auditTwin) re-records every block on every audited
+// run and panics if the result differs from the memo's, so both the
+// memo's soundness and the sampling's are tested claims.
 
 // memoCap bounds the memo. A full memo keeps what it has; later
 // geometries record without being stored.

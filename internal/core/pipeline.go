@@ -34,25 +34,30 @@ var (
 // Pipeline is the reusable form of Solve: it fixes the configuration
 // and batch shape (M systems × N rows) at construction, pre-allocates
 // every intermediate the hybrid needs — the reduced coefficient
-// planes, the p-Thomas c'/d' scratch, the interleaved planes of the
-// k = 0 path, the recording lane and the per-worker twin state — and
-// then solves any number of batches of that shape into caller-owned
-// storage with zero steady-state heap allocations.
+// planes, the p-Thomas c'/d' scratch, the k = 0 solution staging, the
+// recording lane and the per-worker twin state — and then solves any
+// number of batches of that shape into caller-owned storage with zero
+// steady-state heap allocations. Only a recording of the contiguous
+// k = 0 entry needs the interleaved input planes; it builds them and
+// drops them again.
 //
 // Recording is pure measurement. The simulator's architectural events
 // are a pure function of the launch geometry (shape, k, c, blocks per
 // system, device), never of the coefficient data: the kernels contain
 // no data-dependent control flow, and global arrays are 512-byte
 // aligned so coalescing does not depend on where a particular batch
-// happens to live. So the process's first solve of a geometry runs the
-// simulated blocks once, on one recording lane and with no injector,
-// and keeps their Stats in a process-wide memo (memo.go); Report
-// describes every later solve exactly. Every solve, that first one
-// included, computes its answer on the kernels' plain-Go host twins
-// over the raw slices (see twin.go), which match the kernels bit for
-// bit. The twins ask the injector about the same (kernel, block,
-// attempt) coordinates the simulated blocks would hit, so faults
-// strike them exactly where they would on the device.
+// happens to live. So the process's first solve of a geometry records
+// once, on one recording lane and with no injector, and keeps the
+// Stats in a process-wide memo (memo.go); Report describes every later
+// solve exactly. A recording simulates one block per equivalence class
+// of each launch — blocks that run the same schedule a whole number of
+// transactions apart (sample.go) — and counts it once per block of its
+// class, which gives field for field the Stats of simulating them all.
+// Every solve, that first one included, computes its answer on the
+// kernels' plain-Go host twins over the raw slices (see twin.go), which
+// match the kernels bit for bit. The twins ask the injector about the
+// same (kernel, block, attempt) coordinates the simulated blocks would
+// hit, so faults strike them exactly where they would on the device.
 //
 // The twins shard the batch across a bounded worker pool
 // (Config.Workers, default GOMAXPROCS) with a per-worker arena slice —
@@ -74,10 +79,11 @@ type Pipeline[T num.Real] struct {
 	grid int // grid size (k == 0)
 
 	// Arena. For k >= 1: the reduced coefficient planes PCR writes and
-	// p-Thomas reads. For k == 0: the interleaved input planes a
-	// recording of the contiguous entry reads, and xi, the solution the
-	// kernel writes interleaved and the contiguous twin writes in rows,
-	// staged there so a cancelled solve leaves dst untouched.
+	// p-Thomas reads. For k == 0: xi, the solution the kernel writes
+	// interleaved and the contiguous twin writes in rows, staged there
+	// so a cancelled solve leaves dst untouched, and vbuf, the
+	// interleaved input planes a recording of the contiguous entry
+	// reads: nil except during a recording (and under the audit).
 	ra, rb, rc, rd []T
 	out            tiledpcr.Arrays[T]
 	vbuf           *matrix.Interleaved[T]
@@ -144,12 +150,14 @@ type Pipeline[T num.Real] struct {
 }
 
 // launch is one kernel launch of a solve: its name, which keys the
-// fault injector and the report, its geometry, and the per-block body
-// the recording lane runs.
+// fault injector and the report, its geometry, the per-block body the
+// recording lane runs, and the class key a sampled recording groups
+// its blocks by (sample.go).
 type launch struct {
 	name      string
 	tpb, grid int
 	kern      gpusim.Kernel
+	class     classOf
 }
 
 // pipeWorker is one lane of the pool: the host twins' state and the
@@ -189,10 +197,9 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 		bs := min(blockSizeK0, dev.MaxThreadsPerBlock)
 		p.bs = bs
 		p.grid = num.CeilDiv(m, bs)
-		p.vbuf = matrix.NewInterleaved[T](m, n)
 		p.xi = make([]T, m*n)
-		p.bindK0(p.vbuf, p.xi)
-		p.launches[0] = launch{"pThomas", bs, p.grid, p.k0Kernel()}
+		p.bindK0(nil, p.xi)
+		p.launches[0] = launch{"pThomas", bs, p.grid, p.k0Kernel(), p.k0Class}
 		p.nKern = 1
 	} else {
 		p.g = cfg.resolveBlocks(m, n, k)
@@ -209,8 +216,8 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 		p.per = num.CeilDiv(n, p.g)
 		p.win = tiledpcr.NewWindowBuffers[T](k, p.c)
 		tpb := 1 << k
-		p.launches[0] = launch{"tiledPCR", tpb, m * p.g, p.pcrKernel()}
-		p.launches[1] = launch{"pThomasStrided", tpb, m, p.thomasKernel()}
+		p.launches[0] = launch{"tiledPCR", tpb, m * p.g, p.pcrKernel(), p.pcrClass}
+		p.launches[1] = launch{"pThomasStrided", tpb, m, p.thomasKernel(), p.thomasClass}
 		p.nKern = 2
 	}
 	p.rep = Report{K: p.k, C: p.c, BlocksPerSystem: p.g, Stats: &p.total, Faults: &p.frep}
@@ -329,6 +336,46 @@ func (p *Pipeline[T]) thomasKernel() gpusim.Kernel {
 			pthomas.ThreadStrided(t, &p.bufs, base, r, 1<<p.k, p.n)
 		})
 	}
+}
+
+// k0Class keys a k = 0 block by the byte offset of its first system
+// and its count of systems, which is short only in the tail block:
+// row j of the block's systems lies at j·M plus that offset, for every
+// array alike.
+func (p *Pipeline[T]) k0Class(blk int) (classKey, bool) {
+	first := blk * p.bs
+	return classKey{span: min(p.bs, p.m-first), off: p.txOffset(first)}, true
+}
+
+// pcrClass keys a tiled-PCR block. A block whose window loads stay
+// inside its system (tiledpcr.LoadSpan) runs the schedule its output
+// tile's length and its distance from the span's sub-tile-aligned
+// start fix, wherever it sits, so it is keyed by those and the offset
+// of its first output row. A block that reaches a system edge is keyed
+// by its slice: the same slice of every system runs the same schedule,
+// shifted by whole systems. An empty slice only charges its shared
+// memory.
+func (p *Pipeline[T]) pcrClass(blk int) (classKey, bool) {
+	sys, slice := blk/p.g, blk%p.g
+	start, end := min(slice*p.per, p.n), min((slice+1)*p.per, p.n)
+	if start >= end {
+		return classKey{pos: posEmpty}, true
+	}
+	if lo, hi := tiledpcr.LoadSpan(p.k, p.c, start, end); lo >= 0 && hi <= p.n {
+		return classKey{pos: posInterior, lead: start - lo, span: end - start, off: p.txOffset(sys*p.n + start)}, true
+	}
+	return classKey{pos: slice, off: p.txOffset(sys * p.n)}, true
+}
+
+// thomasClass keys a strided p-Thomas block, one whole system, by the
+// byte offset of the system's first row.
+func (p *Pipeline[T]) thomasClass(blk int) (classKey, bool) {
+	return classKey{off: p.txOffset(blk * p.n)}, true
+}
+
+// txOffset is txOffset for element i of the pipeline's arrays.
+func (p *Pipeline[T]) txOffset(i int) int {
+	return txOffset(i, num.SizeOf[T](), p.dev.TransactionBytes)
 }
 
 // SolveInto solves the batch into dst (length M·N, natural order:
@@ -474,15 +521,15 @@ func (p *Pipeline[T]) execute(ctx context.Context) error {
 }
 
 // run obtains the launch geometry's Stats on the first solve — from
-// the process-wide memo (memo.go), or by recording — and publishes
-// them into the cached aggregate and the reusable Report. Recording
-// only measures: every solve, a recording one included, then runs the
-// host twins, whose outputs are the answer. Under auditTwin every run
-// re-records first, panics if the Stats differ from the ones
-// published, the memo's included, and compares the twins' outputs
-// with the simulated ones bit for bit.
+// the process-wide memo (memo.go), or by a sampled recording — and
+// publishes them into the cached aggregate and the reusable Report.
+// Recording only measures: every solve, a recording one included, then
+// runs the host twins, whose outputs are the answer. Under auditTwin
+// every run re-records every block first, panics if the Stats differ
+// from the sampled ones published, the memo's included, and compares
+// the twins' outputs with the simulated ones bit for bit.
 func (p *Pipeline[T]) run() error {
-	record := func(st *[2]gpusim.Stats) error { return p.record(st[:p.nKern]) }
+	record := func(st *[2]gpusim.Stats) error { return p.record(st[:p.nKern], false) }
 	if !p.recorded {
 		key := newRecordKey(p.dev, p.launches[0].name, p.launches[0].tpb, p.launches[0].grid)
 		key.m, key.n, key.k, key.c, key.g, key.bs, key.elem = p.m, p.n, p.k, p.c, p.g, p.bs, num.SizeOf[T]()
@@ -498,7 +545,8 @@ func (p *Pipeline[T]) run() error {
 	}
 	outs := [...][]T{p.bufs.X.Data, p.ra, p.rb, p.rc, p.rd}
 	if auditTwin {
-		if err := auditRecording(record, &p.kern, &p.auditBuf, outs[:]); err != nil {
+		full := func(st *[2]gpusim.Stats) error { return p.record(st[:p.nKern], true) }
+		if err := auditRecording(full, &p.kern, &p.auditBuf, outs[:]); err != nil {
 			return err
 		}
 		if p.rows != nil {
@@ -518,26 +566,33 @@ func (p *Pipeline[T]) run() error {
 	return nil
 }
 
-// record runs every launch's simulated blocks on the recording lane,
-// with no injector, accumulating launch i's events into st[i]. The
-// twins overwrite its outputs; only the audit reads them. A contiguous
-// k = 0 solve's batch is interleaved into vbuf first, the layout the
-// kernel reads.
-func (p *Pipeline[T]) record(st []gpusim.Stats) error {
+// record runs the launches' simulated blocks on the recording lane,
+// with no injector, accumulating launch i's events into st[i]: one
+// representative block per class of the launch's class key, scaled by
+// the class's block count (sample.go), or, when full, every block —
+// the identity classing the audit re-records through. The twins
+// overwrite its outputs; only the audit reads them, from a full
+// recording. A contiguous k = 0 solve's batch is interleaved first
+// into vbuf, the layout the kernel reads. vbuf is built here and,
+// outside the audit, dropped again, so only a recording holds its four
+// M·N planes and a pipeline whose Stats came from the memo never does.
+func (p *Pipeline[T]) record(st []gpusim.Stats, full bool) error {
 	if p.rows != nil {
-		p.rows.ToInterleavedInto(p.vbuf)
-	}
-	for i := range st {
-		l := &p.launches[i]
-		st[i] = gpusim.Stats{Kernel: l.name, Launches: 1, Blocks: l.grid, ThreadsPerBlock: l.tpb}
-		if err := p.exec.RunBlocksCtx(p.ctx, &st[i], l.tpb, 0, l.grid, l.kern, l.name); err != nil {
-			if err := ctxErr(p.ctx); err != nil {
-				return cancelled(err)
-			}
-			return err
+		if p.vbuf == nil {
+			p.vbuf = matrix.NewInterleaved[T](p.m, p.n)
 		}
+		p.rows.ToInterleavedInto(p.vbuf)
+		p.bindK0(p.vbuf, p.xi)
 	}
-	return nil
+	var err error
+	for i := 0; i < len(st) && err == nil; i++ {
+		err = recordLaunch(p.ctx, p.exec, &st[i], &p.launches[i], full)
+	}
+	if p.rows != nil && !auditTwin {
+		p.vbuf = nil
+		p.bindK0(nil, p.xi)
+	}
+	return err
 }
 
 // replay fans the shards out over the pool (the coordinator runs lane

@@ -178,6 +178,39 @@ func TestContiguousK0ZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestContiguousK0HoldsNoPlanes checks that the contiguous k = 0
+// pipeline builds its interleaved planes only for a recording: the
+// recording pipeline drops them after its first solve, and a pipeline
+// whose Stats come from the memo never builds them. The audit, which
+// re-records on every run and may keep the planes, is off.
+func TestContiguousK0HoldsNoPlanes(t *testing.T) {
+	const m, n = 3, 4096
+	auditTwin = false
+	defer func() { auditTwin = true }()
+	recordings := countRecordings(t, m, n)
+	b := workload.Batch[float64](workload.DiagDominant, m, n, 7)
+	dst := make([]float64, m*n)
+	for _, name := range []string{"recording", "memo-hit"} {
+		p, err := NewPipeline[float64](Config{K: 0}, m, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.vbuf != nil {
+			t.Fatalf("%s pipeline holds interleaved planes before its first solve", name)
+		}
+		if err := p.SolveInto(dst, b); err != nil {
+			t.Fatal(err)
+		}
+		if got := recordings.Load(); got != 1 {
+			t.Fatalf("after the %s pipeline's first solve: %d recordings, want 1", name, got)
+		}
+		if p.vbuf != nil || p.bufs.A.Data != nil {
+			t.Errorf("%s pipeline holds interleaved planes after its first solve", name)
+		}
+		p.Close()
+	}
+}
+
 // TestPipelineMisuse checks the typed errors: wrong shapes, a busy
 // pipeline, and a closed pipeline all reject the call without
 // touching the arena.

@@ -17,7 +17,8 @@ import (
 // and a solve needs only the arithmetic. Every solve, the one that
 // records a geometry included, computes its answer by running each
 // kernel's plain-Go twin over the raw slices; simulated blocks run
-// only to record, and under the audit. The twins compute bit for bit
+// only to record, one per equivalence class (sample.go), and under
+// the audit, which runs them all. The twins compute bit for bit
 // (a NaN's sign aside, see matchOutputs) what the kernels compute: the
 // tiled-PCR window's schedule (tiledpcr.HostReducer), the p-Thomas
 // recurrences (pthomas.SolveStridedRefInto, which at k = 0 runs over
@@ -31,9 +32,10 @@ import (
 // arithmetic runs.
 
 // auditTwin, set only by the package's tests, audits every twin run:
-// the simulated kernels re-record first, a panic reports Stats that
-// differ from the recorded ones — the record-once claim — and
-// matchOutputs panics on any output bit the twins write differently.
+// the simulated kernels re-record first, every block of them, a panic
+// reports Stats that differ from the sampled ones the solve published
+// — the record-once and sampling claims — and matchOutputs panics on
+// any output bit the twins write differently.
 var auditTwin bool
 
 // ctxErr is ctx.Err for a context that may be nil (uncancellable).
@@ -156,10 +158,11 @@ func hostK(m, n, k int) int {
 	return k
 }
 
-// auditRecording is the audit's first half: it runs record into a
-// fresh pair of Stats, panics if they differ from want — the Stats the
-// solve published, the memo's included — and keeps the simulated
-// outputs in buf for matchOutputs to compare with the twins'.
+// auditRecording is the audit's first half: it runs record, a full
+// recording that simulates every block, into a fresh pair of Stats,
+// panics if they differ from want — the sampled Stats the solve
+// published, the memo's included — and keeps the simulated outputs in
+// buf for matchOutputs to compare with the twins'.
 func auditRecording[T num.Real](record func(*[2]gpusim.Stats) error, want *[2]gpusim.Stats, buf *[]T, outs [][]T) error {
 	var st [2]gpusim.Stats
 	if err := record(&st); err != nil {

@@ -304,6 +304,35 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
+// TestStatsAccumulateN checks that accumulating o with weight n equals
+// n Accumulate calls, every field included, and that the launch-shape
+// fields stay maxima rather than scaling.
+func TestStatsAccumulateN(t *testing.T) {
+	base := Stats{Kernel: "k", Launches: 1, Blocks: 2, ThreadsPerBlock: 32, SharedPerBlock: 100,
+		LoadTransactions: 3, LoadedBytes: 24}
+	o := Stats{Launches: 1, Blocks: 9, ThreadsPerBlock: 16, SharedPerBlock: 512,
+		LoadTransactions: 5, StoreTransactions: 6, LoadedBytes: 7, StoredBytes: 8,
+		SharedLoads: 9, SharedStores: 10, SharedBankConflicts: 11,
+		Eliminations: 12, Flops: 13, Barriers: 14, Phases: 15}
+	for _, n := range []int{1, 2, 7, 1000} {
+		want, got := base, base
+		for range n {
+			want.Accumulate(&o)
+		}
+		got.AccumulateN(&o, n)
+		if got != want {
+			t.Errorf("AccumulateN(o, %d) = %+v, %d Accumulate calls give %+v", n, got, n, want)
+		}
+		if got.Blocks != 9 || got.ThreadsPerBlock != 32 || got.SharedPerBlock != 512 {
+			t.Errorf("AccumulateN(o, %d) shape (%d, %d, %d), want the maxima (9, 32, 512)",
+				n, got.Blocks, got.ThreadsPerBlock, got.SharedPerBlock)
+		}
+		if got.Flops != int64(n)*13 {
+			t.Errorf("AccumulateN(o, %d).Flops = %d, want %d", n, got.Flops, n*13)
+		}
+	}
+}
+
 func TestStatsString(t *testing.T) {
 	s := &Stats{Kernel: "k"}
 	if !strings.Contains(s.String(), "k:") {

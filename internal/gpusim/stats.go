@@ -46,29 +46,31 @@ func (s *Stats) Add(o *Stats) {
 // event counters and takes the maximum of the launch-shape fields,
 // leaving s.Kernel untouched. Steady-state pipelines use it to merge
 // per-shard fragments into a pre-named Stats without the string
-// concatenation Add performs.
-func (s *Stats) Accumulate(o *Stats) {
-	s.Launches += o.Launches
-	if o.Blocks > s.Blocks {
-		s.Blocks = o.Blocks
-	}
-	if o.ThreadsPerBlock > s.ThreadsPerBlock {
-		s.ThreadsPerBlock = o.ThreadsPerBlock
-	}
-	if o.SharedPerBlock > s.SharedPerBlock {
-		s.SharedPerBlock = o.SharedPerBlock
-	}
-	s.LoadTransactions += o.LoadTransactions
-	s.StoreTransactions += o.StoreTransactions
-	s.LoadedBytes += o.LoadedBytes
-	s.StoredBytes += o.StoredBytes
-	s.SharedLoads += o.SharedLoads
-	s.SharedStores += o.SharedStores
-	s.SharedBankConflicts += o.SharedBankConflicts
-	s.Eliminations += o.Eliminations
-	s.Flops += o.Flops
-	s.Barriers += o.Barriers
-	s.Phases += o.Phases
+// concatenation Add performs. It is AccumulateN with n = 1.
+func (s *Stats) Accumulate(o *Stats) { s.AccumulateN(o, 1) }
+
+// AccumulateN accumulates n copies of o into s: every event counter
+// grows by n times o's, while the launch-shape fields (Blocks,
+// ThreadsPerBlock, SharedPerBlock) take the maximum, as n Accumulate
+// calls would. A sampled recording adds one representative block's
+// events for every block of its equivalence class this way.
+func (s *Stats) AccumulateN(o *Stats, n int) {
+	w := int64(n)
+	s.Launches += n * o.Launches
+	s.Blocks = max(s.Blocks, o.Blocks)
+	s.ThreadsPerBlock = max(s.ThreadsPerBlock, o.ThreadsPerBlock)
+	s.SharedPerBlock = max(s.SharedPerBlock, o.SharedPerBlock)
+	s.LoadTransactions += w * o.LoadTransactions
+	s.StoreTransactions += w * o.StoreTransactions
+	s.LoadedBytes += w * o.LoadedBytes
+	s.StoredBytes += w * o.StoredBytes
+	s.SharedLoads += w * o.SharedLoads
+	s.SharedStores += w * o.SharedStores
+	s.SharedBankConflicts += w * o.SharedBankConflicts
+	s.Eliminations += w * o.Eliminations
+	s.Flops += w * o.Flops
+	s.Barriers += w * o.Barriers
+	s.Phases += w * o.Phases
 }
 
 // Transactions returns total global transactions (loads + stores).

@@ -177,12 +177,7 @@ func (w *Window[T]) InitRun(outStart, outEnd int) (phases int) {
 	if outEnd <= outStart {
 		return 0
 	}
-	k, S := w.k, w.S
-	lag := 1 << k // pipeline lag f(k)+1, sub-tile aligned (see type doc)
-	// First raw index: far enough back that every output's dependency
-	// cone is loaded (outStart − f(k)), rounded down to a sub-tile
-	// boundary so every load phase starts aligned.
-	r0 := floorAlign(outStart-F(k), S)
+	lo, hi := LoadSpan(w.k, w.c, outStart, outEnd)
 
 	// Initialize the history caches to identity rows. For outStart == 0
 	// these are the true virtual rows before the system; for an
@@ -196,8 +191,25 @@ func (w *Window[T]) InitRun(outStart, outEnd int) (phases int) {
 	})
 	w.blk.CountShared(0, int64(histLen)*4)
 
-	w.r0 = r0
-	return num.CeilDiv(outEnd+lag-r0, S)
+	w.r0 = lo
+	return (hi - lo) / w.S
+}
+
+// LoadSpan returns the raw rows [lo, hi) that a run over output rows
+// [outStart, outEnd) streams through the window with sub-tile scale c,
+// one sub-tile phase per S = c·2^k rows. The first raw row is far
+// enough back that every output's dependency cone is loaded
+// (outStart − f(k)), rounded down to a sub-tile boundary so every load
+// phase starts aligned; the span runs until the pipeline lag of 2^k
+// rows (f(k)+1, sub-tile aligned, see the type doc) has flushed
+// outEnd. Rows outside the system are not loaded (loadRaw pads them).
+// Two runs whose spans lie inside their systems, that start at the
+// same distance from lo and have the same length, run the same
+// schedule shifted by the distance between their outStarts.
+func LoadSpan(k, c, outStart, outEnd int) (lo, hi int) {
+	S := c << k
+	lo = floorAlign(outStart-F(k), S)
+	return lo, lo + num.CeilDiv(outEnd+(1<<k)-lo, S)*S
 }
 
 // Advance runs sub-tile phase t of a run prepared by InitRun.
