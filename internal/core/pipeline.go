@@ -391,7 +391,9 @@ func (p *Pipeline[T]) SolveInto(dst []T, b *matrix.Batch[T]) error {
 //
 // Cancellation: once ctx is done, every worker stops promptly (between
 // systems, between a recording's thread blocks, and during retry
-// backoff waits), the pool is joined with no goroutine leaks, and the
+// backoff waits; the interleaved k = 0 entry, whose twin sweeps a
+// worker's systems in lockstep, checks once per worker range), the
+// pool is joined with no goroutine leaks, and the
 // solve returns an error matching both ErrCancelled and the context's
 // own error. dst is written at whole-system granularity only, so every
 // system's rows are either fully written or untouched; on the k = 0

@@ -20,13 +20,16 @@ import (
 // only to record, one per equivalence class (sample.go), and under
 // the audit, which runs them all. The twins compute bit for bit
 // (a NaN's sign aside, see matchOutputs) what the kernels compute: the
-// tiled-PCR window's schedule (tiledpcr.HostReducer), the p-Thomas
-// recurrences (pthomas.SolveStridedRefInto, which at k = 0 runs over
-// the contiguous entry's rows, and SolveInterleavedRangeInto over the
-// interleaved entry's columns), and the distBacksub expression
-// (backsubRows). A twin reads the layout its caller holds: the
-// device's interleaved layout exists to coalesce loads, and on the
-// host a contiguous solve gains nothing from a transpose. Faults
+// tiled-PCR window's schedule (tiledpcr.HostReducer, which stores the
+// constant rows beyond a system instead of combining padding), the
+// p-Thomas recurrences (pthomas.SolveStridedRefInto, which at k = 0
+// runs over the contiguous entry's rows, and SolveInterleavedRangeInto
+// over the interleaved entry's columns, each a lockstep sweep across
+// the lanes it covers), and the distBacksub expression (backsubRows).
+// A twin does only the arithmetic that reaches an output, in the
+// kernel's order for each output. A twin reads the layout its caller
+// holds: the device's interleaved layout exists to coalesce loads, and
+// on the host a contiguous solve gains nothing from a transpose. Faults
 // strike the twins: their callers ask the injector about the blocks
 // the twins stand in for (gpusim.FaultSite.First) before any
 // arithmetic runs.
@@ -49,11 +52,14 @@ func ctxErr(ctx context.Context) error {
 // hostShard runs worker w's shard on the host twins. For k >= 1 each
 // system is reduced by k PCR levels into its rows of the reduced
 // planes and then solved by strided Thomas into dst, so one system's
-// work stays in cache. For k = 0 each system of the shard's thread
-// blocks runs Thomas into the bound solution: over the caller's rows
-// on the contiguous entry (thomasRows), over the interleaved planes'
-// columns on the interleaved one. The context is checked between
-// systems, so dst is written a whole system at a time.
+// work stays in cache; the context is checked between systems, so dst
+// is written a whole system at a time. For k = 0 the shard's systems
+// run Thomas into the bound solution: one system at a time over the
+// caller's rows on the contiguous entry (thomasRows), checking the
+// context between systems, and on the interleaved one as a single
+// lockstep sweep over the planes' columns for the whole range, with
+// c'/d' at the input's own indices of the pipeline's M·N planes, so
+// the context is checked once for the range.
 //
 //tridlint:hotpath
 func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
@@ -63,12 +69,10 @@ func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
 		if p.rows != nil {
 			return p.thomasRows(x, &w.tws, lo, hi)
 		}
-		for i := lo; i < hi; i++ {
-			if err := ctxErr(p.ctx); err != nil {
-				return err
-			}
-			pthomas.SolveInterleavedRangeInto(p.iv, x, &w.tws, i, i+1)
+		if err := ctxErr(p.ctx); err != nil {
+			return err
 		}
+		pthomas.SolveInterleavedRangeInto(p.iv, x, &p.ws, lo, hi)
 		return nil
 	}
 	n := p.n
@@ -104,19 +108,22 @@ func (p *Pipeline[T]) thomasRows(x []T, ws *pthomas.Workspace[T], lo, hi int) er
 	return nil
 }
 
-// twinScratch points w's Thomas scratch at its own rows of the
+// twinScratch points w's Thomas scratch at its own N rows of the
 // pipeline's c'/d' planes, which the simulated kernels use the same
-// way, so the twins add no buffer: k >= 1 needs ceil(N/2^k) rows, a
-// slice of the worker's first system; k = 0 needs N rows, at the
-// worker's first system times N, inside the planes since that system
-// is below M. Workers own disjoint systems, so the views never meet.
+// way, so the twins add no buffer: the rows of the worker's first
+// system (k >= 1) or of its first block's first system (contiguous
+// k = 0), where a lockstep sweep keeps c'/d' at each row's own index.
+// Workers own disjoint systems, so the views never meet; the capacity
+// is clipped so that no view reaches past its rows. The interleaved
+// k = 0 entry needs no view: its sweep writes the worker's columns of
+// the whole planes.
 func (p *Pipeline[T]) twinScratch(w *pipeWorker[T]) {
-	first, rows := w.firstSys, num.CeilDiv(p.n, 1<<p.k)
+	first := w.firstSys
 	if p.k == 0 {
-		first, rows = w.firstBlk*p.bs, p.n
+		first = w.firstBlk * p.bs
 	}
-	lo := first * p.n
-	w.tws = pthomas.Workspace[T]{Cp: p.ws.Cp[lo : lo+rows], Dp: p.ws.Dp[lo : lo+rows]}
+	lo, hi := first*p.n, (first+1)*p.n
+	w.tws = pthomas.Workspace[T]{Cp: p.ws.Cp[lo:hi:hi], Dp: p.ws.Dp[lo:hi:hi]}
 }
 
 // SolveReference solves the batch on the host twins alone, with no

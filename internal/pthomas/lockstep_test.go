@@ -1,0 +1,198 @@
+package pthomas
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"gputrid/internal/matrix"
+	"gputrid/internal/num"
+	"gputrid/internal/workload"
+)
+
+// perLaneStrided is the per-lane form of SolveStridedRefInto that the
+// lockstep sweep replaced: each of the 2^k subsystems of each system is
+// solved to the end before the next one starts. It is the oracle the
+// lockstep twins are held to.
+func perLaneStrided[T num.Real](a, b, c, d []T, m, n, k int, x []T) {
+	p := 1 << k
+	cp, dp := make([]T, num.CeilDiv(n, p)), make([]T, num.CeilDiv(n, p))
+	for i := 0; i < m; i++ {
+		base := i * n
+		for r := 0; r < p && r < n; r++ {
+			thomasLane(a[base:], b[base:], c[base:], d[base:], x[base:], cp, dp, r, p, (n-r+p-1)/p)
+		}
+	}
+}
+
+// perLaneInterleaved is the per-lane form of SolveInterleavedRangeInto:
+// systems [lo, hi) of v, one after another.
+func perLaneInterleaved[T num.Real](v *matrix.Interleaved[T], x []T, lo, hi int) {
+	cp, dp := make([]T, v.N), make([]T, v.N)
+	for i := lo; i < hi; i++ {
+		thomasLane(v.Lower, v.Diag, v.Upper, v.RHS, x, cp, dp, i, v.M, v.N)
+	}
+}
+
+// thomasLane solves the system whose row l lives at flat index
+// start + l*stride, writing x at the same indices, with c'/d' at the
+// row's position l of the scratch.
+func thomasLane[T num.Real](a, b, c, d, x, cp, dp []T, start, stride, rows int) {
+	if rows <= 0 {
+		return
+	}
+	idx := start
+	cp[0] = c[idx] / b[idx]
+	dp[0] = d[idx] / b[idx]
+	for l := 1; l < rows; l++ {
+		idx = start + l*stride
+		den := b[idx] - cp[l-1]*a[idx]
+		inv := 1 / den
+		cp[l] = c[idx] * inv
+		dp[l] = (d[idx] - dp[l-1]*a[idx]) * inv
+	}
+	xn := dp[rows-1]
+	x[start+(rows-1)*stride] = xn
+	for l := rows - 2; l >= 0; l-- {
+		xn = dp[l] - cp[l]*xn
+		x[start+l*stride] = xn
+	}
+}
+
+// lockstepInputs returns the batches TestLockstepMatchesPerLane solves:
+// diagonally dominant, near-singular, and near-singular with zero
+// pivots so that Inf and NaN run through the sweeps. System 0 loses
+// its first pivot; every system loses the pivot of its middle row,
+// whose lower coefficient is zeroed too, so the eliminated diagonal
+// there is exactly 0 - c'·0.
+func lockstepInputs[T num.Real](m, n int) map[string]*matrix.Batch[T] {
+	seed := uint64(m*7919 + n)
+	zp := workload.Batch[T](workload.NearSingular, m, n, seed+1)
+	zp.Diag[0] = 0
+	for i := 0; i < m; i++ {
+		mid := i*n + n/2
+		zp.Lower[mid], zp.Diag[mid] = 0, 0
+	}
+	return map[string]*matrix.Batch[T]{
+		"diag-dominant": workload.Batch[T](workload.DiagDominant, m, n, seed),
+		"near-singular": workload.Batch[T](workload.NearSingular, m, n, seed),
+		"zero-pivot":    zp,
+	}
+}
+
+// sameBits reports the first index where got and want differ in any
+// bit, NaN payloads and signs included, or -1.
+func sameBits[T num.Real](want, got []T) int {
+	for i := range want {
+		if num.Bits(want[i]) != num.Bits(got[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestLockstepMatchesPerLane holds both lockstep twins to the per-lane
+// loops bit for bit, NaN payloads included: the strided entry over
+// k from 0 to past N (2^k > N leaves lanes with no rows), the
+// interleaved entry over every sub-range [lo, hi), each in both
+// precisions on diagonally dominant, near-singular and zero-pivot
+// input.
+func TestLockstepMatchesPerLane(t *testing.T) {
+	lockstepMatches[float64](t, "float64")
+	lockstepMatches[float32](t, "float32")
+}
+
+func lockstepMatches[T num.Real](t *testing.T, prec string) {
+	const sentinel = -7
+	var ws Workspace[T]
+	for _, m := range []int{1, 3} {
+		for _, n := range []int{1, 2, 3, 17, 192, 1001} {
+			for kind, b := range lockstepInputs[T](m, n) {
+				for _, k := range []int{0, 1, 2, 6, 7, 9} {
+					want, got := make([]T, m*n), make([]T, m*n)
+					perLaneStrided(b.Lower, b.Diag, b.Upper, b.RHS, m, n, k, want)
+					SolveStridedRefInto(b.Lower, b.Diag, b.Upper, b.RHS, m, n, k, got, &ws)
+					if i := sameBits(want, got); i >= 0 {
+						t.Fatalf("%s %s %dx%d k=%d: strided x[%d] = %#x, per-lane %#x",
+							prec, kind, m, n, k, i, num.Bits(got[i]), num.Bits(want[i]))
+					}
+				}
+				v := b.ToInterleaved()
+				for lo := 0; lo < m; lo++ {
+					for hi := lo + 1; hi <= m; hi++ {
+						want, got := make([]T, m*n), make([]T, m*n)
+						for i := range want {
+							want[i], got[i] = sentinel, sentinel
+						}
+						perLaneInterleaved(v, want, lo, hi)
+						SolveInterleavedRangeInto(v, got, &ws, lo, hi)
+						if i := sameBits(want, got); i >= 0 {
+							t.Fatalf("%s %s %dx%d [%d,%d): interleaved x[%d] = %#x, per-lane %#x",
+								prec, kind, m, n, lo, hi, i, num.Bits(got[i]), num.Bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkLockstepThomas times the lockstep twins against the
+// per-lane loops they replaced, in the same run: the strided entry at
+// 16x65536 with k = 7 and at adi-step's 192x192 with k = 6, the
+// interleaved entry over a whole 1024x512 batch (k = 0), and the
+// one-lane form at k = 0 on the 3x32768 slab shape of a 4-device
+// distributed solve. ns/op is the lockstep sweep; perlane/lockstep is
+// the per-lane time over the lockstep time, above 1 when the lockstep
+// form is faster.
+func BenchmarkLockstepThomas(b *testing.B) {
+	for _, sh := range []struct {
+		m, n, k     int
+		interleaved bool
+	}{
+		{16, 65536, 7, false},
+		{192, 192, 6, false},
+		{1024, 512, 0, true},
+		{3, 32768, 0, false},
+	} {
+		name := fmt.Sprintf("%dx%d,k=%d", sh.m, sh.n, sh.k)
+		if sh.interleaved {
+			name = fmt.Sprintf("%dx%d,interleaved", sh.m, sh.n)
+		}
+		b.Run(name, func(b *testing.B) {
+			batch := workload.Batch[float64](workload.DiagDominant, sh.m, sh.n, 3)
+			v := batch.ToInterleaved()
+			x := make([]float64, sh.m*sh.n)
+			var ws Workspace[float64]
+			lockstep := func() {
+				if sh.interleaved {
+					SolveInterleavedRangeInto(v, x, &ws, 0, sh.m)
+				} else {
+					SolveStridedRefInto(batch.Lower, batch.Diag, batch.Upper, batch.RHS, sh.m, sh.n, sh.k, x, &ws)
+				}
+			}
+			perLane := func() {
+				if sh.interleaved {
+					perLaneInterleaved(v, x, 0, sh.m)
+				} else {
+					perLaneStrided(batch.Lower, batch.Diag, batch.Upper, batch.RHS, sh.m, sh.n, sh.k, x)
+				}
+			}
+			lockstep() // size the workspace outside the timer
+			var ls, pl time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				lockstep()
+				ls += time.Since(start)
+				b.StopTimer()
+				start = time.Now()
+				perLane()
+				pl += time.Since(start)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(pl)/float64(ls), "perlane/lockstep")
+		})
+	}
+}

@@ -20,8 +20,14 @@
 //
 // SolveStridedRefInto and SolveInterleavedRangeInto are their host
 // twins, the same recurrence over plain slices with c'/d' scratch from
-// a caller-owned Workspace. KernelStrided is the one standalone
-// launch, the back-end of the Fig. 11(c) multiplexed ablation.
+// a caller-owned Workspace. A twin runs every lane it covers in
+// lockstep, one sweep row by row across them, which is the host form
+// of consecutive threads on consecutive addresses: consecutive loop
+// iterations touch consecutive addresses and belong to independent
+// recurrences, so their divisions overlap. Each lane still takes the
+// kernel thread's operations in its order, so the twins match the
+// kernels bit for bit. KernelStrided is the one standalone launch, the
+// back-end of the Fig. 11(c) multiplexed ablation.
 //
 // No form pivots: a vanishing pivot yields Inf/NaN in that system's
 // solution rather than an error, as on real hardware.
@@ -36,10 +42,13 @@ import (
 )
 
 // Workspace holds the forward-sweep scratch (the modified coefficients
-// c' and d' of Eqs. 2-3) shared by every solver variant in this
-// package. Ensure grows it on demand and keeps capacity across calls,
-// so one workspace serves solves of any size with allocations only
-// when the requested size first exceeds what it holds.
+// c' and d' of Eqs. 2-3) of the host twins. A lockstep sweep keeps
+// each row's c'/d' at the row's own index: SolveStridedRefInto needs
+// N elements, one system's rows, and SolveInterleavedRangeInto M·N,
+// the input's planes. Ensure grows it on demand and keeps capacity
+// across calls, so one workspace serves solves of any size with
+// allocations only when the requested size first exceeds what it
+// holds.
 type Workspace[T num.Real] struct {
 	Cp, Dp []T
 }
@@ -190,57 +199,106 @@ func ThreadStrided[T num.Real](t *gpusim.Thread, g *Bufs[T], base, r, p, n int) 
 
 // SolveInterleavedRangeInto is the host twin of ThreadInterleaved for
 // systems [lo, hi) of v: it writes only their entries of the
-// interleaved solution x, with at least N elements of scratch from ws.
+// interleaved solution x. The systems are the lanes of one lockstep
+// sweep (see sweep), row by row across the range as the kernel's
+// consecutive threads run, and c'/d' sit at the input's own indices
+// l·M+i: ws must hold M·N elements, and calls over disjoint ranges may
+// share a ws that already does, since Ensure then writes nothing.
 //
 //tridlint:hotpath
 func SolveInterleavedRangeInto[T num.Real](v *matrix.Interleaved[T], x []T, ws *Workspace[T], lo, hi int) {
-	m, n := v.M, v.N
-	cp, dp := ws.Ensure(n)
-	for i := lo; i < hi; i++ {
-		thomasStrided(v.Lower, v.Diag, v.Upper, v.RHS, x, cp, dp, i, m, n)
-	}
+	cp, dp := ws.Ensure(v.M * v.N)
+	sweep(v.Lower, v.Diag, v.Upper, v.RHS, x, cp, dp, v.M, lo, hi)
 }
 
 // SolveStridedRefInto is the host twin of KernelStrided: it solves the
 // 2^k strided subsystems of each of the M contiguous systems of
-// (a, b, c, d) into x in natural row order, with at least ceil(N/2^k)
-// elements of scratch from ws.
+// (a, b, c, d) into x in natural row order. Each system is one lockstep
+// sweep over its 2^k lanes (see sweep), with N elements of scratch from
+// ws: c'/d' sit at the row's own index. At k = 0 the one lane is plain
+// Thomas over contiguous rows (thomas).
 //
 //tridlint:hotpath
 func SolveStridedRefInto[T num.Real](a, b, c, d []T, m, n, k int, x []T, ws *Workspace[T]) {
-	p := 1 << k
-	cp, dp := ws.Ensure(num.CeilDiv(n, p))
-	for i := 0; i < m; i++ {
-		for r := 0; r < p && r < n; r++ {
-			base := i * n
-			thomasStrided(a[base:], b[base:], c[base:], d[base:], x[base:], cp, dp, r, p, (n-r+p-1)/p)
+	cp, dp := ws.Ensure(n)
+	for lo := 0; lo < m*n; lo += n {
+		hi := lo + n
+		sweep(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x[lo:hi], cp, dp, 1<<k, 0, 1<<k)
+	}
+}
+
+// sweep runs Thomas in lockstep over the lanes [lo, hi) of a strided
+// layout of len(b) rows: lane j's rows sit at j, j+s, j+2s, ... Each
+// step visits the lanes' current rows in turn, so consecutive
+// iterations touch consecutive addresses and their divisions overlap,
+// where a per-lane loop would wait on each lane's recurrence. Every
+// lane takes the same operations in the same order as a per-lane loop,
+// so the outputs match it bit for bit. c'/d' are written at each row's
+// own index; a row's forward step reads index i-s, its backward step
+// x[i+s]. When the lanes are all s of them, the rows' runs join into
+// one run over the whole layout; a single lane is thomas.
+//
+//tridlint:hotpath
+func sweep[T num.Real](a, b, c, d, x, cp, dp []T, s, lo, hi int) {
+	n := len(b)
+	if s == 1 {
+		if lo < hi {
+			thomas(a, b, c, d, x, cp, dp)
+		}
+		return
+	}
+	run, gap := hi-lo, s
+	if run == s {
+		run, gap = n, n
+	}
+	for r := lo; r < n; r += gap {
+		i, e := r, min(r+run, n)
+		for first := min(e, s); i < first; i++ {
+			cp[i] = c[i] / b[i]
+			dp[i] = d[i] / b[i]
+		}
+		for ; i < e; i++ {
+			av := a[i]
+			den := b[i] - cp[i-s]*av
+			inv := 1 / den
+			cp[i] = c[i] * inv
+			dp[i] = (d[i] - dp[i-s]*av) * inv
+		}
+	}
+	for r := lo + (n-1-lo)/gap*gap; r >= lo; r -= gap {
+		i := min(r+run, n) - 1
+		for last := max(r, n-s); i >= last; i-- {
+			x[i] = dp[i]
+		}
+		for ; i >= r; i-- {
+			x[i] = dp[i] - cp[i]*x[i+s]
 		}
 	}
 }
 
-// thomasStrided solves the system whose row l lives at flat index
-// start + l*stride, writing x at the same indices. cp/dp are scratch of
-// at least rows elements.
+// thomas is sweep's one-lane form, Thomas over contiguous rows. With a
+// single recurrence there is no other lane's work to overlap, so it
+// carries the previous row's c'/d' and x in registers, as the kernel
+// thread does, instead of reading them back from memory.
 //
 //tridlint:hotpath
-func thomasStrided[T num.Real](a, b, c, d, x, cp, dp []T, start, stride, rows int) {
-	if rows <= 0 {
-		return
-	}
-	idx := start
-	cp[0] = c[idx] / b[idx]
-	dp[0] = d[idx] / b[idx]
-	for l := 1; l < rows; l++ {
-		idx = start + l*stride
-		den := b[idx] - cp[l-1]*a[idx]
+func thomas[T num.Real](a, b, c, d, x, cp, dp []T) {
+	n := len(b)
+	cpPrev := c[0] / b[0]
+	dpPrev := d[0] / b[0]
+	cp[0], dp[0] = cpPrev, dpPrev
+	for i := 1; i < n; i++ {
+		av := a[i]
+		den := b[i] - cpPrev*av
 		inv := 1 / den
-		cp[l] = c[idx] * inv
-		dp[l] = (d[idx] - dp[l-1]*a[idx]) * inv
+		cpPrev = c[i] * inv
+		dpPrev = (d[i] - dpPrev*av) * inv
+		cp[i], dp[i] = cpPrev, dpPrev
 	}
-	xn := dp[rows-1]
-	x[start+(rows-1)*stride] = xn
-	for l := rows - 2; l >= 0; l-- {
-		xn = dp[l] - cp[l]*xn
-		x[start+l*stride] = xn
+	xn := dpPrev
+	x[n-1] = xn
+	for i := n - 2; i >= 0; i-- {
+		xn = dp[i] - cp[i]*xn
+		x[i] = xn
 	}
 }

@@ -24,6 +24,14 @@ import (
 // kernel gave it, whatever the block split. The dependency-cone
 // argument of §III.A is what makes the split irrelevant.
 //
+// Only the combines that read data run. Level j's row at i reads raw
+// rows [i-f(j), i+f(j)]; when all of them are padding (i < -f(j) or
+// i > n-1+f(j)) the row is the same constant c_j everywhere, with
+// c_0 the identity and c_j = Combine(c_{j-1}, c_{j-1}, c_{j-1}), since
+// its three operands are such rows of level j-1. Those are the values
+// the window computes there, signed zeros included, so Reduce stores
+// c_j instead of recomputing it per position and per system.
+//
 // Rows stream through in tiles of hostTile raw rows. Within a tile
 // every level runs over all its fresh positions before the next level
 // starts, so consecutive eliminations are independent and their
@@ -35,13 +43,15 @@ import (
 type HostReducer[T num.Real] struct {
 	k    int
 	ring []pcr.Row[T]
-	off  []int // level l's ring is ring[off[l]:off[l+1]]
+	off  []int        // level l's ring is ring[off[l]:off[l+1]]
+	halo []pcr.Row[T] // halo[j] is c_j, level j's row beyond the system
 }
 
 // hostTile is the number of raw rows HostReducer takes per tile.
 const hostTile = 64
 
-// NewHostReducer allocates the rings for depth k >= 1.
+// NewHostReducer allocates the rings for depth k >= 1 and computes the
+// halo constants c_1..c_k.
 func NewHostReducer[T num.Real](k int) *HostReducer[T] {
 	if k < 1 {
 		panic(fmt.Sprintf("tiledpcr: NewHostReducer requires k >= 1, got %d", k))
@@ -50,7 +60,12 @@ func NewHostReducer[T num.Real](k int) *HostReducer[T] {
 	for l := 0; l < k; l++ {
 		off[l+1] = off[l] + num.NextPow2(hostTile+2<<l)
 	}
-	return &HostReducer[T]{k: k, ring: make([]pcr.Row[T], off[k]), off: off}
+	halo := make([]pcr.Row[T], k+1)
+	halo[0] = pcr.Identity[T]()
+	for j := 1; j <= k; j++ {
+		halo[j] = pcr.Combine(halo[j-1], halo[j-1], halo[j-1])
+	}
+	return &HostReducer[T]{k: k, ring: make([]pcr.Row[T], off[k]), off: off, halo: halo}
 }
 
 // Reduce writes the k-level reduction of the system (a, b, c, d) to
@@ -66,8 +81,8 @@ func (h *HostReducer[T]) Reduce(a, b, c, d, oa, ob, oc, od []T) {
 	for r0 := -fk; r0 < n+fk; r0 += hostTile {
 		lv := h.ring[:h.off[1]]
 		m := len(lv) - 1
-		for r := r0; r < r0+hostTile; r++ {
-			row := pcr.Identity[T]()
+		for r := r0; r < min(r0+hostTile, n+fk); r++ {
+			row := h.halo[0]
 			if r >= 0 && r < n {
 				row.A, row.B, row.C, row.D = a[r], b[r], c[r], d[r]
 				if r == 0 {
@@ -81,13 +96,16 @@ func (h *HostReducer[T]) Reduce(a, b, c, d, oa, ob, oc, od []T) {
 		}
 		// Level j lags the raw rows by f(j): this tile's level-j rows
 		// are [r0-f(j), r0+hostTile-f(j)), each reading level j-1 at
-		// i-s, i, i+s (s = 2^(j-1)), all written by now. Rows below
-		// f(j)-f(k) feed no level-k row of the system.
+		// i-s, i, i+s (s = 2^(j-1)), all written by now. Only rows in
+		// [f(j)-f(k), n+f(k)-f(j)) feed a level-k row of the system.
+		// Outside [-f(j), n+f(j)) a row reads padding alone and is the
+		// constant c_j.
 		for j, s := 1, 1; j <= k; j, s = j+1, s<<1 {
 			src, sm := lv, m
-			lo, hi := max(r0-F(j), F(j)-fk), r0+hostTile-F(j)
+			fj := F(j)
+			lo, hi := max(r0-fj, fj-fk), min(r0+hostTile-fj, n+fk-fj)
 			if j == k {
-				for i := lo; i < min(hi, n); i++ {
+				for i := lo; i < hi; i++ {
 					v := pcr.Combine(src[(i-s)&sm], src[i&sm], src[(i+s)&sm])
 					oa[i], ob[i], oc[i], od[i] = v.A, v.B, v.C, v.D
 				}
@@ -95,8 +113,16 @@ func (h *HostReducer[T]) Reduce(a, b, c, d, oa, ob, oc, od []T) {
 			}
 			lv = h.ring[h.off[j]:h.off[j+1]]
 			m = len(lv) - 1
-			for i := lo; i < hi; i++ {
+			cj := h.halo[j]
+			dlo, dhi := max(lo, min(hi, -fj)), min(hi, n+fj)
+			for i := lo; i < dlo; i++ {
+				lv[i&m] = cj
+			}
+			for i := dlo; i < dhi; i++ {
 				lv[i&m] = pcr.Combine(src[(i-s)&sm], src[i&sm], src[(i+s)&sm])
+			}
+			for i := max(dlo, dhi); i < hi; i++ {
+				lv[i&m] = cj
 			}
 		}
 	}
