@@ -125,16 +125,6 @@ func sumParts[T num.Real](parts ...[]T) float64 {
 	return s
 }
 
-// poisonNaN models what a corrupting link does to a payload: the
-// loudest possible damage, so an escaped corruption can never be
-// mistaken for a plausible value.
-func poisonNaN[T num.Real](p []T) {
-	bad := T(math.NaN())
-	for i := range p {
-		p[i] = bad
-	}
-}
-
 // verifiedUp moves a payload whose source of truth stays host-side
 // (coefficient uploads, separator values) over the link with checksum
 // verification: the receiver recomputes the sum and a mismatch
@@ -189,7 +179,9 @@ func (s *DistSolver[T]) verifiedDown(sl *distSlab, dev int, bytes int64, payload
 		rep := s.topo.Transfer(&s.scope, gpusim.OpDeviceToHost, dev, -1, bytes)
 		secs += rep.Seconds
 		if rep.Corrupt {
-			poisonNaN(payload)
+			// A corrupting link does the loudest possible damage, so an
+			// escaped corruption can never pass for a plausible value.
+			fill(payload, T(math.NaN()))
 		}
 		if got := sumParts(payload); got == want {
 			return secs, nil

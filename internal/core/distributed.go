@@ -407,7 +407,7 @@ func (s *DistSolver[T]) backsub(dev, length int) (*backsubKernel[T], error) {
 		return nil, fmt.Errorf("core: distBacksub: %d threads/block exceeds device limit %d",
 			backsubThreads, d.MaxThreadsPerBlock)
 	}
-	k := newBacksubKernel[T](d)
+	k := newBacksubKernel[T](d, s.m, length)
 	s.backsubs[key] = k
 	return k, nil
 }
@@ -973,37 +973,32 @@ type backsubArgs[T num.Real] struct {
 }
 
 // backsubKernel is the cached distBacksub launch for one (topology
-// device, slab length): an executor, its recorded Stats, and the
-// kernel closures, built once so a back-substitution allocates
-// nothing. Like Pipeline it records once per process: the kernel has
-// no data-dependent control flow and Global arrays are 512-byte
-// aligned, so the stats recorded for one slab of this shape describe
-// every later run on any device with the same recording fields. The
-// process's first run records with no injector, simulating one block
-// per class of its class key (sample.go); every run, that one included,
-// computes its output on the host twin, backsubRows. A cancelled
-// recording stays unrecorded and the next run records again.
+// device, slab length): its driver and the kernel closures, built once
+// so a back-substitution allocates nothing. Like Pipeline it records
+// once per process: the kernel has no data-dependent control flow and
+// Global arrays are 512-byte aligned, so the stats recorded for one
+// slab of this shape describe every later run on any device with the
+// same recording fields. The driver runs it as every recorded kernel
+// (driver.go); its twin is backsubRows.
 //
 // A kernel is driven by one goroutine at a time: runPhase runs each
 // device's slabs sequentially, and hedges never back-substitute.
 type backsubKernel[T num.Real] struct {
-	dev      *gpusim.Device
-	exec     *gpusim.Executor
-	st       [2]gpusim.Stats // the launch's Stats in st[0]
-	recorded bool
+	drv    driver[T]
+	launch [1]launch
 
-	// args and blk are the slab and block being run, read by kern and
-	// body; binding them here keeps the closures allocation-free.
+	// args and blk are the slab and block being run, read by the
+	// launch's body; binding them here keeps the closures
+	// allocation-free.
 	args *backsubArgs[T]
 	blk  *gpusim.Block
-	kern gpusim.Kernel
 	body func(t *gpusim.Thread)
-
-	auditBuf []T // the simulated output an audited run compares
 }
 
-func newBacksubKernel[T num.Real](dev *gpusim.Device) *backsubKernel[T] {
-	k := &backsubKernel[T]{dev: dev, exec: gpusim.NewExecutor(dev)}
+// newBacksubKernel builds the kernel for slabs of m systems of rows
+// rows on dev.
+func newBacksubKernel[T num.Real](dev *gpusim.Device, m, rows int) *backsubKernel[T] {
+	k := &backsubKernel[T]{}
 	k.body = func(t *gpusim.Thread) {
 		a := k.args
 		idx := k.blk.ID*backsubThreads + t.ID
@@ -1015,52 +1010,14 @@ func newBacksubKernel[T num.Real](dev *gpusim.Device) *backsubKernel[T] {
 		t.Flops(4)
 		a.out.Store(t, idx, r)
 	}
-	k.kern = func(b *gpusim.Block) {
+	kern := func(b *gpusim.Block) {
 		k.blk = b
 		b.PhaseNoSync(k.body)
 	}
+	grid := num.CeilDiv(m*rows, backsubThreads)
+	k.launch[0] = launch{"distBacksub", backsubThreads, grid, kern, k.class}
+	k.drv = newDriver[T](dev, recordKey{m: m, rows: rows, elem: num.SizeOf[T]()}, k, k.launch[:])
 	return k
-}
-
-// run back-substitutes one slab on the host twin. Its first run takes
-// the kernel's Stats from the process-wide memo, or records the
-// simulated blocks with no injector. Under auditTwin every run
-// re-records first and compares the twin's output bit for bit.
-func (k *backsubKernel[T]) run(ctx context.Context, a *backsubArgs[T]) (*gpusim.Stats, error) {
-	record := func(st *[2]gpusim.Stats) error { return k.record(ctx, a, &st[0], false) }
-	if !k.recorded {
-		key := newRecordKey(k.dev, "distBacksub", backsubThreads, num.CeilDiv(a.total, backsubThreads))
-		key.m, key.rows, key.elem = a.total/a.rows, a.rows, num.SizeOf[T]()
-		st, err := recordOnce(ctx, key, record)
-		if err != nil {
-			return nil, err
-		}
-		k.st, k.recorded = st, true
-	}
-	outs := [][]T{a.out.Data}
-	if auditTwin {
-		full := func(st *[2]gpusim.Stats) error { return k.record(ctx, a, &st[0], true) }
-		if err := auditRecording(full, &k.st, &k.auditBuf, outs); err != nil {
-			return nil, err
-		}
-	}
-	if err := k.twin(ctx, a, 0); err != nil {
-		return nil, err
-	}
-	if auditTwin {
-		matchOutputs(k.auditBuf, outs)
-	}
-	return &k.st[0], nil
-}
-
-// record runs the kernel's simulated blocks over slab a with no
-// injector into st: one block per class of its class key, or, when
-// full, every block, the identity classing the audit re-records
-// through.
-func (k *backsubKernel[T]) record(ctx context.Context, a *backsubArgs[T], st *gpusim.Stats, full bool) error {
-	k.args = a
-	l := launch{"distBacksub", backsubThreads, num.CeilDiv(a.total, backsubThreads), k.kern, k.class}
-	return recordLaunch(ctx, k.exec, st, &l, full)
 }
 
 // class keys a block of the bound slab whose rows all belong to one
@@ -1068,7 +1025,7 @@ func (k *backsubKernel[T]) record(ctx context.Context, a *backsubArgs[T], st *gp
 // separators, which all its threads load. A block that crosses a
 // system boundary or the slab's end is a class of its own.
 func (k *backsubKernel[T]) class(blk int) (classKey, bool) {
-	a, elem, tx := k.args, num.SizeOf[T](), k.dev.TransactionBytes
+	a, elem, tx := k.args, num.SizeOf[T](), k.drv.dev.TransactionBytes
 	lo, hi := blk*backsubThreads, (blk+1)*backsubThreads
 	if sys := lo / a.rows; hi <= a.total && sys == (hi-1)/a.rows {
 		return classKey{lead: txOffset(sys, elem, tx), off: txOffset(lo, elem, tx)}, true
@@ -1076,20 +1033,16 @@ func (k *backsubKernel[T]) class(blk int) (classKey, bool) {
 	return classKey{}, false
 }
 
-// twin runs slab a on the host twin under the device's injector. The
-// injector is asked about every block of the launch first, keyed as
-// Device.Launch keys them: the distributed layer retries by migrating,
-// never in place, so production runs use attempt 0. A faulted run
-// computes nothing, writes NaN over the faulted block's rows and
-// returns the *LaunchError the simulated launch would have.
-func (k *backsubKernel[T]) twin(ctx context.Context, a *backsubArgs[T], attempt int) error {
-	site := gpusim.FaultSite{Inj: k.dev.Faults, Kernel: "distBacksub", Attempt: attempt}
-	if le := site.First(0, num.CeilDiv(a.total, backsubThreads)); le != nil {
-		fillNaN(a.out.Data[le.Block*backsubThreads : min((le.Block+1)*backsubThreads, a.total)])
-		return le
-	}
-	return backsubRows(ctx, a)
+// blockRows is where a block writes the bound slab's output: its
+// backsubThreads rows, the tail block fewer.
+func (k *backsubKernel[T]) blockRows(_, blk int) (lo, hi, stride int) {
+	total := k.args.total
+	return blk * backsubThreads, min((blk+1)*backsubThreads, total), total
 }
+
+// bindRecording binds nothing: a recording reads the bound slab, as
+// the twin does.
+func (k *backsubKernel[T]) bindRecording(bool) {}
 
 // backsubOne back-substitutes slab sl on device dev with a real
 // simulated kernel, so phase C is a fault-injectable failure domain
@@ -1121,8 +1074,17 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 	if err != nil {
 		return err
 	}
+	// The twin asks the injector about the whole grid at attempt 0, as
+	// Device.Launch keys it: the distributed layer retries by
+	// migrating, never in place.
 	a := &s.bsArgs[p]
-	st, err := k.run(ctx, a)
+	k.args = a
+	err = k.drv.run(ctx, [][]T{a.out.Data}, func() (bool, error) {
+		if _, le := k.drv.fault(0, a.out.Data, nil); le != nil {
+			return false, le
+		}
+		return false, backsubRows(ctx, a)
+	})
 	if err != nil {
 		if ctx != nil && ctx.Err() != nil {
 			return cancelled(ctx.Err())
@@ -1133,7 +1095,7 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 	if err != nil {
 		return err
 	}
-	compute := s.topo.Device(dev).EstimateTime(st, num.SizeOf[T]())
+	compute := s.topo.Device(dev).EstimateTime(&k.drv.kern[0], num.SizeOf[T]())
 	sl.timing.Upload += up
 	sl.timing.Compute += compute
 	sl.timing.Download += down

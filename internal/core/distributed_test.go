@@ -259,7 +259,7 @@ func TestDistributedBacksubCorruptFault(t *testing.T) {
 	if _, err := s.SolveInto(context.Background(), clean, b); err != nil {
 		t.Fatal(err)
 	}
-	if k := s.backsubs[pipeKey{0, s.part.Slabs[0].Len()}]; k == nil || !k.recorded {
+	if k := s.backsubs[pipeKey{0, s.part.Slabs[0].Len()}]; k == nil || !k.drv.recorded {
 		t.Fatal("device 0's back-substitution did not record on the fault-free solve")
 	}
 

@@ -56,7 +56,7 @@ func auditFirstSolves[T num.Real](t *testing.T, cfg Config, m, n int, interleave
 	defer p.Close()
 	want := SolveReference(b, p.K())
 	for solve := range 2 {
-		p.auditBuf = p.auditBuf[:0]
+		p.drv.sim = p.drv.sim[:0]
 		got := make([]T, m*n)
 		if interleaved {
 			xi := make([]T, m*n)
@@ -68,7 +68,7 @@ func auditFirstSolves[T num.Real](t *testing.T, cfg Config, m, n int, interleave
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p.auditBuf) == 0 {
+		if len(p.drv.sim) == 0 {
 			t.Fatalf("%+v %dx%d solve %d: the audited host twins did not run", cfg, m, n, solve)
 		}
 		if i := firstDiff(want, got); i >= 0 {

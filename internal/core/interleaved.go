@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
-	"gputrid/internal/cpu"
 	"gputrid/internal/matrix"
 	"gputrid/internal/pthomas"
 )
@@ -80,7 +77,7 @@ func (p *Pipeline[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *ma
 			p.iscratchX = make([]T, p.m*p.n)
 		}
 		v.ToBatchInto(p.iscratchB)
-		if err := p.solveHybrid(ctx, p.iscratchX, p.iscratchB); err != nil {
+		if err := p.solveBatch(ctx, p.iscratchX, p.iscratchB); err != nil {
 			return err
 		}
 		matrix.InterleaveVectorInto(xi, p.iscratchX, p.m, p.n)
@@ -96,7 +93,7 @@ func (p *Pipeline[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *ma
 	if err := p.execute(ctx); err != nil {
 		return err
 	}
-	return p.degradedResolveInterleaved(xi, v)
+	return p.degradedResolve(xi, v.Lower, v.Diag, v.Upper, v.RHS, 1, p.m)
 }
 
 // bindK0 points the k = 0 kernel and its host twin at interleaved
@@ -112,32 +109,4 @@ func (p *Pipeline[T]) bindK0(v *matrix.Interleaved[T], xi []T) {
 	}
 	p.bufs = pthomas.NewBufs(a, b, c, d, cp, dp, xi)
 	p.iv = v
-}
-
-// degradedResolveInterleaved is degradedResolve for the native path:
-// every degraded system is extracted from the interleaved planes,
-// re-solved on the host through the pivoting GTSV path, and written
-// back into xi with the interleaved stride. It allocates per degraded
-// system — an acceptable cost on a path that only runs after the retry
-// budget is spent.
-func (p *Pipeline[T]) degradedResolveInterleaved(xi []T, v *matrix.Interleaved[T]) error {
-	if len(p.frep.Degraded) == 0 {
-		return nil
-	}
-	if p.gtsvWS == nil {
-		p.gtsvWS = cpu.NewGTSVWorkspace[T](p.n)
-	}
-	x := make([]T, p.n)
-	var errs []error
-	for _, i := range p.frep.Degraded {
-		sys := v.ExtractSystem(i)
-		if err := cpu.SolveGTSVInto(sys, x, p.gtsvWS); err != nil {
-			clear(x)
-			errs = append(errs, fmt.Errorf("%w: degraded re-solve of system %d: %v", ErrFaulted, i, err))
-		}
-		for j := 0; j < p.n; j++ {
-			xi[j*p.m+i] = x[j]
-		}
-	}
-	return errors.Join(errs...)
 }

@@ -43,15 +43,6 @@ type recordKey struct {
 	m, n, k, c, g, bs, elem, rows int
 }
 
-// newRecordKey starts a key with dev's recording fields and the launch.
-func newRecordKey(dev *gpusim.Device, kernel string, tpb, grid int) recordKey {
-	return recordKey{
-		warpSize: dev.WarpSize, txBytes: dev.TransactionBytes,
-		sharedPerSM: dev.SharedMemPerSM, maxThreads: dev.MaxThreadsPerBlock,
-		kernel: kernel, tpb: tpb, grid: grid,
-	}
-}
-
 // memoEntry is one geometry's recording. done is closed once the
 // recording ends; ok then tells whether st holds its Stats or the
 // recording failed and the entry left the table.

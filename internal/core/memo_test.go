@@ -54,7 +54,7 @@ func solveOn(ctx context.Context, cfg Config, m, n int) ([]float64, [2]gpusim.St
 	b := workload.Batch[float64](workload.DiagDominant, m, n, 17)
 	x := make([]float64, m*n)
 	err = p.SolveIntoCtx(ctx, x, b)
-	return x, p.kern, err
+	return x, p.drv.kern, err
 }
 
 // TestMemoKeySeparation pins the key: a device field the recording

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -46,18 +45,18 @@ var (
 // system, device), never of the coefficient data: the kernels contain
 // no data-dependent control flow, and global arrays are 512-byte
 // aligned so coalescing does not depend on where a particular batch
-// happens to live. So the process's first solve of a geometry records
-// once, on one recording lane and with no injector, and keeps the
-// Stats in a process-wide memo (memo.go); Report describes every later
-// solve exactly. A recording simulates one block per equivalence class
-// of each launch — blocks that run the same schedule a whole number of
-// transactions apart (sample.go) — and counts it once per block of its
-// class, which gives field for field the Stats of simulating them all.
-// Every solve, that first one included, computes its answer on the
-// kernels' plain-Go host twins over the raw slices (see twin.go), which
-// match the kernels bit for bit. The twins ask the injector about the
-// same (kernel, block, attempt) coordinates the simulated blocks would
-// hit, so faults strike them exactly where they would on the device.
+// happens to live. A pipeline supplies its launches, their class keys
+// and the rows each block writes; its driver (driver.go), the one every
+// recorded kernel runs on, does the rest. The process's first solve of
+// a geometry records once, on one recording lane and with no injector,
+// simulating one block per equivalence class of each launch (sample.go)
+// and keeping the Stats in a process-wide memo (memo.go); Report
+// describes every later solve exactly. Every solve, that first one
+// included, computes its answer on the kernels' plain-Go host twins
+// over the raw slices (hostShard, twin.go), which match the kernels
+// bit for bit. Each shard asks the driver's fault site about the same
+// (kernel, block, attempt) coordinates its simulated blocks would hit,
+// so faults strike the twins exactly where they would on the device.
 //
 // The twins shard the batch across a bounded worker pool
 // (Config.Workers, default GOMAXPROCS) with a per-worker arena slice —
@@ -102,34 +101,29 @@ type Pipeline[T num.Real] struct {
 	in   tiledpcr.Arrays[T]
 	bufs pthomas.Bufs[T]
 
-	// The recording lane: one executor, the window buffers the
-	// tiled-PCR blocks bind (k >= 1), and the solve's launches in
-	// order — one p-Thomas launch for k = 0, tiled PCR then strided
-	// p-Thomas for k >= 1.
-	exec     *gpusim.Executor
-	win      *tiledpcr.Window[T]
+	// The recorded kernels: the driver, which records and audits them
+	// and holds their Stats; the solve's launches in order — one
+	// p-Thomas launch for k = 0, tiled PCR then strided p-Thomas for
+	// k >= 1; the window buffers the recording lane's tiled-PCR blocks
+	// bind (k >= 1). rep is the Report handed out for every solve.
+	drv      driver[T]
 	launches [2]launch
 	nKern    int
-
-	// Cached statistics. kern holds the per-kernel stats the first
-	// solve recorded or took from the memo; total is their aggregate;
-	// rep is the Report handed out for every solve.
-	recorded bool
-	kern     [2]gpusim.Stats
-	total    gpusim.Stats
+	win      *tiledpcr.Window[T]
 	rep      Report
 
 	// Fault-tolerant execution state. ctx is the current solve's
 	// context (nil when it cannot be cancelled); frep accumulates the
-	// solve's fault activity; gtsvWS is the (lazily built) workspace
-	// of the degraded per-system GTSV re-solve.
-	ctx    context.Context
-	frep   FaultReport
-	gtsvWS *cpu.GTSVWorkspace[T]
-
-	// auditBuf keeps the simulated outputs an audited twin run is
-	// compared with.
-	auditBuf []T
+	// solve's fault activity; gtsv is the (lazily built) scratch of the
+	// degraded per-system GTSV re-solve: its workspace and one system,
+	// with its solution, gathered from either layout.
+	ctx  context.Context
+	frep FaultReport
+	gtsv struct {
+		ws  *cpu.GTSVWorkspace[T]
+		sys *matrix.System[T]
+		x   []T
+	}
 
 	// lastWall is the measured host time of the most recent solve,
 	// the pool's per-shape service-time observation. Written at the end
@@ -147,17 +141,6 @@ type Pipeline[T num.Real] struct {
 	workers []*pipeWorker[T]
 	inUse   atomic.Bool
 	closed  bool
-}
-
-// launch is one kernel launch of a solve: its name, which keys the
-// fault injector and the report, its geometry, the per-block body the
-// recording lane runs, and the class key a sampled recording groups
-// its blocks by (sample.go).
-type launch struct {
-	name      string
-	tpb, grid int
-	kern      gpusim.Kernel
-	class     classOf
 }
 
 // pipeWorker is one lane of the pool: the host twins' state and the
@@ -191,7 +174,7 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 		return nil, fmt.Errorf("core: invalid pipeline shape %dx%d", m, n)
 	}
 	k := cfg.resolveK(m, n)
-	p := &Pipeline[T]{cfg: cfg, dev: dev, m: m, n: n, k: k, c: cfg.c(), g: 1, exec: gpusim.NewExecutor(dev)}
+	p := &Pipeline[T]{cfg: cfg, dev: dev, m: m, n: n, k: k, c: cfg.c(), g: 1}
 
 	if k == 0 {
 		bs := min(blockSizeK0, dev.MaxThreadsPerBlock)
@@ -220,7 +203,12 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 		p.launches[1] = launch{"pThomasStrided", tpb, m, p.thomasKernel(), p.thomasClass}
 		p.nKern = 2
 	}
-	p.rep = Report{K: p.k, C: p.c, BlocksPerSystem: p.g, Stats: &p.total, Faults: &p.frep}
+	key := recordKey{m: m, n: n, k: k, c: p.c, g: p.g, bs: p.bs, elem: num.SizeOf[T]()}
+	p.drv = newDriver[T](dev, key, p, p.launches[:p.nKern])
+	p.rep = Report{K: p.k, C: p.c, BlocksPerSystem: p.g, Stats: &p.drv.total, Faults: &p.frep}
+	for i := range p.nKern {
+		p.rep.Kernels = append(p.rep.Kernels, &p.drv.kern[i])
+	}
 	p.buildWorkers()
 	return p, nil
 }
@@ -373,6 +361,25 @@ func (p *Pipeline[T]) thomasClass(blk int) (classKey, bool) {
 	return classKey{off: p.txOffset(blk * p.n)}, true
 }
 
+// blockRows is where block blk of launch slot writes the bound
+// solution. A k = 0 block's systems are contiguous rows of the staged
+// xi on the contiguous entry and their columns of every row on the
+// interleaved one; a tiled-PCR block owns a slice of one system's
+// rows, a strided p-Thomas block the whole system.
+func (p *Pipeline[T]) blockRows(slot, blk int) (lo, hi, stride int) {
+	switch {
+	case p.k == 0 && p.rows != nil:
+		return blk * p.bs * p.n, min((blk+1)*p.bs, p.m) * p.n, p.m * p.n
+	case p.k == 0:
+		return blk * p.bs, min((blk+1)*p.bs, p.m), p.m
+	case slot == 0:
+		base, slice := blk/p.g*p.n, blk%p.g
+		return base + min(slice*p.per, p.n), base + min((slice+1)*p.per, p.n), p.m * p.n
+	default:
+		return blk * p.n, (blk + 1) * p.n, p.m * p.n
+	}
+}
+
 // txOffset is txOffset for element i of the pipeline's arrays.
 func (p *Pipeline[T]) txOffset(i int) int {
 	return txOffset(i, num.SizeOf[T](), p.dev.TransactionBytes)
@@ -419,39 +426,75 @@ func (p *Pipeline[T]) SolveIntoCtx(ctx context.Context, dst []T, b *matrix.Batch
 		return err
 	}
 	defer p.release(start)
-	if p.k != 0 {
-		return p.solveHybrid(ctx, dst, b)
-	}
-	// k = 0: the twin runs Thomas per system over the caller's rows
-	// into xi, and one copy publishes them. Only a recording reads the
-	// interleaved layout, which record builds in vbuf.
-	p.rows = b
-	err = p.execute(ctx)
-	p.rows = nil
-	if err != nil {
-		return err
-	}
-	// A degraded xi holds garbage here, but every degraded system of
-	// dst is overwritten by degradedResolve before the solve returns.
-	copy(dst, p.xi)
-	return p.degradedResolve(dst, b)
+	return p.solveBatch(ctx, dst, b)
 }
 
-// solveHybrid runs the k >= 1 path: tiled PCR into the reduced
-// planes, then strided p-Thomas directly into dst. The caller's slices
-// are unbound after the launches, so the pipeline does not keep the
-// last batch alive until the next solve; with a stepper that builds a
-// fresh batch every step, that retained batch raised the garbage
-// collector's live heap, and so its heap goal, by a whole batch.
-func (p *Pipeline[T]) solveHybrid(ctx context.Context, dst []T, b *matrix.Batch[T]) error {
-	p.in = tiledpcr.NewArrays(b.Lower, b.Diag, b.Upper, b.RHS)
-	p.bufs.X = gpusim.NewGlobal(dst)
+// solveBatch solves the contiguous batch b into dst. k >= 1 runs tiled
+// PCR into the reduced planes, then strided p-Thomas directly into
+// dst. k = 0 runs Thomas per system over the caller's rows into xi,
+// and one copy publishes them, so a cancelled solve leaves dst
+// untouched; only a recording reads the interleaved layout, which
+// bindRecording builds in vbuf. The caller's slices are bound for the
+// launches only (bindBatch), so the pipeline does not keep the last
+// batch alive until the next solve; with a stepper that builds a fresh
+// batch every step, that retained batch raised the garbage collector's
+// live heap, and so its heap goal, by a whole batch.
+func (p *Pipeline[T]) solveBatch(ctx context.Context, dst []T, b *matrix.Batch[T]) error {
+	p.bindBatch(b, dst)
 	err := p.execute(ctx)
-	p.in, p.bufs.X = tiledpcr.Arrays[T]{}, gpusim.Global[T]{}
+	p.bindBatch(nil, nil)
 	if err != nil {
 		return err
 	}
-	return p.degradedResolve(dst, b)
+	if p.k == 0 {
+		// A degraded xi holds garbage here, but every degraded system of
+		// dst is overwritten by degradedResolve before the solve returns.
+		copy(dst, p.xi)
+	}
+	return p.degradedResolve(dst, b.Lower, b.Diag, b.Upper, b.RHS, p.n, 1)
+}
+
+// bindBatch points the launches and the twins at batch b and solution
+// dst, or, given nil, unbinds them: k >= 1 binds b's coefficient planes
+// and dst, k = 0 the rows the twin reads (the solution stays in xi).
+func (p *Pipeline[T]) bindBatch(b *matrix.Batch[T], dst []T) {
+	switch {
+	case p.k == 0:
+		p.rows = b
+	case b == nil:
+		p.in, p.bufs.X = tiledpcr.Arrays[T]{}, gpusim.Global[T]{}
+	default:
+		p.in = tiledpcr.NewArrays(b.Lower, b.Diag, b.Upper, b.RHS)
+		p.bufs.X = gpusim.NewGlobal(dst)
+	}
+}
+
+// bindRecording binds what a recording reads and the twins do not. A
+// recording of the contiguous k = 0 entry reads the interleaved layout
+// the kernel coalesces: on interleaves the bound rows into vbuf and
+// binds it; off binds no planes again and drops vbuf, so only a
+// recording holds its four M·N planes and a pipeline whose Stats came
+// from the memo never does. Under the audit, which compares the
+// kernel's solution with the twin's rows, off instead deinterleaves
+// xi, through vbuf's RHS plane, and keeps vbuf. Every other entry
+// records over the planes it bound.
+func (p *Pipeline[T]) bindRecording(on bool) {
+	switch {
+	case p.rows == nil:
+	case on:
+		if p.vbuf == nil {
+			p.vbuf = matrix.NewInterleaved[T](p.m, p.n)
+		}
+		p.rows.ToInterleavedInto(p.vbuf)
+		p.bindK0(p.vbuf, p.xi)
+	case auditTwin:
+		matrix.DeinterleaveVectorInto(p.vbuf.RHS, p.xi, p.m, p.n)
+		copy(p.xi, p.vbuf.RHS)
+		p.bindK0(nil, p.xi)
+	default:
+		p.vbuf = nil
+		p.bindK0(nil, p.xi)
+	}
 }
 
 // checkShape rejects operands that do not match the pipeline's M×N
@@ -505,103 +548,32 @@ func (p *Pipeline[T]) release(start time.Time) {
 	p.inUse.Store(false)
 }
 
-// execute is the one solve body behind every entry: it runs the bound
-// launches on the host twins across the worker pool — recording them
-// first on the process's first solve of the geometry — and folds the
-// lanes' fault bookkeeping into the solve's FaultReport. The caller
-// binds its layout first and re-solves the degraded systems after.
+// execute is the one solve body behind every entry: the driver runs
+// the bound launches — recording them first on the process's first
+// solve of the geometry — and their host twins across the worker pool
+// (replay); the lanes' fault bookkeeping is folded into the solve's
+// FaultReport. The caller binds its layout first and re-solves the
+// degraded systems after. The outputs the audit compares are the bound
+// solution and, for k >= 1, the reduced planes.
 func (p *Pipeline[T]) execute(ctx context.Context) error {
 	p.ctx = ctx
 	p.frep.reset()
 	for _, w := range p.workers {
 		w.wf = workerFaults{}
 	}
-	err := p.run()
+	outs := [...][]T{p.bufs.X.Data, p.ra, p.rb, p.rc, p.rd}
+	err := p.drv.run(ctx, outs[:], p.replay)
 	p.mergeFaults()
 	p.ctx = nil
 	return err
 }
 
-// run obtains the launch geometry's Stats on the first solve — from
-// the process-wide memo (memo.go), or by a sampled recording — and
-// publishes them into the cached aggregate and the reusable Report.
-// Recording only measures: every solve, a recording one included, then
-// runs the host twins, whose outputs are the answer. Under auditTwin
-// every run re-records every block first, panics if the Stats differ
-// from the sampled ones published, the memo's included, and compares
-// the twins' outputs with the simulated ones bit for bit.
-func (p *Pipeline[T]) run() error {
-	record := func(st *[2]gpusim.Stats) error { return p.record(st[:p.nKern], false) }
-	if !p.recorded {
-		key := newRecordKey(p.dev, p.launches[0].name, p.launches[0].tpb, p.launches[0].grid)
-		key.m, key.n, key.k, key.c, key.g, key.bs, key.elem = p.m, p.n, p.k, p.c, p.g, p.bs, num.SizeOf[T]()
-		st, err := recordOnce(p.ctx, key, record)
-		if err != nil {
-			return err
-		}
-		p.kern, p.recorded = st, true
-		for i := range p.kern[:p.nKern] {
-			p.total.Add(&p.kern[i])
-			p.rep.Kernels = append(p.rep.Kernels, &p.kern[i])
-		}
-	}
-	outs := [...][]T{p.bufs.X.Data, p.ra, p.rb, p.rc, p.rd}
-	if auditTwin {
-		full := func(st *[2]gpusim.Stats) error { return p.record(st[:p.nKern], true) }
-		if err := auditRecording(full, &p.kern, &p.auditBuf, outs[:]); err != nil {
-			return err
-		}
-		if p.rows != nil {
-			// The kernel wrote xi interleaved; the twin writes rows.
-			matrix.DeinterleaveVectorInto(p.auditBuf, p.xi, p.m, p.n)
-		}
-	}
-	if err := p.replay(); err != nil || !auditTwin {
-		return err
-	}
-	for _, w := range p.workers {
-		if w.wf.degraded {
-			return nil // its systems are re-solved on the host
-		}
-	}
-	matchOutputs(p.auditBuf, outs[:])
-	return nil
-}
-
-// record runs the launches' simulated blocks on the recording lane,
-// with no injector, accumulating launch i's events into st[i]: one
-// representative block per class of the launch's class key, scaled by
-// the class's block count (sample.go), or, when full, every block —
-// the identity classing the audit re-records through. The twins
-// overwrite its outputs; only the audit reads them, from a full
-// recording. A contiguous k = 0 solve's batch is interleaved first
-// into vbuf, the layout the kernel reads. vbuf is built here and,
-// outside the audit, dropped again, so only a recording holds its four
-// M·N planes and a pipeline whose Stats came from the memo never does.
-func (p *Pipeline[T]) record(st []gpusim.Stats, full bool) error {
-	if p.rows != nil {
-		if p.vbuf == nil {
-			p.vbuf = matrix.NewInterleaved[T](p.m, p.n)
-		}
-		p.rows.ToInterleavedInto(p.vbuf)
-		p.bindK0(p.vbuf, p.xi)
-	}
-	var err error
-	for i := 0; i < len(st) && err == nil; i++ {
-		err = recordLaunch(p.ctx, p.exec, &st[i], &p.launches[i], full)
-	}
-	if p.rows != nil && !auditTwin {
-		p.vbuf = nil
-		p.bindK0(nil, p.xi)
-	}
-	return err
-}
-
 // replay fans the shards out over the pool (the coordinator runs lane
-// 0 inline). Every lane is always joined — even after an error — so
-// the pool is quiescent and reusable when replay returns. A
-// cancellation error takes precedence over fault errors in the merge.
-func (p *Pipeline[T]) replay() error {
+// 0 inline) and reports whether any degraded. Every lane is always
+// joined — even after an error — so the pool is quiescent and reusable
+// when replay returns. A cancellation error takes precedence over fault
+// errors in the merge.
+func (p *Pipeline[T]) replay() (degraded bool, err error) {
 	for _, w := range p.workers[1:] {
 		w.start <- struct{}{}
 	}
@@ -609,16 +581,13 @@ func (p *Pipeline[T]) replay() error {
 	for _, w := range p.workers[1:] {
 		<-w.done
 	}
-	var first error
 	for _, w := range p.workers {
-		if w.err == nil {
-			continue
-		}
-		if first == nil || (errors.Is(w.err, ErrCancelled) && !errors.Is(first, ErrCancelled)) {
-			first = w.err
+		degraded = degraded || w.wf.degraded
+		if w.err != nil && (err == nil || (errors.Is(w.err, ErrCancelled) && !errors.Is(err, ErrCancelled))) {
+			err = w.err
 		}
 	}
-	return first
+	return degraded, err
 }
 
 // runCheckpointed executes worker w's shard on the host twins.
@@ -635,7 +604,7 @@ func (p *Pipeline[T]) replay() error {
 func (p *Pipeline[T]) runCheckpointed(w *pipeWorker[T]) error {
 	maxR := p.cfg.Retry.maxRetries()
 	for attempt := 0; ; attempt++ {
-		slot, le := p.shardFault(w, attempt)
+		slot, le := p.drv.fault(attempt, p.bufs.X.Data, func(slot int) (int, int) { return p.shardRange(w, slot) })
 		if le == nil {
 			if err := p.hostShard(w); err != nil {
 				return cancelled(err)
@@ -668,21 +637,12 @@ func (p *Pipeline[T]) runCheckpointed(w *pipeWorker[T]) error {
 	}
 }
 
-// shardFault asks the injector about every block that attempt of w's
-// shard covers, in launch order, before the twins run. A faulted
-// attempt computes nothing: it poisons the faulted block's solution
-// rows and reports the launch slot and the exact *LaunchError the
-// simulated launch would have returned.
-func (p *Pipeline[T]) shardFault(w *pipeWorker[T], attempt int) (int, *gpusim.LaunchError) {
-	for slot := range p.launches[:p.nKern] {
-		first, count := p.shardRange(w, slot)
-		site := gpusim.FaultSite{Inj: p.dev.Faults, Kernel: p.launches[slot].name, Attempt: attempt}
-		if le := site.First(first, count); le != nil {
-			p.poison(slot, le.Block)
-			return slot, le
-		}
+// systems is the range of systems w's shard solves.
+func (p *Pipeline[T]) systems(w *pipeWorker[T]) (lo, hi int) {
+	if p.k == 0 {
+		return w.firstBlk * p.bs, min((w.firstBlk+w.nBlk)*p.bs, p.m)
 	}
-	return 0, nil
+	return w.firstSys, w.firstSys + w.nSys
 }
 
 // shardRange is the block range of launch slot that w's shard covers.
@@ -694,41 +654,6 @@ func (p *Pipeline[T]) shardRange(w *pipeWorker[T], slot int) (first, count int) 
 		return w.firstSys * p.g, w.nSys * p.g
 	default:
 		return w.firstSys, w.nSys
-	}
-}
-
-// poison writes NaN over the solution rows of block blk of launch
-// slot. A k = 0 block's systems are contiguous rows of the staged
-// solution on the contiguous entry and interleaved columns on the
-// interleaved one; a tiled-PCR block owns a slice of one system's
-// rows, a strided p-Thomas block the whole system.
-func (p *Pipeline[T]) poison(slot, blk int) {
-	x := p.bufs.X.Data
-	if p.k == 0 {
-		lo, hi := blk*p.bs, min((blk+1)*p.bs, p.m)
-		if p.rows != nil {
-			fillNaN(x[lo*p.n : hi*p.n])
-			return
-		}
-		for row := 0; row < len(x); row += p.m {
-			fillNaN(x[row+lo : row+hi])
-		}
-		return
-	}
-	lo, hi := blk*p.n, (blk+1)*p.n
-	if slot == 0 {
-		sys, slice := blk/p.g, blk%p.g
-		lo, hi = sys*p.n+min(slice*p.per, p.n), sys*p.n+min((slice+1)*p.per, p.n)
-	}
-	fillNaN(x[lo:hi])
-}
-
-// fillNaN overwrites x with NaN, the loudest mark a faulted attempt
-// can leave: a recovery layer that skips the re-run cannot pass a
-// bitwise check by luck.
-func fillNaN[T num.Real](x []T) {
-	for i := range x {
-		x[i] = T(math.NaN())
 	}
 }
 
@@ -745,59 +670,55 @@ func (p *Pipeline[T]) mergeFaults() {
 		wf := &w.wf
 		r.Faults += wf.faults
 		hangs += wf.hangs
-		for slot := 0; slot < 2; slot++ {
+		for slot, l := range p.launches[:p.nKern] {
 			if wf.retries[slot] > 0 {
-				r.addRetry(p.launches[slot].name, wf.retries[slot])
+				r.addRetry(l.name, wf.retries[slot])
 			}
 			if wf.retryBlk[slot] > 0 {
-				t := p.dev.EstimateTime(&p.kern[slot], num.SizeOf[T]())
-				share := float64(wf.retryBlk[slot]) / float64(p.kern[slot].Blocks)
+				st := &p.drv.kern[slot]
+				t := p.dev.EstimateTime(st, num.SizeOf[T]())
+				share := float64(wf.retryBlk[slot]) / float64(st.Blocks)
 				r.WastedModeledTime += time.Duration(share * t * float64(time.Second))
 			}
 		}
 		if !wf.degraded {
 			continue
 		}
-		if p.k == 0 {
-			lo, hi := w.firstBlk*p.bs, (w.firstBlk+w.nBlk)*p.bs
-			if hi > p.m {
-				hi = p.m
-			}
-			for i := lo; i < hi; i++ {
-				r.Degraded = append(r.Degraded, i)
-			}
-		} else {
-			for i := w.firstSys; i < w.firstSys+w.nSys; i++ {
-				r.Degraded = append(r.Degraded, i)
-			}
+		for i, hi := p.systems(w); i < hi; i++ {
+			r.Degraded = append(r.Degraded, i)
 		}
 	}
 	r.WastedModeledTime += time.Duration(hangs) * watchdogBudget
 }
 
 // degradedResolve re-solves every degraded system on the host through
-// the pivoting GTSV path, writing its rows of dst. The inputs were
-// never mutated by the device attempts, so the re-solve sees the
+// the pivoting GTSV path. Row j of system i sits at i·ss + j·rs of the
+// coefficient planes and of the solution x: ss = N and rs = 1 on the
+// contiguous entry, ss = 1 and rs = M on the interleaved one. The
+// inputs were never mutated by the twins, so the re-solve sees the
 // original batch. A system the direct solver also rejects (singular)
-// zeroes its rows and contributes an ErrFaulted-wrapped error.
-func (p *Pipeline[T]) degradedResolve(dst []T, b *matrix.Batch[T]) error {
+// zeroes its rows and contributes an ErrFaulted-wrapped error. Only the
+// pipeline's first degraded solve allocates, to build p.gtsv.
+func (p *Pipeline[T]) degradedResolve(x, lower, diag, upper, rhs []T, ss, rs int) error {
 	if len(p.frep.Degraded) == 0 {
 		return nil
 	}
-	if p.gtsvWS == nil {
-		p.gtsvWS = cpu.NewGTSVWorkspace[T](p.n)
+	g := &p.gtsv
+	if g.ws == nil {
+		g.ws, g.sys, g.x = cpu.NewGTSVWorkspace[T](p.n), matrix.NewSystem[T](p.n), make([]T, p.n)
 	}
 	var errs []error
 	for _, i := range p.frep.Degraded {
-		lo, hi := i*p.n, (i+1)*p.n
-		var sys matrix.System[T]
-		sys.Lower = b.Lower[lo:hi]
-		sys.Diag = b.Diag[lo:hi]
-		sys.Upper = b.Upper[lo:hi]
-		sys.RHS = b.RHS[lo:hi]
-		if err := cpu.SolveGTSVInto(&sys, dst[lo:hi], p.gtsvWS); err != nil {
-			clear(dst[lo:hi])
+		for j := range p.n {
+			at := i*ss + j*rs
+			g.sys.Lower[j], g.sys.Diag[j], g.sys.Upper[j], g.sys.RHS[j] = lower[at], diag[at], upper[at], rhs[at]
+		}
+		if err := cpu.SolveGTSVInto(g.sys, g.x, g.ws); err != nil {
+			clear(g.x)
 			errs = append(errs, fmt.Errorf("%w: degraded re-solve of system %d: %v", ErrFaulted, i, err))
+		}
+		for j, v := range g.x {
+			x[i*ss+j*rs] = v
 		}
 	}
 	return errors.Join(errs...)

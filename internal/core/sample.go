@@ -5,7 +5,6 @@ import (
 
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
-	"gputrid/internal/tiledpcr"
 )
 
 // Sampled recording. A block's events depend only on which rows it
@@ -109,18 +108,9 @@ func (p *Pipeline[T]) RecordFull(b *matrix.Batch[T]) ([]gpusim.Stats, error) {
 		return nil, ErrPipelineBusy
 	}
 	defer p.inUse.Store(false)
-	if p.k == 0 {
-		p.rows = b
-	} else {
-		p.in = tiledpcr.NewArrays(b.Lower, b.Diag, b.Upper, b.RHS)
-		p.bufs.X = gpusim.NewGlobal(make([]T, p.m*p.n))
-	}
+	p.bindBatch(b, make([]T, p.m*p.n))
 	st := make([]gpusim.Stats, p.nKern)
-	err := p.record(st, true)
-	if p.k == 0 {
-		p.rows = nil
-	} else {
-		p.in, p.bufs.X = tiledpcr.Arrays[T]{}, gpusim.Global[T]{}
-	}
+	err := p.drv.record(nil, st, true)
+	p.bindBatch(nil, nil)
 	return st, err
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 
-	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
 	"gputrid/internal/num"
 	"gputrid/internal/pthomas"
@@ -14,12 +12,11 @@ import (
 // This file holds the host twins of the kernels. A kernel's
 // architectural events depend only on its launch geometry, so once a
 // geometry is recorded its Stats describe every later solve exactly,
-// and a solve needs only the arithmetic. Every solve, the one that
-// records a geometry included, computes its answer by running each
-// kernel's plain-Go twin over the raw slices; simulated blocks run
-// only to record, one per equivalence class (sample.go), and under
-// the audit, which runs them all. The twins compute bit for bit
-// (a NaN's sign aside, see matchOutputs) what the kernels compute: the
+// and a solve needs only the arithmetic. The driver (driver.go) runs
+// every recorded kernel: it records, audits and asks the injector, and
+// the twins here are what it runs for the answer, on every solve, the
+// one that records a geometry included. They compute bit for bit (a
+// NaN's sign aside, see matchOutputs) what the kernels compute: the
 // tiled-PCR window's schedule (tiledpcr.HostReducer, which stores the
 // constant rows beyond a system instead of combining padding), the
 // p-Thomas recurrences (pthomas.SolveStridedRefInto, which at k = 0
@@ -27,19 +24,10 @@ import (
 // over the interleaved entry's columns, each a lockstep sweep across
 // the lanes it covers), and the distBacksub expression (backsubRows).
 // A twin does only the arithmetic that reaches an output, in the
-// kernel's order for each output. A twin reads the layout its caller
+// kernel's order for each output, and writes every output: the audit
+// fails one it leaves unwritten. A twin reads the layout its caller
 // holds: the device's interleaved layout exists to coalesce loads, and
-// on the host a contiguous solve gains nothing from a transpose. Faults
-// strike the twins: their callers ask the injector about the blocks
-// the twins stand in for (gpusim.FaultSite.First) before any
-// arithmetic runs.
-
-// auditTwin, set only by the package's tests, audits every twin run:
-// the simulated kernels re-record first, every block of them, a panic
-// reports Stats that differ from the sampled ones the solve published
-// — the record-once and sampling claims — and matchOutputs panics on
-// any output bit the twins write differently.
-var auditTwin bool
+// on the host a contiguous solve gains nothing from a transpose.
 
 // ctxErr is ctx.Err for a context that may be nil (uncancellable).
 func ctxErr(ctx context.Context) error {
@@ -64,8 +52,8 @@ func ctxErr(ctx context.Context) error {
 //tridlint:hotpath
 func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
 	x := p.bufs.X.Data
+	lo, hi := p.systems(w)
 	if p.k == 0 {
-		lo, hi := w.firstBlk*p.bs, min((w.firstBlk+w.nBlk)*p.bs, p.m)
 		if p.rows != nil {
 			return p.thomasRows(x, &w.tws, lo, hi)
 		}
@@ -77,14 +65,14 @@ func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
 	}
 	n := p.n
 	a, b, c, d := p.in.A.Data, p.in.B.Data, p.in.C.Data, p.in.D.Data
-	for i := w.firstSys; i < w.firstSys+w.nSys; i++ {
+	for i := lo; i < hi; i++ {
 		if err := ctxErr(p.ctx); err != nil {
 			return err
 		}
-		lo, hi := i*n, (i+1)*n
-		ra, rb, rc, rd := p.ra[lo:hi], p.rb[lo:hi], p.rc[lo:hi], p.rd[lo:hi]
-		w.red.Reduce(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], ra, rb, rc, rd)
-		pthomas.SolveStridedRefInto(ra, rb, rc, rd, 1, n, p.k, x[lo:hi], &w.tws)
+		s, e := i*n, (i+1)*n
+		ra, rb, rc, rd := p.ra[s:e], p.rb[s:e], p.rc[s:e], p.rd[s:e]
+		w.red.Reduce(a[s:e], b[s:e], c[s:e], d[s:e], ra, rb, rc, rd)
+		pthomas.SolveStridedRefInto(ra, rb, rc, rd, 1, n, p.k, x[s:e], &w.tws)
 	}
 	return nil
 }
@@ -118,10 +106,7 @@ func (p *Pipeline[T]) thomasRows(x []T, ws *pthomas.Workspace[T], lo, hi int) er
 // k = 0 entry needs no view: its sweep writes the worker's columns of
 // the whole planes.
 func (p *Pipeline[T]) twinScratch(w *pipeWorker[T]) {
-	first := w.firstSys
-	if p.k == 0 {
-		first = w.firstBlk * p.bs
-	}
+	first, _ := p.systems(w)
 	lo, hi := first*p.n, (first+1)*p.n
 	w.tws = pthomas.Workspace[T]{Cp: p.ws.Cp[lo:hi:hi], Dp: p.ws.Dp[lo:hi:hi]}
 }
@@ -163,46 +148,6 @@ func hostK(m, n, k int) int {
 		k--
 	}
 	return k
-}
-
-// auditRecording is the audit's first half: it runs record, a full
-// recording that simulates every block, into a fresh pair of Stats,
-// panics if they differ from want — the sampled Stats the solve
-// published, the memo's included — and keeps the simulated outputs in
-// buf for matchOutputs to compare with the twins'.
-func auditRecording[T num.Real](record func(*[2]gpusim.Stats) error, want *[2]gpusim.Stats, buf *[]T, outs [][]T) error {
-	var st [2]gpusim.Stats
-	if err := record(&st); err != nil {
-		return err
-	}
-	if st != *want {
-		panic(fmt.Sprintf("core: re-recording changed the Stats:\n%+v\nrecorded %+v", st, *want))
-	}
-	*buf = (*buf)[:0]
-	for _, o := range outs {
-		*buf = append(*buf, o...)
-	}
-	return nil
-}
-
-// matchOutputs panics on the first bit in which the twins' outputs
-// differ from the simulated ones auditRecording kept in sim. A NaN
-// matches any NaN: IEEE 754 lets an operation on two NaNs return either
-// one, and the compiler orders a commutative product's operands as
-// register allocation suits each inlined copy of pcr.Combine, so the
-// kernel and its twin can return the same NaN with opposite signs (a
-// singular system does). Every other bit, the sign of zero included,
-// must match.
-func matchOutputs[T num.Real](sim []T, outs [][]T) {
-	for plane, o := range outs {
-		for i, v := range o {
-			if num.Bits(v) != num.Bits(sim[i]) && !(v != v && sim[i] != sim[i]) {
-				panic(fmt.Sprintf("core: host twin diverges from the simulated kernels: output %d (of %d) index %d: twin %#x, simulated %#x",
-					plane, len(outs), i, num.Bits(v), num.Bits(sim[i])))
-			}
-		}
-		sim = sim[len(o):]
-	}
 }
 
 // firstDiff returns the first index where got differs from want in any

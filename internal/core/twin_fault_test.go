@@ -66,8 +66,8 @@ func TestTwinFaultCoordinates(t *testing.T) {
 			}
 			for slot := range p.launches[:p.nKern] {
 				name := p.launches[slot].name
-				if p.kern[slot].Kernel != name {
-					t.Fatalf("slot %d launches %q, recorded %q", slot, name, p.kern[slot].Kernel)
+				if p.drv.kern[slot].Kernel != name {
+					t.Fatalf("slot %d launches %q, recorded %q", slot, name, p.drv.kern[slot].Kernel)
 				}
 				next := 0
 				for wi, w := range p.workers {
@@ -77,8 +77,8 @@ func TestTwinFaultCoordinates(t *testing.T) {
 					}
 					next += count
 				}
-				if next != p.kern[slot].Blocks {
-					t.Fatalf("%s shards cover [0, %d), recorded grid has %d blocks", name, next, p.kern[slot].Blocks)
+				if next != p.drv.kern[slot].Blocks {
+					t.Fatalf("%s shards cover [0, %d), recorded grid has %d blocks", name, next, p.drv.kern[slot].Blocks)
 				}
 			}
 			// Bind the solution as a solve does, so a faulted k >= 1
@@ -91,7 +91,7 @@ func TestTwinFaultCoordinates(t *testing.T) {
 					p.dev.Faults = inj(seed, rate)
 					for attempt := 0; attempt <= 2; attempt++ {
 						for wi, w := range p.workers {
-							slot, twin := p.shardFault(w, attempt)
+							slot, twin := p.drv.fault(attempt, p.bufs.X.Data, func(s int) (int, int) { return p.shardRange(w, s) })
 							var want *gpusim.LaunchError
 							wantSlot := 0
 							for s := range p.launches[:p.nKern] {
@@ -134,18 +134,15 @@ func TestTwinFaultCoordinates(t *testing.T) {
 			xl: gpusim.NewGlobal(planes[3][:m]), xr: gpusim.NewGlobal(planes[4][:m]), out: gpusim.NewGlobal(planes[5]),
 			total: total, rows: rows,
 		}
-		k := newBacksubKernel[float64](faultDevice(nil))
+		k := newBacksubKernel[float64](faultDevice(nil), m, rows)
+		k.args = a
 		twinFault := func(attempt int) *gpusim.LaunchError {
-			t.Helper()
-			var le *gpusim.LaunchError
-			if err := k.twin(nil, a, attempt); err != nil && !errors.As(err, &le) {
-				t.Fatalf("twin: %v, want a *LaunchError", err)
-			}
+			_, le := k.drv.fault(attempt, a.out.Data, nil)
 			return le
 		}
 		// The grid's last block is asked about, the one past it is not.
 		for _, blk := range []int{0, grid - 1, grid} {
-			k.dev.Faults = &gpusim.Injector{Schedule: []gpusim.ScheduledFault{{Kernel: "distBacksub", Block: blk, Kind: gpusim.FaultAbort}}}
+			k.drv.dev.Faults = &gpusim.Injector{Schedule: []gpusim.ScheduledFault{{Kernel: "distBacksub", Block: blk, Kind: gpusim.FaultAbort}}}
 			got := twinFault(0)
 			if (got != nil) != (blk < grid) || (got != nil && got.Block != blk) {
 				t.Fatalf("fault scheduled at block %d of a %d-block grid: twin reports %+v", blk, grid, got)
@@ -153,10 +150,10 @@ func TestTwinFaultCoordinates(t *testing.T) {
 		}
 		for seed := uint64(1); seed <= 6; seed++ {
 			for _, rate := range []float64{0.02, 0.1, 0.4} {
-				k.dev.Faults = inj(seed, rate)
+				k.drv.dev.Faults = inj(seed, rate)
 				for attempt := 0; attempt <= 2; attempt++ {
 					twin := twinFault(attempt)
-					want := firstAt(k.dev.Faults, "distBacksub", 0, grid, attempt)
+					want := firstAt(k.drv.dev.Faults, "distBacksub", 0, grid, attempt)
 					if !sameFault(twin, want) {
 						t.Fatalf("seed %d rate %g attempt %d: twin reports %+v, want %+v", seed, rate, attempt, twin, want)
 					}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
 	"gputrid/internal/num"
+	"gputrid/internal/pthomas"
 	"gputrid/internal/workload"
 )
 
@@ -81,7 +84,7 @@ func auditPipeline[T num.Real](t *testing.T, cfg Config, b *matrix.Batch[T], ent
 			t.Fatalf("solve %d: x[%d] = %#x, one-shot Solve %#x", solve, i, num.Bits(got[i]), num.Bits(want[i]))
 		}
 	}
-	if len(p.auditBuf) == 0 {
+	if len(p.drv.sim) == 0 {
 		t.Fatal("the replay did not run the audited host twins")
 	}
 }
@@ -131,14 +134,54 @@ func TestHostTwinAuditDistributed(t *testing.T) {
 		t.Fatalf("warm x[%d] = %#x, recording solve %#x", i, num.Bits(got[i]), num.Bits(want[i]))
 	}
 	for key, p := range s.pipes {
-		if len(p.auditBuf) == 0 {
+		if len(p.drv.sim) == 0 {
 			t.Errorf("slab pipeline %+v replayed without the audit", key)
 		}
 	}
 	for key, k := range s.backsubs {
-		if len(k.auditBuf) == 0 {
+		if len(k.drv.sim) == 0 {
 			t.Errorf("back-substitution %+v replayed without the audit", key)
 		}
+	}
+}
+
+// TestAuditCatchesUnwrittenOutput pins that the audit fails a twin
+// that leaves an output unwritten. The full recording writes the same
+// planes the twins do, so without the unwritten mark a skipped output
+// would keep the simulated value and compare equal. Run by the driver
+// over a recorded k = 0 interleaved pipeline, the twin with the last
+// system of every worker range dropped must panic with "unwritten";
+// the whole twin must pass.
+func TestAuditCatchesUnwrittenOutput(t *testing.T) {
+	const m, n = 300, 48
+	p, err := NewPipeline[float64](Config{K: 0, Workers: 3}, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	v := workload.Batch[float64](workload.DiagDominant, m, n, 6).ToInterleaved()
+	xi := make([]float64, m*n)
+	if err := p.SolveInterleavedInto(xi, v); err != nil {
+		t.Fatal(err)
+	}
+	p.bindK0(v, xi)
+	defer p.bindK0(nil, p.xi)
+	audit := func(drop int) (panicked any) {
+		defer func() { panicked = recover() }()
+		_ = p.drv.run(nil, [][]float64{xi}, func() (bool, error) {
+			for _, w := range p.workers {
+				lo, hi := p.systems(w)
+				pthomas.SolveInterleavedRangeInto(p.iv, xi, &p.ws, lo, hi-drop)
+			}
+			return false, nil
+		})
+		return nil
+	}
+	if got := audit(0); got != nil {
+		t.Fatalf("the whole twin: audit panicked: %v", got)
+	}
+	if got := audit(1); !strings.Contains(fmt.Sprint(got), "unwritten") {
+		t.Fatalf("a twin that drops the last system of each worker range: audit panicked with %v, want an unwritten output", got)
 	}
 }
 
@@ -160,8 +203,8 @@ func TestFirstSolveRunsTwins(t *testing.T) {
 		if err := p.SolveInto(x, b); err != nil {
 			t.Fatal(err)
 		}
-		if recs.Load() != 1 || len(p.auditBuf) == 0 {
-			t.Fatalf("first solve: %d recordings, audited twins ran %v; want 1, true", recs.Load(), len(p.auditBuf) > 0)
+		if recs.Load() != 1 || len(p.drv.sim) == 0 {
+			t.Fatalf("first solve: %d recordings, audited twins ran %v; want 1, true", recs.Load(), len(p.drv.sim) > 0)
 		}
 		if i := firstDiff(SolveReference(b, 3), x); i >= 0 {
 			t.Fatalf("x[%d] differs from SolveReference", i)
@@ -180,8 +223,8 @@ func TestFirstSolveRunsTwins(t *testing.T) {
 		if err := p.SolveInterleavedInto(xi, b.ToInterleaved()); err != nil {
 			t.Fatal(err)
 		}
-		if recs.Load() != 1 || len(p.auditBuf) == 0 {
-			t.Fatalf("first solve: %d recordings, audited twins ran %v; want 1, true", recs.Load(), len(p.auditBuf) > 0)
+		if recs.Load() != 1 || len(p.drv.sim) == 0 {
+			t.Fatalf("first solve: %d recordings, audited twins ran %v; want 1, true", recs.Load(), len(p.drv.sim) > 0)
 		}
 		if i := firstDiff(SolveReference(b, 0), matrix.DeinterleaveVector(xi, m, n)); i >= 0 {
 			t.Fatalf("x[%d] differs from SolveReference", i)
@@ -203,7 +246,7 @@ func TestFirstSolveRunsTwins(t *testing.T) {
 			t.Fatal("no back-substitution ran")
 		}
 		for key, k := range s.backsubs {
-			if len(k.auditBuf) == 0 {
+			if len(k.drv.sim) == 0 {
 				t.Errorf("back-substitution %+v: its first run skipped the audited twin", key)
 			}
 		}
