@@ -25,6 +25,20 @@ func FuzzTwinAudit(f *testing.F) {
 	f.Add(uint8(1), uint16(2), int8(8), uint8(4), uint8(4), uint8(1), false, false, uint8(1))
 	f.Add(uint8(3), uint16(190), int8(6), uint8(1), uint8(0), uint8(2), false, false, uint8(6))
 	f.Add(uint8(33), uint16(97), int8(0), uint8(1), uint8(0), uint8(3), true, true, uint8(11))
+	// k8 = 1 pins k = 0, which KAuto never resolves to at the seeds
+	// above. These seeds run both k = 0 entries at M = 1, 2, 3, 4, 5
+	// and 7, every remainder of the contiguous twin's grouping of
+	// systems, with one near-singular and one float32 case.
+	for _, e := range []struct {
+		m8   uint8
+		n16  uint16
+		f32  bool
+		rhs8 uint8
+	}{{0, 5, false, 0}, {1, 64, false, 2}, {2, 131, false, 3}, {3, 38, false, 1}, {4, 257, false, 8}, {6, 95, true, 0}} {
+		for _, interleaved := range []bool{false, true} {
+			f.Add(e.m8, e.n16, int8(1), uint8(1), uint8(0), uint8(1), e.f32, interleaved, e.rhs8)
+		}
+	}
 	f.Fuzz(func(t *testing.T, m8 uint8, n16 uint16, k8 int8, c8, g8, w8 uint8, f32, interleaved bool, rhs8 uint8) {
 		m := int(m8%40) + 1
 		n := int(n16%600) + 2 // first-row needs a second row

@@ -146,8 +146,9 @@ type Pipeline[T num.Real] struct {
 // pipeWorker is one lane of the pool: the host twins' state and the
 // static shard of the batch it executes.
 type pipeWorker[T num.Real] struct {
-	// Host twin state: the PCR rings (k >= 1) and the Thomas scratch,
-	// a view of the worker's own rows of the pipeline's c'/d' planes.
+	// Host twin state (k >= 1): the PCR rings and the strided Thomas
+	// scratch, a view of the worker's own rows of the pipeline's c'/d'
+	// planes.
 	red *tiledpcr.HostReducer[T]
 	tws pthomas.Workspace[T]
 
@@ -245,8 +246,8 @@ func (p *Pipeline[T]) buildWorkers() {
 		} else {
 			w.firstSys, w.nSys = next, size
 			w.red = tiledpcr.NewHostReducer[T](p.k)
+			p.twinScratch(w)
 		}
-		p.twinScratch(w)
 		next += size
 		p.workers[i] = w
 		if i > 0 {
@@ -398,9 +399,10 @@ func (p *Pipeline[T]) SolveInto(dst []T, b *matrix.Batch[T]) error {
 //
 // Cancellation: once ctx is done, every worker stops promptly (between
 // systems, between a recording's thread blocks, and during retry
-// backoff waits; the interleaved k = 0 entry, whose twin sweeps a
-// worker's systems in lockstep, checks once per worker range), the
-// pool is joined with no goroutine leaks, and the
+// backoff waits; at k = 0, whose twin sweeps several systems in
+// lockstep, between groups of pthomas.Lanes systems on this entry and
+// once per worker range on the interleaved one), the pool is joined
+// with no goroutine leaks, and the
 // solve returns an error matching both ErrCancelled and the context's
 // own error. dst is written at whole-system granularity only, so every
 // system's rows are either fully written or untouched; on the k = 0

@@ -19,10 +19,11 @@ import (
 // NaN's sign aside, see matchOutputs) what the kernels compute: the
 // tiled-PCR window's schedule (tiledpcr.HostReducer, which stores the
 // constant rows beyond a system instead of combining padding), the
-// p-Thomas recurrences (pthomas.SolveStridedRefInto, which at k = 0
-// runs over the contiguous entry's rows, and SolveInterleavedRangeInto
-// over the interleaved entry's columns, each a lockstep sweep across
-// the lanes it covers), and the distBacksub expression (backsubRows).
+// p-Thomas recurrences (pthomas.SolveStridedRefInto over a system's
+// 2^k strided lanes, SolveRowsInto over the contiguous entry's rows at
+// k = 0, three systems at a time, and SolveInterleavedRangeInto over
+// the interleaved entry's columns, each a lockstep sweep across the
+// lanes it covers), and the distBacksub expression (backsubRows).
 // A twin does only the arithmetic that reaches an output, in the
 // kernel's order for each output, and writes every output: the audit
 // fails one it leaves unwritten. A twin reads the layout its caller
@@ -42,12 +43,13 @@ func ctxErr(ctx context.Context) error {
 // planes and then solved by strided Thomas into dst, so one system's
 // work stays in cache; the context is checked between systems, so dst
 // is written a whole system at a time. For k = 0 the shard's systems
-// run Thomas into the bound solution: one system at a time over the
-// caller's rows on the contiguous entry (thomasRows), checking the
-// context between systems, and on the interleaved one as a single
-// lockstep sweep over the planes' columns for the whole range, with
-// c'/d' at the input's own indices of the pipeline's M·N planes, so
-// the context is checked once for the range.
+// run Thomas into the bound solution with c' (and on the interleaved
+// entry d') at the input's own indices of the pipeline's M·N planes:
+// over the caller's rows on the contiguous entry, a group of
+// pthomas.Lanes systems at a time (thomasRows), checking the context
+// between groups, and on the interleaved one as a single lockstep sweep
+// over the planes' columns for the whole range, so the context is
+// checked once for the range.
 //
 //tridlint:hotpath
 func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
@@ -55,7 +57,7 @@ func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
 	lo, hi := p.systems(w)
 	if p.k == 0 {
 		if p.rows != nil {
-			return p.thomasRows(x, &w.tws, lo, hi)
+			return p.thomasRows(x, lo, hi)
 		}
 		if err := ctxErr(p.ctx); err != nil {
 			return err
@@ -79,35 +81,36 @@ func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
 
 // thomasRows is the k = 0 twin of the contiguous entry: Thomas for
 // systems [lo, hi) of the caller's batch, each over its own contiguous
-// rows, into the same rows of x. It is SolveReference's k = 0
-// arithmetic, bit for bit the interleaved kernel's, with no transpose
-// on either side. The context is checked between systems.
+// rows, into the same rows of x, through pthomas.SolveRowsInto one
+// group of pthomas.Lanes systems at a time (the last group takes the
+// remainder). c' sits at the systems' own indices of the pipeline's
+// M·N c' plane, as on the interleaved entry, and d' in x. It is
+// SolveReference's k = 0 arithmetic, bit for bit the interleaved
+// kernel's, with no transpose on either side. The context is checked
+// between groups.
 //
 //tridlint:hotpath
-func (p *Pipeline[T]) thomasRows(x []T, ws *pthomas.Workspace[T], lo, hi int) error {
-	b, n := p.rows, p.n
-	for i := lo; i < hi; i++ {
+func (p *Pipeline[T]) thomasRows(x []T, lo, hi int) error {
+	b, n, cp := p.rows, p.n, p.ws.Cp
+	for i := lo; i < hi; i += pthomas.Lanes {
 		if err := ctxErr(p.ctx); err != nil {
 			return err
 		}
-		s, e := i*n, (i+1)*n
-		pthomas.SolveStridedRefInto(b.Lower[s:e], b.Diag[s:e], b.Upper[s:e], b.RHS[s:e], 1, n, 0, x[s:e], ws)
+		s, e := i*n, min(i+pthomas.Lanes, hi)*n
+		pthomas.SolveRowsInto(b.Lower[s:e], b.Diag[s:e], b.Upper[s:e], b.RHS[s:e], x[s:e], cp[s:e], n)
 	}
 	return nil
 }
 
-// twinScratch points w's Thomas scratch at its own N rows of the
-// pipeline's c'/d' planes, which the simulated kernels use the same
-// way, so the twins add no buffer: the rows of the worker's first
-// system (k >= 1) or of its first block's first system (contiguous
-// k = 0), where a lockstep sweep keeps c'/d' at each row's own index.
-// Workers own disjoint systems, so the views never meet; the capacity
-// is clipped so that no view reaches past its rows. The interleaved
-// k = 0 entry needs no view: its sweep writes the worker's columns of
-// the whole planes.
+// twinScratch points w's strided Thomas scratch (k >= 1) at the N rows
+// of the worker's first system in the pipeline's c'/d' planes, which
+// the simulated kernels use the same way, so the twins add no buffer:
+// a lockstep sweep keeps c'/d' at each row's own index. Workers own
+// disjoint systems, so the views never meet; the capacity is clipped
+// so that no view reaches past its rows. The k = 0 twins need no view:
+// both entries write the worker's systems of the whole planes.
 func (p *Pipeline[T]) twinScratch(w *pipeWorker[T]) {
-	first, _ := p.systems(w)
-	lo, hi := first*p.n, (first+1)*p.n
+	lo, hi := w.firstSys*p.n, (w.firstSys+1)*p.n
 	w.tws = pthomas.Workspace[T]{Cp: p.ws.Cp[lo:hi:hi], Dp: p.ws.Dp[lo:hi:hi]}
 }
 

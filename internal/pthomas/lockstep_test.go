@@ -137,14 +137,83 @@ func lockstepMatches[T num.Real](t *testing.T, prec string) {
 	}
 }
 
+// TestRowsMatchPerLane holds the contiguous k = 0 twin to thomasLane
+// per system, bit for bit, NaN payloads included, at every remainder of
+// its grouping into Lanes systems (M from 1 to 7), in both precisions
+// on diagonally dominant, near-singular and zero-pivot input. Both ways
+// in are checked. SolveRowsInto runs over systems placed inside larger
+// x and c' planes, whose entries outside those systems must keep their
+// sentinel. SolveStridedRefInto at k = 0 runs with a workspace whose Dp
+// holds sentinels, which must survive untouched in the same slice.
+func TestRowsMatchPerLane(t *testing.T) {
+	rowsMatch[float64](t, "float64")
+	rowsMatch[float32](t, "float32")
+}
+
+func rowsMatch[T num.Real](t *testing.T, prec string) {
+	const sentinel, pad = -7, 5
+	filled := func(size int) []T {
+		s := make([]T, size)
+		for i := range s {
+			s[i] = sentinel
+		}
+		return s
+	}
+	untouched := func(s []T) int {
+		for i, v := range s {
+			if v != sentinel {
+				return i
+			}
+		}
+		return -1
+	}
+	for m := 1; m <= 7; m++ {
+		for _, n := range []int{1, 2, 3, 17, 1001} {
+			for kind, b := range lockstepInputs[T](m, n) {
+				size := m * n
+				want := make([]T, size)
+				perLaneStrided(b.Lower, b.Diag, b.Upper, b.RHS, m, n, 0, want)
+
+				x, cp := filled(size+2*pad), filled(size+2*pad)
+				SolveRowsInto(b.Lower, b.Diag, b.Upper, b.RHS, x[pad:pad+size], cp[pad:pad+size], n)
+				if i := sameBits(want, x[pad:pad+size]); i >= 0 {
+					t.Fatalf("%s %s %dx%d: rows x[%d] = %#x, per-lane %#x",
+						prec, kind, m, n, i, num.Bits(x[pad+i]), num.Bits(want[i]))
+				}
+				for name, s := range map[string][]T{"x": x, "c'": cp} {
+					if i := untouched(s[:pad]); i >= 0 {
+						t.Fatalf("%s %s %dx%d: rows wrote %s %d entries before its systems", prec, kind, m, n, name, pad-i)
+					}
+					if i := untouched(s[pad+size:]); i >= 0 {
+						t.Fatalf("%s %s %dx%d: rows wrote %s %d entries past its systems", prec, kind, m, n, name, i+1)
+					}
+				}
+
+				dp := filled(size)
+				ws := Workspace[T]{Dp: dp}
+				got := make([]T, size)
+				SolveStridedRefInto(b.Lower, b.Diag, b.Upper, b.RHS, m, n, 0, got, &ws)
+				if i := sameBits(want, got); i >= 0 {
+					t.Fatalf("%s %s %dx%d: strided k=0 x[%d] = %#x, per-lane %#x",
+						prec, kind, m, n, i, num.Bits(got[i]), num.Bits(want[i]))
+				}
+				if len(ws.Dp) != size || &ws.Dp[0] != &dp[0] || untouched(dp) >= 0 {
+					t.Fatalf("%s %s %dx%d: strided k=0 touched the workspace's Dp", prec, kind, m, n)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkLockstepThomas times the lockstep twins against the
 // per-lane loops they replaced, in the same run: the strided entry at
 // 16x65536 with k = 7 and at adi-step's 192x192 with k = 6, the
 // interleaved entry over a whole 1024x512 batch (k = 0), and the
-// one-lane form at k = 0 on the 3x32768 slab shape of a 4-device
-// distributed solve. ns/op is the lockstep sweep; perlane/lockstep is
-// the per-lane time over the lockstep time, above 1 when the lockstep
-// form is faster.
+// contiguous k = 0 form, Lanes systems at a time, over the same
+// 1024x512 batch and on the 3x32768 slab shape of a 4-device
+// distributed solve, where one group covers the whole slab. ns/op is
+// the lockstep sweep; perlane/lockstep is the per-lane time over the
+// lockstep time, above 1 when the lockstep form is faster.
 func BenchmarkLockstepThomas(b *testing.B) {
 	for _, sh := range []struct {
 		m, n, k     int
@@ -153,6 +222,7 @@ func BenchmarkLockstepThomas(b *testing.B) {
 		{16, 65536, 7, false},
 		{192, 192, 6, false},
 		{1024, 512, 0, true},
+		{1024, 512, 0, false},
 		{3, 32768, 0, false},
 	} {
 		name := fmt.Sprintf("%dx%d,k=%d", sh.m, sh.n, sh.k)

@@ -20,14 +20,20 @@
 //
 // SolveStridedRefInto and SolveInterleavedRangeInto are their host
 // twins, the same recurrence over plain slices with c'/d' scratch from
-// a caller-owned Workspace. A twin runs every lane it covers in
-// lockstep, one sweep row by row across them, which is the host form
-// of consecutive threads on consecutive addresses: consecutive loop
-// iterations touch consecutive addresses and belong to independent
-// recurrences, so their divisions overlap. Each lane still takes the
-// kernel thread's operations in its order, so the twins match the
-// kernels bit for bit. KernelStrided is the one standalone launch, the
-// back-end of the Fig. 11(c) multiplexed ablation.
+// a caller-owned Workspace, and SolveRowsInto is ThreadInterleaved's
+// twin over systems stored contiguously, the layout a contiguous k = 0
+// solve holds. A twin runs every lane it covers in lockstep, one sweep
+// row by row across them, which is the host form of consecutive
+// threads on consecutive addresses: consecutive loop iterations belong
+// to independent recurrences, so their divisions overlap. The strided
+// and interleaved twins keep c'/d' in memory at each row's own index,
+// where consecutive lanes sit at consecutive addresses; SolveRowsInto's
+// lanes are whole systems apart, so it advances Lanes of them at a time
+// with each lane's c'/d' and x in registers, as a kernel thread holds
+// them, and keeps d' in the solution it solves for. Each lane still
+// takes the kernel thread's operations in its order, so the twins
+// match the kernels bit for bit. KernelStrided is the one standalone
+// launch, the back-end of the Fig. 11(c) multiplexed ablation.
 //
 // No form pivots: a vanishing pivot yields Inf/NaN in that system's
 // solution rather than an error, as on real hardware.
@@ -45,10 +51,12 @@ import (
 // c' and d' of Eqs. 2-3) of the host twins. A lockstep sweep keeps
 // each row's c'/d' at the row's own index: SolveStridedRefInto needs
 // N elements, one system's rows, and SolveInterleavedRangeInto M·N,
-// the input's planes. Ensure grows it on demand and keeps capacity
-// across calls, so one workspace serves solves of any size with
-// allocations only when the requested size first exceeds what it
-// holds.
+// the input's planes. The contiguous k = 0 twin (SolveRowsInto, and
+// SolveStridedRefInto at k = 0) keeps d' in the solution it is solving
+// for and needs c' only, Lanes systems' rows of it; it never touches
+// Dp. Ensure grows it on demand and keeps capacity across calls, so
+// one workspace serves solves of any size with allocations only when
+// the requested size first exceeds what it holds.
 type Workspace[T num.Real] struct {
 	Cp, Dp []T
 }
@@ -56,13 +64,18 @@ type Workspace[T num.Real] struct {
 // Ensure returns cp/dp slices of exactly size elements, reallocating
 // only when the workspace is too small.
 func (w *Workspace[T]) Ensure(size int) (cp, dp []T) {
-	if cap(w.Cp) < size {
-		w.Cp = make([]T, size)
-	}
 	if cap(w.Dp) < size {
 		w.Dp = make([]T, size)
 	}
-	return w.Cp[:size], w.Dp[:size]
+	return w.ensureCp(size), w.Dp[:size]
+}
+
+// ensureCp is Ensure for the c' scratch alone.
+func (w *Workspace[T]) ensureCp(size int) []T {
+	if cap(w.Cp) < size {
+		w.Cp = make([]T, size)
+	}
+	return w.Cp[:size]
 }
 
 // Bufs bundles the device-global arrays a p-Thomas thread touches: the
@@ -215,15 +228,55 @@ func SolveInterleavedRangeInto[T num.Real](v *matrix.Interleaved[T], x []T, ws *
 // 2^k strided subsystems of each of the M contiguous systems of
 // (a, b, c, d) into x in natural row order. Each system is one lockstep
 // sweep over its 2^k lanes (see sweep), with N elements of scratch from
-// ws: c'/d' sit at the row's own index. At k = 0 the one lane is plain
-// Thomas over contiguous rows (thomas).
+// ws: c'/d' sit at the row's own index. At k = 0 the one lane of each
+// system is plain Thomas over its contiguous rows, and the systems go
+// through SolveRowsInto Lanes at a time, with c' for one group from ws
+// (Lanes·N elements, fewer when M is smaller) and no d' scratch.
 //
 //tridlint:hotpath
 func SolveStridedRefInto[T num.Real](a, b, c, d []T, m, n, k int, x []T, ws *Workspace[T]) {
+	if k == 0 {
+		cp := ws.ensureCp(min(m, Lanes) * n)
+		for lo := 0; lo < m*n; lo += len(cp) {
+			hi := min(lo+len(cp), m*n)
+			SolveRowsInto(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x[lo:hi], cp, n)
+		}
+		return
+	}
 	cp, dp := ws.Ensure(n)
 	for lo := 0; lo < m*n; lo += n {
 		hi := lo + n
 		sweep(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x[lo:hi], cp, dp, 1<<k, 0, 1<<k)
+	}
+}
+
+// Lanes is how many contiguous systems SolveRowsInto advances together.
+// Each lane carries its previous c'/d' and x in registers, as a kernel
+// thread does, so the group must fit the register file. Three lanes
+// overlap three division chains where one lane waits on each row's
+// division; a four-lane form that padded its tail with a duplicate
+// lane ran slower on the 3-system distributed slab (0.72 against
+// 0.50–0.56 ms at 3×32768).
+const Lanes = 3
+
+// SolveRowsInto is the k = 0 host twin over contiguous rows: it solves
+// the len(b)/n systems of (a, b, c, d), each over its own n rows, into
+// the same rows of x. Systems go Lanes at a time through one lockstep
+// sweep (thomas3) and the remainder one by one (thomas). c' sits at
+// the rows' own indices of cp, which must hold len(b) elements. d' is
+// written into x, where the backward pass reads each row's d' before
+// it overwrites it with the solution, so the twin needs no d' scratch.
+// Every system takes the kernel thread's operations in its order
+// (ThreadInterleaved), so the solution matches the kernel bit for bit.
+//
+//tridlint:hotpath
+func SolveRowsInto[T num.Real](a, b, c, d, x, cp []T, n int) {
+	g, i := Lanes*n, 0
+	for ; i+g <= len(b); i += g {
+		thomas3(a[i:i+g], b[i:i+g], c[i:i+g], d[i:i+g], x[i:i+g], cp[i:i+g], n)
+	}
+	for ; i < len(b); i += n {
+		thomas(a[i:i+n], b[i:i+n], c[i:i+n], d[i:i+n], x[i:i+n], cp[i:i+n])
 	}
 }
 
@@ -243,7 +296,7 @@ func sweep[T num.Real](a, b, c, d, x, cp, dp []T, s, lo, hi int) {
 	n := len(b)
 	if s == 1 {
 		if lo < hi {
-			thomas(a, b, c, d, x, cp, dp)
+			thomas(a, b, c, d, x, cp)
 		}
 		return
 	}
@@ -276,29 +329,70 @@ func sweep[T num.Real](a, b, c, d, x, cp, dp []T, s, lo, hi int) {
 	}
 }
 
-// thomas is sweep's one-lane form, Thomas over contiguous rows. With a
-// single recurrence there is no other lane's work to overlap, so it
-// carries the previous row's c'/d' and x in registers, as the kernel
-// thread does, instead of reading them back from memory.
+// thomas is the one-lane form of Thomas over contiguous rows: sweep's
+// single lane and SolveRowsInto's remainder. With a single recurrence
+// there is no other lane's work to overlap, so it carries the previous
+// row's c'/d' and x in registers, as the kernel thread does, instead
+// of reading them back from memory. d' is written into x, which the
+// backward pass reads as d' and overwrites with the solution.
 //
 //tridlint:hotpath
-func thomas[T num.Real](a, b, c, d, x, cp, dp []T) {
+func thomas[T num.Real](a, b, c, d, x, cp []T) {
 	n := len(b)
 	cpPrev := c[0] / b[0]
 	dpPrev := d[0] / b[0]
-	cp[0], dp[0] = cpPrev, dpPrev
+	cp[0], x[0] = cpPrev, dpPrev
 	for i := 1; i < n; i++ {
 		av := a[i]
 		den := b[i] - cpPrev*av
 		inv := 1 / den
 		cpPrev = c[i] * inv
 		dpPrev = (d[i] - dpPrev*av) * inv
-		cp[i], dp[i] = cpPrev, dpPrev
+		cp[i], x[i] = cpPrev, dpPrev
 	}
 	xn := dpPrev
-	x[n-1] = xn
 	for i := n - 2; i >= 0; i-- {
-		xn = dp[i] - cp[i]*xn
+		xn = x[i] - cp[i]*xn
 		x[i] = xn
+	}
+}
+
+// thomas3 is thomas over the three systems of 3·n contiguous rows,
+// advanced row by row in lockstep: each step issues the three lanes'
+// divisions back to back, so they overlap where one lane's would wait
+// on the previous row's. Every lane keeps its previous c'/d' and x in
+// registers and takes thomas's operations in thomas's order.
+//
+//tridlint:hotpath
+func thomas3[T num.Real](a, b, c, d, x, cp []T, n int) {
+	a0, a1, a2 := a[:n], a[n:2*n], a[2*n:3*n]
+	b0, b1, b2 := b[:n], b[n:2*n], b[2*n:3*n]
+	c0, c1, c2 := c[:n], c[n:2*n], c[2*n:3*n]
+	d0, d1, d2 := d[:n], d[n:2*n], d[2*n:3*n]
+	x0, x1, x2 := x[:n], x[n:2*n], x[2*n:3*n]
+	p0, p1, p2 := cp[:n], cp[n:2*n], cp[2*n:3*n]
+	cq0, dq0 := c0[0]/b0[0], d0[0]/b0[0]
+	cq1, dq1 := c1[0]/b1[0], d1[0]/b1[0]
+	cq2, dq2 := c2[0]/b2[0], d2[0]/b2[0]
+	p0[0], x0[0] = cq0, dq0
+	p1[0], x1[0] = cq1, dq1
+	p2[0], x2[0] = cq2, dq2
+	for i := 1; i < n; i++ {
+		av0, av1, av2 := a0[i], a1[i], a2[i]
+		inv0 := 1 / (b0[i] - cq0*av0)
+		inv1 := 1 / (b1[i] - cq1*av1)
+		inv2 := 1 / (b2[i] - cq2*av2)
+		cq0, dq0 = c0[i]*inv0, (d0[i]-dq0*av0)*inv0
+		cq1, dq1 = c1[i]*inv1, (d1[i]-dq1*av1)*inv1
+		cq2, dq2 = c2[i]*inv2, (d2[i]-dq2*av2)*inv2
+		p0[i], x0[i] = cq0, dq0
+		p1[i], x1[i] = cq1, dq1
+		p2[i], x2[i] = cq2, dq2
+	}
+	for i := n - 2; i >= 0; i-- {
+		dq0 = x0[i] - p0[i]*dq0
+		dq1 = x1[i] - p1[i]*dq1
+		dq2 = x2[i] - p2[i]*dq2
+		x0[i], x1[i], x2[i] = dq0, dq1, dq2
 	}
 }
