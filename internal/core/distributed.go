@@ -1044,6 +1044,9 @@ func (k *backsubKernel[T]) blockRows(_, blk int) (lo, hi, stride int) {
 // the twin does.
 func (k *backsubKernel[T]) bindRecording(bool) {}
 
+// outputs is the bound slab's output, which the audit compares.
+func (k *backsubKernel[T]) outputs() [][]T { return [][]T{k.args.out.Data} }
+
 // backsubOne back-substitutes slab sl on device dev with a real
 // simulated kernel, so phase C is a fault-injectable failure domain
 // like the reduce. The kernel is a pure function of host-held
@@ -1079,7 +1082,7 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 	// migrating, never in place.
 	a := &s.bsArgs[p]
 	k.args = a
-	err = k.drv.run(ctx, [][]T{a.out.Data}, func() (bool, error) {
+	err = k.drv.run(ctx, func() (bool, error) {
 		if _, le := k.drv.fault(0, a.out.Data, nil); le != nil {
 			return false, le
 		}

@@ -16,14 +16,14 @@ import (
 // audit, re-record every block and keep the simulated outputs; run the
 // host twins, whose shards ask the injector first (fault); compare
 // under the audit. The owner supplies the launches, with their class
-// keys, and says where each block writes; each run supplies the output
-// planes and the twins.
+// keys, says where each block writes and which planes the audit
+// compares; each run supplies the twins.
 type driver[T num.Real] struct {
 	dev      *gpusim.Device
 	exec     *gpusim.Executor // the recording lane
 	key      recordKey
 	launches []launch // the owner's, in launch order
-	owner    owner
+	owner    owner[T]
 
 	// kern holds the per-launch Stats the first run recorded or took
 	// from the memo, total their aggregate.
@@ -36,13 +36,16 @@ type driver[T num.Real] struct {
 
 // An owner holds the state a driver's launches and twins read and
 // write: a Pipeline or a backsubKernel.
-type owner interface {
+type owner[T num.Real] interface {
 	// blockRows is where block blk of launch slot writes the output
 	// plane: [lo, hi) of every stride-long run of it.
 	blockRows(slot, blk int) (lo, hi, stride int)
-	// bindRecording readies the inputs a recording reads and the twins
+	// bindRecording readies the planes a recording reads and the twins
 	// do not (on), and releases them after it (off).
 	bindRecording(on bool)
+	// outputs is the planes the audit compares. It is read only after
+	// the audit's recording, which binds them.
+	outputs() [][]T
 }
 
 // auditTwin, set only by the package's tests, audits every run of the
@@ -67,7 +70,7 @@ type launch struct {
 // newDriver builds the driver of o's launches on dev. key holds the
 // geometry fields of the memo key; the driver adds dev's recording
 // fields and the first launch.
-func newDriver[T num.Real](dev *gpusim.Device, key recordKey, o owner, launches []launch) driver[T] {
+func newDriver[T num.Real](dev *gpusim.Device, key recordKey, o owner[T], launches []launch) driver[T] {
 	key.warpSize, key.txBytes = dev.WarpSize, dev.TransactionBytes
 	key.sharedPerSM, key.maxThreads = dev.SharedMemPerSM, dev.MaxThreadsPerBlock
 	key.kernel, key.tpb, key.grid = launches[0].name, launches[0].tpb, launches[0].grid
@@ -78,14 +81,14 @@ func newDriver[T num.Real](dev *gpusim.Device, key recordKey, o owner, launches 
 // obtains the launches' Stats — from the process-wide memo, or by a
 // sampled recording (recordOnce) — and publishes them in kern and
 // total. Recording only measures: every run, a recording one included,
-// then runs twins, whose outputs, the planes outs, are the answer;
-// twins reports whether it degraded a shard. Under auditTwin every run
-// first re-records every block, panics if the Stats differ from the
-// published ones, keeps the simulated outputs and fills outs with the
+// then runs twins, whose outputs are the answer; twins reports whether
+// it degraded a shard. Under auditTwin every run first re-records every
+// block, panics if the Stats differ from the published ones, keeps the
+// simulated outputs (the owner's outputs) and fills them with the
 // unwritten mark; after twins, matchOutputs compares bit for bit. A
 // run that ends in an error or a degraded shard is not compared, since
 // its outputs are not the answer.
-func (d *driver[T]) run(ctx context.Context, outs [][]T, twins func() (degraded bool, err error)) error {
+func (d *driver[T]) run(ctx context.Context, twins func() (degraded bool, err error)) error {
 	if !d.recorded {
 		st, err := recordOnce(ctx, d.key, func(st *[2]gpusim.Stats) error {
 			return d.record(ctx, st[:len(d.launches)], false)
@@ -98,6 +101,7 @@ func (d *driver[T]) run(ctx context.Context, outs [][]T, twins func() (degraded 
 			d.total.Add(&d.kern[i])
 		}
 	}
+	var outs [][]T
 	if auditTwin {
 		var st [2]gpusim.Stats
 		if err := d.record(ctx, st[:len(d.launches)], true); err != nil {
@@ -106,7 +110,7 @@ func (d *driver[T]) run(ctx context.Context, outs [][]T, twins func() (degraded 
 		if st != d.kern {
 			panic(fmt.Sprintf("core: re-recording changed the Stats:\n%+v\nrecorded %+v", st, d.kern))
 		}
-		d.sim = d.sim[:0]
+		d.sim, outs = d.sim[:0], d.owner.outputs()
 		for _, o := range outs {
 			d.sim = append(d.sim, o...)
 			fill(o, unwritten[T]())

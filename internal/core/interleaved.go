@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"gputrid/internal/matrix"
-	"gputrid/internal/pthomas"
 )
 
 // This file is the interleaved-native pipeline entry: batches that are
@@ -84,29 +83,14 @@ func (p *Pipeline[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *ma
 		return nil
 	}
 
-	// Point the kernel and its twin at the caller's planes for this
-	// solve; the binding is restored before returning, so the
-	// contiguous entry writes its arena's xi again and the pipeline
-	// does not keep the caller's planes alive.
-	p.bindK0(v, xi)
-	defer p.bindK0(nil, p.xi)
-	if err := p.execute(ctx); err != nil {
+	// Point the twin, and through bindRecording the kernel, at the
+	// caller's planes for this solve only, so the pipeline does not keep
+	// them alive.
+	p.iv, p.x = v, xi
+	err = p.execute(ctx)
+	p.iv, p.x = nil, nil
+	if err != nil {
 		return err
 	}
 	return p.degradedResolve(xi, v.Lower, v.Diag, v.Upper, v.RHS, 1, p.m)
-}
-
-// bindK0 points the k = 0 kernel and its host twin at interleaved
-// planes v and solution xi; a nil v binds no input planes, which only
-// the contiguous entry's twin, reading the caller's rows, can run
-// with. NewBufs/NewGlobal are value constructors and the c'/d' scratch
-// already exists after construction, so a rebind allocates nothing.
-func (p *Pipeline[T]) bindK0(v *matrix.Interleaved[T], xi []T) {
-	cp, dp := p.ws.Ensure(p.m * p.n)
-	var a, b, c, d []T
-	if v != nil {
-		a, b, c, d = v.Lower, v.Diag, v.Upper, v.RHS
-	}
-	p.bufs = pthomas.NewBufs(a, b, c, d, cp, dp, xi)
-	p.iv = v
 }

@@ -32,13 +32,12 @@ var (
 
 // Pipeline is the reusable form of Solve: it fixes the configuration
 // and batch shape (M systems × N rows) at construction, pre-allocates
-// every intermediate the hybrid needs — the reduced coefficient
-// planes, the p-Thomas c'/d' scratch, the k = 0 solution staging, the
-// recording lane and the per-worker twin state — and then solves any
-// number of batches of that shape into caller-owned storage with zero
-// steady-state heap allocations. Only a recording of the contiguous
-// k = 0 entry needs the interleaved input planes; it builds them and
-// drops them again.
+// every intermediate its host twins read — the k = 0 solution staging
+// and c' plane, the recording lane and the per-worker twin state — and
+// then solves any number of batches of that shape into caller-owned
+// storage with zero steady-state heap allocations. Only a recording
+// needs the M·N planes the simulated kernels alone read; it builds them
+// and drops them again (bindRecording).
 //
 // Recording is pure measurement. The simulator's architectural events
 // are a pure function of the launch geometry (shape, k, c, blocks per
@@ -77,27 +76,30 @@ type Pipeline[T num.Real] struct {
 	bs   int // thread-block size (k == 0)
 	grid int // grid size (k == 0)
 
-	// Arena. For k >= 1: the reduced coefficient planes PCR writes and
-	// p-Thomas reads. For k == 0: xi, the solution the kernel writes
-	// interleaved and the contiguous twin writes in rows, staged there
-	// so a cancelled solve leaves dst untouched, and vbuf, the
-	// interleaved input planes a recording of the contiguous entry
-	// reads: nil except during a recording (and under the audit).
-	ra, rb, rc, rd []T
-	out            tiledpcr.Arrays[T]
-	vbuf           *matrix.Interleaved[T]
-	xi             []T
-	ws             pthomas.Workspace[T]
+	// Arena (k == 0): xi, the solution the kernel writes interleaved
+	// and the contiguous twin writes in rows, staged there so a
+	// cancelled solve leaves dst untouched, and cp, the c' plane both
+	// entries' twins index at the systems' own rows. A k >= 1 worker
+	// holds its own N-row scratch instead (hybridTwin).
+	xi, cp []T
 
-	// iv is the interleaved batch the k = 0 kernel is bound to (vbuf
-	// or the caller's), the planes the interleaved twin reads. rows is
-	// the caller's contiguous batch during a k = 0 SolveIntoCtx, nil
-	// otherwise: its twin reads the rows and never transposes.
-	iv   *matrix.Interleaved[T]
+	// The M·N planes only the simulated kernels read, nil except during
+	// a recording (and under the audit): planes holds, for k >= 1, the
+	// reduced a, b, c, d PCR writes and p-Thomas reads, then p-Thomas's
+	// c' and d'; for k == 0, d' alone. vbuf holds the interleaved input
+	// planes a recording of the contiguous k = 0 entry reads.
+	planes [6][]T
+	vbuf   *matrix.Interleaved[T]
+
+	// The solve's binding, nil between solves: rows is the caller's
+	// contiguous batch, iv the k = 0 interleaved entry's planes, and x
+	// the solution the twins write (xi on the contiguous k = 0 entry).
+	// Written by the coordinator before workers are signalled.
 	rows *matrix.Batch[T]
+	iv   *matrix.Interleaved[T]
+	x    []T
 
-	// Per-solve state read by the kernels and their twins; written by
-	// the coordinator before workers are signalled.
+	// The kernels' arrays, bound by bindRecording for a recording.
 	in   tiledpcr.Arrays[T]
 	bufs pthomas.Bufs[T]
 
@@ -146,11 +148,8 @@ type Pipeline[T num.Real] struct {
 // pipeWorker is one lane of the pool: the host twins' state and the
 // static shard of the batch it executes.
 type pipeWorker[T num.Real] struct {
-	// Host twin state (k >= 1): the PCR rings and the strided Thomas
-	// scratch, a view of the worker's own rows of the pipeline's c'/d'
-	// planes.
-	red *tiledpcr.HostReducer[T]
-	tws pthomas.Workspace[T]
+	// Host twin state (k >= 1).
+	tw *hybridTwin[T]
 
 	firstSys, nSys int // k >= 1: system range [firstSys, firstSys+nSys)
 	firstBlk, nBlk int // k == 0: block range of the interleaved grid
@@ -181,22 +180,11 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 		bs := min(blockSizeK0, dev.MaxThreadsPerBlock)
 		p.bs = bs
 		p.grid = num.CeilDiv(m, bs)
-		p.xi = make([]T, m*n)
-		p.bindK0(nil, p.xi)
+		p.xi, p.cp = make([]T, m*n), make([]T, m*n)
 		p.launches[0] = launch{"pThomas", bs, p.grid, p.k0Kernel(), p.k0Class}
 		p.nKern = 1
 	} else {
 		p.g = cfg.resolveBlocks(m, n, k)
-		p.ra = make([]T, m*n)
-		p.rb = make([]T, m*n)
-		p.rc = make([]T, m*n)
-		p.rd = make([]T, m*n)
-		p.out = tiledpcr.NewArrays(p.ra, p.rb, p.rc, p.rd)
-		cp, dp := p.ws.Ensure(m * n)
-		p.bufs = pthomas.Bufs[T]{
-			A: p.out.A, B: p.out.B, C: p.out.C, D: p.out.D,
-			Cp: gpusim.NewGlobal(cp), Dp: gpusim.NewGlobal(dp),
-		}
 		p.per = num.CeilDiv(n, p.g)
 		p.win = tiledpcr.NewWindowBuffers[T](k, p.c)
 		tpb := 1 << k
@@ -245,8 +233,7 @@ func (p *Pipeline[T]) buildWorkers() {
 			w.firstBlk, w.nBlk = next, size
 		} else {
 			w.firstSys, w.nSys = next, size
-			w.red = tiledpcr.NewHostReducer[T](p.k)
-			p.twinScratch(w)
+			w.tw = newHybridTwin[T](p.k, p.n)
 		}
 		next += size
 		p.workers[i] = w
@@ -302,10 +289,10 @@ func (p *Pipeline[T]) pcrKernel() gpusim.Kernel {
 					}
 					gi := sys*p.n + outBase + pos
 					r := win.Out[pos]
-					p.out.A.Store(t, gi, r.A)
-					p.out.B.Store(t, gi, r.B)
-					p.out.C.Store(t, gi, r.C)
-					p.out.D.Store(t, gi, r.D)
+					p.bufs.A.Store(t, gi, r.A)
+					p.bufs.B.Store(t, gi, r.B)
+					p.bufs.C.Store(t, gi, r.C)
+					p.bufs.D.Store(t, gi, r.D)
 				}
 			})
 		})
@@ -431,16 +418,17 @@ func (p *Pipeline[T]) SolveIntoCtx(ctx context.Context, dst []T, b *matrix.Batch
 	return p.solveBatch(ctx, dst, b)
 }
 
-// solveBatch solves the contiguous batch b into dst. k >= 1 runs tiled
-// PCR into the reduced planes, then strided p-Thomas directly into
-// dst. k = 0 runs Thomas per system over the caller's rows into xi,
-// and one copy publishes them, so a cancelled solve leaves dst
-// untouched; only a recording reads the interleaved layout, which
-// bindRecording builds in vbuf. The caller's slices are bound for the
-// launches only (bindBatch), so the pipeline does not keep the last
-// batch alive until the next solve; with a stepper that builds a fresh
-// batch every step, that retained batch raised the garbage collector's
-// live heap, and so its heap goal, by a whole batch.
+// solveBatch solves the contiguous batch b into dst. k >= 1 reduces
+// each system by tiled PCR into a worker's N reduced rows, then solves
+// them by strided p-Thomas directly into dst. k = 0 runs Thomas per
+// system over the caller's rows into xi, and one copy publishes them,
+// so a cancelled solve leaves dst untouched; only a recording reads the
+// interleaved layout, which bindRecording builds in vbuf. The caller's
+// slices are bound for the solve only (bindBatch), so the pipeline does
+// not keep the last batch alive until the next solve; with a stepper
+// that builds a fresh batch every step, that retained batch raised the
+// garbage collector's live heap, and so its heap goal, by a whole
+// batch.
 func (p *Pipeline[T]) solveBatch(ctx context.Context, dst []T, b *matrix.Batch[T]) error {
 	p.bindBatch(b, dst)
 	err := p.execute(ctx)
@@ -456,47 +444,71 @@ func (p *Pipeline[T]) solveBatch(ctx context.Context, dst []T, b *matrix.Batch[T
 	return p.degradedResolve(dst, b.Lower, b.Diag, b.Upper, b.RHS, p.n, 1)
 }
 
-// bindBatch points the launches and the twins at batch b and solution
-// dst, or, given nil, unbinds them: k >= 1 binds b's coefficient planes
-// and dst, k = 0 the rows the twin reads (the solution stays in xi).
+// bindBatch points the twins, and through bindRecording the kernels,
+// at the caller's contiguous batch b and solution dst, or, given nil,
+// unbinds them. At k = 0 the solution is staged in xi.
 func (p *Pipeline[T]) bindBatch(b *matrix.Batch[T], dst []T) {
-	switch {
-	case p.k == 0:
-		p.rows = b
-	case b == nil:
-		p.in, p.bufs.X = tiledpcr.Arrays[T]{}, gpusim.Global[T]{}
-	default:
-		p.in = tiledpcr.NewArrays(b.Lower, b.Diag, b.Upper, b.RHS)
-		p.bufs.X = gpusim.NewGlobal(dst)
+	p.rows, p.x = b, dst
+	if p.k == 0 && b != nil {
+		p.x = p.xi
 	}
 }
 
-// bindRecording binds what a recording reads and the twins do not. A
-// recording of the contiguous k = 0 entry reads the interleaved layout
-// the kernel coalesces: on interleaves the bound rows into vbuf and
-// binds it; off binds no planes again and drops vbuf, so only a
-// recording holds its four M·N planes and a pipeline whose Stats came
-// from the memo never does. Under the audit, which compares the
-// kernel's solution with the twin's rows, off instead deinterleaves
-// xi, through vbuf's RHS plane, and keeps vbuf. Every other entry
-// records over the planes it bound.
+// bindRecording builds and binds the planes only the kernels read (on)
+// and drops them after the recording (off), so only a recording holds
+// them and a pipeline whose Stats came from the memo never does: at
+// k >= 1 the reduced planes, c' and d'; at k = 0 d', and, for the
+// contiguous entry, vbuf, into which on interleaves the bound rows,
+// since the kernel coalesces over the interleaved layout. Under the
+// audit off keeps the planes: the k >= 1 twin then writes its reduced
+// rows into them, for the audit to compare, and the contiguous k = 0
+// entry deinterleaves the kernel's xi, through vbuf's RHS plane, to
+// meet the twin's rows.
 func (p *Pipeline[T]) bindRecording(on bool) {
-	switch {
-	case p.rows == nil:
-	case on:
+	if !on {
+		if auditTwin && p.k == 0 && p.rows != nil {
+			matrix.DeinterleaveVectorInto(p.vbuf.RHS, p.xi, p.m, p.n)
+			copy(p.xi, p.vbuf.RHS)
+		}
+		p.in, p.bufs = tiledpcr.Arrays[T]{}, pthomas.Bufs[T]{}
+		if !auditTwin {
+			p.planes, p.vbuf = [6][]T{}, nil
+		}
+		return
+	}
+	count := 1 // d'
+	if p.k > 0 {
+		count = 6 // the reduced a, b, c, d, then c' and d'
+	}
+	for i := range count {
+		if p.planes[i] == nil {
+			p.planes[i] = make([]T, p.m*p.n)
+		}
+	}
+	pl := p.planes
+	if p.k > 0 {
+		p.in = tiledpcr.NewArrays(p.rows.Lower, p.rows.Diag, p.rows.Upper, p.rows.RHS)
+		p.bufs = pthomas.NewBufs(pl[0], pl[1], pl[2], pl[3], pl[4], pl[5], p.x)
+		return
+	}
+	v := p.iv
+	if p.rows != nil {
 		if p.vbuf == nil {
 			p.vbuf = matrix.NewInterleaved[T](p.m, p.n)
 		}
 		p.rows.ToInterleavedInto(p.vbuf)
-		p.bindK0(p.vbuf, p.xi)
-	case auditTwin:
-		matrix.DeinterleaveVectorInto(p.vbuf.RHS, p.xi, p.m, p.n)
-		copy(p.xi, p.vbuf.RHS)
-		p.bindK0(nil, p.xi)
-	default:
-		p.vbuf = nil
-		p.bindK0(nil, p.xi)
+		v = p.vbuf
 	}
+	p.bufs = pthomas.NewBufs(v.Lower, v.Diag, v.Upper, v.RHS, p.cp, pl[0], p.x)
+}
+
+// outputs is what the audit compares: the bound solution and, at
+// k >= 1, the reduced planes.
+func (p *Pipeline[T]) outputs() [][]T {
+	if p.k == 0 {
+		return [][]T{p.x}
+	}
+	return append([][]T{p.x}, p.planes[:4]...)
 }
 
 // checkShape rejects operands that do not match the pipeline's M×N
@@ -555,16 +567,14 @@ func (p *Pipeline[T]) release(start time.Time) {
 // solve of the geometry — and their host twins across the worker pool
 // (replay); the lanes' fault bookkeeping is folded into the solve's
 // FaultReport. The caller binds its layout first and re-solves the
-// degraded systems after. The outputs the audit compares are the bound
-// solution and, for k >= 1, the reduced planes.
+// degraded systems after.
 func (p *Pipeline[T]) execute(ctx context.Context) error {
 	p.ctx = ctx
 	p.frep.reset()
 	for _, w := range p.workers {
 		w.wf = workerFaults{}
 	}
-	outs := [...][]T{p.bufs.X.Data, p.ra, p.rb, p.rc, p.rd}
-	err := p.drv.run(ctx, outs[:], p.replay)
+	err := p.drv.run(ctx, p.replay)
 	p.mergeFaults()
 	p.ctx = nil
 	return err
@@ -606,7 +616,7 @@ func (p *Pipeline[T]) replay() (degraded bool, err error) {
 func (p *Pipeline[T]) runCheckpointed(w *pipeWorker[T]) error {
 	maxR := p.cfg.Retry.maxRetries()
 	for attempt := 0; ; attempt++ {
-		slot, le := p.drv.fault(attempt, p.bufs.X.Data, func(slot int) (int, int) { return p.shardRange(w, slot) })
+		slot, le := p.drv.fault(attempt, p.x, func(slot int) (int, int) { return p.shardRange(w, slot) })
 		if le == nil {
 			if err := p.hostShard(w); err != nil {
 				return cancelled(err)

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
+	"gputrid/internal/matrix"
 	"gputrid/internal/workload"
 )
 
@@ -178,36 +180,71 @@ func TestContiguousK0ZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestContiguousK0HoldsNoPlanes checks that the contiguous k = 0
-// pipeline builds its interleaved planes only for a recording: the
-// recording pipeline drops them after its first solve, and a pipeline
-// whose Stats come from the memo never builds them. The audit, which
-// re-records on every run and may keep the planes, is off.
-func TestContiguousK0HoldsNoPlanes(t *testing.T) {
-	const m, n = 3, 4096
+// TestWarmPipelineHoldsNoKernelPlanes checks that a pipeline builds
+// the M·N planes only the simulated kernels read for a recording alone:
+// after its first solve, the pipeline that recorded and one whose Stats
+// came from the memo hold no reduced plane, d' plane or interleaved
+// input planes and bind no kernel array, and at k >= 1 hold no M·N c'
+// either, only each worker's N rows. It runs k = 0 on both entries and
+// k = 3, with 1 and 3 workers, and holds every solve to SolveReference
+// bit for bit. The audit, which re-records on every run and keeps the
+// planes, is off, so at k >= 1 this is the test that runs the twins
+// over the workers' own scratch.
+func TestWarmPipelineHoldsNoKernelPlanes(t *testing.T) {
 	auditTwin = false
 	defer func() { auditTwin = true }()
-	recordings := countRecordings(t, m, n)
-	b := workload.Batch[float64](workload.DiagDominant, m, n, 7)
-	dst := make([]float64, m*n)
-	for _, name := range []string{"recording", "memo-hit"} {
-		p, err := NewPipeline[float64](Config{K: 0}, m, n)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name        string
+		m, n, k     int
+		interleaved bool
+	}{
+		{"k0-contiguous", 3 * blockSizeK0, 48, 0, false},
+		{"k0-interleaved", 3 * blockSizeK0, 48, 0, true},
+		{"k3-contiguous", 7, 500, 3, false},
+	} {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				m, n := tc.m, tc.n
+				recordings := countRecordings(t, m, n)
+				b := workload.Batch[float64](workload.DiagDominant, m, n, 7)
+				v := b.ToInterleaved()
+				want := SolveReference(b, tc.k)
+				got, xi := make([]float64, m*n), make([]float64, m*n)
+				for _, name := range []string{"recording", "memo-hit"} {
+					p, err := NewPipeline[float64](Config{K: tc.k, Workers: workers}, m, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p.K() != tc.k || p.Workers() != workers {
+						t.Fatalf("pipeline resolved k = %d with %d workers, want k = %d with %d", p.K(), p.Workers(), tc.k, workers)
+					}
+					for solve := range 3 {
+						if tc.interleaved {
+							err = p.SolveInterleavedInto(xi, v)
+							matrix.DeinterleaveVectorInto(got, xi, m, n)
+						} else {
+							err = p.SolveInto(got, b)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if i := firstDiff(want, got); i >= 0 {
+							t.Fatalf("%s pipeline, solve %d: x[%d] = %v, SolveReference %v", name, solve, i, got[i], want[i])
+						}
+						if recs := recordings.Load(); recs != 1 {
+							t.Fatalf("after the %s pipeline's solve %d: %d recordings, want 1", name, solve, recs)
+						}
+						if p.planes[0] != nil || p.vbuf != nil || p.bufs.A.Data != nil || p.bufs.Dp.Data != nil {
+							t.Fatalf("%s pipeline holds kernel planes after solve %d", name, solve)
+						}
+						if p.k > 0 && p.cp != nil {
+							t.Fatalf("%s pipeline holds an M·N c' plane at k = %d", name, p.k)
+						}
+					}
+					p.Close()
+				}
+			})
 		}
-		if p.vbuf != nil {
-			t.Fatalf("%s pipeline holds interleaved planes before its first solve", name)
-		}
-		if err := p.SolveInto(dst, b); err != nil {
-			t.Fatal(err)
-		}
-		if got := recordings.Load(); got != 1 {
-			t.Fatalf("after the %s pipeline's first solve: %d recordings, want 1", name, got)
-		}
-		if p.vbuf != nil || p.bufs.A.Data != nil {
-			t.Errorf("%s pipeline holds interleaved planes after its first solve", name)
-		}
-		p.Close()
 	}
 }
 

@@ -39,13 +39,13 @@ func ctxErr(ctx context.Context) error {
 }
 
 // hostShard runs worker w's shard on the host twins. For k >= 1 each
-// system is reduced by k PCR levels into its rows of the reduced
-// planes and then solved by strided Thomas into dst, so one system's
-// work stays in cache; the context is checked between systems, so dst
-// is written a whole system at a time. For k = 0 the shard's systems
-// run Thomas into the bound solution with c' (and on the interleaved
-// entry d') at the input's own indices of the pipeline's M·N planes:
-// over the caller's rows on the contiguous entry, a group of
+// system is reduced by k PCR levels into the worker's N reduced rows
+// and then solved by strided Thomas into dst (hybridTwin), so one
+// system's work stays in cache; the context is checked between
+// systems, so dst is written a whole system at a time. For k = 0 the
+// shard's systems run Thomas into the bound solution with c' at the
+// input's own indices of the pipeline's M·N c' plane and d' in the
+// solution: over the caller's rows on the contiguous entry, a group of
 // pthomas.Lanes systems at a time (thomasRows), checking the context
 // between groups, and on the interleaved one as a single lockstep sweep
 // over the planes' columns for the whole range, so the context is
@@ -53,7 +53,7 @@ func ctxErr(ctx context.Context) error {
 //
 //tridlint:hotpath
 func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
-	x := p.bufs.X.Data
+	x := p.x
 	lo, hi := p.systems(w)
 	if p.k == 0 {
 		if p.rows != nil {
@@ -62,19 +62,21 @@ func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
 		if err := ctxErr(p.ctx); err != nil {
 			return err
 		}
-		pthomas.SolveInterleavedRangeInto(p.iv, x, &p.ws, lo, hi)
+		pthomas.SolveInterleavedRangeInto(p.iv, x, p.cp, lo, hi)
 		return nil
 	}
-	n := p.n
-	a, b, c, d := p.in.A.Data, p.in.B.Data, p.in.C.Data, p.in.D.Data
+	n, b := p.n, p.rows
 	for i := lo; i < hi; i++ {
 		if err := ctxErr(p.ctx); err != nil {
 			return err
 		}
-		s, e := i*n, (i+1)*n
-		ra, rb, rc, rd := p.ra[s:e], p.rb[s:e], p.rc[s:e], p.rd[s:e]
-		w.red.Reduce(a[s:e], b[s:e], c[s:e], d[s:e], ra, rb, rc, rd)
-		pthomas.SolveStridedRefInto(ra, rb, rc, rd, 1, n, p.k, x[s:e], &w.tws)
+		s, e, r := i*n, (i+1)*n, w.tw.r
+		if p.planes[0] != nil {
+			// Only under the audit do the kernels' reduced planes outlive
+			// a recording; the twin writes them for the audit to compare.
+			r = [4][]T{p.planes[0][s:e], p.planes[1][s:e], p.planes[2][s:e], p.planes[3][s:e]}
+		}
+		w.tw.solve(b.Lower[s:e], b.Diag[s:e], b.Upper[s:e], b.RHS[s:e], x[s:e], r)
 	}
 	return nil
 }
@@ -91,7 +93,7 @@ func (p *Pipeline[T]) hostShard(w *pipeWorker[T]) error {
 //
 //tridlint:hotpath
 func (p *Pipeline[T]) thomasRows(x []T, lo, hi int) error {
-	b, n, cp := p.rows, p.n, p.ws.Cp
+	b, n, cp := p.rows, p.n, p.cp
 	for i := lo; i < hi; i += pthomas.Lanes {
 		if err := ctxErr(p.ctx); err != nil {
 			return err
@@ -102,39 +104,54 @@ func (p *Pipeline[T]) thomasRows(x []T, lo, hi int) error {
 	return nil
 }
 
-// twinScratch points w's strided Thomas scratch (k >= 1) at the N rows
-// of the worker's first system in the pipeline's c'/d' planes, which
-// the simulated kernels use the same way, so the twins add no buffer:
-// a lockstep sweep keeps c'/d' at each row's own index. Workers own
-// disjoint systems, so the views never meet; the capacity is clipped
-// so that no view reaches past its rows. The k = 0 twins need no view:
-// both entries write the worker's systems of the whole planes.
-func (p *Pipeline[T]) twinScratch(w *pipeWorker[T]) {
-	lo, hi := w.firstSys*p.n, (w.firstSys+1)*p.n
-	w.tws = pthomas.Workspace[T]{Cp: p.ws.Cp[lo:hi:hi], Dp: p.ws.Dp[lo:hi:hi]}
+// hybridTwin is the k >= 1 host twin of one system at a time: the
+// tiled-PCR rings and N rows each of reduced a, b, c, d (r) and of c'.
+// Each system is reduced into its N rows and solved from them, so the
+// twin holds no plane that grows with M, where the kernels keep M·N
+// planes in device memory.
+type hybridTwin[T num.Real] struct {
+	red *tiledpcr.HostReducer[T]
+	k   int
+	r   [4][]T
+	cp  []T
+}
+
+func newHybridTwin[T num.Real](k, n int) *hybridTwin[T] {
+	h := &hybridTwin[T]{red: tiledpcr.NewHostReducer[T](k), k: k, cp: make([]T, n)}
+	for i := range h.r {
+		h.r[i] = make([]T, n)
+	}
+	return h
+}
+
+// solve reduces the system (a, b, c, d) by k PCR levels into the
+// reduced rows r, h's own or the audit's, then solves the 2^k strided
+// subsystems they hold into x, with d' in x.
+//
+//tridlint:hotpath
+func (h *hybridTwin[T]) solve(a, b, c, d, x []T, r [4][]T) {
+	h.red.Reduce(a, b, c, d, r[0], r[1], r[2], r[3])
+	pthomas.SolveStridedRefInto(r[0], r[1], r[2], r[3], 1, len(b), h.k, x, h.cp)
 }
 
 // SolveReference solves the batch on the host twins alone, with no
-// pipeline, device or recording: per system, tiledpcr.HostReducer
-// reduces by k PCR steps and pthomas.SolveStridedRefInto solves the
-// 2^k subsystems; k = 0 is SolveStridedRefInto alone. The arithmetic
-// is the pipeline's, so at the k a solve resolves to the result
-// matches Solve bit for bit. k resolves as hostK resolves it.
+// pipeline, device or recording: per system, hybridTwin reduces by k
+// PCR steps and solves the 2^k subsystems; k = 0 is
+// pthomas.SolveStridedRefInto alone. The arithmetic is the pipeline's,
+// so at the k a solve resolves to the result matches Solve bit for
+// bit. k resolves as hostK resolves it.
 func SolveReference[T num.Real](b *matrix.Batch[T], k int) []T {
 	m, n := b.M, b.N
 	k = hostK(m, n, k)
 	x := make([]T, m*n)
-	var ws pthomas.Workspace[T]
 	if k == 0 {
-		pthomas.SolveStridedRefInto(b.Lower, b.Diag, b.Upper, b.RHS, m, n, 0, x, &ws)
+		pthomas.SolveStridedRefInto(b.Lower, b.Diag, b.Upper, b.RHS, m, n, 0, x, make([]T, min(m, pthomas.Lanes)*n))
 		return x
 	}
-	h := tiledpcr.NewHostReducer[T](k)
-	ra, rb, rc, rd := make([]T, n), make([]T, n), make([]T, n), make([]T, n)
+	h := newHybridTwin[T](k, n)
 	for lo := 0; lo < m*n; lo += n {
 		hi := lo + n
-		h.Reduce(b.Lower[lo:hi], b.Diag[lo:hi], b.Upper[lo:hi], b.RHS[lo:hi], ra, rb, rc, rd)
-		pthomas.SolveStridedRefInto(ra, rb, rc, rd, 1, n, k, x[lo:hi], &ws)
+		h.solve(b.Lower[lo:hi], b.Diag[lo:hi], b.Upper[lo:hi], b.RHS[lo:hi], x[lo:hi], h.r)
 	}
 	return x
 }

@@ -81,17 +81,15 @@ func TestTwinFaultCoordinates(t *testing.T) {
 					t.Fatalf("%s shards cover [0, %d), recorded grid has %d blocks", name, next, p.drv.kern[slot].Blocks)
 				}
 			}
-			// Bind the solution as a solve does, so a faulted k >= 1
-			// shard has rows to poison (k = 0 keeps its own bound).
-			if p.k > 0 {
-				p.bufs.X = gpusim.NewGlobal(dst)
-			}
+			// Bind the solution as a solve does, so a faulted shard has
+			// rows to poison.
+			p.x = dst
 			for seed := uint64(1); seed <= 6; seed++ {
 				for _, rate := range []float64{0.05, 0.2, 0.6} {
 					p.dev.Faults = inj(seed, rate)
 					for attempt := 0; attempt <= 2; attempt++ {
 						for wi, w := range p.workers {
-							slot, twin := p.drv.fault(attempt, p.bufs.X.Data, func(s int) (int, int) { return p.shardRange(w, s) })
+							slot, twin := p.drv.fault(attempt, p.x, func(s int) (int, int) { return p.shardRange(w, s) })
 							var want *gpusim.LaunchError
 							wantSlot := 0
 							for s := range p.launches[:p.nKern] {

@@ -151,38 +151,79 @@ func TestHostTwinAuditDistributed(t *testing.T) {
 // would keep the simulated value and compare equal. Run by the driver
 // over a recorded k = 0 interleaved pipeline, the twin with the last
 // system of every worker range dropped must panic with "unwritten";
-// the whole twin must pass.
+// the whole twin must pass. At k >= 1, on a fresh geometry with the
+// memo emptied, a twin that solves every system but reduces one into
+// the worker's own rows, leaving that system's rows of the reduced
+// planes unwritten, must panic the same way on the pipeline's first,
+// recording solve: only a recording builds those planes, and the audit
+// still compares them.
 func TestAuditCatchesUnwrittenOutput(t *testing.T) {
-	const m, n = 300, 48
-	p, err := NewPipeline[float64](Config{K: 0, Workers: 3}, m, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	v := workload.Batch[float64](workload.DiagDominant, m, n, 6).ToInterleaved()
-	xi := make([]float64, m*n)
-	if err := p.SolveInterleavedInto(xi, v); err != nil {
-		t.Fatal(err)
-	}
-	p.bindK0(v, xi)
-	defer p.bindK0(nil, p.xi)
-	audit := func(drop int) (panicked any) {
+	audit := func(p *Pipeline[float64], twin func()) (panicked any) {
 		defer func() { panicked = recover() }()
-		_ = p.drv.run(nil, [][]float64{xi}, func() (bool, error) {
-			for _, w := range p.workers {
-				lo, hi := p.systems(w)
-				pthomas.SolveInterleavedRangeInto(p.iv, xi, &p.ws, lo, hi-drop)
-			}
+		_ = p.drv.run(nil, func() (bool, error) {
+			twin()
 			return false, nil
 		})
 		return nil
 	}
-	if got := audit(0); got != nil {
-		t.Fatalf("the whole twin: audit panicked: %v", got)
-	}
-	if got := audit(1); !strings.Contains(fmt.Sprint(got), "unwritten") {
-		t.Fatalf("a twin that drops the last system of each worker range: audit panicked with %v, want an unwritten output", got)
-	}
+	t.Run("k0-interleaved", func(t *testing.T) {
+		const m, n = 300, 48
+		p, err := NewPipeline[float64](Config{K: 0, Workers: 3}, m, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		v := workload.Batch[float64](workload.DiagDominant, m, n, 6).ToInterleaved()
+		xi := make([]float64, m*n)
+		if err := p.SolveInterleavedInto(xi, v); err != nil {
+			t.Fatal(err)
+		}
+		p.iv, p.x = v, xi
+		twin := func(drop int) func() {
+			return func() {
+				for _, w := range p.workers {
+					lo, hi := p.systems(w)
+					pthomas.SolveInterleavedRangeInto(p.iv, xi, p.cp, lo, hi-drop)
+				}
+			}
+		}
+		if got := audit(p, twin(0)); got != nil {
+			t.Fatalf("the whole twin: audit panicked: %v", got)
+		}
+		if got := audit(p, twin(1)); !strings.Contains(fmt.Sprint(got), "unwritten") {
+			t.Fatalf("a twin that drops the last system of each worker range: audit panicked with %v, want an unwritten output", got)
+		}
+	})
+	t.Run("k3-contiguous-first-solve", func(t *testing.T) {
+		const m, n, skip = 5, 96, 2
+		recs := countRecordings(t, m, n)
+		p, err := NewPipeline[float64](Config{K: 3, Workers: 2}, m, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		b := workload.Batch[float64](workload.DiagDominant, m, n, 6)
+		dst := make([]float64, m*n)
+		p.bindBatch(b, dst)
+		got := audit(p, func() {
+			for _, w := range p.workers {
+				for i, hi := p.systems(w); i < hi; i++ {
+					s, e := i*n, (i+1)*n
+					r := w.tw.r
+					if i != skip {
+						r = [4][]float64{p.planes[0][s:e], p.planes[1][s:e], p.planes[2][s:e], p.planes[3][s:e]}
+					}
+					w.tw.solve(b.Lower[s:e], b.Diag[s:e], b.Upper[s:e], b.RHS[s:e], dst[s:e], r)
+				}
+			}
+		})
+		if recorded := recs.Load(); recorded != 1 {
+			t.Fatalf("the audited run made %d recordings, want 1: it must be the pipeline's first, recording solve", recorded)
+		}
+		if !strings.Contains(fmt.Sprint(got), "unwritten") {
+			t.Fatalf("a twin that leaves system %d's reduced rows unwritten: audit panicked with %v, want an unwritten output", skip, got)
+		}
+	})
 }
 
 // TestFirstSolveRunsTwins pins that recording only measures: with the

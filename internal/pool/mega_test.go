@@ -78,15 +78,18 @@ func TestMegaStationsIndependent(t *testing.T) {
 }
 
 // TestMegaWarmFallsBackToBuild pins the nil-hook default: without
-// MegaBuild, WarmMega builds through the regular hook.
+// MegaBuild, AcquireMega builds its station's solver through the
+// regular hook.
 func TestMegaWarmFallsBackToBuild(t *testing.T) {
 	f := &fakeFactory{}
 	p := newTestPool(Config{Capacity: 2}, f, 0)
-	if err := p.WarmMega(8, 64); err != nil {
-		t.Fatalf("WarmMega: %v", err)
+	l, err := p.AcquireMega(context.Background(), 8, 64)
+	if err != nil {
+		t.Fatalf("AcquireMega: %v", err)
 	}
-	if fb, _ := f.counts(); fb != 2 {
-		t.Fatalf("built %d, want capacity 2", fb)
+	if fb, _ := f.counts(); fb != 1 {
+		t.Fatalf("built %d, want 1 through the regular hook", fb)
 	}
+	l.Release(time.Millisecond)
 	_ = p.Close(context.Background())
 }

@@ -429,7 +429,7 @@ func (l *Lease[S]) Release(svc time.Duration) {
 }
 
 // MegaBuild installs the constructor for megabatch-station solvers
-// (AcquireMega/WarmMega). Call it once during setup, before any
+// (AcquireMega). Call it once during setup, before any
 // megabatch traffic; nil (the default) makes megabatch stations fall
 // back to the regular build hook. It exists as a setter rather than a
 // Config field so the generic pool's construction signature — which
@@ -533,15 +533,7 @@ func (p *Pool[S]) drainStation(st *station[S]) {
 // Warm eagerly builds the shape's full solver complement so the first
 // requests are not serialized behind construction and recording.
 func (p *Pool[S]) Warm(m, n int) error {
-	return p.warm(skey{Key{m, n}, false})
-}
-
-// WarmMega is Warm for the shape's megabatch station.
-func (p *Pool[S]) WarmMega(m, n int) error {
-	return p.warm(skey{Key{m, n}, true})
-}
-
-func (p *Pool[S]) warm(k skey) error {
+	k := skey{Key{m, n}, false}
 	for {
 		st, err := p.lookup(k)
 		if err != nil {

@@ -104,14 +104,14 @@ func TestLockstepMatchesPerLane(t *testing.T) {
 
 func lockstepMatches[T num.Real](t *testing.T, prec string) {
 	const sentinel = -7
-	var ws Workspace[T]
 	for _, m := range []int{1, 3} {
 		for _, n := range []int{1, 2, 3, 17, 192, 1001} {
+			cp := make([]T, m*n)
 			for kind, b := range lockstepInputs[T](m, n) {
 				for _, k := range []int{0, 1, 2, 6, 7, 9} {
 					want, got := make([]T, m*n), make([]T, m*n)
 					perLaneStrided(b.Lower, b.Diag, b.Upper, b.RHS, m, n, k, want)
-					SolveStridedRefInto(b.Lower, b.Diag, b.Upper, b.RHS, m, n, k, got, &ws)
+					SolveStridedRefInto(b.Lower, b.Diag, b.Upper, b.RHS, m, n, k, got, cp)
 					if i := sameBits(want, got); i >= 0 {
 						t.Fatalf("%s %s %dx%d k=%d: strided x[%d] = %#x, per-lane %#x",
 							prec, kind, m, n, k, i, num.Bits(got[i]), num.Bits(want[i]))
@@ -125,7 +125,7 @@ func lockstepMatches[T num.Real](t *testing.T, prec string) {
 							want[i], got[i] = sentinel, sentinel
 						}
 						perLaneInterleaved(v, want, lo, hi)
-						SolveInterleavedRangeInto(v, got, &ws, lo, hi)
+						SolveInterleavedRangeInto(v, got, cp, lo, hi)
 						if i := sameBits(want, got); i >= 0 {
 							t.Fatalf("%s %s %dx%d [%d,%d): interleaved x[%d] = %#x, per-lane %#x",
 								prec, kind, m, n, lo, hi, i, num.Bits(got[i]), num.Bits(want[i]))
@@ -143,8 +143,7 @@ func lockstepMatches[T num.Real](t *testing.T, prec string) {
 // on diagonally dominant, near-singular and zero-pivot input. Both ways
 // in are checked. SolveRowsInto runs over systems placed inside larger
 // x and c' planes, whose entries outside those systems must keep their
-// sentinel. SolveStridedRefInto at k = 0 runs with a workspace whose Dp
-// holds sentinels, which must survive untouched in the same slice.
+// sentinel. SolveStridedRefInto at k = 0 runs with Lanes systems' c'.
 func TestRowsMatchPerLane(t *testing.T) {
 	rowsMatch[float64](t, "float64")
 	rowsMatch[float32](t, "float32")
@@ -189,16 +188,11 @@ func rowsMatch[T num.Real](t *testing.T, prec string) {
 					}
 				}
 
-				dp := filled(size)
-				ws := Workspace[T]{Dp: dp}
 				got := make([]T, size)
-				SolveStridedRefInto(b.Lower, b.Diag, b.Upper, b.RHS, m, n, 0, got, &ws)
+				SolveStridedRefInto(b.Lower, b.Diag, b.Upper, b.RHS, m, n, 0, got, make([]T, Lanes*n))
 				if i := sameBits(want, got); i >= 0 {
 					t.Fatalf("%s %s %dx%d: strided k=0 x[%d] = %#x, per-lane %#x",
 						prec, kind, m, n, i, num.Bits(got[i]), num.Bits(want[i]))
-				}
-				if len(ws.Dp) != size || &ws.Dp[0] != &dp[0] || untouched(dp) >= 0 {
-					t.Fatalf("%s %s %dx%d: strided k=0 touched the workspace's Dp", prec, kind, m, n)
 				}
 			}
 		}
@@ -233,12 +227,15 @@ func BenchmarkLockstepThomas(b *testing.B) {
 			batch := workload.Batch[float64](workload.DiagDominant, sh.m, sh.n, 3)
 			v := batch.ToInterleaved()
 			x := make([]float64, sh.m*sh.n)
-			var ws Workspace[float64]
+			cp := make([]float64, sh.m*sh.n) // the interleaved entry's c' plane
+			if !sh.interleaved {
+				cp = cp[:min(sh.m, Lanes)*sh.n] // SolveReference's scratch
+			}
 			lockstep := func() {
 				if sh.interleaved {
-					SolveInterleavedRangeInto(v, x, &ws, 0, sh.m)
+					SolveInterleavedRangeInto(v, x, cp, 0, sh.m)
 				} else {
-					SolveStridedRefInto(batch.Lower, batch.Diag, batch.Upper, batch.RHS, sh.m, sh.n, sh.k, x, &ws)
+					SolveStridedRefInto(batch.Lower, batch.Diag, batch.Upper, batch.RHS, sh.m, sh.n, sh.k, x, cp)
 				}
 			}
 			perLane := func() {
@@ -248,7 +245,7 @@ func BenchmarkLockstepThomas(b *testing.B) {
 					perLaneStrided(batch.Lower, batch.Diag, batch.Upper, batch.RHS, sh.m, sh.n, sh.k, x)
 				}
 			}
-			lockstep() // size the workspace outside the timer
+			lockstep() // warm the caches outside the timer
 			var ls, pl time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()

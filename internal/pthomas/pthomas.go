@@ -19,21 +19,23 @@
 //     the paper calls PCR's output a "perfect match".
 //
 // SolveStridedRefInto and SolveInterleavedRangeInto are their host
-// twins, the same recurrence over plain slices with c'/d' scratch from
-// a caller-owned Workspace, and SolveRowsInto is ThreadInterleaved's
-// twin over systems stored contiguously, the layout a contiguous k = 0
-// solve holds. A twin runs every lane it covers in lockstep, one sweep
-// row by row across them, which is the host form of consecutive
+// twins, the same recurrence over plain slices with c' scratch the
+// caller owns, and SolveRowsInto is ThreadInterleaved's twin over
+// systems stored contiguously, the layout a contiguous k = 0 solve
+// holds. Every twin writes d' into the solution it solves for: the
+// backward pass reads each row's d' before it overwrites it, so no twin
+// needs d' scratch. A twin runs every lane it covers in lockstep, one
+// sweep row by row across them, which is the host form of consecutive
 // threads on consecutive addresses: consecutive loop iterations belong
 // to independent recurrences, so their divisions overlap. The strided
-// and interleaved twins keep c'/d' in memory at each row's own index,
+// and interleaved twins keep c' in memory at each row's own index,
 // where consecutive lanes sit at consecutive addresses; SolveRowsInto's
 // lanes are whole systems apart, so it advances Lanes of them at a time
 // with each lane's c'/d' and x in registers, as a kernel thread holds
-// them, and keeps d' in the solution it solves for. Each lane still
-// takes the kernel thread's operations in its order, so the twins
-// match the kernels bit for bit. KernelStrided is the one standalone
-// launch, the back-end of the Fig. 11(c) multiplexed ablation.
+// them. Each lane still takes the kernel thread's operations in its
+// order, so the twins match the kernels bit for bit. KernelStrided is
+// the one standalone launch, the back-end of the Fig. 11(c)
+// multiplexed ablation.
 //
 // No form pivots: a vanishing pivot yields Inf/NaN in that system's
 // solution rather than an error, as on real hardware.
@@ -46,37 +48,6 @@ import (
 	"gputrid/internal/matrix"
 	"gputrid/internal/num"
 )
-
-// Workspace holds the forward-sweep scratch (the modified coefficients
-// c' and d' of Eqs. 2-3) of the host twins. A lockstep sweep keeps
-// each row's c'/d' at the row's own index: SolveStridedRefInto needs
-// N elements, one system's rows, and SolveInterleavedRangeInto M·N,
-// the input's planes. The contiguous k = 0 twin (SolveRowsInto, and
-// SolveStridedRefInto at k = 0) keeps d' in the solution it is solving
-// for and needs c' only, Lanes systems' rows of it; it never touches
-// Dp. Ensure grows it on demand and keeps capacity across calls, so
-// one workspace serves solves of any size with allocations only when
-// the requested size first exceeds what it holds.
-type Workspace[T num.Real] struct {
-	Cp, Dp []T
-}
-
-// Ensure returns cp/dp slices of exactly size elements, reallocating
-// only when the workspace is too small.
-func (w *Workspace[T]) Ensure(size int) (cp, dp []T) {
-	if cap(w.Dp) < size {
-		w.Dp = make([]T, size)
-	}
-	return w.ensureCp(size), w.Dp[:size]
-}
-
-// ensureCp is Ensure for the c' scratch alone.
-func (w *Workspace[T]) ensureCp(size int) []T {
-	if cap(w.Cp) < size {
-		w.Cp = make([]T, size)
-	}
-	return w.Cp[:size]
-}
 
 // Bufs bundles the device-global arrays a p-Thomas thread touches: the
 // four coefficient arrays, the c'/d' scratch, and the solution.
@@ -212,41 +183,39 @@ func ThreadStrided[T num.Real](t *gpusim.Thread, g *Bufs[T], base, r, p, n int) 
 
 // SolveInterleavedRangeInto is the host twin of ThreadInterleaved for
 // systems [lo, hi) of v: it writes only their entries of the
-// interleaved solution x. The systems are the lanes of one lockstep
-// sweep (see sweep), row by row across the range as the kernel's
-// consecutive threads run, and c'/d' sit at the input's own indices
-// l·M+i: ws must hold M·N elements, and calls over disjoint ranges may
-// share a ws that already does, since Ensure then writes nothing.
+// interleaved solution x, and only their entries of cp. The systems
+// are the lanes of one lockstep sweep (see sweep), row by row across
+// the range as the kernel's consecutive threads run, and c' sits at
+// the input's own indices l·M+i: cp must hold M·N elements, and calls
+// over disjoint ranges may share it.
 //
 //tridlint:hotpath
-func SolveInterleavedRangeInto[T num.Real](v *matrix.Interleaved[T], x []T, ws *Workspace[T], lo, hi int) {
-	cp, dp := ws.Ensure(v.M * v.N)
-	sweep(v.Lower, v.Diag, v.Upper, v.RHS, x, cp, dp, v.M, lo, hi)
+func SolveInterleavedRangeInto[T num.Real](v *matrix.Interleaved[T], x, cp []T, lo, hi int) {
+	sweep(v.Lower, v.Diag, v.Upper, v.RHS, x, cp[:v.M*v.N], v.M, lo, hi)
 }
 
 // SolveStridedRefInto is the host twin of KernelStrided: it solves the
 // 2^k strided subsystems of each of the M contiguous systems of
 // (a, b, c, d) into x in natural row order. Each system is one lockstep
-// sweep over its 2^k lanes (see sweep), with N elements of scratch from
-// ws: c'/d' sit at the row's own index. At k = 0 the one lane of each
-// system is plain Thomas over its contiguous rows, and the systems go
-// through SolveRowsInto Lanes at a time, with c' for one group from ws
-// (Lanes·N elements, fewer when M is smaller) and no d' scratch.
+// sweep over its 2^k lanes (see sweep), with c' at the row's own index
+// of cp, which must hold at least N elements. At k = 0 the one lane of
+// each system is plain Thomas over its contiguous rows, and the systems
+// go through SolveRowsInto len(cp)/N at a time, so a cp of Lanes·N
+// elements or more lets Lanes of them run in lockstep.
 //
 //tridlint:hotpath
-func SolveStridedRefInto[T num.Real](a, b, c, d []T, m, n, k int, x []T, ws *Workspace[T]) {
+func SolveStridedRefInto[T num.Real](a, b, c, d []T, m, n, k int, x, cp []T) {
+	step := n
 	if k == 0 {
-		cp := ws.ensureCp(min(m, Lanes) * n)
-		for lo := 0; lo < m*n; lo += len(cp) {
-			hi := min(lo+len(cp), m*n)
-			SolveRowsInto(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x[lo:hi], cp, n)
-		}
-		return
+		step = max(min(len(cp)/n, m), 1) * n
 	}
-	cp, dp := ws.Ensure(n)
-	for lo := 0; lo < m*n; lo += n {
-		hi := lo + n
-		sweep(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x[lo:hi], cp, dp, 1<<k, 0, 1<<k)
+	for lo := 0; lo < m*n; lo += step {
+		hi := min(lo+step, m*n)
+		if k == 0 {
+			SolveRowsInto(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x[lo:hi], cp, n)
+		} else {
+			sweep(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x[lo:hi], cp[:n], 1<<k, 0, 1<<k)
+		}
 	}
 }
 
@@ -286,13 +255,15 @@ func SolveRowsInto[T num.Real](a, b, c, d, x, cp []T, n int) {
 // iterations touch consecutive addresses and their divisions overlap,
 // where a per-lane loop would wait on each lane's recurrence. Every
 // lane takes the same operations in the same order as a per-lane loop,
-// so the outputs match it bit for bit. c'/d' are written at each row's
-// own index; a row's forward step reads index i-s, its backward step
-// x[i+s]. When the lanes are all s of them, the rows' runs join into
-// one run over the whole layout; a single lane is thomas.
+// so the outputs match it bit for bit. c' is written at each row's own
+// index of cp and d' into x, which the backward pass reads as d' and
+// overwrites with the solution; a row's forward step reads index i-s,
+// its backward step x[i+s]. When the lanes are all s of them, the
+// rows' runs join into one run over the whole layout; a single lane is
+// thomas.
 //
 //tridlint:hotpath
-func sweep[T num.Real](a, b, c, d, x, cp, dp []T, s, lo, hi int) {
+func sweep[T num.Real](a, b, c, d, x, cp []T, s, lo, hi int) {
 	n := len(b)
 	if s == 1 {
 		if lo < hi {
@@ -308,23 +279,19 @@ func sweep[T num.Real](a, b, c, d, x, cp, dp []T, s, lo, hi int) {
 		i, e := r, min(r+run, n)
 		for first := min(e, s); i < first; i++ {
 			cp[i] = c[i] / b[i]
-			dp[i] = d[i] / b[i]
+			x[i] = d[i] / b[i]
 		}
 		for ; i < e; i++ {
 			av := a[i]
 			den := b[i] - cp[i-s]*av
 			inv := 1 / den
 			cp[i] = c[i] * inv
-			dp[i] = (d[i] - dp[i-s]*av) * inv
+			x[i] = (d[i] - x[i-s]*av) * inv
 		}
 	}
 	for r := lo + (n-1-lo)/gap*gap; r >= lo; r -= gap {
-		i := min(r+run, n) - 1
-		for last := max(r, n-s); i >= last; i-- {
-			x[i] = dp[i]
-		}
-		for ; i >= r; i-- {
-			x[i] = dp[i] - cp[i]*x[i+s]
+		for i := min(r+run, n-s) - 1; i >= r; i-- {
+			x[i] -= cp[i] * x[i+s]
 		}
 	}
 }

@@ -61,7 +61,7 @@ func TestKernelInterleavedMatchesRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := make([]float64, len(xi))
-	SolveInterleavedRangeInto(v, ref, &Workspace[float64]{}, 0, v.M)
+	SolveInterleavedRangeInto(v, ref, make([]float64, v.M*v.N), 0, v.M)
 	for i := range ref {
 		if num.Bits(xi[i]) != num.Bits(ref[i]) {
 			t.Fatalf("kernel and host twin differ at %d: %v vs %v (must be exact: same recurrence)", i, xi[i], ref[i])
@@ -124,7 +124,7 @@ func TestKernelStridedSolvesReducedSystems(t *testing.T) {
 		}
 		// And against the host twin, bit for bit.
 		ref := make([]float64, tc.m*tc.n)
-		SolveStridedRefInto(ra, rb, rc, rd, tc.m, tc.n, tc.k, ref, &Workspace[float64]{})
+		SolveStridedRefInto(ra, rb, rc, rd, tc.m, tc.n, tc.k, ref, make([]float64, tc.n))
 		for i := range ref {
 			if num.Bits(x[i]) != num.Bits(ref[i]) {
 				t.Fatalf("%+v: kernel and host twin differ at %d: %v vs %v", tc, i, x[i], ref[i])
