@@ -61,8 +61,8 @@ func BenchmarkSolveReuse(b *testing.B) {
 
 // recordShapes are the cold recordings BenchmarkRecord measures: the
 // reuse shape at the Table III k, adi-step's 192x192 grid, and the
-// k = 0 slab pipeline a 4-device distributed solve of 131 073 rows
-// builds per device (three systems of about 32 768 rows). That last
+// k = 0 launch a 4-device distributed solve of 131 073 rows records
+// for its slabs (three systems of about 32 768 rows). That last
 // one is a one-block launch: block sampling has nothing to merge
 // there, so its full/sampled ratio stays near 1.
 var recordShapes = []struct {

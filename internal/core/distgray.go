@@ -111,12 +111,12 @@ func (s *DistSolver[T]) observations() []DeviceObservation {
 }
 
 // sumParts is the ABFT checksum: the float64 sum of the payload
-// elements, computed sender-side before the transfer and recomputed
+// elements, added in order to s (0 before a payload's first part),
+// computed sender-side before the transfer and recomputed
 // receiver-side after it. A corrupted payload (poisoned to NaN by the
 // modeled link) makes the sums mismatch — NaN compares unequal to
 // everything, including itself — so corruption detection is exact.
-func sumParts[T num.Real](parts ...[]T) float64 {
-	var s float64
+func sumParts[T num.Real](s float64, parts ...[]T) float64 {
 	for _, p := range parts {
 		for _, v := range p {
 			s += float64(v)
@@ -126,16 +126,15 @@ func sumParts[T num.Real](parts ...[]T) float64 {
 }
 
 // verifiedUp moves a payload whose source of truth stays host-side
-// (coefficient uploads, separator values) over the link with checksum
-// verification: the receiver recomputes the sum and a mismatch
-// re-exchanges the transfer — each retry redraws the link-fault
-// schedule at the next per-site sequence number, the transient-link
-// model. The host copy is canonical, so a corrupted delivery costs
+// (coefficient uploads, separator values), of sumParts checksum want,
+// over the link with checksum verification: the receiver recomputes
+// the sum and a mismatch re-exchanges the transfer — each retry
+// redraws the link-fault schedule at the next per-site sequence
+// number, the transient-link model. The host copy is canonical, so a corrupted delivery costs
 // only the retry; nothing needs restoring. Returns the total modeled
 // seconds charged (retries included) and errLinkIntegrity when the
 // link stayed corrupt past the budget.
-func (s *DistSolver[T]) verifiedUp(sl *distSlab, dev int, bytes int64, parts ...[]T) (float64, error) {
-	want := sumParts(parts...)
+func (s *DistSolver[T]) verifiedUp(sl *distSlab, dev int, bytes int64, want float64) (float64, error) {
 	if want != want {
 		// The payload legitimately contains NaN: the sum check is blind,
 		// send unverified rather than loop forever on a false mismatch.
@@ -169,7 +168,7 @@ func (s *DistSolver[T]) verifiedUp(sl *distSlab, dev int, bytes int64, parts ...
 // restores from the device copy — corrupted data is provably present
 // and provably never escapes.
 func (s *DistSolver[T]) verifiedDown(sl *distSlab, dev int, bytes int64, payload, shadow []T) (float64, error) {
-	want := sumParts(payload)
+	want := sumParts(0, payload)
 	if want != want {
 		return s.topo.Transfer(&s.scope, gpusim.OpDeviceToHost, dev, -1, bytes).Seconds, nil
 	}
@@ -183,7 +182,7 @@ func (s *DistSolver[T]) verifiedDown(sl *distSlab, dev int, bytes int64, payload
 			// escaped corruption can never pass for a plausible value.
 			fill(payload, T(math.NaN()))
 		}
-		if got := sumParts(payload); got == want {
+		if got := sumParts(0, payload); got == want {
 			return secs, nil
 		}
 		s.noteIntegrity(sl, dev, 1)

@@ -13,6 +13,7 @@ import (
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
 	"gputrid/internal/num"
+	"gputrid/internal/pthomas"
 )
 
 // Typed failures of the distributed solve path.
@@ -37,12 +38,6 @@ type DistConfig struct {
 	// bitwise identical to the fault-free full-fleet run. 0 means one
 	// slab per topology device.
 	Slabs int
-	// Slab templates the per-slab local solver (see Config). Device is
-	// ignored — each slab runs on its assigned topology device — and K
-	// is pinned per slab length from Topology.Device(0), so identical
-	// devices execute identical launch geometry regardless of
-	// assignment.
-	Slab Config
 	// Retry bounds per-slab recovery: a slab whose device dies is
 	// migrated to a survivor up to RetryPolicy.MaxRetries times per
 	// phase (local reduce, back-substitution), with the policy's
@@ -164,8 +159,18 @@ type distDev struct {
 	obs devObs
 }
 
-type pipeKey struct {
+// kernelKey names a cached slab kernel: its topology device and slab
+// length.
+type kernelKey struct {
 	dev, length int
+}
+
+// distPhase is one device phase of the solve: a slab's device work,
+// returning the device error (a wrapped LaunchError means the device is
+// dead), and its degraded host-side re-solve.
+type distPhase struct {
+	run  func(ctx context.Context, sl *distSlab, dev int) error
+	host func(sl *distSlab) error
 }
 
 // DistSolver solves batches of M tridiagonal systems of N rows across
@@ -175,10 +180,10 @@ type pipeKey struct {
 // The algorithm is separator-based domain decomposition (the SPIKE /
 // Wang family the multi-GPU tridiagonal literature builds on): the N
 // rows split into D slabs with one separator row between adjacent
-// slabs. Each slab solves three local systems through the paper's
-// hybrid pipeline — u = T⁻¹ d, plus the responses v, w to its left and
-// right separator couplings — producing six interface scalars per
-// (system, slab). Substituting those into the separator rows yields a
+// slabs. Each slab solves three local systems through the paper's k = 0
+// p-Thomas — u = T⁻¹ d, plus the responses v, w to its left and right
+// separator couplings — producing six interface scalars per (system,
+// slab). Substituting those into the separator rows yields a
 // genuinely tridiagonal reduced system of order D-1 per batch system,
 // solved on the host with the pivoting GTSV. Back-substitution
 // x = u + v·x_left + w·x_right then completes each slab on its device.
@@ -201,11 +206,15 @@ type DistSolver[T num.Real] struct {
 	m, n int
 	part Partition
 
-	// Per-slab host arenas. slabIn holds the 3M local systems of each
-	// slab's reduce (plane-major: u systems 0..M-1, v, then w); slabX
-	// their solutions; slabOut the back-substituted slab rows; sepL and
-	// sepR the per-system separator values feeding the backsub.
-	slabIn  []*matrix.Batch[T]
+	// The solve's binding, nil between solves: the caller's batch, whose
+	// slab rows the local reduces read in place, and its solution.
+	b   *matrix.Batch[T]
+	dst []T
+
+	// Per-slab host arenas. slabX holds the solutions of each slab's 3M
+	// local systems (plane-major: u systems 0..M-1, v, then w); slabOut
+	// the back-substituted slab rows; sepL and sepR the per-system
+	// separator values feeding the backsub.
 	slabX   [][]T
 	slabOut [][]T
 	sepL    [][]T
@@ -253,21 +262,21 @@ type DistSolver[T num.Real] struct {
 
 	gtsvRed  *cpu.GTSVWorkspace[T] // order D-1 reduced solves
 	gtsvSlab *cpu.GTSVWorkspace[T] // degraded host slab solves
-
-	// kByLen pins the PCR step count per slab length (resolved once
-	// against device 0) so every device launches identical geometry.
-	kByLen map[int]int
+	gtsvRHS  []T                   // their right-hand side, one system's
 
 	// bsArgs wraps each slab's phase-C arrays as device globals once:
 	// the host arenas behind them never move.
 	bsArgs []backsubArgs[T]
 
-	// pipes caches the per-(device, slab length) local-reduce
-	// pipelines and backsubs the back-substitution kernels; both are
-	// populated lazily under mu as assignments happen.
+	// reduce and backsubst are runPhase's two phases, bound once.
+	reduce, backsubst distPhase
+
+	// reducers caches the per-(device, slab length) local-reduce kernels
+	// and backsubs the back-substitution kernels; both are populated
+	// lazily under mu as assignments happen.
 	mu       sync.Mutex
-	pipes    map[pipeKey]*Pipeline[T]
-	backsubs map[pipeKey]*backsubKernel[T]
+	reducers map[kernelKey]*slabKernel[T]
+	backsubs map[kernelKey]*backsubKernel[T]
 
 	inUse  atomic.Bool
 	closed bool
@@ -296,10 +305,11 @@ func NewDistSolver[T num.Real](cfg DistConfig, m, n int) (*DistSolver[T], error)
 		m:        m,
 		n:        n,
 		part:     part,
-		pipes:    make(map[pipeKey]*Pipeline[T]),
-		backsubs: make(map[pipeKey]*backsubKernel[T]),
-		kByLen:   make(map[int]int),
+		reducers: make(map[kernelKey]*slabKernel[T]),
+		backsubs: make(map[kernelKey]*backsubKernel[T]),
 	}
+	s.reduce = distPhase{s.reduceOne, s.reduceHost}
+	s.backsubst = distPhase{s.backsubOne, s.backsubHost}
 	d := part.NumSlabs()
 	s.slabs = make([]distSlab, d)
 	s.pending = make([]*distSlab, 0, d)
@@ -309,7 +319,6 @@ func NewDistSolver[T num.Real](cfg DistConfig, m, n int) (*DistSolver[T], error)
 	for i := range s.all {
 		s.all[i] = i
 	}
-	s.slabIn = make([]*matrix.Batch[T], d)
 	s.slabX = make([][]T, d)
 	s.slabOut = make([][]T, d)
 	s.sepL = make([][]T, d)
@@ -322,7 +331,6 @@ func NewDistSolver[T num.Real](cfg DistConfig, m, n int) (*DistSolver[T], error)
 	for p, sl := range part.Slabs {
 		L := sl.Len()
 		maxL = max(maxL, L)
-		s.slabIn[p] = matrix.NewBatch[T](3*m, L)
 		s.slabX[p] = make([]T, 3*m*L)
 		s.slabOut[p] = make([]T, m*L)
 		s.sepL[p] = make([]T, m)
@@ -341,11 +349,6 @@ func NewDistSolver[T num.Real](cfg DistConfig, m, n int) (*DistSolver[T], error)
 			total: m * L,
 			rows:  L,
 		}
-		if _, ok := s.kByLen[L]; !ok {
-			kcfg := s.slabConfig(L)
-			kcfg.Device = s.topo.Device(0)
-			s.kByLen[L] = kcfg.resolveK(3*m, L)
-		}
 	}
 	s.hedgeX = make([]T, 3*m*maxL)
 	s.hedgeIface = make([]T, 6*m)
@@ -361,36 +364,18 @@ func NewDistSolver[T num.Real](cfg DistConfig, m, n int) (*DistSolver[T], error)
 	return s, nil
 }
 
-// slabConfig is the local-reduce pipeline configuration for one slab
-// length: the caller's template, with fail-fast recovery (the
-// distributed layer owns retries: a faulted launch means the device is
-// dead, not that the slab should retry in place).
-func (s *DistSolver[T]) slabConfig(length int) Config {
-	cfg := s.cfg.Slab
-	cfg.Retry = RetryPolicy{MaxRetries: -1, NoDegrade: true}
-	if k, ok := s.kByLen[length]; ok {
-		cfg.K = k
-	}
-	return cfg
-}
-
-// pipeline returns (building if needed) the local-reduce pipeline for
+// reducer returns (building if needed) the local-reduce kernel for
 // slabs of the given length on topology device dev.
-func (s *DistSolver[T]) pipeline(dev, length int) (*Pipeline[T], error) {
+func (s *DistSolver[T]) reducer(dev, length int) *slabKernel[T] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := pipeKey{dev, length}
-	if p, ok := s.pipes[key]; ok {
-		return p, nil
+	key := kernelKey{dev, length}
+	k, ok := s.reducers[key]
+	if !ok {
+		k = newSlabKernel[T](s.topo.Device(dev), s.m, length)
+		s.reducers[key] = k
 	}
-	cfg := s.slabConfig(length)
-	cfg.Device = s.topo.Device(dev)
-	p, err := NewPipeline[T](cfg, 3*s.m, length)
-	if err != nil {
-		return nil, err
-	}
-	s.pipes[key] = p
-	return p, nil
+	return k
 }
 
 // backsub returns (building if needed) the back-substitution kernel
@@ -398,7 +383,7 @@ func (s *DistSolver[T]) pipeline(dev, length int) (*Pipeline[T], error) {
 func (s *DistSolver[T]) backsub(dev, length int) (*backsubKernel[T], error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := pipeKey{dev, length}
+	key := kernelKey{dev, length}
 	if k, ok := s.backsubs[key]; ok {
 		return k, nil
 	}
@@ -418,7 +403,7 @@ func (s *DistSolver[T]) Shape() (m, n int) { return s.m, s.n }
 // Partition returns the solver's fixed row partition.
 func (s *DistSolver[T]) Partition() Partition { return s.part }
 
-// Close releases the solver's pipelines. Close against an in-flight
+// Close releases the solver's kernels. Close against an in-flight
 // solve returns ErrDistBusy; repeat calls return nil.
 func (s *DistSolver[T]) Close() error {
 	if !s.inUse.CompareAndSwap(false, true) {
@@ -431,10 +416,7 @@ func (s *DistSolver[T]) Close() error {
 	s.closed = true
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range s.pipes {
-		_ = p.Close()
-	}
-	s.pipes, s.backsubs = nil, nil
+	s.reducers, s.backsubs = nil, nil
 	return nil
 }
 
@@ -458,7 +440,7 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 	if !s.inUse.CompareAndSwap(false, true) {
 		return nil, ErrDistBusy
 	}
-	defer s.inUse.Store(false)
+	defer s.release()
 	if s.closed {
 		return nil, ErrDistClosed
 	}
@@ -472,12 +454,10 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 	d := s.part.NumSlabs()
 	rep := &DistReport{Slabs: d, Devices: make([]int, d)}
 	s.scope.Reset()
-	for p := range s.slabs {
-		s.buildSlabInput(p, b)
-	}
+	s.b, s.dst = b, dst
 
 	// Phase A: local reductions, with migration on device death.
-	if err := s.runPhase(ctx, rep, s.reduceOne, s.reduceHost); err != nil {
+	if err := s.runPhase(ctx, rep, s.reduce); err != nil {
 		return nil, err
 	}
 
@@ -494,14 +474,14 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 		return nil, err
 	}
 
-	// Phase C: per-slab back-substitution, device-side, same recovery.
+	// Phase C: per-slab back-substitution, device-side, same recovery;
+	// each slab copies its rows into dst once they are verified.
 	for p := range s.slabs {
 		s.slabs[p].homeDev = s.slabs[p].dev // where the u,v,w planes are resident
 	}
-	if err := s.runPhase(ctx, rep, s.backsubOne, s.backsubHost); err != nil {
+	if err := s.runPhase(ctx, rep, s.backsubst); err != nil {
 		return nil, err
 	}
-	s.scatterOutputs(dst)
 
 	// Report: final assignment, comm delta, modeled makespans.
 	for p := range s.slabs {
@@ -532,6 +512,14 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 	return rep, nil
 }
 
+// release ends a solve: it unbinds the caller's batch and solution, so
+// the solver keeps neither alive between solves, and drops the busy
+// flag.
+func (s *DistSolver[T]) release() {
+	s.b, s.dst = nil, nil
+	s.inUse.Store(false)
+}
+
 // begin resets the per-solve state and marks the given devices live,
 // validating them against the topology. Duplicates count once.
 func (s *DistSolver[T]) begin(live []int) error {
@@ -558,13 +546,6 @@ func (s *DistSolver[T]) begin(live []int) error {
 	return nil
 }
 
-// phaseFn runs one slab's device work for the current phase, returning
-// the device error (a wrapped LaunchError means the device is dead).
-type phaseFn[T num.Real] func(ctx context.Context, sl *distSlab, dev int) error
-
-// hostFn is the phase's degraded host-side re-solve.
-type hostFn[T num.Real] func(sl *distSlab) error
-
 // runPhase executes one device phase over all slabs with the recovery
 // protocol: slabs are assigned round-robin over the live devices in
 // ascending order (a pure function of the live set, so replays are
@@ -573,7 +554,7 @@ type hostFn[T num.Real] func(sl *distSlab) error
 // published through DistConfig.Health before the victim slab migrates
 // to a survivor under the phase's jittered retry budget. Slabs
 // degraded in an earlier phase go straight to the host path.
-func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, run phaseFn[T], host hostFn[T]) error {
+func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, ph distPhase) error {
 	maxR := s.cfg.Retry.maxRetries()
 	pending := s.pending[:0]
 	for p := range s.slabs {
@@ -581,7 +562,7 @@ func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, run phase
 		sl.attempts = 0
 		if !sl.degraded {
 			pending = append(pending, sl)
-		} else if err := host(sl); err != nil {
+		} else if err := ph.host(sl); err != nil {
 			return err
 		}
 	}
@@ -599,7 +580,7 @@ func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, run phase
 				return fmt.Errorf("%w: no live devices remain for %d slab(s)", ErrFaulted, len(pending))
 			}
 			for _, sl := range pending {
-				if err := s.degrade(sl, host, nil); err != nil {
+				if err := s.degrade(sl, ph, nil); err != nil {
 					return err
 				}
 			}
@@ -623,7 +604,7 @@ func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, run phase
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					s.runGroup(ctx, d, run)
+					s.runGroup(ctx, d, ph)
 				}()
 			}
 		}
@@ -649,14 +630,14 @@ func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, run phase
 				// get a clean transfer through, so the slab falls to the
 				// host path — the data there never crossed the
 				// untrustworthy link.
-				if err := s.degrade(sl, host, errLinkIntegrity); err != nil {
+				if err := s.degrade(sl, ph, errLinkIntegrity); err != nil {
 					return err
 				}
 			case slabLost:
 				sl.redone = true
 				rep.Retries++
 				if sl.attempts > maxR {
-					if err := s.degrade(sl, host, fmt.Errorf("exhausted %d migration attempts: %w", sl.attempts, sl.err)); err != nil {
+					if err := s.degrade(sl, ph, fmt.Errorf("exhausted %d migration attempts: %w", sl.attempts, sl.err)); err != nil {
 						return err
 					}
 					continue
@@ -676,7 +657,7 @@ func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, run phase
 // runGroup runs one device's slabs of a runPhase round in order,
 // stopping at the first failure that is not the link's. It writes only
 // d and d's slabs, so devices run it concurrently.
-func (s *DistSolver[T]) runGroup(ctx context.Context, d *distDev, run phaseFn[T]) {
+func (s *DistSolver[T]) runGroup(ctx context.Context, d *distDev, ph distPhase) {
 	for _, sl := range d.group {
 		if sl.attempts > 0 {
 			// Re-attempt after lost work: jittered backoff keyed on the
@@ -688,7 +669,7 @@ func (s *DistSolver[T]) runGroup(ctx context.Context, d *distDev, run phaseFn[T]
 			}
 		}
 		sl.attempts++
-		err := run(ctx, sl, sl.dev)
+		err := ph.run(ctx, sl, sl.dev)
 		switch {
 		case err == nil:
 			sl.outcome = slabDone
@@ -717,15 +698,15 @@ func (s *DistSolver[T]) nextLive(dev int) int {
 	}
 }
 
-// degrade moves sl to the host path for the rest of the solve, or
-// fails the solve with ErrFaulted under NoDegrade. why is the failure
-// behind it, for that error.
-func (s *DistSolver[T]) degrade(sl *distSlab, host hostFn[T], why error) error {
+// degrade moves sl to phase ph's host path for the rest of the solve,
+// or fails the solve with ErrFaulted under NoDegrade. why is the
+// failure behind it, for that error.
+func (s *DistSolver[T]) degrade(sl *distSlab, ph distPhase, why error) error {
 	if s.cfg.Retry.NoDegrade {
 		return fmt.Errorf("%w: slab %d: %v", ErrFaulted, sl.idx, why)
 	}
 	sl.dev, sl.degraded = -1, true
-	return host(sl)
+	return ph.host(sl)
 }
 
 // isDeviceDeath classifies a slab failure: any launch fault means the
@@ -756,47 +737,6 @@ func (s *DistSolver[T]) kill(rep *DistReport, dev int) {
 	}
 }
 
-// buildSlabInput fills slab p's 3M local systems from the batch:
-// plane u (systems 0..M-1) carries the slab's RHS, plane v (M..2M-1)
-// the left-separator coupling -a[first]·e_first, plane w (2M..3M-1)
-// the right-separator coupling -c[last]·e_last. Coefficients are the
-// slab's rows, identical across planes. The first slab has no left
-// separator and the last no right one, so their coupling planes are
-// exactly zero — the hybrid's elimination of an all-zero RHS yields
-// bitwise zero, which is what makes the reduced system's boundary
-// terms vanish without special cases.
-func (s *DistSolver[T]) buildSlabInput(p int, b *matrix.Batch[T]) {
-	sl := s.part.Slabs[p]
-	L := sl.Len()
-	in := s.slabIn[p]
-	first, last := p == 0, p == s.part.NumSlabs()-1
-	for i := 0; i < s.m; i++ {
-		src := i*s.n + sl.Start
-		for plane := 0; plane < 3; plane++ {
-			q := plane*s.m + i
-			dst := q * L
-			copy(in.Lower[dst:dst+L], b.Lower[src:src+L])
-			copy(in.Diag[dst:dst+L], b.Diag[src:src+L])
-			copy(in.Upper[dst:dst+L], b.Upper[src:src+L])
-			rhs := in.RHS[dst : dst+L]
-			switch plane {
-			case 0:
-				copy(rhs, b.RHS[src:src+L])
-			case 1:
-				clear(rhs)
-				if !first {
-					rhs[0] = -b.Lower[src]
-				}
-			case 2:
-				clear(rhs)
-				if !last {
-					rhs[L-1] = -b.Upper[src+L-1]
-				}
-			}
-		}
-	}
-}
-
 // reduceOne runs slab sl's local reduction on device dev, into the
 // solver's per-slab arenas.
 func (s *DistSolver[T]) reduceOne(ctx context.Context, sl *distSlab, dev int) error {
@@ -804,36 +744,30 @@ func (s *DistSolver[T]) reduceOne(ctx context.Context, sl *distSlab, dev int) er
 }
 
 // reduceSlab runs slab sl's local reduction on device dev: verified
-// coefficient upload, the 3M-system hybrid, extraction of the six
-// interface scalars per system into iface, and the verified halo
-// download. Both transfers carry ABFT sum checks; a corrupted delivery
-// escalates re-exchange → re-solve-slab → errLinkIntegrity (the caller
-// degrades the slab to the host). x/iface/shadow are parameters so a
-// hedge's speculative run can execute into scratch buffers.
+// coefficient upload, the slab kernel over its 3M systems, extraction
+// of the six interface scalars per system into iface, and the verified
+// halo download. Both transfers carry ABFT sum checks; a corrupted
+// delivery escalates re-exchange → re-solve-slab → errLinkIntegrity
+// (the caller degrades the slab to the host). x/iface/shadow are
+// parameters so a hedge's speculative run can execute into scratch
+// buffers.
 func (s *DistSolver[T]) reduceSlab(ctx context.Context, sl *distSlab, dev int, x, iface, shadow []T) error {
-	p := sl.idx
-	L := s.part.Slabs[p].Len()
-	m := s.m
+	rows := s.slab(sl.idx)
+	L, m := rows.rows, s.m
 	elem := int64(num.SizeOf[T]())
-	in := s.slabIn[p]
-	// Upload: 3 coefficient planes + 3 RHS planes of M×L each. (The
-	// coefficient replication is a modeling convenience — a real
-	// implementation uploads them once — so charge the unreplicated 4
-	// planes: a, b, c, d, and checksum exactly those.)
-	mL := m * L
-	up, err := s.verifiedUp(sl, dev, 4*int64(mL)*elem,
-		in.Lower[:mL], in.Diag[:mL], in.Upper[:mL], in.RHS[:mL])
+	// Upload: the slab's rows of a, b, c and d, M×L each, checksummed in
+	// place. The kernel reads the coefficients once per plane, but a
+	// real implementation uploads them once, so only these four are
+	// charged.
+	up, err := s.verifiedUp(sl, dev, 4*int64(m*L)*elem, rows.sum())
 	if err != nil {
 		return err
 	}
-	pipe, err := s.pipeline(dev, L)
-	if err != nil {
+	k := s.reducer(dev, L)
+	if err := k.solve(ctx, rows, x); err != nil {
 		return err
 	}
-	if err := pipe.SolveIntoCtx(ctx, x, in); err != nil {
-		return err
-	}
-	compute := s.topo.Device(dev).EstimateTime(pipe.Report().Stats, num.SizeOf[T]())
+	compute := s.topo.Device(dev).EstimateTime(&k.drv.total, num.SizeOf[T]())
 	s.extractInterface(x, iface, L)
 
 	// Download the halo: 6 interface scalars per system, sum-checked.
@@ -842,10 +776,10 @@ func (s *DistSolver[T]) reduceSlab(ctx context.Context, sl *distSlab, dev int, x
 	down, err := s.verifiedDown(sl, dev, 6*int64(m)*elem, iface, shadow)
 	if err != nil {
 		sl.resolves++
-		if err := pipe.SolveIntoCtx(ctx, x, in); err != nil {
+		if err := k.solve(ctx, rows, x); err != nil {
 			return err
 		}
-		compute += s.topo.Device(dev).EstimateTime(pipe.Report().Stats, num.SizeOf[T]())
+		compute += s.topo.Device(dev).EstimateTime(&k.drv.total, num.SizeOf[T]())
 		s.extractInterface(x, iface, L)
 		var d2 float64
 		d2, err = s.verifiedDown(sl, dev, 6*int64(m)*elem, iface, shadow)
@@ -876,22 +810,28 @@ func (s *DistSolver[T]) extractInterface(x, iface []T, L int) {
 }
 
 // reduceHost is the degraded local reduction: the slab's 3M systems go
-// through the host pivoting GTSV. Not bitwise-comparable to the device
-// path — degradation is a last resort, reported per slab.
+// through the host pivoting GTSV, each gathered from the caller's rows.
+// Not bitwise-comparable to the device path — degradation is a last
+// resort, reported per slab.
 func (s *DistSolver[T]) reduceHost(sl *distSlab) error {
 	p := sl.idx
-	L := s.part.Slabs[p].Len()
+	rows := s.slab(p)
+	L := rows.rows
 	if s.gtsvSlab == nil {
 		s.gtsvSlab = cpu.NewGTSVWorkspace[T](L) // grows on demand for longer slabs
 	}
-	in := s.slabIn[p]
+	if len(s.gtsvRHS) < L {
+		s.gtsvRHS = make([]T, L)
+	}
+	b := rows.b
 	for q := 0; q < 3*s.m; q++ {
-		lo, hi := q*L, (q+1)*L
+		lo, hi := rows.span(q % s.m)
 		sys := matrix.System[T]{
-			Lower: in.Lower[lo:hi], Diag: in.Diag[lo:hi],
-			Upper: in.Upper[lo:hi], RHS: in.RHS[lo:hi],
+			Lower: b.Lower[lo:hi], Diag: b.Diag[lo:hi],
+			Upper: b.Upper[lo:hi], RHS: s.gtsvRHS[:L],
 		}
-		if err := cpu.SolveGTSVInto(&sys, s.slabX[p][lo:hi], s.gtsvSlab); err != nil {
+		rows.rhs(q, sys.RHS)
+		if err := cpu.SolveGTSVInto(&sys, s.slabX[p][q*L:(q+1)*L], s.gtsvSlab); err != nil {
 			return fmt.Errorf("%w: degraded reduce of slab %d system %d: %v", ErrFaulted, p, q, err)
 		}
 	}
@@ -899,6 +839,199 @@ func (s *DistSolver[T]) reduceHost(sl *distSlab) error {
 	s.extractInterface(s.slabX[p], s.iface[p], L)
 	return nil
 }
+
+// slabRows is one slab of a bound batch: rows [start, start+rows) of
+// every system, and whether the slab is the first (no left separator)
+// or the last (no right one).
+type slabRows[T num.Real] struct {
+	b           *matrix.Batch[T]
+	start, rows int
+	first, last bool
+}
+
+// slab is slab p of the bound batch.
+func (s *DistSolver[T]) slab(p int) slabRows[T] {
+	sl := s.part.Slabs[p]
+	return slabRows[T]{b: s.b, start: sl.Start, rows: sl.Len(), first: p == 0, last: p == s.part.NumSlabs()-1}
+}
+
+// span is where system i's slab rows sit in the batch's planes.
+func (r *slabRows[T]) span(i int) (lo, hi int) {
+	lo = i*r.b.N + r.start
+	return lo, lo + r.rows
+}
+
+// couplings are system i's two coupling entries: v = -a at the slab's
+// first row, the left separator's, and w = -c at its last, the right
+// separator's. The first slab has no left separator and the last no
+// right one, so there v or w is +0 and that coupling system is exactly
+// zero — the elimination of an all-zero RHS yields bitwise zero, which
+// is what makes the reduced system's boundary terms vanish without
+// special cases.
+func (r *slabRows[T]) couplings(i int) (v, w T) {
+	lo, hi := r.span(i)
+	if !r.first {
+		v = -r.b.Lower[lo]
+	}
+	if !r.last {
+		w = -r.b.Upper[hi-1]
+	}
+	return v, w
+}
+
+// rhs writes the right-hand side of the slab's local system q into dst
+// (rows elements). Of the slab's 3M systems, which all share system
+// q mod M's coefficients, u systems 0..M-1 carry the slab's rows of d,
+// v systems M..2M-1 their left coupling in the first row and w systems
+// 2M..3M-1 their right coupling in the last, every other entry +0.
+func (r *slabRows[T]) rhs(q int, dst []T) {
+	m := r.b.M
+	lo, hi := r.span(q % m)
+	if q < m {
+		copy(dst, r.b.RHS[lo:hi])
+		return
+	}
+	clear(dst)
+	switch v, w := r.couplings(q % m); q / m {
+	case 1:
+		dst[0] = v
+	default:
+		dst[r.rows-1] = w
+	}
+}
+
+// sum is the ABFT checksum of the slab's upload (sumParts): its rows
+// of a, b, c and d, one plane after another, each in system order.
+func (r *slabRows[T]) sum() float64 {
+	var sum float64
+	for _, plane := range [4][]T{r.b.Lower, r.b.Diag, r.b.Upper, r.b.RHS} {
+		for i := 0; i < r.b.M; i++ {
+			lo, hi := r.span(i)
+			sum = sumParts(sum, plane[lo:hi])
+		}
+	}
+	return sum
+}
+
+// slabKernel is the cached local reduce for one (topology device, slab
+// length): the k = 0 p-Thomas launch over a slab's 3M systems of L rows
+// — the u, v and w systems of slabRows.rhs — with its driver, built
+// once so a reduce allocates nothing. It is the launch, class key and
+// memo key a Pipeline over the same 3M×L batch builds (k0Launch), so
+// the two share a recording and its Stats. Only a recording reads the
+// interleaved planes the kernel coalesces over; bindRecording builds
+// them from the bound slab and drops them after. Every solve computes
+// its answer on the twin, which solves the slab's three systems per
+// batch system from the caller's rows in place (twin).
+//
+// A kernel is driven by one goroutine at a time: runPhase runs each
+// device's slabs sequentially, and hedges run after it on the calling
+// goroutine.
+type slabKernel[T num.Real] struct {
+	drv     driver[T]
+	launch  [1]launch
+	m, rows int // batch systems M, slab length L
+
+	// The solve's binding: the slab and its 3M·L solution, plane-major
+	// like the systems. cp is the twin's c', one system's rows.
+	slab slabRows[T]
+	x    []T
+	cp   []T
+
+	// The kernel's arrays, bound only while a recording runs: the 3M
+	// interleaved systems, c' and d'; the kernel writes x interleaved.
+	iv   *matrix.Interleaved[T]
+	bufs pthomas.Bufs[T]
+}
+
+// newSlabKernel builds the local reduce for slabs of rows rows of an
+// m-system batch on dev.
+func newSlabKernel[T num.Real](dev *gpusim.Device, m, rows int) *slabKernel[T] {
+	k := &slabKernel[T]{m: m, rows: rows, cp: make([]T, rows)}
+	var key recordKey
+	k.launch[0], key = k0Launch(dev, &k.bufs, 3*m, rows, (&Config{}).c())
+	k.drv = newDriver[T](dev, key, k, k.launch[:])
+	return k
+}
+
+// solve runs the local reduce of slab into x: the driver records on
+// the kernel's first use, then the twin runs. The twin asks the
+// injector about the whole grid at attempt 0, as Device.Launch keys it:
+// the distributed layer retries by migrating, never in place.
+func (k *slabKernel[T]) solve(ctx context.Context, slab slabRows[T], x []T) error {
+	k.slab, k.x = slab, x
+	err := k.drv.run(ctx, func() (bool, error) {
+		if _, le := k.drv.fault(0, x, nil); le != nil {
+			return false, le
+		}
+		return false, k.twin(ctx)
+	})
+	k.slab, k.x = slabRows[T]{}, nil
+	if err != nil && ctxErr(ctx) != nil {
+		return cancelled(ctx.Err())
+	}
+	return err
+}
+
+// twin is the slab kernel's host twin: per batch system, one coupled
+// Thomas (pthomas.SolveCoupledInto) over the slab's rows of the
+// caller's batch solves its u, v and w systems into their rows of x,
+// one c' chain and three d' chains, bit for bit the kernel's three
+// threads. The context is checked between systems.
+//
+//tridlint:hotpath
+func (k *slabKernel[T]) twin(ctx context.Context) error {
+	r, x, m, L := &k.slab, k.x, k.m, k.rows
+	b := r.b
+	for i := 0; i < m; i++ {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		lo, hi := r.span(i)
+		v, w := r.couplings(i)
+		u, vx, wx := i*L, (m+i)*L, (2*m+i)*L
+		pthomas.SolveCoupledInto(b.Lower[lo:hi], b.Diag[lo:hi], b.Upper[lo:hi], b.RHS[lo:hi], v, w,
+			x[u:u+L], x[vx:vx+L], x[wx:wx+L], k.cp)
+	}
+	return nil
+}
+
+// blockRows is where a block writes the bound solution: its systems'
+// rows, as the twin lays them out.
+func (k *slabKernel[T]) blockRows(_, blk int) (lo, hi, stride int) {
+	return k0Rows(blk, k.launch[0].tpb, 3*k.m, k.rows)
+}
+
+// bindRecording builds the kernel's planes from the bound slab (on):
+// system q of the 3M takes system q mod M's coefficients and
+// slabRows.rhs's right-hand side, interleaved, with c' and d' planes
+// beside them. off drops them; under the audit it first deinterleaves
+// the kernel's x, through the RHS plane, to meet the twin's rows.
+func (k *slabKernel[T]) bindRecording(on bool) {
+	q, L := 3*k.m, k.rows
+	if !on {
+		if auditTwin {
+			matrix.DeinterleaveVectorInto(k.iv.RHS, k.x, q, L)
+			copy(k.x, k.iv.RHS)
+		}
+		k.iv, k.bufs = nil, pthomas.Bufs[T]{}
+		return
+	}
+	iv, b, rhs := matrix.NewInterleaved[T](q, L), k.slab.b, make([]T, L)
+	for sys := range q {
+		lo, _ := k.slab.span(sys % k.m)
+		k.slab.rhs(sys, rhs)
+		for j := range L {
+			at := j*q + sys
+			iv.Lower[at], iv.Diag[at], iv.Upper[at], iv.RHS[at] = b.Lower[lo+j], b.Diag[lo+j], b.Upper[lo+j], rhs[j]
+		}
+	}
+	k.iv = iv
+	k.bufs = pthomas.NewBufs(iv.Lower, iv.Diag, iv.Upper, iv.RHS, make([]T, q*L), make([]T, q*L), k.x)
+}
+
+// outputs is the bound solution, which the audit compares.
+func (k *slabKernel[T]) outputs() [][]T { return [][]T{k.x} }
 
 // solveReduced assembles the reduced interface system from the
 // separator rows and the slabs' interface scalars, solves each batch
@@ -1063,12 +1196,12 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 	// the backsub runs on a different device than the reduce (they
 	// were resident on the dead device and re-stage from the host).
 	bytes := 2 * int64(m) * elem
-	parts := [][]T{s.sepL[p], s.sepR[p]}
+	want := sumParts(0, s.sepL[p], s.sepR[p])
 	if dev != sl.homeDev {
 		bytes += 3 * int64(m) * int64(L) * elem
-		parts = append(parts, s.slabX[p])
+		want = sumParts(want, s.slabX[p])
 	}
-	up, err := s.verifiedUp(sl, dev, bytes, parts...)
+	up, err := s.verifiedUp(sl, dev, bytes, want)
 	if err != nil {
 		return err
 	}
@@ -1103,22 +1236,26 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 	sl.timing.Compute += compute
 	sl.timing.Download += down
 	s.noteBusy(dev, up+compute+down)
+	s.scatter(p)
 	return nil
 }
 
 // backsubHost is the degraded back-substitution: the kernel's host
-// twin, run unconditionally.
+// twin, run unconditionally, then the slab's rows into the solution.
 func (s *DistSolver[T]) backsubHost(sl *distSlab) error {
-	return backsubRows(nil, &s.bsArgs[sl.idx])
+	if err := backsubRows(nil, &s.bsArgs[sl.idx]); err != nil {
+		return err
+	}
+	s.scatter(sl.idx)
+	return nil
 }
 
-// scatterOutputs copies each slab's back-substituted rows into dst.
-func (s *DistSolver[T]) scatterOutputs(dst []T) {
-	for p := range s.slabs {
-		sl := s.part.Slabs[p]
-		L := sl.Len()
-		for i := 0; i < s.m; i++ {
-			copy(dst[i*s.n+sl.Start:i*s.n+sl.End], s.slabOut[p][i*L:(i+1)*L])
-		}
+// scatter copies slab p's back-substituted rows into the bound
+// solution. Slabs own disjoint rows, so devices scatter concurrently.
+func (s *DistSolver[T]) scatter(p int) {
+	sl := s.part.Slabs[p]
+	L := sl.Len()
+	for i := 0; i < s.m; i++ {
+		copy(s.dst[i*s.n+sl.Start:i*s.n+sl.End], s.slabOut[p][i*L:(i+1)*L])
 	}
 }

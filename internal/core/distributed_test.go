@@ -12,6 +12,7 @@ import (
 	"gputrid/internal/cpu"
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
+	"gputrid/internal/num"
 	"gputrid/internal/workload"
 )
 
@@ -120,7 +121,7 @@ func TestDistributedAssignmentInvariance(t *testing.T) {
 }
 
 // TestDistributedDeviceDeath kills one device permanently mid-solve
-// (its first tiledPCR launch and every retry abort) and requires: the
+// (its first pThomas launch and every retry abort) and requires: the
 // solve completes, the result is bitwise identical to the fault-free
 // run, the death surfaced exactly one HealthXID event before
 // completion, and the report names the death and the migrations.
@@ -259,7 +260,7 @@ func TestDistributedBacksubCorruptFault(t *testing.T) {
 	if _, err := s.SolveInto(context.Background(), clean, b); err != nil {
 		t.Fatal(err)
 	}
-	if k := s.backsubs[pipeKey{0, s.part.Slabs[0].Len()}]; k == nil || !k.drv.recorded {
+	if k := s.backsubs[kernelKey{0, s.part.Slabs[0].Len()}]; k == nil || !k.drv.recorded {
 		t.Fatal("device 0's back-substitution did not record on the fault-free solve")
 	}
 
@@ -408,15 +409,15 @@ func TestDistSolveAfterCancel(t *testing.T) {
 }
 
 // TestDistSteadyStateAllocs pins the distributed steady state: once a
-// solver has recorded its slab pipelines and back-substitution
-// kernels, a warm solve allocates a small constant (runPhase's
-// goroutines, the report and its slices) independent of N, and
+// solver has recorded its slab kernels and back-substitution kernels,
+// a warm solve allocates a small constant (runPhase's goroutines and
+// their WaitGroups, the report and its slices) independent of N, and
 // replays bitwise the recording solve with its modeled numbers.
 func TestDistSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const m, devs, slabs, maxAllocs = 4, 4, 4, 20
+	const m, devs, slabs, maxAllocs = 4, 4, 4, 13
 	for _, n := range []int{4097, 131073} {
 		b := workload.Batch[float64](workload.DiagDominant, m, n, 5)
 		s, err := NewDistSolver[float64](DistConfig{Topology: distTopo(t, devs, gpusim.NVLinkMesh()), Slabs: slabs}, m, n)
@@ -455,6 +456,76 @@ func TestDistSteadyStateAllocs(t *testing.T) {
 		}
 		t.Logf("N=%d: %.0f allocs per warm solve", n, allocs)
 		s.Close()
+	}
+}
+
+// TestSlabKernelRecordsAsPipeline pins that a distributed slab's local
+// reduce is the k = 0 launch a Pipeline builds over the slab's 3M
+// systems, which its recording replaced. For a middle slab of an
+// M-system batch, with the memo emptied: the slab kernel's first solve
+// records once, sampled; a NewPipeline(Config{}, 3M, L) over the
+// replicated batch (slabRows.rhs's systems) then finds those Stats in
+// the memo and records nothing, and solves to the slab kernel's bits;
+// and the slab kernel's sampled and full recordings and the pipeline's
+// published Stats each equal the pipeline's full recording field for
+// field.
+func TestSlabKernelRecordsAsPipeline(t *testing.T) {
+	dev := gpusim.GTX480()
+	for _, m := range []int{1, 4} {
+		for _, L := range []int{1, 2, 257, 32768} {
+			recs := countRecordings(t, 3*m, L)
+			b := workload.Batch[float64](workload.DiagDominant, m, L+2, uint64(m*L))
+			slab := slabRows[float64]{b: b, start: 1, rows: L}
+			k := newSlabKernel[float64](dev, m, L)
+			x := make([]float64, 3*m*L)
+			if err := k.solve(nil, slab, x); err != nil {
+				t.Fatalf("M=%d L=%d: slab kernel: %v", m, L, err)
+			}
+			if got := recs.Load(); got != 1 {
+				t.Fatalf("M=%d L=%d: the slab kernel's first solve recorded %d times, want 1", m, L, got)
+			}
+
+			repl := matrix.NewBatch[float64](3*m, L)
+			for q := range 3 * m {
+				lo, hi := slab.span(q % m)
+				copy(repl.Lower[q*L:], b.Lower[lo:hi])
+				copy(repl.Diag[q*L:], b.Diag[lo:hi])
+				copy(repl.Upper[q*L:], b.Upper[lo:hi])
+				slab.rhs(q, repl.RHS[q*L:(q+1)*L])
+			}
+			p, err := NewPipeline[float64](Config{}, 3*m, L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			px := make([]float64, 3*m*L)
+			if err := p.SolveInto(px, repl); err != nil {
+				t.Fatal(err)
+			}
+			if got := recs.Load(); got != 1 {
+				t.Errorf("M=%d L=%d: the pipeline recorded again: its memo key is not the slab kernel's", m, L)
+			}
+			if i := firstDiff(px, x); i >= 0 {
+				t.Errorf("M=%d L=%d: slab kernel x[%d] = %#x, pipeline %#x", m, L, i, num.Bits(x[i]), num.Bits(px[i]))
+			}
+
+			full, err := p.RecordFull(repl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Close()
+			var kFull [1]gpusim.Stats
+			k.slab, k.x = slab, x
+			if err := k.drv.record(nil, kFull[:], true); err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string]*gpusim.Stats{
+				"slab sampled": &k.drv.kern[0], "slab full": &kFull[0], "pipeline published": p.Report().Kernels[0],
+			} {
+				if *got != full[0] {
+					t.Errorf("M=%d L=%d: %s Stats\n%+v\nwant the pipeline's full recording\n%+v", m, L, name, *got, full[0])
+				}
+			}
+		}
 	}
 }
 

@@ -10,18 +10,23 @@ import (
 )
 
 // FuzzPartitioner drives the partitioner and the distributed solve
-// with arbitrary (N, device count, slab sizes): construction must
-// never index out of bounds (the harness itself would panic), every
-// accepted partition must validate structurally, and the multi-device
-// distributed solve must match the single-device run of the same
-// partition bitwise — the assignment-invariance contract device-death
-// migration relies on.
+// with arbitrary (N, device count, batch size M, slab sizes):
+// construction must never index out of bounds (the harness itself
+// would panic), every accepted partition must validate structurally,
+// and the multi-device distributed solve must match the single-device
+// run of the same partition bitwise — the assignment-invariance
+// contract device-death migration relies on. devs carries both the
+// device count (its low two bits) and M ∈ {1, …, 4} (the next two,
+// offset so that the seeds below 4 keep M = 2), so the audited slab
+// kernel sees every mapping of batch system to u, v and w system.
 func FuzzPartitioner(f *testing.F) {
 	f.Add(uint16(64), uint8(3), uint8(0), []byte{})
 	f.Add(uint16(7), uint8(4), uint8(1), []byte{1, 1, 1, 1})
 	f.Add(uint16(97), uint8(2), uint8(5), []byte{40, 6})
 	f.Add(uint16(3), uint8(1), uint8(2), []byte{0})
 	f.Add(uint16(0), uint8(0), uint8(0), []byte{255, 255})
+	f.Add(uint16(257), uint8(3|3<<2), uint8(3), []byte{}) // M = 1, 4 devices: dist-huge's shape
+	f.Add(uint16(131), uint8(2|2<<2), uint8(4), []byte{}) // M = 4
 	f.Fuzz(func(t *testing.T, n16 uint16, devs, slabs uint8, sizeBytes []byte) {
 		n := int(n16)
 
@@ -56,7 +61,7 @@ func FuzzPartitioner(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const m = 2
+		m := int(devs>>2+1)%4 + 1
 		s, err := NewDistSolver[float64](DistConfig{Topology: topo, Slabs: D}, m, n)
 		if err != nil {
 			t.Fatalf("solver rejected valid partition (n=%d D=%d): %v", n, D, err)
@@ -66,7 +71,7 @@ func FuzzPartitioner(f *testing.F) {
 
 		multi := make([]float64, m*n)
 		if _, err := s.SolveInto(context.Background(), multi, b); err != nil {
-			t.Fatalf("multi-device solve (n=%d D=%d devs=%d): %v", n, D, nd, err)
+			t.Fatalf("multi-device solve (n=%d D=%d devs=%d M=%d): %v", n, D, nd, m, err)
 		}
 		single := make([]float64, m*n)
 		if _, err := s.SolveOn(context.Background(), single, b, []int{0}); err != nil {
@@ -74,8 +79,8 @@ func FuzzPartitioner(f *testing.F) {
 		}
 		for i := range multi {
 			if multi[i] != single[i] {
-				t.Fatalf("n=%d D=%d devs=%d: element %d differs bitwise: %x vs %x",
-					n, D, nd, i, math.Float64bits(multi[i]), math.Float64bits(single[i]))
+				t.Fatalf("n=%d D=%d devs=%d M=%d: element %d differs bitwise: %x vs %x",
+					n, D, nd, m, i, math.Float64bits(multi[i]), math.Float64bits(single[i]))
 			}
 		}
 	})

@@ -176,12 +176,11 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 	k := cfg.resolveK(m, n)
 	p := &Pipeline[T]{cfg: cfg, dev: dev, m: m, n: n, k: k, c: cfg.c(), g: 1}
 
+	var key recordKey
 	if k == 0 {
-		bs := min(blockSizeK0, dev.MaxThreadsPerBlock)
-		p.bs = bs
-		p.grid = num.CeilDiv(m, bs)
+		p.launches[0], key = k0Launch(dev, &p.bufs, m, n, p.c)
+		p.bs, p.grid = p.launches[0].tpb, p.launches[0].grid
 		p.xi, p.cp = make([]T, m*n), make([]T, m*n)
-		p.launches[0] = launch{"pThomas", bs, p.grid, p.k0Kernel(), p.k0Class}
 		p.nKern = 1
 	} else {
 		p.g = cfg.resolveBlocks(m, n, k)
@@ -191,8 +190,8 @@ func NewPipeline[T num.Real](cfg Config, m, n int) (*Pipeline[T], error) {
 		p.launches[0] = launch{"tiledPCR", tpb, m * p.g, p.pcrKernel(), p.pcrClass}
 		p.launches[1] = launch{"pThomasStrided", tpb, m, p.thomasKernel(), p.thomasClass}
 		p.nKern = 2
+		key = recordKey{m: m, n: n, k: k, c: p.c, g: p.g, elem: num.SizeOf[T]()}
 	}
-	key := recordKey{m: m, n: n, k: k, c: p.c, g: p.g, bs: p.bs, elem: num.SizeOf[T]()}
 	p.drv = newDriver[T](dev, key, p, p.launches[:p.nKern])
 	p.rep = Report{K: p.k, C: p.c, BlocksPerSystem: p.g, Stats: &p.drv.total, Faults: &p.frep}
 	for i := range p.nKern {
@@ -250,18 +249,39 @@ func (p *Pipeline[T]) buildWorkers() {
 	}
 }
 
-// k0Kernel builds the per-block body of the k = 0 interleaved
-// p-Thomas launch. The closure reads the per-solve state through p.
-func (p *Pipeline[T]) k0Kernel() gpusim.Kernel {
-	return func(blk *gpusim.Block) {
+// k0Launch is the k = 0 p-Thomas launch over the m interleaved systems
+// of n rows that *bufs binds while a recording runs, one thread per
+// system, and its memo key's geometry fields with sub-tile scale c. It
+// is the one k = 0 launch: a Pipeline's and a distributed slab's
+// (slabKernel) alike, so equal shapes share a recording.
+func k0Launch[T num.Real](dev *gpusim.Device, bufs *pthomas.Bufs[T], m, n, c int) (launch, recordKey) {
+	bs := min(blockSizeK0, dev.MaxThreadsPerBlock)
+	elem, tx := num.SizeOf[T](), dev.TransactionBytes
+	kern := func(blk *gpusim.Block) {
 		blk.PhaseNoSync(func(t *gpusim.Thread) {
-			sys := blk.ID*p.bs + t.ID
-			if sys >= p.m {
+			sys := blk.ID*bs + t.ID
+			if sys >= m {
 				return
 			}
-			pthomas.ThreadInterleaved(t, &p.bufs, sys, p.m, p.n)
+			pthomas.ThreadInterleaved(t, bufs, sys, m, n)
 		})
 	}
+	// A block is keyed by the byte offset of its first system and its
+	// count of systems, which is short only in the tail block: row j of
+	// the block's systems lies at j·M plus that offset, for every array
+	// alike.
+	class := func(blk int) (classKey, bool) {
+		first := blk * bs
+		return classKey{span: min(bs, m-first), off: txOffset(first, elem, tx)}, true
+	}
+	return launch{"pThomas", bs, num.CeilDiv(m, bs), kern, class},
+		recordKey{m: m, n: n, c: c, g: 1, bs: bs, elem: elem}
+}
+
+// k0Rows is where block blk of a k = 0 launch of bs threads writes a
+// solution of m contiguous systems of n rows: its systems' rows.
+func k0Rows(blk, bs, m, n int) (lo, hi, stride int) {
+	return blk * bs * n, min((blk+1)*bs, m) * n, m * n
 }
 
 // pcrKernel builds the per-block body of the tiled-PCR launch,
@@ -314,15 +334,6 @@ func (p *Pipeline[T]) thomasKernel() gpusim.Kernel {
 	}
 }
 
-// k0Class keys a k = 0 block by the byte offset of its first system
-// and its count of systems, which is short only in the tail block:
-// row j of the block's systems lies at j·M plus that offset, for every
-// array alike.
-func (p *Pipeline[T]) k0Class(blk int) (classKey, bool) {
-	first := blk * p.bs
-	return classKey{span: min(p.bs, p.m-first), off: p.txOffset(first)}, true
-}
-
 // pcrClass keys a tiled-PCR block. A block whose window loads stay
 // inside its system (tiledpcr.LoadSpan) runs the schedule its output
 // tile's length and its distance from the span's sub-tile-aligned
@@ -357,7 +368,7 @@ func (p *Pipeline[T]) thomasClass(blk int) (classKey, bool) {
 func (p *Pipeline[T]) blockRows(slot, blk int) (lo, hi, stride int) {
 	switch {
 	case p.k == 0 && p.rows != nil:
-		return blk * p.bs * p.n, min((blk+1)*p.bs, p.m) * p.n, p.m * p.n
+		return k0Rows(blk, p.bs, p.m, p.n)
 	case p.k == 0:
 		return blk * p.bs, min((blk+1)*p.bs, p.m), p.m
 	case slot == 0:

@@ -150,7 +150,7 @@ func TestPipelineZeroAlloc(t *testing.T) {
 // TestContiguousK0ZeroAlloc pins the warm contiguous k = 0 solve, whose
 // twin runs Thomas over the caller's rows, at zero allocations: at
 // 1024×512, a Table III k = 0 batch over the worker pool, and at
-// 3×32768, the distributed solver's slab pipeline.
+// 3×32768, the shape of a 4-device distributed solve's slab.
 func TestContiguousK0ZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -112,7 +112,7 @@ func TestHostTwinAuditPipeline(t *testing.T) {
 }
 
 // TestHostTwinAuditDistributed audits the distributed solver's warm
-// path: every slab pipeline (whose coupling planes are the zero and
+// path: every slab kernel (whose coupling planes are the zero and
 // single-nonzero right-hand sides) and every back-substitution.
 func TestHostTwinAuditDistributed(t *testing.T) {
 	const m, n = 3, 1025
@@ -133,9 +133,9 @@ func TestHostTwinAuditDistributed(t *testing.T) {
 	if i := firstDiff(want, got); i >= 0 {
 		t.Fatalf("warm x[%d] = %#x, recording solve %#x", i, num.Bits(got[i]), num.Bits(want[i]))
 	}
-	for key, p := range s.pipes {
-		if len(p.drv.sim) == 0 {
-			t.Errorf("slab pipeline %+v replayed without the audit", key)
+	for key, k := range s.reducers {
+		if len(k.drv.sim) == 0 {
+			t.Errorf("slab kernel %+v replayed without the audit", key)
 		}
 	}
 	for key, k := range s.backsubs {

@@ -199,6 +199,70 @@ func rowsMatch[T num.Real](t *testing.T, prec string) {
 	}
 }
 
+// TestCoupledMatchesPerLane holds the coupled twin to thomasLane per
+// right-hand side, bit for bit, NaN payloads included, in both
+// precisions on diagonally dominant, near-singular and zero-pivot
+// input. Each system is the L interior rows of an (L+2)-row system, as
+// a slab is of the whole, so its couplings v = -a[0] and w = -c[L-1]
+// are the ones a middle slab carries; the first slab has v = 0 and the
+// last w = 0. The oracle solves the explicit right-hand sides, cleared
+// to +0 but for that one entry. The twin's four outputs sit inside
+// larger planes whose entries outside the slab's rows must keep their
+// sentinel.
+func TestCoupledMatchesPerLane(t *testing.T) {
+	coupledMatches[float64](t, "float64")
+	coupledMatches[float32](t, "float32")
+}
+
+func coupledMatches[T num.Real](t *testing.T, prec string) {
+	const sentinel, pad = -7, 5
+	for _, L := range []int{1, 2, 3, 17, 1001} {
+		for kind, whole := range lockstepInputs[T](1, L+2) {
+			a, b, c, d := whole.Lower[1:L+1], whole.Diag[1:L+1], whole.Upper[1:L+1], whole.RHS[1:L+1]
+			for _, slab := range []string{"first", "middle", "last"} {
+				v, w := -a[0], -c[L-1]
+				switch slab {
+				case "first":
+					v = 0
+				case "last":
+					w = 0
+				}
+				ev, ew := make([]T, L), make([]T, L)
+				ev[0], ew[L-1] = v, w
+				want := make([][]T, 3)
+				cpw, dpw := make([]T, L), make([]T, L)
+				for j, rhs := range [][]T{d, ev, ew} {
+					want[j] = make([]T, L)
+					thomasLane(a, b, c, rhs, want[j], cpw, dpw, 0, 1, L)
+				}
+
+				planes := make([][]T, 4) // xu, xv, xw, c'
+				for j := range planes {
+					planes[j] = make([]T, L+2*pad)
+					for i := range planes[j] {
+						planes[j][i] = sentinel
+					}
+				}
+				in := func(j int) []T { return planes[j][pad : pad+L] }
+				SolveCoupledInto(a, b, c, d, v, w, in(0), in(1), in(2), in(3))
+				for j, name := range []string{"u", "v", "w"} {
+					if i := sameBits(want[j], in(j)); i >= 0 {
+						t.Fatalf("%s %s L=%d %s slab: coupled %s[%d] = %#x, per-lane %#x",
+							prec, kind, L, slab, name, i, num.Bits(in(j)[i]), num.Bits(want[j][i]))
+					}
+				}
+				for j, name := range []string{"u", "v", "w", "c'"} {
+					for i, x := range planes[j] {
+						if (i < pad || i >= pad+L) && x != sentinel {
+							t.Fatalf("%s %s L=%d %s slab: coupled wrote %s outside its rows at %d", prec, kind, L, slab, name, i-pad)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkLockstepThomas times the lockstep twins against the
 // per-lane loops they replaced, in the same run: the strided entry at
 // 16x65536 with k = 7 and at adi-step's 192x192 with k = 6, the
@@ -207,21 +271,30 @@ func rowsMatch[T num.Real](t *testing.T, prec string) {
 // 1024x512 batch and on the 3x32768 slab shape of a 4-device
 // distributed solve, where one group covers the whole slab. ns/op is
 // the lockstep sweep; perlane/lockstep is the per-lane time over the
-// lockstep time, above 1 when the lockstep form is faster.
+// lockstep time, above 1 when the lockstep form is faster. The
+// 3x32768,coupled row times the coupled twin on that slab, one system
+// of 32768 rows with its two couplings, against the three-lane form
+// (thomas3) over the slab's three systems, the coefficients replicated
+// as a distributed solve once built them; it reports thomas3/coupled.
 func BenchmarkLockstepThomas(b *testing.B) {
 	for _, sh := range []struct {
 		m, n, k     int
 		interleaved bool
+		coupled     bool
 	}{
-		{16, 65536, 7, false},
-		{192, 192, 6, false},
-		{1024, 512, 0, true},
-		{1024, 512, 0, false},
-		{3, 32768, 0, false},
+		{16, 65536, 7, false, false},
+		{192, 192, 6, false, false},
+		{1024, 512, 0, true, false},
+		{1024, 512, 0, false, false},
+		{3, 32768, 0, false, false},
+		{3, 32768, 0, false, true},
 	} {
 		name := fmt.Sprintf("%dx%d,k=%d", sh.m, sh.n, sh.k)
-		if sh.interleaved {
+		switch {
+		case sh.interleaved:
 			name = fmt.Sprintf("%dx%d,interleaved", sh.m, sh.n)
+		case sh.coupled:
+			name = fmt.Sprintf("%dx%d,coupled", sh.m, sh.n)
 		}
 		b.Run(name, func(b *testing.B) {
 			batch := workload.Batch[float64](workload.DiagDominant, sh.m, sh.n, 3)
@@ -231,17 +304,37 @@ func BenchmarkLockstepThomas(b *testing.B) {
 			if !sh.interleaved {
 				cp = cp[:min(sh.m, Lanes)*sh.n] // SolveReference's scratch
 			}
+			n := sh.n
+			if sh.coupled {
+				// The replicated slab: system 0's coefficients in all three,
+				// its RHS, then its two couplings alone.
+				a, d := batch.Lower[:n], batch.Diag[:n]
+				for q := 1; q < sh.m; q++ {
+					copy(batch.Lower[q*n:], a)
+					copy(batch.Diag[q*n:], d)
+					copy(batch.Upper[q*n:], batch.Upper[:n])
+					clear(batch.RHS[q*n : (q+1)*n])
+				}
+				batch.RHS[n], batch.RHS[3*n-1] = -a[n/2], -batch.Upper[n/2]
+			}
 			lockstep := func() {
-				if sh.interleaved {
+				switch {
+				case sh.coupled:
+					SolveCoupledInto(batch.Lower[:n], batch.Diag[:n], batch.Upper[:n], batch.RHS[:n],
+						batch.RHS[n], batch.RHS[3*n-1], x[:n], x[n:2*n], x[2*n:], cp[:n])
+				case sh.interleaved:
 					SolveInterleavedRangeInto(v, x, cp, 0, sh.m)
-				} else {
+				default:
 					SolveStridedRefInto(batch.Lower, batch.Diag, batch.Upper, batch.RHS, sh.m, sh.n, sh.k, x, cp)
 				}
 			}
 			perLane := func() {
-				if sh.interleaved {
+				switch {
+				case sh.coupled:
+					SolveRowsInto(batch.Lower, batch.Diag, batch.Upper, batch.RHS, x, cp, n)
+				case sh.interleaved:
 					perLaneInterleaved(v, x, 0, sh.m)
-				} else {
+				default:
 					perLaneStrided(batch.Lower, batch.Diag, batch.Upper, batch.RHS, sh.m, sh.n, sh.k, x)
 				}
 			}
@@ -259,7 +352,11 @@ func BenchmarkLockstepThomas(b *testing.B) {
 				pl += time.Since(start)
 				b.StartTimer()
 			}
-			b.ReportMetric(float64(pl)/float64(ls), "perlane/lockstep")
+			unit := "perlane/lockstep"
+			if sh.coupled {
+				unit = "thomas3/coupled"
+			}
+			b.ReportMetric(float64(pl)/float64(ls), unit)
 		})
 	}
 }

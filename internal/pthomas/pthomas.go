@@ -22,9 +22,11 @@
 // twins, the same recurrence over plain slices with c' scratch the
 // caller owns, and SolveRowsInto is ThreadInterleaved's twin over
 // systems stored contiguously, the layout a contiguous k = 0 solve
-// holds. Every twin writes d' into the solution it solves for: the
-// backward pass reads each row's d' before it overwrites it, so no twin
-// needs d' scratch. A twin runs every lane it covers in lockstep, one
+// holds; SolveCoupledInto is that twin for the three systems of a
+// distributed slab, which share their coefficients and differ only in
+// the right-hand side. Every twin writes d' into the solution it
+// solves for: the backward pass reads each row's d' before it
+// overwrites it, so no twin needs d' scratch. A twin runs every lane it covers in lockstep, one
 // sweep row by row across them, which is the host form of consecutive
 // threads on consecutive addresses: consecutive loop iterations belong
 // to independent recurrences, so their divisions overlap. The strided
@@ -246,6 +248,49 @@ func SolveRowsInto[T num.Real](a, b, c, d, x, cp []T, n int) {
 	}
 	for ; i < len(b); i += n {
 		thomas(a[i:i+n], b[i:i+n], c[i:i+n], d[i:i+n], x[i:i+n], cp[i:i+n])
+	}
+}
+
+// SolveCoupledInto is the k = 0 twin for three systems that share
+// their coefficients (a, b, c) of len(b) rows and differ only in the
+// right-hand side: d, the vector whose row 0 holds v, and the vector
+// whose last row holds w. A distributed slab solves exactly these: its
+// own RHS and its two separator couplings. It runs one c' chain and
+// three d' chains, so each row takes one division where three lanes
+// take three, and it loads each coefficient once. The v and w systems'
+// other entries are a literal +0, as the kernel loads them from a
+// cleared plane. Each chain takes ThreadInterleaved's operations in
+// its order, so xu, xv and xw each match the kernel bit for bit. c'
+// lands in cp and d' in the solutions, which the backward pass reads
+// before it overwrites them; all must hold len(b) elements.
+//
+//tridlint:hotpath
+func SolveCoupledInto[T num.Real](a, b, c, d []T, v, w T, xu, xv, xw, cp []T) {
+	n := len(b)
+	a, c, d, cp = a[:n], c[:n], d[:n], cp[:n]
+	xu, xv, xw = xu[:n], xv[:n], xw[:n]
+	var zero T
+	w0 := zero // the w system's row 0, its last when n = 1
+	if n == 1 {
+		w0 = w
+	}
+	cq, du, dv, dw := c[0]/b[0], d[0]/b[0], v/b[0], w0/b[0]
+	cp[0], xu[0], xv[0], xw[0] = cq, du, dv, dw
+	for i := 1; i < n; i++ {
+		wi := zero
+		if i == n-1 {
+			wi = w
+		}
+		av := a[i]
+		inv := 1 / (b[i] - cq*av)
+		cq, du = c[i]*inv, (d[i]-du*av)*inv
+		dv, dw = (zero-dv*av)*inv, (wi-dw*av)*inv
+		cp[i], xu[i], xv[i], xw[i] = cq, du, dv, dw
+	}
+	for i := n - 2; i >= 0; i-- {
+		p := cp[i]
+		du, dv, dw = xu[i]-p*du, xv[i]-p*dv, xw[i]-p*dw
+		xu[i], xv[i], xw[i] = du, dv, dw
 	}
 }
 
