@@ -110,12 +110,14 @@ func (s *DistSolver[T]) observations() []DeviceObservation {
 	return out
 }
 
-// sumParts is the ABFT checksum: the float64 sum of the payload
-// elements, added in order to s (0 before a payload's first part),
-// computed sender-side before the transfer and recomputed
-// receiver-side after it. A corrupted payload (poisoned to NaN by the
-// modeled link) makes the sums mismatch — NaN compares unequal to
-// everything, including itself — so corruption detection is exact.
+// sumParts is the ABFT checksum: the plain serial float64 sum of the
+// payload elements, added in order to s (0 before a payload's first
+// part). A corrupted payload (poisoned to NaN by the modeled link)
+// makes the sums mismatch — NaN compares unequal to everything,
+// including itself — so corruption detection is exact. The order is
+// part of the verdict: a reordered sum can turn ±Inf terms that now
+// sum to NaN into a finite or infinite sum, and so a blind transfer
+// into a verified one.
 func sumParts[T num.Real](s float64, parts ...[]T) float64 {
 	for _, p := range parts {
 		for _, v := range p {
@@ -126,32 +128,35 @@ func sumParts[T num.Real](s float64, parts ...[]T) float64 {
 }
 
 // verifiedUp moves a payload whose source of truth stays host-side
-// (coefficient uploads, separator values), of sumParts checksum want,
-// over the link with checksum verification: the receiver recomputes
-// the sum and a mismatch re-exchanges the transfer — each retry
-// redraws the link-fault schedule at the next per-site sequence
-// number, the transient-link model. The host copy is canonical, so a corrupted delivery costs
-// only the retry; nothing needs restoring. Returns the total modeled
-// seconds charged (retries included) and errLinkIntegrity when the
-// link stayed corrupt past the budget.
-func (s *DistSolver[T]) verifiedUp(sl *distSlab, dev int, bytes int64, want float64) (float64, error) {
-	if want != want {
-		// The payload legitimately contains NaN: the sum check is blind,
-		// send unverified rather than loop forever on a false mismatch.
-		return s.topo.Transfer(&s.scope, gpusim.OpHostToDevice, -1, dev, bytes).Seconds, nil
-	}
+// (coefficient uploads, separator values) over the link with checksum
+// verification: a corrupted delivery re-exchanges the transfer — each
+// retry redraws the link-fault schedule at the next per-site sequence
+// number, the transient-link model. The host copy is canonical, so a
+// corrupted delivery costs only the retry; nothing needs restoring.
+// Returns the total modeled seconds charged (retries included) and
+// errLinkIntegrity when the link stayed corrupt past the budget.
+//
+// sum is the payload's sumParts checksum, which only a corrupt
+// delivery reads: a clean delivery's recomputed sum is the sender's,
+// so it passes whatever the sum is. sum is called on the first corrupt
+// delivery, and a NaN there means the payload legitimately contains
+// NaN and the check is blind: the delivery stands unverified rather
+// than loop on a false mismatch, exactly as if the sum had been taken
+// before sending. A fault-free solve never sums its uploads.
+func (s *DistSolver[T]) verifiedUp(sl *distSlab, dev int, bytes int64, sum func() float64) (float64, error) {
 	var secs float64
 	for attempt := 0; ; attempt++ {
 		rep := s.topo.Transfer(&s.scope, gpusim.OpHostToDevice, -1, dev, bytes)
 		secs += rep.Seconds
-		got := want
-		if rep.Corrupt {
-			// The device-side copy arrived damaged; its recomputed sum
-			// cannot match the sender's.
-			got = math.NaN()
-		}
-		if got == want {
+		if !rep.Corrupt {
 			return secs, nil
+		}
+		// The device-side copy arrived damaged; its recomputed sum
+		// cannot match the sender's, unless the sender's is NaN too.
+		if attempt == 0 {
+			if want := sum(); want != want {
+				return secs, nil
+			}
 		}
 		s.noteIntegrity(sl, dev, 1)
 		if attempt >= reexchangeBudget {

@@ -154,6 +154,77 @@ func TestDistributedLinkIntegrityDegrade(t *testing.T) {
 	}
 }
 
+// TestDistributedBlindUploadVerdict pins the blind branch of the
+// upload check. Every device's first two uploads arrive corrupt. A
+// batch with a NaN right-hand-side entry in slab 0 (device 0) makes
+// that slab's coefficient upload and, through the NaN separator it
+// produces, its separator upload sum to NaN: the check is blind, so
+// each goes once, unverified, and device 0 is charged no integrity
+// retry, while device 1's finite reduce upload re-exchanges twice. The
+// report matches the one an eagerly summed upload gave, numbers
+// pinned. Under the same schedule a finite batch retries every upload
+// and recovers bit for bit.
+func TestDistributedBlindUploadVerdict(t *testing.T) {
+	const m, n, devs, slabs = 2, 129, 2, 2
+	corruptUploads := func() *gpusim.Topology {
+		topo := distTopo(t, devs, gpusim.NVLinkMesh())
+		topo.Links = &gpusim.LinkInjector{Schedule: []gpusim.ScheduledLinkFault{{
+			Op: gpusim.OpHostToDevice, From: gpusim.MatchAny, To: gpusim.MatchAny,
+			Index: -1, Kind: gpusim.LinkCorrupt, Repeat: 2,
+		}}}
+		return topo
+	}
+	solve := func(topo *gpusim.Topology, b *matrix.Batch[float64]) (*DistReport, []float64) {
+		s, err := NewDistSolver[float64](DistConfig{Topology: topo, Slabs: slabs}, m, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		dst := make([]float64, m*n)
+		rep, err := s.SolveInto(context.Background(), dst, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, dst
+	}
+	retries := func(rep *DistReport) (per [devs]int) {
+		for _, o := range rep.PerDevice {
+			per[o.Device] = o.IntegrityRetries
+		}
+		return per
+	}
+
+	nan := workload.Batch[float64](workload.DiagDominant, m, n, 21)
+	nan.RHS[5] = math.NaN() // system 0, slab 0
+	cleanRep, cleanX := solve(distTopo(t, devs, gpusim.NVLinkMesh()), nan)
+	rep, x := solve(corruptUploads(), nan)
+	requireBitwise(t, x, cleanX, "blind-upload solve")
+	// Device 0's two uploads went once each; device 1's reduce upload
+	// took two re-exchanges, so two transfers more than the fault-free
+	// solve's.
+	if got, want := rep.Comm.Transfers, cleanRep.Comm.Transfers+2; got != want {
+		t.Errorf("blind-upload solve made %d transfers, want %d", got, want)
+	}
+	if rep.Comm.CorruptTransfers != 4 || rep.IntegrityRetries != 2 || retries(rep) != [devs]int{0, 2} {
+		t.Errorf("blind-upload solve: %d corrupt transfers, %d integrity retries (per device %v), want 4, 2 ([0 2])",
+			rep.Comm.CorruptTransfers, rep.IntegrityRetries, retries(rep))
+	}
+	if rep.Comm.Transfers != 10 || rep.ModeledSerial != 50125 || rep.ModeledPipelined != 50125 ||
+		rep.Comm.HostBytes != 18688 {
+		t.Errorf("blind-upload solve: %d transfers, modeled %d/%d ns, %d host bytes; want 10, 50125/50125 ns, 18688",
+			rep.Comm.Transfers, rep.ModeledSerial, rep.ModeledPipelined, rep.Comm.HostBytes)
+	}
+
+	fin := workload.Batch[float64](workload.DiagDominant, m, n, 21)
+	ref := grayReference(t, m, n, devs, slabs, fin)
+	frep, fx := solve(corruptUploads(), fin)
+	requireBitwise(t, fx, ref, "finite batch over corrupting uploads")
+	if frep.Comm.Transfers != 12 || frep.Comm.CorruptTransfers != 4 || retries(frep) != [devs]int{2, 2} {
+		t.Errorf("finite batch: %d transfers, %d corrupt, integrity retries per device %v; want 12, 4, [2 2]",
+			frep.Comm.Transfers, frep.Comm.CorruptTransfers, retries(frep))
+	}
+}
+
 // TestDistributedHedging puts a silent straggler (SlowFactor, no
 // health event, no launch error) in the topology and requires hedging
 // to notice it: outlier slabs are speculatively re-run on a survivor,

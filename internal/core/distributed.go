@@ -150,6 +150,10 @@ type distDev struct {
 	group []*distSlab
 	died  bool
 	err   error
+	// start runs group on the device's goroutine of a round; it is
+	// bound once in NewDistSolver, so starting a round allocates
+	// nothing.
+	start func()
 	// load is hedgePhase's modeled load of the current assignment.
 	load float64
 	// timings are the final assignment's slab timings, for the modeled
@@ -269,7 +273,12 @@ type DistSolver[T num.Real] struct {
 	bsArgs []backsubArgs[T]
 
 	// reduce and backsubst are runPhase's two phases, bound once.
+	// phaseCtx and phase are the running phase's, which every device's
+	// start reads; wg waits for a round's devices.
 	reduce, backsubst distPhase
+	phaseCtx          context.Context
+	phase             distPhase
+	wg                sync.WaitGroup
 
 	// reducers caches the per-(device, slab length) local-reduce kernels
 	// and backsubs the back-substitution kernels; both are populated
@@ -315,6 +324,13 @@ func NewDistSolver[T num.Real](cfg DistConfig, m, n int) (*DistSolver[T], error)
 	s.pending = make([]*distSlab, 0, d)
 	s.times = make([]float64, 0, d)
 	s.devs = make([]distDev, cfg.Topology.NumDevices())
+	for dev := range s.devs {
+		d := &s.devs[dev]
+		d.start = func() {
+			defer s.wg.Done()
+			s.runGroup(s.phaseCtx, d, s.phase)
+		}
+	}
 	s.all = make([]int, len(s.devs))
 	for i := range s.all {
 		s.all[i] = i
@@ -512,11 +528,11 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 	return rep, nil
 }
 
-// release ends a solve: it unbinds the caller's batch and solution, so
-// the solver keeps neither alive between solves, and drops the busy
-// flag.
+// release ends a solve: it unbinds the caller's batch, solution and
+// context, so the solver keeps none alive between solves, and drops
+// the busy flag.
 func (s *DistSolver[T]) release() {
-	s.b, s.dst = nil, nil
+	s.b, s.dst, s.phaseCtx = nil, nil, nil
 	s.inUse.Store(false)
 }
 
@@ -556,6 +572,7 @@ func (s *DistSolver[T]) begin(live []int) error {
 // degraded in an earlier phase go straight to the host path.
 func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, ph distPhase) error {
 	maxR := s.cfg.Retry.maxRetries()
+	s.phaseCtx, s.phase = ctx, ph
 	pending := s.pending[:0]
 	for p := range s.slabs {
 		sl := &s.slabs[p]
@@ -598,17 +615,13 @@ func (s *DistSolver[T]) runPhase(ctx context.Context, rep *DistReport, ph distPh
 			sl.dev, sl.outcome = dev, slabQueued
 			s.devs[dev].group = append(s.devs[dev].group, sl)
 		}
-		var wg sync.WaitGroup
 		for dev := range s.devs {
 			if d := &s.devs[dev]; len(d.group) > 0 {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s.runGroup(ctx, d, ph)
-				}()
+				s.wg.Add(1)
+				go d.start()
 			}
 		}
-		wg.Wait()
+		s.wg.Wait()
 		for dev := range s.devs {
 			if err := s.devs[dev].err; err != nil {
 				return err
@@ -756,10 +769,10 @@ func (s *DistSolver[T]) reduceSlab(ctx context.Context, sl *distSlab, dev int, x
 	L, m := rows.rows, s.m
 	elem := int64(num.SizeOf[T]())
 	// Upload: the slab's rows of a, b, c and d, M×L each, checksummed in
-	// place. The kernel reads the coefficients once per plane, but a
-	// real implementation uploads them once, so only these four are
-	// charged.
-	up, err := s.verifiedUp(sl, dev, 4*int64(m*L)*elem, rows.sum())
+	// place should a delivery come back corrupt. The kernel reads the
+	// coefficients once per plane, but a real implementation uploads
+	// them once, so only these four are charged.
+	up, err := s.verifiedUp(sl, dev, 4*int64(m*L)*elem, rows.sum)
 	if err != nil {
 		return err
 	}
@@ -902,6 +915,7 @@ func (r *slabRows[T]) rhs(q int, dst []T) {
 
 // sum is the ABFT checksum of the slab's upload (sumParts): its rows
 // of a, b, c and d, one plane after another, each in system order.
+// verifiedUp takes it only on a corrupt delivery.
 func (r *slabRows[T]) sum() float64 {
 	var sum float64
 	for _, plane := range [4][]T{r.b.Lower, r.b.Diag, r.b.Upper, r.b.RHS} {
@@ -1139,7 +1153,7 @@ func newBacksubKernel[T num.Real](dev *gpusim.Device, m, rows int) *backsubKerne
 			return
 		}
 		sys := idx / a.rows
-		r := a.u.Load(t, idx) + a.v.Load(t, idx)*a.xl.Load(t, sys) + a.w.Load(t, idx)*a.xr.Load(t, sys)
+		r := a.u.Load(t, idx) + T(a.v.Load(t, idx)*a.xl.Load(t, sys)) + T(a.w.Load(t, idx)*a.xr.Load(t, sys))
 		t.Flops(4)
 		a.out.Store(t, idx, r)
 	}
@@ -1196,12 +1210,17 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 	// the backsub runs on a different device than the reduce (they
 	// were resident on the dead device and re-stage from the host).
 	bytes := 2 * int64(m) * elem
-	want := sumParts(0, s.sepL[p], s.sepR[p])
-	if dev != sl.homeDev {
+	restage := dev != sl.homeDev
+	if restage {
 		bytes += 3 * int64(m) * int64(L) * elem
-		want = sumParts(want, s.slabX[p])
 	}
-	up, err := s.verifiedUp(sl, dev, bytes, want)
+	up, err := s.verifiedUp(sl, dev, bytes, func() float64 {
+		sum := sumParts(0, s.sepL[p], s.sepR[p])
+		if restage {
+			sum = sumParts(sum, s.slabX[p])
+		}
+		return sum
+	})
 	if err != nil {
 		return err
 	}

@@ -183,9 +183,10 @@ func firstDiff[T num.Real](want, got []T) int {
 
 // backsubRows is distBacksub's arithmetic over plain slices,
 // out = u + v·xl + w·xr per row with system i's separators xl[i] and
-// xr[i], in the order the kernel body evaluates it. It is the kernel's
-// host twin and the degraded host back-substitution alike. The context
-// is checked between systems.
+// xr[i], in the order the kernel body evaluates it, each product
+// rounded explicitly so neither side fuses a multiply-add (see package
+// pthomas). It is the kernel's host twin and the degraded host
+// back-substitution alike. The context is checked between systems.
 //
 //tridlint:hotpath
 func backsubRows[T num.Real](ctx context.Context, a *backsubArgs[T]) error {
@@ -197,7 +198,7 @@ func backsubRows[T num.Real](ctx context.Context, a *backsubArgs[T]) error {
 		}
 		l, r := xl[i], xr[i]
 		for j := lo; j < lo+a.rows; j++ {
-			out[j] = u[j] + v[j]*l + w[j]*r
+			out[j] = u[j] + T(v[j]*l) + T(w[j]*r)
 		}
 	}
 	return nil

@@ -35,7 +35,11 @@
 // lanes are whole systems apart, so it advances Lanes of them at a time
 // with each lane's c'/d' and x in registers, as a kernel thread holds
 // them. Each lane still takes the kernel thread's operations in its
-// order, so the twins match the kernels bit for bit. KernelStrided is
+// order, so the twins match the kernels bit for bit. Every product that
+// feeds a sum is rounded explicitly, T(x*y), in the kernels and the
+// twins alike: Go may otherwise fuse x*y + z into one multiply-add on
+// some architectures (arm64 among them), and a fused product rounds
+// once where the other side's rounds twice. KernelStrided is
 // the one standalone launch, the back-end of the Fig. 11(c)
 // multiplexed ablation.
 //
@@ -121,10 +125,10 @@ func ThreadInterleaved[T num.Real](t *gpusim.Thread, g *Bufs[T], sys, m, n int) 
 	for l := 1; l < n; l++ {
 		idx = l*m + sys
 		av := gA.Load(t, idx)
-		den := gB.Load(t, idx) - cpPrev*av
+		den := gB.Load(t, idx) - T(cpPrev*av)
 		inv := 1 / den
 		cpPrev = gC.Load(t, idx) * inv
-		dpPrev = (gD.Load(t, idx) - dpPrev*av) * inv
+		dpPrev = (gD.Load(t, idx) - T(dpPrev*av)) * inv
 		gCp.Store(t, idx, cpPrev)
 		gDp.Store(t, idx, dpPrev)
 	}
@@ -134,7 +138,7 @@ func ThreadInterleaved[T num.Real](t *gpusim.Thread, g *Bufs[T], sys, m, n int) 
 	gX.Store(t, (n-1)*m+sys, xNext)
 	for l := n - 2; l >= 0; l-- {
 		idx = l*m + sys
-		xNext = gDp.Load(t, idx) - gCp.Load(t, idx)*xNext
+		xNext = gDp.Load(t, idx) - T(gCp.Load(t, idx)*xNext)
 		gX.Store(t, idx, xNext)
 	}
 	t.ThomasSteps(n - 1)
@@ -165,10 +169,10 @@ func ThreadStrided[T num.Real](t *gpusim.Thread, g *Bufs[T], base, r, p, n int) 
 	for l := 1; l < L; l++ {
 		idx = base + r + l*p
 		av := gA.Load(t, idx)
-		den := gB.Load(t, idx) - cpPrev*av
+		den := gB.Load(t, idx) - T(cpPrev*av)
 		inv := 1 / den
 		cpPrev = gC.Load(t, idx) * inv
-		dpPrev = (gD.Load(t, idx) - dpPrev*av) * inv
+		dpPrev = (gD.Load(t, idx) - T(dpPrev*av)) * inv
 		gCp.Store(t, idx, cpPrev)
 		gDp.Store(t, idx, dpPrev)
 	}
@@ -177,7 +181,7 @@ func ThreadStrided[T num.Real](t *gpusim.Thread, g *Bufs[T], base, r, p, n int) 
 	gX.Store(t, base+r+(L-1)*p, xNext)
 	for l := L - 2; l >= 0; l-- {
 		idx = base + r + l*p
-		xNext = gDp.Load(t, idx) - gCp.Load(t, idx)*xNext
+		xNext = gDp.Load(t, idx) - T(gCp.Load(t, idx)*xNext)
 		gX.Store(t, idx, xNext)
 	}
 	t.ThomasSteps(L - 1)
@@ -282,14 +286,14 @@ func SolveCoupledInto[T num.Real](a, b, c, d []T, v, w T, xu, xv, xw, cp []T) {
 			wi = w
 		}
 		av := a[i]
-		inv := 1 / (b[i] - cq*av)
-		cq, du = c[i]*inv, (d[i]-du*av)*inv
-		dv, dw = (zero-dv*av)*inv, (wi-dw*av)*inv
+		inv := 1 / (b[i] - T(cq*av))
+		cq, du = c[i]*inv, (d[i]-T(du*av))*inv
+		dv, dw = (zero-T(dv*av))*inv, (wi-T(dw*av))*inv
 		cp[i], xu[i], xv[i], xw[i] = cq, du, dv, dw
 	}
 	for i := n - 2; i >= 0; i-- {
 		p := cp[i]
-		du, dv, dw = xu[i]-p*du, xv[i]-p*dv, xw[i]-p*dw
+		du, dv, dw = xu[i]-T(p*du), xv[i]-T(p*dv), xw[i]-T(p*dw)
 		xu[i], xv[i], xw[i] = du, dv, dw
 	}
 }
@@ -328,15 +332,15 @@ func sweep[T num.Real](a, b, c, d, x, cp []T, s, lo, hi int) {
 		}
 		for ; i < e; i++ {
 			av := a[i]
-			den := b[i] - cp[i-s]*av
+			den := b[i] - T(cp[i-s]*av)
 			inv := 1 / den
 			cp[i] = c[i] * inv
-			x[i] = (d[i] - x[i-s]*av) * inv
+			x[i] = (d[i] - T(x[i-s]*av)) * inv
 		}
 	}
 	for r := lo + (n-1-lo)/gap*gap; r >= lo; r -= gap {
 		for i := min(r+run, n-s) - 1; i >= r; i-- {
-			x[i] -= cp[i] * x[i+s]
+			x[i] -= T(cp[i] * x[i+s])
 		}
 	}
 }
@@ -356,15 +360,15 @@ func thomas[T num.Real](a, b, c, d, x, cp []T) {
 	cp[0], x[0] = cpPrev, dpPrev
 	for i := 1; i < n; i++ {
 		av := a[i]
-		den := b[i] - cpPrev*av
+		den := b[i] - T(cpPrev*av)
 		inv := 1 / den
 		cpPrev = c[i] * inv
-		dpPrev = (d[i] - dpPrev*av) * inv
+		dpPrev = (d[i] - T(dpPrev*av)) * inv
 		cp[i], x[i] = cpPrev, dpPrev
 	}
 	xn := dpPrev
 	for i := n - 2; i >= 0; i-- {
-		xn = x[i] - cp[i]*xn
+		xn = x[i] - T(cp[i]*xn)
 		x[i] = xn
 	}
 }
@@ -391,20 +395,20 @@ func thomas3[T num.Real](a, b, c, d, x, cp []T, n int) {
 	p2[0], x2[0] = cq2, dq2
 	for i := 1; i < n; i++ {
 		av0, av1, av2 := a0[i], a1[i], a2[i]
-		inv0 := 1 / (b0[i] - cq0*av0)
-		inv1 := 1 / (b1[i] - cq1*av1)
-		inv2 := 1 / (b2[i] - cq2*av2)
-		cq0, dq0 = c0[i]*inv0, (d0[i]-dq0*av0)*inv0
-		cq1, dq1 = c1[i]*inv1, (d1[i]-dq1*av1)*inv1
-		cq2, dq2 = c2[i]*inv2, (d2[i]-dq2*av2)*inv2
+		inv0 := 1 / (b0[i] - T(cq0*av0))
+		inv1 := 1 / (b1[i] - T(cq1*av1))
+		inv2 := 1 / (b2[i] - T(cq2*av2))
+		cq0, dq0 = c0[i]*inv0, (d0[i]-T(dq0*av0))*inv0
+		cq1, dq1 = c1[i]*inv1, (d1[i]-T(dq1*av1))*inv1
+		cq2, dq2 = c2[i]*inv2, (d2[i]-T(dq2*av2))*inv2
 		p0[i], x0[i] = cq0, dq0
 		p1[i], x1[i] = cq1, dq1
 		p2[i], x2[i] = cq2, dq2
 	}
 	for i := n - 2; i >= 0; i-- {
-		dq0 = x0[i] - p0[i]*dq0
-		dq1 = x1[i] - p1[i]*dq1
-		dq2 = x2[i] - p2[i]*dq2
+		dq0 = x0[i] - T(p0[i]*dq0)
+		dq1 = x1[i] - T(p1[i]*dq1)
+		dq2 = x2[i] - T(p2[i]*dq2)
 		x0[i], x1[i], x2[i] = dq0, dq1, dq2
 	}
 }
