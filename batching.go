@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"gputrid/internal/batcher"
 	"gputrid/internal/cpu"
@@ -70,42 +69,36 @@ func (p *Pool[T]) SolveMegabatch(ctx context.Context, mb *Megabatch[T]) error {
 
 // guardMegabatch scans per-system residuals (allocation-free, from
 // the megabatch's scratch) and rescues failing systems on the host
-// pivoting path, filling per-system Verdicts.
+// pivoting path, filling per-system Verdicts. The rescue is the cold
+// path: it allocates, but only once a system has already failed its
+// residual check.
 func (p *Pool[T]) guardMegabatch(mb *Megabatch[T]) {
 	m := mb.V.M
 	tol := matrix.ResidualTolerance[T](mb.V.N)
 	res := mb.Scratch[:m]
 	matrix.ResidualsPerSystemInterleavedInto(res, mb.Scratch[m:], mb.V, mb.Xi, mb.Count)
+	var h *hostSolver[T]
 	for i := 0; i < mb.Count; i++ {
 		// NaN residuals (from non-finite inputs) must fail too, so
 		// compare through the negation.
 		if res[i] <= tol {
 			continue
 		}
-		p.rescueSystem(mb, i, res[i], tol)
+		if h == nil {
+			h = newHostSolver(mb)
+		}
+		r := res[i]
+		switch rr, ok, err := h.solve(i, tol); {
+		case err != nil:
+			mb.Verdicts[i].Err = fmt.Errorf(
+				"gputrid: system residual %.3e exceeds tolerance %.3e and host rescue failed: %w", r, tol, err)
+		case !ok:
+			mb.Verdicts[i].Err = fmt.Errorf(
+				"gputrid: system unsolvable within tolerance %.3e (fast %.3e, host rescue %.3e)", tol, r, rr)
+		default:
+			mb.Verdicts[i].Rescued = true
+		}
 	}
-}
-
-// rescueSystem re-solves megabatch system i on the host pivoting path
-// and writes the verdict. The cold path: it allocates, but only for
-// systems that already failed their residual check.
-func (p *Pool[T]) rescueSystem(mb *Megabatch[T], i int, r, tol float64) {
-	sys := mb.V.ExtractSystem(i)
-	x, err := cpu.SolveGTSV(sys)
-	if err != nil {
-		mb.Verdicts[i].Err = fmt.Errorf(
-			"gputrid: system residual %.3e exceeds tolerance %.3e and host rescue failed: %w", r, tol, err)
-		return
-	}
-	if rr := matrix.Residual(sys, x); !(rr <= tol) || math.IsNaN(rr) {
-		mb.Verdicts[i].Err = fmt.Errorf(
-			"gputrid: system unsolvable within tolerance %.3e (fast %.3e, host rescue %.3e)", tol, r, rr)
-		return
-	}
-	for j := 0; j < mb.V.N; j++ {
-		mb.Xi[j*mb.V.M+i] = x[j]
-	}
-	mb.Verdicts[i].Rescued = true
 }
 
 // megaFallback serves a megabatch with the breaker open: every system
@@ -115,25 +108,49 @@ func (p *Pool[T]) megaFallback(ctx context.Context, mb *Megabatch[T]) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("gputrid: %w: %w", ErrCancelled, err)
 	}
-	m, n := mb.V.M, mb.V.N
-	tol := matrix.ResidualTolerance[T](n)
-	w := cpu.NewGTSVWorkspace[T](n)
-	x := make([]T, n)
+	tol := matrix.ResidualTolerance[T](mb.V.N)
+	h := newHostSolver(mb)
 	for i := 0; i < mb.Count; i++ {
-		sys := mb.V.ExtractSystem(i)
-		if err := cpu.SolveGTSVInto(sys, x, w); err != nil {
+		switch rr, ok, err := h.solve(i, tol); {
+		case err != nil:
 			mb.Verdicts[i].Err = fmt.Errorf("gputrid: fallback: %w", err)
-			continue
-		}
-		if rr := matrix.Residual(sys, x); !(rr <= tol) || math.IsNaN(rr) {
+		case !ok:
 			mb.Verdicts[i].Err = fmt.Errorf(
 				"gputrid: fallback residual %.3e exceeds tolerance %.3e", rr, tol)
-			continue
-		}
-		for j := 0; j < n; j++ {
-			mb.Xi[j*m+i] = x[j]
 		}
 	}
 	p.inner.RecordFallback()
 	return nil
+}
+
+// hostSolver re-solves single megabatch systems on the host pivoting
+// path through one workspace.
+type hostSolver[T Real] struct {
+	mb *Megabatch[T]
+	w  *cpu.GTSVWorkspace[T]
+	x  []T
+}
+
+func newHostSolver[T Real](mb *Megabatch[T]) *hostSolver[T] {
+	n := mb.V.N
+	return &hostSolver[T]{mb: mb, w: cpu.NewGTSVWorkspace[T](n), x: make([]T, n)}
+}
+
+// solve re-solves system i and returns its residual rr. ok reports
+// rr within tol (a NaN residual is not), and only then is the solution
+// scattered into Xi.
+func (h *hostSolver[T]) solve(i int, tol float64) (rr float64, ok bool, err error) {
+	mb := h.mb
+	sys := mb.V.ExtractSystem(i)
+	if err := cpu.SolveGTSVInto(sys, h.x, h.w); err != nil {
+		return 0, false, err
+	}
+	rr = matrix.Residual(sys, h.x)
+	if !(rr <= tol) {
+		return rr, false, nil
+	}
+	for j, v := range h.x {
+		mb.Xi[j*mb.V.M+i] = v
+	}
+	return rr, true, nil
 }

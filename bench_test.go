@@ -265,7 +265,7 @@ func BenchmarkCPUReference(b *testing.B) {
 		}
 	})
 	b.Run("factored", func(b *testing.B) {
-		f, err := cpu.FactorBatch(batch)
+		f, err := core.FactorHybrid(batch, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -47,7 +47,11 @@
 //	                    position and pool statistics (per-shape queue
 //	                    depths and service-time estimates, admission
 //	                    counters, breaker window), census, control-plane
-//	                    counters
+//	                    counters. The schema is the json tags of
+//	                    fleet.Stats and the snapshot types beneath it
+//	                    (fleet.DeviceStats, pool.Stats, pool.ShapeStats,
+//	                    pool.BreakerSnapshot), plus batcher.Stats and
+//	                    batcher.QueueStats under "batcher"
 //	POST /fleet/inject  {"device","kind","xid","temp","message"} —
 //	                    inject a synthetic health event ("xid",
 //	                    "thermal", "ecc-corrected", "ecc-uncorrected",

@@ -274,163 +274,43 @@ func writeSolveError(w http.ResponseWriter, err error) {
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := s.fl.Stats()
-	servable := st.Active + st.Probation + st.Deprioritized
-	body := map[string]any{
-		"status":   "ok",
-		"servable": servable,
-	}
+	body := struct {
+		Status   string `json:"status"`
+		Servable int    `json:"servable"`
+	}{Status: "ok", Servable: st.Census.Servable()}
 	code := http.StatusOK
 	switch {
 	case s.draining.Load():
-		body["status"] = "draining"
+		body.Status = "draining"
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", strconv.FormatInt((defaultRetryAfterMS+999)/1000, 10))
-	case servable == 0:
+	case body.Servable == 0:
 		// Everything cordoned/dead: unhealthy until a heal or scale-up
 		// — which the next control-loop ticks decide, hence the hint.
-		body["status"] = "no-device"
+		body.Status = "no-device"
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	case st.Degraded():
 		// Degraded but healthy: the instance still serves (off a
 		// probation or throttled device, or a pool's CPU fallback), so
 		// it must keep receiving traffic.
-		body["status"] = "degraded"
+		body.Status = "degraded"
 	}
 	writeJSON(w, code, body)
 }
 
+// handleFleet writes the fleet snapshot, whose tagged fields (with the
+// pool and batcher snapshots beneath them) are the /fleet schema.
 func (s *server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	st := s.fl.Stats()
-	devices := make([]map[string]any, 0, len(st.Devices))
-	for _, d := range st.Devices {
-		dev := map[string]any{
-			"id":            d.ID,
-			"state":         d.State.String(),
-			"in_flight":     d.InFlight,
-			"served":        d.Served,
-			"failed":        d.Failed,
-			"corrected_ecc": d.CorrectedECC,
-			"gray": map[string]any{
-				"latency_ratio":     d.GrayRatio,
-				"integrity_retries": d.IntegrityRetries,
-				"hedged_slabs":      d.Hedged,
-			},
-		}
-		if d.Pool != nil {
-			dev["pool"] = poolStatsBody(d.Pool)
-		}
-		devices = append(devices, dev)
-	}
-	body := map[string]any{
-		"devices": devices,
-		"census": map[string]any{
-			"active":        st.Active,
-			"probation":     st.Probation,
-			"deprioritized": st.Deprioritized,
-			"cordoned":      st.Cordoned,
-			"dead":          st.Dead,
-			"standby":       st.Standby,
-		},
-		"in_flight":      st.InFlight,
-		"queue_depth":    st.QueueDepth,
-		"served":         st.Served,
-		"rejected":       st.Rejected,
-		"rerouted":       st.Rerouted,
-		"no_device":      st.NoDevice,
-		"cordons":        st.Cordons,
-		"heals":          st.Heals,
-		"scale_ups":      st.ScaleUps,
-		"scale_downs":    st.ScaleDowns,
-		"forced_drains":  st.ForcedDrains,
-		"build_failures": st.BuildFailures,
-		"events":         st.Events,
-		"distributed": map[string]any{
-			"solves":            st.DistSolves,
-			"deaths":            st.DistDeaths,
-			"migrations":        st.DistMigrations,
-			"degraded":          st.DistDegraded,
-			"integrity_retries": st.DistIntegrityRetries,
-			"hedges":            st.DistHedges,
-			"hedge_wins":        st.DistHedgeWins,
-		},
-		"gray": map[string]any{
-			"stragglers_flagged":  st.GrayStragglers,
-			"flaky_links_flagged": st.GrayLinkFlaky,
-		},
-	}
+	body := struct {
+		fleet.Stats
+		Batcher *batcher.Stats `json:"batcher,omitempty"`
+	}{Stats: s.fl.Stats()}
 	if s.batcher != nil {
-		body["batcher"] = batcherStatsBody(s.batcher.Stats())
+		bs := s.batcher.Stats()
+		body.Batcher = &bs
 	}
 	writeJSON(w, http.StatusOK, body)
-}
-
-// poolStatsBody renders one device pool's snapshot for /fleet:
-// per-shape congestion, so operators can see *which* traffic class is
-// queueing, admission counters and the breaker window.
-func poolStatsBody(st *gputrid.PoolStats) map[string]any {
-	perShape := make([]map[string]any, 0, len(st.PerShape))
-	for _, sh := range st.PerShape {
-		perShape = append(perShape, map[string]any{
-			"m":               sh.M,
-			"n":               sh.N,
-			"mega":            sh.Mega,
-			"built":           sh.Built,
-			"leased":          sh.Leased,
-			"queue_depth":     sh.QueueDepth,
-			"service_time_ns": int64(sh.ServiceTime),
-		})
-	}
-	return map[string]any{
-		"shapes":              st.Shapes,
-		"per_shape":           perShape,
-		"in_flight":           st.InFlight,
-		"queue_depth":         st.QueueDepth,
-		"admitted":            st.Admitted,
-		"rejected_queue_full": st.RejectedQueueFull,
-		"rejected_deadline":   st.RejectedDeadline,
-		"rejected_closed":     st.RejectedClosed,
-		"cancelled_waits":     st.CancelledWaits,
-		"device_solves":       st.DeviceSolves,
-		"probe_solves":        st.ProbeSolves,
-		"fallback_solves":     st.FallbackSolves,
-		"breaker": map[string]any{
-			"state":           st.Breaker.State.String(),
-			"window_fill":     st.Breaker.WindowFill,
-			"window_degraded": st.Breaker.WindowDegraded,
-			"trips":           st.Breaker.Trips,
-			"probe_streak":    st.Breaker.ProbeStreak,
-		},
-	}
-}
-
-// batcherStatsBody renders the coalescing front end's counters for
-// /fleet.
-func batcherStatsBody(st batcher.Stats) map[string]any {
-	queues := make([]map[string]any, 0, len(st.Queues))
-	for _, q := range st.Queues {
-		queues = append(queues, map[string]any{
-			"n":       q.N,
-			"pending": q.Pending,
-			"flights": q.Flights,
-		})
-	}
-	return map[string]any{
-		"admitted":          st.Admitted,
-		"admitted_systems":  st.AdmittedSystems,
-		"pending_systems":   st.PendingSystems,
-		"flushes_watermark": st.FlushesWatermark,
-		"flushes_deadline":  st.FlushesDeadline,
-		"flushes_close":     st.FlushesClose,
-		"flushed_systems":   st.FlushedSystems,
-		"padded_systems":    st.PaddedSystems,
-		"max_flush_systems": st.MaxFlushSystems,
-		"saturated":         st.Saturated,
-		"cancelled_waits":   st.CancelledWaits,
-		"failed_flushes":    st.FailedFlushes,
-		"shapes":            st.Shapes,
-		"queues":            queues,
-	}
 }
 
 func (s *server) handleInject(w http.ResponseWriter, r *http.Request) {
@@ -448,10 +328,10 @@ func (s *server) handleInject(w http.ResponseWriter, r *http.Request) {
 		XID: req.XID, Temp: req.Temp, Message: req.Message,
 	}
 	s.fl.Inject(ev)
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"accepted": ev.String(),
-		"note":     "applied by the next control-loop tick",
-	})
+	writeJSON(w, http.StatusAccepted, struct {
+		Accepted string `json:"accepted"`
+		Note     string `json:"note"`
+	}{ev.String(), "applied by the next control-loop tick"})
 }
 
 // decodeBody strictly decodes r's JSON body into v, reading at most

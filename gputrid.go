@@ -402,17 +402,15 @@ func ConditionEst[T Real](s *System[T]) float64 {
 
 // Factorization caches the elimination of a batch's matrices so
 // repeated solves against new right-hand sides (time stepping, ADI)
-// skip the matrix work.
-type Factorization[T Real] = cpu.BatchFactorization[T]
+// skip the matrix work. It is a HybridFactorization at k = 0.
+type Factorization[T Real] = core.HybridFactorization[T]
 
-// Factor eliminates every matrix of the batch once; call
-// Factorization.Solve for each new set of right-hand sides.
+// Factor eliminates every matrix of the batch once (Thomas LU, which is
+// FactorHybrid at k = 0); call Factorization.Solve for each new set of
+// right-hand sides, which then allocates nothing. A zero or non-finite
+// pivot is an error.
 func Factor[T Real](b *Batch[T]) (*Factorization[T], error) {
-	f, err := cpu.FactorBatch(b)
-	if err != nil {
-		return nil, fmt.Errorf("gputrid: %w", err)
-	}
-	return f, nil
+	return FactorHybrid(b, 0)
 }
 
 // HybridFactorization caches a batch's k-step PCR transform and

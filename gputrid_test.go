@@ -91,6 +91,25 @@ func TestSolveCPUBaseline(t *testing.T) {
 	}
 }
 
+// TestFactorIsK0: Factor is FactorHybrid at k = 0, so it rejects a
+// non-finite pivot as well as a zero one.
+func TestFactorIsK0(t *testing.T) {
+	b := workload.Batch[float64](workload.DiagDominant, 3, 77, 4)
+	f, err := Factor(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.K() != 0 {
+		t.Errorf("Factor k = %d, want 0", f.K())
+	}
+	for _, bad := range []float64{0, math.Inf(-1)} {
+		b.Diag[0] = bad
+		if _, err := Factor(b); err == nil {
+			t.Errorf("pivot %v accepted", bad)
+		}
+	}
+}
+
 func TestValidationRejectsBadInput(t *testing.T) {
 	b := NewBatch[float64](2, 4)
 	for i := range b.Diag {

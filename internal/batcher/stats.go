@@ -8,34 +8,34 @@ import "sort"
 type Stats struct {
 	// Admitted / AdmittedSystems count requests and systems accepted
 	// into a flight (shed and malformed requests are not admitted).
-	Admitted        uint64
-	AdmittedSystems uint64
+	Admitted        uint64 `json:"admitted"`
+	AdmittedSystems uint64 `json:"admitted_systems"`
 	// PendingSystems is the live gauge of systems admitted but not
 	// yet delivered or cancelled.
-	PendingSystems int64
+	PendingSystems int64 `json:"pending_systems"`
 	// FlushesWatermark/Deadline/Close count flights by flush cause.
-	FlushesWatermark uint64
-	FlushesDeadline  uint64
-	FlushesClose     uint64
+	FlushesWatermark uint64 `json:"flushes_watermark"`
+	FlushesDeadline  uint64 `json:"flushes_deadline"`
+	FlushesClose     uint64 `json:"flushes_close"`
 	// FlushedSystems counts real (non-padding) systems solved;
 	// FlushedSystems/flushes is the mean coalescing factor.
-	FlushedSystems uint64
+	FlushedSystems uint64 `json:"flushed_systems"`
 	// PaddedSystems counts identity-padding columns solved alongside
 	// the real ones — the cost of flushing partial megabatches.
-	PaddedSystems uint64
+	PaddedSystems uint64 `json:"padded_systems"`
 	// MaxFlushSystems is the largest single flush.
-	MaxFlushSystems uint64
+	MaxFlushSystems uint64 `json:"max_flush_systems"`
 	// Saturated counts requests shed with ErrSaturated.
-	Saturated uint64
+	Saturated uint64 `json:"saturated"`
 	// CancelledWaits counts requests whose caller abandoned the wait.
-	CancelledWaits uint64
+	CancelledWaits uint64 `json:"cancelled_waits"`
 	// FailedFlushes counts flights whose SolveFunc returned a
 	// whole-batch error.
-	FailedFlushes uint64
+	FailedFlushes uint64 `json:"failed_flushes"`
 	// Shapes is the number of live per-N queues; Queues describes
 	// each, ordered by N.
-	Shapes int
-	Queues []QueueStats
+	Shapes int          `json:"shapes"`
+	Queues []QueueStats `json:"queues"`
 }
 
 // Flushes returns the total flight count across causes.
@@ -46,12 +46,12 @@ func (s *Stats) Flushes() uint64 {
 // QueueStats describes one per-shape coalescing queue.
 type QueueStats struct {
 	// N is the queue's row count.
-	N int
+	N int `json:"n"`
 	// Pending is the number of systems buffered in unflushed flights.
-	Pending int
+	Pending int `json:"pending"`
 	// Flights is the number of unflushed flights (sealed plus the
 	// open one, when non-empty).
-	Flights int
+	Flights int `json:"flights"`
 }
 
 // Stats snapshots the batcher. Safe to call concurrently with Solve
@@ -79,6 +79,7 @@ func (b *Batcher[T]) Stats() Stats {
 	}
 	b.mu.Unlock()
 	sort.Slice(qs, func(i, j int) bool { return qs[i].n < qs[j].n })
+	s.Queues = make([]QueueStats, 0, len(qs))
 	for _, q := range qs {
 		st := QueueStats{N: q.n}
 		q.mu.Lock()

@@ -120,16 +120,24 @@ func FactorHybrid[T num.Real](b *matrix.Batch[T], k int) (*HybridFactorization[T
 // K returns the PCR depth of the factorization.
 func (f *HybridFactorization[T]) K() int { return f.k }
 
+// Shape returns the batch shape (M systems × N rows).
+func (f *HybridFactorization[T]) Shape() (m, n int) { return f.m, f.n }
+
 // Solve computes solutions for new right-hand sides d (length M·N,
-// contiguous) into x. d and x may alias.
+// contiguous) into x. d and x may alias. At k = 0 there is no
+// d-reduction to replay: the sweeps read d directly and Solve
+// allocates nothing.
 func (f *HybridFactorization[T]) Solve(d, x []T) error {
 	m, n, k := f.m, f.n, f.k
 	if len(d) != m*n || len(x) != m*n {
 		return fmt.Errorf("core: factorized solve length mismatch (want %d)", m*n)
 	}
-	// Replay the d-reduction.
-	cur := append([]T(nil), d...)
-	nxt := make([]T, m*n)
+	// Replay the d-reduction. It writes both of its buffers, so d is
+	// copied first.
+	cur, nxt := d, []T(nil)
+	if k > 0 {
+		cur, nxt = append([]T(nil), d...), make([]T, m*n)
+	}
 	for lvl := 0; lvl < k; lvl++ {
 		h := 1 << lvl
 		k1, k2 := f.k1[lvl], f.k2[lvl]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,7 @@ import (
 
 func TestFactorHybridMatchesReferenceExactly(t *testing.T) {
 	for _, tc := range []struct{ m, n, k int }{
-		{1, 64, 3}, {4, 100, 2}, {2, 257, 4}, {3, 512, 6}, {2, 50, 0},
+		{1, 64, 3}, {4, 100, 2}, {2, 257, 4}, {3, 512, 6}, {2, 50, 0}, {6, 77, 0},
 	} {
 		b := workload.Batch[float64](workload.DiagDominant, tc.m, tc.n, uint64(tc.m*tc.n+tc.k))
 		f, err := FactorHybrid(b, tc.k)
@@ -29,24 +30,27 @@ func TestFactorHybridMatchesReferenceExactly(t *testing.T) {
 	}
 }
 
+// TestFactorHybridRepeatedRHS is the time-stepping pattern: one
+// factorization, many right-hand sides.
 func TestFactorHybridRepeatedRHS(t *testing.T) {
-	m, n, k := 4, 300, 5
-	b := workload.Batch[float64](workload.Heat, m, n, 7)
-	f, err := FactorHybrid(b, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := num.NewRNG(3)
-	x := make([]float64, m*n)
-	for step := 0; step < 4; step++ {
-		for i := range b.RHS {
-			b.RHS[i] = rng.Range(-2, 2)
-		}
-		if err := f.Solve(b.RHS, x); err != nil {
+	for _, tc := range []struct{ m, n, k int }{{4, 300, 5}, {4, 64, 0}} {
+		b := workload.Batch[float64](workload.Heat, tc.m, tc.n, 7)
+		f, err := FactorHybrid(b, tc.k)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if r := matrix.MaxResidual(b, x); r > matrix.ResidualTolerance[float64](n) {
-			t.Fatalf("step %d: residual %g", step, r)
+		rng := num.NewRNG(3)
+		x := make([]float64, tc.m*tc.n)
+		for step := 0; step < 4; step++ {
+			for i := range b.RHS {
+				b.RHS[i] = rng.Range(-2, 2)
+			}
+			if err := f.Solve(b.RHS, x); err != nil {
+				t.Fatal(err)
+			}
+			if r := matrix.MaxResidual(b, x); r > matrix.ResidualTolerance[float64](tc.n) {
+				t.Fatalf("%+v step %d: residual %g", tc, step, r)
+			}
 		}
 	}
 }
@@ -70,24 +74,97 @@ func TestFactorHybridAutoK(t *testing.T) {
 }
 
 func TestFactorHybridInPlaceAndErrors(t *testing.T) {
-	b := workload.Batch[float64](workload.DiagDominant, 2, 64, 5)
-	f, err := FactorHybrid(b, 3)
+	for _, k := range []int{3, 0} {
+		b := workload.Batch[float64](workload.DiagDominant, 2, 64, 5)
+		f, err := FactorHybrid(b, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, n := f.Shape(); m != 2 || n != 64 {
+			t.Errorf("k = %d: Shape = %d,%d, want 2,64", k, m, n)
+		}
+		want := make([]float64, len(b.RHS))
+		if err := f.Solve(b.RHS, want); err != nil {
+			t.Fatal(err)
+		}
+		rhs := append([]float64(nil), b.RHS...)
+		if err := f.Solve(rhs, rhs); err != nil { // aliased
+			t.Fatal(err)
+		}
+		if d := matrix.MaxAbsDiff(rhs, want); d != 0 {
+			t.Errorf("k = %d: in-place solve differs from out-of-place by %g", k, d)
+		}
+		if r := matrix.MaxResidual(b, rhs); r > matrix.ResidualTolerance[float64](64) {
+			t.Errorf("k = %d: in-place residual %g", k, r)
+		}
+		if err := f.Solve(make([]float64, 3), rhs); err == nil {
+			t.Errorf("k = %d: short rhs accepted", k)
+		}
+		sing := matrix.NewBatch[float64](1, 8)
+		if _, err := FactorHybrid(sing, k); err == nil {
+			t.Errorf("k = %d: singular factorization accepted", k)
+		}
+	}
+	// A non-finite pivot is rejected like a zero one, at k = 0 too.
+	for _, bad := range []float64{math.Inf(1), math.NaN()} {
+		b := workload.Batch[float64](workload.DiagDominant, 1, 8, 5)
+		b.Diag[3] = bad
+		if _, err := FactorHybrid(b, 0); err == nil {
+			t.Errorf("pivot %v accepted", bad)
+		}
+	}
+}
+
+// TestFactorHybridIndependentOfInput: mutating the batch after factoring
+// must not change the solutions.
+func TestFactorHybridIndependentOfInput(t *testing.T) {
+	for _, k := range []int{0, 2} {
+		b := workload.Batch[float64](workload.DiagDominant, 2, 16, 13)
+		f, err := FactorHybrid(b, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rhs := append([]float64(nil), b.RHS...)
+		want := make([]float64, len(rhs))
+		if err := f.Solve(rhs, want); err != nil {
+			t.Fatal(err)
+		}
+		for i := range b.Lower {
+			b.Lower[i], b.Diag[i], b.Upper[i] = 999, -1, 42
+		}
+		got := make([]float64, len(rhs))
+		if err := f.Solve(rhs, got); err != nil {
+			t.Fatal(err)
+		}
+		if d := matrix.MaxAbsDiff(got, want); d != 0 {
+			t.Errorf("k = %d: factorization aliased the input batch (diff %g)", k, d)
+		}
+	}
+}
+
+// TestFactorHybridK0ZeroAlloc pins a k = 0 solve, in place or not, at
+// zero allocations.
+func TestFactorHybridK0ZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	b := workload.Batch[float64](workload.DiagDominant, 16, 513, 2)
+	f, err := FactorHybrid(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	x := make([]float64, len(b.RHS))
 	rhs := append([]float64(nil), b.RHS...)
-	if err := f.Solve(rhs, rhs); err != nil {
-		t.Fatal(err)
-	}
-	if r := matrix.MaxResidual(b, rhs); r > matrix.ResidualTolerance[float64](64) {
-		t.Errorf("in-place residual %g", r)
-	}
-	if err := f.Solve(make([]float64, 3), rhs); err == nil {
-		t.Error("short rhs accepted")
-	}
-	sing := matrix.NewBatch[float64](1, 8)
-	if _, err := FactorHybrid(sing, 2); err == nil {
-		t.Error("singular factorization accepted")
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := f.Solve(b.RHS, x); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Solve(rhs, rhs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("k = 0 factorized solve: %v allocs per run, want 0", allocs)
 	}
 }
 

@@ -1,9 +1,16 @@
-package cpu
+package cpu_test
+
+// The batched CPU factorization is core.FactorHybrid at k = 0: its factors
+// are Thomas's forward-elimination coefficients. These tests check it
+// against this package's Thomas solver. They live in an external test
+// package because core imports cpu.
 
 import (
 	"testing"
 	"testing/quick"
 
+	"gputrid/internal/core"
+	"gputrid/internal/cpu"
 	"gputrid/internal/matrix"
 	"gputrid/internal/num"
 	"gputrid/internal/workload"
@@ -11,7 +18,7 @@ import (
 
 func TestFactorBatchMatchesThomas(t *testing.T) {
 	b := workload.Batch[float64](workload.DiagDominant, 6, 77, 3)
-	f, err := FactorBatch(b)
+	f, err := core.FactorHybrid(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +26,7 @@ func TestFactorBatchMatchesThomas(t *testing.T) {
 	if err := f.Solve(b.RHS, x); err != nil {
 		t.Fatal(err)
 	}
-	want, err := SolveBatchSeq(b)
+	want, err := cpu.SolveBatchSeq(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +38,7 @@ func TestFactorBatchMatchesThomas(t *testing.T) {
 func TestFactorBatchRepeatedSolves(t *testing.T) {
 	// Time-stepping pattern: one factorization, many right-hand sides.
 	b := workload.Batch[float64](workload.Heat, 4, 64, 9)
-	f, err := FactorBatch(b)
+	f, err := core.FactorHybrid(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +59,7 @@ func TestFactorBatchRepeatedSolves(t *testing.T) {
 
 func TestFactorBatchInPlace(t *testing.T) {
 	b := workload.Batch[float64](workload.DiagDominant, 3, 40, 11)
-	f, err := FactorBatch(b)
+	f, err := core.FactorHybrid(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,45 +67,19 @@ func TestFactorBatchInPlace(t *testing.T) {
 	if err := f.Solve(rhs, rhs); err != nil { // aliased
 		t.Fatal(err)
 	}
-	want, _ := SolveBatchSeq(b)
+	want, _ := cpu.SolveBatchSeq(b)
 	if d := matrix.MaxAbsDiff(rhs, want); d > 1e-14 {
 		t.Errorf("in-place solve differs by %g", d)
 	}
 }
 
-func TestFactorBatchIndependentOfInput(t *testing.T) {
-	// Mutating the batch after factoring must not change results.
-	b := workload.Batch[float64](workload.DiagDominant, 2, 16, 13)
-	f, err := FactorBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhs := append([]float64(nil), b.RHS...)
-	want := make([]float64, len(rhs))
-	if err := f.Solve(rhs, want); err != nil {
-		t.Fatal(err)
-	}
-	for i := range b.Lower {
-		b.Lower[i] = 999
-		b.Diag[i] = -1
-		b.Upper[i] = 42
-	}
-	got := make([]float64, len(rhs))
-	if err := f.Solve(rhs, got); err != nil {
-		t.Fatal(err)
-	}
-	if d := matrix.MaxAbsDiff(got, want); d != 0 {
-		t.Errorf("factorization aliased the input batch (diff %g)", d)
-	}
-}
-
 func TestFactorBatchErrors(t *testing.T) {
 	sing := matrix.NewBatch[float64](1, 4) // zero matrix
-	if _, err := FactorBatch(sing); err == nil {
+	if _, err := core.FactorHybrid(sing, 0); err == nil {
 		t.Error("singular factorization accepted")
 	}
 	b := workload.Batch[float64](workload.DiagDominant, 2, 8, 1)
-	f, err := FactorBatch(b)
+	f, err := core.FactorHybrid(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +96,7 @@ func TestFactorBatchProperty(t *testing.T) {
 		m := int(mRaw)%8 + 1
 		n := int(nRaw)%100 + 1
 		b := workload.Batch[float64](workload.DiagDominant, m, n, uint64(seed))
-		fac, err := FactorBatch(b)
+		fac, err := core.FactorHybrid(b, 0)
 		if err != nil {
 			return false
 		}

@@ -95,6 +95,10 @@ func (s DeviceState) String() string {
 	}
 }
 
+// MarshalText encodes the state as its name, so JSON snapshots read
+// "active" rather than a number.
+func (s DeviceState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // servable reports whether the router may send new work to a device in
 // this state at all (Deprioritized is servable, merely last-choice).
 func (s DeviceState) servable() bool {
@@ -134,27 +138,33 @@ type device struct {
 
 // DeviceStats is the observable state of one device.
 type DeviceStats struct {
-	ID    int
-	State DeviceState
+	ID    int         `json:"id"`
+	State DeviceState `json:"state"`
 	// InFlight is the device's routed load in systems: direct requests
 	// weigh 1, a coalesced megabatch weighs its system count — so a
 	// device holding one 48-system flight reads as busier than one
 	// holding three singleton requests.
-	InFlight int64
+	InFlight int64 `json:"in_flight"`
 	// Served and Failed count completed fleet requests by outcome.
-	Served, Failed uint64
+	Served uint64 `json:"served"`
+	Failed uint64 `json:"failed"`
 	// CorrectedECC is the accumulated corrected-ECC event count.
-	CorrectedECC int
-	// GrayRatio is the gray-failure detector's EWMA per-slab modeled
-	// latency ratio vs. the fleet median (0 until the device appears
-	// in a distributed solve); IntegrityRetries and Hedged accumulate
-	// the device's checksum-mismatch re-exchanges and hedged-away
-	// slabs across distributed solves.
-	GrayRatio        float64
-	IntegrityRetries int
-	Hedged           int
+	CorrectedECC int `json:"corrected_ecc"`
+	// Gray is the device's gray-failure evidence.
+	Gray DeviceGray `json:"gray"`
 	// Pool snapshots the device pool: per-shape congestion, admission
 	// counters, breaker window. nil while the device has no live pool
 	// (Cordoned, Dead, Standby).
-	Pool *gputrid.PoolStats
+	Pool *gputrid.PoolStats `json:"pool,omitempty"`
+}
+
+// DeviceGray is one device's gray-failure evidence. LatencyRatio is the
+// detector's EWMA per-slab modeled latency ratio vs. the fleet median
+// (0 until the device appears in a distributed solve);
+// IntegrityRetries and Hedged accumulate the device's checksum-mismatch
+// re-exchanges and hedged-away slabs across distributed solves.
+type DeviceGray struct {
+	LatencyRatio     float64 `json:"latency_ratio"`
+	IntegrityRetries int     `json:"integrity_retries"`
+	Hedged           int     `json:"hedged_slabs"`
 }

@@ -62,15 +62,15 @@ func TestFleetSolveDistributed(t *testing.T) {
 		}
 	}
 	st := f.Stats()
-	if st.DistSolves != 1 || st.DistDeaths != 0 || st.Served != 1 {
+	if st.Distributed.Solves != 1 || st.Distributed.Deaths != 0 || st.Served != 1 {
 		t.Errorf("stats %+v, want 1 distributed solve served", st)
 	}
 	// A second same-shape solve reuses the cached solver.
 	if _, err := f.SolveDistributed(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}
-	if st := f.Stats(); st.DistSolves != 2 {
-		t.Errorf("DistSolves = %d after second solve, want 2", st.DistSolves)
+	if st := f.Stats(); st.Distributed.Solves != 2 {
+		t.Errorf("Distributed.Solves = %d after second solve, want 2", st.Distributed.Solves)
 	}
 }
 
@@ -118,8 +118,8 @@ func TestFleetDistributedDeviceDeath(t *testing.T) {
 	f.Tick()
 	f.Quiesce()
 	st := f.Stats()
-	if st.DistDeaths != 1 {
-		t.Errorf("DistDeaths = %d, want 1", st.DistDeaths)
+	if st.Distributed.Deaths != 1 {
+		t.Errorf("Distributed.Deaths = %d, want 1", st.Distributed.Deaths)
 	}
 	if got := st.Devices[victim].State; got != fleet.StateDead {
 		t.Errorf("victim device state = %v after Tick+drain, want dead", got)

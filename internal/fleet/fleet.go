@@ -156,37 +156,74 @@ type Result struct {
 	Attempts int
 }
 
-// Stats is an instantaneous fleet snapshot.
+// Stats is an instantaneous fleet snapshot. Its JSON form is the body
+// of tridserve's GET /fleet.
 type Stats struct {
 	// Devices details every device, by id.
-	Devices []DeviceStats
-	// State census.
-	Active, Probation, Deprioritized, Cordoned, Dead, Standby int
+	Devices []DeviceStats `json:"devices"`
+	// Census counts the devices in each state.
+	Census Census `json:"census"`
 	// InFlight is the weighted work currently being served, in
 	// systems: direct requests weigh 1, coalesced megabatches weigh
 	// their system count. QueueDepth aggregates the live device pools'
 	// wait queues.
-	InFlight   int64
-	QueueDepth int
+	InFlight   int64 `json:"in_flight"`
+	QueueDepth int   `json:"queue_depth"`
 	// Served counts successful solves; Rejected counts requests that
 	// exhausted their attempts; Rerouted counts device-failure retries;
 	// NoDevice counts requests that found no servable device at all.
-	Served, Rejected, Rerouted, NoDevice uint64
+	Served   uint64 `json:"served"`
+	Rejected uint64 `json:"rejected"`
+	Rerouted uint64 `json:"rerouted"`
+	NoDevice uint64 `json:"no_device"`
 	// Control-plane action counters.
-	Cordons, Heals, ScaleUps, ScaleDowns, ForcedDrains uint64
+	Cordons      uint64 `json:"cordons"`
+	Heals        uint64 `json:"heals"`
+	ScaleUps     uint64 `json:"scale_ups"`
+	ScaleDowns   uint64 `json:"scale_downs"`
+	ForcedDrains uint64 `json:"forced_drains"`
 	// BuildFailures counts factory failures during revive/scale-up.
-	BuildFailures uint64
+	BuildFailures uint64 `json:"build_failures"`
 	// Events is the cumulative injected health-event count.
-	Events uint64
-	// Distributed-solve counters: solves completed, devices declared
-	// dead mid-solve, slabs migrated to survivors, slabs degraded to
-	// the host path.
-	DistSolves, DistDeaths, DistMigrations, DistDegraded uint64
-	// Gray-failure plane: integrity retries absorbed by distributed
-	// solves, hedges launched / won, and devices the detector flagged
-	// as stragglers or flaky links.
-	DistIntegrityRetries, DistHedges, DistHedgeWins uint64
-	GrayStragglers, GrayLinkFlaky                   uint64
+	Events uint64 `json:"events"`
+	// Distributed counts distributed-solve outcomes.
+	Distributed DistStats `json:"distributed"`
+	// Gray counts the gray-failure detector's verdicts.
+	Gray GrayStats `json:"gray"`
+}
+
+// Census counts a fleet's devices by state.
+type Census struct {
+	Active        int `json:"active"`
+	Probation     int `json:"probation"`
+	Deprioritized int `json:"deprioritized"`
+	Cordoned      int `json:"cordoned"`
+	Dead          int `json:"dead"`
+	Standby       int `json:"standby"`
+}
+
+// Servable counts the devices the router may send new work to.
+func (c Census) Servable() int { return c.Active + c.Probation + c.Deprioritized }
+
+// DistStats counts distributed solves: solves completed, devices
+// declared dead mid-solve, slabs migrated to survivors, slabs degraded
+// to the host path, and the gray-failure plane's integrity retries
+// absorbed and hedges launched / won.
+type DistStats struct {
+	Solves           uint64 `json:"solves"`
+	Deaths           uint64 `json:"deaths"`
+	Migrations       uint64 `json:"migrations"`
+	Degraded         uint64 `json:"degraded"`
+	IntegrityRetries uint64 `json:"integrity_retries"`
+	Hedges           uint64 `json:"hedges"`
+	HedgeWins        uint64 `json:"hedge_wins"`
+}
+
+// GrayStats counts the devices the gray-failure detector flagged as
+// stragglers or flaky links.
+type GrayStats struct {
+	Stragglers uint64 `json:"stragglers_flagged"`
+	FlakyLinks uint64 `json:"flaky_links_flagged"`
 }
 
 // Degraded reports whether the fleet serves at reduced quality while
@@ -194,7 +231,7 @@ type Stats struct {
 // closed breaker, so every request lands on a probation or throttled
 // device or takes its pool's host fallback.
 func (s Stats) Degraded() bool {
-	if s.Active == 0 {
+	if s.Census.Active == 0 {
 		return true
 	}
 	for _, d := range s.Devices {
@@ -573,28 +610,31 @@ func (f *Fleet) Quiesce() { f.drains.Wait() }
 // Stats snapshots the fleet.
 func (f *Fleet) Stats() Stats {
 	s := Stats{
-		InFlight:       f.inflightTotal.Load(),
-		Served:         f.served.Load(),
-		Rejected:       f.rejected.Load(),
-		Rerouted:       f.rerouted.Load(),
-		NoDevice:       f.noDevice.Load(),
-		Cordons:        f.cordons.Load(),
-		Heals:          f.heals.Load(),
-		ScaleUps:       f.scaleUps.Load(),
-		ScaleDowns:     f.scaleDowns.Load(),
-		ForcedDrains:   f.forcedDrains.Load(),
-		BuildFailures:  f.buildFailures.Load(),
-		Events:         f.feed.Injected(),
-		DistSolves:     f.distSolves.Load(),
-		DistDeaths:     f.distDeaths.Load(),
-		DistMigrations: f.distMigrations.Load(),
-		DistDegraded:   f.distDegraded.Load(),
-
-		DistIntegrityRetries: f.distIntegrity.Load(),
-		DistHedges:           f.distHedges.Load(),
-		DistHedgeWins:        f.distHedgeWins.Load(),
-		GrayStragglers:       f.grayStragglers.Load(),
-		GrayLinkFlaky:        f.grayFlaky.Load(),
+		InFlight:      f.inflightTotal.Load(),
+		Served:        f.served.Load(),
+		Rejected:      f.rejected.Load(),
+		Rerouted:      f.rerouted.Load(),
+		NoDevice:      f.noDevice.Load(),
+		Cordons:       f.cordons.Load(),
+		Heals:         f.heals.Load(),
+		ScaleUps:      f.scaleUps.Load(),
+		ScaleDowns:    f.scaleDowns.Load(),
+		ForcedDrains:  f.forcedDrains.Load(),
+		BuildFailures: f.buildFailures.Load(),
+		Events:        f.feed.Injected(),
+		Distributed: DistStats{
+			Solves:           f.distSolves.Load(),
+			Deaths:           f.distDeaths.Load(),
+			Migrations:       f.distMigrations.Load(),
+			Degraded:         f.distDegraded.Load(),
+			IntegrityRetries: f.distIntegrity.Load(),
+			Hedges:           f.distHedges.Load(),
+			HedgeWins:        f.distHedgeWins.Load(),
+		},
+		Gray: GrayStats{
+			Stragglers: f.grayStragglers.Load(),
+			FlakyLinks: f.grayFlaky.Load(),
+		},
 	}
 	type liveDev struct {
 		i  int
@@ -610,21 +650,22 @@ func (f *Fleet) Stats() Stats {
 			Served:       d.served.Load(),
 			Failed:       d.failed.Load(),
 			CorrectedECC: d.correctedECC,
+			Gray:         f.graySnapshot(d.id),
 		}
-		ds.GrayRatio, ds.IntegrityRetries, ds.Hedged = f.graySnapshot(d.id)
+		c := &s.Census
 		switch d.state {
 		case StateActive:
-			s.Active++
+			c.Active++
 		case StateProbation:
-			s.Probation++
+			c.Probation++
 		case StateDeprioritized:
-			s.Deprioritized++
+			c.Deprioritized++
 		case StateCordoned:
-			s.Cordoned++
+			c.Cordoned++
 		case StateDead:
-			s.Dead++
+			c.Dead++
 		case StateStandby:
-			s.Standby++
+			c.Standby++
 		}
 		if d.backend != nil {
 			live = append(live, liveDev{len(s.Devices), d.backend})

@@ -587,7 +587,7 @@ func TestAutoscaleUpAndDown(t *testing.T) {
 	if st.ScaleDowns != 1 {
 		t.Fatalf("scaleDowns = %d, want exactly 1 (MinActive floor)", st.ScaleDowns)
 	}
-	if st.Active != 1 || st.Standby != 1 {
+	if st.Census.Active != 1 || st.Census.Standby != 1 {
 		t.Fatalf("census after scale-down: %+v, want 1 active + 1 standby", st)
 	}
 }

@@ -169,12 +169,12 @@ func (f *Fleet) observeGray(rep *core.DistReport) {
 }
 
 // graySnapshot copies a device's current evidence for Stats.
-func (f *Fleet) graySnapshot(id int) (ratio float64, integrity, hedged int) {
+func (f *Fleet) graySnapshot(id int) DeviceGray {
 	f.gray.mu.Lock()
 	defer f.gray.mu.Unlock()
 	g := f.gray.devs[id]
 	if g == nil {
-		return 0, 0, 0
+		return DeviceGray{}
 	}
-	return g.ewma, g.integrity, g.hedged
+	return DeviceGray{LatencyRatio: g.ewma, IntegrityRetries: g.integrity, Hedged: g.hedged}
 }

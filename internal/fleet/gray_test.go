@@ -79,14 +79,14 @@ func TestGrayStragglerDetectedAndCordoned(t *testing.T) {
 	f.Quiesce()
 
 	st := f.Stats()
-	if st.GrayStragglers != 1 {
-		t.Fatalf("GrayStragglers = %d, want 1", st.GrayStragglers)
+	if st.Gray.Stragglers != 1 {
+		t.Fatalf("Gray.Stragglers = %d, want 1", st.Gray.Stragglers)
 	}
 	if got := st.Devices[straggler].State; got != fleet.StateDead && got != fleet.StateCordoned {
 		t.Fatalf("straggler device state %v, want cordoned/dead", got)
 	}
-	if st.Devices[straggler].GrayRatio < 2.5 {
-		t.Fatalf("straggler EWMA ratio %.2f, want >= 2.5", st.Devices[straggler].GrayRatio)
+	if st.Devices[straggler].Gray.LatencyRatio < 2.5 {
+		t.Fatalf("straggler EWMA ratio %.2f, want >= 2.5", st.Devices[straggler].Gray.LatencyRatio)
 	}
 	for id, d := range st.Devices {
 		if id != straggler && d.State != fleet.StateActive {
@@ -141,28 +141,28 @@ func TestGrayFlakyLinkDetectedAndCordoned(t *testing.T) {
 		}
 		vc.Advance(10 * time.Millisecond)
 		f.Tick()
-		if f.Stats().GrayLinkFlaky > 0 {
+		if f.Stats().Gray.FlakyLinks > 0 {
 			break
 		}
 	}
 	f.Quiesce()
 
 	st := f.Stats()
-	if st.GrayLinkFlaky != 1 {
-		t.Fatalf("GrayLinkFlaky = %d, want 1 (degraded slabs seen: %d)", st.GrayLinkFlaky, degraded)
+	if st.Gray.FlakyLinks != 1 {
+		t.Fatalf("Gray.FlakyLinks = %d, want 1 (degraded slabs seen: %d)", st.Gray.FlakyLinks, degraded)
 	}
 	if got := st.Devices[victim].State; got != fleet.StateDead && got != fleet.StateCordoned {
 		t.Fatalf("flaky-link device state %v, want cordoned/dead", got)
 	}
-	if st.DistIntegrityRetries < 3 {
-		t.Fatalf("DistIntegrityRetries = %d, want >= IntegrityLimit", st.DistIntegrityRetries)
+	if st.Distributed.IntegrityRetries < 3 {
+		t.Fatalf("Distributed.IntegrityRetries = %d, want >= IntegrityLimit", st.Distributed.IntegrityRetries)
 	}
-	if st.Devices[victim].IntegrityRetries < 3 {
-		t.Fatalf("victim attributed %d integrity retries, want >= 3", st.Devices[victim].IntegrityRetries)
+	if st.Devices[victim].Gray.IntegrityRetries < 3 {
+		t.Fatalf("victim attributed %d integrity retries, want >= 3", st.Devices[victim].Gray.IntegrityRetries)
 	}
 	for id, d := range st.Devices {
-		if id != victim && d.IntegrityRetries != 0 {
-			t.Fatalf("healthy device %d attributed %d integrity retries", id, d.IntegrityRetries)
+		if id != victim && d.Gray.IntegrityRetries != 0 {
+			t.Fatalf("healthy device %d attributed %d integrity retries", id, d.Gray.IntegrityRetries)
 		}
 	}
 }
@@ -191,8 +191,8 @@ func TestGrayEvidenceResetOnRevive(t *testing.T) {
 		f.Tick()
 	}
 	f.Quiesce()
-	if st := f.Stats(); st.GrayStragglers != 1 {
-		t.Fatalf("setup: GrayStragglers = %d, want 1", st.GrayStragglers)
+	if st := f.Stats(); st.Gray.Stragglers != 1 {
+		t.Fatalf("setup: Gray.Stragglers = %d, want 1", st.Gray.Stragglers)
 	}
 
 	// The operator replaces the card (the modeled slowdown is gone)
@@ -207,7 +207,7 @@ func TestGrayEvidenceResetOnRevive(t *testing.T) {
 	if st.Devices[straggler].State != fleet.StateProbation && st.Devices[straggler].State != fleet.StateActive {
 		t.Fatalf("healed device state %v, want probation/active", st.Devices[straggler].State)
 	}
-	if st.Devices[straggler].GrayRatio != 0 {
-		t.Fatalf("revived device kept stale gray ratio %.2f", st.Devices[straggler].GrayRatio)
+	if st.Devices[straggler].Gray.LatencyRatio != 0 {
+		t.Fatalf("revived device kept stale gray ratio %.2f", st.Devices[straggler].Gray.LatencyRatio)
 	}
 }

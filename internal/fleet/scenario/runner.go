@@ -61,15 +61,14 @@ func (r *Report) Summary() string {
 		r.Ticks, r.Issued, r.Served, r.DeviceRoute, r.FallbackRoute, r.Rejected, r.Incorrect)
 	fmt.Fprintf(&sb, "  cordons %d, heals %d, reroutes %d, scale up/down %d/%d, forced drains %d\n",
 		r.Stats.Cordons, r.Stats.Heals, r.Stats.Rerouted, r.Stats.ScaleUps, r.Stats.ScaleDowns, r.Stats.ForcedDrains)
-	if r.Stats.DistSolves > 0 || r.DistFailed > 0 {
+	if ds := r.Stats.Distributed; ds.Solves > 0 || r.DistFailed > 0 {
 		fmt.Fprintf(&sb, "  distributed: %d solved, %d failed, %d deaths, %d migrations, %d degraded\n",
-			r.Stats.DistSolves, r.DistFailed, r.Stats.DistDeaths, r.Stats.DistMigrations, r.Stats.DistDegraded)
+			ds.Solves, r.DistFailed, ds.Deaths, ds.Migrations, ds.Degraded)
 	}
-	if r.Stats.DistIntegrityRetries > 0 || r.Stats.DistHedges > 0 ||
-		r.Stats.GrayStragglers > 0 || r.Stats.GrayLinkFlaky > 0 {
+	if ds, g := r.Stats.Distributed, r.Stats.Gray; ds.IntegrityRetries > 0 || ds.Hedges > 0 ||
+		g.Stragglers > 0 || g.FlakyLinks > 0 {
 		fmt.Fprintf(&sb, "  gray: %d integrity retries, %d hedges (%d won), %d stragglers flagged, %d flaky links flagged\n",
-			r.Stats.DistIntegrityRetries, r.Stats.DistHedges, r.Stats.DistHedgeWins,
-			r.Stats.GrayStragglers, r.Stats.GrayLinkFlaky)
+			ds.IntegrityRetries, ds.Hedges, ds.HedgeWins, g.Stragglers, g.FlakyLinks)
 	}
 	for _, d := range r.Stats.Devices {
 		fmt.Fprintf(&sb, "  device %d: %s (served %d, failed %d)\n", d.ID, d.State, d.Served, d.Failed)
@@ -515,25 +514,26 @@ func evaluate(sc *Scenario, rep *Report) {
 	if rep.DistFailed != 0 {
 		fail("%d distributed solves failed", rep.DistFailed)
 	}
-	if int(rep.Stats.DistSolves) < a.MinDistSolves {
-		fail("distributed solves = %d < min_dist_solves %d", rep.Stats.DistSolves, a.MinDistSolves)
+	ds := rep.Stats.Distributed
+	if int(ds.Solves) < a.MinDistSolves {
+		fail("distributed solves = %d < min_dist_solves %d", ds.Solves, a.MinDistSolves)
 	}
-	if a.DistDeaths != nil && int(rep.Stats.DistDeaths) != *a.DistDeaths {
-		fail("distributed deaths = %d, want %d", rep.Stats.DistDeaths, *a.DistDeaths)
+	if a.DistDeaths != nil && int(ds.Deaths) != *a.DistDeaths {
+		fail("distributed deaths = %d, want %d", ds.Deaths, *a.DistDeaths)
 	}
-	if int(rep.Stats.DistMigrations) < a.MinDistMigrations {
-		fail("distributed migrations = %d < min_dist_migrations %d", rep.Stats.DistMigrations, a.MinDistMigrations)
+	if int(ds.Migrations) < a.MinDistMigrations {
+		fail("distributed migrations = %d < min_dist_migrations %d", ds.Migrations, a.MinDistMigrations)
 	}
-	if int(rep.Stats.DistIntegrityRetries) < a.MinIntegrityRetries {
+	if int(ds.IntegrityRetries) < a.MinIntegrityRetries {
 		fail("integrity retries = %d < min_integrity_retries %d (the corruption never hit a verified transfer?)",
-			rep.Stats.DistIntegrityRetries, a.MinIntegrityRetries)
+			ds.IntegrityRetries, a.MinIntegrityRetries)
 	}
-	if int(rep.Stats.DistHedges) < a.MinHedges {
+	if int(ds.Hedges) < a.MinHedges {
 		fail("hedges = %d < min_hedges %d (the straggler never triggered speculation?)",
-			rep.Stats.DistHedges, a.MinHedges)
+			ds.Hedges, a.MinHedges)
 	}
-	if a.MaxDistDegraded != nil && int(rep.Stats.DistDegraded) > *a.MaxDistDegraded {
-		fail("distributed degraded slabs = %d > max_dist_degraded %d", rep.Stats.DistDegraded, *a.MaxDistDegraded)
+	if a.MaxDistDegraded != nil && int(ds.Degraded) > *a.MaxDistDegraded {
+		fail("distributed degraded slabs = %d > max_dist_degraded %d", ds.Degraded, *a.MaxDistDegraded)
 	}
 	for _, cb := range a.CordonedBy {
 		tick, ok := rep.CordonTicks[cb.Device]

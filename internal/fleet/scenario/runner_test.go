@@ -58,10 +58,10 @@ func TestDistributedDeviceDeathScenario(t *testing.T) {
 	if rep.Incorrect != 0 || rep.DistFailed != 0 {
 		t.Fatalf("incorrect %d / distributed failures %d, want 0/0", rep.Incorrect, rep.DistFailed)
 	}
-	if rep.Stats.DistSolves != 1 || rep.Stats.DistDeaths != 1 {
-		t.Fatalf("dist solves/deaths = %d/%d, want 1/1", rep.Stats.DistSolves, rep.Stats.DistDeaths)
+	if rep.Stats.Distributed.Solves != 1 || rep.Stats.Distributed.Deaths != 1 {
+		t.Fatalf("dist solves/deaths = %d/%d, want 1/1", rep.Stats.Distributed.Solves, rep.Stats.Distributed.Deaths)
 	}
-	if rep.Stats.DistMigrations == 0 {
+	if rep.Stats.Distributed.Migrations == 0 {
 		t.Fatal("no slab migrations: the death cost no live work")
 	}
 	if st := rep.Stats.Devices[1].State; st != fleet.StateDead {
@@ -92,23 +92,23 @@ func TestGrayFailureScenario(t *testing.T) {
 	// 100% corruption catch: every injected corrupt transfer was
 	// noticed by a checksum and re-exchanged (an uncaught corruption
 	// would have surfaced as an Incorrect response instead).
-	if rep.Stats.DistIntegrityRetries == 0 {
+	if rep.Stats.Distributed.IntegrityRetries == 0 {
 		t.Fatal("no integrity retries: the flaky link never hit a verified transfer")
 	}
-	if rep.Stats.DistDegraded != 0 {
-		t.Fatalf("%d slabs degraded to the host path; the scenario is tuned for in-place recovery", rep.Stats.DistDegraded)
+	if rep.Stats.Distributed.Degraded != 0 {
+		t.Fatalf("%d slabs degraded to the host path; the scenario is tuned for in-place recovery", rep.Stats.Distributed.Degraded)
 	}
-	if rep.Stats.GrayStragglers != 1 || rep.Stats.GrayLinkFlaky != 1 {
+	if rep.Stats.Gray.Stragglers != 1 || rep.Stats.Gray.FlakyLinks != 1 {
 		t.Fatalf("detector flagged %d stragglers / %d flaky links, want 1/1",
-			rep.Stats.GrayStragglers, rep.Stats.GrayLinkFlaky)
+			rep.Stats.Gray.Stragglers, rep.Stats.Gray.FlakyLinks)
 	}
-	if rep.Stats.DistHedges == 0 || rep.Stats.DistHedgeWins == 0 {
+	if rep.Stats.Distributed.Hedges == 0 || rep.Stats.Distributed.HedgeWins == 0 {
 		t.Fatalf("hedges/wins = %d/%d: the straggler never lost a slab race",
-			rep.Stats.DistHedges, rep.Stats.DistHedgeWins)
+			rep.Stats.Distributed.Hedges, rep.Stats.Distributed.HedgeWins)
 	}
 	// Nothing died — both cordons came from synthesized gray events.
-	if rep.Stats.DistDeaths != 0 {
-		t.Fatalf("dist deaths = %d, want 0", rep.Stats.DistDeaths)
+	if rep.Stats.Distributed.Deaths != 0 {
+		t.Fatalf("dist deaths = %d, want 0", rep.Stats.Distributed.Deaths)
 	}
 	t.Logf("\n%s", rep.Summary())
 }

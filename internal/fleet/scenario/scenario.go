@@ -137,10 +137,8 @@ type Event struct {
 // probation expiry tick is not the point of the scenario).
 type FinalState struct {
 	Device int
-	States []fleet_states
+	States []string
 }
-
-type fleet_states = string
 
 // Assertions are the scenario's pass/fail conditions. The zero value
 // demands only correctness: MaxIncorrect is always 0 — a scenario can

@@ -38,14 +38,19 @@ func Identity[T num.Real]() Row[T] { return Row[T]{A: 0, B: 1, C: 0, D: 0} }
 // row and mid.C == 0 whenever dn is (true for any well-formed system
 // whose Lower[0] and Upper[n-1] are zero), so the quotients below
 // vanish exactly.
+//
+// Every product that feeds a sum is rounded explicitly, T(x*y), so no
+// compiler fuses it into a multiply-add (arm64 would): the tiled-PCR
+// kernel and its host twin inline this function separately, and a
+// fused product rounds once where an unfused one rounds twice.
 func Combine[T num.Real](up, mid, dn Row[T]) Row[T] {
 	k1 := mid.A / up.B
 	k2 := mid.C / dn.B
 	return Row[T]{
 		A: -up.A * k1,
-		B: mid.B - up.C*k1 - dn.A*k2,
+		B: mid.B - T(up.C*k1) - T(dn.A*k2),
 		C: -dn.C * k2,
-		D: mid.D - up.D*k1 - dn.D*k2,
+		D: mid.D - T(up.D*k1) - T(dn.D*k2),
 	}
 }
 

@@ -36,6 +36,10 @@ func (s BreakerState) String() string {
 	}
 }
 
+// MarshalText encodes the state as its name, so JSON snapshots read
+// "closed" rather than a number.
+func (s BreakerState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // BreakerPolicy tunes the circuit breaker. The zero value is the
 // production default: a 20-solve sliding window, trip at a 50%
 // degraded rate with at least 8 samples, 100ms cooldown, 3 consecutive
@@ -96,15 +100,16 @@ func (p BreakerPolicy) probeSuccesses() int {
 // BreakerSnapshot is the observable breaker state, for health
 // endpoints and tests.
 type BreakerSnapshot struct {
-	State BreakerState
+	State BreakerState `json:"state"`
 	// WindowFill and WindowDegraded describe the sliding window
 	// (meaningful while closed).
-	WindowFill, WindowDegraded int
+	WindowFill     int `json:"window_fill"`
+	WindowDegraded int `json:"window_degraded"`
 	// Trips counts closed->open transitions since construction.
-	Trips int
+	Trips int `json:"trips"`
 	// ProbeStreak is the consecutive-success count of the current
 	// half-open phase.
-	ProbeStreak int
+	ProbeStreak int `json:"probe_streak"`
 }
 
 // breaker is the per-pool (per simulated device) circuit breaker: a

@@ -105,43 +105,50 @@ func (c Config) maxShapes() int {
 type ShapeStats struct {
 	// M, N identify the shape; Mega marks the shape's megabatch
 	// station (solvers built by the MegaBuild hook).
-	M, N int
-	Mega bool
+	M    int  `json:"m"`
+	N    int  `json:"n"`
+	Mega bool `json:"mega"`
 	// Built is the number of solver instances the station has created;
 	// Leased of those are checked out right now.
-	Built, Leased int
+	Built  int `json:"built"`
+	Leased int `json:"leased"`
 	// QueueDepth is the number of requests waiting for this shape.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// ServiceTime is the station's EWMA service-time estimate
 	// (0 when no solve or model seed has been observed).
-	ServiceTime time.Duration
+	ServiceTime time.Duration `json:"service_time_ns"`
 }
 
 // Stats is an instantaneous snapshot of the pool, for health endpoints
 // and tests. Counters are cumulative since construction.
 type Stats struct {
 	// Shapes is the number of warmed shape stations.
-	Shapes int
+	Shapes int `json:"shapes"`
 	// InFlight is the number of leases currently held.
-	InFlight int
+	InFlight int `json:"in_flight"`
 	// QueueDepth is the total number of requests waiting, all shapes.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// PerShape details every warmed station, sorted by (M, N).
-	PerShape []ShapeStats
+	PerShape []ShapeStats `json:"per_shape"`
 
 	// Admitted counts granted leases. RejectedQueueFull and
 	// RejectedDeadline count the two admission-control rejections;
 	// RejectedClosed counts requests that hit a closing pool;
 	// CancelledWaits counts requests whose context ended while queued.
-	Admitted, RejectedQueueFull, RejectedDeadline uint64
-	RejectedClosed, CancelledWaits                uint64
+	Admitted          uint64 `json:"admitted"`
+	RejectedQueueFull uint64 `json:"rejected_queue_full"`
+	RejectedDeadline  uint64 `json:"rejected_deadline"`
+	RejectedClosed    uint64 `json:"rejected_closed"`
+	CancelledWaits    uint64 `json:"cancelled_waits"`
 
 	// DeviceSolves, ProbeSolves and FallbackSolves count completed
 	// solves per route (probes are also device solves).
-	DeviceSolves, ProbeSolves, FallbackSolves uint64
+	DeviceSolves   uint64 `json:"device_solves"`
+	ProbeSolves    uint64 `json:"probe_solves"`
+	FallbackSolves uint64 `json:"fallback_solves"`
 
 	// Breaker is the circuit breaker's state.
-	Breaker BreakerSnapshot
+	Breaker BreakerSnapshot `json:"breaker"`
 }
 
 // Pool multiplexes callers onto warmed solver instances of type S.
