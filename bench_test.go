@@ -65,20 +65,36 @@ func benchPoint(b *testing.B, m, n int) {
 // system are a sliver of the work; at adi-step's 192 rows and the
 // serving mix's 64-row ADI systems, both at k = 6, they are a quarter
 // and nearly half of the combines a full window would make, and the
-// reducer stores their constants instead. It allocates nothing once
-// the reducer is built.
+// reducer stores their constants instead. The replay cases recompute
+// only the reduced d from a recorded plan, as a system that shares the
+// previous one's operator does; full/replay at the same shape is the
+// same-run ratio. It allocates nothing once the reducer is built.
 func BenchmarkHostReducer(b *testing.B) {
 	for _, sh := range []struct{ n, k int }{
-		{1 << 16, 4}, {1 << 16, 6}, {1 << 16, 8}, {192, 6}, {64, 6},
+		{1 << 16, 4}, {1 << 16, 6}, {1 << 16, 8}, {192, 6}, {64, 6}, {1024, 4},
 	} {
 		s := workload.System[float64](workload.DiagDominant, sh.n, 17)
 		out := NewSystem[float64](sh.n)
-		b.Run(fmt.Sprintf("n=%d,k=%d", sh.n, sh.k), func(b *testing.B) {
+		name := fmt.Sprintf("n=%d,k=%d", sh.n, sh.k)
+		b.Run(name, func(b *testing.B) {
 			h := tiledpcr.NewHostReducer[float64](sh.k)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h.Reduce(s.Lower, s.Diag, s.Upper, s.RHS, out.Lower, out.Diag, out.Upper, out.RHS)
+				h.Reduce(s.Lower, s.Diag, s.Upper, s.RHS, out.Lower, out.Diag, out.Upper, out.RHS, nil)
+			}
+		})
+		if sh.n != 192 && sh.n != 1024 {
+			continue
+		}
+		b.Run(name+",replay", func(b *testing.B) {
+			h := tiledpcr.NewHostReducer[float64](sh.k)
+			pl := h.NewPlan(sh.n)
+			h.Reduce(s.Lower, s.Diag, s.Upper, s.RHS, out.Lower, out.Diag, out.Upper, out.RHS, pl)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Replay(pl, s.RHS, out.RHS)
 			}
 		})
 	}
@@ -191,12 +207,30 @@ func byM(m int) string {
 
 // BenchmarkFactorizedReplay compares a full hybrid solve against the
 // factor-once/replay path for repeated right-hand sides (the ADI
-// time-stepping pattern).
+// time-stepping pattern). warm-solve is a reused one-worker pipeline,
+// the twins' full arithmetic on the replay's one thread, so
+// replay/warm-solve is the same-run ratio of the two.
 func BenchmarkFactorizedReplay(b *testing.B) {
-	batch := workload.Batch[float64](workload.DiagDominant, 16, 4096, 13)
+	const m, n = 16, 4096
+	batch := workload.Batch[float64](workload.DiagDominant, m, n, 13)
 	b.Run("full-solve", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := core.Solve(core.Config{K: 6}, batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm-solve", func(b *testing.B) {
+		p, err := core.NewPipeline[float64](core.Config{K: 6, Workers: 1}, m, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer p.Close()
+		x := make([]float64, m*n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := p.SolveInto(x, batch); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -206,7 +240,8 @@ func BenchmarkFactorizedReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		x := make([]float64, 16*4096)
+		x := make([]float64, m*n)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := f.Solve(batch.RHS, x); err != nil {

@@ -413,15 +413,18 @@ func Factor[T Real](b *Batch[T]) (*Factorization[T], error) {
 	return FactorHybrid(b, 0)
 }
 
-// HybridFactorization caches a batch's k-step PCR transform and
+// HybridFactorization caches a batch's k-step PCR multipliers and
 // p-Thomas pivots so new right-hand sides replay at a fraction of the
-// elimination work (see FactorHybrid).
+// elimination work (see FactorHybrid). Its Solve equals Solve at the
+// same k bit for bit and allocates nothing; it must not run
+// concurrently on one factorization.
 type HybridFactorization[T Real] = core.HybridFactorization[T]
 
 // FactorHybrid factors the batch for the hybrid algorithm at depth k
 // (AutoK applies the Table III heuristic). Use it when the same
 // matrices are solved against many right-hand sides, as in ADI time
-// stepping.
+// stepping: each solve replays the recorded reduction, bit for bit the
+// arithmetic of Solve. A zero or non-finite pivot is an error.
 func FactorHybrid[T Real](b *Batch[T], k int) (*HybridFactorization[T], error) {
 	f, err := core.FactorHybrid(b, k)
 	if err != nil {

@@ -10,22 +10,52 @@ import (
 	"gputrid/internal/workload"
 )
 
+// TestFactorHybridMatchesReferenceExactly pins a factorized solve to
+// Solve and SolveReference bit for bit (a NaN matching any NaN, as in
+// the audit) at k = 0, 1, 4 and 8, in both precisions, on diagonally
+// dominant and near-singular input, for the right-hand side the batch
+// was factored with and for another.
 func TestFactorHybridMatchesReferenceExactly(t *testing.T) {
+	factorMatchesSolve[float64](t)
+	factorMatchesSolve[float32](t)
+}
+
+func factorMatchesSolve[T num.Real](t *testing.T) {
 	for _, tc := range []struct{ m, n, k int }{
 		{1, 64, 3}, {4, 100, 2}, {2, 257, 4}, {3, 512, 6}, {2, 50, 0}, {6, 77, 0},
+		{5, 300, 1}, {3, 1000, 4}, {2, 256, 8}, {4, 33, 0}, {1, 2, 1},
 	} {
-		b := workload.Batch[float64](workload.DiagDominant, tc.m, tc.n, uint64(tc.m*tc.n+tc.k))
-		f, err := FactorHybrid(b, tc.k)
-		if err != nil {
-			t.Fatalf("%+v: %v", tc, err)
-		}
-		x := make([]float64, tc.m*tc.n)
-		if err := f.Solve(b.RHS, x); err != nil {
-			t.Fatal(err)
-		}
-		want := SolveReference(b, tc.k)
-		if d := matrix.MaxRelDiff(x, want); d > 1e-13 {
-			t.Errorf("%+v: factorized solve differs from reference by %g", tc, d)
+		for _, kind := range []workload.Kind{workload.DiagDominant, workload.NearSingular} {
+			b := workload.Batch[T](kind, tc.m, tc.n, uint64(tc.m*tc.n+tc.k))
+			f, err := FactorHybrid(b, tc.k)
+			if err != nil {
+				t.Fatalf("%+v: %v", tc, err)
+			}
+			for _, rhs := range []string{"factored", "random"} {
+				if rhs == "random" {
+					rng := num.NewRNG(uint64(tc.n))
+					for i := range b.RHS {
+						b.RHS[i] = T(rng.Range(-3, 3))
+					}
+				}
+				x := make([]T, tc.m*tc.n)
+				if err := f.Solve(b.RHS, x); err != nil {
+					t.Fatal(err)
+				}
+				want := SolveReference(b, tc.k)
+				got, _, err := Solve(Config{K: tc.k}, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, ref := range map[string][]T{"SolveReference": want, "Solve": got} {
+					for i := range x {
+						if num.Bits(x[i]) != num.Bits(ref[i]) && !(x[i] != x[i] && ref[i] != ref[i]) {
+							t.Fatalf("%+v %v %s rhs: x[%d] = %v (%#x), %s %v (%#x)",
+								tc, kind, rhs, i, x[i], num.Bits(x[i]), name, ref[i], num.Bits(ref[i]))
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -142,29 +172,32 @@ func TestFactorHybridIndependentOfInput(t *testing.T) {
 	}
 }
 
-// TestFactorHybridK0ZeroAlloc pins a k = 0 solve, in place or not, at
-// zero allocations.
+// TestFactorHybridK0ZeroAlloc pins a factorized solve, in place or
+// not, at zero allocations, at k = 0 and at the k >= 1 depths whose
+// replay scratch lives on the factorization.
 func TestFactorHybridK0ZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	b := workload.Batch[float64](workload.DiagDominant, 16, 513, 2)
-	f, err := FactorHybrid(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, len(b.RHS))
-	rhs := append([]float64(nil), b.RHS...)
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := f.Solve(b.RHS, x); err != nil {
+	for _, k := range []int{0, 1, 4, 6} {
+		f, err := FactorHybrid(b, k)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Solve(rhs, rhs); err != nil {
-			t.Fatal(err)
+		x := make([]float64, len(b.RHS))
+		rhs := append([]float64(nil), b.RHS...)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := f.Solve(b.RHS, x); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Solve(rhs, rhs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("k = %d factorized solve: %v allocs per run, want 0", k, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("k = 0 factorized solve: %v allocs per run, want 0", allocs)
 	}
 }
 
@@ -182,7 +215,7 @@ func TestFactorHybridProperty(t *testing.T) {
 		if err := fac.Solve(b.RHS, x); err != nil {
 			return false
 		}
-		return matrix.MaxRelDiff(x, SolveReference(b, fac.K())) <= 1e-12
+		return firstDiff(SolveReference(b, fac.K()), x) < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

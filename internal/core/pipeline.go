@@ -232,7 +232,8 @@ func (p *Pipeline[T]) buildWorkers() {
 			w.firstBlk, w.nBlk = next, size
 		} else {
 			w.firstSys, w.nSys = next, size
-			w.tw = newHybridTwin[T](p.k, p.n)
+			// A shard of one system has no successor to replay for.
+			w.tw = newHybridTwin[T](p.k, p.n, size >= 2)
 		}
 		next += size
 		p.workers[i] = w

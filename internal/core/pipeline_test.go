@@ -248,6 +248,22 @@ func TestWarmPipelineHoldsNoKernelPlanes(t *testing.T) {
 	}
 }
 
+// TestReplayRecordOnlyWhereARunFits pins that only a k >= 1 worker
+// whose shard holds two systems or more allocates the replay record,
+// so a one-system shard, such as a 1×524 288 solve's, gains nothing.
+func TestReplayRecordOnlyWhereARunFits(t *testing.T) {
+	p, err := NewPipeline[float64](Config{K: 3, Workers: 2}, 3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i, w := range p.workers {
+		if got, want := w.tw.plan != nil, w.nSys >= 2; got != want || (w.tw.piv != nil) != want {
+			t.Errorf("worker %d of %d systems: plan %v, pivots %v, want both %v", i, w.nSys, got, w.tw.piv != nil, want)
+		}
+	}
+}
+
 // TestPipelineMisuse checks the typed errors: wrong shapes, a busy
 // pipeline, and a closed pipeline all reject the call without
 // touching the arena.

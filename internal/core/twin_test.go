@@ -213,7 +213,7 @@ func TestAuditCatchesUnwrittenOutput(t *testing.T) {
 					if i != skip {
 						r = [4][]float64{p.planes[0][s:e], p.planes[1][s:e], p.planes[2][s:e], p.planes[3][s:e]}
 					}
-					w.tw.solve(b.Lower[s:e], b.Diag[s:e], b.Upper[s:e], b.RHS[s:e], dst[s:e], r)
+					w.tw.solve(b.Lower[s:e], b.Diag[s:e], b.Upper[s:e], b.RHS[s:e], dst[s:e], r, false)
 				}
 			}
 		})

@@ -48,7 +48,9 @@ func SolveGTSV[T num.Real](s *matrix.System[T]) ([]T, error) {
 // SolveGTSVInto is SolveGTSV with caller-provided output and workspace:
 // it re-solves a single system without allocating and without touching
 // any other system of a batch (pass a Batch.System(i) view). On error x
-// is left unspecified.
+// is left unspecified. Every product that feeds a sum is rounded
+// explicitly, T(x*y), so no architecture fuses it into a multiply-add
+// and the solution is the same on each.
 func SolveGTSVInto[T num.Real](s *matrix.System[T], x []T, w *GTSVWorkspace[T]) error {
 	n := s.N()
 	if len(x) != n {
@@ -79,21 +81,21 @@ func SolveGTSVInto[T num.Real](s *matrix.System[T], x []T, w *GTSVWorkspace[T]) 
 				return ErrZeroPivot
 			}
 			f := dl[i+1] / d[i]
-			d[i+1] -= f * du[i]
-			x[i+1] -= f * x[i]
+			d[i+1] -= T(f * du[i])
+			x[i+1] -= T(f * x[i])
 			// du2 of row i stays zero in this branch.
 		} else {
 			// Swap rows i and i+1, then eliminate.
 			f := d[i] / dl[i+1]
 			d[i], dl[i+1] = dl[i+1], 0 // pivot now the old subdiagonal entry
 			newDu := d[i+1]
-			d[i+1] = du[i] - f*newDu
+			d[i+1] = du[i] - T(f*newDu)
 			du[i] = newDu
 			if i < n-2 {
 				du2[i] = du[i+1]
 				du[i+1] = -f * du[i+1]
 			}
-			x[i], x[i+1] = x[i+1], x[i]-f*x[i+1]
+			x[i], x[i+1] = x[i+1], x[i]-T(f*x[i+1])
 		}
 	}
 	if d[n-1] == 0 {
@@ -103,10 +105,10 @@ func SolveGTSVInto[T num.Real](s *matrix.System[T], x []T, w *GTSVWorkspace[T]) 
 	// Back substitution with the extra diagonal.
 	x[n-1] /= d[n-1]
 	if n >= 2 {
-		x[n-2] = (x[n-2] - du[n-2]*x[n-1]) / d[n-2]
+		x[n-2] = (x[n-2] - T(du[n-2]*x[n-1])) / d[n-2]
 	}
 	for i := n - 3; i >= 0; i-- {
-		x[i] = (x[i] - du[i]*x[i+1] - du2[i]*x[i+2]) / d[i]
+		x[i] = (x[i] - T(du[i]*x[i+1]) - T(du2[i]*x[i+2])) / d[i]
 	}
 	return nil
 }

@@ -54,6 +54,16 @@ func Combine[T num.Real](up, mid, dn Row[T]) Row[T] {
 	}
 }
 
+// Multipliers returns the quotients k1 = mid.A/up.B and k2 =
+// mid.C/dn.B that Combine eliminates with, the part of the elimination
+// that depends on the operator alone: given them, Combine's D,
+// mid.D - T(up.D*k1) - T(dn.D*k2), is recomputed bit for bit for a new
+// right-hand side without a division (tiledpcr.HostReducer.Replay).
+// The quotients are Combine's own, so the same rows give the same bits.
+func Multipliers[T num.Real](up, mid, dn Row[T]) (k1, k2 T) {
+	return mid.A / up.B, mid.C / dn.B
+}
+
 // RowAt returns row i of s, or the boundary identity row when i is
 // outside [0, n).
 func RowAt[T num.Real](s *matrix.System[T], i int) Row[T] {

@@ -137,6 +137,42 @@ func lockstepMatches[T num.Real](t *testing.T, prec string) {
 	}
 }
 
+// TestReplayMatchesPerLane holds the record/replay form to the
+// per-lane loops: RecordStridedInto solves what it records, and
+// ReplayStridedInto then solves the recorded system for another
+// right-hand side, in place too, bit for bit, NaN payloads included,
+// over the inputs and k of TestLockstepMatchesPerLane.
+func TestReplayMatchesPerLane(t *testing.T) {
+	replayMatches[float64](t, "float64")
+	replayMatches[float32](t, "float32")
+}
+
+func replayMatches[T num.Real](t *testing.T, prec string) {
+	for _, n := range []int{1, 2, 3, 17, 192, 1001} {
+		for kind, b := range lockstepInputs[T](1, n) {
+			d := workload.System[T](workload.DiagDominant, n, uint64(n)).RHS
+			for _, k := range []int{0, 1, 2, 6, 7, 9} {
+				want, got, cp, piv := make([]T, n), make([]T, n), make([]T, n), make([]T, n)
+				perLaneStrided(b.Lower, b.Diag, b.Upper, b.RHS, 1, n, k, want)
+				RecordStridedInto(b.Lower, b.Diag, b.Upper, b.RHS, got, cp, piv, k)
+				if i := sameBits(want, got); i >= 0 {
+					t.Fatalf("%s %s n=%d k=%d: recorded x[%d] = %#x, per-lane %#x", prec, kind, n, k, i, num.Bits(got[i]), num.Bits(want[i]))
+				}
+				perLaneStrided(b.Lower, b.Diag, b.Upper, d, 1, n, k, want)
+				ReplayStridedInto(b.Lower, cp, piv, d, got, k)
+				if i := sameBits(want, got); i >= 0 {
+					t.Fatalf("%s %s n=%d k=%d: replayed x[%d] = %#x, per-lane %#x", prec, kind, n, k, i, num.Bits(got[i]), num.Bits(want[i]))
+				}
+				copy(got, d)
+				ReplayStridedInto(b.Lower, cp, piv, got, got, k)
+				if i := sameBits(want, got); i >= 0 {
+					t.Fatalf("%s %s n=%d k=%d: in-place x[%d] = %#x, per-lane %#x", prec, kind, n, k, i, num.Bits(got[i]), num.Bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 // TestRowsMatchPerLane holds the contiguous k = 0 twin to thomasLane
 // per system, bit for bit, NaN payloads included, at every remainder of
 // its grouping into Lanes systems (M from 1 to 7), in both precisions

@@ -24,12 +24,15 @@
 // systems stored contiguously, the layout a contiguous k = 0 solve
 // holds; SolveCoupledInto is that twin for the three systems of a
 // distributed slab, which share their coefficients and differ only in
-// the right-hand side. Every twin writes d' into the solution it
-// solves for: the backward pass reads each row's d' before it
-// overwrites it, so no twin needs d' scratch. A twin runs every lane it covers in lockstep, one
-// sweep row by row across them, which is the host form of consecutive
-// threads on consecutive addresses: consecutive loop iterations belong
-// to independent recurrences, so their divisions overlap. The strided
+// the right-hand side. RecordStridedInto and ReplayStridedInto are the
+// strided twin's record/replay form, for systems that share (a, b, c)
+// and differ only in the right-hand side. Every twin writes d' into
+// the solution it solves for: the backward pass reads each row's d'
+// before it overwrites it, so no twin needs d' scratch. A twin runs
+// every lane it covers in lockstep, one sweep row by row across them,
+// which is the host form of consecutive threads on consecutive
+// addresses: consecutive loop iterations belong to independent
+// recurrences, so their divisions overlap. The strided
 // and interleaved twins keep c' in memory at each row's own index,
 // where consecutive lanes sit at consecutive addresses; SolveRowsInto's
 // lanes are whole systems apart, so it advances Lanes of them at a time
@@ -197,7 +200,7 @@ func ThreadStrided[T num.Real](t *gpusim.Thread, g *Bufs[T], base, r, p, n int) 
 //
 //tridlint:hotpath
 func SolveInterleavedRangeInto[T num.Real](v *matrix.Interleaved[T], x, cp []T, lo, hi int) {
-	sweep(v.Lower, v.Diag, v.Upper, v.RHS, x, cp[:v.M*v.N], v.M, lo, hi)
+	sweep(v.Lower, v.Diag, v.Upper, v.RHS, x, cp[:v.M*v.N], nil, v.M, lo, hi)
 }
 
 // SolveStridedRefInto is the host twin of KernelStrided: it solves the
@@ -220,7 +223,7 @@ func SolveStridedRefInto[T num.Real](a, b, c, d []T, m, n, k int, x, cp []T) {
 		if k == 0 {
 			SolveRowsInto(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x[lo:hi], cp, n)
 		} else {
-			sweep(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x[lo:hi], cp[:n], 1<<k, 0, 1<<k)
+			sweep(a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi], x[lo:hi], cp[:n], nil, 1<<k, 0, 1<<k)
 		}
 	}
 }
@@ -298,6 +301,39 @@ func SolveCoupledInto[T num.Real](a, b, c, d []T, v, w T, xu, xv, xw, cp []T) {
 	}
 }
 
+// RecordStridedInto is SolveStridedRefInto for the one system of
+// len(b) rows, at any k, that also records what a new right-hand side
+// needs: c' in cp and, in piv, the factor each row's forward step
+// applies to d, b for the first 2^k rows, which the kernel divides by,
+// and 1/den, which it multiplies by, for the others. ReplayStridedInto
+// then solves the system for any d bit for bit as this call does. All
+// slices hold len(b) elements.
+//
+//tridlint:hotpath
+func RecordStridedInto[T num.Real](a, b, c, d, x, cp, piv []T, k int) {
+	sweep(a, b, c, d, x, cp, piv[:len(b)], 1<<k, 0, 1<<k)
+}
+
+// ReplayStridedInto solves the system RecordStridedInto recorded in
+// (a, cp, piv) for the right-hand side d into x, in the kernel
+// thread's operations and order, each product rounded as sweep rounds
+// it. d' goes into x, as in sweep, so d and x may alias.
+//
+//tridlint:hotpath
+func ReplayStridedInto[T num.Real](a, cp, piv, d, x []T, k int) {
+	n, s := len(piv), 1<<k
+	a, cp, d, x = a[:n], cp[:n], d[:n], x[:n]
+	for i := range min(s, n) {
+		x[i] = d[i] / piv[i]
+	}
+	for i := s; i < n; i++ {
+		x[i] = (d[i] - T(x[i-s]*a[i])) * piv[i]
+	}
+	for i := n - 1 - s; i >= 0; i-- {
+		x[i] -= T(cp[i] * x[i+s])
+	}
+}
+
 // sweep runs Thomas in lockstep over the lanes [lo, hi) of a strided
 // layout of len(b) rows: lane j's rows sit at j, j+s, j+2s, ... Each
 // step visits the lanes' current rows in turn, so consecutive
@@ -307,14 +343,15 @@ func SolveCoupledInto[T num.Real](a, b, c, d []T, v, w T, xu, xv, xw, cp []T) {
 // so the outputs match it bit for bit. c' is written at each row's own
 // index of cp and d' into x, which the backward pass reads as d' and
 // overwrites with the solution; a row's forward step reads index i-s,
-// its backward step x[i+s]. When the lanes are all s of them, the
-// rows' runs join into one run over the whole layout; a single lane is
-// thomas.
+// its backward step x[i+s]. A non-nil piv records each row's pivot
+// factor (RecordStridedInto). When the lanes are all s of them, the
+// rows' runs join into one run over the whole layout; a single lane
+// that records nothing is thomas.
 //
 //tridlint:hotpath
-func sweep[T num.Real](a, b, c, d, x, cp []T, s, lo, hi int) {
+func sweep[T num.Real](a, b, c, d, x, cp, piv []T, s, lo, hi int) {
 	n := len(b)
-	if s == 1 {
+	if s == 1 && piv == nil {
 		if lo < hi {
 			thomas(a, b, c, d, x, cp)
 		}
@@ -329,6 +366,9 @@ func sweep[T num.Real](a, b, c, d, x, cp []T, s, lo, hi int) {
 		for first := min(e, s); i < first; i++ {
 			cp[i] = c[i] / b[i]
 			x[i] = d[i] / b[i]
+			if piv != nil {
+				piv[i] = b[i]
+			}
 		}
 		for ; i < e; i++ {
 			av := a[i]
@@ -336,6 +376,9 @@ func sweep[T num.Real](a, b, c, d, x, cp []T, s, lo, hi int) {
 			inv := 1 / den
 			cp[i] = c[i] * inv
 			x[i] = (d[i] - T(x[i-s]*av)) * inv
+			if piv != nil {
+				piv[i] = inv
+			}
 		}
 	}
 	for r := lo + (n-1-lo)/gap*gap; r >= lo; r -= gap {

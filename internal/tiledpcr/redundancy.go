@@ -12,7 +12,8 @@
 // The production form is Window, the gpusim kernel building block with
 // the shared-memory layout of Figs. 9-10 (history caches + staging +
 // register tile), together with HostReducer, its plain-Go twin that
-// computes bit for bit the same rows. NaiveTiling counts, in closed
+// computes bit for bit the same rows and can record a system's
+// multipliers in a Plan to replay them for a new right-hand side. NaiveTiling counts, in closed
 // form, the work the window avoids: the Fig. 11(b) split of a system
 // into independent tiles that each pay the halo redundancy.
 package tiledpcr

@@ -198,7 +198,7 @@ func checkReduceEquivalence(t *testing.T, s *matrix.System[float64], k, tile int
 	blocked, measured := reduceBlocked(s, k, tile)
 	host := matrix.NewSystem[float64](n)
 	NewHostReducer[float64](k).Reduce(s.Lower, s.Diag, s.Upper, s.RHS,
-		host.Lower, host.Diag, host.Upper, host.RHS)
+		host.Lower, host.Diag, host.Upper, host.RHS, nil)
 	for name, got := range map[string]*matrix.System[float64]{
 		"streamed": streamReduce(s, k), "blocked": blocked, "host": host,
 	} {

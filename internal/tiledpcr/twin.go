@@ -2,6 +2,7 @@ package tiledpcr
 
 import (
 	"fmt"
+	"math"
 
 	"gputrid/internal/num"
 	"gputrid/internal/pcr"
@@ -45,6 +46,23 @@ type HostReducer[T num.Real] struct {
 	ring []pcr.Row[T]
 	off  []int        // level l's ring is ring[off[l]:off[l+1]]
 	halo []pcr.Row[T] // halo[j] is c_j, level j's row beyond the system
+	pad  []T          // Replay's two level buffers, sized by NewPlan
+}
+
+// Plan records the operator half of one system's reduction: the
+// multipliers k1 and k2 (pcr.Multipliers) of every combine Reduce runs,
+// per level and position, the rows past the system's ends included.
+// They depend on (a, b, c) alone, so Replay recomputes the reduced d
+// of any right-hand side from them, bit for bit what Reduce would
+// store, without a division.
+//
+// Level j's positions [f(j)-f(k), n+f(k)-f(j)) are stored in order,
+// one level after another; the constant rows among them (see
+// HostReducer) have no multipliers and their slots stay unused.
+type Plan[T num.Real] struct {
+	n      int
+	off    []int // level j's span is [off[j-1], off[j])
+	k1, k2 []T
 }
 
 // hostTile is the number of raw rows HostReducer takes per tile.
@@ -68,13 +86,44 @@ func NewHostReducer[T num.Real](k int) *HostReducer[T] {
 	return &HostReducer[T]{k: k, ring: make([]pcr.Row[T], off[k]), off: off, halo: halo}
 }
 
+// NewPlan allocates a plan for systems of n rows, 2k(n + 2^(k+1))
+// elements at most, and sizes h's Replay buffers for them. New buffers
+// start as NaN, so a slot Replay read before writing would poison its
+// output rather than pass for a constant row's zero.
+func (h *HostReducer[T]) NewPlan(n int) *Plan[T] {
+	fk, off := F(h.k), make([]int, h.k+1)
+	for j := 1; j <= h.k; j++ {
+		off[j] = off[j-1] + n + 2*(fk-F(j))
+	}
+	if w := 2 * (n + 2*fk); len(h.pad) < w {
+		h.pad = make([]T, w)
+		for i := range h.pad {
+			h.pad[i] = T(math.NaN())
+		}
+	}
+	return &Plan[T]{n: n, off: off, k1: make([]T, off[h.k]), k2: make([]T, off[h.k])}
+}
+
+// record stores the multipliers of level j's combines at positions
+// [lo, hi), which read the ring src (mask sm) at i-s, i, i+s: position
+// i at i+rel of the level's span. They are the quotients those combines
+// divided by, recomputed from the same rows, so Reduce's combine loops
+// are the same whether it records or not.
+func (pl *Plan[T]) record(j, rel int, src []pcr.Row[T], sm, s, lo, hi int) {
+	k1, k2 := pl.k1[pl.off[j-1]:pl.off[j]], pl.k2[pl.off[j-1]:pl.off[j]]
+	for i := lo; i < hi; i++ {
+		k1[i+rel], k2[i+rel] = pcr.Multipliers(src[(i-s)&sm], src[i&sm], src[(i+s)&sm])
+	}
+}
+
 // Reduce writes the k-level reduction of the system (a, b, c, d) to
 // (oa, ob, oc, od). All eight slices hold n = len(b) rows, and the
 // outputs must not alias the inputs. Lower[0] and Upper[n-1] are read
-// as zero, as the kernel's loads normalize them.
+// as zero, as the kernel's loads normalize them. A non-nil pl, made by
+// NewPlan for n rows, records the multipliers of every combine.
 //
 //tridlint:hotpath
-func (h *HostReducer[T]) Reduce(a, b, c, d, oa, ob, oc, od []T) {
+func (h *HostReducer[T]) Reduce(a, b, c, d, oa, ob, oc, od []T, pl *Plan[T]) {
 	k, n, fk := h.k, len(b), F(h.k)
 	a, c, d = a[:n], c[:n], d[:n]
 	oa, ob, oc, od = oa[:n], ob[:n], oc[:n], od[:n]
@@ -99,7 +148,8 @@ func (h *HostReducer[T]) Reduce(a, b, c, d, oa, ob, oc, od []T) {
 		// i-s, i, i+s (s = 2^(j-1)), all written by now. Only rows in
 		// [f(j)-f(k), n+f(k)-f(j)) feed a level-k row of the system.
 		// Outside [-f(j), n+f(j)) a row reads padding alone and is the
-		// constant c_j.
+		// constant c_j. The plan stores level j's row i at i+f(k)-f(j)
+		// of its level's span.
 		for j, s := 1, 1; j <= k; j, s = j+1, s<<1 {
 			src, sm := lv, m
 			fj := F(j)
@@ -108,6 +158,9 @@ func (h *HostReducer[T]) Reduce(a, b, c, d, oa, ob, oc, od []T) {
 				for i := lo; i < hi; i++ {
 					v := pcr.Combine(src[(i-s)&sm], src[i&sm], src[(i+s)&sm])
 					oa[i], ob[i], oc[i], od[i] = v.A, v.B, v.C, v.D
+				}
+				if pl != nil {
+					pl.record(j, fk-fj, src, sm, s, lo, hi)
 				}
 				break
 			}
@@ -121,9 +174,60 @@ func (h *HostReducer[T]) Reduce(a, b, c, d, oa, ob, oc, od []T) {
 			for i := dlo; i < dhi; i++ {
 				lv[i&m] = pcr.Combine(src[(i-s)&sm], src[i&sm], src[(i+s)&sm])
 			}
+			if pl != nil {
+				pl.record(j, fk-fj, src, sm, s, dlo, dhi)
+			}
 			for i := max(dlo, dhi); i < hi; i++ {
 				lv[i&m] = cj
 			}
 		}
+	}
+}
+
+// Replay writes to od the reduced right-hand side that Reduce, given
+// the system pl recorded with the right-hand side d, would store in its
+// od, bit for bit: each combine's D from the recorded multipliers, in
+// the same operations, each product rounded as pcr.Combine rounds it.
+// It runs level by level over the plan's spans, the constant rows
+// taking c_j's D, in h's buffers; d and od hold pl's n rows and must
+// not alias.
+//
+//tridlint:hotpath
+func (h *HostReducer[T]) Replay(pl *Plan[T], d, od []T) {
+	k, n, fk := h.k, pl.n, F(h.k)
+	w := n + 2*fk
+	in, out := h.pad[:w], h.pad[w:2*w]
+	// Level 0 spans [-f(k), n+f(k)): d padded with the identity's D.
+	for t := range fk {
+		in[t], in[fk+n+t] = h.halo[0].D, h.halo[0].D
+	}
+	copy(in[fk:fk+n], d[:n])
+	// Level j's row at slot t of its span reads level j-1's slots t,
+	// t+s and t+2s; it is constant below slot f(k)-2f(j) and from slot
+	// n+f(k) on.
+	for j, s := 1, 1; j <= k; j, s = j+1, s<<1 {
+		fj := F(j)
+		span := n + 2*(fk-fj)
+		o := out[:span]
+		if j == k {
+			o = od[:n]
+		}
+		k1, k2 := pl.k1[pl.off[j-1]:pl.off[j]], pl.k2[pl.off[j-1]:pl.off[j]]
+		src := in[:span+2*s]
+		dlo, dhi := min(max(fk-2*fj, 0), span), min(n+fk, span)
+		cj := h.halo[j].D
+		for t := 0; t < dlo; t++ {
+			o[t] = cj
+		}
+		run := o[dlo:dhi]
+		up, mid, dn := src[dlo:][:len(run)], src[dlo+s:][:len(run)], src[dlo+2*s:][:len(run)]
+		m1, m2 := k1[dlo:][:len(run)], k2[dlo:][:len(run)]
+		for t := range run {
+			run[t] = mid[t] - T(up[t]*m1[t]) - T(dn[t]*m2[t])
+		}
+		for t := dhi; t < span; t++ {
+			o[t] = cj
+		}
+		in, out = o, in
 	}
 }

@@ -30,7 +30,7 @@ func compareTwin[T num.Real](t *testing.T, label string, s *matrix.System[T], k,
 		t.Fatalf("%s: %v", label, err)
 	}
 	got := matrix.NewSystem[T](n)
-	NewHostReducer[T](k).Reduce(s.Lower, s.Diag, s.Upper, s.RHS, got.Lower, got.Diag, got.Upper, got.RHS)
+	NewHostReducer[T](k).Reduce(s.Lower, s.Diag, s.Upper, s.RHS, got.Lower, got.Diag, got.Upper, got.RHS, nil)
 	planes := [][2][]T{{got.Lower, want.Lower}, {got.Diag, want.Diag}, {got.Upper, want.Upper}, {got.RHS, want.RHS}}
 	for pl, pair := range planes {
 		for i := range pair[0] {
@@ -81,6 +81,70 @@ func TestHostReducerMatchesKernelBitwise(t *testing.T) {
 		ns := workload.System[float64](workload.NearSingular, sh.n, seed)
 		ns.Diag[0], ns.Diag[sh.n-1] = 0, 0
 		compareTwin(t, "zero end pivots", ns, sh.k, sh.c, sh.blocks, true)
+	}
+}
+
+// TestPlanReplayMatchesReduce pins Replay to Reduce: on every shape
+// of TestHostReducerMatchesKernelBitwise, in both precisions and on
+// the right-hand sides whose signed zeros expose the halo constants'
+// D (all-zero, all-negative-zero, a single nonzero entry), a plan
+// recorded on one right-hand side and replayed for another yields the
+// reduced d that Reduce stores for that other one, bit for bit. The
+// reducer replays each plan twice, so stale buffers from a previous
+// replay show too.
+func TestPlanReplayMatchesReduce(t *testing.T) {
+	for _, sh := range []struct{ n, k int }{
+		{64, 2}, {100, 3}, {256, 5}, {256, 4}, {1000, 6}, {31, 3}, {8, 1}, {512, 8},
+		{300, 5}, {1, 2}, {3, 4}, {192, 6}, {2, 8}, {5, 7}, {17, 6}, {64, 6},
+	} {
+		seed := uint64(sh.n*31 + sh.k)
+		replayCases(t, workload.System[float64](workload.DiagDominant, sh.n, seed), sh.k)
+		replayCases(t, workload.System[float32](workload.Toeplitz, sh.n, seed), sh.k)
+		ns := workload.System[float64](workload.NearSingular, sh.n, seed)
+		ns.Diag[0], ns.Diag[sh.n-1] = 0, 0
+		replayCases(t, ns, sh.k)
+	}
+}
+
+// replayCases records s's operator with its own right-hand side and
+// replays it for each right-hand-side shape in turn.
+func replayCases[T num.Real](t *testing.T, s *matrix.System[T], k int) {
+	t.Helper()
+	n := s.N()
+	h := NewHostReducer[T](k)
+	pl := h.NewPlan(n)
+	rec := matrix.NewSystem[T](n)
+	h.Reduce(s.Lower, s.Diag, s.Upper, s.RHS, rec.Lower, rec.Diag, rec.Upper, rec.RHS, pl)
+	shapes := map[string]func(d []T){
+		"recorded": func(d []T) { copy(d, s.RHS) },
+		"zero":     func(d []T) { clear(d) },
+		"negative-zero": func(d []T) {
+			for i := range d {
+				d[i] = T(math.Copysign(0, -1))
+			}
+		},
+		"first-row": func(d []T) { clear(d); d[0] = -1.5 },
+		"last-row":  func(d []T) { clear(d); d[n-1] = 0.5 },
+		"random": func(d []T) {
+			r := num.NewRNG(uint64(n))
+			for i := range d {
+				d[i] = T(r.Range(-4, 4))
+			}
+		},
+	}
+	want, got, d := matrix.NewSystem[T](n), make([]T, n), make([]T, n)
+	for name, fill := range shapes {
+		fill(d)
+		NewHostReducer[T](k).Reduce(s.Lower, s.Diag, s.Upper, d, want.Lower, want.Diag, want.Upper, want.RHS, nil)
+		for pass := range 2 {
+			h.Replay(pl, d, got)
+			for i := range got {
+				g, w := got[i], want.RHS[i]
+				if num.Bits(g) != num.Bits(w) && !(g != g && w != w) {
+					t.Fatalf("n=%d k=%d %s rhs, replay %d: d[%d] = %v (%#x), Reduce %v (%#x)", n, k, name, pass, i, g, num.Bits(g), w, num.Bits(w))
+				}
+			}
+		}
 	}
 }
 
