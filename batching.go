@@ -2,7 +2,6 @@ package gputrid
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"gputrid/internal/batcher"
@@ -38,31 +37,13 @@ func (p *Pool[T]) SolveMegabatch(ctx context.Context, mb *Megabatch[T]) error {
 	if !device {
 		return p.megaFallback(ctx, mb)
 	}
-
-	lease, err := p.inner.AcquireMega(ctx, mb.V.M, mb.V.N)
-	if err != nil {
-		p.inner.Abandon(probe)
-		return fmt.Errorf("gputrid: %w", err)
-	}
-	s := lease.Solver
-	err = s.SolveInterleavedIntoCtx(lease.Ctx, mb.Xi, mb.V)
-	svc := s.LastSolveTime()
-	faulted := s.FaultReport() != nil
-	if err != nil {
-		lease.Release(0)
-		if errors.Is(err, ErrCancelled) {
-			p.inner.Abandon(probe)
-		} else {
-			p.inner.Record(probe, true)
-		}
+	// Guard failures below never reach the breaker: they indicate sick
+	// input systems, not a sick device.
+	if err := p.lease(ctx, probe, true, mb.V.M, mb.V.N, func(ctx context.Context, s *Solver[T]) error {
+		return s.SolveInterleavedIntoCtx(ctx, mb.Xi, mb.V)
+	}); err != nil {
 		return err
 	}
-	lease.Release(svc)
-	// Breaker signal: fault-layer activity marks device degradation;
-	// guard failures below do not — they indicate sick input systems,
-	// not a sick device.
-	p.inner.Record(probe, faulted)
-
 	p.guardMegabatch(mb)
 	return nil
 }

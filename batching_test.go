@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -290,5 +291,60 @@ func TestBatcherFallbackRoute(t *testing.T) {
 	}
 	if st := p.Stats(); st.FallbackSolves == 0 {
 		t.Fatal("no fallback solves recorded")
+	}
+}
+
+// TestPoolLeaseRule pins the one lease protocol on both station kinds:
+// a device solve that fails without being cancelled still releases its
+// lease with its measured service time, which moves the station's
+// estimate, and the breaker counts it as degraded, while a clean solve
+// counts as healthy.
+func TestPoolLeaseRule(t *testing.T) {
+	const m, n = 4, 64
+	for _, mega := range []bool{false, true} {
+		var armed atomic.Bool
+		p := NewPool[float64](PoolConfig{Capacity: 1, SolverOptions: []Option{
+			WithFaultInjection(&FaultInjector{Rate: 1, Gate: armed.Load}),
+			WithRetry(RetryPolicy{MaxRetries: -1, NoDegrade: true}),
+		}})
+		b := workload.Batch[float64](workload.DiagDominant, m, n, 3)
+		mb := &Megabatch[float64]{
+			V: b.ToInterleaved(), Count: m, Xi: make([]float64, m*n),
+			Verdicts: make([]batcher.Verdict, m), Scratch: make([]float64, 4*m),
+		}
+		solve := func() error {
+			if mega {
+				return p.SolveMegabatch(context.Background(), mb)
+			}
+			_, err := p.Solve(context.Background(), b)
+			return err
+		}
+		svc := func() time.Duration {
+			for _, sh := range p.Stats().PerShape {
+				if sh.Mega == mega {
+					return sh.ServiceTime
+				}
+			}
+			t.Fatalf("mega=%v: no station", mega)
+			return 0
+		}
+
+		if err := solve(); err != nil {
+			t.Fatalf("mega=%v: clean solve: %v", mega, err)
+		}
+		clean := svc()
+		armed.Store(true)
+		if err := solve(); !errors.Is(err, ErrFaulted) {
+			t.Fatalf("mega=%v: faulted solve returned %v, want ErrFaulted", mega, err)
+		}
+		if got := svc(); got == clean {
+			t.Errorf("mega=%v: failed solve fed no service time (estimate stayed %v)", mega, got)
+		}
+		if br := p.Breaker(); br.WindowFill != 2 || br.WindowDegraded != 1 {
+			t.Errorf("mega=%v: breaker window %d/%d degraded, want 1 of 2", mega, br.WindowDegraded, br.WindowFill)
+		}
+		if err := p.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -216,8 +216,8 @@ func faultsOf(rep *core.Report) *FaultReport {
 
 // resultOf assembles the public result of a solve from its solution,
 // execution report and measured wall time.
-func resultOf[T Real](x []T, rep *core.Report, dev *Device, wall time.Duration) *Result[T] {
-	return &Result[T]{
+func resultOf[T Real](x []T, rep *core.Report, dev *Device, wall time.Duration) Result[T] {
+	return Result[T]{
 		X:               x,
 		K:               rep.K,
 		BlocksPerSystem: rep.BlocksPerSystem,
@@ -243,36 +243,28 @@ func SolveBatch[T Real](b *Batch[T], opts ...Option) (*Result[T], error) {
 // did. WallTime covers the solve itself, not the construction of its
 // transient pipeline.
 func SolveBatchCtx[T Real](ctx context.Context, b *Batch[T], opts ...Option) (*Result[T], error) {
-	c := buildConfig(opts)
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("gputrid: invalid batch: %w", err)
 	}
-	x, rep, wall, err := core.SolveCtx(ctx, c.coreConfig(), b)
+	s, err := NewSolver[T](b.M, b.N, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("gputrid: %w", err)
+		return nil, err
 	}
-	if c.verify {
-		if err := verifyBatch(b, x); err != nil {
-			return nil, err
-		}
+	defer s.Close()
+	x := make([]T, b.M*b.N)
+	if err := s.SolveBatchIntoCtx(ctx, x, b); err != nil {
+		return nil, err
 	}
-	return resultOf(x, rep, c.device, wall), nil
+	res := resultOf(x, s.pipe.Report(), s.c.device, s.LastSolveTime())
+	return &res, nil
 }
 
-// verifyBatch checks every system's residual against the size-scaled
-// tolerance and, on failure, names the offending systems — so one bad
-// system out of M is reported as such instead of as an anonymous batch
-// maximum. The negated comparison also catches NaN residuals (from
-// division by a vanishing pivot), which compare false against any
-// threshold.
-func verifyBatch[T Real](b *Batch[T], x []T) error {
-	return verifyBatchInto(b, x, make([]float64, b.M))
-}
-
-// verifyBatchInto is verifyBatch computing the residuals into a
-// caller-owned scratch slice of length M — the reusable Solver's
-// verification path, which allocates only when building the failure
-// message.
+// verifyBatchInto checks every system's residual against the
+// size-scaled tolerance, computing the residuals into a caller-owned
+// scratch slice of length M, and on failure names the offending
+// systems — so one bad system out of M is reported as such instead of
+// as an anonymous batch maximum. It allocates only when building the
+// failure message.
 func verifyBatchInto[T Real](b *Batch[T], x []T, rs []float64) error {
 	matrix.ResidualsPerSystemInto(rs, b, x)
 	return residualFailure(rs, b.M, matrix.ResidualTolerance[T](b.N))
@@ -328,28 +320,20 @@ func Solve[T Real](s *System[T], opts ...Option) (*Result[T], error) {
 // and results are bitwise identical to converting and calling
 // SolveBatch on the same data.
 func SolveInterleaved[T Real](v *Interleaved[T], opts ...Option) (*Result[T], error) {
-	c := buildConfig(opts)
 	if err := validateInterleaved(v); err != nil {
 		return nil, fmt.Errorf("gputrid: invalid batch: %w", err)
 	}
-	p, err := core.NewPipeline[T](c.coreConfig(), v.M, v.N)
+	s, err := NewSolver[T](v.M, v.N, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("gputrid: %w", err)
+		return nil, err
 	}
-	defer p.Close()
+	defer s.Close()
 	xi := make([]T, v.M*v.N)
-	start := time.Now()
-	if err := p.SolveInterleavedInto(xi, v); err != nil {
-		return nil, fmt.Errorf("gputrid: %w", err)
+	if err := s.SolveInterleavedInto(xi, v); err != nil {
+		return nil, err
 	}
-	wall := time.Since(start)
-	if c.verify {
-		rs := make([]float64, 4*v.M)
-		if err := verifyInterleavedInto(v, xi, rs[:v.M], rs[v.M:]); err != nil {
-			return nil, err
-		}
-	}
-	return resultOf(xi, p.Report(), c.device, wall), nil
+	res := resultOf(xi, s.pipe.Report(), s.c.device, s.LastSolveTime())
+	return &res, nil
 }
 
 // validateInterleaved rejects non-finite coefficients in an
@@ -576,25 +560,12 @@ func (r *GuardedResult[T]) Stages() map[GuardStage]int {
 // discarding the result. Configure the ladder with WithGuard; the other
 // options (WithK, WithDevice, ...) apply to the fast path as usual.
 func SolveGuarded[T Real](b *Batch[T], opts ...Option) (*GuardedResult[T], error) {
-	c := buildConfig(opts)
-	var pol GuardPolicy
-	if c.guard != nil {
-		pol = *c.guard
-	}
-	start := time.Now()
-	gres, err := guard.Solve(c.coreConfig(), b, pol)
-	if gres == nil {
-		return nil, fmt.Errorf("gputrid: %w", err)
-	}
-	res := &GuardedResult[T]{
-		Result:  resultOf(gres.X, gres.FastReport, c.device, time.Since(start)),
-		Reports: gres.Reports,
-		Failed:  gres.Failed,
-	}
+	s, err := NewSolver[T](b.M, b.N, opts...)
 	if err != nil {
-		err = fmt.Errorf("gputrid: %w", err)
+		return nil, err
 	}
-	return res, err
+	defer s.Close()
+	return s.SolveGuarded(b)
 }
 
 // ConditionEstBatch estimates the 1-norm condition number of the

@@ -72,16 +72,6 @@ var (
 	ErrShapeLimit = errors.New("batcher: too many active shapes")
 )
 
-// cancelledError ties a wait abandoned by context cancellation to the
-// repo-wide ErrCancelled identity, preserving the context's own cause.
-type cancelledError struct{ cause error }
-
-func (e *cancelledError) Error() string {
-	return "batcher: wait cancelled: " + e.cause.Error()
-}
-func (e *cancelledError) Unwrap() error        { return e.cause }
-func (e *cancelledError) Is(target error) bool { return target == core.ErrCancelled }
-
 // Request is one caller's batch of M contiguous systems of N rows
 // (row j of system i at i*N+j in each plane). X is the destination,
 // length M*N in the same natural order; it is written only on a nil
@@ -241,7 +231,7 @@ func (b *Batcher[T]) Solve(ctx context.Context, req *Request[T]) (Result, error)
 		ctx = context.Background()
 	}
 	if ctx.Err() != nil {
-		return Result{}, &cancelledError{cause: context.Cause(ctx)}
+		return Result{}, fmt.Errorf("batcher: wait: %w: %w", core.ErrCancelled, context.Cause(ctx))
 	}
 	q, err := b.queueFor(req.N)
 	if err != nil {
@@ -263,7 +253,7 @@ func (b *Batcher[T]) Solve(ctx context.Context, req *Request[T]) (Result, error)
 			// by the flusher's compaction pass.
 			b.cancelledWaits.Add(1)
 			b.pendingSystems.Add(-int64(req.M))
-			return Result{}, &cancelledError{cause: context.Cause(ctx)}
+			return Result{}, fmt.Errorf("batcher: wait: %w: %w", core.ErrCancelled, context.Cause(ctx))
 		}
 		// The flusher claimed the slot first; the solve already ran
 		// for us, so take the answer (it is about to arrive).

@@ -62,9 +62,9 @@ func benchDistributed(b *testing.B, batch *gputrid.Batch[float64], devs, slabs i
 	}
 	b.ReportMetric(rep.ModeledPipelined.Seconds()*1e3, "modeled-ms")
 	b.ReportMetric(rep.ModeledSerial.Seconds()*1e3, "modeled-serial-ms")
-	// rep.Comm is one solve's traffic (a per-solve CommScope), so it is
-	// reported as is: dividing it by b.N made the metric depend on the
-	// iteration count.
+	// rep.Comm is one solve's traffic (the sum of its slabs'
+	// transfers), so it is reported as is: dividing it by b.N made the
+	// metric depend on the iteration count.
 	b.ReportMetric(float64(rep.Comm.TotalBytes())/1e6, "comm-MB/op")
 }
 

@@ -146,7 +146,7 @@ func sumParts[T num.Real](s float64, parts ...[]T) float64 {
 func (s *DistSolver[T]) verifiedUp(sl *distSlab, dev int, bytes int64, sum func() float64) (float64, error) {
 	var secs float64
 	for attempt := 0; ; attempt++ {
-		rep := s.topo.Transfer(&s.scope, gpusim.OpHostToDevice, -1, dev, bytes)
+		rep := s.topo.Transfer(&sl.comm, gpusim.OpHostToDevice, -1, dev, bytes)
 		secs += rep.Seconds
 		if !rep.Corrupt {
 			return secs, nil
@@ -175,12 +175,12 @@ func (s *DistSolver[T]) verifiedUp(sl *distSlab, dev int, bytes int64, sum func(
 func (s *DistSolver[T]) verifiedDown(sl *distSlab, dev int, bytes int64, payload, shadow []T) (float64, error) {
 	want := sumParts(0, payload)
 	if want != want {
-		return s.topo.Transfer(&s.scope, gpusim.OpDeviceToHost, dev, -1, bytes).Seconds, nil
+		return s.topo.Transfer(&sl.comm, gpusim.OpDeviceToHost, dev, -1, bytes).Seconds, nil
 	}
 	copy(shadow, payload)
 	var secs float64
 	for attempt := 0; ; attempt++ {
-		rep := s.topo.Transfer(&s.scope, gpusim.OpDeviceToHost, dev, -1, bytes)
+		rep := s.topo.Transfer(&sl.comm, gpusim.OpDeviceToHost, dev, -1, bytes)
 		secs += rep.Seconds
 		if rep.Corrupt {
 			// A corrupting link does the loudest possible damage, so an
@@ -281,6 +281,7 @@ func (s *DistSolver[T]) hedgeOne(ctx context.Context, rep *DistReport, sl *distS
 	*spec = distSlab{idx: sl.idx, dev: target, homeDev: -1}
 	L := s.part.Slabs[sl.idx].Len()
 	err := s.reduceSlab(ctx, spec, target, s.hedgeX[:3*s.m*L], s.hedgeIface, s.hedgeShadow)
+	rep.Comm.Add(spec.comm)
 	if ctx != nil && ctx.Err() != nil {
 		rep.HedgesCancelled++
 		return cancelled(ctx.Err())

@@ -95,6 +95,41 @@ func TestDistributedLinkCorruptionRecovered(t *testing.T) {
 	}
 }
 
+// TestDistCommReproducible repeats one 4-device solve over links that
+// drop, delay and corrupt transfers on every device: each run must
+// report the same traffic bit for bit, link-seconds included, although
+// the devices charge it from concurrent goroutines.
+func TestDistCommReproducible(t *testing.T) {
+	const m, n, devs, slabs, runs = 3, 257, 4, 8, 20
+	b := workload.Batch[float64](workload.DiagDominant, m, n, 9)
+	topo := distTopo(t, devs, gpusim.NVLinkMesh())
+	topo.Links = &gpusim.LinkInjector{Seed: 3, Rate: 0.3}
+	s, err := NewDistSolver[float64](DistConfig{Topology: topo, Slabs: slabs}, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	dst := make([]float64, m*n)
+	var want gpusim.CommStats
+	for r := 0; r < runs; r++ {
+		topo.ResetComm() // every run redraws the same fault sites
+		rep, err := s.SolveInto(context.Background(), dst, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == 0 {
+			want = rep.Comm
+			if want.LinkFaults == 0 || want.FaultSeconds == 0 {
+				t.Fatalf("no link fault charged time — test is vacuous: %+v", want)
+			}
+			continue
+		}
+		if rep.Comm != want {
+			t.Fatalf("run %d: Comm %+v, first run %+v", r, rep.Comm, want)
+		}
+	}
+}
+
 // TestDistributedLinkIntegrityDegrade pins the last rung of the
 // escalation ladder: a link that corrupts every transfer to one device
 // exhausts re-exchange and re-solve, and the slabs fall back to the

@@ -101,8 +101,10 @@ type DistReport struct {
 	// detector. Sorted by device.
 	PerDevice []DeviceObservation
 	// Comm is the interconnect traffic this solve charged, attributed
-	// exactly to this solve via a per-solve CommScope even when
-	// concurrent solves share the topology.
+	// exactly to this solve even when concurrent solves share the
+	// topology. It sums each slab's traffic in slab order after the
+	// hedges' in hedge order, so its float sums are the same on every
+	// run of one schedule.
 	Comm gpusim.CommStats
 	// ModeledSerial and ModeledPipelined are the modeled device-side
 	// makespans of the final (post-recovery) assignment: serial runs
@@ -125,8 +127,9 @@ type distSlab struct {
 	integrity int  // checksum-mismatched transfers re-exchanged
 	resolves  int  // reduce re-executions forced by the integrity ladder
 	timing    gpusim.SlabTiming
-	outcome   slabOutcome // result of the current runPhase round
-	err       error       // the death behind outcome slabLost
+	comm      gpusim.CommStats // the slab's transfers, charged by one goroutine at a time
+	outcome   slabOutcome      // result of the current runPhase round
+	err       error            // the death behind outcome slabLost
 }
 
 // slabOutcome is what one runPhase round did with a slab.
@@ -243,10 +246,6 @@ type DistSolver[T num.Real] struct {
 	// testHookHedgeStart, when non-nil, runs before every speculative
 	// hedge (test instrumentation).
 	testHookHedgeStart func()
-
-	// scope attributes this solver's interconnect traffic exactly, even
-	// when concurrent solves share the topology.
-	scope gpusim.CommScope
 
 	// Per-solve state, reset by begin: the slabs, the topology devices
 	// (nLive of them live), runPhase's pending queue and hedgePhase's
@@ -469,7 +468,6 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 
 	d := s.part.NumSlabs()
 	rep := &DistReport{Slabs: d, Devices: make([]int, d)}
-	s.scope.Reset()
 	s.b, s.dst = b, dst
 
 	// Phase A: local reductions, with migration on device death.
@@ -499,7 +497,7 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 		return nil, err
 	}
 
-	// Report: final assignment, comm delta, modeled makespans.
+	// Report: final assignment, traffic, modeled makespans.
 	for p := range s.slabs {
 		sl := &s.slabs[p]
 		rep.Devices[p] = sl.dev
@@ -513,6 +511,7 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 		}
 		rep.IntegrityRetries += sl.integrity
 		rep.SlabResolves += sl.resolves
+		rep.Comm.Add(sl.comm)
 	}
 	sort.Ints(rep.Deaths)
 	var serial, pipelined float64
@@ -524,7 +523,6 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 	rep.ModeledSerial = time.Duration(serial * float64(time.Second))
 	rep.ModeledPipelined = time.Duration(pipelined * float64(time.Second))
 	rep.PerDevice = s.observations()
-	rep.Comm = s.scope.Stats()
 	return rep, nil
 }
 

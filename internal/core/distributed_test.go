@@ -440,7 +440,7 @@ func TestDistSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rep.ModeledSerial != wantRep.ModeledSerial || rep.ModeledPipelined != wantRep.ModeledPipelined ||
-				!sameComm(rep.Comm, wantRep.Comm) {
+				rep.Comm != wantRep.Comm {
 				t.Fatalf("N=%d: warm solve modeled %v/%v comm %+v, recording solve %v/%v comm %+v", n,
 					rep.ModeledSerial, rep.ModeledPipelined, rep.Comm,
 					wantRep.ModeledSerial, wantRep.ModeledPipelined, wantRep.Comm)
@@ -529,20 +529,6 @@ func TestSlabKernelRecordsAsPipeline(t *testing.T) {
 			}
 		}
 	}
-}
-
-// sameComm compares two solves' interconnect traffic: every count and
-// byte total exactly, the link-seconds sums to rounding. Devices run
-// concurrently and the CommScope adds their transfer times in arrival
-// order, so those float sums may differ in the last bit.
-func sameComm(a, b gpusim.CommStats) bool {
-	near := func(x, y float64) bool { return math.Abs(x-y) <= 1e-12*math.Max(math.Abs(x), math.Abs(y)) }
-	if !near(a.HostSeconds, b.HostSeconds) || !near(a.PeerSeconds, b.PeerSeconds) || !near(a.FaultSeconds, b.FaultSeconds) {
-		return false
-	}
-	a.HostSeconds, a.PeerSeconds, a.FaultSeconds = 0, 0, 0
-	b.HostSeconds, b.PeerSeconds, b.FaultSeconds = 0, 0, 0
-	return a == b
 }
 
 // TestDistributedDegrade kills every device: with degradation allowed

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
+
+	"gputrid/internal/num"
 )
 
 // Typed execution-failure errors of the fault-tolerant pipeline,
@@ -21,20 +24,14 @@ var (
 	ErrFaulted = errors.New("core: unrecovered device fault")
 )
 
-// cancelledError ties ErrCancelled to the specific context error so
-// callers can match either: errors.Is(err, ErrCancelled) and
+// cancelled ties ErrCancelled to the specific context error so callers
+// can match either: errors.Is(err, ErrCancelled) and
 // errors.Is(err, context.DeadlineExceeded) both hold.
-type cancelledError struct{ cause error }
-
-func (e *cancelledError) Error() string        { return "core: solve cancelled: " + e.cause.Error() }
-func (e *cancelledError) Is(target error) bool { return target == ErrCancelled }
-func (e *cancelledError) Unwrap() error        { return e.cause }
-
 func cancelled(cause error) error {
 	if cause == nil {
 		cause = context.Canceled
 	}
-	return &cancelledError{cause}
+	return fmt.Errorf("%w: %w", ErrCancelled, cause)
 }
 
 // RetryPolicy bounds the pipeline's recovery from transient launch
@@ -105,25 +102,14 @@ func (p RetryPolicy) backoff(attempt int, salt uint64) time.Duration {
 	// u is a deterministic uniform draw in [0, 1): splitmix-style
 	// avalanche over (salt, attempt), the same construction as the
 	// fault injector's site hash.
-	h := jmix(jmix(0x6a09e667f3bcc909) ^ jmix(salt^0x9e3779b97f4a7c15))
-	h = jmix(h ^ uint64(attempt))
+	h := num.Mix64(num.Mix64(0x6a09e667f3bcc909) ^ num.Mix64(salt^0x9e3779b97f4a7c15))
+	h = num.Mix64(h ^ uint64(attempt))
 	u := float64(h>>11) / (1 << 53)
 	d = time.Duration(float64(d) * (0.75 + 0.5*u))
 	if d > cap {
 		d = cap
 	}
 	return d
-}
-
-// jmix is the splitmix64 finalizer, duplicated from gpusim's mix64 so
-// the backoff jitter has no dependency on the simulator package.
-func jmix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
 }
 
 // sleepBackoff waits d, returning early with the context error if ctx

@@ -23,9 +23,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
@@ -138,30 +136,22 @@ func (cfg *Config) resolveBlocks(m, n, k int) int {
 
 // Solve solves every system of the batch on the simulated device and
 // returns the solutions in natural order (system i occupying
-// [i*N, (i+1)*N)) along with the execution report. It is SolveCtx
-// with a background context.
+// [i*N, (i+1)*N)) along with the execution report. It runs a transient
+// Pipeline, which records only the process's first solve of the
+// geometry: callers that solve the same shape repeatedly should still
+// build the Pipeline themselves and reuse it, which skips the arena
+// allocation.
 func Solve[T num.Real](cfg Config, b *matrix.Batch[T]) ([]T, *Report, error) {
-	x, rep, _, err := SolveCtx(context.Background(), cfg, b)
-	return x, rep, err
-}
-
-// SolveCtx is the one-shot solve with cooperative cancellation (see
-// Pipeline.SolveIntoCtx). It runs a transient Pipeline, which records
-// only the process's first solve of the geometry: callers that solve
-// the same shape repeatedly should still build the Pipeline themselves
-// and reuse it, which skips the arena allocation. wall is the measured
-// host time of the solve itself, excluding pipeline construction.
-func SolveCtx[T num.Real](ctx context.Context, cfg Config, b *matrix.Batch[T]) (x []T, rep *Report, wall time.Duration, err error) {
 	p, err := NewPipeline[T](cfg, b.M, b.N)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	defer p.Close()
-	x = make([]T, b.M*b.N)
-	if err := p.SolveIntoCtx(ctx, x, b); err != nil {
-		return nil, nil, 0, err
+	x := make([]T, b.M*b.N)
+	if err := p.SolveInto(x, b); err != nil {
+		return nil, nil, err
 	}
-	return x, p.Report(), p.LastSolveTime(), nil
+	return x, p.Report(), nil
 }
 
 // solveAblation runs a one-shot ablation kernel at the k cfg resolves

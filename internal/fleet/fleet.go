@@ -360,57 +360,24 @@ func (f *Fleet) Inject(ev gpusim.HealthEvent) {
 // device's (typed: ErrOverloaded, ErrPoolClosed, ErrCancelled,
 // ErrFaulted through gputrid), or ErrNoDevices/ErrFleetClosed.
 func (f *Fleet) Solve(ctx context.Context, b *gputrid.Batch[float64]) (*Result, error) {
-	var tried uint64 // bitmask over device ids (Devices ≤ 64 enforced by pick)
-	var lastErr error
-	for attempt := 1; attempt <= rerouteAttempts; attempt++ {
-		d, be, err := f.pick(&tried, 1)
-		if err != nil {
-			if lastErr != nil {
-				// Every servable device was tried and failed; surface
-				// the device error, not the exhaustion.
-				break
-			}
-			if errors.Is(err, ErrNoDevices) {
-				f.noDevice.Add(1)
-			}
-			return nil, err
-		}
-
-		// pick counted the request in flight on d; be is the backend
-		// captured under the lock (a concurrent cordon may nil
-		// d.backend at any moment).
-		res, err := be.Solve(ctx, b)
-		f.inflightTotal.Add(-1)
-		d.inflight.Add(-1)
-
-		if err == nil {
-			d.served.Add(1)
-			f.served.Add(1)
-			if res.Faults != nil {
-				// The device's fault layer had to repair this solve:
-				// surface it to the control plane as corrected-ECC
-				// pressure so a sick device escalates to a cordon.
-				f.Inject(gpusim.HealthEvent{
-					Device: d.id, Kind: gpusim.HealthECCCorrected,
-					Message: "fault-layer recovery activity",
-				})
-			}
-			return &Result{PoolResult: res, Device: d.id, Attempts: attempt}, nil
-		}
-		d.failed.Add(1)
-		lastErr = err
-		if ctx.Err() != nil {
-			// The caller's own deadline/cancellation — nothing another
-			// device could fix.
-			break
-		}
-		// Device-local failure: the pool drained beneath the request
-		// (cordon), the lease was force-cancelled, the device is
-		// overloaded, or the solve faulted unrecoverably. Re-route.
-		f.rerouted.Add(1)
+	var res *gputrid.PoolResult[float64]
+	d, attempts, err := f.route(ctx, 1, func(be Backend) (err error) {
+		res, err = be.Solve(ctx, b)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	f.rejected.Add(1)
-	return nil, lastErr
+	if res.Faults != nil {
+		// The device's fault layer had to repair this solve: surface
+		// it to the control plane as corrected-ECC pressure so a sick
+		// device escalates to a cordon.
+		f.Inject(gpusim.HealthEvent{
+			Device: d.id, Kind: gpusim.HealthECCCorrected,
+			Message: "fault-layer recovery activity",
+		})
+	}
+	return &Result{PoolResult: res, Device: d.id, Attempts: attempts}, nil
 }
 
 // SolveMegabatch routes one coalesced megabatch to the least-loaded
@@ -427,29 +394,48 @@ func (f *Fleet) SolveMegabatch(ctx context.Context, mb *gputrid.Megabatch[float6
 	if mb.Count == 0 {
 		return nil
 	}
-	weight := int64(mb.Count)
-	var tried uint64
+	_, _, err := f.route(ctx, int64(mb.Count), func(be Backend) error {
+		return be.SolveMegabatch(ctx, mb)
+	})
+	return err
+}
+
+// route is the re-route loop of both request kinds. It runs serve on
+// the least-loaded servable untried device, with weight counted in
+// flight there, until serve succeeds, the caller's ctx ends (nothing
+// another device could fix), or rerouteAttempts devices have failed.
+// It returns the serving device and the number of devices tried, or
+// the last device's error — ErrNoDevices/ErrFleetClosed when no
+// device could be picked at all.
+//
+//tridlint:hotpath
+func (f *Fleet) route(ctx context.Context, weight int64, serve func(Backend) error) (*device, int, error) {
+	var tried uint64 // bitmask over device ids (Devices ≤ 64 enforced by New)
 	var lastErr error
 	for attempt := 1; attempt <= rerouteAttempts; attempt++ {
 		d, be, err := f.pick(&tried, weight)
 		if err != nil {
 			if lastErr != nil {
+				// Every servable device was tried and failed; surface
+				// the device error, not the exhaustion.
 				break
 			}
 			if errors.Is(err, ErrNoDevices) {
 				f.noDevice.Add(1)
 			}
-			return err
+			return nil, 0, err
 		}
 
-		err = be.SolveMegabatch(ctx, mb)
+		// pick counted the request in flight on d; be is the backend
+		// captured under the lock (a concurrent cordon may nil
+		// d.backend at any moment).
+		err = serve(be)
 		f.inflightTotal.Add(-weight)
 		d.inflight.Add(-weight)
-
 		if err == nil {
 			d.served.Add(1)
 			f.served.Add(1)
-			return nil
+			return d, attempt, nil
 		}
 		d.failed.Add(1)
 		lastErr = err
@@ -459,7 +445,7 @@ func (f *Fleet) SolveMegabatch(ctx context.Context, mb *gputrid.Megabatch[float6
 		f.rerouted.Add(1)
 	}
 	f.rejected.Add(1)
-	return lastErr
+	return nil, 0, lastErr
 }
 
 // Tick runs one control-loop step against the fleet clock: it applies

@@ -517,6 +517,77 @@ func TestCallerCancellationDoesNotReroute(t *testing.T) {
 	}
 }
 
+// TestRouteSameForBothKinds drives the one re-route loop through both
+// request kinds: a device-local failure followed by a re-route, every
+// device failing, and a caller whose ctx is already cancelled must
+// leave the same counters for a direct request and a coalesced flight,
+// with nothing left in flight.
+func TestRouteSameForBothKinds(t *testing.T) {
+	kinds := []struct {
+		name  string
+		solve func(context.Context, *fleet.Fleet) error
+	}{
+		{"direct", func(ctx context.Context, f *fleet.Fleet) error {
+			_, err := f.Solve(ctx, nil)
+			return err
+		}},
+		{"coalesced", func(ctx context.Context, f *fleet.Fleet) error {
+			return f.SolveMegabatch(ctx, mkMega(3, 4))
+		}},
+	}
+	closed := func(be *fakeBackend) { be.closed = true }
+	cancelled := func(be *fakeBackend) { be.solveErr = gputrid.ErrCancelled }
+	cases := []struct {
+		name     string
+		break0   func(*fakeBackend)
+		break1   func(*fakeBackend)
+		cancel   bool
+		wantErr  error
+		want     [4]uint64 // served, rerouted, rejected, no-device
+		wantDevs [2][2]uint64
+	}{
+		{"reroute", closed, nil, false, nil, [4]uint64{1, 1, 0, 0}, [2][2]uint64{{0, 1}, {1, 0}}},
+		{"all-fail", closed, closed, false, gputrid.ErrPoolClosed, [4]uint64{0, 2, 1, 0}, [2][2]uint64{{0, 1}, {0, 1}}},
+		{"caller-cancelled", cancelled, cancelled, true, gputrid.ErrCancelled, [4]uint64{0, 0, 1, 0}, [2][2]uint64{{0, 1}, {0, 0}}},
+	}
+	for _, tc := range cases {
+		for _, kind := range kinds {
+			ff := &fakeFactory{}
+			f := newTestFleet(t, fleet.Config{Devices: 2}, ff, clock.NewVirtualClock(time.Unix(0, 0)))
+			for id, brk := range []func(*fakeBackend){tc.break0, tc.break1} {
+				if brk != nil {
+					be := ff.backend(id)
+					be.mu.Lock()
+					brk(be)
+					be.mu.Unlock()
+				}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			if tc.cancel {
+				cancel()
+			}
+			err := kind.solve(ctx, f)
+			cancel()
+			if tc.wantErr == nil && err != nil || tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Fatalf("%s/%s: err = %v, want %v", tc.name, kind.name, err, tc.wantErr)
+			}
+			st := f.Stats()
+			if c := [4]uint64{st.Served, st.Rerouted, st.Rejected, st.NoDevice}; c != tc.want {
+				t.Errorf("%s/%s: served/rerouted/rejected/no-device = %v, want %v", tc.name, kind.name, c, tc.want)
+			}
+			for id, d := range st.Devices {
+				if c := [2]uint64{d.Served, d.Failed}; c != tc.wantDevs[id] || d.InFlight != 0 {
+					t.Errorf("%s/%s: device %d served/failed = %v in flight %d, want %v and 0",
+						tc.name, kind.name, id, c, d.InFlight, tc.wantDevs[id])
+				}
+			}
+			if st.InFlight != 0 {
+				t.Errorf("%s/%s: %d still in flight", tc.name, kind.name, st.InFlight)
+			}
+		}
+	}
+}
+
 // TestBreakerAwareRouting: at equal load, a device whose breaker is
 // open (serving off its CPU fallback) loses to one whose device path
 // is healthy.

@@ -1,6 +1,10 @@
 package fleet
 
-import "time"
+import (
+	"time"
+
+	"gputrid/internal/pool"
+)
 
 // Autoscaling. The scaler watches two interval load signals the router
 // records between Ticks — how much work was routed (offered, in
@@ -35,9 +39,8 @@ func (c Config) scaleCooldown() time.Duration {
 }
 
 func (c Config) slotCapacity() int {
-	// Mirrors pool.Config.capacity()'s default.
 	if c.Pool.Capacity <= 0 {
-		return 2
+		return pool.DefaultCapacity
 	}
 	return c.Pool.Capacity
 }

@@ -54,21 +54,8 @@ func (g *gatedBackend) release() {
 	g.mu.Unlock()
 }
 
-func (g *gatedBackend) Solve(ctx context.Context, b *gputrid.Batch[float64]) (*gputrid.PoolResult[float64], error) {
-	g.mu.Lock()
-	gate := g.gate
-	g.mu.Unlock()
-	if gate != nil {
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return g.inner.Solve(ctx, b)
-}
-
-func (g *gatedBackend) SolveMegabatch(ctx context.Context, mb *gputrid.Megabatch[float64]) error {
+// wait blocks while the gate is armed, or until ctx ends.
+func (g *gatedBackend) wait(ctx context.Context) error {
 	g.mu.Lock()
 	gate := g.gate
 	g.mu.Unlock()
@@ -78,6 +65,20 @@ func (g *gatedBackend) SolveMegabatch(ctx context.Context, mb *gputrid.Megabatch
 		case <-ctx.Done():
 			return ctx.Err()
 		}
+	}
+	return nil
+}
+
+func (g *gatedBackend) Solve(ctx context.Context, b *gputrid.Batch[float64]) (*gputrid.PoolResult[float64], error) {
+	if err := g.wait(ctx); err != nil {
+		return nil, err
+	}
+	return g.inner.Solve(ctx, b)
+}
+
+func (g *gatedBackend) SolveMegabatch(ctx context.Context, mb *gputrid.Megabatch[float64]) error {
+	if err := g.wait(ctx); err != nil {
+		return err
 	}
 	return g.inner.SolveMegabatch(ctx, mb)
 }

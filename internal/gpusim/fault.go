@@ -1,6 +1,10 @@
 package gpusim
 
-import "fmt"
+import (
+	"fmt"
+
+	"gputrid/internal/num"
+)
 
 // FaultKind selects which transient execution fault the injector models.
 // All kinds are detected faults: the launch reports a LaunchError
@@ -154,9 +158,9 @@ func (in *Injector) At(kernel string, block, attempt int) (FaultKind, bool) {
 	}
 	kinds := in.Kinds
 	if len(kinds) == 0 {
-		return FaultKind(mix64(h) % numFaultKinds), true
+		return FaultKind(num.Mix64(h) % numFaultKinds), true
 	}
-	return kinds[mix64(h)%uint64(len(kinds))], true
+	return kinds[num.Mix64(h)%uint64(len(kinds))], true
 }
 
 // siteHash hashes the fault coordinates: FNV-1a over the kernel name,
@@ -166,16 +170,7 @@ func siteHash(seed uint64, kernel string, block int) uint64 {
 	for i := 0; i < len(kernel); i++ {
 		h = (h ^ uint64(kernel[i])) * 1099511628211
 	}
-	return mix64(h ^ mix64(seed) ^ mix64(uint64(block)*0x9E3779B97F4A7C15+1))
-}
-
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return num.Mix64(h ^ num.Mix64(seed) ^ num.Mix64(uint64(block)*0x9E3779B97F4A7C15+1))
 }
 
 // FaultSite carries the fault-injection coordinates of one launch:

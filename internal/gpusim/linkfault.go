@@ -1,6 +1,10 @@
 package gpusim
 
-import "fmt"
+import (
+	"fmt"
+
+	"gputrid/internal/num"
+)
 
 // LinkOp names the interconnect operation a transfer performs, the
 // first coordinate of a link-fault site. Unlike kernel faults (keyed on
@@ -212,19 +216,19 @@ func (in *LinkInjector) At(op LinkOp, from, to, seq int) (LinkFaultKind, bool) {
 		return 0, false
 	}
 	if len(in.Kinds) == 0 {
-		return LinkFaultKind(mix64(h) % numLinkFaultKinds), true
+		return LinkFaultKind(num.Mix64(h) % numLinkFaultKinds), true
 	}
-	return in.Kinds[mix64(h)%uint64(len(in.Kinds))], true
+	return in.Kinds[num.Mix64(h)%uint64(len(in.Kinds))], true
 }
 
 // linkSiteHash hashes the transfer coordinates through the same
 // splitmix avalanche the kernel-fault injector uses.
 func linkSiteHash(seed uint64, op LinkOp, from, to, seq int) uint64 {
-	h := mix64(seed ^ 0xA5A5A5A55A5A5A5A)
-	h = mix64(h ^ uint64(op)*0x9E3779B97F4A7C15 + 1)
-	h = mix64(h ^ uint64(int64(from))*0xBF58476D1CE4E5B9 + 2)
-	h = mix64(h ^ uint64(int64(to))*0x94D049BB133111EB + 3)
-	return mix64(h ^ uint64(seq))
+	h := num.Mix64(seed ^ 0xA5A5A5A55A5A5A5A)
+	h = num.Mix64(h ^ uint64(op)*0x9E3779B97F4A7C15 + 1)
+	h = num.Mix64(h ^ uint64(int64(from))*0xBF58476D1CE4E5B9 + 2)
+	h = num.Mix64(h ^ uint64(int64(to))*0x94D049BB133111EB + 3)
+	return num.Mix64(h ^ uint64(seq))
 }
 
 // TransferReport describes one modeled transfer after link-fault

@@ -102,40 +102,38 @@ func TestLinkInjectorScheduleAndCharges(t *testing.T) {
 	}
 }
 
-// CommScope must attribute exactly the traffic of its own transfers,
-// even when concurrent solves hammer the shared topology — the
-// lost-update the snapshot-Sub idiom suffers from.
-func TestCommScopeExactUnderConcurrency(t *testing.T) {
+// A Transfer accumulator must receive exactly the traffic of its own
+// transfers, even when concurrent solves hammer the shared topology —
+// the lost-update the snapshot-Sub idiom suffers from.
+func TestTransferAccumulatorExactUnderConcurrency(t *testing.T) {
 	topo, err := UniformTopology(4, NVLinkMesh(), GTX480())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const workers, per = 8, 200
-	scopes := make([]*CommScope, workers)
+	accs := make([]CommStats, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		scopes[w] = &CommScope{}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				topo.Transfer(scopes[w], OpHostToDevice, -1, w%4, int64(100+w))
-				topo.Transfer(scopes[w], OpHaloExchange, w%4, (w+1)%4, 64)
+				topo.Transfer(&accs[w], OpHostToDevice, -1, w%4, int64(100+w))
+				topo.Transfer(&accs[w], OpHaloExchange, w%4, (w+1)%4, 64)
 			}
 		}(w)
 	}
 	wg.Wait()
 
 	var sum CommStats
-	for w, sc := range scopes {
-		c := sc.Stats()
+	for w, c := range accs {
 		if c.Transfers != 2*per {
-			t.Fatalf("scope %d saw %d transfers, want %d", w, c.Transfers, 2*per)
+			t.Fatalf("accumulator %d saw %d transfers, want %d", w, c.Transfers, 2*per)
 		}
 		if want := per * int64(100+w); c.HostBytes != want {
-			t.Fatalf("scope %d cross-charged: host bytes %d, want %d", w, c.HostBytes, want)
+			t.Fatalf("accumulator %d cross-charged: host bytes %d, want %d", w, c.HostBytes, want)
 		}
-		sum.add(c)
+		sum.Add(c)
 	}
 	total := topo.Comm()
 	// Counters must match exactly; the seconds fields are float sums
@@ -143,11 +141,11 @@ func TestCommScopeExactUnderConcurrency(t *testing.T) {
 	sumInts := [6]int64{sum.Transfers, sum.HaloExchanges, sum.HostBytes, sum.PeerBytes, sum.LinkFaults, sum.DroppedTransfers}
 	totInts := [6]int64{total.Transfers, total.HaloExchanges, total.HostBytes, total.PeerBytes, total.LinkFaults, total.DroppedTransfers}
 	if sumInts != totInts {
-		t.Fatalf("scopes don't sum to global stats:\nsum   %+v\nglobal %+v", sum, total)
+		t.Fatalf("accumulators don't sum to global stats:\nsum   %+v\nglobal %+v", sum, total)
 	}
 	if math.Abs(sum.HostSeconds-total.HostSeconds) > 1e-9 ||
 		math.Abs(sum.PeerSeconds-total.PeerSeconds) > 1e-9 {
-		t.Fatalf("scope seconds diverge from global:\nsum   %+v\nglobal %+v", sum, total)
+		t.Fatalf("accumulator seconds diverge from global:\nsum   %+v\nglobal %+v", sum, total)
 	}
 }
 

@@ -112,8 +112,8 @@ func (c CommStats) TotalSeconds() float64 { return c.HostSeconds + c.PeerSeconds
 
 // Sub returns c minus prev. It is only meaningful between two snapshots
 // with no concurrent traffic in between: a solve that shares the
-// topology with other in-flight solves must use a CommScope for its
-// per-solve delta instead — snapshot subtraction cross-charges
+// topology with other in-flight solves must pass its own accumulator
+// to Transfer instead — snapshot subtraction cross-charges
 // concurrent solves' traffic.
 func (c CommStats) Sub(prev CommStats) CommStats {
 	return CommStats{
@@ -130,8 +130,8 @@ func (c CommStats) Sub(prev CommStats) CommStats {
 	}
 }
 
-// add folds one charged transfer into the stats.
-func (c *CommStats) add(d CommStats) {
+// Add folds d into the stats.
+func (c *CommStats) Add(d CommStats) {
 	c.Transfers += d.Transfers
 	c.HaloExchanges += d.HaloExchanges
 	c.HostBytes += d.HostBytes
@@ -142,41 +142,6 @@ func (c *CommStats) add(d CommStats) {
 	c.DroppedTransfers += d.DroppedTransfers
 	c.CorruptTransfers += d.CorruptTransfers
 	c.FaultSeconds += d.FaultSeconds
-}
-
-// CommScope is a per-solve accumulator of interconnect traffic. Every
-// Transfer that names a scope charges the scope in addition to the
-// topology's global stats, so a solve sharing the topology with
-// concurrent solves still gets an exact account of its own traffic —
-// the snapshot-Sub idiom cross-charges whatever else was in flight.
-// The zero value is ready to use; all methods are safe for concurrent
-// use.
-type CommScope struct {
-	mu sync.Mutex
-	c  CommStats
-}
-
-// Stats snapshots the traffic charged into the scope.
-func (s *CommScope) Stats() CommStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c
-}
-
-// Reset clears the scope.
-func (s *CommScope) Reset() {
-	s.mu.Lock()
-	s.c = CommStats{}
-	s.mu.Unlock()
-}
-
-func (s *CommScope) add(d CommStats) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.c.add(d)
-	s.mu.Unlock()
 }
 
 // Topology is a set of simulated devices joined by an interconnect.
@@ -288,11 +253,13 @@ func (t *Topology) HaloExchange(left, right int, bytes int64) float64 {
 // Transfer charges one interconnect operation, running it through the
 // link-fault injector (Links) when one is attached, and returns the
 // full report: total modeled seconds (drop retries and delay inflation
-// included) plus whether the payload arrived corrupted. A non-nil scope
+// included) plus whether the payload arrived corrupted. A non-nil acc
 // receives an exact copy of everything charged, attributing the
-// traffic to the calling solve even when concurrent solves share the
-// topology. Endpoint -1 means the host.
-func (t *Topology) Transfer(scope *CommScope, op LinkOp, from, to int, bytes int64) TransferReport {
+// traffic to its owner even when concurrent solves share the topology;
+// acc is not synchronized, so one goroutine at a time may charge it,
+// which also keeps its float sums in a reproducible order. Endpoint -1
+// means the host.
+func (t *Topology) Transfer(acc *CommStats, op LinkOp, from, to int, bytes int64) TransferReport {
 	if bytes <= 0 {
 		return TransferReport{}
 	}
@@ -369,9 +336,11 @@ func (t *Topology) Transfer(scope *CommScope, op LinkOp, from, to int, bytes int
 	}
 
 	t.mu.Lock()
-	t.comm.add(d)
+	t.comm.Add(d)
 	t.mu.Unlock()
-	scope.add(d)
+	if acc != nil {
+		acc.Add(d)
+	}
 	return rep
 }
 

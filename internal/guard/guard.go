@@ -71,7 +71,7 @@ func (p Policy) maxRefine() int {
 }
 
 // Result is a guarded batch solve: the merged solutions, the per-system
-// reports, the typed failures (also joined into the error Solve
+// reports, the typed failures (also joined into the error SolveCtx
 // returns), and the fast path's execution report.
 type Result[T num.Real] struct {
 	// X holds the M solutions contiguously. Always fully finite:
@@ -98,19 +98,20 @@ func (r *Result[T]) Stages() map[Stage]int {
 }
 
 // Runner is a reusable guarded solver for one fixed batch shape. It
-// owns a core.Pipeline (the bulk fast path, allocation-free once
-// warmed), the solution and residual arenas, and the per-system report
-// slice, so the steady-state happy path — every system passing its
-// residual check — performs zero heap allocations per Solve. Only the
-// escalation rungs (which touch failing systems only) and the fault-
-// injection clone allocate.
+// runs its bulk fast path on its owner's core.Pipeline (allocation-free
+// once warmed) and owns the solution and residual arenas and the
+// per-system report slice, so the steady-state happy path — every
+// system passing its residual check — performs zero heap allocations
+// per solve. Only the escalation rungs (which touch failing systems
+// only) and the fault-injection clone allocate.
 //
-// A Runner is not safe for concurrent use; the underlying Pipeline
-// rejects overlapping calls with core.ErrPipelineBusy.
+// A Runner is not safe for concurrent use, nor with other solves on
+// its pipeline; the Pipeline rejects overlapping calls with
+// core.ErrPipelineBusy.
 type Runner[T num.Real] struct {
-	cfg  core.Config
-	m, n int
-	pipe *core.Pipeline[T]
+	pipe      *core.Pipeline[T]
+	noDegrade bool // the pipeline's RetryPolicy.NoDegrade
+	m, n      int
 
 	x         []T       // merged solutions, aliased by Result.X
 	resid     []float64 // per-system residuals of the fast solve
@@ -119,50 +120,40 @@ type Runner[T num.Real] struct {
 	gtsvWS    *cpu.GTSVWorkspace[T]
 }
 
-// NewRunner builds a guarded runner for batches of m systems of n rows.
-func NewRunner[T num.Real](cfg core.Config, m, n int) (*Runner[T], error) {
-	p, err := core.NewPipeline[T](cfg, m, n)
-	if err != nil {
-		return nil, err
-	}
+// NewRunner builds a guarded runner over p, whose shape it takes.
+// noDegrade must be the RetryPolicy.NoDegrade p was configured with: it
+// makes a fast-path ErrFaulted a hard batch failure.
+func NewRunner[T num.Real](p *core.Pipeline[T], noDegrade bool) *Runner[T] {
+	m, n := p.Shape()
 	r := &Runner[T]{
-		cfg:       cfg,
+		pipe:      p,
+		noDegrade: noDegrade,
 		m:         m,
 		n:         n,
-		pipe:      p,
 		x:         make([]T, m*n),
 		resid:     make([]float64, m),
 		isInvalid: make([]bool, m),
 	}
 	r.res.Reports = make([]SystemReport, m)
-	return r, nil
+	return r
 }
 
-// Close releases the underlying pipeline's worker pool. The Runner is
-// unusable afterwards. Close is idempotent; a Close racing an
-// in-flight Solve returns core.ErrPipelineBusy and leaves the Runner
-// usable.
-func (r *Runner[T]) Close() error {
-	if r.pipe == nil {
-		return nil
-	}
-	return r.pipe.Close()
-}
-
-// Solve runs the guarded pipeline over the batch, which must match the
-// Runner's shape. The returned Result aliases the Runner's arenas (X,
-// Reports) and is valid until the next Solve or Close; callers that
-// need the data longer must copy it out.
-func (r *Runner[T]) Solve(b *matrix.Batch[T], pol Policy) (*Result[T], error) {
-	return r.SolveCtx(context.Background(), b, pol)
-}
-
-// SolveCtx is Solve with cooperative cancellation and transient-fault
-// recovery (see core.Pipeline.SolveIntoCtx). A cancelled solve returns
-// a nil Result with an error matching core.ErrCancelled. Systems the
-// fault-recovery layer degraded to the pivoting GTSV path are folded
-// into the ladder's reporting as StagePivot — the guarantee is the
-// same one rung 2 gives.
+// SolveCtx runs the guarded pipeline over the batch, which must match
+// the Runner's shape, with cooperative cancellation and transient-fault
+// recovery (see core.Pipeline.SolveIntoCtx). The returned error is nil
+// when every system produced a tolerance-passing solution (possibly
+// after rescue); otherwise it is the errors.Join of the per-system
+// SolveErrors — the Result is still valid and carries the healthy
+// systems' solutions. Infrastructure failures (shape mismatches,
+// cancellation, a hard ErrFaulted) return a nil Result; a cancelled
+// solve's error matches core.ErrCancelled. Systems the fault-recovery
+// layer degraded to the pivoting GTSV path are folded into the
+// ladder's reporting as StagePivot — the guarantee is the same one
+// rung 2 gives.
+//
+// The Result aliases the Runner's arenas (X, Reports) and is valid
+// until the next solve; callers that need the data longer must copy
+// it out.
 func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy) (*Result[T], error) {
 	m, n := r.m, r.n
 	if b.M != m || b.N != n {
@@ -219,7 +210,7 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 	// re-classifies them per system instead of failing the batch.
 	// Under NoDegrade an ErrFaulted is a hard batch failure by request.
 	if err := r.pipe.SolveIntoCtx(ctx, r.x, work); err != nil {
-		if !errors.Is(err, core.ErrFaulted) || r.cfg.Retry.NoDegrade {
+		if !errors.Is(err, core.ErrFaulted) || r.noDegrade {
 			return nil, err
 		}
 	}
@@ -279,7 +270,7 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 		if r.gtsvWS == nil {
 			r.gtsvWS = cpu.NewGTSVWorkspace[T](n)
 		}
-		escalate(r.cfg, work, i, xi, tol, pol, fastRep.K, r.gtsvWS, rep)
+		escalate(work, i, xi, tol, pol, fastRep.K, r.gtsvWS, rep)
 		if rep.Err != nil {
 			res.Failed = append(res.Failed, rep.Err)
 		}
@@ -295,32 +286,9 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 	return res, errors.Join(errs...)
 }
 
-// Solve runs the guarded pipeline over the batch. The returned error is
-// nil when every system produced a tolerance-passing solution (possibly
-// after rescue); otherwise it is the errors.Join of the per-system
-// SolveErrors — the Result is still valid and carries the healthy
-// systems' solutions. Infrastructure failures (invalid configuration,
-// shape mismatches) return a nil Result.
-//
-// It is a one-shot wrapper over a transient Runner; callers solving
-// the same shape repeatedly should hold a Runner (or a gputrid.Solver)
-// and reuse it.
-func Solve[T num.Real](cfg core.Config, b *matrix.Batch[T], pol Policy) (*Result[T], error) {
-	m, n := b.M, b.N
-	if len(b.Lower) != m*n || len(b.Diag) != m*n || len(b.Upper) != m*n || len(b.RHS) != m*n {
-		return nil, fmt.Errorf("guard: batch slice lengths do not match M*N=%d", m*n)
-	}
-	r, err := NewRunner[T](cfg, m, n)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return r.Solve(b, pol)
-}
-
 // escalate runs the ladder for one over-tolerance (or non-finite)
 // system, updating xi in place and filling in the report.
-func escalate[T num.Real](cfg core.Config, b *matrix.Batch[T], i int, xi []T,
+func escalate[T num.Real](b *matrix.Batch[T], i int, xi []T,
 	tol float64, pol Policy, k int, ws *cpu.GTSVWorkspace[T], rep *SystemReport) {
 	sys := b.System(i)
 	cur := rep.ResidualBefore

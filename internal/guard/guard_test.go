@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -12,7 +13,16 @@ import (
 	"gputrid/internal/workload"
 )
 
-func cfg() core.Config { return core.Config{Device: gpusim.GTX480()} }
+// solve runs one guarded solve on a transient pipeline of b's shape.
+func solve(t *testing.T, b *matrix.Batch[float64], pol Policy) (*Result[float64], error) {
+	t.Helper()
+	p, err := core.NewPipeline[float64](core.Config{Device: gpusim.GTX480()}, b.M, b.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return NewRunner(p, false).SolveCtx(context.Background(), b, pol)
+}
 
 func healthy(m, n int, seed uint64) *matrix.Batch[float64] {
 	return workload.Batch[float64](workload.DiagDominant, m, n, seed)
@@ -20,7 +30,7 @@ func healthy(m, n int, seed uint64) *matrix.Batch[float64] {
 
 func TestAllHealthyStaysOnFastPath(t *testing.T) {
 	b := healthy(16, 128, 1)
-	res, err := Solve(cfg(), b, Policy{})
+	res, err := solve(t, b, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +69,7 @@ func TestEscalationLadder(t *testing.T) {
 			b := healthy(m, n, 7)
 			const victim = 3
 			pol := Policy{Inject: &Injection{Seed: 42, Faults: []Fault{{System: victim, Kind: tc.kind}}}}
-			res, err := Solve(cfg(), b, pol)
+			res, err := solve(t, b, pol)
 			if res == nil {
 				t.Fatalf("no result: %v", err)
 			}
@@ -128,7 +138,7 @@ func TestEscalationLadder(t *testing.T) {
 func TestHealthyNeighboursBitwiseUnaffected(t *testing.T) {
 	const m, n = 12, 64
 	b := healthy(m, n, 11)
-	clean, err := Solve(cfg(), b, Policy{})
+	clean, err := solve(t, b, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +147,7 @@ func TestHealthyNeighboursBitwiseUnaffected(t *testing.T) {
 		{System: 5, Kind: FaultSingularMatrix},
 		{System: 9, Kind: FaultNaNCoefficient},
 	}}}
-	dirty, err := Solve(cfg(), b, pol)
+	dirty, err := solve(t, b, pol)
 	if dirty == nil {
 		t.Fatal(err)
 	}
@@ -161,7 +171,7 @@ func TestInjectionLeavesCallerBatchUntouched(t *testing.T) {
 		{System: 1, Kind: FaultNaNCoefficient},
 		{System: 2, Kind: FaultSingularMatrix},
 	}}}
-	if res, _ := Solve(cfg(), b, pol); res == nil {
+	if res, _ := solve(t, b, pol); res == nil {
 		t.Fatal("no result")
 	}
 	if d := matrix.MaxAbsDiff(b.Diag, orig.Diag); d != 0 {
@@ -177,8 +187,8 @@ func TestInjectionIsDeterministic(t *testing.T) {
 		{System: 1, Kind: FaultCorruptSolution},
 		{System: 3, Kind: FaultZeroDiagonal},
 	}}}
-	a, errA := Solve(cfg(), healthy(6, 80, 5), pol)
-	b, errB := Solve(cfg(), healthy(6, 80, 5), pol)
+	a, errA := solve(t, healthy(6, 80, 5), pol)
+	b, errB := solve(t, healthy(6, 80, 5), pol)
 	if a == nil || b == nil {
 		t.Fatal(errA, errB)
 	}
@@ -197,7 +207,7 @@ func TestRefinementDisabledFallsThroughToPivot(t *testing.T) {
 		MaxRefine: -1,
 		Inject:    &Injection{Seed: 4, Faults: []Fault{{System: 0, Kind: FaultCorruptSolution}}},
 	}
-	res, err := Solve(cfg(), healthy(2, 64, 13), pol)
+	res, err := solve(t, healthy(2, 64, 13), pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +224,7 @@ func TestDisablePivotFallbackFailsTyped(t *testing.T) {
 		DisablePivotFallback: true,
 		Inject:               &Injection{Seed: 4, Faults: []Fault{{System: 1, Kind: FaultZeroDiagonal}}},
 	}
-	res, err := Solve(cfg(), healthy(3, 64, 17), pol)
+	res, err := solve(t, healthy(3, 64, 17), pol)
 	if res == nil {
 		t.Fatal(err)
 	}
@@ -232,7 +242,7 @@ func TestLooseToleranceAcceptsFastPath(t *testing.T) {
 		Tolerance: 1e6, // anything finite passes
 		Inject:    &Injection{Seed: 4, Faults: []Fault{{System: 0, Kind: FaultCorruptSolution}}},
 	}
-	res, err := Solve(cfg(), healthy(2, 64, 19), pol)
+	res, err := solve(t, healthy(2, 64, 19), pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +256,7 @@ func TestSkipConditionEstimate(t *testing.T) {
 		SkipConditionEstimate: true,
 		Inject:                &Injection{Seed: 2, Faults: []Fault{{System: 0, Kind: FaultZeroDiagonal}}},
 	}
-	res, err := Solve(cfg(), healthy(2, 48, 23), pol)
+	res, err := solve(t, healthy(2, 48, 23), pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +271,7 @@ func TestStagesSummary(t *testing.T) {
 		{System: 1, Kind: FaultZeroDiagonal},
 		{System: 2, Kind: FaultSingularMatrix},
 	}}}
-	res, _ := Solve(cfg(), healthy(8, 64, 29), pol)
+	res, _ := solve(t, healthy(8, 64, 29), pol)
 	if res == nil {
 		t.Fatal("no result")
 	}
@@ -275,7 +285,7 @@ func TestStagesSummary(t *testing.T) {
 // system carries the +Inf condition estimate that diagnoses it.
 func TestSingularReportsInfiniteCondition(t *testing.T) {
 	pol := Policy{Inject: &Injection{Seed: 6, Faults: []Fault{{System: 0, Kind: FaultSingularMatrix}}}}
-	res, err := Solve(cfg(), healthy(2, 32, 31), pol)
+	res, err := solve(t, healthy(2, 32, 31), pol)
 	if res == nil {
 		t.Fatal(err)
 	}

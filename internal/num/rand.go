@@ -50,3 +50,14 @@ func (r *RNG) Intn(n int) int {
 func Random[T Real](r *RNG, lo, hi T) T {
 	return T(r.Range(float64(lo), float64(hi)))
 }
+
+// Mix64 is the splitmix64 finalizer: a bijective avalanche of x, the
+// deterministic hash behind fault draws and backoff jitter.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
+}

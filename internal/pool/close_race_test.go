@@ -23,7 +23,7 @@ func newTrackingFactory() *trackingFactory {
 	return &trackingFactory{built: make(map[int]bool)}
 }
 
-func (f *trackingFactory) build(m, n int) (*fakeSolver, error) {
+func (f *trackingFactory) build(m, n int, _ bool) (*fakeSolver, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.nextID++

@@ -7,14 +7,20 @@ import (
 )
 
 // TestMegaStationsIndependent pins the megabatch-station contract:
-// AcquireMega leases out of its own station with its own builder and
-// capacity, so megabatch traffic never competes with direct traffic
-// for instances, and the two service-time estimates stay separate.
+// AcquireMega leases out of its own station, built by the build hook
+// with mega = true, with its own capacity, so megabatch traffic never
+// competes with direct traffic for instances, and the two service-time
+// estimates stay separate.
 func TestMegaStationsIndependent(t *testing.T) {
 	f := &fakeFactory{}
 	mega := &fakeFactory{}
-	p := newTestPool(Config{Capacity: 1, QueueLimit: -1}, f, 0)
-	p.MegaBuild(mega.build)
+	build := func(m, n int, isMega bool) (*fakeSolver, error) {
+		if isMega {
+			return mega.build(m, n, isMega)
+		}
+		return f.build(m, n, isMega)
+	}
+	p := New(Config{Capacity: 1, QueueLimit: -1}, build, f.close, nil)
 	ctx := context.Background()
 
 	// Exhaust the regular station; the mega station must still admit.
@@ -75,21 +81,4 @@ func TestMegaStationsIndependent(t *testing.T) {
 	if _, fc := f.counts(); fc != 2 {
 		t.Fatalf("close count = %d, want both stations' solvers (2)", fc)
 	}
-}
-
-// TestMegaWarmFallsBackToBuild pins the nil-hook default: without
-// MegaBuild, AcquireMega builds its station's solver through the
-// regular hook.
-func TestMegaWarmFallsBackToBuild(t *testing.T) {
-	f := &fakeFactory{}
-	p := newTestPool(Config{Capacity: 2}, f, 0)
-	l, err := p.AcquireMega(context.Background(), 8, 64)
-	if err != nil {
-		t.Fatalf("AcquireMega: %v", err)
-	}
-	if fb, _ := f.counts(); fb != 1 {
-		t.Fatalf("built %d, want 1 through the regular hook", fb)
-	}
-	l.Release(time.Millisecond)
-	_ = p.Close(context.Background())
 }

@@ -31,8 +31,8 @@ import (
 type Key struct{ M, N int }
 
 // skey identifies a station: a shape plus whether it serves megabatch
-// solvers. Megabatch stations hold solvers built by the MegaBuild hook
-// (interleaved-native, batching-front-end tuned) and are warmed,
+// solvers. Megabatch stations hold solvers the build hook made for
+// them (interleaved-native, batching-front-end tuned) and are warmed,
 // leased, evicted and drained by exactly the same machinery as regular
 // stations — they are just distinct keys in the same map, so a shape
 // can have both kinds warmed at once.
@@ -73,9 +73,13 @@ func (c Config) clock() clock.Clock {
 	return c.Clock
 }
 
+// DefaultCapacity is the per-station solver count a zero
+// Config.Capacity means.
+const DefaultCapacity = 2
+
 func (c Config) capacity() int {
 	if c.Capacity <= 0 {
-		return 2
+		return DefaultCapacity
 	}
 	return c.Capacity
 }
@@ -104,7 +108,7 @@ func (c Config) maxShapes() int {
 // and derives Retry-After hints from ServiceTime.
 type ShapeStats struct {
 	// M, N identify the shape; Mega marks the shape's megabatch
-	// station (solvers built by the MegaBuild hook).
+	// station.
 	M    int  `json:"m"`
 	N    int  `json:"n"`
 	Mega bool `json:"mega"`
@@ -153,12 +157,11 @@ type Stats struct {
 
 // Pool multiplexes callers onto warmed solver instances of type S.
 type Pool[S any] struct {
-	cfg   Config
-	build func(m, n int) (S, error)
-	// megaBuild, when set via MegaBuild, constructs the solvers of
-	// megabatch stations; nil falls back to build.
-	megaBuild func(m, n int) (S, error)
-	close     func(S) error
+	cfg Config
+	// build makes a solver for a shape's regular (mega = false) or
+	// megabatch station.
+	build func(m, n int, mega bool) (S, error)
+	close func(S) error
 	// modeled seeds a fresh solver's service-time estimate (return 0
 	// when unknown); observed times take over from the first solve.
 	modeled func(S) time.Duration
@@ -199,10 +202,11 @@ type station[S any] struct {
 }
 
 // New builds a pool over the given solver lifecycle hooks. build makes
-// a warmed solver for a shape, close releases one, modeled returns the
-// cost model's per-solve time estimate for seeding the admission
-// controller (may return 0). Either hook may be nil.
-func New[S any](cfg Config, build func(m, n int) (S, error), close func(S) error, modeled func(S) time.Duration) *Pool[S] {
+// a warmed solver for a shape's regular or megabatch station, close
+// releases one, modeled returns the cost model's per-solve time
+// estimate for seeding the admission controller (may return 0). Either
+// of the last two hooks may be nil.
+func New[S any](cfg Config, build func(m, n int, mega bool) (S, error), close func(S) error, modeled func(S) time.Duration) *Pool[S] {
 	if modeled == nil {
 		modeled = func(S) time.Duration { return 0 }
 	}
@@ -240,18 +244,6 @@ type Lease[S any] struct {
 	cancel context.CancelFunc
 }
 
-// cancelledError matches both core.ErrCancelled and the underlying
-// context error, like the solver's own cancellation errors, so callers
-// see one error class whether the deadline expired while queued or
-// mid-solve.
-type cancelledError struct{ cause error }
-
-func (e *cancelledError) Error() string {
-	return "pool: admission wait cancelled: " + e.cause.Error()
-}
-func (e *cancelledError) Is(target error) bool { return target == core.ErrCancelled }
-func (e *cancelledError) Unwrap() error        { return e.cause }
-
 // Acquire admits one request for shape (m, n): it returns a warmed
 // solver immediately when one is free (building lazily up to
 // Config.Capacity), otherwise joins the shape's bounded wait queue.
@@ -264,11 +256,11 @@ func (p *Pool[S]) Acquire(ctx context.Context, m, n int) (*Lease[S], error) {
 }
 
 // AcquireMega is Acquire against the shape's megabatch station, whose
-// solvers come from the MegaBuild hook. The stations are independent:
-// megabatch traffic never competes with direct traffic for solver
-// instances, and each keeps its own service-time estimate (megabatch
-// solves are much larger, so mixing the EWMAs would wreck both
-// admission controllers).
+// solvers the build hook makes with mega = true. The stations are
+// independent: megabatch traffic never competes with direct traffic
+// for solver instances, and each keeps its own service-time estimate
+// (megabatch solves are much larger, so mixing the EWMAs would wreck
+// both admission controllers).
 func (p *Pool[S]) AcquireMega(ctx context.Context, m, n int) (*Lease[S], error) {
 	return p.acquire(ctx, skey{Key{m, n}, true})
 }
@@ -311,7 +303,7 @@ func (p *Pool[S]) acquireAt(ctx context.Context, st *station[S]) (l *Lease[S], r
 	if st.built < p.cfg.capacity() {
 		st.built++
 		st.mu.Unlock()
-		s, err := p.builderFor(st.key)(m, n)
+		s, err := p.build(m, n, st.key.Mega)
 		if err != nil {
 			st.mu.Lock()
 			st.built--
@@ -375,7 +367,10 @@ func (p *Pool[S]) acquireAt(ctx context.Context, st *station[S]) (l *Lease[S], r
 		st.waiters--
 		st.mu.Unlock()
 		p.cancelledWaits.Add(1)
-		return nil, false, &cancelledError{ctx.Err()}
+		// Both core.ErrCancelled and the context error match, like the
+		// solver's own cancellation errors, so callers see one error
+		// class whether the deadline expired while queued or mid-solve.
+		return nil, false, fmt.Errorf("pool: admission wait: %w: %w", core.ErrCancelled, ctx.Err())
 	case <-p.drainCh:
 		st.mu.Lock()
 		st.waiters--
@@ -433,24 +428,6 @@ func (l *Lease[S]) Release(svc time.Duration) {
 		close(p.drained)
 	}
 	p.mu.Unlock()
-}
-
-// MegaBuild installs the constructor for megabatch-station solvers
-// (AcquireMega). Call it once during setup, before any
-// megabatch traffic; nil (the default) makes megabatch stations fall
-// back to the regular build hook. It exists as a setter rather than a
-// Config field so the generic pool's construction signature — which
-// fakes in tests instantiate — stays unchanged.
-func (p *Pool[S]) MegaBuild(build func(m, n int) (S, error)) {
-	p.megaBuild = build
-}
-
-// builderFor picks the station's constructor hook.
-func (p *Pool[S]) builderFor(k skey) func(m, n int) (S, error) {
-	if k.Mega && p.megaBuild != nil {
-		return p.megaBuild
-	}
-	return p.build
 }
 
 // lookup returns (building if needed) the station for a shape,
@@ -557,7 +534,7 @@ func (p *Pool[S]) Warm(m, n int) error {
 		}
 		st.built++
 		st.mu.Unlock()
-		s, err := p.builderFor(k)(k.M, k.N)
+		s, err := p.build(k.M, k.N, false)
 		if err != nil {
 			st.mu.Lock()
 			st.built--

@@ -24,7 +24,7 @@ type fakeFactory struct {
 	closed int
 }
 
-func (f *fakeFactory) build(m, n int) (*fakeSolver, error) {
+func (f *fakeFactory) build(m, n int, _ bool) (*fakeSolver, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.built++

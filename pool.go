@@ -165,6 +165,7 @@ type Pool[T Real] struct {
 // NewPool builds an overload-safe serving pool. Solvers are created
 // lazily per shape (use Warm to pre-build a shape's complement).
 func NewPool[T Real](cfg PoolConfig) *Pool[T] {
+	megaOpts := append(append([]Option{}, cfg.SolverOptions...), WithK(0))
 	inner := pool.New(
 		pool.Config{
 			Capacity:   cfg.Capacity,
@@ -173,20 +174,15 @@ func NewPool[T Real](cfg PoolConfig) *Pool[T] {
 			Breaker:    cfg.Breaker,
 			Clock:      cfg.Clock,
 		},
-		func(m, n int) (*Solver[T], error) {
-			s, err := NewSolver[T](m, n, cfg.SolverOptions...)
-			if err != nil {
-				return nil, err
+		func(m, n int, mega bool) (*Solver[T], error) {
+			if mega {
+				return NewSolver[T](m, n, megaOpts...)
 			}
-			return s, nil
+			return NewSolver[T](m, n, cfg.SolverOptions...)
 		},
 		func(s *Solver[T]) error { return s.Close() },
 		func(s *Solver[T]) time.Duration { return s.ModeledTime() },
 	)
-	megaOpts := append(append([]Option{}, cfg.SolverOptions...), WithK(0))
-	inner.MegaBuild(func(m, n int) (*Solver[T], error) {
-		return NewSolver[T](m, n, megaOpts...)
-	})
 	return &Pool[T]{cfg: cfg, inner: inner}
 }
 
@@ -215,49 +211,70 @@ func (p *Pool[T]) Solve(ctx context.Context, b *Batch[T]) (*PoolResult[T], error
 	if !device {
 		return p.solveFallback(ctx, b)
 	}
-
+	var res *PoolResult[T]
 	enq := time.Now()
-	lease, err := p.inner.Acquire(ctx, b.M, b.N)
+	err := p.lease(ctx, probe, false, b.M, b.N, func(ctx context.Context, s *Solver[T]) error {
+		wait := time.Since(enq)
+		x := make([]T, b.M*b.N)
+		if err := s.SolveBatchIntoCtx(ctx, x, b); err != nil {
+			return err
+		}
+		res = &PoolResult[T]{
+			Result: &Result[T]{
+				X:               x,
+				K:               s.K(),
+				BlocksPerSystem: s.BlocksPerSystem(),
+				Stats:           cloneStats(s.Stats()),
+				ModeledTime:     s.ModeledTime(),
+				WallTime:        s.LastSolveTime(),
+				Faults:          cloneFaultReport(s.FaultReport()),
+			},
+			Route: RouteDevice,
+			Wait:  wait,
+		}
+		return nil
+	})
 	if err != nil {
-		p.inner.Abandon(probe)
-		return nil, fmt.Errorf("gputrid: %w", err)
-	}
-	wait := time.Since(enq)
-
-	s := lease.Solver
-	x := make([]T, b.M*b.N)
-	err = s.SolveBatchIntoCtx(lease.Ctx, x, b)
-	svc := s.LastSolveTime()
-
-	// Everything read off the solver must be captured before Release
-	// hands it to the next request.
-	if err != nil && errors.Is(err, ErrCancelled) {
-		lease.Release(0)
-		p.inner.Abandon(probe)
-		return nil, fmt.Errorf("gputrid: %w", err)
-	}
-	res := &PoolResult[T]{
-		Result: &Result[T]{
-			X:               x,
-			K:               s.K(),
-			BlocksPerSystem: s.BlocksPerSystem(),
-			Stats:           cloneStats(s.Stats()),
-			ModeledTime:     s.ModeledTime(),
-			WallTime:        svc,
-			Faults:          cloneFaultReport(s.FaultReport()),
-		},
-		Route: RouteDevice,
-		Wait:  wait,
-	}
-	lease.Release(svc)
-	// Breaker signal: any fault-layer activity (retries, degraded
-	// systems) or a non-cancellation error counts as device
-	// degradation; clean solves count toward recovery.
-	p.inner.Record(probe, err != nil || res.Faults != nil)
-	if err != nil {
-		return nil, fmt.Errorf("gputrid: %w", err)
+		return nil, err
 	}
 	return res, nil
+}
+
+// lease runs one device solve of either request kind under the
+// breaker and lease protocol: it acquires a solver from the shape's
+// direct or megabatch station, runs run on it under the lease's
+// context, and releases the lease. After any outcome but cancellation
+// the release feeds the station's service-time estimate with the
+// solve's measured time, and the breaker counts the solve as degraded
+// when it failed or its fault layer fired; a cancelled solve gives no
+// verdict on the device, so its probe slot is abandoned. run must copy
+// out whatever it reads off the solver: the release hands the solver
+// to the next request.
+//
+//tridlint:hotpath
+func (p *Pool[T]) lease(ctx context.Context, probe, mega bool, m, n int, run func(ctx context.Context, s *Solver[T]) error) error {
+	var l *pool.Lease[*Solver[T]]
+	var err error
+	if mega {
+		l, err = p.inner.AcquireMega(ctx, m, n)
+	} else {
+		l, err = p.inner.Acquire(ctx, m, n)
+	}
+	if err != nil {
+		p.inner.Abandon(probe)
+		return fmt.Errorf("gputrid: %w", err)
+	}
+	s := l.Solver
+	err = run(l.Ctx, s)
+	if errors.Is(err, ErrCancelled) {
+		l.Release(0)
+		p.inner.Abandon(probe)
+		return err
+	}
+	degraded := err != nil || s.FaultReport() != nil
+	l.Release(s.LastSolveTime())
+	p.inner.Record(probe, degraded)
+	return err
 }
 
 // solveFallback serves one request on the host pivoting GTSV path —

@@ -50,7 +50,8 @@ type Solver[T Real] struct {
 	// is the interleaved scan's extra partials, built on first use.
 	resid  []float64
 	iresid []float64
-	// runner is the guarded pipeline, built on first SolveGuarded.
+	// runner is the guarded ladder over pipe, built on first
+	// SolveGuarded.
 	runner *guard.Runner[T]
 	gres   GuardedResult[T]
 	gresu  Result[T]
@@ -180,11 +181,7 @@ func (s *Solver[T]) SolveGuarded(b *Batch[T]) (*GuardedResult[T], error) {
 // per-system reports as StagePivot.
 func (s *Solver[T]) SolveGuardedCtx(ctx context.Context, b *Batch[T]) (*GuardedResult[T], error) {
 	if s.runner == nil {
-		r, err := guard.NewRunner[T](s.c.coreConfig(), s.m, s.n)
-		if err != nil {
-			return nil, fmt.Errorf("gputrid: %w", err)
-		}
-		s.runner = r
+		s.runner = guard.NewRunner(s.pipe, s.c.retry.NoDegrade)
 	}
 	var pol GuardPolicy
 	if s.c.guard != nil {
@@ -195,17 +192,7 @@ func (s *Solver[T]) SolveGuardedCtx(ctx context.Context, b *Batch[T]) (*GuardedR
 	if gres == nil {
 		return nil, fmt.Errorf("gputrid: %w", err)
 	}
-	wall := time.Since(start)
-	rep := gres.FastReport
-	s.gresu = Result[T]{
-		X:               gres.X,
-		K:               rep.K,
-		BlocksPerSystem: rep.BlocksPerSystem,
-		Stats:           rep.Stats,
-		ModeledTime:     secondsToDuration(modeled[T](s.c.device, rep)),
-		WallTime:        wall,
-		Faults:          faultsOf(rep),
-	}
+	s.gresu = resultOf(gres.X, gres.FastReport, s.c.device, time.Since(start))
 	s.gres = GuardedResult[T]{Result: &s.gresu, Reports: gres.Reports, Failed: gres.Failed}
 	if err != nil {
 		err = fmt.Errorf("gputrid: %w", err)
@@ -248,13 +235,7 @@ func (s *Solver[T]) LastSolveTime() time.Duration { return s.pipe.LastSolveTime(
 // usable — call Close again once the solve has returned (or cancel it
 // first via SolveBatchIntoCtx's context).
 func (s *Solver[T]) Close() error {
-	err := s.pipe.Close()
-	if s.runner != nil {
-		if rerr := s.runner.Close(); err == nil {
-			err = rerr
-		}
-	}
-	if err != nil {
+	if err := s.pipe.Close(); err != nil {
 		return fmt.Errorf("gputrid: %w", err)
 	}
 	return nil

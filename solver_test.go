@@ -2,6 +2,7 @@ package gputrid
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -245,5 +246,28 @@ func TestSolverGuardedReuse(t *testing.T) {
 				t.Fatalf("iter %d: system %d escalated to %v on a clean batch", iter, i, rep.Stage)
 			}
 		}
+	}
+}
+
+// TestSolverGuardedSharesPipeline pins that the guarded ladder runs on
+// the Solver's own pipeline: after SolveGuarded the Solver holds no
+// more goroutines than one pipeline's worker pool.
+func TestSolverGuardedSharesPipeline(t *testing.T) {
+	const m, n = 16, 256
+	s, err := NewSolver[float64](m, n, WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	b := workload.Batch[float64](workload.DiagDominant, m, n, 5)
+	if err := s.SolveBatchInto(make([]float64, m*n), b); err != nil {
+		t.Fatal(err)
+	}
+	withPipeline := runtime.NumGoroutine()
+	if _, err := s.SolveGuarded(b); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > withPipeline {
+		t.Fatalf("SolveGuarded raised the goroutine count from %d to %d: a second pipeline", withPipeline, got)
 	}
 }
