@@ -69,35 +69,25 @@ type devObs struct {
 	hedged    int
 }
 
-// noteBusy records one slab-phase execution on dev.
+// noteBusy records one slab-phase execution on dev. A device's
+// observations are written by one goroutine at a time — its own in a
+// runPhase round, or the caller's in hedgeOne after the round — so
+// they need no lock.
 func (s *DistSolver[T]) noteBusy(dev int, seconds float64) {
-	s.obsMu.Lock()
 	o := &s.devs[dev].obs
 	o.slabs++
 	o.busy += seconds
-	s.obsMu.Unlock()
 }
 
 // noteIntegrity records n integrity retries against dev's links.
 func (s *DistSolver[T]) noteIntegrity(sl *distSlab, dev, n int) {
 	sl.integrity += n
-	s.obsMu.Lock()
 	s.devs[dev].obs.integrity += n
-	s.obsMu.Unlock()
-}
-
-// noteHedged records a slab hedged away from dev.
-func (s *DistSolver[T]) noteHedged(dev int) {
-	s.obsMu.Lock()
-	s.devs[dev].obs.hedged++
-	s.obsMu.Unlock()
 }
 
 // observations snapshots the observations of every device the solve
 // touched, sorted by device.
 func (s *DistSolver[T]) observations() []DeviceObservation {
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
 	out := make([]DeviceObservation, 0, len(s.devs))
 	for dev := range s.devs {
 		if o := s.devs[dev].obs; o != (devObs{}) {
@@ -302,7 +292,7 @@ func (s *DistSolver[T]) hedgeOne(ctx context.Context, rep *DistReport, sl *distS
 		p := sl.idx
 		copy(s.slabX[p], s.hedgeX[:3*s.m*L])
 		copy(s.iface[p], s.hedgeIface)
-		s.noteHedged(sl.dev)
+		s.devs[sl.dev].obs.hedged++
 		sl.dev = target
 		sl.timing = spec.timing
 		rep.HedgeWins++

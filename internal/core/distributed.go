@@ -249,14 +249,13 @@ type DistSolver[T num.Real] struct {
 
 	// Per-solve state, reset by begin: the slabs, the topology devices
 	// (nLive of them live), runPhase's pending queue and hedgePhase's
-	// sample of modeled slab times. obsMu guards every devs[i].obs. all
-	// lists every topology device, SolveInto's live set.
+	// sample of modeled slab times. all lists every topology device,
+	// SolveInto's live set.
 	slabs   []distSlab
 	devs    []distDev
 	nLive   int
 	pending []*distSlab
 	times   []float64
-	obsMu   sync.Mutex
 	all     []int
 
 	// Reduced interface system, system-major: system i's D-1 rows at

@@ -5,16 +5,6 @@ import (
 	"gputrid/internal/num"
 )
 
-// SolveSelected re-solves only the systems of the batch named by idx,
-// returning their solutions contiguously in idx order (solution j in
-// [j*N, (j+1)*N)) plus the execution report of the sub-batch solve. The
-// guarded pipeline uses it to re-run the fast path for a handful of
-// failing systems without paying for the M-1 healthy ones again; merge
-// the result back with matrix.ScatterVector.
-func SolveSelected[T num.Real](cfg Config, b *matrix.Batch[T], idx []int) ([]T, *Report, error) {
-	return Solve(cfg, b.Gather(idx))
-}
-
 // SystemView wraps system i of the batch as a 1-system batch sharing
 // the same storage (no copy). It is the per-system entry point for
 // selective re-factorization: FactorHybrid(SystemView(b, i), k) caches

@@ -7,42 +7,6 @@ import (
 	"gputrid/internal/workload"
 )
 
-// TestSolveSelectedMatchesFullSolve: re-solving a subset must reproduce
-// the full batch's solutions for exactly those systems.
-func TestSolveSelectedMatchesFullSolve(t *testing.T) {
-	b := workload.Batch[float64](workload.DiagDominant, 10, 96, 31)
-	full, _, err := Solve(Config{Device: dev(), K: 3}, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := []int{7, 1, 4}
-	sub, rep, err := SolveSelected(Config{Device: dev(), K: 3}, b, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub) != len(idx)*b.N {
-		t.Fatalf("selected solution length %d, want %d", len(sub), len(idx)*b.N)
-	}
-	if rep.K != 3 {
-		t.Errorf("selected report K=%d, want 3", rep.K)
-	}
-	for j, i := range idx {
-		got := sub[j*b.N : (j+1)*b.N]
-		want := full[i*b.N : (i+1)*b.N]
-		if d := matrix.MaxAbsDiff(got, want); d != 0 {
-			t.Errorf("system %d: selective re-solve differs from full solve by %g", i, d)
-		}
-	}
-	// ScatterVector merges the subset back into a full-size vector.
-	merged := make([]float64, 10*b.N)
-	matrix.ScatterVector(merged, sub, idx, b.N)
-	for _, i := range idx {
-		if merged[i*b.N] != full[i*b.N] {
-			t.Errorf("scatter misplaced system %d", i)
-		}
-	}
-}
-
 // TestSystemViewSharesStorage: the view must alias the batch (that is
 // its point — per-system re-factorization without copying), and a
 // FactorHybrid of the view must solve the system.

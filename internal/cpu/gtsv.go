@@ -113,18 +113,6 @@ func SolveGTSVInto[T num.Real](s *matrix.System[T], x []T, w *GTSVWorkspace[T]) 
 	return nil
 }
 
-// SolveSystemGTSV re-solves system i of a batch with the pivoting
-// algorithm, writing the solution into x[i*N:(i+1)*N] of a full batch
-// solution vector. It reads system i through a view, so nothing else of
-// the batch is copied — the per-system rescue entry point of the
-// guarded pipeline.
-func SolveSystemGTSV[T num.Real](b *matrix.Batch[T], i int, x []T, w *GTSVWorkspace[T]) error {
-	if len(x) != b.M*b.N {
-		panic("cpu: SolveSystemGTSV solution length mismatch")
-	}
-	return SolveGTSVInto(b.System(i), x[i*b.N:(i+1)*b.N], w)
-}
-
 // SolveBatchGTSV runs SolveGTSV over every system of a batch,
 // returning the solutions contiguously.
 func SolveBatchGTSV[T num.Real](b *matrix.Batch[T]) ([]T, error) {

@@ -53,25 +53,3 @@ func TestSolveGTSVIntoPivotingReuse(t *testing.T) {
 		t.Errorf("workspace reuse after pivoting changed the result by %g", d)
 	}
 }
-
-// TestSolveSystemGTSV re-solves one slot of a batch in place without
-// touching the neighbours' solutions.
-func TestSolveSystemGTSV(t *testing.T) {
-	b := workload.Batch[float64](workload.DiagDominant, 4, 16, 9)
-	x := make([]float64, 4*16)
-	for i := range x {
-		x[i] = -1 // sentinel
-	}
-	w := NewGTSVWorkspace[float64](16)
-	if err := SolveSystemGTSV(b, 2, x, w); err != nil {
-		t.Fatal(err)
-	}
-	if err := matrix.CheckSolution(b.System(2), x[2*16:3*16]); err != nil {
-		t.Errorf("slot 2: %v", err)
-	}
-	for i, v := range x {
-		if (i < 2*16 || i >= 3*16) && v != -1 {
-			t.Fatalf("x[%d] = %g: neighbour slot touched", i, v)
-		}
-	}
-}

@@ -99,9 +99,8 @@ func (f *Fleet) SolveDistributed(ctx context.Context, b *gputrid.Batch[float64])
 }
 
 // admitDistributed snapshots the servable device set and charges the
-// request's weight (M systems) into the router's load signals, exactly
-// as pick does for pool-served requests — so the autoscaler and stats
-// see distributed load too.
+// request's weight (M systems) through pick's chargeLocked, so the
+// autoscaler and stats see distributed load too.
 func (f *Fleet) admitDistributed(weight int64) ([]int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -118,10 +117,7 @@ func (f *Fleet) admitDistributed(weight int64) ([]int, error) {
 		f.noDevice.Add(1)
 		return nil, ErrNoDevices
 	}
-	f.offeredInterval += int(weight)
-	if cur := f.inflightTotal.Add(weight); cur > f.peakInterval {
-		f.peakInterval = cur
-	}
+	f.chargeLocked(weight)
 	return live, nil
 }
 

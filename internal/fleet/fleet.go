@@ -338,10 +338,6 @@ func defaultFactory(cfg Config) BackendFactory {
 	}
 }
 
-// Feed returns the fleet's health-event feed, the injection hook for
-// scenario runners, tests, and operational endpoints.
-func (f *Fleet) Feed() *gpusim.HealthFeed { return f.feed }
-
 // Inject stamps the event with the fleet clock when its Time is zero
 // and appends it to the feed; the next Tick applies it.
 func (f *Fleet) Inject(ev gpusim.HealthEvent) {

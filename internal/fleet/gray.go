@@ -55,10 +55,9 @@ func (p GrayPolicy) integrityLimit() int {
 
 // grayDev is the detector's per-device evidence.
 type grayDev struct {
-	// ewma is the smoothed per-slab modeled-latency ratio vs. the
-	// fleet median; samples counts the solves it aggregates.
-	ewma    float64
-	samples int
+	// ratio is the smoothed per-slab modeled-latency ratio vs. the
+	// fleet median; ratio.N counts the solves it aggregates.
+	ratio num.EWMA
 	// integrity and hedged accumulate the device's integrity retries
 	// and hedged-away slabs across solves.
 	integrity int
@@ -132,23 +131,17 @@ func (f *Fleet) observeGray(rep *core.DistReport) {
 	for _, o := range rep.PerDevice {
 		g := f.gray.dev(o.Device)
 		if v, ok := perSlab[o.Device]; ok && median > 0 && len(sample) >= 2 {
-			ratio := v / median
-			if g.samples == 0 {
-				g.ewma = ratio
-			} else {
-				g.ewma = grayAlpha*ratio + (1-grayAlpha)*g.ewma
-			}
-			g.samples++
+			g.ratio.Add(v/median, grayAlpha)
 		}
 		g.integrity += o.IntegrityRetries
 		g.hedged += o.Hedged
 
-		if !g.stragglerSent && g.samples >= minSamples && g.ewma >= stragglerRatio {
+		if !g.stragglerSent && g.ratio.N >= minSamples && g.ratio.V >= stragglerRatio {
 			g.stragglerSent = true
 			f.grayStragglers.Add(1)
 			fire = append(fire, gpusim.HealthEvent{
 				Device: o.Device, Kind: gpusim.HealthStraggler,
-				Message: fmt.Sprintf("modeled per-slab latency %.1fx fleet median over %d solves", g.ewma, g.samples),
+				Message: fmt.Sprintf("modeled per-slab latency %.1fx fleet median over %d solves", g.ratio.V, g.ratio.N),
 			})
 		}
 		if !g.flakySent && g.integrity >= f.cfg.Gray.integrityLimit() {
@@ -176,5 +169,5 @@ func (f *Fleet) graySnapshot(id int) DeviceGray {
 	if g == nil {
 		return DeviceGray{}
 	}
-	return DeviceGray{LatencyRatio: g.ewma, IntegrityRetries: g.integrity, Hedged: g.hedged}
+	return DeviceGray{LatencyRatio: g.ratio.V, IntegrityRetries: g.integrity, Hedged: g.hedged}
 }

@@ -65,11 +65,20 @@ func (f *Fleet) pick(tried *uint64, weight int64) (*device, Backend, error) {
 	*tried |= 1 << uint(best.id)
 
 	best.inflight.Add(weight)
+	f.chargeLocked(weight)
+	return best, best.backend, nil
+}
+
+// chargeLocked is the one admission charge, pick's and
+// admitDistributed's: it counts weight offered systems into the
+// scaler's interval and into the fleet's in-flight total, raising the
+// interval's peak. The caller holds f.mu and owns the matching
+// inflightTotal decrement.
+func (f *Fleet) chargeLocked(weight int64) {
 	f.offeredInterval += int(weight)
 	if cur := f.inflightTotal.Add(weight); cur > f.peakInterval {
 		f.peakInterval = cur
 	}
-	return best, best.backend, nil
 }
 
 // routeKey orders routing candidates; less = strictly preferred (full

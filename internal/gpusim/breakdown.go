@@ -22,10 +22,11 @@ type Breakdown struct {
 // model for the given stats. EstimateTime(s, elemBytes) ==
 // Breakdown.Total exactly, including the uniform Device.SlowFactor
 // scaling (every term is scaled, so the binding constraint is
-// unchanged by a silent slowdown).
+// unchanged by a silent slowdown). It rounds its products as
+// EstimateTime does.
 func (d *Device) EstimateBreakdown(s *Stats, elemBytes int) Breakdown {
 	bd := Breakdown{}
-	bd.Launch = float64(s.Launches) * d.KernelLaunchOverhead
+	bd.Launch = float64(float64(s.Launches) * d.KernelLaunchOverhead)
 	if s.Blocks == 0 || s.ThreadsPerBlock == 0 {
 		bd.Launch *= d.slow()
 		bd.Total = bd.Launch
@@ -70,8 +71,8 @@ func (d *Device) EstimateBreakdown(s *Stats, elemBytes int) Breakdown {
 		util = 1
 	}
 	bd.Compute = float64(s.Flops) / (peak * util)
-	bd.Shared = (float64(s.SharedLoads+s.SharedStores)*d.SharedAccessCost +
-		float64(s.SharedBankConflicts)*d.SharedConflictCost) / float64(activeSMs)
+	bd.Shared = (float64(float64(s.SharedLoads+s.SharedStores)*d.SharedAccessCost) +
+		float64(float64(s.SharedBankConflicts)*d.SharedConflictCost)) / float64(activeSMs)
 	bd.Barrier = float64(s.Barriers) * d.BarrierCost / float64(activeSMs)
 
 	tMem := bd.Bandwidth

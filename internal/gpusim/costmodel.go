@@ -37,7 +37,9 @@ package gpusim
 // On-chip time (compute+shared+barriers) overlaps DRAM traffic on real
 // hardware, so the model takes the maximum of the two, plus overheads.
 // A silently degraded device (Device.SlowFactor > 1) scales the whole
-// estimate uniformly.
+// estimate uniformly. Every product that feeds a sum is rounded
+// explicitly (float64(x*y)), so no compiler fuses a multiply-add and
+// the estimate is the same bits on every architecture.
 func (d *Device) EstimateTime(s *Stats, elemBytes int) float64 {
 	if s.Blocks == 0 || s.ThreadsPerBlock == 0 {
 		return float64(s.Launches) * d.KernelLaunchOverhead * d.slow()
@@ -90,8 +92,8 @@ func (d *Device) EstimateTime(s *Stats, elemBytes int) float64 {
 	tComp := float64(s.Flops) / (peak * util)
 
 	// --- shared memory and barriers ---
-	tShared := (float64(s.SharedLoads+s.SharedStores)*d.SharedAccessCost +
-		float64(s.SharedBankConflicts)*d.SharedConflictCost) / float64(activeSMs)
+	tShared := (float64(float64(s.SharedLoads+s.SharedStores)*d.SharedAccessCost) +
+		float64(float64(s.SharedBankConflicts)*d.SharedConflictCost)) / float64(activeSMs)
 	tBar := float64(s.Barriers) * d.BarrierCost / float64(activeSMs)
 
 	onChip := tComp + tShared + tBar
@@ -99,5 +101,5 @@ func (d *Device) EstimateTime(s *Stats, elemBytes int) float64 {
 	if onChip > busy {
 		busy = onChip
 	}
-	return (float64(s.Launches)*d.KernelLaunchOverhead + busy) * d.slow()
+	return (float64(float64(s.Launches)*d.KernelLaunchOverhead) + busy) * d.slow()
 }

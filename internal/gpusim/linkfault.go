@@ -6,8 +6,8 @@ import (
 	"gputrid/internal/num"
 )
 
-// LinkOp names the interconnect operation a transfer performs, the
-// first coordinate of a link-fault site. Unlike kernel faults (keyed on
+// LinkOp names the host-link direction a transfer moves in, the first
+// coordinate of a link-fault site. Unlike kernel faults (keyed on
 // kernel/block), link faults are keyed on what moved where.
 type LinkOp int
 
@@ -16,12 +16,6 @@ const (
 	OpHostToDevice LinkOp = iota
 	// OpDeviceToHost is a device→host download (From the device, To -1).
 	OpDeviceToHost
-	// OpPeerCopy is a one-way device→device copy.
-	OpPeerCopy
-	// OpHaloExchange is the bidirectional neighbor exchange.
-	OpHaloExchange
-
-	numLinkOps = 4
 )
 
 // String names the op.
@@ -31,10 +25,6 @@ func (op LinkOp) String() string {
 		return "h2d"
 	case OpDeviceToHost:
 		return "d2h"
-	case OpPeerCopy:
-		return "peer"
-	case OpHaloExchange:
-		return "halo"
 	default:
 		return fmt.Sprintf("linkop(%d)", int(op))
 	}

@@ -16,65 +16,25 @@ func TestLinkTransferTime(t *testing.T) {
 	}
 }
 
-// TestTopologyCharging proves transfers are charged into CommStats on
-// the right link class, and that a peer-less interconnect stages
-// device-to-device copies through the host at twice the host cost.
+// TestTopologyCharging proves uploads and downloads cost the same on
+// the symmetric host link and are charged exactly into the caller's
+// CommStats.
 func TestTopologyCharging(t *testing.T) {
 	pcie, err := UniformTopology(2, PCIe2(), GTX480())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2d := pcie.HostToDevice(0, 1000)
-	d2h := pcie.DeviceToHost(1, 1000)
-	if h2d != d2h {
-		t.Errorf("symmetric host link: H2D %v != D2H %v", h2d, d2h)
+	var c CommStats
+	h2d := pcie.Transfer(&c, OpHostToDevice, -1, 0, 1000).Seconds
+	d2h := pcie.Transfer(&c, OpDeviceToHost, 1, -1, 1000).Seconds
+	if h2d != d2h || h2d != pcie.Interconnect().Host.TransferTime(1000) {
+		t.Errorf("symmetric host link: H2D %v, D2H %v, want %v", h2d, d2h, pcie.Interconnect().Host.TransferTime(1000))
 	}
-	staged := pcie.PeerCopy(0, 1, 1000)
-	if math.Abs(staged-2*h2d) > 1e-12 {
-		t.Errorf("host-staged peer copy = %v, want 2x host transfer %v", staged, 2*h2d)
+	if want := (CommStats{Transfers: 2, HostBytes: 2000, HostSeconds: h2d + d2h}); c != want {
+		t.Errorf("charged %+v, want %+v", c, want)
 	}
-	c := pcie.Comm()
-	if c.HostBytes != 4000 || c.PeerBytes != 0 {
-		t.Errorf("host-staged stats: HostBytes=%d PeerBytes=%d, want 4000/0", c.HostBytes, c.PeerBytes)
-	}
-	if c.Transfers != 4 {
-		t.Errorf("Transfers = %d, want 4 (h2d, d2h, and a 2-hop staged copy)", c.Transfers)
-	}
-
-	nvl, err := UniformTopology(2, NVLinkMesh(), GTX480())
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := nvl.PeerCopy(0, 1, 1000)
-	if hostStaged := 2 * nvl.Interconnect().Host.TransferTime(1000); direct >= hostStaged {
-		t.Errorf("NVLink peer copy %v not faster than host staging %v", direct, hostStaged)
-	}
-	if c := nvl.Comm(); c.PeerBytes != 1000 || c.HostBytes != 0 {
-		t.Errorf("peer stats: PeerBytes=%d HostBytes=%d, want 1000/0", c.PeerBytes, c.HostBytes)
-	}
-}
-
-// TestHaloExchange proves the bidirectional exchange takes one
-// direction's time on a full-duplex link but records both directions'
-// bytes.
-func TestHaloExchange(t *testing.T) {
-	nvl, err := UniformTopology(2, NVLinkMesh(), GTX480())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneWay := nvl.Interconnect().Peer.TransferTime(512)
-	if got := nvl.HaloExchange(0, 1, 512); math.Abs(got-oneWay) > 1e-12 {
-		t.Errorf("HaloExchange time = %v, want one-way %v", got, oneWay)
-	}
-	c := nvl.Comm()
-	if c.PeerBytes != 1024 {
-		t.Errorf("HaloExchange recorded %d peer bytes, want 1024 (both directions)", c.PeerBytes)
-	}
-	if c.HaloExchanges != 1 {
-		t.Errorf("HaloExchanges = %d, want 1", c.HaloExchanges)
-	}
-	if got := nvl.HaloExchange(0, 1, 0); got != 0 {
-		t.Errorf("empty halo exchange costs %v, want 0", got)
+	if rep := pcie.Transfer(&c, OpHostToDevice, -1, 0, 0); rep != (TransferReport{}) || c.Transfers != 2 {
+		t.Errorf("empty transfer reported %+v and charged %+v, want nothing", rep, c)
 	}
 }
 

@@ -99,39 +99,6 @@ func (b *Batch[T]) Validate() error {
 	return nil
 }
 
-// Gather copies the selected systems into a new len(idx)-system batch
-// (system j of the result is system idx[j] of b). The guarded pipeline
-// uses it to re-solve only the failing systems of a batch.
-func (b *Batch[T]) Gather(idx []int) *Batch[T] {
-	if len(idx) == 0 {
-		panic("matrix: Gather of zero systems")
-	}
-	g := NewBatch[T](len(idx), b.N)
-	for j, i := range idx {
-		if i < 0 || i >= b.M {
-			panic("matrix: Gather system index out of range")
-		}
-		lo, glo := i*b.N, j*b.N
-		copy(g.Lower[glo:glo+b.N], b.Lower[lo:lo+b.N])
-		copy(g.Diag[glo:glo+b.N], b.Diag[lo:lo+b.N])
-		copy(g.Upper[glo:glo+b.N], b.Upper[lo:lo+b.N])
-		copy(g.RHS[glo:glo+b.N], b.RHS[lo:lo+b.N])
-	}
-	return g
-}
-
-// ScatterVector copies per-system solutions for the systems named by
-// idx back into a full batch solution vector: src holds len(idx)
-// contiguous n-row solutions (Gather order), dst holds M of them.
-func ScatterVector[T num.Real](dst, src []T, idx []int, n int) {
-	if len(src) != len(idx)*n {
-		panic("matrix: ScatterVector source length mismatch")
-	}
-	for j, i := range idx {
-		copy(dst[i*n:(i+1)*n], src[j*n:(j+1)*n])
-	}
-}
-
 // Interleaved holds M independent tridiagonal systems of N rows each in
 // the "interleaved" layout: row j of system i lives at index j*M + i.
 // Threads t, t+1, ... walking their own systems row-by-row therefore

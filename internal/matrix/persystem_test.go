@@ -36,37 +36,6 @@ func TestResidualsPerSystemIsolatesNonFinite(t *testing.T) {
 	}
 }
 
-func TestGatherAndScatterVector(t *testing.T) {
-	b := threeSystems()
-	g := b.Gather([]int{2, 0})
-	if g.M != 2 || g.N != 4 {
-		t.Fatalf("gathered shape %dx%d", g.M, g.N)
-	}
-	for j := 0; j < 4; j++ {
-		if g.RHS[j] != b.RHS[2*4+j] {
-			t.Errorf("gathered system 0 row %d: %g, want system 2's %g", j, g.RHS[j], b.RHS[2*4+j])
-		}
-		if g.RHS[4+j] != b.RHS[j] {
-			t.Errorf("gathered system 1 row %d: %g, want system 0's %g", j, g.RHS[4+j], b.RHS[j])
-		}
-	}
-	// Gather copies; mutating the gather must not touch the source.
-	g.Diag[0] = 99
-	if b.Diag[2*4] == 99 {
-		t.Error("Gather shares storage with the source batch")
-	}
-
-	dst := make([]float64, 12)
-	src := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	ScatterVector(dst, src, []int{2, 0}, 4)
-	want := []float64{5, 6, 7, 8, 0, 0, 0, 0, 1, 2, 3, 4}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("scatter result %v, want %v", dst, want)
-		}
-	}
-}
-
 func TestSystemIsFinite(t *testing.T) {
 	s := NewSystem[float64](3)
 	s.Diag[0] = 1

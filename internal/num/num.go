@@ -141,3 +141,21 @@ func Median[T Real](xs []T) T {
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
+
+// EWMA is an exponentially weighted moving average: the first sample
+// replaces the estimate, and each later one moves it by alpha of the
+// gap. It is not synchronized; its owner guards it.
+type EWMA struct {
+	V float64 // the estimate
+	N int     // samples folded in
+}
+
+// Add folds sample x into the average with weight alpha.
+func (e *EWMA) Add(x, alpha float64) {
+	if e.N == 0 {
+		e.V = x
+	} else {
+		e.V += alpha * (x - e.V)
+	}
+	e.N++
+}

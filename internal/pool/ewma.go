@@ -3,6 +3,8 @@ package pool
 import (
 	"sync"
 	"time"
+
+	"gputrid/internal/num"
 )
 
 // ewma is a concurrency-safe exponentially weighted moving average of
@@ -14,9 +16,9 @@ import (
 // replay, interleave passes and any retry backoff the model does not
 // see).
 type ewma struct {
-	mu sync.Mutex
-	v  float64 // seconds
-	n  int     // observations (seed included)
+	mu     sync.Mutex
+	avg    num.EWMA // seconds; its first observation replaces the seed
+	seeded bool
 }
 
 // ewmaAlpha is the service-time smoothing factor: the weight of the
@@ -24,27 +26,20 @@ type ewma struct {
 const ewmaAlpha = 0.2
 
 // seed installs a prior estimate without counting it as an
-// observation-weighted sample; a later first Observe overwrites it.
+// observation; a later first observe overwrites it.
 func (e *ewma) seed(d time.Duration) {
 	e.mu.Lock()
-	if e.n == 0 {
-		e.v = d.Seconds()
-		e.n = 1
+	if !e.seeded && e.avg.N == 0 {
+		e.avg.V = d.Seconds()
+		e.seeded = true
 	}
 	e.mu.Unlock()
 }
 
 // observe folds one measured service time into the average.
 func (e *ewma) observe(d time.Duration) {
-	x := d.Seconds()
 	e.mu.Lock()
-	if e.n <= 1 {
-		// First real measurement replaces the modeled-time seed.
-		e.v = x
-	} else {
-		e.v += ewmaAlpha * (x - e.v)
-	}
-	e.n++
+	e.avg.Add(d.Seconds(), ewmaAlpha)
 	e.mu.Unlock()
 }
 
@@ -52,8 +47,8 @@ func (e *ewma) observe(d time.Duration) {
 func (e *ewma) value() (time.Duration, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.n == 0 {
+	if !e.seeded && e.avg.N == 0 {
 		return 0, false
 	}
-	return time.Duration(e.v * float64(time.Second)), true
+	return time.Duration(e.avg.V * float64(time.Second)), true
 }
