@@ -32,12 +32,18 @@
 //	POST /solve         {"m","n","lower","diag","upper","rhs","timeout_ms"}
 //	                    -> 200 {"x","route","wait_ns","wall_ns","device",
 //	                       "attempts"}
-//	                    -> 400 invalid input, 413 body over 64 MiB, 503
+//	                    -> 400 invalid input, 413 body over 64 MiB, 422
+//	                       "unsolvable" (a system the pool's verdict
+//	                       could not solve within tolerance, even on the
+//	                       host pivoting path), 503
 //	                       overloaded/draining/no device (every 503
 //	                       carries a Retry-After — from the pool's
 //	                       service-time estimate where one exists, a
 //	                       conservative default otherwise), 504
-//	                       deadline/cancelled, 500 faulted
+//	                       deadline/cancelled, 500 "faulted", 500
+//	                       "unencodable" (an answer JSON cannot carry,
+//	                       such as a NaN entry from the unguarded
+//	                       distributed route)
 //	GET  /healthz       200 while serving ("degraded" but still 200 when
 //	                    no servable device has a closed breaker or none
 //	                    is Active — the fallback or a throttled device

@@ -267,6 +267,8 @@ func writeSolveError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusGatewayTimeout, "cancelled", err.Error(), 0)
 	case errors.Is(err, gputrid.ErrFaulted):
 		writeError(w, http.StatusInternalServerError, "faulted", err.Error(), 0)
+	case errors.Is(err, gputrid.ErrUnrecoverable):
+		writeError(w, http.StatusUnprocessableEntity, "unsolvable", err.Error(), 0)
 	default:
 		writeError(w, http.StatusBadRequest, "bad-request", err.Error(), 0)
 	}
@@ -360,10 +362,18 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	return false
 }
 
+// writeJSON encodes body before it commits to code, so a body JSON
+// cannot carry (a solution with a NaN or Inf entry) is answered with a
+// typed 500 "unencodable" error instead of code and an empty body.
 func writeJSON(w http.ResponseWriter, code int, body any) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = json.Marshal(errorResponse{Error: "response not encodable: " + err.Error(), Kind: "unencodable"})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 // defaultRetryAfterMS is the Retry-After hint for 503s with no better

@@ -409,3 +409,61 @@ func TestBodyTooLarge(t *testing.T) {
 		t.Fatalf("solve after a 413: %d %+v %v", code, er, err)
 	}
 }
+
+// TestVerdictSameOnEveryRoute: the device route and the coalesced route
+// judge each system with the one pool verdict. A nonsingular system
+// whose leading pivot vanishes (the non-pivoting fast path divides by
+// it) is rescued on the host pivoting path and answers 200 with the
+// same bits on both routes; an all-zero matrix with a non-zero
+// right-hand side answers a typed 422 on both.
+func TestVerdictSameOnEveryRoute(t *testing.T) {
+	const (
+		rescuable = `{"m":1,"n":4,"lower":[0,1,1,1],"diag":[0,2,2,2],"upper":[1,1,1,0],"rhs":[1,1,1,1]}`
+		singular  = `{"m":1,"n":4,"lower":[0,0,0,0],"diag":[0,0,0,0],"upper":[0,0,0,0],"rhs":[1,1,1,1]}`
+	)
+	_, device := newTestServer(t, fleet.Config{Devices: 1})
+	_, coalesced := newBatchServer(t, fleet.Config{Devices: 1}, time.Millisecond)
+	var xs [2][]float64
+	for k, route := range []struct{ name, base string }{{"device", device}, {"coalesced", coalesced}} {
+		code, body := post(t, route.base+"/solve", rescuable)
+		var sr solveResponse
+		if err := json.Unmarshal([]byte(body), &sr); code != http.StatusOK || err != nil || sr.Route != route.name {
+			t.Fatalf("%s route, rescuable system: %d %q (%v), want 200 on route %s", route.name, code, body, err, route.name)
+		}
+		if len(sr.X) != 4 {
+			t.Fatalf("%s route: |x| = %d, want 4", route.name, len(sr.X))
+		}
+		xs[k] = sr.X
+		code, body = post(t, route.base+"/solve", singular)
+		var er errorResponse
+		if err := json.Unmarshal([]byte(body), &er); code != http.StatusUnprocessableEntity || err != nil || er.Kind != "unsolvable" {
+			t.Fatalf("%s route, singular system: %d %q (%v), want 422 unsolvable", route.name, code, body, err)
+		}
+	}
+	for j := range xs[0] {
+		if xs[0][j] != xs[1][j] {
+			t.Fatalf("x[%d]: device %v, coalesced %v; want the same rescued bits", j, xs[0][j], xs[1][j])
+		}
+	}
+}
+
+// TestUnencodableAnswer: the distributed route runs no verdict, so a
+// vanishing leading pivot puts NaN into its answer, which JSON cannot
+// carry. The answer is a typed 500, not a 200 with an empty body.
+func TestUnencodableAnswer(t *testing.T) {
+	srv, err := newServer(fleet.Config{Devices: 2}, 0, 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.routes())
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.close(context.Background())
+	})
+	b := workload.Batch[float64](workload.DiagDominant, 1, 129, 5)
+	b.Diag[0] = 0
+	code, _, er, err := postSolve(context.Background(), ts.URL, requestFor(b, 0))
+	if err != nil || code != http.StatusInternalServerError || er.Kind != "unencodable" {
+		t.Fatalf("NaN answer: %d %+v %v, want 500 unencodable", code, er, err)
+	}
+}

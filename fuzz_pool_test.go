@@ -6,7 +6,12 @@ package gputrid
 // the contract: a request either returns the exact serial-reference
 // solution, or one of the typed admission errors (ErrOverloaded,
 // ErrCancelled) — never an untyped failure, never a wrong element,
-// and the subsequent graceful Close never deadlocks or leaks.
+// and the subsequent graceful Close never deadlocks or leaks. A
+// non-zero pivot zeroes the leading pivot of one drawn system, which
+// the non-pivoting fast path cannot solve: the direct and coalesced
+// routes must then give the same verdict on it, the same bits when
+// the host rescue succeeds and ErrUnrecoverable on both when it does
+// not, while every other system keeps the one-shot solve's bits.
 
 import (
 	"context"
@@ -15,15 +20,18 @@ import (
 	"testing"
 	"time"
 
+	"gputrid/internal/batcher"
 	"gputrid/internal/workload"
 )
 
 func FuzzPoolAdmission(f *testing.F) {
-	f.Add(uint32(1), uint8(4), uint8(64), []byte{0, 1, 2, 3})
-	f.Add(uint32(2), uint8(1), uint8(200), []byte{3, 3, 3, 0, 0, 0, 0, 0})
-	f.Add(uint32(3), uint8(8), uint8(96), []byte{2, 2, 2, 2, 1})
-	f.Add(uint32(4), uint8(2), uint8(33), []byte{0})
-	f.Fuzz(func(t *testing.T, seed uint32, mRaw, nRaw uint8, sched []byte) {
+	f.Add(uint32(1), uint8(4), uint8(64), uint8(0), []byte{0, 1, 2, 3})
+	f.Add(uint32(2), uint8(1), uint8(200), uint8(0), []byte{3, 3, 3, 0, 0, 0, 0, 0})
+	f.Add(uint32(3), uint8(8), uint8(96), uint8(0), []byte{2, 2, 2, 2, 1})
+	f.Add(uint32(4), uint8(2), uint8(33), uint8(0), []byte{0})
+	f.Add(uint32(5), uint8(3), uint8(40), uint8(2), []byte{0, 1, 3})
+	f.Add(uint32(6), uint8(2), uint8(0), uint8(1), []byte{0, 0})
+	f.Fuzz(func(t *testing.T, seed uint32, mRaw, nRaw, pivot uint8, sched []byte) {
 		m := int(mRaw)%8 + 1
 		n := int(nRaw)%160 + 1
 		if len(sched) > 24 {
@@ -36,6 +44,11 @@ func FuzzPoolAdmission(f *testing.F) {
 		ref, err := SolveBatch(b)
 		if err != nil {
 			t.Fatalf("reference m=%d n=%d: %v", m, n, err)
+		}
+		bad := -1
+		if pivot != 0 {
+			bad = int(pivot) % m
+			b.Diag[bad*n] = 0
 		}
 
 		p := NewPool[float64](PoolConfig{Capacity: 1, QueueLimit: 2})
@@ -72,26 +85,55 @@ func FuzzPoolAdmission(f *testing.F) {
 		}
 		wg.Wait()
 
+		// The serial references, after the schedule so it meets a cold
+		// pool: the direct route, and the coalesced route through a
+		// batcher over the same pool.
+		ctx := context.Background()
+		want, derr := p.Solve(ctx, b)
+		bt, err := batcher.New(batcher.Config[float64]{MaxBatch: 8, Solve: p.SolveMegabatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		xc, _, cerr := coalesce(ctx, bt, b)
+		bt.Close()
+		if derr != nil || cerr != nil {
+			if !errors.Is(derr, ErrUnrecoverable) || !errors.Is(cerr, ErrUnrecoverable) || bad < 0 {
+				t.Fatalf("system %d: direct route %v, coalesced route %v; want ErrUnrecoverable on both", bad, derr, cerr)
+			}
+		} else {
+			for j, v := range want.X {
+				if i := j / n; i == bad && v != xc[j] {
+					t.Fatalf("rescued x[%d]: direct %v, coalesced %v", j, v, xc[j])
+				} else if i != bad && v != ref.X[j] {
+					t.Fatalf("healthy x[%d] = %v, one-shot %v", j, v, ref.X[j])
+				}
+			}
+		}
+
 		for i, err := range errs {
 			if err != nil {
-				if !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrCancelled) {
+				if !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrCancelled) &&
+					(derr == nil || !errors.Is(err, ErrUnrecoverable)) {
 					t.Fatalf("op %d (%d): untyped error %v", i, sched[i], err)
 				}
 				continue
+			}
+			if derr != nil {
+				t.Fatalf("op %d: solved a batch the serial direct solve rejects (%v)", i, derr)
 			}
 			if len(results[i]) != m*n {
 				t.Fatalf("op %d: |x| = %d, want %d", i, len(results[i]), m*n)
 			}
 			for j, v := range results[i] {
-				if v != ref.X[j] {
+				if v != want.X[j] {
 					t.Fatalf("op %d: x[%d] = %v, serial reference %v (partial or corrupt write)",
-						i, j, v, ref.X[j])
+						i, j, v, want.X[j])
 				}
 			}
 		}
 
 		// Drain must complete cleanly: nothing is in flight anymore.
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 		defer cancel()
 		if err := p.Close(ctx); err != nil {
 			t.Fatalf("close after schedule: %v", err)

@@ -327,7 +327,7 @@ func (q *queue[T]) flush(f *flight[T], cause flushCause) {
 					rescued++
 				}
 				if e := mb.Verdicts[i].Err; e != nil {
-					verr = errors.Join(verr, fmt.Errorf("batcher: system %d: %w", i-p.first, e))
+					verr = errors.Join(verr, fmt.Errorf("batcher: system %d (megabatch column %d): %w", i-p.first, i, e))
 				}
 			}
 			p.err = verr

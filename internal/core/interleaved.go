@@ -92,5 +92,5 @@ func (p *Pipeline[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *ma
 	if err != nil {
 		return err
 	}
-	return p.degradedResolve(xi, v.Lower, v.Diag, v.Upper, v.RHS, 1, p.m)
+	return p.degradedResolve(v.Strided(xi))
 }

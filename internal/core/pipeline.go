@@ -116,16 +116,11 @@ type Pipeline[T num.Real] struct {
 
 	// Fault-tolerant execution state. ctx is the current solve's
 	// context (nil when it cannot be cancelled); frep accumulates the
-	// solve's fault activity; gtsv is the (lazily built) scratch of the
-	// degraded per-system GTSV re-solve: its workspace and one system,
-	// with its solution, gathered from either layout.
+	// solve's fault activity; gtsv is the (lazily built) host re-solve
+	// of degraded systems, in either layout.
 	ctx  context.Context
 	frep FaultReport
-	gtsv struct {
-		ws  *cpu.GTSVWorkspace[T]
-		sys *matrix.System[T]
-		x   []T
-	}
+	gtsv *cpu.StridedGTSV[T]
 
 	// lastWall is the measured host time of the most recent solve,
 	// the pool's per-shape service-time observation. Written at the end
@@ -453,7 +448,7 @@ func (p *Pipeline[T]) solveBatch(ctx context.Context, dst []T, b *matrix.Batch[T
 		// dst is overwritten by degradedResolve before the solve returns.
 		copy(dst, p.xi)
 	}
-	return p.degradedResolve(dst, b.Lower, b.Diag, b.Upper, b.RHS, p.n, 1)
+	return p.degradedResolve(b.Strided(dst))
 }
 
 // bindBatch points the twins, and through bindRecording the kernels,
@@ -715,34 +710,23 @@ func (p *Pipeline[T]) mergeFaults() {
 	r.WastedModeledTime += time.Duration(hangs) * watchdogBudget
 }
 
-// degradedResolve re-solves every degraded system on the host through
-// the pivoting GTSV path. Row j of system i sits at i·ss + j·rs of the
-// coefficient planes and of the solution x: ss = N and rs = 1 on the
-// contiguous entry, ss = 1 and rs = M on the interleaved one. The
-// inputs were never mutated by the twins, so the re-solve sees the
+// degradedResolve re-solves every degraded system of v on the host
+// through the pivoting GTSV path (cpu.StridedGTSV), in either layout.
+// The inputs were never mutated by the twins, so the re-solve sees the
 // original batch. A system the direct solver also rejects (singular)
 // zeroes its rows and contributes an ErrFaulted-wrapped error. Only the
 // pipeline's first degraded solve allocates, to build p.gtsv.
-func (p *Pipeline[T]) degradedResolve(x, lower, diag, upper, rhs []T, ss, rs int) error {
+func (p *Pipeline[T]) degradedResolve(v matrix.Strided[T]) error {
 	if len(p.frep.Degraded) == 0 {
 		return nil
 	}
-	g := &p.gtsv
-	if g.ws == nil {
-		g.ws, g.sys, g.x = cpu.NewGTSVWorkspace[T](p.n), matrix.NewSystem[T](p.n), make([]T, p.n)
+	if p.gtsv == nil {
+		p.gtsv = cpu.NewStridedGTSV[T](p.n)
 	}
 	var errs []error
 	for _, i := range p.frep.Degraded {
-		for j := range p.n {
-			at := i*ss + j*rs
-			g.sys.Lower[j], g.sys.Diag[j], g.sys.Upper[j], g.sys.RHS[j] = lower[at], diag[at], upper[at], rhs[at]
-		}
-		if err := cpu.SolveGTSVInto(g.sys, g.x, g.ws); err != nil {
-			clear(g.x)
+		if err := p.gtsv.Resolve(v, i); err != nil {
 			errs = append(errs, fmt.Errorf("%w: degraded re-solve of system %d: %v", ErrFaulted, i, err))
-		}
-		for j, v := range g.x {
-			x[i*ss+j*rs] = v
 		}
 	}
 	return errors.Join(errs...)

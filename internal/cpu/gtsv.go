@@ -113,6 +113,51 @@ func SolveGTSVInto[T num.Real](s *matrix.System[T], x []T, w *GTSVWorkspace[T]) 
 	return nil
 }
 
+// StridedGTSV is the one host re-solve of single systems inside a batch
+// of either layout (a matrix.Strided view), for the guard's ladder, the
+// serving pool's verdict and the pipeline's degraded re-solve. Sys and
+// X hold the system last gathered and its solution rows; with its
+// workspace they are reused, so re-solves do not allocate.
+type StridedGTSV[T num.Real] struct {
+	Sys *matrix.System[T]
+	X   []T
+	ws  *GTSVWorkspace[T]
+}
+
+// NewStridedGTSV returns a re-solver for systems of n rows.
+func NewStridedGTSV[T num.Real](n int) *StridedGTSV[T] {
+	return &StridedGTSV[T]{Sys: matrix.NewSystem[T](n), X: make([]T, n), ws: NewGTSVWorkspace[T](n)}
+}
+
+// Gather copies system i of v into Sys and its solution rows into X.
+func (g *StridedGTSV[T]) Gather(v matrix.Strided[T], i int) {
+	s := g.Sys
+	for j := range v.N {
+		at := i*v.SS + j*v.RS
+		s.Lower[j], s.Diag[j], s.Upper[j], s.RHS[j], g.X[j] = v.Lower[at], v.Diag[at], v.Upper[at], v.RHS[at], v.X[at]
+	}
+}
+
+// Scatter writes X into system i's solution rows of v.
+func (g *StridedGTSV[T]) Scatter(v matrix.Strided[T], i int) {
+	for j, x := range g.X {
+		v.X[i*v.SS+j*v.RS] = x
+	}
+}
+
+// Resolve gathers system i of v, solves it with SolveGTSVInto and
+// scatters the solution into v, zeros when the solve fails (with its
+// error). Sys and X keep both for the caller to judge.
+func (g *StridedGTSV[T]) Resolve(v matrix.Strided[T], i int) error {
+	g.Gather(v, i)
+	err := SolveGTSVInto(g.Sys, g.X, g.ws)
+	if err != nil {
+		clear(g.X)
+	}
+	g.Scatter(v, i)
+	return err
+}
+
 // SolveBatchGTSV runs SolveGTSV over every system of a batch,
 // returning the solutions contiguously.
 func SolveBatchGTSV[T num.Real](b *matrix.Batch[T]) ([]T, error) {

@@ -354,7 +354,8 @@ func (f *Fleet) Inject(ev gpusim.HealthEvent) {
 // request re-routes to the next-best untried device, up to
 // three devices in total. The returned error is the last
 // device's (typed: ErrOverloaded, ErrPoolClosed, ErrCancelled,
-// ErrFaulted through gputrid), or ErrNoDevices/ErrFleetClosed.
+// ErrFaulted, ErrUnrecoverable through gputrid), or
+// ErrNoDevices/ErrFleetClosed.
 func (f *Fleet) Solve(ctx context.Context, b *gputrid.Batch[float64]) (*Result, error) {
 	var res *gputrid.PoolResult[float64]
 	d, attempts, err := f.route(ctx, 1, func(be Backend) (err error) {
@@ -398,8 +399,9 @@ func (f *Fleet) SolveMegabatch(ctx context.Context, mb *gputrid.Megabatch[float6
 
 // route is the re-route loop of both request kinds. It runs serve on
 // the least-loaded servable untried device, with weight counted in
-// flight there, until serve succeeds, the caller's ctx ends (nothing
-// another device could fix), or rerouteAttempts devices have failed.
+// flight there, until serve succeeds, the caller's ctx ends or the
+// input is unsolvable (nothing another device could fix), or
+// rerouteAttempts devices have failed.
 // It returns the serving device and the number of devices tried, or
 // the last device's error — ErrNoDevices/ErrFleetClosed when no
 // device could be picked at all.
@@ -435,7 +437,8 @@ func (f *Fleet) route(ctx context.Context, weight int64, serve func(Backend) err
 		}
 		d.failed.Add(1)
 		lastErr = err
-		if ctx.Err() != nil {
+		// An unsolvable system is the input's fault, not the device's.
+		if ctx.Err() != nil || errors.Is(err, gputrid.ErrUnrecoverable) {
 			break
 		}
 		f.rerouted.Add(1)

@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -514,6 +515,27 @@ func TestCallerCancellationDoesNotReroute(t *testing.T) {
 	}
 	if st := f.Stats(); st.Rerouted != 0 {
 		t.Fatalf("rerouted = %d, want 0 for caller-cancelled request", st.Rerouted)
+	}
+}
+
+// TestUnsolvableDoesNotReroute: a system the pool's verdict cannot
+// solve fails the same way on every device, so the request fails on
+// the first one instead of re-routing.
+func TestUnsolvableDoesNotReroute(t *testing.T) {
+	vc := clock.NewVirtualClock(time.Unix(0, 0))
+	ff := &fakeFactory{}
+	f := newTestFleet(t, fleet.Config{Devices: 2}, ff, vc)
+	for id := 0; id < 2; id++ {
+		ff.backend(id).mu.Lock()
+		ff.backend(id).solveErr = &gputrid.SolveError{Stage: gputrid.StagePivot, Residual: math.Inf(1)}
+		ff.backend(id).mu.Unlock()
+	}
+
+	if _, err := f.Solve(context.Background(), nil); !errors.Is(err, gputrid.ErrUnrecoverable) {
+		t.Fatalf("err = %v, want ErrUnrecoverable", err)
+	}
+	if st := f.Stats(); st.Rerouted != 0 || st.Rejected != 1 {
+		t.Fatalf("rerouted %d, rejected %d; want 0 and 1 for an unsolvable system", st.Rerouted, st.Rejected)
 	}
 }
 

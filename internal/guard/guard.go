@@ -117,7 +117,7 @@ type Runner[T num.Real] struct {
 	resid     []float64 // per-system residuals of the fast solve
 	isInvalid []bool    // per-system non-finite-input flags
 	res       Result[T] // reused result; Reports/Failed re-sliced per solve
-	gtsvWS    *cpu.GTSVWorkspace[T]
+	gtsv      *cpu.StridedGTSV[T]
 }
 
 // NewRunner builds a guarded runner over p, whose shape it takes.
@@ -250,11 +250,10 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 			rep.ResidualBefore = inf()
 			rep.ResidualAfter = inf()
 			rep.Err = &SolveError{System: i, Stage: StageFailed, Residual: inf(), Cause: ErrNonFiniteInput}
-			zero(x[i*n : (i+1)*n])
+			clear(x[i*n : (i+1)*n])
 			res.Failed = append(res.Failed, rep.Err)
 			continue
 		}
-		xi := x[i*n : (i+1)*n]
 		r0 := r.resid[i]
 		rep.ResidualBefore = r0
 		if r0 <= tol {
@@ -267,10 +266,10 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 			rep.ResidualAfter = r0
 			continue
 		}
-		if r.gtsvWS == nil {
-			r.gtsvWS = cpu.NewGTSVWorkspace[T](n)
+		if r.gtsv == nil {
+			r.gtsv = cpu.NewStridedGTSV[T](n)
 		}
-		escalate(work, i, xi, tol, pol, fastRep.K, r.gtsvWS, rep)
+		escalate(work.Strided(x), i, tol, pol, fastRep.K, r.gtsv, rep)
 		if rep.Err != nil {
 			res.Failed = append(res.Failed, rep.Err)
 		}
@@ -286,11 +285,62 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 	return res, errors.Join(errs...)
 }
 
+// poolPolicy is the serving pool's fixed verdict policy: a system over
+// tolerance is re-solved on the pivoting host path only, with no
+// refinement rounds and no condition estimate.
+var poolPolicy = Policy{MaxRefine: -1, SkipConditionEstimate: true}
+
+// Judge is the serving pool's verdict over systems [0, count) of v, in
+// either layout: SolveCtx's ladder under poolPolicy. With host false
+// it scans the residuals of the device solution in v.X and re-solves
+// each system over tolerance on the pivoting host path; with host (the
+// breaker-open route) it solves every system on that path. verdict is
+// called for each re-solved system, with nil when it now passes, else
+// with its *SolveError and its rows zeroed. scratch holds the
+// interleaved scan's residuals and partials (4*count float64s); the
+// contiguous layout needs none. A healthy batch does not allocate.
+func Judge[T num.Real](v matrix.Strided[T], count int, scratch []float64, host bool, verdict func(i int, err error)) {
+	tol := matrix.ResidualTolerance[T](v.N)
+	interleaved := !host && v.RS != 1
+	if interleaved {
+		iv := matrix.Interleaved[T]{M: v.RS, N: v.N, Lower: v.Lower, Diag: v.Diag, Upper: v.Upper, RHS: v.RHS}
+		matrix.ResidualsPerSystemInterleavedInto(scratch[:count], scratch[count:], &iv, v.X, count)
+	}
+	var g *cpu.StridedGTSV[T]
+	for i := 0; i < count; i++ {
+		r0 := inf()
+		switch {
+		case interleaved:
+			r0 = scratch[i]
+		case !host:
+			lo, hi := i*v.SS, i*v.SS+v.N
+			sys := matrix.System[T]{Lower: v.Lower[lo:hi], Diag: v.Diag[lo:hi], Upper: v.Upper[lo:hi], RHS: v.RHS[lo:hi]}
+			r0 = matrix.Residual(&sys, v.X[lo:hi])
+		}
+		// A NaN residual (non-finite input or solution) fails too.
+		if r0 <= tol {
+			continue
+		}
+		if g == nil {
+			g = cpu.NewStridedGTSV[T](v.N)
+		}
+		rep := SystemReport{System: i, ResidualBefore: r0}
+		escalate(v, i, tol, poolPolicy, 0, g, &rep)
+		if rep.Err != nil {
+			verdict(i, rep.Err)
+		} else {
+			verdict(i, nil)
+		}
+	}
+}
+
 // escalate runs the ladder for one over-tolerance (or non-finite)
-// system, updating xi in place and filling in the report.
-func escalate[T num.Real](b *matrix.Batch[T], i int, xi []T,
-	tol float64, pol Policy, k int, ws *cpu.GTSVWorkspace[T], rep *SystemReport) {
-	sys := b.System(i)
+// system i of v on a gathered copy, writes the accepted solution (or
+// zeros) back into its rows, and fills in the report.
+func escalate[T num.Real](v matrix.Strided[T], i int,
+	tol float64, pol Policy, k int, g *cpu.StridedGTSV[T], rep *SystemReport) {
+	g.Gather(v, i)
+	sys, xi := g.Sys, g.X
 	cur := rep.ResidualBefore
 	lastErr := error(nil)
 
@@ -298,7 +348,8 @@ func escalate[T num.Real](b *matrix.Batch[T], i int, xi []T,
 	// factorization — only worth attempting when the starting point is
 	// finite (refinement cannot recover from Inf/NaN).
 	if rounds := pol.maxRefine(); rounds > 0 && finiteVec(xi) {
-		if f, err := core.FactorHybrid(core.SystemView(b, i), k); err == nil {
+		one := &matrix.Batch[T]{M: 1, N: v.N, Lower: sys.Lower, Diag: sys.Diag, Upper: sys.Upper, RHS: sys.RHS}
+		if f, err := core.FactorHybrid(one, k); err == nil {
 			r := make([]T, len(xi))
 			e := make([]T, len(xi))
 			for round := 0; round < rounds && cur > tol; round++ {
@@ -321,6 +372,7 @@ func escalate[T num.Real](b *matrix.Batch[T], i int, xi []T,
 				cur = next
 			}
 			if cur <= tol {
+				g.Scatter(v, i)
 				rep.Stage = StageRefine
 				rep.ResidualAfter = cur
 				return
@@ -332,7 +384,7 @@ func escalate[T num.Real](b *matrix.Batch[T], i int, xi []T,
 
 	// Rung 2: pivoting GTSV re-solve of this system only.
 	if !pol.DisablePivotFallback {
-		if err := cpu.SolveGTSVInto(sys, xi, ws); err != nil {
+		if err := g.Resolve(v, i); err != nil {
 			lastErr = err
 		} else if r := matrix.Residual(sys, xi); r <= tol {
 			rep.Stage = StagePivot
@@ -346,7 +398,7 @@ func escalate[T num.Real](b *matrix.Batch[T], i int, xi []T,
 		}
 	}
 
-	// Rung 3: structured failure. The solution slot is zeroed so the
+	// Rung 3: structured failure. The solution rows are zeroed so the
 	// merged X stays finite; the typed error carries the diagnosis.
 	rep.Stage = StageFailed
 	rep.ResidualAfter = cur
@@ -357,13 +409,8 @@ func escalate[T num.Real](b *matrix.Batch[T], i int, xi []T,
 	if pol.DisablePivotFallback {
 		rep.Err.Stage = StageRefine
 	}
-	zero(xi)
-}
-
-func zero[T num.Real](x []T) {
-	for j := range x {
-		x[j] = 0
-	}
+	clear(xi)
+	g.Scatter(v, i)
 }
 
 func finiteVec[T num.Real](x []T) bool {

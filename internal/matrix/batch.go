@@ -129,9 +129,6 @@ func NewInterleaved[T num.Real](m, n int) *Interleaved[T] {
 	}
 }
 
-// Idx returns the flat index of row j of system i.
-func (v *Interleaved[T]) Idx(i, j int) int { return j*v.M + i }
-
 // Clone returns a deep copy.
 func (v *Interleaved[T]) Clone() *Interleaved[T] {
 	c := NewInterleaved[T](v.M, v.N)
@@ -142,17 +139,24 @@ func (v *Interleaved[T]) Clone() *Interleaved[T] {
 	return c
 }
 
-// ExtractSystem copies system i out into a standalone System.
-func (v *Interleaved[T]) ExtractSystem(i int) *System[T] {
-	s := NewSystem[T](v.N)
-	for j := 0; j < v.N; j++ {
-		k := v.Idx(i, j)
-		s.Lower[j] = v.Lower[k]
-		s.Diag[j] = v.Diag[k]
-		s.Upper[j] = v.Upper[k]
-		s.RHS[j] = v.RHS[k]
-	}
-	return s
+// Strided addresses a batch of either layout, with a solution, through
+// row strides: row j of system i sits at i·SS + j·RS of every
+// coefficient plane and of X. SS = N and RS = 1 is the contiguous
+// layout (Batch.Strided), SS = 1 and RS = M the interleaved one
+// (Interleaved.Strided).
+type Strided[T num.Real] struct {
+	Lower, Diag, Upper, RHS, X []T
+	N, SS, RS                  int
+}
+
+// Strided views the batch and its solution x by row strides.
+func (b *Batch[T]) Strided(x []T) Strided[T] {
+	return Strided[T]{Lower: b.Lower, Diag: b.Diag, Upper: b.Upper, RHS: b.RHS, X: x, N: b.N, SS: b.N, RS: 1}
+}
+
+// Strided views the batch and its solution x by row strides.
+func (v *Interleaved[T]) Strided(x []T) Strided[T] {
+	return Strided[T]{Lower: v.Lower, Diag: v.Diag, Upper: v.Upper, RHS: v.RHS, X: x, N: v.N, SS: 1, RS: v.M}
 }
 
 // ToInterleaved converts a contiguous batch to the interleaved layout.

@@ -198,28 +198,6 @@ func TestInterleaveRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInterleavedIdx(t *testing.T) {
-	v := NewInterleaved[float64](4, 3)
-	if v.Idx(1, 2) != 2*4+1 {
-		t.Errorf("Idx(1,2) = %d", v.Idx(1, 2))
-	}
-}
-
-func TestExtractSystemMatchesBatchSystem(t *testing.T) {
-	b := NewBatch[float64](3, 6)
-	for i := 0; i < 3; i++ {
-		b.SetSystem(i, testSystem(6, uint64(i)+20))
-	}
-	v := b.ToInterleaved()
-	for i := 0; i < 3; i++ {
-		want := b.System(i)
-		got := v.ExtractSystem(i)
-		if MaxAbsDiff(want.Diag, got.Diag) != 0 || MaxAbsDiff(want.RHS, got.RHS) != 0 {
-			t.Fatalf("ExtractSystem(%d) mismatch", i)
-		}
-	}
-}
-
 func TestVectorInterleaveRoundTrip(t *testing.T) {
 	m, n := 3, 4
 	x := make([]float64, m*n)

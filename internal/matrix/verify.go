@@ -164,8 +164,10 @@ func MaxRelDiff[T num.Real](a, b []T) T {
 // pass over the strided planes — but accumulates each system's
 // max/sum reductions in exactly the order Residual does row by row, so
 // the results are bitwise identical to deinterleaving and calling
-// ResidualsPerSystemInto. That identity is what lets the batching
-// front-end guard a coalesced megabatch without converting layouts.
+// ResidualsPerSystemInto, on every architecture: its products are
+// rounded as Residual rounds them, so none fuses into a multiply-add.
+// That identity is what lets the guard judge a coalesced megabatch
+// without converting layouts.
 //
 // scratch must hold at least 3*count float64s; it carries the per-
 // system xmax/dmax/|A|_inf partials across rows and its contents on
@@ -199,12 +201,12 @@ func ResidualsPerSystemInterleavedInto[T num.Real](dst, scratch []float64, v *In
 			}
 			idx := base + i
 			xi := x[idx]
-			val := v.Diag[idx] * xi
+			val := T(v.Diag[idx] * xi)
 			if j > 0 {
-				val += v.Lower[idx] * x[idx-m]
+				val += T(v.Lower[idx] * x[idx-m])
 			}
 			if j < n-1 {
-				val += v.Upper[idx] * x[idx+m]
+				val += T(v.Upper[idx] * x[idx+m])
 			}
 			if !num.IsFinite(xi) || !num.IsFinite(val) {
 				dst[i] = math.Inf(1)
@@ -240,7 +242,7 @@ func ResidualsPerSystemInterleavedInto[T num.Real](dst, scratch []float64, v *In
 		if xmax[i] < 0 {
 			continue // dst[i] is already +Inf
 		}
-		if den := anorm[i]*xmax[i] + dmax[i]; den != 0 {
+		if den := float64(anorm[i]*xmax[i]) + dmax[i]; den != 0 {
 			dst[i] /= den
 		}
 	}

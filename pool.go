@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"gputrid/internal/clock"
-	"gputrid/internal/cpu"
+	"gputrid/internal/guard"
 	"gputrid/internal/pool"
 )
 
@@ -199,22 +199,22 @@ func (p *Pool[T]) Warm(m, n int) error {
 // Solve solves the batch through the pool: it validates the input,
 // asks the breaker for a route, acquires a warmed Solver (waiting in
 // the shape's bounded queue if necessary), and runs the solve under
-// the request context. Errors are typed: ErrOverloaded (admission
-// rejected), ErrPoolClosed (pool draining), ErrCancelled (context
-// ended while queued or mid-solve), ErrFaulted (unrecovered device
-// fault). The returned result is caller-owned.
+// the request context, or solves on the host pivoting path while the
+// breaker is open. The pool's verdict (guard.Judge) then re-solves each
+// system whose residual fails on the host pivoting path. Errors are
+// typed: ErrOverloaded (admission rejected), ErrPoolClosed (pool
+// draining), ErrCancelled (context ended while queued or mid-solve),
+// ErrFaulted (unrecovered device fault), ErrUnrecoverable (the joined
+// *SolveErrors of the systems the verdict could not solve). The
+// returned result is caller-owned.
 func (p *Pool[T]) Solve(ctx context.Context, b *Batch[T]) (*PoolResult[T], error) {
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("gputrid: invalid batch: %w", err)
 	}
-	device, probe := p.inner.Route()
-	if !device {
-		return p.solveFallback(ctx, b)
-	}
+	start := time.Now()
 	var res *PoolResult[T]
-	enq := time.Now()
-	err := p.lease(ctx, probe, false, b.M, b.N, func(ctx context.Context, s *Solver[T]) error {
-		wait := time.Since(enq)
+	device, err := p.lease(ctx, false, b.M, b.N, func(ctx context.Context, s *Solver[T]) error {
+		wait := time.Since(start)
 		x := make([]T, b.M*b.N)
 		if err := s.SolveBatchIntoCtx(ctx, x, b); err != nil {
 			return err
@@ -237,24 +237,51 @@ func (p *Pool[T]) Solve(ctx context.Context, b *Batch[T]) (*PoolResult[T], error
 	if err != nil {
 		return nil, err
 	}
+	if !device {
+		res = &PoolResult[T]{Result: &Result[T]{X: make([]T, b.M*b.N)}, Route: RouteFallback}
+	}
+	// Verdict failures never reach the breaker: they indicate sick
+	// input systems, not a sick device.
+	var errs []error
+	guard.Judge(b.Strided(res.X), b.M, nil, !device, func(_ int, err error) {
+		if err != nil {
+			errs = append(errs, err)
+		}
+	})
+	if errs != nil {
+		return nil, fmt.Errorf("gputrid: %w", errors.Join(errs...))
+	}
+	if !device {
+		res.WallTime = time.Since(start)
+	}
 	return res, nil
 }
 
-// lease runs one device solve of either request kind under the
-// breaker and lease protocol: it acquires a solver from the shape's
-// direct or megabatch station, runs run on it under the lease's
-// context, and releases the lease. After any outcome but cancellation
-// the release feeds the station's service-time estimate with the
-// solve's measured time, and the breaker counts the solve as degraded
-// when it failed or its fault layer fired; a cancelled solve gives no
-// verdict on the device, so its probe slot is abandoned. run must copy
-// out whatever it reads off the solver: the release hands the solver
-// to the next request.
+// lease runs one solve of either request kind under the breaker and
+// lease protocol. While the breaker keeps traffic off the device it
+// admits the request to the breaker-open route instead: device is
+// false, run does not run, and the caller solves on the host pivoting
+// path (no queue, no device, stable for any nonsingular system).
+// Otherwise it acquires a solver from the shape's direct or megabatch
+// station, runs run on it under the lease's context, and releases the
+// lease. After any outcome but cancellation the release feeds the
+// station's service-time estimate with the solve's measured time, and
+// the breaker counts the solve as degraded when it failed or its fault
+// layer fired; a cancelled solve gives no verdict on the device, so
+// its probe slot is abandoned. run must copy out whatever it reads off
+// the solver: the release hands the solver to the next request.
 //
 //tridlint:hotpath
-func (p *Pool[T]) lease(ctx context.Context, probe, mega bool, m, n int, run func(ctx context.Context, s *Solver[T]) error) error {
+func (p *Pool[T]) lease(ctx context.Context, mega bool, m, n int, run func(ctx context.Context, s *Solver[T]) error) (device bool, err error) {
+	device, probe := p.inner.Route()
+	if !device {
+		if err := ctx.Err(); err != nil {
+			return false, fmt.Errorf("gputrid: %w: %w", ErrCancelled, err)
+		}
+		p.inner.RecordFallback()
+		return false, nil
+	}
 	var l *pool.Lease[*Solver[T]]
-	var err error
 	if mega {
 		l, err = p.inner.AcquireMega(ctx, m, n)
 	} else {
@@ -262,38 +289,19 @@ func (p *Pool[T]) lease(ctx context.Context, probe, mega bool, m, n int, run fun
 	}
 	if err != nil {
 		p.inner.Abandon(probe)
-		return fmt.Errorf("gputrid: %w", err)
+		return true, fmt.Errorf("gputrid: %w", err)
 	}
 	s := l.Solver
 	err = run(l.Ctx, s)
 	if errors.Is(err, ErrCancelled) {
 		l.Release(0)
 		p.inner.Abandon(probe)
-		return err
+		return true, err
 	}
 	degraded := err != nil || s.FaultReport() != nil
 	l.Release(s.LastSolveTime())
 	p.inner.Record(probe, degraded)
-	return err
-}
-
-// solveFallback serves one request on the host pivoting GTSV path —
-// the breaker-open route. It is deliberately boring: no queue, no
-// device, stable for any nonsingular system.
-func (p *Pool[T]) solveFallback(ctx context.Context, b *Batch[T]) (*PoolResult[T], error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("gputrid: %w: %w", ErrCancelled, err)
-	}
-	start := time.Now()
-	x, err := cpu.SolveBatchGTSV(b)
-	if err != nil {
-		return nil, fmt.Errorf("gputrid: fallback: %w", err)
-	}
-	p.inner.RecordFallback()
-	return &PoolResult[T]{
-		Result: &Result[T]{X: x, WallTime: time.Since(start)},
-		Route:  RouteFallback,
-	}, nil
+	return true, err
 }
 
 // Stats snapshots the pool's admission, routing and breaker state.
