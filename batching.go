@@ -35,8 +35,12 @@ func (p *Pool[T]) SolveMegabatch(ctx context.Context, mb *Megabatch[T]) error {
 		return err
 	}
 	// Verdict failures never reach the breaker (see Solve).
-	guard.Judge(mb.V.Strided(mb.Xi), mb.Count, mb.Scratch, !device, func(i int, err error) {
-		mb.Verdicts[i] = batcher.Verdict{Err: err, Rescued: device && err == nil}
+	guard.Judge(mb.V.Strided(mb.Xi), mb.Count, mb.Scratch, guard.PoolLadder, !device, func(rep guard.SystemReport) {
+		v := batcher.Verdict{Rescued: device && rep.Stage == guard.StagePivot}
+		if rep.Err != nil {
+			v.Err = rep.Err
+		}
+		mb.Verdicts[rep.System] = v
 	})
 	return nil
 }

@@ -33,17 +33,17 @@
 //	                    -> 200 {"x","route","wait_ns","wall_ns","device",
 //	                       "attempts"}
 //	                    -> 400 invalid input, 413 body over 64 MiB, 422
-//	                       "unsolvable" (a system the pool's verdict
-//	                       could not solve within tolerance, even on the
-//	                       host pivoting path), 503
+//	                       "unsolvable" (a system the verdict could not
+//	                       solve within tolerance, even on the host
+//	                       pivoting path, on the device, coalesced or
+//	                       distributed route), 503
 //	                       overloaded/draining/no device (every 503
 //	                       carries a Retry-After — from the pool's
 //	                       service-time estimate where one exists, a
 //	                       conservative default otherwise), 504
 //	                       deadline/cancelled, 500 "faulted", 500
 //	                       "unencodable" (an answer JSON cannot carry,
-//	                       such as a NaN entry from the unguarded
-//	                       distributed route)
+//	                       such as a NaN entry)
 //	GET  /healthz       200 while serving ("degraded" but still 200 when
 //	                    no servable device has a closed breaker or none
 //	                    is Active — the fallback or a throttled device
@@ -72,7 +72,10 @@
 // (cordoning it at the next tick) while its slab migrates to a
 // survivor — the response is bitwise identical either way. Distributed
 // responses carry route "distributed" with "dist_devices",
-// "dist_deaths" and "dist_migrations".
+// "dist_deaths" and "dist_migrations". The slab elimination never
+// pivots: an answer it leaves non-finite gets the pool's verdict, so a
+// rescuable system answers 200 with the device route's bits and an
+// unsolvable one 422 "unsolvable".
 //
 // With -batch N concurrent small /solve requests of the same row count
 // are coalesced into interleaved megabatches of up to N systems and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,11 +18,18 @@ import (
 	"gputrid/internal/workload"
 )
 
-// newTestServer serves srv's routes on an httptest listener; both are
-// torn down with the test.
+// newTestServer serves a server with neither a batcher nor a
+// distributed route.
 func newTestServer(t *testing.T, cfg fleet.Config) (*server, string) {
 	t.Helper()
-	srv, err := newServer(cfg, 0, 0, 0)
+	return startServer(t, cfg, 0, 0, 0)
+}
+
+// startServer serves newServer's routes on an httptest listener; both
+// are torn down with the test.
+func startServer(t *testing.T, cfg fleet.Config, batchN int, wait time.Duration, distMin int) (*server, string) {
+	t.Helper()
+	srv, err := newServer(cfg, batchN, wait, distMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,16 +221,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 // tridserve -batch 8 runs it.
 func newBatchServer(t *testing.T, cfg fleet.Config, wait time.Duration) (*server, string) {
 	t.Helper()
-	srv, err := newServer(cfg, 8, wait, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.routes())
-	t.Cleanup(func() {
-		ts.Close()
-		_ = srv.close(context.Background())
-	})
-	return srv, ts.URL
+	return startServer(t, cfg, 8, wait, 0)
 }
 
 // getFleet decodes GET /fleet into a generic JSON object.
@@ -410,12 +409,12 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestVerdictSameOnEveryRoute: the device route and the coalesced route
-// judge each system with the one pool verdict. A nonsingular system
-// whose leading pivot vanishes (the non-pivoting fast path divides by
-// it) is rescued on the host pivoting path and answers 200 with the
-// same bits on both routes; an all-zero matrix with a non-zero
-// right-hand side answers a typed 422 on both.
+// TestVerdictSameOnEveryRoute: the device, coalesced and distributed
+// routes judge each system with the one pool verdict. A nonsingular
+// system whose leading pivot vanishes (the non-pivoting fast path and
+// slab elimination divide by it) is rescued on the host pivoting path
+// and answers 200 with the same bits on every route; an all-zero
+// matrix with a non-zero right-hand side answers a typed 422 on each.
 func TestVerdictSameOnEveryRoute(t *testing.T) {
 	const (
 		rescuable = `{"m":1,"n":4,"lower":[0,1,1,1],"diag":[0,2,2,2],"upper":[1,1,1,0],"rhs":[1,1,1,1]}`
@@ -423,8 +422,10 @@ func TestVerdictSameOnEveryRoute(t *testing.T) {
 	)
 	_, device := newTestServer(t, fleet.Config{Devices: 1})
 	_, coalesced := newBatchServer(t, fleet.Config{Devices: 1}, time.Millisecond)
-	var xs [2][]float64
-	for k, route := range []struct{ name, base string }{{"device", device}, {"coalesced", coalesced}} {
+	_, distributed := startServer(t, fleet.Config{Devices: 2}, 0, 0, 4)
+	routes := []struct{ name, base string }{{"device", device}, {"coalesced", coalesced}, {"distributed", distributed}}
+	xs := make([][]float64, len(routes))
+	for k, route := range routes {
 		code, body := post(t, route.base+"/solve", rescuable)
 		var sr solveResponse
 		if err := json.Unmarshal([]byte(body), &sr); code != http.StatusOK || err != nil || sr.Route != route.name {
@@ -440,30 +441,22 @@ func TestVerdictSameOnEveryRoute(t *testing.T) {
 			t.Fatalf("%s route, singular system: %d %q (%v), want 422 unsolvable", route.name, code, body, err)
 		}
 	}
-	for j := range xs[0] {
-		if xs[0][j] != xs[1][j] {
-			t.Fatalf("x[%d]: device %v, coalesced %v; want the same rescued bits", j, xs[0][j], xs[1][j])
+	for k := 1; k < len(routes); k++ {
+		for j := range xs[0] {
+			if xs[0][j] != xs[k][j] {
+				t.Fatalf("x[%d]: device %v, %s %v; want the same rescued bits", j, xs[0][j], routes[k].name, xs[k][j])
+			}
 		}
 	}
 }
 
-// TestUnencodableAnswer: the distributed route runs no verdict, so a
-// vanishing leading pivot puts NaN into its answer, which JSON cannot
-// carry. The answer is a typed 500, not a 200 with an empty body.
+// TestUnencodableAnswer: an answer JSON cannot carry (NaN) is a typed
+// 500, not a 200 with an empty body.
 func TestUnencodableAnswer(t *testing.T) {
-	srv, err := newServer(fleet.Config{Devices: 2}, 0, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.routes())
-	t.Cleanup(func() {
-		ts.Close()
-		_ = srv.close(context.Background())
-	})
-	b := workload.Batch[float64](workload.DiagDominant, 1, 129, 5)
-	b.Diag[0] = 0
-	code, _, er, err := postSolve(context.Background(), ts.URL, requestFor(b, 0))
-	if err != nil || code != http.StatusInternalServerError || er.Kind != "unencodable" {
-		t.Fatalf("NaN answer: %d %+v %v, want 500 unencodable", code, er, err)
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, solveResponse{X: []float64{1, math.NaN()}})
+	var er errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusInternalServerError || err != nil || er.Kind != "unencodable" {
+		t.Fatalf("NaN answer: %d %q (%v), want 500 unencodable", rec.Code, rec.Body, err)
 	}
 }

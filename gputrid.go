@@ -136,10 +136,9 @@ func WithVerification() Option { return func(c *config) { c.verify = true } }
 // single lane.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithGuard sets the escalation policy SolveGuarded applies (refinement
-// rounds, tolerance, pivoting fallback, condition estimation, fault
-// injection). Without it SolveGuarded uses the zero-value production
-// defaults. Ignored by the unguarded Solve/SolveBatch entry points.
+// WithGuard sets SolveGuarded's fault-injection hook (GuardPolicy's
+// one field). The ladder itself is fixed. Ignored by the unguarded
+// Solve/SolveBatch entry points.
 func WithGuard(p GuardPolicy) Option { return func(c *config) { c.guard = &p } }
 
 // WithRetry bounds the recovery from transient device faults: how many
@@ -429,9 +428,10 @@ func SolveCPUPivoting[T Real](b *Batch[T]) ([]T, error) {
 	return x, nil
 }
 
-// GuardPolicy tunes SolveGuarded's escalation ladder; the zero value is
-// the production default (two refinement rounds, size-scaled tolerance,
-// pivoting fallback on, lazy condition estimates for rescued systems).
+// GuardPolicy carries SolveGuarded's fault-injection hook; the zero
+// value is production. The ladder is not tunable: two refinement
+// rounds, the pivoting rescue and a condition estimate for every
+// rescued or failed system, at the size-scaled residual tolerance.
 type GuardPolicy = guard.Policy
 
 // GuardStage names the rung that produced a system's final answer.

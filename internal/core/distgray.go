@@ -164,6 +164,7 @@ func (s *DistSolver[T]) verifiedUp(sl *distSlab, dev int, bytes int64, sum func(
 // and provably never escapes.
 func (s *DistSolver[T]) verifiedDown(sl *distSlab, dev int, bytes int64, payload, shadow []T) (float64, error) {
 	want := sumParts(0, payload)
+	sl.nonFinite = sl.nonFinite || !num.IsFinite(want)
 	if want != want {
 		return s.topo.Transfer(&sl.comm, gpusim.OpDeviceToHost, dev, -1, bytes).Seconds, nil
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -100,6 +101,11 @@ type DistReport struct {
 	// retries, hedged-away slabs — the raw feed for a gray-failure
 	// detector. Sorted by device.
 	PerDevice []DeviceObservation
+	// NonFinite reports Inf or NaN in a sum the solve already takes —
+	// of a download, of a degraded back-substitution's rows, of the
+	// reduced solution — which every answer row passes through; a
+	// vanishing pivot shows up here. Unset, the answer is finite.
+	NonFinite bool
 	// Comm is the interconnect traffic this solve charged, attributed
 	// exactly to this solve even when concurrent solves share the
 	// topology. It sums each slab's traffic in slab order after the
@@ -125,6 +131,7 @@ type distSlab struct {
 	degraded  bool // moved to the host path for the rest of the solve
 	redone    bool // lost work at least once (counts as migration)
 	integrity int  // checksum-mismatched transfers re-exchanged
+	nonFinite bool // a download or host result of the slab summed to Inf/NaN
 	resolves  int  // reduce re-executions forced by the integrity ladder
 	timing    gpusim.SlabTiming
 	comm      gpusim.CommStats // the slab's transfers, charged by one goroutine at a time
@@ -483,9 +490,8 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 
 	// Phase B: assemble and solve the reduced interface system on the
 	// host, then scatter separator values.
-	if err := s.solveReduced(b, dst); err != nil {
-		return nil, err
-	}
+	s.solveReduced(b, dst)
+	rep.NonFinite = !num.IsFinite(sumParts(0, s.redX))
 
 	// Phase C: per-slab back-substitution, device-side, same recovery;
 	// each slab copies its rows into dst once they are verified.
@@ -508,6 +514,7 @@ func (s *DistSolver[T]) SolveOn(ctx context.Context, dst []T, b *matrix.Batch[T]
 		if sl.redone {
 			rep.Migrations++
 		}
+		rep.NonFinite = rep.NonFinite || sl.nonFinite
 		rep.IntegrityRetries += sl.integrity
 		rep.SlabResolves += sl.resolves
 		rep.Comm.Add(sl.comm)
@@ -1048,12 +1055,14 @@ func (k *slabKernel[T]) outputs() [][]T { return [][]T{k.x} }
 // separator rows and the slabs' interface scalars, solves each batch
 // system's D-1 unknowns with the pivoting GTSV, writes the separator
 // values into dst, and distributes them to the slabs' backsub inputs.
-func (s *DistSolver[T]) solveReduced(b *matrix.Batch[T], dst []T) error {
+// A singular reduced system leaves NaN separators, so the answer's
+// verdict, not this phase, decides what the system gets.
+func (s *DistSolver[T]) solveReduced(b *matrix.Batch[T], dst []T) {
 	d := s.part.NumSlabs()
 	if d == 1 {
 		clear(s.sepL[0])
 		clear(s.sepR[0])
-		return nil
+		return
 	}
 	r := d - 1
 	for i := 0; i < s.m; i++ {
@@ -1079,8 +1088,8 @@ func (s *DistSolver[T]) solveReduced(b *matrix.Batch[T], dst []T) error {
 			Lower: s.redA[base : base+r], Diag: s.redB[base : base+r],
 			Upper: s.redC[base : base+r], RHS: s.redD[base : base+r],
 		}
-		if err := cpu.SolveGTSVInto(&sys, s.redX[base:base+r], s.gtsvRed); err != nil {
-			return fmt.Errorf("core: reduced interface system %d: %w", i, err)
+		if cpu.SolveGTSVInto(&sys, s.redX[base:base+r], s.gtsvRed) != nil {
+			fill(s.redX[base:base+r], T(math.NaN()))
 		}
 		for p := 0; p < r; p++ {
 			dst[i*s.n+s.part.Separator(p)] = s.redX[base+p]
@@ -1101,7 +1110,6 @@ func (s *DistSolver[T]) solveReduced(b *matrix.Batch[T], dst []T) error {
 			}
 		}
 	}
-	return nil
 }
 
 // backsubThreads is the distBacksub block size: one thread per slab
@@ -1258,10 +1266,12 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 
 // backsubHost is the degraded back-substitution: the kernel's host
 // twin, run unconditionally, then the slab's rows into the solution.
+// No download sums these rows, so it sums them itself.
 func (s *DistSolver[T]) backsubHost(sl *distSlab) error {
 	if err := backsubRows(nil, &s.bsArgs[sl.idx]); err != nil {
 		return err
 	}
+	sl.nonFinite = sl.nonFinite || !num.IsFinite(sumParts(0, s.slabOut[sl.idx]))
 	s.scatter(sl.idx)
 	return nil
 }

@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 
 	"gputrid"
 	"gputrid/internal/core"
 	"gputrid/internal/gpusim"
+	"gputrid/internal/guard"
 )
 
 // DistResult is one fleet-served distributed solve: the solution plus
@@ -60,8 +63,14 @@ type distEntry struct {
 // A device that dies mid-solve is reported to the fleet's health feed
 // immediately (before its slab is migrated), so the next Tick cordons
 // it while this solve is still completing on the survivors. The solve
-// itself only fails when the caller's context ends or recovery is
-// exhausted with NoDegrade semantics.
+// itself only fails when the caller's context ends, recovery is
+// exhausted with NoDegrade semantics, or the input is unsolvable.
+//
+// The slab elimination never pivots, so a vanishing pivot turns into
+// Inf/NaN. An answer the solve reports non-finite (DistReport.NonFinite)
+// gets the pool's verdict: a rescued system carries the pool route's
+// bits, and an unsolvable one fails the request with ErrUnrecoverable.
+// A finite answer is not judged, so a healthy solve adds no pass.
 func (f *Fleet) SolveDistributed(ctx context.Context, b *gputrid.Batch[float64]) (*DistResult, error) {
 	live, err := f.admitDistributed(int64(b.M))
 	if err != nil {
@@ -83,7 +92,6 @@ func (f *Fleet) SolveDistributed(ctx context.Context, b *gputrid.Batch[float64])
 		f.rejected.Add(1)
 		return nil, err
 	}
-	f.served.Add(1)
 	f.distSolves.Add(1)
 	f.distDeaths.Add(uint64(len(rep.Deaths)))
 	f.distMigrations.Add(uint64(rep.Migrations))
@@ -95,6 +103,19 @@ func (f *Fleet) SolveDistributed(ctx context.Context, b *gputrid.Batch[float64])
 	// links leave no driver event, only statistical residue in these
 	// reports.
 	f.observeGray(rep)
+	if rep.NonFinite {
+		var errs []error
+		guard.Judge(b.Strided(dst), b.M, nil, guard.PoolLadder, false, func(r guard.SystemReport) {
+			if r.Err != nil {
+				errs = append(errs, r.Err)
+			}
+		})
+		if errs != nil {
+			f.rejected.Add(1)
+			return nil, fmt.Errorf("fleet: %w", errors.Join(errs...))
+		}
+	}
+	f.served.Add(1)
 	return &DistResult{X: dst, Report: *rep, Live: live}, nil
 }
 

@@ -146,6 +146,68 @@ func TestFleetDistributedDeviceDeath(t *testing.T) {
 	}
 }
 
+// TestDistributedVerdict: the slab elimination never pivots, so a
+// vanishing leading pivot or an all-zero matrix turns the distributed
+// answer non-finite, and a zero separator row makes the reduced system
+// singular. The distributed route then judges the answer as the pool
+// route does: the rescuable batch comes back with the pool route's
+// bits, the unsolvable ones fail with ErrUnrecoverable, and none
+// returns NaN.
+func TestDistributedVerdict(t *testing.T) {
+	f, err := fleet.New(fleet.Config{Devices: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close(context.Background())
+	ctx := context.Background()
+
+	rescuable := workload.Batch[float64](workload.DiagDominant, 1, 129, 5)
+	rescuable.Diag[0] = 0
+	res, err := f.SolveDistributed(ctx, rescuable)
+	if err != nil {
+		t.Fatalf("rescuable batch: %v", err)
+	}
+	if !res.Report.NonFinite {
+		t.Error("a vanishing pivot did not flag the distributed report NonFinite")
+	}
+	pool, err := f.Solve(ctx, rescuable)
+	if err != nil {
+		t.Fatalf("pool route, rescuable batch: %v", err)
+	}
+	for i := range pool.X {
+		if res.X[i] != pool.X[i] {
+			t.Fatalf("x[%d]: distributed %v, pool %v; want the same rescued bits", i, res.X[i], pool.X[i])
+		}
+	}
+
+	singular := &gputrid.Batch[float64]{M: 1, N: 129,
+		Lower: make([]float64, 129), Diag: make([]float64, 129), Upper: make([]float64, 129), RHS: make([]float64, 129)}
+	for i := range singular.RHS {
+		singular.RHS[i] = 1
+	}
+	if res, err := f.SolveDistributed(ctx, singular); !errors.Is(err, gputrid.ErrUnrecoverable) {
+		t.Fatalf("all-zero matrix: result %v, err %v; want ErrUnrecoverable", res, err)
+	}
+	part, err := core.NewPartition(129, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroSep := workload.Batch[float64](workload.DiagDominant, 1, 129, 7)
+	sep := part.Separator(0)
+	zeroSep.Lower[sep], zeroSep.Diag[sep], zeroSep.Upper[sep] = 0, 0, 0
+	if res, err := f.SolveDistributed(ctx, zeroSep); !errors.Is(err, gputrid.ErrUnrecoverable) {
+		t.Fatalf("zero separator row: result %v, err %v; want ErrUnrecoverable", res, err)
+	}
+	if st := f.Stats(); st.Served != 2 || st.Rejected != 2 {
+		t.Errorf("served %d rejected %d, want 2 (pool and distributed rescues) and 2", st.Served, st.Rejected)
+	}
+
+	healthy := workload.Batch[float64](workload.DiagDominant, 2, 129, 6)
+	if res, err := f.SolveDistributed(ctx, healthy); err != nil || res.Report.NonFinite {
+		t.Fatalf("healthy batch: err %v, NonFinite %v", err, res != nil && res.Report.NonFinite)
+	}
+}
+
 func TestFleetDistributedNoDevices(t *testing.T) {
 	vc := clock.NewVirtualClock(time.Unix(0, 0))
 	ff := &fakeFactory{}

@@ -435,10 +435,13 @@ func (f *Fleet) route(ctx context.Context, weight int64, serve func(Backend) err
 			f.served.Add(1)
 			return d, attempt, nil
 		}
-		d.failed.Add(1)
 		lastErr = err
 		// An unsolvable system is the input's fault, not the device's.
-		if ctx.Err() != nil || errors.Is(err, gputrid.ErrUnrecoverable) {
+		if errors.Is(err, gputrid.ErrUnrecoverable) {
+			break
+		}
+		d.failed.Add(1)
+		if ctx.Err() != nil {
 			break
 		}
 		f.rerouted.Add(1)

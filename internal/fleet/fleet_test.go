@@ -534,8 +534,15 @@ func TestUnsolvableDoesNotReroute(t *testing.T) {
 	if _, err := f.Solve(context.Background(), nil); !errors.Is(err, gputrid.ErrUnrecoverable) {
 		t.Fatalf("err = %v, want ErrUnrecoverable", err)
 	}
-	if st := f.Stats(); st.Rerouted != 0 || st.Rejected != 1 {
+	st := f.Stats()
+	if st.Rerouted != 0 || st.Rejected != 1 {
 		t.Fatalf("rerouted %d, rejected %d; want 0 and 1 for an unsolvable system", st.Rerouted, st.Rejected)
+	}
+	// Sick input is not a sick device.
+	for id, d := range st.Devices {
+		if d.Failed != 0 {
+			t.Errorf("device %d: failed=%d for an unsolvable system, want 0", id, d.Failed)
+		}
 	}
 }
 

@@ -20,6 +20,11 @@
 // healthy systems are never poisoned by one bad neighbour, and the
 // per-system SystemReport makes the degradation observable instead of
 // surfacing as NaNs downstream.
+//
+// Judge is that classification for every caller: the Runner behind
+// SolveGuarded runs the whole ladder, and the serving routes (the
+// pool's direct, coalesced and breaker-open routes, and a distributed
+// solve whose answer went non-finite) run it pivot-only, PoolLadder.
 package guard
 
 import (
@@ -34,41 +39,29 @@ import (
 	"gputrid/internal/num"
 )
 
-// Policy tunes the escalation ladder. The zero value is the production
-// default: two refinement rounds, size-scaled tolerance, pivoting
-// fallback on, condition estimates for rescued systems.
+// Policy is the caller's hook into SolveGuarded. The ladder itself is
+// not tunable: every solve runs the guarded ladder at the size-scaled
+// tolerance matrix.ResidualTolerance.
 type Policy struct {
-	// MaxRefine bounds the iterative-refinement rounds per failing
-	// system. 0 means the default of 2; negative disables refinement
-	// (failing systems go straight to the pivoting rung).
-	MaxRefine int
-	// Tolerance is the per-system residual acceptance threshold; 0
-	// applies matrix.ResidualTolerance for the batch's N and precision.
-	Tolerance float64
-	// DisablePivotFallback skips the GTSV rung: systems refinement
-	// cannot repair fail with a typed SolveError instead. Useful when
-	// the caller wants the fast path's cost envelope strictly bounded.
-	DisablePivotFallback bool
-	// SkipConditionEstimate suppresses the lazy Hager-Higham κ₁
-	// estimate on rescued/failed systems (saves a few pivoted solves
-	// per rescued system).
-	SkipConditionEstimate bool
 	// Inject deterministically corrupts chosen systems before or after
 	// the fast solve — the fault hook the ladder tests are built on.
 	// Nil in production.
 	Inject *Injection
 }
 
-func (p Policy) maxRefine() int {
-	switch {
-	case p.MaxRefine == 0:
-		return 2
-	case p.MaxRefine < 0:
-		return 0
-	default:
-		return p.MaxRefine
-	}
+// Ladder is the escalation a verdict runs for a system over tolerance.
+// It has no settable fields, and there are two: PoolLadder, and the
+// Runner's, which refines twice at its fast path's k before the pivot
+// rescue and estimates the condition of every system past refinement.
+type Ladder struct {
+	refine  int  // iterative-refinement rounds before the pivot rescue
+	k       int  // PCR steps of the factorization refinement reuses
+	condEst bool // Hager-Higham κ₁ estimate of rescued and failed systems
 }
+
+// PoolLadder is the serving verdict's ladder: pivot rescue only, with
+// no refinement rounds and no condition estimate.
+var PoolLadder = Ladder{}
 
 // Result is a guarded batch solve: the merged solutions, the per-system
 // reports, the typed failures (also joined into the error SolveCtx
@@ -99,11 +92,12 @@ func (r *Result[T]) Stages() map[Stage]int {
 
 // Runner is a reusable guarded solver for one fixed batch shape. It
 // runs its bulk fast path on its owner's core.Pipeline (allocation-free
-// once warmed) and owns the solution and residual arenas and the
-// per-system report slice, so the steady-state happy path — every
-// system passing its residual check — performs zero heap allocations
-// per solve. Only the escalation rungs (which touch failing systems
-// only) and the fault-injection clone allocate.
+// once warmed), hands classification to Judge under the guarded
+// ladder, and owns the solution arena and the per-system report slice,
+// so the steady-state happy path — every system passing its residual
+// check — performs zero heap allocations per solve. Only the escalation
+// rungs (which touch failing systems only) and the fault-injection
+// clone allocate.
 //
 // A Runner is not safe for concurrent use, nor with other solves on
 // its pipeline; the Pipeline rejects overlapping calls with
@@ -114,10 +108,8 @@ type Runner[T num.Real] struct {
 	m, n      int
 
 	x         []T       // merged solutions, aliased by Result.X
-	resid     []float64 // per-system residuals of the fast solve
 	isInvalid []bool    // per-system non-finite-input flags
 	res       Result[T] // reused result; Reports/Failed re-sliced per solve
-	gtsv      *cpu.StridedGTSV[T]
 }
 
 // NewRunner builds a guarded runner over p, whose shape it takes.
@@ -131,7 +123,6 @@ func NewRunner[T num.Real](p *core.Pipeline[T], noDegrade bool) *Runner[T] {
 		m:         m,
 		n:         n,
 		x:         make([]T, m*n),
-		resid:     make([]float64, m),
 		isInvalid: make([]bool, m),
 	}
 	r.res.Reports = make([]SystemReport, m)
@@ -177,29 +168,19 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 	// input poison) and reported as failed with ErrNonFiniteInput.
 	// The stack-allocated System view keeps the all-finite scan free
 	// of per-system allocations.
-	nInvalid := 0
 	var sys matrix.System[T]
 	for i := 0; i < m; i++ {
 		lo, hi := i*n, (i+1)*n
 		sys.Lower, sys.Diag, sys.Upper, sys.RHS =
 			work.Lower[lo:hi], work.Diag[lo:hi], work.Upper[lo:hi], work.RHS[lo:hi]
-		r.isInvalid[i] = !sys.IsFinite()
-		if r.isInvalid[i] {
-			nInvalid++
+		if r.isInvalid[i] = !sys.IsFinite(); !r.isInvalid[i] {
+			continue
 		}
-	}
-	if nInvalid > 0 {
 		if work == b {
 			work = b.Clone()
 		}
-		for i := 0; i < m; i++ {
-			if !r.isInvalid[i] {
-				continue
-			}
-			s := work.System(i)
-			for j := 0; j < n; j++ {
-				s.Lower[j], s.Diag[j], s.Upper[j], s.RHS[j] = 0, 1, 0, 0
-			}
+		for j := lo; j < hi; j++ {
+			work.Lower[j], work.Diag[j], work.Upper[j], work.RHS[j] = 0, 1, 0, 0
 		}
 	}
 
@@ -224,56 +205,32 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 		injectSolution(pol.Inject, x, m, n)
 	}
 
-	tol := pol.Tolerance
-	if tol <= 0 {
-		tol = matrix.ResidualTolerance[T](n)
-	}
-
 	res := &r.res
 	res.X = x
 	res.FastReport = fastRep
 	res.Failed = res.Failed[:0]
-	for i := range res.Reports {
-		res.Reports[i] = SystemReport{}
-	}
-	matrix.ResidualsPerSystemInto(r.resid, work, x)
 	di := 0 // cursor into the (ascending) degraded-system list
-	for i := 0; i < m; i++ {
-		rep := &res.Reports[i]
-		rep.System = i
+	Judge(work.Strided(x), m, nil, Ladder{refine: 2, k: fastRep.K, condEst: true}, false, func(rep SystemReport) {
+		i := rep.System
 		for di < len(degraded) && degraded[di] < i {
 			di++
 		}
-		fromGTSV := di < len(degraded) && degraded[di] == i
-		if r.isInvalid[i] {
-			rep.Stage = StageFailed
-			rep.ResidualBefore = inf()
-			rep.ResidualAfter = inf()
-			rep.Err = &SolveError{System: i, Stage: StageFailed, Residual: inf(), Cause: ErrNonFiniteInput}
+		switch {
+		case r.isInvalid[i]:
+			// Judge saw the identity stand-in; the input was garbage.
+			rep = SystemReport{System: i, Stage: StageFailed, ResidualBefore: inf(), ResidualAfter: inf(),
+				Err: &SolveError{System: i, Stage: StageFailed, Residual: inf(), Cause: ErrNonFiniteInput}}
 			clear(x[i*n : (i+1)*n])
-			res.Failed = append(res.Failed, rep.Err)
-			continue
+		case rep.Stage == StageFast && di < len(degraded) && degraded[di] == i:
+			// The fault-recovery layer already re-solved this system
+			// through the pivoting path; report the rung that ran.
+			rep.Stage = StagePivot
 		}
-		r0 := r.resid[i]
-		rep.ResidualBefore = r0
-		if r0 <= tol {
-			rep.Stage = StageFast
-			if fromGTSV {
-				// The fault-recovery layer already re-solved this system
-				// through the pivoting path; report the rung that ran.
-				rep.Stage = StagePivot
-			}
-			rep.ResidualAfter = r0
-			continue
-		}
-		if r.gtsv == nil {
-			r.gtsv = cpu.NewStridedGTSV[T](n)
-		}
-		escalate(work.Strided(x), i, tol, pol, fastRep.K, r.gtsv, rep)
+		res.Reports[i] = rep
 		if rep.Err != nil {
 			res.Failed = append(res.Failed, rep.Err)
 		}
-	}
+	})
 
 	if len(res.Failed) == 0 {
 		return res, nil
@@ -285,21 +242,17 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 	return res, errors.Join(errs...)
 }
 
-// poolPolicy is the serving pool's fixed verdict policy: a system over
-// tolerance is re-solved on the pivoting host path only, with no
-// refinement rounds and no condition estimate.
-var poolPolicy = Policy{MaxRefine: -1, SkipConditionEstimate: true}
-
-// Judge is the serving pool's verdict over systems [0, count) of v, in
-// either layout: SolveCtx's ladder under poolPolicy. With host false
-// it scans the residuals of the device solution in v.X and re-solves
-// each system over tolerance on the pivoting host path; with host (the
-// breaker-open route) it solves every system on that path. verdict is
-// called for each re-solved system, with nil when it now passes, else
-// with its *SolveError and its rows zeroed. scratch holds the
+// Judge is the one per-system verdict, over systems [0, count) of v in
+// either layout, at tolerance matrix.ResidualTolerance(v.N). With host
+// false it scans the residuals of the solution in v.X and runs lad for
+// each system over tolerance (a NaN residual fails too); with host
+// (the pool's breaker-open route) it solves every system on the
+// pivoting host path. report is called once per system, in order,
+// with what the verdict did to it; a system that failed every rung
+// carries its *SolveError and has its rows zeroed. scratch holds the
 // interleaved scan's residuals and partials (4*count float64s); the
 // contiguous layout needs none. A healthy batch does not allocate.
-func Judge[T num.Real](v matrix.Strided[T], count int, scratch []float64, host bool, verdict func(i int, err error)) {
+func Judge[T num.Real](v matrix.Strided[T], count int, scratch []float64, lad Ladder, host bool, report func(SystemReport)) {
 	tol := matrix.ResidualTolerance[T](v.N)
 	interleaved := !host && v.RS != 1
 	if interleaved {
@@ -308,29 +261,24 @@ func Judge[T num.Real](v matrix.Strided[T], count int, scratch []float64, host b
 	}
 	var g *cpu.StridedGTSV[T]
 	for i := 0; i < count; i++ {
-		r0 := inf()
+		rep := SystemReport{System: i, ResidualBefore: inf()}
 		switch {
 		case interleaved:
-			r0 = scratch[i]
+			rep.ResidualBefore = scratch[i]
 		case !host:
 			lo, hi := i*v.SS, i*v.SS+v.N
 			sys := matrix.System[T]{Lower: v.Lower[lo:hi], Diag: v.Diag[lo:hi], Upper: v.Upper[lo:hi], RHS: v.RHS[lo:hi]}
-			r0 = matrix.Residual(&sys, v.X[lo:hi])
+			rep.ResidualBefore = matrix.Residual(&sys, v.X[lo:hi])
 		}
-		// A NaN residual (non-finite input or solution) fails too.
-		if r0 <= tol {
-			continue
-		}
-		if g == nil {
-			g = cpu.NewStridedGTSV[T](v.N)
-		}
-		rep := SystemReport{System: i, ResidualBefore: r0}
-		escalate(v, i, tol, poolPolicy, 0, g, &rep)
-		if rep.Err != nil {
-			verdict(i, rep.Err)
+		if rep.ResidualBefore <= tol {
+			rep.ResidualAfter = rep.ResidualBefore
 		} else {
-			verdict(i, nil)
+			if g == nil {
+				g = cpu.NewStridedGTSV[T](v.N)
+			}
+			escalate(v, i, tol, lad, g, &rep)
 		}
+		report(rep)
 	}
 }
 
@@ -338,21 +286,21 @@ func Judge[T num.Real](v matrix.Strided[T], count int, scratch []float64, host b
 // system i of v on a gathered copy, writes the accepted solution (or
 // zeros) back into its rows, and fills in the report.
 func escalate[T num.Real](v matrix.Strided[T], i int,
-	tol float64, pol Policy, k int, g *cpu.StridedGTSV[T], rep *SystemReport) {
+	tol float64, lad Ladder, g *cpu.StridedGTSV[T], rep *SystemReport) {
 	g.Gather(v, i)
 	sys, xi := g.Sys, g.X
 	cur := rep.ResidualBefore
-	lastErr := error(nil)
+	var lastErr error
 
 	// Rung 1: iterative refinement against the cached non-pivoting
 	// factorization — only worth attempting when the starting point is
 	// finite (refinement cannot recover from Inf/NaN).
-	if rounds := pol.maxRefine(); rounds > 0 && finiteVec(xi) {
+	if lad.refine > 0 && finiteVec(xi) {
 		one := &matrix.Batch[T]{M: 1, N: v.N, Lower: sys.Lower, Diag: sys.Diag, Upper: sys.Upper, RHS: sys.RHS}
-		if f, err := core.FactorHybrid(one, k); err == nil {
+		if f, err := core.FactorHybrid(one, lad.k); err == nil {
 			r := make([]T, len(xi))
 			e := make([]T, len(xi))
-			for round := 0; round < rounds && cur > tol; round++ {
+			for round := 0; round < lad.refine && cur > tol; round++ {
 				ax := sys.Apply(xi)
 				for j := range r {
 					r[j] = sys.RHS[j] - ax[j]
@@ -383,32 +331,27 @@ func escalate[T num.Real](v matrix.Strided[T], i int,
 	}
 
 	// Rung 2: pivoting GTSV re-solve of this system only.
-	if !pol.DisablePivotFallback {
-		if err := g.Resolve(v, i); err != nil {
-			lastErr = err
-		} else if r := matrix.Residual(sys, xi); r <= tol {
-			rep.Stage = StagePivot
-			rep.ResidualAfter = r
-			if !pol.SkipConditionEstimate {
-				rep.CondEst = matrix.Cond1Est(sys, cpu.SolveGTSV[T])
-			}
-			return
-		} else if r < cur || !finite(cur) {
-			cur = r // keep the pivoted attempt's (better) residual for the report
+	if err := g.Resolve(v, i); err != nil {
+		lastErr = err
+	} else if r := matrix.Residual(sys, xi); r <= tol {
+		rep.Stage = StagePivot
+		rep.ResidualAfter = r
+		if lad.condEst {
+			rep.CondEst = matrix.Cond1Est(sys, cpu.SolveGTSV[T])
 		}
+		return
+	} else if r < cur || !num.IsFinite(cur) {
+		cur = r // keep the pivoted attempt's (better) residual for the report
 	}
 
 	// Rung 3: structured failure. The solution rows are zeroed so the
 	// merged X stays finite; the typed error carries the diagnosis.
 	rep.Stage = StageFailed
 	rep.ResidualAfter = cur
-	if !pol.SkipConditionEstimate {
+	if lad.condEst {
 		rep.CondEst = matrix.Cond1Est(sys, cpu.SolveGTSV[T])
 	}
 	rep.Err = &SolveError{System: i, Stage: StagePivot, Residual: cur, CondEst: rep.CondEst, Cause: lastErr}
-	if pol.DisablePivotFallback {
-		rep.Err.Stage = StageRefine
-	}
 	clear(xi)
 	g.Scatter(v, i)
 }
@@ -421,7 +364,5 @@ func finiteVec[T num.Real](x []T) bool {
 	}
 	return true
 }
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func inf() float64 { return math.Inf(1) }

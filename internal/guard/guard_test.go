@@ -202,66 +202,51 @@ func TestInjectionIsDeterministic(t *testing.T) {
 	}
 }
 
+// judgePool runs the pool's verdict over b's solution by the
+// non-pivoting fast path, corrupted by inj first.
+func judgePool(t *testing.T, b *matrix.Batch[float64], inj *Injection) []SystemReport {
+	t.Helper()
+	injectBatch(inj, b)
+	p, err := core.NewPipeline[float64](core.Config{Device: gpusim.GTX480()}, b.M, b.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	x := make([]float64, b.M*b.N)
+	if err := p.SolveIntoCtx(context.Background(), x, b); err != nil {
+		t.Fatal(err)
+	}
+	injectSolution(inj, x, b.M, b.N)
+	reps := make([]SystemReport, b.M)
+	Judge(b.Strided(x), b.M, nil, PoolLadder, false, func(rep SystemReport) { reps[rep.System] = rep })
+	return reps
+}
+
+// TestRefinementDisabledFallsThroughToPivot: the pool's ladder has no
+// refinement rung, so a finite but corrupted solution goes straight
+// to the pivot rescue.
 func TestRefinementDisabledFallsThroughToPivot(t *testing.T) {
-	pol := Policy{
-		MaxRefine: -1,
-		Inject:    &Injection{Seed: 4, Faults: []Fault{{System: 0, Kind: FaultCorruptSolution}}},
+	reps := judgePool(t, healthy(2, 64, 13), &Injection{Seed: 4, Faults: []Fault{{System: 0, Kind: FaultCorruptSolution}}})
+	if got := reps[0].Stage; got != StagePivot || reps[0].Err != nil {
+		t.Errorf("pool ladder: corrupted system used %s (err %v), want %s", got, reps[0].Err, StagePivot)
 	}
-	res, err := solve(t, healthy(2, 64, 13), pol)
-	if err != nil {
-		t.Fatal(err)
+	if reps[0].Refinements != 0 {
+		t.Error("refinement rounds ran on the pool ladder")
 	}
-	if got := res.Reports[0].Stage; got != StagePivot {
-		t.Errorf("with refinement disabled, corrupted system used %s, want %s", got, StagePivot)
-	}
-	if res.Reports[0].Refinements != 0 {
-		t.Error("refinement rounds ran despite MaxRefine < 0")
+	if reps[1].Stage != StageFast {
+		t.Errorf("healthy neighbour reported %s", reps[1].Stage)
 	}
 }
 
-func TestDisablePivotFallbackFailsTyped(t *testing.T) {
-	pol := Policy{
-		DisablePivotFallback: true,
-		Inject:               &Injection{Seed: 4, Faults: []Fault{{System: 1, Kind: FaultZeroDiagonal}}},
-	}
-	res, err := solve(t, healthy(3, 64, 17), pol)
-	if res == nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(err, ErrUnrecoverable) {
-		t.Errorf("pivot-disabled failure not ErrUnrecoverable: %v", err)
-	}
-	rep := res.Reports[1]
-	if rep.Stage != StageFailed || rep.Err == nil || rep.Err.Stage != StageRefine {
-		t.Errorf("report %+v, want StageFailed with last attempt StageRefine", rep)
-	}
-}
-
-func TestLooseToleranceAcceptsFastPath(t *testing.T) {
-	pol := Policy{
-		Tolerance: 1e6, // anything finite passes
-		Inject:    &Injection{Seed: 4, Faults: []Fault{{System: 0, Kind: FaultCorruptSolution}}},
-	}
-	res, err := solve(t, healthy(2, 64, 19), pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Reports[0].Stage; got != StageFast {
-		t.Errorf("loose tolerance still escalated to %s", got)
-	}
-}
-
+// TestSkipConditionEstimate: the pool's ladder rescues a vanishing
+// leading pivot without estimating the system's condition.
 func TestSkipConditionEstimate(t *testing.T) {
-	pol := Policy{
-		SkipConditionEstimate: true,
-		Inject:                &Injection{Seed: 2, Faults: []Fault{{System: 0, Kind: FaultZeroDiagonal}}},
+	reps := judgePool(t, healthy(2, 48, 23), &Injection{Seed: 2, Faults: []Fault{{System: 0, Kind: FaultZeroDiagonal}}})
+	if reps[0].Stage != StagePivot || reps[0].Err != nil {
+		t.Fatalf("zero leading pivot: %+v, want a pivot rescue", reps[0])
 	}
-	res, err := solve(t, healthy(2, 48, 23), pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reports[0].CondEst != 0 {
-		t.Errorf("condition estimated despite SkipConditionEstimate: %g", res.Reports[0].CondEst)
+	if reps[0].CondEst != 0 {
+		t.Errorf("condition estimated on the pool ladder: %g", reps[0].CondEst)
 	}
 }
 

@@ -75,8 +75,7 @@ func MaxResidual[T num.Real](b *Batch[T], x []T) float64 {
 // ResidualsPerSystem returns the Residual of every system of the batch
 // individually (length M, index = system). A non-finite solution entry
 // yields +Inf for that system only; healthy neighbours keep their small
-// residuals — the scan the guarded pipeline and verification diagnostics
-// classify systems with.
+// residuals — the scan verification diagnostics classify systems with.
 func ResidualsPerSystem[T num.Real](b *Batch[T], x []T) []float64 {
 	res := make([]float64, b.M)
 	ResidualsPerSystemInto(res, b, x)
@@ -84,8 +83,8 @@ func ResidualsPerSystem[T num.Real](b *Batch[T], x []T) []float64 {
 }
 
 // ResidualsPerSystemInto is ResidualsPerSystem into a caller-owned
-// slice of length M; the reusable guarded runner calls it every solve
-// with a buffer from its arena.
+// slice of length M; a verifying Solver calls it every solve with a
+// buffer from its arena.
 func ResidualsPerSystemInto[T num.Real](dst []float64, b *Batch[T], x []T) {
 	if len(x) != b.M*b.N {
 		panic("matrix: ResidualsPerSystem dimension mismatch")

@@ -243,9 +243,9 @@ func (p *Pool[T]) Solve(ctx context.Context, b *Batch[T]) (*PoolResult[T], error
 	// Verdict failures never reach the breaker: they indicate sick
 	// input systems, not a sick device.
 	var errs []error
-	guard.Judge(b.Strided(res.X), b.M, nil, !device, func(_ int, err error) {
-		if err != nil {
-			errs = append(errs, err)
+	guard.Judge(b.Strided(res.X), b.M, nil, guard.PoolLadder, !device, func(rep guard.SystemReport) {
+		if rep.Err != nil {
+			errs = append(errs, rep.Err)
 		}
 	})
 	if errs != nil {
