@@ -35,7 +35,7 @@ func (p *Pool[T]) SolveMegabatch(ctx context.Context, mb *Megabatch[T]) error {
 		return err
 	}
 	// Verdict failures never reach the breaker (see Solve).
-	guard.Judge(mb.V.Strided(mb.Xi), mb.Count, mb.Scratch, guard.PoolLadder, !device, func(rep guard.SystemReport) {
+	guard.Judge(mb.V.Strided(mb.Xi), mb.Count, mb.Scratch, !device, func(rep guard.SystemReport) {
 		v := batcher.Verdict{Rescued: device && rep.Stage == guard.StagePivot}
 		if rep.Err != nil {
 			v.Err = rep.Err

@@ -31,7 +31,10 @@
 //
 //	POST /solve         {"m","n","lower","diag","upper","rhs","timeout_ms"}
 //	                    -> 200 {"x","route","wait_ns","wall_ns","device",
-//	                       "attempts"}
+//	                       "attempts","rescued"}; "rescued", on every
+//	                       route, counts the systems the verdict
+//	                       re-solved on the host pivoting path (absent
+//	                       when 0)
 //	                    -> 400 invalid input, 413 body over 64 MiB, 422
 //	                       "unsolvable" (a system the verdict could not
 //	                       solve within tolerance, even on the host
@@ -81,9 +84,9 @@
 // are coalesced into interleaved megabatches of up to N systems and
 // solved through one pooled megabatch solver lease on the least-loaded
 // device, flushing on a size watermark or after -batchwait. Responses
-// carry "flush_size" and "rescued"; per-system guard failures in a
-// shared megabatch fail only the requests that submitted them, and a
-// full coalescing queue sheds with 503 like any other overload. /fleet
+// carry "flush_size"; per-system guard failures in a shared megabatch
+// fail only the requests that submitted them, and a full coalescing
+// queue sheds with 503 like any other overload. /fleet
 // then includes a "batcher" section with queue depths and flush-cause
 // counters.
 //

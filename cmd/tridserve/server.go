@@ -55,10 +55,10 @@ type solveResponse struct {
 	Route  string    `json:"route"`
 	WaitNS int64     `json:"wait_ns"`
 	WallNS int64     `json:"wall_ns"`
-	// FlushSize and Rescued appear only on coalesced responses
-	// (-batch): the total system count of the megabatch this request
-	// rode in, and how many of its own systems needed the host rescue
-	// path.
+	// FlushSize appears only on coalesced responses (-batch): the
+	// total system count of the megabatch this request rode in.
+	// Rescued, on every route, counts the request's systems the verdict
+	// re-solved on the host pivoting path (absent when none was).
 	FlushSize int `json:"flush_size,omitempty"`
 	Rescued   int `json:"rescued,omitempty"`
 	// Device is the id of the device that served the request (-1 on
@@ -190,6 +190,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			X:              res.X,
 			Route:          "distributed",
 			WallNS:         int64(res.Report.ModeledPipelined),
+			Rescued:        res.Rescued,
 			Device:         -1,
 			Attempts:       1,
 			DistDevices:    res.Live,
@@ -234,6 +235,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Route:    res.Route.String(),
 		WaitNS:   int64(res.Wait),
 		WallNS:   int64(res.WallTime),
+		Rescued:  res.Rescued,
 		Device:   res.Device,
 		Attempts: res.Attempts,
 	})

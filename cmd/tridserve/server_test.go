@@ -413,8 +413,9 @@ func TestBodyTooLarge(t *testing.T) {
 // routes judge each system with the one pool verdict. A nonsingular
 // system whose leading pivot vanishes (the non-pivoting fast path and
 // slab elimination divide by it) is rescued on the host pivoting path
-// and answers 200 with the same bits on every route; an all-zero
-// matrix with a non-zero right-hand side answers a typed 422 on each.
+// and answers 200 with the same bits and "rescued":1 on every route;
+// an all-zero matrix with a non-zero right-hand side answers a typed
+// 422 on each.
 func TestVerdictSameOnEveryRoute(t *testing.T) {
 	const (
 		rescuable = `{"m":1,"n":4,"lower":[0,1,1,1],"diag":[0,2,2,2],"upper":[1,1,1,0],"rhs":[1,1,1,1]}`
@@ -431,8 +432,8 @@ func TestVerdictSameOnEveryRoute(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &sr); code != http.StatusOK || err != nil || sr.Route != route.name {
 			t.Fatalf("%s route, rescuable system: %d %q (%v), want 200 on route %s", route.name, code, body, err, route.name)
 		}
-		if len(sr.X) != 4 {
-			t.Fatalf("%s route: |x| = %d, want 4", route.name, len(sr.X))
+		if len(sr.X) != 4 || sr.Rescued != 1 {
+			t.Fatalf("%s route: |x| = %d, rescued = %d; want 4 and 1", route.name, len(sr.X), sr.Rescued)
 		}
 		xs[k] = sr.X
 		code, body = post(t, route.base+"/solve", singular)

@@ -10,9 +10,9 @@
 //	tridsolve -algo reference -m 4 -k 6      # the hybrid on host twins alone
 //
 // The -guard flag routes the solve through the guarded pipeline
-// (per-system fault isolation with refinement/pivoting escalation) and
-// prints a per-system diagnosis of every escalated system; -inject
-// deterministically corrupts chosen systems to demonstrate the ladder:
+// (per-system fault isolation with a pivoting rescue) and prints a
+// per-system diagnosis of every rescued or failed system; -inject
+// deterministically corrupts chosen systems to demonstrate the rescue:
 //
 //	tridsolve -guard -m 64 -n 1024 -inject 7:zero-diag,23:singular
 //
@@ -60,7 +60,7 @@ func main() {
 		fuse   = flag.Bool("fuse", false, "run the §III.C fused kernel (hybrid; a one-shot ablation)")
 		cond   = flag.Bool("cond", false, "estimate the condition number of system 0")
 		quiet  = flag.Bool("q", false, "print only the summary line")
-		guard  = flag.Bool("guard", false, "guarded solve: per-system fault isolation with refinement/pivoting escalation")
+		guard  = flag.Bool("guard", false, "guarded solve: per-system fault isolation with a pivoting rescue")
 		inject = flag.String("inject", "", "guarded fault injection, e.g. 3:zero-diag,7:singular (kinds: corrupt|zero-diag|singular|nan)")
 		chaos  = flag.Float64("chaos", 0, "transient device-fault rate per kernel block (hybrid/guard; seeded by -seed)")
 	)
@@ -272,9 +272,9 @@ func solveGuarded(b *matrix.Batch[float64], k int, inject, out string, chaos flo
 	if len(res.Failed) > 0 {
 		status = "DEGRADED"
 	}
-	fmt.Printf("%s: algo=guarded M=%d N=%d fast=%d refined=%d pivoted=%d failed=%d k=%d wall=%v\n",
-		status, b.M, b.N, st[gputrid.StageFast], st[gputrid.StageRefine],
-		st[gputrid.StagePivot], st[gputrid.StageFailed], res.K, wall.Round(time.Microsecond))
+	fmt.Printf("%s: algo=guarded M=%d N=%d fast=%d pivoted=%d failed=%d k=%d wall=%v\n",
+		status, b.M, b.N, st[gputrid.StageFast], st[gputrid.StagePivot],
+		st[gputrid.StageFailed], res.K, wall.Round(time.Microsecond))
 	if chaos > 0 {
 		fmt.Printf("  chaos: rate=%g %s\n", chaos, faultSummary(res.Faults))
 	}
@@ -284,9 +284,6 @@ func solveGuarded(b *matrix.Batch[float64], k int, inject, out string, chaos flo
 		}
 		line := fmt.Sprintf("  system %d: stage=%s residual %.3e -> %.3e",
 			rep.System, rep.Stage, rep.ResidualBefore, rep.ResidualAfter)
-		if rep.Refinements > 0 {
-			line += fmt.Sprintf(" refinements=%d", rep.Refinements)
-		}
 		if rep.CondEst > 0 {
 			line += fmt.Sprintf(" cond1~%.1e", rep.CondEst)
 		}

@@ -21,9 +21,15 @@ func ExampleSolve() {
 		s.Diag[i] = 4
 		s.RHS[i] = 2
 	}
-	res, err := gputrid.Solve(s, gputrid.WithVerification())
+	res, err := gputrid.Solve(s)
 	if err != nil {
 		panic(err)
+	}
+	// The fast path never pivots, so check the answer's residual.
+	b := gputrid.NewBatch[float64](1, n)
+	b.SetSystem(0, s)
+	if r := gputrid.Residual(b, res.X); !(r <= 1e-13) {
+		panic(fmt.Sprintf("residual %.3e", r))
 	}
 	fmt.Printf("%.4f %.4f %.4f\n", res.X[0], res.X[1], res.X[2])
 	// Output: 0.7320 0.9281 0.9804

@@ -67,9 +67,12 @@ func main() {
 		}
 	}
 
-	res, err := gputrid.SolveBatch(b, gputrid.WithVerification())
+	res, err := gputrid.SolveBatch(b)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if r := gputrid.Residual(b, res.X); !(r <= 1e-12) {
+		log.Fatalf("spline example FAILED: residual %.3e", r)
 	}
 
 	// Evaluate each spline at midpoints between knots and compare with

@@ -29,7 +29,6 @@ package gputrid
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"gputrid/internal/core"
@@ -86,7 +85,6 @@ type config struct {
 	k       int
 	c       int
 	blocks  int
-	verify  bool
 	workers int
 	guard   *GuardPolicy
 	retry   RetryPolicy
@@ -123,12 +121,6 @@ func WithSubTileScale(scale int) Option { return func(c *config) { c.c = scale }
 // (paper Fig. 11(b)); useful for small batches of very large systems.
 func WithBlocksPerSystem(g int) Option { return func(c *config) { c.blocks = g } }
 
-// WithVerification checks the relative residual of every solution and
-// fails the solve if it exceeds the size-scaled tolerance; the error
-// names the offending systems. Off by default (it costs an extra O(MN)
-// host pass). For recovery instead of rejection, use SolveGuarded.
-func WithVerification() Option { return func(c *config) { c.verify = true } }
-
 // WithWorkers bounds the worker pool a Solver or one-shot solve shards
 // its host-twin solves across; 0 (the default) means GOMAXPROCS. Every
 // solve runs its twins on the pool; only the recording that a
@@ -137,7 +129,7 @@ func WithVerification() Option { return func(c *config) { c.verify = true } }
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithGuard sets SolveGuarded's fault-injection hook (GuardPolicy's
-// one field). The ladder itself is fixed. Ignored by the unguarded
+// one field). The verdict itself is fixed. Ignored by the unguarded
 // Solve/SolveBatch entry points.
 func WithGuard(p GuardPolicy) Option { return func(c *config) { c.guard = &p } }
 
@@ -256,53 +248,6 @@ func SolveBatchCtx[T Real](ctx context.Context, b *Batch[T], opts ...Option) (*R
 	}
 	res := resultOf(x, s.pipe.Report(), s.c.device, s.LastSolveTime())
 	return &res, nil
-}
-
-// verifyBatchInto checks every system's residual against the
-// size-scaled tolerance, computing the residuals into a caller-owned
-// scratch slice of length M, and on failure names the offending
-// systems — so one bad system out of M is reported as such instead of
-// as an anonymous batch maximum. It allocates only when building the
-// failure message.
-func verifyBatchInto[T Real](b *Batch[T], x []T, rs []float64) error {
-	matrix.ResidualsPerSystemInto(rs, b, x)
-	return residualFailure(rs, b.M, matrix.ResidualTolerance[T](b.N))
-}
-
-// verifyInterleavedInto is verifyBatchInto for interleaved data: rs
-// must have length M and scratch at least 3M (the interleaved scan's
-// per-system partials).
-func verifyInterleavedInto[T Real](v *Interleaved[T], xi []T, rs, scratch []float64) error {
-	matrix.ResidualsPerSystemInterleavedInto(rs, scratch, v, xi, v.M)
-	return residualFailure(rs, v.M, matrix.ResidualTolerance[T](v.N))
-}
-
-// residualFailure turns a per-system residual scan into nil or an
-// error naming the offending systems.
-func residualFailure(rs []float64, m int, tol float64) error {
-	var bad []int
-	for i, r := range rs[:m] {
-		if !(r <= tol) {
-			bad = append(bad, i)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	const maxListed = 8
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "gputrid: verification failed: %d of %d systems exceed tolerance %.1e:", len(bad), m, tol)
-	for j, i := range bad {
-		if j == maxListed {
-			fmt.Fprintf(&sb, " ... and %d more", len(bad)-maxListed)
-			break
-		}
-		if j > 0 {
-			sb.WriteString(",")
-		}
-		fmt.Fprintf(&sb, " system %d (residual %.3e)", i, rs[i])
-	}
-	return fmt.Errorf("%s", sb.String())
 }
 
 // Solve solves a single tridiagonal system.
@@ -429,18 +374,17 @@ func SolveCPUPivoting[T Real](b *Batch[T]) ([]T, error) {
 }
 
 // GuardPolicy carries SolveGuarded's fault-injection hook; the zero
-// value is production. The ladder is not tunable: two refinement
-// rounds, the pivoting rescue and a condition estimate for every
-// rescued or failed system, at the size-scaled residual tolerance.
+// value is production. The verdict is not tunable: the pivoting
+// rescue at the size-scaled residual tolerance, and a condition
+// estimate for every failed system.
 type GuardPolicy = guard.Policy
 
-// GuardStage names the rung that produced a system's final answer.
+// GuardStage names the step that produced a system's final answer.
 type GuardStage = guard.Stage
 
-// The escalation rungs, in order of application.
+// The verdict's steps, in order of application.
 const (
 	StageFast   = guard.StageFast   // hybrid fast path, unmodified
-	StageRefine = guard.StageRefine // repaired by iterative refinement
 	StagePivot  = guard.StagePivot  // rescued by the pivoting GTSV path
 	StageFailed = guard.StageFailed // unrecoverable; carries a SolveError
 )
@@ -455,16 +399,16 @@ type SolveError = guard.SolveError
 
 // GuardFault and GuardInjection form the deterministic fault-injection
 // hook: chosen systems are corrupted at seeded rows before or after the
-// fast solve, driving specific rungs of the ladder — for chaos tests
-// and demos, never enabled by default.
+// fast solve, driving specific stages of the verdict — for chaos
+// tests and demos, never enabled by default.
 type (
 	GuardFault     = guard.Fault
 	GuardInjection = guard.Injection
 )
 
-// The injectable fault kinds and the rung each one lands on.
+// The injectable fault kinds and the stage each one lands on.
 const (
-	FaultCorruptSolution = guard.FaultCorruptSolution // -> StageRefine
+	FaultCorruptSolution = guard.FaultCorruptSolution // -> StagePivot
 	FaultZeroDiagonal    = guard.FaultZeroDiagonal    // -> StagePivot
 	FaultSingularMatrix  = guard.FaultSingularMatrix  // -> StageFailed
 	FaultNaNCoefficient  = guard.FaultNaNCoefficient  // -> StageFailed (garbage-in)
@@ -517,7 +461,7 @@ var (
 )
 
 // ErrUnrecoverable matches (via errors.Is) every per-system SolveError:
-// the escalation ladder ran out of rungs for that system.
+// not even the pivoting re-solve could solve that system.
 var ErrUnrecoverable = guard.ErrUnrecoverable
 
 // ErrNonFiniteInput matches SolveErrors for systems whose coefficients
@@ -530,7 +474,7 @@ var ErrNonFiniteInput = guard.ErrNonFiniteInput
 type GuardedResult[T Real] struct {
 	*Result[T]
 	// Reports has one entry per system in batch order: the stage used,
-	// residual before/after, refinement rounds, condition estimate.
+	// residual before/after, and a failed system's condition estimate.
 	Reports []SystemReport
 	// Failed lists the unrecoverable systems (empty on full success);
 	// the same errors are joined into SolveGuarded's returned error.
@@ -548,17 +492,19 @@ func (r *GuardedResult[T]) Stages() map[GuardStage]int {
 
 // SolveGuarded solves the batch with per-system fault isolation: the
 // hybrid fast path handles the bulk, every system's residual is then
-// checked individually, and only failing systems escalate through
-// iterative refinement, a pivoting GTSV re-solve, and finally a typed
-// SolveError — one degenerate system never poisons the other M-1.
+// checked individually, and only failing systems are re-solved with
+// the pivoting GTSV algorithm, or failing that get a typed SolveError
+// — one degenerate system never poisons the other M-1.
 //
 // The returned X is always fully finite (unrecoverable systems are
 // zeroed and diagnosed instead of emitting Inf/NaN). The error is nil
 // when every system passed tolerance, possibly after rescue; otherwise
 // it joins the per-system SolveErrors while the result still carries
 // the healthy solutions — check Failed (or errors.As) rather than
-// discarding the result. Configure the ladder with WithGuard; the other
-// options (WithK, WithDevice, ...) apply to the fast path as usual.
+// discarding the result. SolveGuarded is the checked solve: a plain
+// Solve/SolveBatch does not look at its residuals. WithGuard sets the
+// fault-injection hook; the other options (WithK, WithDevice, ...)
+// apply to the fast path as usual.
 func SolveGuarded[T Real](b *Batch[T], opts ...Option) (*GuardedResult[T], error) {
 	s, err := NewSolver[T](b.M, b.N, opts...)
 	if err != nil {
@@ -570,9 +516,10 @@ func SolveGuarded[T Real](b *Batch[T], opts ...Option) (*GuardedResult[T], error
 
 // ConditionEstBatch estimates the 1-norm condition number of the
 // selected systems of a batch (result[j] for systems[j]); see
-// ConditionEst. The guard's report uses it lazily — estimation costs a
-// few pivoted solves per system, so callers should pass only the
-// systems they care about (e.g. the ones that needed rescue).
+// ConditionEst. Estimation costs a few pivoted solves per system, so
+// callers should pass only the systems they care about, e.g. the ones
+// a guarded solve reports as StagePivot (the guard estimates only the
+// systems that failed).
 func ConditionEstBatch[T Real](b *Batch[T], systems []int) []float64 {
 	return matrix.Cond1EstBatch(b, systems, cpu.SolveGTSV[T])
 }

@@ -9,9 +9,21 @@ import (
 	"gputrid/internal/workload"
 )
 
+// checkResidual fails t unless every system of b is solved by x to
+// within the size-scaled residual tolerance (a NaN residual fails).
+func checkResidual[T Real](t *testing.T, b *Batch[T], x []T) {
+	t.Helper()
+	tol := matrix.ResidualTolerance[T](b.N)
+	for i := 0; i < b.M; i++ {
+		if r := matrix.Residual(b.System(i), x[i*b.N:(i+1)*b.N]); !(r <= tol) {
+			t.Fatalf("system %d residual %.3e exceeds tolerance %.3e", i, r, tol)
+		}
+	}
+}
+
 func TestSolveSingleSystem(t *testing.T) {
 	s := workload.System[float64](workload.DiagDominant, 500, 1)
-	res, err := Solve(s, WithVerification())
+	res, err := Solve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,24 +135,26 @@ func TestValidationRejectsBadInput(t *testing.T) {
 
 func TestVerificationCatchesGarbage(t *testing.T) {
 	// A non-dominant system with a zero pivot path produces NaNs in the
-	// non-pivoting solver; WithVerification must catch it.
+	// non-pivoting solver; the residual check must catch it.
 	b := NewBatch[float64](1, 8)
 	for i := 0; i < 8; i++ {
 		b.Diag[i] = 0.0 // singular
 		b.RHS[i] = 1
 	}
 	// Make it structurally valid (finite) but singular.
-	if _, err := SolveBatch(b, WithVerification()); err == nil {
-		t.Error("singular system passed verification")
+	res, err := SolveBatch(b)
+	if err == nil && Residual(b, res.X) <= matrix.ResidualTolerance[float64](b.N) {
+		t.Error("singular system passed the residual check")
 	}
 }
 
 func TestFloat32API(t *testing.T) {
 	b := workload.Batch[float32](workload.DiagDominant, 4, 128, 7)
-	res, err := SolveBatch(b, WithVerification())
+	res, err := SolveBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkResidual(t, b, res.X)
 	if res.ModeledTime <= 0 {
 		t.Error("modeled time missing")
 	}

@@ -1,12 +1,14 @@
 package gputrid
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"gputrid/internal/matrix"
+	"gputrid/internal/num"
 	"gputrid/internal/workload"
 )
 
@@ -14,8 +16,7 @@ import (
 // guarded pipeline: a batch of 64 systems with 3 degenerate ones must
 // yield finite, tolerance-passing solutions for the 61 healthy systems,
 // rescued solutions or typed SolveErrors for the bad ones, and a
-// per-system report naming the stage used — where the seed's
-// all-or-nothing WithVerification rejects the entire batch.
+// per-system report naming the stage used.
 func TestGuardedIsolatesBadSystems(t *testing.T) {
 	const m, n = 64, 128
 	b := workload.Batch[float64](workload.DiagDominant, m, n, 99)
@@ -31,12 +32,6 @@ func TestGuardedIsolatesBadSystems(t *testing.T) {
 		b.Diag[singular*n+j] = 0
 		b.Upper[singular*n+j] = 0
 		b.RHS[singular*n+j] = 1
-	}
-
-	// Seed behavior: the whole batch is rejected, healthy solutions and
-	// all — this is the contract the guard replaces.
-	if _, err := SolveBatch(b, WithVerification()); err == nil {
-		t.Fatal("seed all-or-nothing verification unexpectedly accepted the corrupted batch")
 	}
 
 	res, err := SolveGuarded(b)
@@ -128,7 +123,7 @@ func TestGuardedHealthyBatchMatchesUnguarded(t *testing.T) {
 }
 
 // TestGuardedWithGuardPolicy: WithGuard threads the policy through the
-// public API (here: deterministic injection driving the refine rung).
+// public API (here: deterministic injection driving the pivot rescue).
 func TestGuardedWithGuardPolicy(t *testing.T) {
 	b := workload.Batch[float64](workload.DiagDominant, 8, 96, 12)
 	res, err := SolveGuarded(b, WithGuard(GuardPolicy{
@@ -137,30 +132,45 @@ func TestGuardedWithGuardPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Reports[2].Stage; got != StageRefine {
-		t.Errorf("injected system recovered via %s, want %s", got, StageRefine)
+	if got := res.Reports[2].Stage; got != StagePivot {
+		t.Errorf("injected system recovered via %s, want %s", got, StagePivot)
 	}
-	if res.Reports[2].Refinements == 0 {
-		t.Error("no refinement rounds reported")
+	if res.Reports[2].CondEst != 0 {
+		t.Errorf("rescued system has a condition estimate %g, want none", res.Reports[2].CondEst)
 	}
 }
 
-// TestVerificationNamesBadSystems: the WithVerification error now names
-// which systems exceeded tolerance instead of only the batch max.
-func TestVerificationNamesBadSystems(t *testing.T) {
-	const m, n = 8, 32
-	b := workload.Batch[float64](workload.DiagDominant, m, n, 44)
-	b.Diag[3*n] = 0 // fast path emits non-finite for system 3 only
-	_, err := SolveBatch(b, WithVerification())
-	if err == nil {
-		t.Fatal("verification passed a poisoned batch")
+// TestGuardedRescueMatchesPool: SolveGuarded and the serving pool
+// rescue an over-tolerance system the same way, so one batch gets the
+// same bits from both. System 2's diagonal is random in [-1, 1), which
+// the non-pivoting fast path solves finitely but inaccurately.
+func TestGuardedRescueMatchesPool(t *testing.T) {
+	const m, n = 8, 96
+	b := workload.Batch[float64](workload.DiagDominant, m, n, 187)
+	rng := num.NewRNG(187)
+	for j := 0; j < n; j++ {
+		b.Diag[2*n+j] = rng.Range(-1, 1)
 	}
-	msg := err.Error()
-	if !strings.Contains(msg, "system 3") {
-		t.Errorf("verification error does not name the failing system: %q", msg)
+	guarded, err := SolveGuarded(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(msg, "1 of 8") {
-		t.Errorf("verification error does not count failing systems: %q", msg)
+	if got := guarded.Reports[2].Stage; got != StagePivot {
+		t.Fatalf("system 2 stage %s, want %s (report %+v)", got, StagePivot, guarded.Reports[2])
+	}
+	p := NewPool[float64](PoolConfig{Capacity: 1})
+	defer p.Close(context.Background())
+	pooled, err := p.Solve(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pooled.Rescued != 1 {
+		t.Errorf("pool rescued %d systems, want 1", pooled.Rescued)
+	}
+	for i := range guarded.X {
+		if guarded.X[i] != pooled.X[i] {
+			t.Fatalf("X[%d]: guarded %v, pool %v; want the same bits", i, guarded.X[i], pooled.X[i])
+		}
 	}
 }
 

@@ -52,10 +52,11 @@ func TestIntegrationHeatStepping(t *testing.T) {
 				b.RHS[base+j] = u[m][j]
 			}
 		}
-		res, err := SolveBatch(b, WithVerification())
+		res, err := SolveBatch(b)
 		if err != nil {
 			t.Fatalf("step %d: %v", s, err)
 		}
+		checkResidual(t, b, res.X)
 		for m := 0; m < rods; m++ {
 			copy(u[m], res.X[m*n:(m+1)*n])
 		}
@@ -89,10 +90,11 @@ func TestIntegrationSplineInterpolation(t *testing.T) {
 		}
 		b.RHS[j] = 6 * (y[j] - 2*y[j+1] + y[j+2]) / (h * h)
 	}
-	res, err := SolveBatch(b, WithVerification())
+	res, err := SolveBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkResidual(t, b, res.X)
 	msec := make([]float64, knots)
 	copy(msec[1:knots-1], res.X)
 	var worst float64
@@ -270,10 +272,11 @@ func TestIntegrationAllSolversAgree(t *testing.T) {
 // single precision.
 func TestIntegrationFloat32EndToEnd(t *testing.T) {
 	b := workload.Batch[float32](workload.Heat, 32, 512, 4)
-	res, err := SolveBatch(b, WithVerification())
+	res, err := SolveBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkResidual(t, b, res.X)
 	if res.K != 6 {
 		t.Errorf("k = %d, want 6 for M=32", res.K)
 	}

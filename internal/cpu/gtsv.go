@@ -114,10 +114,10 @@ func SolveGTSVInto[T num.Real](s *matrix.System[T], x []T, w *GTSVWorkspace[T]) 
 }
 
 // StridedGTSV is the one host re-solve of single systems inside a batch
-// of either layout (a matrix.Strided view), for the guard's ladder, the
-// serving pool's verdict and the pipeline's degraded re-solve. Sys and
-// X hold the system last gathered and its solution rows; with its
-// workspace they are reused, so re-solves do not allocate.
+// of either layout (a matrix.Strided view), for the guard's verdict
+// and the pipeline's degraded re-solve. Sys and X hold the system last
+// gathered and its solution rows; with its workspace they are reused,
+// so re-solves do not allocate.
 type StridedGTSV[T num.Real] struct {
 	Sys *matrix.System[T]
 	X   []T

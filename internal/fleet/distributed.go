@@ -26,6 +26,9 @@ type DistResult struct {
 	// across — the servable devices at admission time. Devices that
 	// died mid-solve are still listed here; Report.Deaths says which.
 	Live []int
+	// Rescued counts the systems the verdict re-solved on the host
+	// pivoting path after the solve reported a non-finite answer.
+	Rescued int
 }
 
 // distPlane is the fleet's simulated multi-device fabric and the
@@ -103,11 +106,14 @@ func (f *Fleet) SolveDistributed(ctx context.Context, b *gputrid.Batch[float64])
 	// links leave no driver event, only statistical residue in these
 	// reports.
 	f.observeGray(rep)
+	rescued := 0
 	if rep.NonFinite {
 		var errs []error
-		guard.Judge(b.Strided(dst), b.M, nil, guard.PoolLadder, false, func(r guard.SystemReport) {
+		guard.Judge(b.Strided(dst), b.M, nil, false, func(r guard.SystemReport) {
 			if r.Err != nil {
 				errs = append(errs, r.Err)
+			} else if r.Stage == guard.StagePivot {
+				rescued++
 			}
 		})
 		if errs != nil {
@@ -116,7 +122,7 @@ func (f *Fleet) SolveDistributed(ctx context.Context, b *gputrid.Batch[float64])
 		}
 	}
 	f.served.Add(1)
-	return &DistResult{X: dst, Report: *rep, Live: live}, nil
+	return &DistResult{X: dst, Report: *rep, Live: live, Rescued: rescued}, nil
 }
 
 // admitDistributed snapshots the servable device set and charges the

@@ -174,6 +174,9 @@ func TestDistributedVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pool route, rescuable batch: %v", err)
 	}
+	if res.Rescued != 1 || pool.Rescued != 1 {
+		t.Errorf("rescued: distributed %d, pool %d; want 1 on both", res.Rescued, pool.Rescued)
+	}
 	for i := range pool.X {
 		if res.X[i] != pool.X[i] {
 			t.Fatalf("x[%d]: distributed %v, pool %v; want the same rescued bits", i, res.X[i], pool.X[i])
@@ -203,8 +206,8 @@ func TestDistributedVerdict(t *testing.T) {
 	}
 
 	healthy := workload.Batch[float64](workload.DiagDominant, 2, 129, 6)
-	if res, err := f.SolveDistributed(ctx, healthy); err != nil || res.Report.NonFinite {
-		t.Fatalf("healthy batch: err %v, NonFinite %v", err, res != nil && res.Report.NonFinite)
+	if res, err := f.SolveDistributed(ctx, healthy); err != nil || res.Report.NonFinite || res.Rescued != 0 {
+		t.Fatalf("healthy batch: err %v, result %+v", err, res)
 	}
 }
 

@@ -365,6 +365,22 @@ func Decode(data []byte) (*Scenario, error) {
 	return sc, sc.validate()
 }
 
+// Upper bounds on what a scenario file may ask the runner for. A file
+// is untrusted input (tridserve -scenario), and each knob sizes real
+// work: a goroutine per request, Variants reference solves of the
+// serving shape, a distributed solve per Count, Capacity solvers per
+// device. The canned scenarios peak at 40 requests per tick, 8×64,
+// 4 variants, 4×4097 distributed, 4 solves, capacity 2 and queue 128.
+const (
+	maxRequestsPerTick = 1000
+	maxShapeElems      = 1 << 16 // serving shape M·N
+	maxVariants        = 16
+	maxDistElems       = 1 << 18 // distributed shape M·N
+	maxDistCount       = 100
+	maxCapacity        = 16
+	maxQueue           = 4096
+)
+
 func (sc *Scenario) validate() error {
 	switch {
 	case sc.Tick <= 0 || sc.Duration <= 0:
@@ -373,12 +389,36 @@ func (sc *Scenario) validate() error {
 		return fmt.Errorf("scenario: %v/%v is over 100000 ticks", sc.Duration, sc.Tick)
 	case sc.M < 1 || sc.N < 2:
 		return fmt.Errorf("scenario: bad shape %dx%d", sc.M, sc.N)
+	case sc.M > maxShapeElems || sc.N > maxShapeElems || sc.M*sc.N > maxShapeElems:
+		return fmt.Errorf("scenario: shape %dx%d is over %d elements", sc.M, sc.N, maxShapeElems)
 	case sc.Devices < 1 || sc.Devices > 64:
 		return fmt.Errorf("scenario: devices = %d, want 1..64", sc.Devices)
-	case sc.Variants < 1:
-		return fmt.Errorf("scenario: variants must be ≥ 1")
+	case sc.Variants < 1 || sc.Variants > maxVariants:
+		return fmt.Errorf("scenario: variants = %d, want 1..%d", sc.Variants, maxVariants)
+	case sc.Capacity < 0 || sc.Capacity > maxCapacity:
+		return fmt.Errorf("scenario: pool capacity = %d, want 0..%d", sc.Capacity, maxCapacity)
+	case sc.Queue > maxQueue:
+		return fmt.Errorf("scenario: pool queue = %d, over %d", sc.Queue, maxQueue)
 	case len(sc.Load) == 0:
 		return fmt.Errorf("scenario: no load phases")
+	}
+	// The heaviest tick starts at some phase's From: sum the rates of
+	// the phases active there.
+	for _, ph := range sc.Load {
+		if !(ph.RPS >= 0) {
+			return fmt.Errorf("scenario: load rps %v must be a non-negative number", ph.RPS)
+		}
+	}
+	for _, at := range sc.Load {
+		var rps float64
+		for _, ph := range sc.Load {
+			if ph.From <= at.From && at.From < ph.To {
+				rps += ph.RPS
+			}
+		}
+		if perTick := rps * sc.Tick.Seconds(); !(perTick <= maxRequestsPerTick) {
+			return fmt.Errorf("scenario: load at %v offers %g requests per tick, over %d", at.From, perTick, maxRequestsPerTick)
+		}
 	}
 	for _, ev := range sc.Events {
 		if ev.Device < 0 || ev.Device >= sc.Devices {
@@ -393,6 +433,12 @@ func (sc *Scenario) validate() error {
 	if ds := sc.Distributed; ds != nil {
 		if ds.M < 1 || ds.N < 2*sc.Devices-1 {
 			return fmt.Errorf("scenario: distributed shape %dx%d too small for %d slabs", ds.M, ds.N, sc.Devices)
+		}
+		if ds.M > maxDistElems || ds.N > maxDistElems || ds.M*ds.N > maxDistElems {
+			return fmt.Errorf("scenario: distributed shape %dx%d is over %d elements", ds.M, ds.N, maxDistElems)
+		}
+		if ds.Count > maxDistCount {
+			return fmt.Errorf("scenario: distributed count = %d, over %d", ds.Count, maxDistCount)
 		}
 		if ds.At < 0 || ds.At >= sc.Duration {
 			return fmt.Errorf("scenario: distributed.at %v outside the run", ds.At)
@@ -425,13 +471,13 @@ func (sc *Scenario) validate() error {
 		if g.Straggler >= sc.Devices {
 			return fmt.Errorf("scenario: gray straggler device %d out of range", g.Straggler)
 		}
-		if g.Straggler >= 0 && g.StragglerFactor <= 1 {
+		if g.Straggler >= 0 && !(g.StragglerFactor > 1) {
 			return fmt.Errorf("scenario: gray straggler factor %g must be > 1", g.StragglerFactor)
 		}
 		if g.Flaky >= sc.Devices {
 			return fmt.Errorf("scenario: gray flaky device %d out of range", g.Flaky)
 		}
-		if g.Flaky >= 0 && (g.FlakyRate <= 0 || g.FlakyRate >= 1) {
+		if g.Flaky >= 0 && !(g.FlakyRate > 0 && g.FlakyRate < 1) {
 			return fmt.Errorf("scenario: gray flaky rate %g must be in (0, 1)", g.FlakyRate)
 		}
 	}

@@ -139,6 +139,21 @@ func TestDecodeStrictness(t *testing.T) {
 		{"no load", "name: x", "no load phases"},
 		{"event device range", "load:\n  - {rps: 1}\nevents:\n  - {at: 1s, device: 9, kind: xid}", "out of range"},
 		{"too many devices", "devices:\n  count: 65\nload:\n  - {rps: 1}", "1..64"},
+		// Every knob that sizes the run is bounded: a scenario file is
+		// untrusted input. Rejected by Decode, before anything runs.
+		{"requests per tick", "tick: 1s\nload:\n  - {rps: 1001}", "requests per tick"},
+		{"overlapping phases add", "tick: 1s\nload:\n  - {rps: 600}\n  - {from: 2s, to: 4s, rps: 600}", "over 1000"},
+		{"non-finite rps", "load:\n  - {rps: NaN}", "non-negative number"},
+		{"negative rps", "load:\n  - {rps: -1}", "non-negative number"},
+		{"shape elements", "shape: {m: 256, n: 257}\nload:\n  - {rps: 1}", "over 65536 elements"},
+		{"shape overflow", "shape: {m: 4611686018427387904, n: 4}\nload:\n  - {rps: 1}", "over 65536 elements"},
+		{"variants", "variants: 17\nload:\n  - {rps: 1}", "1..16"},
+		{"capacity", "pool:\n  capacity: 17\nload:\n  - {rps: 1}", "0..16"},
+		{"queue", "pool:\n  queue: 4097\nload:\n  - {rps: 1}", "over 4096"},
+		{"distributed elements", "load:\n  - {rps: 1}\ndistributed:\n  m: 2\n  n: 131073", "over 262144 elements"},
+		{"NaN straggler factor", "load:\n  - {rps: 1}\ndistributed:\n  n: 129\ngray:\n  straggler: {device: 1, factor: NaN}", "must be > 1"},
+		{"NaN flaky rate", "load:\n  - {rps: 1}\ndistributed:\n  n: 129\ngray:\n  flaky: {device: 1, rate: NaN}", "must be in (0, 1)"},
+		{"distributed count", "load:\n  - {rps: 1}\ndistributed:\n  count: 101\n  every: 1ms", "over 100"},
 		// Fleet policy that is fixed in code is not a scenario key.
 		{"corrected_ecc_limit", "load:\n  - {rps: 1}\npolicy:\n  corrected_ecc_limit: 3",
 			`line 4: policy: unknown key "corrected_ecc_limit"`},

@@ -8,27 +8,28 @@ import (
 )
 
 // FaultKind selects what a deterministic fault injection corrupts.
-// Each kind is designed to land a system on a specific rung of the
-// escalation ladder, so tests can exercise every rung on demand.
+// Each kind is designed to land a system on a specific stage of the
+// verdict, so tests can exercise every stage on demand.
 type FaultKind int
 
 const (
 	// FaultCorruptSolution perturbs a few entries of the system's
 	// fast-path solution (as a mis-applied pivot would), leaving a
-	// finite but over-tolerance result: the iterative-refinement rung
-	// repairs it.
+	// finite but over-tolerance result: the pivoting re-solve repairs
+	// it.
 	FaultCorruptSolution FaultKind = iota
 	// FaultZeroDiagonal zeroes the system's leading diagonal
 	// coefficient: the very first pivot of every non-pivoting path
 	// vanishes, so the fast path emits Inf/NaN, while the matrix stays
-	// nonsingular — a row swap fixes it, so the pivoting GTSV rung
+	// nonsingular — a row swap fixes it, so the pivoting GTSV re-solve
 	// rescues the system. (Zeroing a random interior diagonal entry
 	// would not do: Thomas only needs its *pivots* nonzero, and an
 	// interior zero diagonal usually leaves every pivot fine.)
 	FaultZeroDiagonal
 	// FaultSingularMatrix zeroes the system's entire matrix while
-	// keeping a nonzero right-hand side — genuinely unsolvable; every
-	// rung fails and the system gets a typed SolveError.
+	// keeping a nonzero right-hand side — genuinely unsolvable; the
+	// pivoting re-solve fails too and the system gets a typed
+	// SolveError.
 	FaultSingularMatrix
 	// FaultNaNCoefficient poisons one input coefficient with NaN —
 	// garbage-in, rejected by the per-system input scan with

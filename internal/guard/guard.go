@@ -3,18 +3,15 @@
 // (tiled PCR + p-Thomas) is kept as the bulk solver, but instead of the
 // all-or-nothing contract of batch verification — one degenerate system
 // rejects the whole batch — every system is classified individually
-// after the fast solve and only the failing ones are escalated through
-// a ladder of increasingly expensive rescues:
+// after the fast solve and only the failing ones are rescued:
 //
-//  1. iterative refinement against the cached (non-pivoting) hybrid
-//     factorization of that system — repairs finite but
-//     over-tolerance solutions at O(n) per round;
-//  2. a pivoting GTSV re-solve of just that system — stable for any
-//     nonsingular tridiagonal matrix, including the zero-pivot cases
-//     the fast path turns into Inf/NaN;
-//  3. a typed, errors.Is/As-able SolveError carrying the system index,
-//     the last stage attempted, the best residual achieved, and a
-//     lazily computed condition estimate.
+//  1. a pivoting GTSV re-solve of just that system — backward stable
+//     for any nonsingular tridiagonal matrix (partial pivoting's growth
+//     factor is at most 2 there), including the zero-pivot cases the
+//     fast path turns into Inf/NaN;
+//  2. a typed, errors.Is/As-able SolveError carrying the system index,
+//     the stage attempted, the best residual achieved, and (from
+//     SolveGuarded) a condition estimate.
 //
 // Repaired solutions are merged back into the batch result, so M-1
 // healthy systems are never poisoned by one bad neighbour, and the
@@ -22,9 +19,8 @@
 // surfacing as NaNs downstream.
 //
 // Judge is that classification for every caller: the Runner behind
-// SolveGuarded runs the whole ladder, and the serving routes (the
-// pool's direct, coalesced and breaker-open routes, and a distributed
-// solve whose answer went non-finite) run it pivot-only, PoolLadder.
+// SolveGuarded, the pool's direct, coalesced and breaker-open routes,
+// and a distributed solve whose answer went non-finite.
 package guard
 
 import (
@@ -39,29 +35,15 @@ import (
 	"gputrid/internal/num"
 )
 
-// Policy is the caller's hook into SolveGuarded. The ladder itself is
-// not tunable: every solve runs the guarded ladder at the size-scaled
-// tolerance matrix.ResidualTolerance.
+// Policy is the caller's hook into SolveGuarded. The verdict itself is
+// not tunable: every solve judges at the size-scaled tolerance
+// matrix.ResidualTolerance and rescues on the pivoting host path.
 type Policy struct {
 	// Inject deterministically corrupts chosen systems before or after
-	// the fast solve — the fault hook the ladder tests are built on.
+	// the fast solve — the fault hook the verdict tests are built on.
 	// Nil in production.
 	Inject *Injection
 }
-
-// Ladder is the escalation a verdict runs for a system over tolerance.
-// It has no settable fields, and there are two: PoolLadder, and the
-// Runner's, which refines twice at its fast path's k before the pivot
-// rescue and estimates the condition of every system past refinement.
-type Ladder struct {
-	refine  int  // iterative-refinement rounds before the pivot rescue
-	k       int  // PCR steps of the factorization refinement reuses
-	condEst bool // Hager-Higham κ₁ estimate of rescued and failed systems
-}
-
-// PoolLadder is the serving verdict's ladder: pivot rescue only, with
-// no refinement rounds and no condition estimate.
-var PoolLadder = Ladder{}
 
 // Result is a guarded batch solve: the merged solutions, the per-system
 // reports, the typed failures (also joined into the error SolveCtx
@@ -92,12 +74,12 @@ func (r *Result[T]) Stages() map[Stage]int {
 
 // Runner is a reusable guarded solver for one fixed batch shape. It
 // runs its bulk fast path on its owner's core.Pipeline (allocation-free
-// once warmed), hands classification to Judge under the guarded
-// ladder, and owns the solution arena and the per-system report slice,
-// so the steady-state happy path — every system passing its residual
-// check — performs zero heap allocations per solve. Only the escalation
-// rungs (which touch failing systems only) and the fault-injection
-// clone allocate.
+// once warmed), hands classification to Judge, and owns the solution
+// arena and the per-system report slice, so the steady-state happy
+// path — every system passing its residual check — performs zero heap
+// allocations per solve. Only the rescue
+// (which touches failing systems only), the condition estimate of a
+// failed system and the fault-injection clone allocate.
 //
 // A Runner is not safe for concurrent use, nor with other solves on
 // its pipeline; the Pipeline rejects overlapping calls with
@@ -138,9 +120,10 @@ func NewRunner[T num.Real](p *core.Pipeline[T], noDegrade bool) *Runner[T] {
 // systems' solutions. Infrastructure failures (shape mismatches,
 // cancellation, a hard ErrFaulted) return a nil Result; a cancelled
 // solve's error matches core.ErrCancelled. Systems the fault-recovery
-// layer degraded to the pivoting GTSV path are folded into the
-// ladder's reporting as StagePivot — the guarantee is the same one
-// rung 2 gives.
+// layer degraded to the pivoting GTSV path are reported as
+// StagePivot — the guarantee is the same one the verdict's rescue
+// gives. A system that failed carries the Hager-Higham κ₁ estimate of
+// its matrix in its report and its SolveError.
 //
 // The Result aliases the Runner's arenas (X, Reports) and is valid
 // until the next solve; callers that need the data longer must copy
@@ -187,7 +170,7 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 	// Bulk fast path over the (sanitized) batch, into the arena. An
 	// ErrFaulted here means the recovery layer already degraded the
 	// affected systems to GTSV but some of them failed even that
-	// (singular); their slots are zeroed, so the ladder below
+	// (singular); their slots are zeroed, so the verdict below
 	// re-classifies them per system instead of failing the batch.
 	// Under NoDegrade an ErrFaulted is a hard batch failure by request.
 	if err := r.pipe.SolveIntoCtx(ctx, r.x, work); err != nil {
@@ -210,7 +193,7 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 	res.FastReport = fastRep
 	res.Failed = res.Failed[:0]
 	di := 0 // cursor into the (ascending) degraded-system list
-	Judge(work.Strided(x), m, nil, Ladder{refine: 2, k: fastRep.K, condEst: true}, false, func(rep SystemReport) {
+	Judge(work.Strided(x), m, nil, false, func(rep SystemReport) {
 		i := rep.System
 		for di < len(degraded) && degraded[di] < i {
 			di++
@@ -223,8 +206,13 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 			clear(x[i*n : (i+1)*n])
 		case rep.Stage == StageFast && di < len(degraded) && degraded[di] == i:
 			// The fault-recovery layer already re-solved this system
-			// through the pivoting path; report the rung that ran.
+			// through the pivoting path; report the step that ran.
 			rep.Stage = StagePivot
+		case rep.Err != nil:
+			// Only a failed system is worth the estimate's few pivoted
+			// solves: it diagnoses why the rescue could not help.
+			rep.CondEst = matrix.Cond1Est(work.System(i), cpu.SolveGTSV[T])
+			rep.Err.CondEst = rep.CondEst
 		}
 		res.Reports[i] = rep
 		if rep.Err != nil {
@@ -244,15 +232,16 @@ func (r *Runner[T]) SolveCtx(ctx context.Context, b *matrix.Batch[T], pol Policy
 
 // Judge is the one per-system verdict, over systems [0, count) of v in
 // either layout, at tolerance matrix.ResidualTolerance(v.N). With host
-// false it scans the residuals of the solution in v.X and runs lad for
-// each system over tolerance (a NaN residual fails too); with host
-// (the pool's breaker-open route) it solves every system on the
-// pivoting host path. report is called once per system, in order,
-// with what the verdict did to it; a system that failed every rung
-// carries its *SolveError and has its rows zeroed. scratch holds the
-// interleaved scan's residuals and partials (4*count float64s); the
-// contiguous layout needs none. A healthy batch does not allocate.
-func Judge[T num.Real](v matrix.Strided[T], count int, scratch []float64, lad Ladder, host bool, report func(SystemReport)) {
+// false it scans the residuals of the solution in v.X and re-solves
+// each system over tolerance (a NaN residual fails too) on the
+// pivoting host path; with host (the pool's breaker-open route) it
+// solves every system there. report is called once per system, in
+// order, with what the verdict did to it; a system the pivoting
+// re-solve could not bring under tolerance carries its *SolveError and
+// has its rows zeroed. scratch holds the interleaved scan's residuals
+// and partials (4*count float64s); the contiguous layout needs none. A
+// healthy batch does not allocate.
+func Judge[T num.Real](v matrix.Strided[T], count int, scratch []float64, host bool, report func(SystemReport)) {
 	tol := matrix.ResidualTolerance[T](v.N)
 	interleaved := !host && v.RS != 1
 	if interleaved {
@@ -276,93 +265,36 @@ func Judge[T num.Real](v matrix.Strided[T], count int, scratch []float64, lad La
 			if g == nil {
 				g = cpu.NewStridedGTSV[T](v.N)
 			}
-			escalate(v, i, tol, lad, g, &rep)
+			rescue(v, i, tol, g, &rep)
 		}
 		report(rep)
 	}
 }
 
-// escalate runs the ladder for one over-tolerance (or non-finite)
-// system i of v on a gathered copy, writes the accepted solution (or
-// zeros) back into its rows, and fills in the report.
-func escalate[T num.Real](v matrix.Strided[T], i int,
-	tol float64, lad Ladder, g *cpu.StridedGTSV[T], rep *SystemReport) {
-	g.Gather(v, i)
-	sys, xi := g.Sys, g.X
+// rescue re-solves the over-tolerance (or non-finite) system i of v
+// with the pivoting GTSV algorithm, which is backward stable for any
+// nonsingular tridiagonal matrix, and fills in the report. A system it cannot
+// bring under tolerance is failed: its rows are zeroed so the merged
+// solution stays finite, and the typed error carries the diagnosis.
+func rescue[T num.Real](v matrix.Strided[T], i int, tol float64, g *cpu.StridedGTSV[T], rep *SystemReport) {
 	cur := rep.ResidualBefore
-	var lastErr error
-
-	// Rung 1: iterative refinement against the cached non-pivoting
-	// factorization — only worth attempting when the starting point is
-	// finite (refinement cannot recover from Inf/NaN).
-	if lad.refine > 0 && finiteVec(xi) {
-		one := &matrix.Batch[T]{M: 1, N: v.N, Lower: sys.Lower, Diag: sys.Diag, Upper: sys.Upper, RHS: sys.RHS}
-		if f, err := core.FactorHybrid(one, lad.k); err == nil {
-			r := make([]T, len(xi))
-			e := make([]T, len(xi))
-			for round := 0; round < lad.refine && cur > tol; round++ {
-				ax := sys.Apply(xi)
-				for j := range r {
-					r[j] = sys.RHS[j] - ax[j]
-				}
-				if f.Solve(r, e) != nil {
-					break
-				}
-				for j := range xi {
-					xi[j] += e[j]
-				}
-				next := matrix.Residual(sys, xi)
-				rep.Refinements = round + 1
-				if !(next < cur) {
-					cur = next
-					break // stalled (or went non-finite): stop burning rounds
-				}
-				cur = next
-			}
-			if cur <= tol {
-				g.Scatter(v, i)
-				rep.Stage = StageRefine
-				rep.ResidualAfter = cur
-				return
-			}
-		} else {
-			lastErr = err // zero pivot: the matrix needs pivoting
+	err := g.Resolve(v, i)
+	if err == nil {
+		r := matrix.Residual(g.Sys, g.X)
+		if r <= tol {
+			rep.Stage = StagePivot
+			rep.ResidualAfter = r
+			return
 		}
-	}
-
-	// Rung 2: pivoting GTSV re-solve of this system only.
-	if err := g.Resolve(v, i); err != nil {
-		lastErr = err
-	} else if r := matrix.Residual(sys, xi); r <= tol {
-		rep.Stage = StagePivot
-		rep.ResidualAfter = r
-		if lad.condEst {
-			rep.CondEst = matrix.Cond1Est(sys, cpu.SolveGTSV[T])
+		if r < cur || !num.IsFinite(cur) {
+			cur = r // keep the pivoted attempt's (better) residual for the report
 		}
-		return
-	} else if r < cur || !num.IsFinite(cur) {
-		cur = r // keep the pivoted attempt's (better) residual for the report
+		clear(g.X)
+		g.Scatter(v, i)
 	}
-
-	// Rung 3: structured failure. The solution rows are zeroed so the
-	// merged X stays finite; the typed error carries the diagnosis.
 	rep.Stage = StageFailed
 	rep.ResidualAfter = cur
-	if lad.condEst {
-		rep.CondEst = matrix.Cond1Est(sys, cpu.SolveGTSV[T])
-	}
-	rep.Err = &SolveError{System: i, Stage: StagePivot, Residual: cur, CondEst: rep.CondEst, Cause: lastErr}
-	clear(xi)
-	g.Scatter(v, i)
-}
-
-func finiteVec[T num.Real](x []T) bool {
-	for _, v := range x {
-		if !num.IsFinite(v) {
-			return false
-		}
-	}
-	return true
+	rep.Err = &SolveError{System: i, Stage: StagePivot, Residual: cur, Cause: err}
 }
 
 func inf() float64 { return math.Inf(1) }

@@ -51,7 +51,7 @@ func TestAllHealthyStaysOnFastPath(t *testing.T) {
 	}
 }
 
-// TestEscalationLadder drives each fault kind onto its intended rung.
+// TestEscalationLadder drives each fault kind onto its intended stage.
 func TestEscalationLadder(t *testing.T) {
 	const m, n = 8, 96
 	for _, tc := range []struct {
@@ -60,7 +60,7 @@ func TestEscalationLadder(t *testing.T) {
 		wantStage Stage
 		wantErrIs error // nil: system must recover
 	}{
-		{"refine-only", FaultCorruptSolution, StageRefine, nil},
+		{"corrupt-solution", FaultCorruptSolution, StagePivot, nil},
 		{"gtsv-rescue", FaultZeroDiagonal, StagePivot, nil},
 		{"unrecoverable", FaultSingularMatrix, StageFailed, ErrUnrecoverable},
 		{"garbage-in", FaultNaNCoefficient, StageFailed, ErrNonFiniteInput},
@@ -88,6 +88,9 @@ func TestEscalationLadder(t *testing.T) {
 				if rep.Err != nil {
 					t.Errorf("recovered system carries error %v", rep.Err)
 				}
+				if rep.CondEst != 0 {
+					t.Errorf("rescued system has a condition estimate %g, want none", rep.CondEst)
+				}
 			} else {
 				if err == nil {
 					t.Fatal("unrecoverable fault returned nil error")
@@ -105,12 +108,9 @@ func TestEscalationLadder(t *testing.T) {
 				if len(res.Failed) != 1 || res.Failed[0] != rep.Err {
 					t.Errorf("Failed list inconsistent with report: %v vs %v", res.Failed, rep.Err)
 				}
-			}
-			if tc.wantStage == StageRefine && rep.Refinements == 0 {
-				t.Error("refined system reports zero refinement rounds")
-			}
-			if tc.wantStage == StagePivot && rep.CondEst <= 0 {
-				t.Error("rescued system has no condition estimate")
+				if tc.wantErrIs == ErrUnrecoverable && (!(rep.CondEst > 0) || se.CondEst != rep.CondEst) {
+					t.Errorf("failed system CondEst %g (error's %g), want the same estimate > 0 or +Inf", rep.CondEst, se.CondEst)
+				}
 			}
 			// The guarantee the fuzz target also asserts: X is always
 			// fully finite, failures are typed instead of NaN-marked.
@@ -202,9 +202,9 @@ func TestInjectionIsDeterministic(t *testing.T) {
 	}
 }
 
-// judgePool runs the pool's verdict over b's solution by the
+// judgeFast runs Judge, as the pool routes do, over b's solution by the
 // non-pivoting fast path, corrupted by inj first.
-func judgePool(t *testing.T, b *matrix.Batch[float64], inj *Injection) []SystemReport {
+func judgeFast(t *testing.T, b *matrix.Batch[float64], inj *Injection) []SystemReport {
 	t.Helper()
 	injectBatch(inj, b)
 	p, err := core.NewPipeline[float64](core.Config{Device: gpusim.GTX480()}, b.M, b.N)
@@ -218,35 +218,31 @@ func judgePool(t *testing.T, b *matrix.Batch[float64], inj *Injection) []SystemR
 	}
 	injectSolution(inj, x, b.M, b.N)
 	reps := make([]SystemReport, b.M)
-	Judge(b.Strided(x), b.M, nil, PoolLadder, false, func(rep SystemReport) { reps[rep.System] = rep })
+	Judge(b.Strided(x), b.M, nil, false, func(rep SystemReport) { reps[rep.System] = rep })
 	return reps
 }
 
-// TestRefinementDisabledFallsThroughToPivot: the pool's ladder has no
-// refinement rung, so a finite but corrupted solution goes straight
-// to the pivot rescue.
-func TestRefinementDisabledFallsThroughToPivot(t *testing.T) {
-	reps := judgePool(t, healthy(2, 64, 13), &Injection{Seed: 4, Faults: []Fault{{System: 0, Kind: FaultCorruptSolution}}})
+// TestJudgeRescuesCorruptSolution: a finite but corrupted solution
+// goes straight to the pivot rescue.
+func TestJudgeRescuesCorruptSolution(t *testing.T) {
+	reps := judgeFast(t, healthy(2, 64, 13), &Injection{Seed: 4, Faults: []Fault{{System: 0, Kind: FaultCorruptSolution}}})
 	if got := reps[0].Stage; got != StagePivot || reps[0].Err != nil {
-		t.Errorf("pool ladder: corrupted system used %s (err %v), want %s", got, reps[0].Err, StagePivot)
-	}
-	if reps[0].Refinements != 0 {
-		t.Error("refinement rounds ran on the pool ladder")
+		t.Errorf("corrupted system used %s (err %v), want %s", got, reps[0].Err, StagePivot)
 	}
 	if reps[1].Stage != StageFast {
 		t.Errorf("healthy neighbour reported %s", reps[1].Stage)
 	}
 }
 
-// TestSkipConditionEstimate: the pool's ladder rescues a vanishing
-// leading pivot without estimating the system's condition.
+// TestSkipConditionEstimate: the verdict rescues a vanishing leading
+// pivot without estimating the system's condition.
 func TestSkipConditionEstimate(t *testing.T) {
-	reps := judgePool(t, healthy(2, 48, 23), &Injection{Seed: 2, Faults: []Fault{{System: 0, Kind: FaultZeroDiagonal}}})
+	reps := judgeFast(t, healthy(2, 48, 23), &Injection{Seed: 2, Faults: []Fault{{System: 0, Kind: FaultZeroDiagonal}}})
 	if reps[0].Stage != StagePivot || reps[0].Err != nil {
 		t.Fatalf("zero leading pivot: %+v, want a pivot rescue", reps[0])
 	}
 	if reps[0].CondEst != 0 {
-		t.Errorf("condition estimated on the pool ladder: %g", reps[0].CondEst)
+		t.Errorf("condition estimated by the verdict: %g", reps[0].CondEst)
 	}
 }
 
@@ -261,8 +257,8 @@ func TestStagesSummary(t *testing.T) {
 		t.Fatal("no result")
 	}
 	got := res.Stages()
-	if got[StageFast] != 5 || got[StageRefine] != 1 || got[StagePivot] != 1 || got[StageFailed] != 1 {
-		t.Errorf("stage summary = %v, want 5 fast / 1 refine / 1 pivot / 1 failed", got)
+	if got[StageFast] != 5 || got[StagePivot] != 2 || got[StageFailed] != 1 {
+		t.Errorf("stage summary = %v, want 5 fast / 2 pivot / 1 failed", got)
 	}
 }
 

@@ -5,25 +5,21 @@ import (
 	"fmt"
 )
 
-// Stage names the rung of the escalation ladder that produced a
-// system's final answer (or gave up).
+// Stage names the step of the verdict that produced a system's final
+// answer (or gave up).
 type Stage int
 
 const (
 	// StageFast: the hybrid fast-path solution passed the residual
 	// check unmodified.
 	StageFast Stage = iota
-	// StageRefine: one or more rounds of iterative refinement against
-	// the cached non-pivoting factorization brought the residual under
-	// tolerance.
-	StageRefine
 	// StagePivot: the system was re-solved with the pivoting GTSV
 	// algorithm (the dgtsv path), which handles any nonsingular
 	// tridiagonal matrix.
 	StagePivot
-	// StageFailed: every rung failed (or the input itself was
-	// non-finite); the system carries a SolveError and a zeroed
-	// solution.
+	// StageFailed: the pivoting re-solve failed too (or the input
+	// itself was non-finite); the system carries a SolveError and a
+	// zeroed solution.
 	StageFailed
 )
 
@@ -32,8 +28,6 @@ func (s Stage) String() string {
 	switch s {
 	case StageFast:
 		return "fast"
-	case StageRefine:
-		return "refine"
 	case StagePivot:
 		return "pivot"
 	case StageFailed:
@@ -43,14 +37,14 @@ func (s Stage) String() string {
 	}
 }
 
-// SystemReport records what the guarded pipeline did to one system:
-// which rung produced the accepted answer, the residual before and
-// after escalation, how many refinement rounds ran, and — for systems
-// that needed rescue — the lazily computed condition estimate.
+// SystemReport records what the verdict did to one system: which stage
+// produced the accepted answer, the residual before and after the
+// rescue, and — for a system SolveGuarded failed — its condition
+// estimate.
 type SystemReport struct {
 	// System is the batch index.
 	System int
-	// Stage is the rung that produced the final solution.
+	// Stage is the step that produced the final solution.
 	Stage Stage
 	// ResidualBefore is the normwise relative residual of the fast-path
 	// solution (+Inf when it contained Inf/NaN, or when the input was
@@ -59,18 +53,17 @@ type SystemReport struct {
 	// ResidualAfter is the residual of the accepted solution (equal to
 	// ResidualBefore for StageFast systems).
 	ResidualAfter float64
-	// Refinements counts the iterative-refinement rounds applied.
-	Refinements int
-	// CondEst is the Hager-Higham κ₁ estimate, computed only for
-	// systems that escalated past refinement (0 when not estimated,
-	// +Inf for a numerically singular matrix).
+	// CondEst is the Hager-Higham κ₁ estimate, which SolveGuarded
+	// computes only for a system that failed (0 when not estimated,
+	// +Inf for a numerically singular matrix). A rescued system's is
+	// one ConditionEstBatch call away.
 	CondEst float64
 	// Err is non-nil iff Stage == StageFailed.
 	Err *SolveError
 }
 
 // ErrUnrecoverable is the sentinel every SolveError matches under
-// errors.Is: the escalation ladder ran out of rungs for a system.
+// errors.Is: not even the pivoting re-solve could solve a system.
 var ErrUnrecoverable = errors.New("guard: system unrecoverable")
 
 // ErrNonFiniteInput marks a system whose coefficients already contained
@@ -84,9 +77,9 @@ var ErrNonFiniteInput = errors.New("guard: non-finite input coefficient")
 type SolveError struct {
 	// System is the batch index of the failing system.
 	System int
-	// Stage is the last rung attempted before giving up.
+	// Stage is the last step attempted before giving up.
 	Stage Stage
-	// Residual is the best residual any rung achieved (+Inf when every
+	// Residual is the best residual any step achieved (+Inf when every
 	// attempt produced non-finite values).
 	Residual float64
 	// CondEst is the κ₁ estimate of the failing matrix (0 when not

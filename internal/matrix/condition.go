@@ -126,8 +126,8 @@ func Cond1Est[T num.Real](s *System[T], solve func(*System[T]) ([]T, error)) flo
 // Cond1EstBatch runs Cond1Est on the selected systems of a batch,
 // returning estimates aligned with systems (result[j] is the estimate
 // for batch system systems[j]). Estimation costs a handful of pivoted
-// solves per system, so callers — the guard's diagnostic report above
-// all — invoke it lazily, only for the systems that needed rescue.
+// solves per system, so callers invoke it lazily, only for the systems
+// they care about (e.g. the ones that needed rescue).
 func Cond1EstBatch[T num.Real](b *Batch[T], systems []int, solve func(*System[T]) ([]T, error)) []float64 {
 	out := make([]float64, len(systems))
 	for j, i := range systems {

@@ -62,43 +62,22 @@ func Residual[T num.Real](s *System[T], x []T) float64 {
 
 // MaxResidual returns the worst Residual over all systems in a batch,
 // where x holds the M solutions contiguously (system i in [i*N,(i+1)*N)).
+// It does not allocate.
 func MaxResidual[T num.Real](b *Batch[T], x []T) float64 {
-	var worst float64
-	for _, r := range ResidualsPerSystem(b, x) {
-		if r > worst {
-			worst = r
-		}
-	}
-	return worst
-}
-
-// ResidualsPerSystem returns the Residual of every system of the batch
-// individually (length M, index = system). A non-finite solution entry
-// yields +Inf for that system only; healthy neighbours keep their small
-// residuals — the scan verification diagnostics classify systems with.
-func ResidualsPerSystem[T num.Real](b *Batch[T], x []T) []float64 {
-	res := make([]float64, b.M)
-	ResidualsPerSystemInto(res, b, x)
-	return res
-}
-
-// ResidualsPerSystemInto is ResidualsPerSystem into a caller-owned
-// slice of length M; a verifying Solver calls it every solve with a
-// buffer from its arena.
-func ResidualsPerSystemInto[T num.Real](dst []float64, b *Batch[T], x []T) {
 	if len(x) != b.M*b.N {
-		panic("matrix: ResidualsPerSystem dimension mismatch")
+		panic("matrix: MaxResidual dimension mismatch")
 	}
-	if len(dst) != b.M {
-		panic("matrix: ResidualsPerSystemInto destination length mismatch")
-	}
+	var worst float64
 	var sys System[T]
 	for i := 0; i < b.M; i++ {
 		lo, hi := i*b.N, (i+1)*b.N
 		sys.Lower, sys.Diag, sys.Upper, sys.RHS =
 			b.Lower[lo:hi], b.Diag[lo:hi], b.Upper[lo:hi], b.RHS[lo:hi]
-		dst[i] = Residual(&sys, x[lo:hi])
+		if r := Residual(&sys, x[lo:hi]); r > worst {
+			worst = r
+		}
 	}
+	return worst
 }
 
 // ResidualTolerance returns a pass/fail threshold for the relative
@@ -156,14 +135,14 @@ func MaxRelDiff[T num.Real](a, b []T) T {
 	return m
 }
 
-// ResidualsPerSystemInterleavedInto is ResidualsPerSystemInto for an
-// interleaved batch with an interleaved candidate solution x (entry of
-// system i at row j lives at j*M+i): dst[i] receives the Residual of
+// ResidualsPerSystemInterleavedInto is the per-system Residual scan of
+// an interleaved batch with an interleaved candidate solution x (entry
+// of system i at row j lives at j*M+i): dst[i] receives the Residual of
 // system i for the first count systems. It traverses row-major — one
 // pass over the strided planes — but accumulates each system's
 // max/sum reductions in exactly the order Residual does row by row, so
 // the results are bitwise identical to deinterleaving and calling
-// ResidualsPerSystemInto, on every architecture: its products are
+// Residual on each system, on every architecture: its products are
 // rounded as Residual rounds them, so none fuses into a multiply-add.
 // That identity is what lets the guard judge a coalesced megabatch
 // without converting layouts.

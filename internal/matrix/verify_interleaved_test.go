@@ -15,7 +15,7 @@ func sameFloat(a, b float64) bool {
 }
 
 // TestResidualsPerSystemInterleavedBitwise drives the interleaved
-// residual scan against ResidualsPerSystemInto on the same data in
+// residual scan against Residual of each system on the same data in
 // both layouts and requires bitwise-identical residuals, including
 // the +Inf classification of poisoned systems. The batching
 // front-end's per-system guard verdicts rest on this identity.
@@ -40,8 +40,7 @@ func TestResidualsPerSystemInterleavedBitwise(t *testing.T) {
 			b.RHS[2*n] = math.Inf(1)
 		}
 
-		want := make([]float64, m)
-		ResidualsPerSystemInto(want, b, x)
+		want := residualsOf(b, x)
 
 		v := b.ToInterleaved()
 		xi := InterleaveVector(x, m, n)
@@ -86,8 +85,7 @@ func TestResidualsPerSystemInterleavedFloat32(t *testing.T) {
 		b.RHS[i] = float32(rng.NormFloat64())
 		x[i] = float32(rng.NormFloat64())
 	}
-	want := make([]float64, m)
-	ResidualsPerSystemInto(want, b, x)
+	want := residualsOf(b, x)
 	got := make([]float64, m)
 	scratch := make([]float64, 3*m)
 	ResidualsPerSystemInterleavedInto(got, scratch, b.ToInterleaved(), InterleaveVector(x, m, n), m)

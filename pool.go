@@ -133,6 +133,10 @@ type PoolResult[T Real] struct {
 	// Wait is the admission wait: time from Solve entry to a granted
 	// solver (0 for fallback routes).
 	Wait time.Duration
+	// Rescued counts the device-route systems the verdict re-solved on
+	// the host pivoting path (0 on fallback routes, where every system
+	// is solved there).
+	Rescued int
 }
 
 // Pool is the concurrent serving layer over reusable Solvers: it
@@ -243,9 +247,11 @@ func (p *Pool[T]) Solve(ctx context.Context, b *Batch[T]) (*PoolResult[T], error
 	// Verdict failures never reach the breaker: they indicate sick
 	// input systems, not a sick device.
 	var errs []error
-	guard.Judge(b.Strided(res.X), b.M, nil, guard.PoolLadder, !device, func(rep guard.SystemReport) {
+	guard.Judge(b.Strided(res.X), b.M, nil, !device, func(rep guard.SystemReport) {
 		if rep.Err != nil {
 			errs = append(errs, rep.Err)
+		} else if device && rep.Stage == guard.StagePivot {
+			res.Rescued++
 		}
 	})
 	if errs != nil {

@@ -45,12 +45,7 @@ type Solver[T Real] struct {
 	c    config
 	m, n int
 	pipe *core.Pipeline[T]
-	// resid is the verification scratch, allocated only under
-	// WithVerification so the plain path stays allocation-free; iresid
-	// is the interleaved scan's extra partials, built on first use.
-	resid  []float64
-	iresid []float64
-	// runner is the guarded ladder over pipe, built on first
+	// runner is the guarded solve over pipe, built on first
 	// SolveGuarded.
 	runner *guard.Runner[T]
 	gres   GuardedResult[T]
@@ -68,11 +63,7 @@ func NewSolver[T Real](m, n int, opts ...Option) (*Solver[T], error) {
 	if err != nil {
 		return nil, fmt.Errorf("gputrid: %w", err)
 	}
-	s := &Solver[T]{c: c, m: m, n: n, pipe: p}
-	if c.verify {
-		s.resid = make([]float64, m)
-	}
-	return s, nil
+	return &Solver[T]{c: c, m: m, n: n, pipe: p}, nil
 }
 
 // SolveBatchInto solves every system of the batch into dst (natural
@@ -81,14 +72,10 @@ func NewSolver[T Real](m, n int, opts ...Option) (*Solver[T], error) {
 //
 // Unlike SolveBatch it does not run the O(M·N) input Validate pass;
 // non-finite coefficients propagate into the solution. Callers wanting
-// the check can enable WithVerification (which validates the output
-// residuals from a pre-allocated scratch) or use SolveGuarded.
+// a checked answer use SolveGuarded, or Residual selectively.
 func (s *Solver[T]) SolveBatchInto(dst []T, b *Batch[T]) error {
 	if err := s.pipe.SolveInto(dst, b); err != nil {
 		return fmt.Errorf("gputrid: %w", err)
-	}
-	if s.resid != nil {
-		return verifyBatchInto(b, dst, s.resid)
 	}
 	return nil
 }
@@ -109,9 +96,6 @@ func (s *Solver[T]) SolveBatchInto(dst []T, b *Batch[T]) error {
 func (s *Solver[T]) SolveBatchIntoCtx(ctx context.Context, dst []T, b *Batch[T]) error {
 	if err := s.pipe.SolveIntoCtx(ctx, dst, b); err != nil {
 		return fmt.Errorf("gputrid: %w", err)
-	}
-	if s.resid != nil {
-		return verifyBatchInto(b, dst, s.resid)
 	}
 	return nil
 }
@@ -142,12 +126,6 @@ func (s *Solver[T]) SolveInterleavedIntoCtx(ctx context.Context, xi []T, v *Inte
 	if err := s.pipe.SolveInterleavedIntoCtx(ctx, xi, v); err != nil {
 		return fmt.Errorf("gputrid: %w", err)
 	}
-	if s.resid != nil {
-		if s.iresid == nil {
-			s.iresid = make([]float64, 3*s.m)
-		}
-		return verifyInterleavedInto(v, xi, s.resid, s.iresid)
-	}
 	return nil
 }
 
@@ -167,9 +145,9 @@ func (s *Solver[T]) FaultReport() *FaultReport {
 // SolveGuarded runs the guarded pipeline (see the package-level
 // SolveGuarded) through the Solver's reusable machinery: the bulk fast
 // path and the per-system residual scan are allocation-free, with only
-// the escalation rungs for failing systems allocating. The returned
-// result aliases the Solver's arenas and is valid until the next
-// SolveGuarded call or Close.
+// the rescue of failing systems allocating. The returned result
+// aliases the Solver's arenas and is valid until the next SolveGuarded
+// call or Close.
 func (s *Solver[T]) SolveGuarded(b *Batch[T]) (*GuardedResult[T], error) {
 	return s.SolveGuardedCtx(context.Background(), b)
 }
