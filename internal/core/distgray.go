@@ -5,8 +5,8 @@ package core
 // ladder for transfers that stay corrupt, and hedged re-execution of
 // straggling slabs. The fail-stop plane (device death → migration) in
 // distributed.go assumes errors announce themselves; this file handles
-// the failures that don't — links that silently corrupt, drop, or
-// stall payloads, and devices that silently slow down.
+// the failures that don't — links that silently corrupt payloads, and
+// devices that silently slow down.
 
 import (
 	"context"
@@ -136,9 +136,9 @@ func sumParts[T num.Real](s float64, parts ...[]T) float64 {
 func (s *DistSolver[T]) verifiedUp(sl *distSlab, dev int, bytes int64, sum func() float64) (float64, error) {
 	var secs float64
 	for attempt := 0; ; attempt++ {
-		rep := s.topo.Transfer(&sl.comm, gpusim.OpHostToDevice, -1, dev, bytes)
-		secs += rep.Seconds
-		if !rep.Corrupt {
+		dt, corrupt := s.topo.Transfer(&sl.comm, gpusim.OpHostToDevice, -1, dev, bytes)
+		secs += dt
+		if !corrupt {
 			return secs, nil
 		}
 		// The device-side copy arrived damaged; its recomputed sum
@@ -166,14 +166,15 @@ func (s *DistSolver[T]) verifiedDown(sl *distSlab, dev int, bytes int64, payload
 	want := sumParts(0, payload)
 	sl.nonFinite = sl.nonFinite || !num.IsFinite(want)
 	if want != want {
-		return s.topo.Transfer(&sl.comm, gpusim.OpDeviceToHost, dev, -1, bytes).Seconds, nil
+		dt, _ := s.topo.Transfer(&sl.comm, gpusim.OpDeviceToHost, dev, -1, bytes)
+		return dt, nil
 	}
 	copy(shadow, payload)
 	var secs float64
 	for attempt := 0; ; attempt++ {
-		rep := s.topo.Transfer(&sl.comm, gpusim.OpDeviceToHost, dev, -1, bytes)
-		secs += rep.Seconds
-		if rep.Corrupt {
+		dt, corrupt := s.topo.Transfer(&sl.comm, gpusim.OpDeviceToHost, dev, -1, bytes)
+		secs += dt
+		if corrupt {
 			// A corrupting link does the loudest possible damage, so an
 			// escaped corruption can never pass for a plausible value.
 			fill(payload, T(math.NaN()))

@@ -57,7 +57,6 @@ func TestDistributedLinkCorruptionRecovered(t *testing.T) {
 	topo.Links = &gpusim.LinkInjector{
 		Seed:    7,
 		Rate:    0.35,
-		Kinds:   []gpusim.LinkFaultKind{gpusim.LinkCorrupt},
 		Devices: []int{victim},
 	}
 	s, err := NewDistSolver[float64](DistConfig{Topology: topo, Slabs: slabs}, m, n)
@@ -96,9 +95,9 @@ func TestDistributedLinkCorruptionRecovered(t *testing.T) {
 }
 
 // TestDistCommReproducible repeats one 4-device solve over links that
-// drop, delay and corrupt transfers on every device: each run must
-// report the same traffic bit for bit, link-seconds included, although
-// the devices charge it from concurrent goroutines.
+// corrupt transfers on every device: each run must report the same
+// traffic bit for bit, link-seconds of the re-exchanges included,
+// although the devices charge it from concurrent goroutines.
 func TestDistCommReproducible(t *testing.T) {
 	const m, n, devs, slabs, runs = 3, 257, 4, 8, 20
 	b := workload.Batch[float64](workload.DiagDominant, m, n, 9)
@@ -119,8 +118,8 @@ func TestDistCommReproducible(t *testing.T) {
 		}
 		if r == 0 {
 			want = rep.Comm
-			if want.LinkFaults == 0 || want.FaultSeconds == 0 {
-				t.Fatalf("no link fault charged time — test is vacuous: %+v", want)
+			if want.CorruptTransfers == 0 {
+				t.Fatalf("no transfer corrupted — test is vacuous: %+v", want)
 			}
 			continue
 		}
@@ -144,10 +143,10 @@ func TestDistributedLinkIntegrityDegrade(t *testing.T) {
 	topo.Links = &gpusim.LinkInjector{
 		Schedule: []gpusim.ScheduledLinkFault{{
 			Op: -1, From: gpusim.MatchAny, To: victim,
-			Index: -1, Kind: gpusim.LinkCorrupt, Repeat: 1 << 30,
+			Index: -1, Repeat: 1 << 30,
 		}, {
 			Op: -1, From: victim, To: gpusim.MatchAny,
-			Index: -1, Kind: gpusim.LinkCorrupt, Repeat: 1 << 30,
+			Index: -1, Repeat: 1 << 30,
 		}},
 	}
 	s, err := NewDistSolver[float64](DistConfig{Topology: topo, Slabs: slabs}, m, n)
@@ -205,7 +204,7 @@ func TestDistributedBlindUploadVerdict(t *testing.T) {
 		topo := distTopo(t, devs, gpusim.NVLinkMesh())
 		topo.Links = &gpusim.LinkInjector{Schedule: []gpusim.ScheduledLinkFault{{
 			Op: gpusim.OpHostToDevice, From: gpusim.MatchAny, To: gpusim.MatchAny,
-			Index: -1, Kind: gpusim.LinkCorrupt, Repeat: 2,
+			Index: -1, Repeat: 2,
 		}}}
 		return topo
 	}
@@ -457,28 +456,19 @@ func TestDistCommScopeConcurrentSolves(t *testing.T) {
 }
 
 // FuzzLinkFaultSchedule fuzzes the gray-failure plane end to end: any
-// (seed, rate, kinds, victim) configuration must (a) reproduce exactly
+// (seed, rate, victim) configuration must (a) reproduce exactly
 // the same fault sites and charges on a second identically-seeded run,
 // and (b) never let a corrupted transfer escape — the solve either
 // matches the fault-free run bitwise or reports the slabs it degraded.
 func FuzzLinkFaultSchedule(f *testing.F) {
-	f.Add(uint64(1), 0.2, uint8(0), uint8(0))
-	f.Add(uint64(42), 0.9, uint8(1), uint8(3))
-	f.Add(uint64(7), 0.05, uint8(2), uint8(2))
-	f.Add(uint64(999), 0.5, uint8(3), uint8(1))
-	f.Fuzz(func(t *testing.T, seed uint64, rate float64, kindSel, victim uint8) {
+	f.Add(uint64(1), 0.2, uint8(0))
+	f.Add(uint64(42), 0.9, uint8(3))
+	f.Add(uint64(7), 0.05, uint8(2))
+	f.Add(uint64(999), 0.5, uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, rate float64, victim uint8) {
 		const m, n, devs, slabs = 2, 131, 4, 4
 		if rate < 0 || rate > 1 || rate != rate {
 			t.Skip()
-		}
-		var kinds []gpusim.LinkFaultKind
-		switch kindSel % 4 {
-		case 1:
-			kinds = []gpusim.LinkFaultKind{gpusim.LinkCorrupt}
-		case 2:
-			kinds = []gpusim.LinkFaultKind{gpusim.LinkDrop, gpusim.LinkDelay}
-		case 3:
-			kinds = []gpusim.LinkFaultKind{gpusim.LinkCorrupt, gpusim.LinkDrop, gpusim.LinkDelay}
 		}
 		b := workload.Batch[float64](workload.DiagDominant, m, n, seed%1000+1)
 
@@ -488,7 +478,7 @@ func FuzzLinkFaultSchedule(f *testing.F) {
 				t.Fatal(err)
 			}
 			topo.Links = &gpusim.LinkInjector{
-				Seed: seed, Rate: rate, Kinds: kinds,
+				Seed: seed, Rate: rate,
 				Devices: []int{int(victim) % devs},
 			}
 			s, err := NewDistSolver[float64](DistConfig{

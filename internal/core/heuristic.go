@@ -2,7 +2,6 @@ package core
 
 import (
 	"gputrid/internal/gpusim"
-	"gputrid/internal/matrix"
 	"gputrid/internal/num"
 	"gputrid/internal/workload"
 )
@@ -90,9 +89,3 @@ func ModeledTime[T num.Real](dev *gpusim.Device, rep *Report) float64 {
 }
 
 func inf() float64 { return 1e300 }
-
-// Verify checks a batch solution and returns the worst relative
-// residual, as a convenience for examples and the harness.
-func Verify[T num.Real](b *matrix.Batch[T], x []T) float64 {
-	return matrix.MaxResidual(b, x)
-}

@@ -3,7 +3,9 @@
 // k-step tiled-PCR + p-Thomas hybrid on a P-way parallel machine
 // solving M independent systems of N rows each. These formulas drive
 // the algorithm-transition analysis of §III.D; the empirical Table III
-// heuristic lives in internal/core.
+// heuristic lives in internal/core. Products that feed a sum are
+// rounded explicitly (float64(x*y)), so no compiler fuses a
+// multiply-add and the costs are the same bits on every architecture.
 package costmodel
 
 import "gputrid/internal/num"
@@ -26,7 +28,7 @@ func ThomasCost(n, m, p int) float64 {
 // log2(N)+1 steps is the floor.
 func PCRCost(n, m, p int) float64 {
 	lg := float64(num.CeilLog2(n))
-	work := float64(m) * (lg*float64(n) + 1) / float64(p)
+	work := float64(m) * (float64(lg*float64(n)) + 1) / float64(p)
 	if cp := lg + 1; work < cp {
 		return cp
 	}
@@ -59,13 +61,13 @@ func HybridCost(n, m, p, k int) float64 {
 	}
 	pk := 1 << k
 	mOverP := float64(m) / float64(p)
-	pcrPart := mOverP * float64(k) * float64(n)
-	thomasWork := 2*float64(n) - float64(pk) // per system, all subsystems
+	pcrPart := float64(mOverP * float64(k) * float64(n))
+	thomasWork := float64(2*float64(n)) - float64(pk) // per system, all subsystems
 	switch {
 	case m > p:
-		return mOverP * (float64(k)*float64(n) + thomasWork)
+		return mOverP * (float64(float64(k)*float64(n)) + thomasWork)
 	case pk*m > p:
-		return pcrPart + mOverP*thomasWork
+		return pcrPart + float64(mOverP*thomasWork)
 	default:
 		return pcrPart + 2*float64(n)/float64(pk) - 1
 	}

@@ -34,7 +34,6 @@ func grayTopo(t *testing.T, devices, straggler int, slow float64, flaky int, rat
 		topo.Links = &gpusim.LinkInjector{
 			Seed:    99,
 			Rate:    rate,
-			Kinds:   []gpusim.LinkFaultKind{gpusim.LinkCorrupt},
 			Devices: []int{flaky},
 		}
 	}

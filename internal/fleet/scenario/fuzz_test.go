@@ -27,6 +27,11 @@ func FuzzScenarioDecode(f *testing.F) {
 	}
 	// A scenario at the load and shape bounds, one digit from over them.
 	f.Add([]byte("tick: 1s\nshape: {m: 64, n: 1024}\nload:\n  - {rps: 600}\n  - {from: 2s, rps: 400}\ndistributed:\n  m: 2\n  n: 131072\n"))
+	// Out-of-range probabilities, each one edit from a valid scenario.
+	for _, bad := range []string{"faults:\n  rate: NaN", "faults:\n  rate: -3", "faults:\n  rate: 7",
+		"assert:\n  max_rejected_frac: NaN", "assert:\n  max_rejected_frac: -0.5"} {
+		f.Add([]byte("load:\n  - {rps: 1}\n" + bad + "\n"))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Decode(data)
 		if err != nil {
@@ -34,6 +39,9 @@ func FuzzScenarioDecode(f *testing.F) {
 		}
 		if sc.M*sc.N > maxShapeElems || sc.Variants > maxVariants || sc.Capacity > maxCapacity || sc.Queue > maxQueue {
 			t.Fatalf("accepted shape %dx%d, %d variants, capacity %d, queue %d", sc.M, sc.N, sc.Variants, sc.Capacity, sc.Queue)
+		}
+		if !(sc.FaultRate >= 0 && sc.FaultRate <= 1) || !(sc.Assert.MaxRejectedFrac >= 0 && sc.Assert.MaxRejectedFrac <= 1) {
+			t.Fatalf("accepted faults.rate %v, max_rejected_frac %v", sc.FaultRate, sc.Assert.MaxRejectedFrac)
 		}
 		if ds := sc.Distributed; ds != nil && (ds.M*ds.N > maxDistElems || ds.count() > maxDistCount) {
 			t.Fatalf("accepted distributed shape %dx%d, %d solves", ds.M, ds.N, ds.count())

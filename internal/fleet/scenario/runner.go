@@ -193,7 +193,6 @@ func Run(sc *Scenario, logf func(format string, args ...any)) (*Report, error) {
 				distTopo.Links = &gpusim.LinkInjector{
 					Seed:    sc.Seed*0x9E3779B9 + 1,
 					Rate:    g.FlakyRate,
-					Kinds:   []gpusim.LinkFaultKind{gpusim.LinkCorrupt},
 					Devices: []int{g.Flaky},
 				}
 			}

@@ -401,6 +401,10 @@ func (sc *Scenario) validate() error {
 		return fmt.Errorf("scenario: pool queue = %d, over %d", sc.Queue, maxQueue)
 	case len(sc.Load) == 0:
 		return fmt.Errorf("scenario: no load phases")
+	case !(sc.FaultRate >= 0 && sc.FaultRate <= 1):
+		return fmt.Errorf("scenario: faults.rate %v must be in [0, 1]", sc.FaultRate)
+	case !(sc.Assert.MaxRejectedFrac >= 0 && sc.Assert.MaxRejectedFrac <= 1):
+		return fmt.Errorf("scenario: assert.max_rejected_frac %v must be in [0, 1]", sc.Assert.MaxRejectedFrac)
 	}
 	// The heaviest tick starts at some phase's From: sum the rates of
 	// the phases active there.

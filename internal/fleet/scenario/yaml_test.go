@@ -153,6 +153,11 @@ func TestDecodeStrictness(t *testing.T) {
 		{"distributed elements", "load:\n  - {rps: 1}\ndistributed:\n  m: 2\n  n: 131073", "over 262144 elements"},
 		{"NaN straggler factor", "load:\n  - {rps: 1}\ndistributed:\n  n: 129\ngray:\n  straggler: {device: 1, factor: NaN}", "must be > 1"},
 		{"NaN flaky rate", "load:\n  - {rps: 1}\ndistributed:\n  n: 129\ngray:\n  flaky: {device: 1, rate: NaN}", "must be in (0, 1)"},
+		{"NaN fault rate", "load:\n  - {rps: 1}\nfaults:\n  rate: NaN", "faults.rate NaN must be in [0, 1]"},
+		{"negative fault rate", "load:\n  - {rps: 1}\nfaults:\n  rate: -3", "must be in [0, 1]"},
+		{"fault rate over 1", "load:\n  - {rps: 1}\nfaults:\n  rate: 7", "must be in [0, 1]"},
+		{"NaN max_rejected_frac", "load:\n  - {rps: 1}\nassert:\n  max_rejected_frac: NaN", "max_rejected_frac NaN must be in [0, 1]"},
+		{"max_rejected_frac over 1", "load:\n  - {rps: 1}\nassert:\n  max_rejected_frac: 1.5", "must be in [0, 1]"},
 		{"distributed count", "load:\n  - {rps: 1}\ndistributed:\n  count: 101\n  every: 1ms", "over 100"},
 		// Fleet policy that is fixed in code is not a scenario key.
 		{"corrected_ecc_limit", "load:\n  - {rps: 1}\npolicy:\n  corrected_ecc_limit: 3",

@@ -19,11 +19,46 @@ type Breakdown struct {
 }
 
 // EstimateBreakdown returns the termwise decomposition of the cost
-// model for the given stats. EstimateTime(s, elemBytes) ==
-// Breakdown.Total exactly, including the uniform Device.SlowFactor
-// scaling (every term is scaled, so the binding constraint is
-// unchanged by a silent slowdown). It rounds its products as
-// EstimateTime does.
+// model for the given stats; its Total is EstimateTime. elemBytes
+// selects the arithmetic throughput: 4 uses the single-precision rate,
+// 8 the double-precision rate.
+//
+// The model is deliberately simple and is documented term by term; the
+// goal is to reproduce the *structure* the paper argues from, not cycle
+// accuracy:
+//
+//   - Occupancy. Resident blocks per SM follow from the block shape and
+//     shared-memory allocation (Device.Occupancy). A grid smaller than
+//     the resident capacity leaves SMs idle — the under-utilized regime
+//     the paper describes for small M.
+//
+//   - Memory time. DRAM traffic is Transactions()×TransactionBytes.
+//     When enough warps are resident the kernel is bandwidth-bound
+//     (bytes / peak bandwidth); with few warps it is latency-bound:
+//     Little's law limits throughput to inflight/latency, where the
+//     in-flight transaction count grows with active warps. This term
+//     produces the flat "latency exposed" region of Figure 12 and its
+//     knee once parallelism saturates.
+//
+//   - Compute time. Recorded flops divided by the precision's peak
+//     rate, derated when too few threads are active to fill the
+//     pipelines (half of full occupancy is taken as the knee, the
+//     usual rule of thumb for Fermi).
+//
+//   - Shared memory and barriers are charged per access / per barrier,
+//     divided over the SMs that actually have work.
+//
+//   - Each launch pays the fixed driver overhead — the cost that
+//     separates Davidson's global-synchronization hybrid (one launch
+//     per PCR step) from the paper's single-pass tiled PCR.
+//
+// On-chip time (compute+shared+barriers) overlaps DRAM traffic on real
+// hardware, so the model takes the maximum of the two, plus overheads.
+// A silently degraded device (Device.SlowFactor > 1) scales every term
+// uniformly, so the binding constraint is unchanged by a silent
+// slowdown. Every product that feeds a sum is rounded explicitly
+// (float64(x*y)), so no compiler fuses a multiply-add and the estimate
+// is the same bits on every architecture.
 func (d *Device) EstimateBreakdown(s *Stats, elemBytes int) Breakdown {
 	bd := Breakdown{}
 	bd.Launch = float64(float64(s.Launches) * d.KernelLaunchOverhead)
@@ -36,7 +71,7 @@ func (d *Device) EstimateBreakdown(s *Stats, elemBytes int) Breakdown {
 
 	blocksPerSM := d.Occupancy(s.ThreadsPerBlock, s.SharedPerBlock)
 	if blocksPerSM == 0 {
-		blocksPerSM = 1
+		blocksPerSM = 1 // a block that overflows SM limits still runs, alone
 	}
 	residentBlocks := blocksPerSM * d.NumSMs
 	activeBlocks := s.Blocks
@@ -51,7 +86,7 @@ func (d *Device) EstimateBreakdown(s *Stats, elemBytes int) Breakdown {
 	}
 
 	bd.Bandwidth = float64(s.TransactionBytes(d.TransactionBytes)) / d.GlobalBandwidth
-	const inflightPerWarp = 6
+	const inflightPerWarp = 6 // outstanding transactions a warp sustains
 	inflight := activeWarps * inflightPerWarp
 	if cap := d.MaxInflightPerSM * activeSMs; inflight > cap {
 		inflight = cap

@@ -1,7 +1,6 @@
 package gpusim
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -18,7 +17,7 @@ func TestBreakdownTotalsMatchEstimate(t *testing.T) {
 	for i, s := range cases {
 		for _, elem := range []int{4, 8} {
 			bd := d.EstimateBreakdown(s, elem)
-			if est := d.EstimateTime(s, elem); math.Abs(bd.Total-est) > 1e-15*math.Max(1, est) {
+			if est := d.EstimateTime(s, elem); bd.Total != est {
 				t.Errorf("case %d elem %d: breakdown total %g != estimate %g", i, elem, bd.Total, est)
 			}
 		}

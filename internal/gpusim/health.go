@@ -35,7 +35,7 @@ const (
 	// temperature normal). Policy: uncordon into probation.
 	HealthHealed
 	// HealthLinkFlaky reports a gray interconnect: the device's link
-	// keeps corrupting or dropping transfers (caught by end-to-end
+	// keeps corrupting transfers (caught by end-to-end
 	// integrity checks, so no data was served wrong — but every retry
 	// burns latency and the link is untrustworthy). Synthesized by the
 	// fleet's gray-failure detector, never by the driver. Policy:

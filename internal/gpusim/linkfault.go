@@ -30,43 +30,6 @@ func (op LinkOp) String() string {
 	}
 }
 
-// LinkFaultKind enumerates the gray interconnect failures the injector
-// models. None of them kill a device: a faulted link corrupts payloads,
-// loses packets, or stalls — the device at either end keeps computing
-// correctly, which is exactly why these failures escape fail-stop
-// detection and need end-to-end integrity checks.
-type LinkFaultKind int
-
-const (
-	// LinkCorrupt delivers the transfer on time but with a silently
-	// corrupted payload. The transfer itself reports success; only an
-	// end-to-end check (the solver's ABFT sum checks) can catch it.
-	LinkCorrupt LinkFaultKind = iota
-	// LinkDrop loses the transfer; the modeled DMA layer retries it, so
-	// the payload arrives intact but the transfer is charged the
-	// retried attempts' time too.
-	LinkDrop
-	// LinkDelay delivers the transfer intact but late — a congested or
-	// flapping link — multiplying the modeled transfer time.
-	LinkDelay
-
-	numLinkFaultKinds = 3
-)
-
-// String names the kind.
-func (k LinkFaultKind) String() string {
-	switch k {
-	case LinkCorrupt:
-		return "corrupt"
-	case LinkDrop:
-		return "drop"
-	case LinkDelay:
-		return "delay"
-	default:
-		return fmt.Sprintf("linkfault(%d)", int(k))
-	}
-}
-
 // ScheduledLinkFault pins a link fault to explicit coordinates, for
 // tests and scenarios that need a specific transfer to fail
 // deterministically.
@@ -79,10 +42,8 @@ type ScheduledLinkFault struct {
 	// Index matches the per-site transfer sequence number; negative
 	// matches any.
 	Index int
-	// Kind is the fault to inject.
-	Kind LinkFaultKind
 	// Repeat is how many consecutive transfers of the site keep
-	// faulting before the link heals; 0 applies the injector default.
+	// corrupting before the link heals; 0 means 1.
 	Repeat int
 }
 
@@ -90,14 +51,17 @@ type ScheduledLinkFault struct {
 // matches any endpoint, including the host (-1).
 const MatchAny = -2
 
-// LinkInjector is a seeded, schedulable source of gray interconnect
-// faults, the link-plane sibling of Injector. Whether a transfer faults
-// is a pure function of (Seed, op, from, to, per-site sequence number)
-// — never of wall-clock time or goroutine scheduling — so a given
-// injector reproduces exactly the same fault sites and the same charged
-// penalties on every run, and a re-exchanged transfer redraws
-// deterministically at the next sequence number (the transient-fault
-// model: flaky links heal).
+// LinkInjector is a seeded, schedulable source of silent link
+// corruption, the link-plane sibling of Injector. A corrupted transfer
+// arrives on time and reports success, but its payload is damaged: the
+// device at either end keeps computing correctly, which is exactly why
+// the fault escapes fail-stop detection and needs the solver's
+// end-to-end sum checks. Whether a transfer corrupts is a pure function
+// of (Seed, op, from, to, per-site sequence number) — never of
+// wall-clock time or goroutine scheduling — so a given injector
+// reproduces exactly the same fault sites on every run, and a
+// re-exchanged transfer redraws deterministically at the next sequence
+// number (the transient-fault model: flaky links heal).
 //
 // Faults come from the explicit Schedule first, then a seeded per-site
 // Bernoulli draw at probability Rate, optionally restricted to
@@ -108,49 +72,13 @@ type LinkInjector struct {
 	Seed uint64
 	// Rate is the per-transfer fault probability in [0, 1].
 	Rate float64
-	// Kinds is drawn from for rate faults; empty means all kinds.
-	Kinds []LinkFaultKind
 	// Devices, when non-empty, restricts rate faults to transfers with
 	// at least one endpoint in the set — modeling one device's flaky
 	// link rather than fabric-wide noise. Scheduled faults carry their
 	// own endpoint matchers and ignore this.
 	Devices []int
-	// Repeat is how many consecutive transfers of a faulted site keep
-	// faulting before the link heals; 0 means 1.
-	Repeat int
-	// DelayFactor multiplies the modeled time of delayed transfers;
-	// values <= 1 mean the default of 4.
-	DelayFactor float64
-	// DropRetries is how many lost attempts a dropped transfer is
-	// charged before the delivery succeeds; 0 means 1.
-	DropRetries int
 	// Schedule lists explicit faults, matched before the rate draw.
 	Schedule []ScheduledLinkFault
-	// Gate dynamically arms and disarms the injector, exactly like
-	// Injector.Gate. Must be safe for concurrent use; nil means always
-	// armed.
-	Gate func() bool
-}
-
-func (in *LinkInjector) repeat() int {
-	if in.Repeat <= 0 {
-		return 1
-	}
-	return in.Repeat
-}
-
-func (in *LinkInjector) delayFactor() float64 {
-	if in.DelayFactor <= 1 {
-		return 4
-	}
-	return in.DelayFactor
-}
-
-func (in *LinkInjector) dropRetries() int {
-	if in.DropRetries <= 0 {
-		return 1
-	}
-	return in.DropRetries
 }
 
 // touches reports whether the rate-fault device filter admits the
@@ -167,14 +95,11 @@ func (in *LinkInjector) touches(from, to int) bool {
 	return false
 }
 
-// At decides whether the seq-th transfer of site (op, from, to) faults,
-// and with which kind. It is safe for concurrent use.
-func (in *LinkInjector) At(op LinkOp, from, to, seq int) (LinkFaultKind, bool) {
+// At reports whether the seq-th transfer of site (op, from, to)
+// arrives corrupted. It is safe for concurrent use.
+func (in *LinkInjector) At(op LinkOp, from, to, seq int) bool {
 	if in == nil {
-		return 0, false
-	}
-	if in.Gate != nil && !in.Gate() {
-		return 0, false
+		return false
 	}
 	for _, f := range in.Schedule {
 		if f.Op >= 0 && f.Op != op {
@@ -189,26 +114,13 @@ func (in *LinkInjector) At(op LinkOp, from, to, seq int) (LinkFaultKind, bool) {
 		if f.Index >= 0 && f.Index != seq {
 			continue
 		}
-		rep := f.Repeat
-		if rep <= 0 {
-			rep = in.repeat()
-		}
-		if f.Index >= 0 || seq < rep {
-			return f.Kind, true
-		}
-		return 0, false
+		return f.Index >= 0 || seq < max(f.Repeat, 1)
 	}
 	if in.Rate <= 0 || !in.touches(from, to) {
-		return 0, false
+		return false
 	}
 	h := linkSiteHash(in.Seed, op, from, to, seq)
-	if float64(h>>11)/(1<<53) >= in.Rate {
-		return 0, false
-	}
-	if len(in.Kinds) == 0 {
-		return LinkFaultKind(num.Mix64(h) % numLinkFaultKinds), true
-	}
-	return in.Kinds[num.Mix64(h)%uint64(len(in.Kinds))], true
+	return float64(h>>11)/(1<<53) < in.Rate
 }
 
 // linkSiteHash hashes the transfer coordinates through the same
@@ -219,21 +131,4 @@ func linkSiteHash(seed uint64, op LinkOp, from, to, seq int) uint64 {
 	h = num.Mix64(h ^ uint64(int64(from))*0xBF58476D1CE4E5B9 + 2)
 	h = num.Mix64(h ^ uint64(int64(to))*0x94D049BB133111EB + 3)
 	return num.Mix64(h ^ uint64(seq))
-}
-
-// TransferReport describes one modeled transfer after link-fault
-// injection: its total charged time and what the link did to it. A
-// Corrupt report means the payload arrived silently damaged — the
-// transfer layer itself reports success, and only the caller's
-// end-to-end integrity check can notice.
-type TransferReport struct {
-	// Seconds is the total modeled time charged, including retried
-	// drops and delay inflation.
-	Seconds float64
-	// Drops is how many lost attempts preceded the delivery.
-	Drops int
-	// Delayed reports the transfer was slowed by a delay fault.
-	Delayed bool
-	// Corrupt reports the payload arrived corrupted.
-	Corrupt bool
 }

@@ -68,24 +68,14 @@ func NVLinkMesh() Interconnect {
 }
 
 // CommStats aggregates the host-link traffic charged into it: transfer
-// counts, bytes and modeled seconds, plus the link-fault activity
-// charged into the traffic. Seconds are per-link busy time, not wall
-// time — transfers on distinct devices' links overlap.
+// counts, bytes and modeled seconds, plus how many deliveries a
+// corrupting link (see LinkInjector) damaged. Seconds are per-link busy
+// time, not wall time — transfers on distinct devices' links overlap.
 type CommStats struct {
-	Transfers   int64
-	HostBytes   int64
-	HostSeconds float64
-
-	// Link-fault accounting (see LinkInjector). LinkFaults counts
-	// injected faults of any kind; DroppedTransfers the lost attempts of
-	// drop faults; CorruptTransfers the silently corrupted deliveries;
-	// FaultSeconds the extra modeled link-busy time the faults charged
-	// (retried drops plus delay inflation) — already included in
-	// HostSeconds.
-	LinkFaults       int64
-	DroppedTransfers int64
+	Transfers        int64
+	HostBytes        int64
+	HostSeconds      float64
 	CorruptTransfers int64
-	FaultSeconds     float64
 }
 
 // TotalBytes returns the bytes moved.
@@ -96,10 +86,7 @@ func (c *CommStats) Add(d CommStats) {
 	c.Transfers += d.Transfers
 	c.HostBytes += d.HostBytes
 	c.HostSeconds += d.HostSeconds
-	c.LinkFaults += d.LinkFaults
-	c.DroppedTransfers += d.DroppedTransfers
 	c.CorruptTransfers += d.CorruptTransfers
-	c.FaultSeconds += d.FaultSeconds
 }
 
 // Topology is a set of simulated devices joined by an interconnect.
@@ -112,7 +99,7 @@ type Topology struct {
 	ic   Interconnect
 	devs []*Device
 
-	// Links, when non-nil, injects gray interconnect faults into every
+	// Links, when non-nil, injects silent corruption into every
 	// transfer (see LinkInjector). Attach before solving, never while a
 	// transfer is in flight.
 	Links *LinkInjector
@@ -179,15 +166,16 @@ func (t *Topology) Device(i int) *Device { return t.devs[i] }
 func (t *Topology) Interconnect() Interconnect { return t.ic }
 
 // Transfer charges one host-link transfer of bytes (an upload, from
-// -1, or a download, to -1) into acc, running it through the
-// link-fault injector (Links) when one is attached, and returns the
-// full report: total modeled seconds (drop retries and delay inflation
-// included) plus whether the payload arrived corrupted. acc belongs to
-// the caller and is not synchronized, so one goroutine at a time may
-// charge it, which also keeps its float sums in a reproducible order.
-func (t *Topology) Transfer(acc *CommStats, op LinkOp, from, to int, bytes int64) TransferReport {
+// -1, or a download, to -1) into acc and returns its modeled seconds
+// and whether the link-fault injector (Links), when one is attached,
+// corrupted the payload. A corrupted transfer costs the same time as a
+// clean one; only the caller's end-to-end check can notice it. acc
+// belongs to the caller and is not synchronized, so one goroutine at a
+// time may charge it, which also keeps its float sums in a
+// reproducible order.
+func (t *Topology) Transfer(acc *CommStats, op LinkOp, from, to int, bytes int64) (seconds float64, corrupt bool) {
 	if bytes <= 0 {
-		return TransferReport{}
+		return 0, false
 	}
 
 	// One fault decision per transfer, keyed on the site's own
@@ -197,35 +185,16 @@ func (t *Topology) Transfer(acc *CommStats, op LinkOp, from, to int, bytes int64
 	n := t.seq[site]
 	t.seq[site] = n + 1
 	t.mu.Unlock()
-	kind, faulted := t.Links.At(op, from, to, n)
+	corrupt = t.Links.At(op, from, to, n)
 
-	oneWay := t.ic.Host.TransferTime(bytes)
-	rep := TransferReport{Seconds: oneWay}
+	seconds = t.ic.Host.TransferTime(bytes)
 	acc.Transfers++
 	acc.HostBytes += bytes
-	if faulted {
-		// Products are rounded explicitly (float64(x*y)) so no compiler
-		// fuses them into the sums: the modeled seconds are the same bits
-		// on every architecture.
-		var extra float64
-		switch kind {
-		case LinkCorrupt:
-			acc.CorruptTransfers++
-			rep.Corrupt = true
-		case LinkDrop:
-			rep.Drops = t.Links.dropRetries()
-			acc.DroppedTransfers += int64(rep.Drops)
-			extra = float64(float64(rep.Drops) * oneWay)
-		case LinkDelay:
-			rep.Delayed = true
-			extra = float64((t.Links.delayFactor() - 1) * oneWay)
-		}
-		acc.LinkFaults++
-		acc.FaultSeconds += extra
-		rep.Seconds += extra
+	acc.HostSeconds += seconds
+	if corrupt {
+		acc.CorruptTransfers++
 	}
-	acc.HostSeconds += rep.Seconds
-	return rep
+	return seconds, corrupt
 }
 
 // SlabTiming is the modeled cost of one slab's pass on a device: the

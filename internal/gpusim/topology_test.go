@@ -25,16 +25,16 @@ func TestTopologyCharging(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c CommStats
-	h2d := pcie.Transfer(&c, OpHostToDevice, -1, 0, 1000).Seconds
-	d2h := pcie.Transfer(&c, OpDeviceToHost, 1, -1, 1000).Seconds
+	h2d, _ := pcie.Transfer(&c, OpHostToDevice, -1, 0, 1000)
+	d2h, _ := pcie.Transfer(&c, OpDeviceToHost, 1, -1, 1000)
 	if h2d != d2h || h2d != pcie.Interconnect().Host.TransferTime(1000) {
 		t.Errorf("symmetric host link: H2D %v, D2H %v, want %v", h2d, d2h, pcie.Interconnect().Host.TransferTime(1000))
 	}
 	if want := (CommStats{Transfers: 2, HostBytes: 2000, HostSeconds: h2d + d2h}); c != want {
 		t.Errorf("charged %+v, want %+v", c, want)
 	}
-	if rep := pcie.Transfer(&c, OpHostToDevice, -1, 0, 0); rep != (TransferReport{}) || c.Transfers != 2 {
-		t.Errorf("empty transfer reported %+v and charged %+v, want nothing", rep, c)
+	if secs, bad := pcie.Transfer(&c, OpHostToDevice, -1, 0, 0); secs != 0 || bad || c.Transfers != 2 {
+		t.Errorf("empty transfer reported (%v, %v) and charged %+v, want nothing", secs, bad, c)
 	}
 }
 

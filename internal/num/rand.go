@@ -33,9 +33,14 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Range returns a pseudo-random number in [lo, hi).
+// Range returns a pseudo-random number in [lo, hi). The product is
+// rounded explicitly and Range is never inlined, because an inlined
+// copy loses the rounding and arm64 fuses it into a multiply-add: the
+// generated workloads must be the same bits on every architecture.
+//
+//go:noinline
 func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Intn returns a pseudo-random integer in [0, n). It panics if n <= 0.
