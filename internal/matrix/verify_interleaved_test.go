@@ -32,15 +32,23 @@ func TestResidualsPerSystemInterleavedBitwise(t *testing.T) {
 			b.RHS[i] = rng.NormFloat64()
 			x[i] = rng.NormFloat64()
 		}
-		// Poison a couple of systems the way real faults do: a
-		// non-finite solution entry, and a non-finite RHS (the latter
-		// yields a NaN residual via Inf/Inf in both scans).
-		if m >= 3 {
+		// Poison systems the way real faults do: a non-finite solution
+		// entry, an infinite and a NaN RHS (each +Inf in both scans),
+		// and finite rows whose residual and norms overflow (Inf/Inf,
+		// which both scans report as +Inf).
+		if m >= 5 {
 			x[1*n+n/2] = math.NaN()
 			b.RHS[2*n] = math.Inf(1)
+			b.RHS[3*n+n-1] = math.NaN()
+			b.Diag[4*n], b.RHS[4*n], x[4*n] = 1.5e308, -1.5e308, 1
 		}
 
 		want := residualsOf(b, x)
+		for i := 1; i < 5 && m >= 5; i++ {
+			if !math.IsInf(want[i], 1) {
+				t.Fatalf("%dx%d poisoned system %d: Residual %v, want +Inf", m, n, i, want[i])
+			}
+		}
 
 		v := b.ToInterleaved()
 		xi := InterleaveVector(x, m, n)
